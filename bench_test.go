@@ -61,8 +61,3 @@ func BenchmarkFig9(b *testing.B) { runExperiment(b, bench.Fig9) }
 // BenchmarkFig10 — Fig. 10: burst-parallel compile-and-link job; Fixpoint
 // vs Ray+MinIO vs OpenWhisk.
 func BenchmarkFig10(b *testing.B) { runExperiment(b, bench.Fig10) }
-
-// BenchmarkRepl — this reproduction's replicated-placement experiment:
-// fetch availability and repair convergence through a worker kill, swept
-// over replication factors.
-func BenchmarkRepl(b *testing.B) { runExperiment(b, bench.FigRepl) }

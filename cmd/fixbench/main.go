@@ -22,7 +22,7 @@ import (
 
 func main() {
 	bench.RunChildIfRequested()
-	exp := flag.String("exp", "all", "experiment id (fig7a fig7b fig8a fig8b fig9 fig10 gateway durable jobs cluster replication storage trace multigw) or all")
+	exp := flag.String("exp", "all", "experiment id (fig7a fig7b fig8a fig8b fig9 fig10) or all")
 	scaleName := flag.String("scale", "default", "default | paper")
 	writeJSON := flag.Bool("json", true, "write BENCH_<figure>.json next to the human output")
 	jsonDir := flag.String("json-dir", ".", "directory for BENCH_<figure>.json files")

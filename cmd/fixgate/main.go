@@ -85,7 +85,6 @@ func main() {
 	cores := flag.Int("cores", 8, "CPU slots (in-process engine mode)")
 	memGiB := flag.Uint64("mem-gib", 16, "RAM capacity in GiB (in-process engine mode)")
 	cacheEntries := flag.Int("cache", 4096, "result cache entries (0 disables caching and collapsing)")
-	cacheShards := flag.Int("cache-shards", 16, "independently locked result-cache shards (1 restores the single-mutex cache)")
 	maxBatch := flag.Int("max-batch", 256, "items allowed in one POST /v1/jobs:batch submission (413 beyond)")
 	maxInFlight := flag.Int("max-inflight", 64, "concurrent backend evaluations")
 	maxQueue := flag.Int("max-queue", 256, "queued submissions before load-shedding with 429")
@@ -225,7 +224,6 @@ func main() {
 	gwOpts := gateway.Options{
 		Backend:         backend,
 		CacheEntries:    *cacheEntries,
-		CacheShards:     *cacheShards,
 		MaxBatchItems:   *maxBatch,
 		MaxInFlight:     *maxInFlight,
 		MaxQueue:        *maxQueue,
@@ -332,8 +330,8 @@ func main() {
 	if clustered {
 		mode = "cluster client"
 	}
-	fmt.Printf("fixgate: serving on %s (%s, cache=%d×%d shards, inflight=%d, queue=%d)\n",
-		*listen, mode, *cacheEntries, *cacheShards, *maxInFlight, *maxQueue)
+	fmt.Printf("fixgate: serving on %s (%s, cache=%d, inflight=%d, queue=%d)\n",
+		*listen, mode, *cacheEntries, *maxInFlight, *maxQueue)
 	if err := http.ListenAndServe(*listen, srv.Handler()); err != nil {
 		fatal(err)
 	}

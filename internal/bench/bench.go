@@ -66,63 +66,6 @@ type Scale struct {
 	HeaderSize  int           // shared headers
 	CompileTime time.Duration // modeled libclang invocation
 	LinkTime    time.Duration // modeled liblld invocation
-
-	// Gateway serving experiment (internal/gateway, cmd/fixgate).
-	GateWorkers     int           // cluster workers behind the edge
-	GateClients     int           // closed-loop client goroutines
-	GateRequests    int           // requests per client
-	GateDupRatios   []float64     // duplicate-submission ratios to sweep
-	GateServiceTime time.Duration // modeled per-job compute on a worker
-	GateLinkLatency time.Duration // edge ↔ worker propagation delay
-	GateMaxInFlight int           // gateway admission slots
-	GateCache       int           // result-cache entries
-	GateShards      int           // cache shards for the sharded/batched rows
-	GateBatchSize   int           // items per POST /v1/jobs:batch submission
-
-	// Durable persistence experiment (internal/durable).
-	DurObjects   int // objects written through and recovered (paper-scale: 1M)
-	DurBlobBytes int // payload bytes per object (must exceed the literal cutoff)
-
-	// Async job-lifecycle experiment (internal/jobs, cmd/fixgate).
-	JobsCount       int           // unique jobs submitted per configuration
-	JobsWorkers     int           // async worker pool size (and backend concurrency)
-	JobsClients     int           // closed-loop submitting clients
-	JobsServiceTime time.Duration // modeled per-job compute
-
-	// Cluster fault-tolerance experiment (internal/cluster failover).
-	ClusterWorkers     int           // worker nodes behind the edge
-	ClusterClients     int           // closed-loop client goroutines
-	ClusterRequests    int           // unique jobs per client
-	ClusterKills       []int         // mid-run worker kill counts to sweep
-	ClusterServiceTime time.Duration // modeled per-job compute on a worker
-	ClusterLinkLatency time.Duration // edge ↔ worker propagation delay
-	ClusterHbInterval  time.Duration // heartbeat interval (timeout is 4×)
-
-	// Tiered-storage experiment (internal/storage LFC + remote tier).
-	StorObjects       int           // objects in the remote universe
-	StorBlobBytes     int           // payload bytes per object (must exceed the literal cutoff)
-	StorReads         int           // skewed reads per configuration
-	StorLFCFracs      []float64     // LFC budgets to sweep, as fractions of the universe
-	StorRemoteLatency time.Duration // injected per remote-tier read
-
-	// Replicated multi-gateway edge experiment (internal/edgelog,
-	// internal/gateway).
-	MGWGateways     []int         // gateway counts to sweep (e.g. 1, 2, 4)
-	MGWWorkers      int           // shared worker mesh size
-	MGWClients      int           // closed-loop clients per gateway
-	MGWRequests     int           // requests per client
-	MGWServiceTime  time.Duration // modeled per-job compute on a worker
-	MGWLinkLatency  time.Duration // gateway ↔ worker and peer-link propagation
-	MGWMaxInFlight  int           // per-gateway admission slots (the bottleneck)
-	MGWFailoverJobs int           // async jobs accepted before the mid-drain kill
-
-	// Replicated-placement experiment (internal/cluster replication).
-	ReplWorkers     int           // worker nodes (one is killed per configuration)
-	ReplObjects     int           // objects written before the kill
-	ReplBlobBytes   int           // payload bytes per object
-	ReplFactors     []int         // replication factors R to sweep (e.g. 1, 2)
-	ReplLinkLatency time.Duration // inter-node propagation delay
-	ReplHbInterval  time.Duration // heartbeat interval (timeout is 4×)
 }
 
 // DefaultScale is the quick configuration used by `go test -bench` and
@@ -166,55 +109,6 @@ func DefaultScale() Scale {
 		HeaderSize:  32 << 10,
 		CompileTime: 15 * time.Millisecond,
 		LinkTime:    60 * time.Millisecond,
-
-		GateWorkers:     4,
-		GateClients:     16,
-		GateRequests:    25,
-		GateDupRatios:   []float64{0, 0.5, 0.9},
-		GateServiceTime: 5 * time.Millisecond,
-		GateLinkLatency: 500 * time.Microsecond,
-		GateMaxInFlight: 4,
-		GateCache:       4096,
-		GateShards:      16,
-		GateBatchSize:   64,
-
-		DurObjects:   10000,
-		DurBlobBytes: 128,
-
-		JobsCount:       64,
-		JobsWorkers:     4,
-		JobsClients:     4,
-		JobsServiceTime: 5 * time.Millisecond,
-
-		ClusterWorkers:     4,
-		ClusterClients:     8,
-		ClusterRequests:    25,
-		ClusterKills:       []int{0, 1, 2},
-		ClusterServiceTime: 10 * time.Millisecond,
-		ClusterLinkLatency: 300 * time.Microsecond,
-		ClusterHbInterval:  25 * time.Millisecond,
-
-		StorObjects:       128,
-		StorBlobBytes:     4 << 10,
-		StorReads:         768,
-		StorLFCFracs:      []float64{0.25, 0.5, 1},
-		StorRemoteLatency: 2 * time.Millisecond,
-
-		MGWGateways:     []int{1, 2, 4},
-		MGWWorkers:      2,
-		MGWClients:      8,
-		MGWRequests:     20,
-		MGWServiceTime:  5 * time.Millisecond,
-		MGWLinkLatency:  200 * time.Microsecond,
-		MGWMaxInFlight:  4,
-		MGWFailoverJobs: 16,
-
-		ReplWorkers:     4,
-		ReplObjects:     96,
-		ReplBlobBytes:   4 << 10,
-		ReplFactors:     []int{1, 2},
-		ReplLinkLatency: 300 * time.Microsecond,
-		ReplHbInterval:  25 * time.Millisecond,
 	}
 }
 
@@ -233,28 +127,6 @@ func PaperScale() Scale {
 	s.BTreeArities = []int{4, 16, 64, 256, 4096, 65536}
 	s.BTreeQueries = 50
 	s.SourceFiles = 1000
-	s.GateClients = 64
-	s.GateRequests = 50
-	s.DurObjects = 1000000
-	s.JobsCount = 512
-	s.JobsWorkers = 16
-	s.JobsClients = 16
-	s.ClusterWorkers = 8
-	s.ClusterClients = 32
-	s.ClusterRequests = 50
-	s.MGWClients = 16
-	s.MGWRequests = 50
-	s.MGWWorkers = 4
-	s.MGWFailoverJobs = 64
-	s.ReplWorkers = 8
-	s.ReplObjects = 1024
-	s.ReplBlobBytes = 64 << 10
-	s.ReplFactors = []int{1, 2, 3}
-	s.StorObjects = 512
-	s.StorBlobBytes = 64 << 10
-	s.StorReads = 4096
-	s.StorLFCFracs = []float64{0.1, 0.25, 0.5, 1}
-	s.StorRemoteLatency = 10 * time.Millisecond
 	return s
 }
 
@@ -277,14 +149,6 @@ var Experiments = []struct {
 	{"fig8b", Fig8b},
 	{"fig9", Fig9},
 	{"fig10", Fig10},
-	{"gateway", FigGate},
-	{"durable", FigDurable},
-	{"jobs", FigJobs},
-	{"cluster", FigCluster},
-	{"replication", FigRepl},
-	{"storage", FigStorage},
-	{"trace", FigTrace},
-	{"multigw", FigMultiGW},
 }
 
 // Run executes one experiment by id.

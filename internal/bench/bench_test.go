@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"os"
 	"strings"
 	"testing"
@@ -34,9 +35,6 @@ func tinyScale() Scale {
 	s.HeaderSize = 4 << 10
 	s.CompileTime = 2 * time.Millisecond
 	s.LinkTime = 5 * time.Millisecond
-	s.ReplWorkers = 3
-	s.ReplObjects = 24
-	s.ReplBlobBytes = 2 << 10
 	return s
 }
 
@@ -114,15 +112,30 @@ func TestFig8b(t *testing.T) {
 	if len(res.Rows) != 7 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
-	// At this tiny scale fixed latencies dominate, so only the headline
-	// ablation claims are asserted: locality-blind placement, internal
-	// I/O, and the OpenWhisk baseline must all lose to Fixpoint. (The
-	// full ordering emerges at the default scale; see BenchmarkFig8b.)
-	fix := res.Rows[0].Measured
-	for _, i := range []int{1, 2, 6} {
-		if res.Rows[i].Measured <= fix {
-			t.Errorf("%s (%v) should be slower than Fixpoint (%v)", res.Rows[i].System, res.Rows[i].Measured, fix)
+	// The ablation rows are 0.5–4 ms apart at this scale, so their order
+	// on wall time is the host's, not the design's. The paper's claim is
+	// about work: locality moves fewer bytes, and externalized I/O never
+	// holds a claimed core idle. Both are counted, so assert those.
+	var moved, iowaitUS [3]int64
+	for i := range moved {
+		var waiting float64
+		if _, err := fmt.Sscanf(res.Rows[i].Detail, "waiting=%f%% moved=%dB iowait=%dµs", &waiting, &moved[i], &iowaitUS[i]); err != nil {
+			t.Fatalf("%s: unparseable detail %q: %v", res.Rows[i].System, res.Rows[i].Detail, err)
 		}
+	}
+	if moved[1] <= moved[0] {
+		t.Errorf("no locality moved %d B, should exceed Fixpoint's %d B", moved[1], moved[0])
+	}
+	if iowaitUS[0] != 0 || iowaitUS[1] != 0 {
+		t.Errorf("externalized I/O held cores idle: iowait %dµs / %dµs, want 0", iowaitUS[0], iowaitUS[1])
+	}
+	if iowaitUS[2] <= 0 {
+		t.Errorf("internal I/O recorded no I/O wait")
+	}
+	// OpenWhisk is seconds against Fixpoint's milliseconds: far outside
+	// any scheduling noise.
+	if fix, whisk := res.Rows[0].Measured, res.Rows[6].Measured; whisk <= fix {
+		t.Errorf("%s (%v) should be slower than Fixpoint (%v)", res.Rows[6].System, whisk, fix)
 	}
 	t.Log("\n" + res.String())
 }
@@ -168,7 +181,7 @@ func TestRunByID(t *testing.T) {
 	if _, err := Run("nope", tinyScale()); err == nil {
 		t.Fatal("unknown id should error")
 	}
-	if len(Experiments) != 14 {
+	if len(Experiments) != 6 {
 		t.Fatalf("experiments = %d", len(Experiments))
 	}
 }

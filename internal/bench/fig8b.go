@@ -46,11 +46,13 @@ func Fig8b(s Scale) (Result, error) {
 		{name: "Fixpoint (no locality + internal I/O)", noLocality: true, internalIO: true, paper: 33780 * time.Millisecond, paperWaitPct: "92%"},
 	}
 	for _, v := range fixVariants {
-		dur, usage, err := fig8bFixpoint(s, chunks, want, v.noLocality, v.internalIO)
+		dur, usage, moved, err := fig8bFixpoint(s, chunks, want, v.noLocality, v.internalIO)
 		if err != nil {
 			return res, fmt.Errorf("%s: %w", v.name, err)
 		}
-		detail := fmt.Sprintf("waiting=%.0f%%", usage.WaitingPct())
+		// moved and iowait are counted, not timed, so they separate
+		// these three rows on any host (TestFig8b asserts on them).
+		detail := fmt.Sprintf("waiting=%.0f%% moved=%dB iowait=%dµs", usage.WaitingPct(), moved, usage.IOWait.Microseconds())
 		if v.paperWaitPct != "" {
 			detail += " (paper " + v.paperWaitPct + ")"
 		}
@@ -88,7 +90,11 @@ func Fig8b(s Scale) (Result, error) {
 	return res, nil
 }
 
-func fig8bFixpoint(s Scale, chunks [][]byte, want uint64, noLocality, internalIO bool) (time.Duration, stats.Usage, error) {
+// fig8bFixpoint runs one Fixpoint variant and reports its wall time, the
+// merged per-node usage, and the bytes copied between nodes during the
+// eval (growth of the nodes' stores: every object a node did not already
+// hold arrived over a link or was created there).
+func fig8bFixpoint(s Scale, chunks [][]byte, want uint64, noLocality, internalIO bool) (time.Duration, stats.Usage, uint64, error) {
 	reg := runtime.NewRegistry()
 	wiki.Register(reg, wiki.Config{ComputePerByte: s.ComputePerByte})
 	nodes := make([]*cluster.Node, s.Nodes)
@@ -112,22 +118,30 @@ func fig8bFixpoint(s Scale, chunks [][]byte, want uint64, noLocality, internalIO
 
 	job, err := wiki.BuildJob(nodes[0].Store(), s.Needle, handles)
 	if err != nil {
-		return 0, stats.Usage{}, err
+		return 0, stats.Usage{}, 0, err
 	}
+	resident := func() (total uint64) {
+		for _, n := range nodes {
+			total += n.Store().TotalBytes()
+		}
+		return total
+	}
+	before := resident()
 	start := time.Now()
 	out, err := nodes[0].EvalBlob(context.Background(), job)
 	wall := time.Since(start)
 	if err != nil {
-		return 0, stats.Usage{}, err
+		return 0, stats.Usage{}, 0, err
 	}
 	if got, _ := core.DecodeU64(out); got != want {
-		return 0, stats.Usage{}, fmt.Errorf("count = %d, want %d", got, want)
+		return 0, stats.Usage{}, 0, fmt.Errorf("count = %d, want %d", got, want)
 	}
+	moved := resident() - before
 	us := make([]stats.Usage, len(nodes))
 	for i, n := range nodes {
 		us[i] = n.Stats().Usage(wall)
 	}
-	return wall, stats.Merge(us...), nil
+	return wall, stats.Merge(us...), moved, nil
 }
 
 func fig8bRay(s Scale, chunks [][]byte, want uint64, cps bool) (time.Duration, error) {

@@ -15,7 +15,7 @@ import (
 // testTier builds an LFC-fronted Dir tier in temp dirs.
 func testTier(t *testing.T, budget int64) *storage.LFC {
 	t.Helper()
-	remote, err := storage.NewDir(t.TempDir(), storage.DirOptions{})
+	remote, err := storage.NewDir(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -131,12 +132,9 @@ var gatedDocs = []string{
 // be committed at the repo root and parse against the documented schema
 // (BENCHMARKS.md §JSON schema). Adding an experiment without committing
 // its JSON — or drifting the schema without updating the docs and this
-// gate — fails CI.
-var gatedBenchIDs = []string{
-	"fig7a", "fig7b", "fig8a", "fig8b", "fig9", "fig10",
-	"gateway", "durable", "jobs", "cluster", "replication", "storage", "trace",
-	"multigw",
-}
+// gate — fails CI. Serving numbers live in benchmark/ (BENCHMARK.json),
+// not here.
+var gatedBenchIDs = []string{"fig7a", "fig7b", "fig8a", "fig8b", "fig9", "fig10"}
 
 // benchResult mirrors bench.JSONResult field for field; decoding with
 // DisallowUnknownFields makes this test fail when the emitted schema
@@ -157,8 +155,20 @@ type benchRow struct {
 
 // TestBenchJSONSchema fails when a committed BENCH_<id>.json is missing,
 // unparseable, schema-drifted, or self-inconsistent (wrong id, empty
-// rows, empty system names, non-positive measurements).
+// rows, empty system names, non-positive measurements), and when a root
+// BENCH_*.json belongs to no gated experiment (a retired experiment's
+// emission left behind).
 func TestBenchJSONSchema(t *testing.T) {
+	committed, err := filepath.Glob("../../BENCH_*.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range committed {
+		id := strings.TrimSuffix(strings.TrimPrefix(filepath.Base(path), "BENCH_"), ".json")
+		if !slices.Contains(gatedBenchIDs, id) {
+			t.Errorf("%s: orphan emission, %q is not a gated experiment", filepath.Base(path), id)
+		}
+	}
 	for _, id := range gatedBenchIDs {
 		path := filepath.Join("../..", "BENCH_"+id+".json")
 		data, err := os.ReadFile(path)

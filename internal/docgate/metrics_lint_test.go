@@ -35,7 +35,7 @@ func TestMetricFamiliesNamedAndDocumented(t *testing.T) {
 	// stats section switched on — a storage tier included, so the
 	// fixgate_storage_* families emit.
 	newTier := func() storage.Storage {
-		remote, err := storage.NewDir(t.TempDir(), storage.DirOptions{})
+		remote, err := storage.NewDir(t.TempDir())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,12 +86,11 @@ func TestMetricFamiliesNamedAndDocumented(t *testing.T) {
 	lint("gateway", srv.Metrics())
 	lint("worker", workerReg)
 
-	// The data-plane batch/shard families are pinned by name, not just by
-	// emission: if a collector refactor stops emitting one, the implicit
+	// The batch, storage and edge families are pinned by name, not just
+	// by emission: if a collector refactor stops emitting one, the implicit
 	// loop above goes silent, but operators' dashboards still reference
 	// these — so both the registry and the doc table must keep them.
 	required := []string{
-		"fixgate_cache_shards",
 		"fixgate_batch_requests_total",
 		"fixgate_batch_items_total",
 		"fixgate_batch_max_items",

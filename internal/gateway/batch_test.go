@@ -222,3 +222,64 @@ func TestBatchDuplicatesCollapse(t *testing.T) {
 		t.Errorf("cache stats = %+v, want 1 miss and %d collapsed", st.Cache, K-1)
 	}
 }
+
+// overlapBackend holds each evaluation until two are in flight at once
+// (or a second passes), so a concurrent fan-out is observed rather than
+// inferred from wall time.
+type overlapBackend struct {
+	slowBackend
+	mu         sync.Mutex
+	cur, peak  int
+	overlapped chan struct{}
+}
+
+func (b *overlapBackend) Eval(ctx context.Context, h core.Handle) (core.Handle, error) {
+	b.mu.Lock()
+	b.cur++
+	if b.cur > b.peak {
+		b.peak = b.cur
+		if b.peak == 2 {
+			close(b.overlapped)
+		}
+	}
+	b.mu.Unlock()
+	select {
+	case <-b.overlapped:
+	case <-time.After(time.Second):
+	}
+	b.mu.Lock()
+	b.cur--
+	b.mu.Unlock()
+	return b.slowBackend.Eval(ctx, h)
+}
+
+// TestBatchColdItemsFanOutUnderOneSlot: a batch of distinct cold handles
+// takes one admission slot, not one per item, and its items reach the
+// backend concurrently — each exactly once.
+func TestBatchColdItemsFanOutUnderOneSlot(t *testing.T) {
+	back := &overlapBackend{slowBackend: slowBackend{st: store.New()}, overlapped: make(chan struct{})}
+	srv, c := newTestGateway(t, Options{Backend: back, CacheEntries: 64, MaxInFlight: 1})
+	const K = 8
+	hs := make([]core.Handle, K)
+	for i := range hs {
+		hs[i] = key(uint64(900 + i))
+	}
+	results, err := c.SubmitBatch(context.Background(), hs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range results {
+		if r.Err != nil || r.Result != core.LiteralU64(42) || r.Outcome != OutcomeMiss {
+			t.Fatalf("item %d = %+v", i, r)
+		}
+	}
+	if got := back.evals.Load(); got != K {
+		t.Errorf("backend evaluations = %d, want exactly %d", got, K)
+	}
+	if back.peak < 2 {
+		t.Errorf("peak backend concurrency = %d: the batch was evaluated serially", back.peak)
+	}
+	if st := srv.Stats(); st.Admission.Admitted != 1 || st.Cache.Misses != K {
+		t.Errorf("admitted %d slots for %d misses, want 1 slot for %d", st.Admission.Admitted, st.Cache.Misses, K)
+	}
+}

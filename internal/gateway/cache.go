@@ -35,7 +35,6 @@ type CacheStats struct {
 	Warmed    uint64 `json:"warmed"` // entries preloaded from a recovered memo journal
 	Entries   int    `json:"entries"`
 	Capacity  int    `json:"capacity"`
-	Shards    int    `json:"shards"`
 }
 
 // resultCache memoizes Handle → evaluated result with LRU eviction and
@@ -93,6 +92,10 @@ type flight struct {
 	result core.Handle
 	err    error
 }
+
+// cacheShards is how many independently locked, hash-routed shards the
+// server's result cache is split into (clamped to its capacity).
+const cacheShards = 16
 
 // newResultCache builds a cache of the given total capacity split across
 // shards hash-routed slices. shards is clamped to [1, capacity] so every
@@ -288,7 +291,7 @@ func (c *resultCache) warm(k, result core.Handle) {
 
 // Stats snapshots the counters, summed across shards.
 func (c *resultCache) Stats() CacheStats {
-	out := CacheStats{Capacity: c.capacity, Shards: len(c.shards)}
+	out := CacheStats{Capacity: c.capacity}
 	for _, s := range c.shards {
 		s.mu.Lock()
 		out.Hits += s.hits

@@ -89,7 +89,6 @@ func (s *Server) collectStats(emit func(obsv.Sample)) {
 	counter("cache_warmed_total", "Entries preloaded from a recovered memo journal", float64(st.Cache.Warmed))
 	gauge("cache_entries", "Result-cache entries resident", float64(st.Cache.Entries))
 	gauge("cache_capacity", "Result-cache capacity", float64(st.Cache.Capacity))
-	gauge("cache_shards", "Independently locked result-cache shards", float64(st.Cache.Shards))
 
 	gauge("admission_in_flight", "Backend evaluations running now", float64(st.Admission.InFlight))
 	gauge("admission_waiting", "Submissions queued for an evaluation slot", float64(st.Admission.Waiting))

@@ -27,10 +27,6 @@ type Options struct {
 	// CacheEntries bounds the result LRU. 0 disables the cache and
 	// single-flight collapsing (every submission reaches the backend).
 	CacheEntries int
-	// CacheShards splits the result cache into independently locked
-	// hash-routed shards (default 16, clamped to CacheEntries). 1
-	// restores the single-mutex cache.
-	CacheShards int
 	// MaxInFlight bounds concurrent backend evaluations (default 64).
 	MaxInFlight int
 	// MaxBatchItems bounds one POST /v1/jobs:batch submission (default
@@ -100,9 +96,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.CacheShards <= 0 {
-		o.CacheShards = 16
-	}
 	if o.MaxInFlight <= 0 {
 		o.MaxInFlight = 64
 	}
@@ -241,7 +234,7 @@ func NewServer(opts Options) (*Server, error) {
 	}
 	s.closeCtx, s.closeCancel = context.WithCancel(context.Background())
 	if opts.CacheEntries > 0 {
-		s.cache = newResultCache(opts.CacheEntries, opts.CacheShards)
+		s.cache = newResultCache(opts.CacheEntries, cacheShards)
 	}
 	s.initMetrics()
 	if opts.EdgeID != "" {

@@ -34,7 +34,7 @@ func TestGatewayTierWarmColdLFCRestart(t *testing.T) {
 
 	newTier := func(cacheDir string) *storage.LFC {
 		t.Helper()
-		remote, err := storage.NewDir(remoteDir, storage.DirOptions{})
+		remote, err := storage.NewDir(remoteDir)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync/atomic"
-	"time"
 
 	"fixgo/internal/core"
 )
@@ -16,22 +15,13 @@ import (
 // them, and a crash mid-write leaves only a skippable temp file behind.
 const tmpPrefix = "tmp-"
 
-// DirOptions configures a Dir tier.
-type DirOptions struct {
-	// Latency, when positive, is added to every Get and Put to simulate a
-	// remote blob service's round trip. Benches use it; production
-	// deployments leave it zero.
-	Latency time.Duration
-}
-
 // Dir is an S3-like blob tier over a local directory: one file per
 // object, sharded by the first byte of the handle, filled by write to a
 // temp file plus atomic rename. It stands in for a real remote blob
 // service in tests and benches, and is a usable single-machine remote
 // tier (e.g. a directory on network-attached storage).
 type Dir struct {
-	dir     string
-	latency time.Duration
+	dir string
 
 	gets    atomic.Uint64
 	puts    atomic.Uint64
@@ -40,11 +30,11 @@ type Dir struct {
 }
 
 // NewDir opens (creating if needed) a directory-backed tier rooted at dir.
-func NewDir(dir string, opts DirOptions) (*Dir, error) {
+func NewDir(dir string) (*Dir, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("storage: create remote dir: %w", err)
 	}
-	return &Dir{dir: dir, latency: opts.Latency}, nil
+	return &Dir{dir: dir}, nil
 }
 
 // Dir returns the tier's root directory.
@@ -55,23 +45,9 @@ func (d *Dir) path(h core.Handle) string {
 	return filepath.Join(d.dir, name[:2], name)
 }
 
-func (d *Dir) sleep(ctx context.Context) error {
-	if d.latency <= 0 {
-		return ctx.Err()
-	}
-	t := time.NewTimer(d.latency)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
 // Get reads the object file for h.
 func (d *Dir) Get(ctx context.Context, h core.Handle) ([]byte, error) {
-	if err := d.sleep(ctx); err != nil {
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	data, err := os.ReadFile(d.path(h))
@@ -92,7 +68,7 @@ func (d *Dir) Put(ctx context.Context, h core.Handle, data []byte) error {
 	if h.IsLiteral() {
 		return nil
 	}
-	if err := d.sleep(ctx); err != nil {
+	if err := ctx.Err(); err != nil {
 		return err
 	}
 	path := d.path(h)

@@ -51,7 +51,7 @@ func Build(cfg Config, local *durable.Store) (Storage, error) {
 	if cfg.RemoteDir == "" {
 		return nil, fmt.Errorf("storage: mode %s requires a remote directory (-remote-dir)", cfg.Mode)
 	}
-	remote, err := NewDir(cfg.RemoteDir, DirOptions{})
+	remote, err := NewDir(cfg.RemoteDir)
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math/rand"
 	"path/filepath"
 	"testing"
 
@@ -69,7 +70,7 @@ func roundTrip(t *testing.T, st Storage, deletable bool) {
 }
 
 func TestDirRoundTrip(t *testing.T) {
-	d, err := NewDir(t.TempDir(), DirOptions{})
+	d, err := NewDir(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +122,7 @@ func TestLocalTreePut(t *testing.T) {
 }
 
 func TestLFCRoundTrip(t *testing.T) {
-	d, err := NewDir(t.TempDir(), DirOptions{})
+	d, err := NewDir(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +140,7 @@ func TestHybridRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer dur.Close()
-	remote, err := NewDir(t.TempDir(), DirOptions{})
+	remote, err := NewDir(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +164,7 @@ func TestHybridFallbackMatrix(t *testing.T) {
 	}
 	defer dur.Close()
 	local := NewLocal(dur)
-	remote, err := NewDir(t.TempDir(), DirOptions{})
+	remote, err := NewDir(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +233,7 @@ func TestHybridFallbackMatrix(t *testing.T) {
 
 func TestLFCEvictionByBudget(t *testing.T) {
 	ctx := context.Background()
-	remote, err := NewDir(t.TempDir(), DirOptions{})
+	remote, err := NewDir(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +271,7 @@ func TestLFCEvictionByBudget(t *testing.T) {
 func TestLFCWarmReopen(t *testing.T) {
 	ctx := context.Background()
 	remoteDir, cacheDir := t.TempDir(), t.TempDir()
-	remote, err := NewDir(remoteDir, DirOptions{})
+	remote, err := NewDir(remoteDir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +285,7 @@ func TestLFCWarmReopen(t *testing.T) {
 	}
 
 	// Warm reopen: same cache dir, fresh index.
-	remote2, err := NewDir(remoteDir, DirOptions{})
+	remote2, err := NewDir(remoteDir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,11 +320,73 @@ func TestLFCWarmReopen(t *testing.T) {
 	}
 }
 
+// TestLFCHitsGrowWithBudget replays one seeded, skewed read list (a cold
+// sweep of the universe, then 80% of reads on its hottest fifth) through
+// a cache holding a quarter of the universe and one holding all of it.
+// The full-budget cache must earn strictly more hits, and must pay the
+// remote tier exactly once per object.
+func TestLFCHitsGrowWithBudget(t *testing.T) {
+	ctx := context.Background()
+	const objects, reads = 40, 240
+	remoteDir := t.TempDir()
+	seedTier, err := NewDir(remoteDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	handles := make([]core.Handle, objects)
+	var universe int64
+	for i := range handles {
+		h, d := blob(i)
+		if err := seedTier.Put(ctx, h, d); err != nil {
+			t.Fatal(err)
+		}
+		handles[i] = h
+		universe += int64(len(d))
+	}
+	rng := rand.New(rand.NewSource(18))
+	pattern := rng.Perm(objects)
+	for len(pattern) < reads {
+		if rng.Intn(10) < 8 {
+			pattern = append(pattern, rng.Intn(objects/5))
+		} else {
+			pattern = append(pattern, rng.Intn(objects))
+		}
+	}
+
+	replay := func(budget int64) Stats {
+		t.Helper()
+		remote, err := NewDir(remoteDir) // fresh counters per arm
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := NewLFC(t.TempDir(), budget, remote)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, idx := range pattern {
+			if _, err := c.Get(ctx, handles[idx]); err != nil {
+				t.Fatalf("budget %d: read %d: %v", budget, idx, err)
+			}
+		}
+		return c.StorageStats()
+	}
+	quarter, full := replay(universe/4), replay(universe)
+	if full.LFCHits <= quarter.LFCHits {
+		t.Errorf("hits at full budget %d, at a quarter %d: want strictly more", full.LFCHits, quarter.LFCHits)
+	}
+	if quarter.LFCHits == 0 {
+		t.Error("quarter-budget cache never hit on a skewed stream")
+	}
+	if full.RemoteGets != objects {
+		t.Errorf("full-budget cache paid %d remote reads for %d objects", full.RemoteGets, objects)
+	}
+}
+
 // TestLFCZeroBudgetPassThrough: a zero budget disables caching without
 // breaking the read path.
 func TestLFCZeroBudgetPassThrough(t *testing.T) {
 	ctx := context.Background()
-	remote, err := NewDir(t.TempDir(), DirOptions{})
+	remote, err := NewDir(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +411,7 @@ func TestLFCZeroBudgetPassThrough(t *testing.T) {
 // the chaos job.
 func TestLFCConcurrentFillRace(t *testing.T) {
 	ctx := context.Background()
-	remote, err := NewDir(t.TempDir(), DirOptions{})
+	remote, err := NewDir(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
