@@ -26,7 +26,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -220,6 +219,8 @@ type Node struct {
 
 	mu      sync.Mutex
 	peers   map[string]*peer
+	targets []string                 // placement candidates, sorted: worker peers, plus this node unless client-only
+	workers map[string]*peer         // the worker peers among targets
 	view    *objstore.ReplicaTracker // passive object view: key → believed holders
 	ring    *objstore.Ring           // consistent-hash placement ring over live members
 	fetchW  map[core.Handle]*fetchWait
@@ -379,6 +380,7 @@ func (n *Node) Close() {
 	// no-op: a clean shutdown is not an eviction and must not inflate
 	// the Evicted counter (or leave NetStats().Peers nonzero).
 	n.peers = make(map[string]*peer)
+	n.targets, n.workers = nil, nil
 	var lost []*jobWaiter
 	for enc, ws := range n.jobW {
 		lost = append(lost, ws...)
@@ -642,9 +644,10 @@ func (n *Node) recvLoop(conn transport.Conn) {
 			}
 			old := n.peers[m.From]
 			n.peers[m.From] = np
-			if np.role == proto.RoleWorker {
+			if np.role == proto.RoleWorker || (old != nil && old.role == proto.RoleWorker) {
 				// Client-only peers are not placement targets; their
-				// arrival cannot change the ring.
+				// arrival cannot change the ring. A worker's reconnect
+				// must: the candidate snapshot points at its old link.
 				n.rebuildRingLocked()
 			}
 			var lost []*jobWaiter
@@ -807,8 +810,10 @@ func (n *Node) completeFetch(h core.Handle, data []byte, err error) {
 }
 
 // serveJob executes a delegated Encode forcing and replies with the
-// result. New objects produced by the job are advertised cluster-wide so
-// downstream placements see them.
+// result. Objects the job produced are advertised cluster-wide, so
+// downstream placements and peer gateways' cache-warm hints can locate
+// them, and replicated. A literal result produced nothing: the delegator
+// learns it from the Result frame alone and no other frame is sent.
 func (n *Node) serveJob(m *proto.Message) {
 	n.mu.Lock()
 	n.pending[n.id]++
@@ -843,8 +848,7 @@ func (n *Node) serveJob(m *proto.Message) {
 	if err != nil {
 		t.SetOutcome("error")
 		reply.Err = err.Error()
-	} else {
-		closure := n.closureOf(res)
+	} else if closure := n.closureOf(res); len(closure) > 0 {
 		n.broadcast(&proto.Message{Type: proto.TypeAdvertise, From: n.id, Adverts: closure})
 		// Eval outputs are writes too: a result living only on the worker
 		// that computed it would vanish with that worker.
@@ -865,6 +869,9 @@ func (n *Node) serveJob(m *proto.Message) {
 // (including h itself and thunk definitions), capped for sanity.
 func (n *Node) closureOf(h core.Handle) []core.Handle {
 	const maxClosure = 16384
+	if keyOf(h).IsLiteral() {
+		return nil
+	}
 	seen := make(map[core.Handle]bool)
 	var out []core.Handle
 	var walk func(core.Handle)
@@ -894,10 +901,20 @@ func (n *Node) closureOf(h core.Handle) []core.Handle {
 	return out
 }
 
+// FNV-1a (64-bit) parameters. The placer hashes inline, not through
+// hash/fnv, whose hasher and []byte conversions allocate on every
+// candidate of every placement.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
 func fnvHash(s string) uint64 {
-	f := fnv.New64a()
-	f.Write([]byte(s))
-	return f.Sum64()
+	h := uint64(fnvOffset64)
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime64
+	}
+	return h
 }
 
 type hopsKeyType struct{}

@@ -2,15 +2,14 @@ package cluster
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"fixgo/internal/core"
 	"fixgo/internal/obsv"
 	"fixgo/internal/proto"
+	"fixgo/internal/store"
 )
 
 // dep is one object a job's execution would need resident.
@@ -51,22 +50,27 @@ func (n *Node) Offload(ctx context.Context, enc core.Handle) (core.Handle, bool,
 	}
 	t := obsv.FromContext(ctx)
 	placeStart := time.Now()
-	tried := make(map[string]bool) // peers this job already died on
+	var tried map[string]bool // peers this job already died on
 	replaced := 0
 	for {
 		if n.isClosed() {
 			return core.Handle{}, true, ErrNodeClosed
 		}
-		candidates, peerByID := n.candidates()
-		live := candidates[:0:0]
-		remote := false
-		for _, c := range candidates {
-			if tried[c] {
-				continue
+		live, peerByID := n.candidates()
+		if len(tried) > 0 {
+			all := live
+			live = make([]string, 0, len(all))
+			for _, c := range all {
+				if !tried[c] {
+					live = append(live, c)
+				}
 			}
-			live = append(live, c)
+		}
+		remote := false
+		for _, c := range live {
 			if c != n.id {
 				remote = true
+				break
 			}
 		}
 		if !remote {
@@ -89,10 +93,6 @@ func (n *Node) Offload(ctx context.Context, enc core.Handle) (core.Handle, bool,
 			return core.Handle{}, false, nil
 		}
 		p := peerByID[target]
-		if p == nil {
-			tried[target] = true // raced away between snapshot and pick
-			continue
-		}
 		// One placement span per attempt: re-placements after a worker
 		// death show up as additional placement/delegate span pairs.
 		t.AddSpanAt("placement", "", placeStart, time.Since(placeStart))
@@ -105,6 +105,9 @@ func (n *Node) Offload(ctx context.Context, enc core.Handle) (core.Handle, bool,
 			return res, true, err
 		}
 		// The worker died under the job. Re-place it on a survivor.
+		if tried == nil {
+			tried = make(map[string]bool)
+		}
 		tried[target] = true
 		if replaced >= n.opts.MaxReplacements {
 			if n.opts.ClientOnly {
@@ -123,12 +126,7 @@ func (n *Node) Offload(ctx context.Context, enc core.Handle) (core.Handle, bool,
 func (n *Node) anyWorkerPeer() bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	for _, p := range n.peers {
-		if p.role == proto.RoleWorker {
-			return true
-		}
-	}
-	return false
+	return len(n.workers) > 0
 }
 
 // noteNet updates the failure-handling counters under the node lock.
@@ -139,24 +137,13 @@ func (n *Node) noteNet(f func(*NetStats)) {
 }
 
 // candidates lists placement targets: worker peers plus this node (unless
-// it is client-only).
+// it is client-only), sorted, and the worker peers by ID. Both are the
+// snapshot rebuildRingLocked keeps: shared by every caller, never to be
+// modified.
 func (n *Node) candidates() ([]string, map[string]*peer) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	byID := make(map[string]*peer, len(n.peers))
-	var out []string
-	for id, p := range n.peers {
-		if p.role != proto.RoleWorker {
-			continue
-		}
-		out = append(out, id)
-		byID[id] = p
-	}
-	if !n.opts.ClientOnly {
-		out = append(out, n.id)
-	}
-	sort.Strings(out)
-	return out, byID
+	return n.targets, n.workers
 }
 
 // jobDeps walks the locally resident definition closure of an Encode's
@@ -175,45 +162,9 @@ func (n *Node) jobDeps(enc core.Handle) (deps []dep, hint uint64, ok bool) {
 	if !def.IsLiteral() && !n.st.Contains(def) {
 		return nil, 0, false
 	}
-	seen := make(map[core.Handle]bool)
-	var walk func(h core.Handle)
-	walk = func(h core.Handle) {
-		switch h.RefKind() {
-		case core.RefThunk, core.RefEncode:
-			// The deferred computation's definition is itself a
-			// dependency of running the job here or anywhere.
-			var inner core.Handle
-			if h.RefKind() == core.RefEncode {
-				t, _ := core.EncodedThunk(h)
-				inner, _ = core.ThunkDefinition(t)
-			} else {
-				inner, _ = core.ThunkDefinition(h)
-			}
-			walk(inner)
-		case core.RefObject:
-			k := h.AsObject()
-			if k.IsLiteral() || seen[k] {
-				return
-			}
-			seen[k] = true
-			size := k.Size()
-			if k.Kind() == core.KindTree {
-				size *= core.HandleSize
-			}
-			deps = append(deps, dep{h: k, size: size})
-			if k.Kind() == core.KindTree && n.st.Contains(k) {
-				children, err := n.st.Tree(k)
-				if err == nil {
-					for _, c := range children {
-						walk(c)
-					}
-				}
-			}
-		default:
-			// Refs are shallow dependencies: not needed to run.
-		}
-	}
-	walk(def)
+	w := depWalk{st: n.st, deps: make([]dep, 0, 8)}
+	w.walk(def)
+	deps = w.deps
 
 	// The limits entry hints the output size (section 4.2.2).
 	if n.st.Contains(def) {
@@ -226,6 +177,79 @@ func (n *Node) jobDeps(enc core.Handle) (deps []dep, hint uint64, ok bool) {
 		}
 	}
 	return deps, hint, true
+}
+
+// depWalk is jobDeps's traversal state. deps doubles as the visited set
+// while the closure is small (the common case: an invocation tree, a
+// function and a few arguments); seen takes over once scanning deps would
+// cost more than a map.
+type depWalk struct {
+	st   *store.Store
+	deps []dep
+	seen map[core.Handle]struct{}
+}
+
+// depScanMax is the closure size up to which depWalk scans deps.
+const depScanMax = 16
+
+func (w *depWalk) walk(h core.Handle) {
+	switch h.RefKind() {
+	case core.RefThunk, core.RefEncode:
+		// The deferred computation's definition is itself a
+		// dependency of running the job here or anywhere.
+		var inner core.Handle
+		if h.RefKind() == core.RefEncode {
+			t, _ := core.EncodedThunk(h)
+			inner, _ = core.ThunkDefinition(t)
+		} else {
+			inner, _ = core.ThunkDefinition(h)
+		}
+		w.walk(inner)
+	case core.RefObject:
+		k := h.AsObject()
+		if k.IsLiteral() || !w.firstVisit(k) {
+			return
+		}
+		size := k.Size()
+		if k.Kind() == core.KindTree {
+			size *= core.HandleSize
+		}
+		w.deps = append(w.deps, dep{h: k, size: size})
+		if k.Kind() == core.KindTree && w.st.Contains(k) {
+			children, err := w.st.Tree(k)
+			if err == nil {
+				for _, c := range children {
+					w.walk(c)
+				}
+			}
+		}
+	default:
+		// Refs are shallow dependencies: not needed to run.
+	}
+}
+
+// firstVisit reports whether k has not been collected yet. The caller
+// appends k to deps when it has not.
+func (w *depWalk) firstVisit(k core.Handle) bool {
+	if w.seen == nil && len(w.deps) < depScanMax {
+		for i := range w.deps {
+			if w.deps[i].h == k {
+				return false
+			}
+		}
+		return true
+	}
+	if w.seen == nil {
+		w.seen = make(map[core.Handle]struct{}, 4*depScanMax)
+		for i := range w.deps {
+			w.seen[w.deps[i].h] = struct{}{}
+		}
+	}
+	if _, ok := w.seen[k]; ok {
+		return false
+	}
+	w.seen[k] = struct{}{}
+	return true
 }
 
 // pick chooses the placement. With NoLocality it is uniform random
@@ -280,11 +304,18 @@ func (n *Node) hasLocked(node string, h core.Handle) bool {
 	return n.view.Holds(keyOf(h), node)
 }
 
+// tieBreak is FNV-1a over the handle bytes followed by the candidate's
+// own FNV-1a hash as eight little-endian bytes.
 func tieBreak(enc core.Handle, cand string) uint64 {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], fnvHash(cand))
-	sum := fnvHash(string(enc[:]) + string(buf[:]))
-	return sum
+	h := uint64(fnvOffset64)
+	for _, b := range enc {
+		h = (h ^ uint64(b)) * fnvPrime64
+	}
+	c := fnvHash(cand)
+	for i := 0; i < 64; i += 8 {
+		h = (h ^ uint64(byte(c>>i))) * fnvPrime64
+	}
+	return h
 }
 
 // delegate ships the job to the chosen peer: the Encode handle plus the
@@ -329,7 +360,7 @@ func (n *Node) delegate(ctx context.Context, p *peer, enc core.Handle, deps []de
 			// plus remote compute.
 			t.AddSpanDur("remote_eval", p.id, time.Duration(res.evalNS))
 		}
-		if res.err == nil {
+		if res.err == nil && !keyOf(res.result).IsLiteral() {
 			n.mu.Lock()
 			n.viewAddLocked(res.result, p.id)
 			n.mu.Unlock()
@@ -397,6 +428,9 @@ func (n *Node) pushSet(target string, enc core.Handle, deps []dep) []proto.Pushe
 		data, err := n.st.ObjectBytes(d.h)
 		if err != nil {
 			continue
+		}
+		if out == nil {
+			out = make([]proto.PushedObject, 0, min(len(deps), maxObjects))
 		}
 		out = append(out, proto.PushedObject{Handle: d.h, Data: data})
 		total += len(data)

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"sort"
+
 	"fixgo/internal/core"
 	"fixgo/internal/objstore"
 	"fixgo/internal/proto"
@@ -15,22 +17,29 @@ import (
 // (fetcher.go), chooses replication targets here, and decides which
 // objects a repair pass must re-push.
 
-// rebuildRingLocked recomputes the placement ring from the current live
-// membership: every worker peer, plus this node unless it is
-// client-only. Callers hold n.mu. Ring membership is derived
-// independently on every node, so two nodes agree on placement exactly
-// when they agree on which workers are alive — after a partition heals,
-// repair passes reconverge the replica placement.
+// rebuildRingLocked recomputes the placement ring, and the placer's
+// candidate snapshot, from the current live membership: every worker
+// peer, plus this node unless it is client-only. Callers hold n.mu and
+// call it wherever the worker membership changes. Ring membership is
+// derived independently on every node, so two nodes agree on placement
+// exactly when they agree on which workers are alive — after a partition
+// heals, repair passes reconverge the replica placement. The snapshot
+// (targets, workers) is never mutated once built, so a placement reads
+// it without copying.
 func (n *Node) rebuildRingLocked() {
 	ids := make([]string, 0, len(n.peers)+1)
+	workers := make(map[string]*peer, len(n.peers))
 	for id, p := range n.peers {
 		if p.role == proto.RoleWorker {
 			ids = append(ids, id)
+			workers[id] = p
 		}
 	}
 	if !n.opts.ClientOnly {
 		ids = append(ids, n.id)
 	}
+	sort.Strings(ids)
+	n.targets, n.workers = ids, workers
 	n.ring = objstore.NewRing(ids, n.opts.RingVnodes)
 }
 

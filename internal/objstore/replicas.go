@@ -1,7 +1,7 @@
 package objstore
 
 import (
-	"sort"
+	"slices"
 
 	"fixgo/internal/core"
 )
@@ -21,52 +21,65 @@ import (
 // it with its own mutex (the same lock that already orders view updates
 // against placement decisions).
 type ReplicaTracker struct {
-	byKey map[core.Handle]map[string]bool
+	// byKey holds each key's owners as a small sorted slice: a key has a
+	// handful of holders at most, so a scan beats a per-key map and a new
+	// key costs one small allocation instead of a map.
+	byKey map[core.Handle][]string
 }
 
 // NewReplicaTracker returns an empty tracker.
 func NewReplicaTracker() *ReplicaTracker {
-	return &ReplicaTracker{byKey: make(map[core.Handle]map[string]bool)}
+	return &ReplicaTracker{byKey: make(map[core.Handle][]string)}
 }
 
 // Add records that owner holds key.
 func (t *ReplicaTracker) Add(key core.Handle, owner string) {
 	set := t.byKey[key]
-	if set == nil {
-		set = make(map[string]bool)
-		t.byKey[key] = set
+	i, found := slices.BinarySearch(set, owner)
+	if found {
+		return
 	}
-	set[owner] = true
+	if set == nil {
+		// Room for a second holder (the delegator and a worker, or a
+		// writer and its replica) without growing.
+		set = make([]string, 0, 2)
+	}
+	t.byKey[key] = slices.Insert(set, i, owner)
 }
 
 // Remove forgets that owner holds key (e.g. after a Missing reply).
 func (t *ReplicaTracker) Remove(key core.Handle, owner string) {
-	if set := t.byKey[key]; set != nil {
-		delete(set, owner)
-		if len(set) == 0 {
-			delete(t.byKey, key)
-		}
+	t.remove(key, t.byKey[key], owner)
+}
+
+// remove drops owner from set, key's owners, deleting the key with its
+// last owner, and reports whether owner was there.
+func (t *ReplicaTracker) remove(key core.Handle, set []string, owner string) bool {
+	i, found := slices.BinarySearch(set, owner)
+	if !found {
+		return false
 	}
+	if len(set) == 1 {
+		delete(t.byKey, key)
+	} else {
+		t.byKey[key] = slices.Delete(set, i, i+1)
+	}
+	return true
 }
 
 // Holds reports whether owner is believed to hold key.
 func (t *ReplicaTracker) Holds(key core.Handle, owner string) bool {
-	return t.byKey[key][owner]
+	return slices.Contains(t.byKey[key], owner)
 }
 
 // Owners lists the believed holders of key, sorted for deterministic
-// iteration.
+// iteration. The slice is the caller's.
 func (t *ReplicaTracker) Owners(key core.Handle) []string {
 	set := t.byKey[key]
 	if len(set) == 0 {
 		return nil
 	}
-	out := make([]string, 0, len(set))
-	for id := range set {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
+	return slices.Clone(set)
 }
 
 // Count reports how many remote holders of key are known.
@@ -80,12 +93,8 @@ func (t *ReplicaTracker) Count(key core.Handle) int {
 func (t *ReplicaTracker) DropOwner(owner string) int {
 	dropped := 0
 	for key, set := range t.byKey {
-		if set[owner] {
-			delete(set, owner)
+		if t.remove(key, set, owner) {
 			dropped++
-			if len(set) == 0 {
-				delete(t.byKey, key)
-			}
 		}
 	}
 	return dropped

@@ -196,3 +196,26 @@ func TestReplicaTracker(t *testing.T) {
 		t.Fatalf("Len = %d, want 0", tr.Len())
 	}
 }
+
+// TestReplicaTrackerAddAllocs pins the view update behind every pushed
+// object and replica ack (ROADMAP 2 Part D): a second holder of a known
+// key, and a holder already recorded, allocate nothing.
+func TestReplicaTrackerAddAllocs(t *testing.T) {
+	keys := testKeys(256)
+	tr := NewReplicaTracker()
+	for _, k := range keys {
+		tr.Add(k, "w0")
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(len(keys)-1, func() {
+		tr.Add(keys[i], "w1")
+		tr.Add(keys[i], "w0")
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("Add of a second owner allocates %v times, want 0", allocs)
+	}
+	if got := tr.Owners(keys[0]); !reflect.DeepEqual(got, []string{"w0", "w1"}) {
+		t.Fatalf("Owners = %v", got)
+	}
+}

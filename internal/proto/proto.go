@@ -2,10 +2,14 @@
 // (section 4.2.1: the Network Worker's wire format). Because dependency
 // information travels inside Fix objects themselves — Handles carry type
 // and size, Trees carry their children — the protocol needs only a handful
-// of message types and no side metadata or extra round trips.
+// of message types and no side metadata or extra round trips: a delegation
+// is one Job frame and one Result frame, and only a result that is a
+// stored object (not a literal, whose contents are in the handle) is also
+// advertised.
 package proto
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 
@@ -16,7 +20,8 @@ import (
 const (
 	// TypeHello introduces a node and advertises its resident objects.
 	TypeHello byte = iota + 1
-	// TypeAdvertise announces newly resident objects.
+	// TypeAdvertise announces newly resident objects: uploads, and the
+	// closure of a delegated job's result when that is a stored object.
 	TypeAdvertise
 	// TypeRequest asks for an object's bytes.
 	TypeRequest
@@ -27,7 +32,8 @@ const (
 	// TypeJob delegates the forcing of an Encode, optionally carrying
 	// pushed objects (the job's definition closure).
 	TypeJob
-	// TypeResult reports a delegated job's outcome.
+	// TypeResult reports a delegated job's outcome. For a literal result
+	// it is the only frame the job's completion sends.
 	TypeResult
 	// TypePing probes a peer's liveness (failure detection).
 	TypePing
@@ -192,7 +198,12 @@ func (m *Message) AppendEncode(buf []byte) []byte {
 	return buf
 }
 
-// Decode unpacks a message.
+// Decode unpacks a message. Data and Pushed[i].Data are slices of data,
+// not copies: the message aliases the frame it was decoded from, so the
+// caller must own data for as long as it uses the message (transport.Conn's
+// Recv hands over such a buffer), and receivers never write into those
+// bytes. Edge-log entry objects are copied, because the edge log keeps
+// them long after the frame that carried them.
 func Decode(data []byte) (*Message, error) {
 	d := decoder{buf: data}
 	m := &Message{}
@@ -265,7 +276,7 @@ func Decode(data []byte) (*Message, error) {
 				e.Objects = make([]PushedObject, no)
 				for j := range e.Objects {
 					e.Objects[j].Handle = d.handle()
-					e.Objects[j].Data = d.bytes()
+					e.Objects[j].Data = bytes.Clone(d.bytes())
 				}
 			}
 		}
@@ -298,12 +309,17 @@ func appendBytes(buf, b []byte) []byte {
 type decoder struct {
 	buf    []byte
 	failed bool
+	zero   [core.HandleSize]byte // what a fixed-width read past the end returns
 }
 
+// take consumes n bytes. Past the end of the frame it marks the decoder
+// failed and returns zeros, without allocating: n is at most
+// core.HandleSize here, and the length-prefixed readers check their
+// untrusted lengths against the frame themselves.
 func (d *decoder) take(n int) []byte {
 	if d.failed || len(d.buf) < n {
 		d.failed = true
-		return make([]byte, n)
+		return d.zero[:n]
 	}
 	out := d.buf[:n]
 	d.buf = d.buf[n:]
@@ -315,18 +331,22 @@ func (d *decoder) u32() uint32 { return binary.LittleEndian.Uint32(d.take(4)) }
 func (d *decoder) u64() uint64 { return binary.LittleEndian.Uint64(d.take(8)) }
 
 func (d *decoder) str() string {
-	n := int(binary.LittleEndian.Uint16(d.take(2)))
-	return string(d.take(n))
+	return string(d.prefixed(int(binary.LittleEndian.Uint16(d.take(2)))))
 }
 
 func (d *decoder) bytes() []byte {
-	n := int(d.u32())
+	return d.prefixed(int(d.u32()))
+}
+
+// prefixed consumes the n bytes a length prefix announced, as a slice of
+// the frame; nil once the frame has run out.
+func (d *decoder) prefixed(n int) []byte {
 	if d.failed || n > len(d.buf) {
 		d.failed = true
 		return nil
 	}
-	out := make([]byte, n)
-	copy(out, d.take(n))
+	out := d.buf[:n:n]
+	d.buf = d.buf[n:]
 	return out
 }
 

@@ -9,6 +9,7 @@
 package transport
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -33,7 +34,9 @@ type Conn interface {
 	// for the next encode.
 	Send(msg []byte) error
 	// Recv delivers the next message, blocking until one arrives or the
-	// link closes (io.EOF).
+	// link closes (io.EOF). The caller owns the returned buffer: the link
+	// never touches it again, so a decoded message may alias it
+	// (proto.Decode does).
 	Recv() ([]byte, error)
 	// Close shuts the link down in both directions.
 	Close() error
@@ -142,16 +145,32 @@ func (c *memConn) Close() error {
 }
 
 // tcpConn frames messages over a net.Conn with 4-byte little-endian
-// length prefixes.
+// length prefixes. Both directions are buffered so that a frame smaller
+// than connBufSize costs one write and one read: Send stages header and
+// payload in w and flushes once; Recv reads through r, which picks up a
+// small frame's header and body (and any frames queued behind it) in the
+// same read.
 type tcpConn struct {
 	c    net.Conn
 	rmu  sync.Mutex
+	r    *bufio.Reader // guarded by rmu
+	rhdr [4]byte       // guarded by rmu
 	wmu  sync.Mutex
-	rbuf [4]byte
+	w    *bufio.Writer // guarded by wmu
+	whdr [4]byte       // guarded by wmu
 }
 
+// connBufSize sizes each direction's buffer of a TCP link.
+const connBufSize = 64 << 10
+
+// recvStep bounds what Recv allocates before any payload byte has
+// arrived: the length prefix is four untrusted bytes.
+const recvStep = 1 << 20
+
 // NewTCP wraps an established net.Conn as a message link.
-func NewTCP(c net.Conn) Conn { return &tcpConn{c: c} }
+func NewTCP(c net.Conn) Conn {
+	return &tcpConn{c: c, r: bufio.NewReaderSize(c, connBufSize), w: bufio.NewWriterSize(c, connBufSize)}
+}
 
 // Dial connects to a TCP listener and wraps the connection.
 func Dial(addr string) (Conn, error) {
@@ -191,30 +210,40 @@ func (t *tcpConn) Send(msg []byte) error {
 	}
 	t.wmu.Lock()
 	defer t.wmu.Unlock()
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(msg)))
-	if _, err := t.c.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := t.c.Write(msg)
-	return err
+	binary.LittleEndian.PutUint32(t.whdr[:], uint32(len(msg)))
+	// bufio.Writer errors are sticky and surface again at Flush.
+	_, _ = t.w.Write(t.whdr[:])
+	_, _ = t.w.Write(msg)
+	return t.w.Flush()
 }
 
 func (t *tcpConn) Recv() ([]byte, error) {
 	t.rmu.Lock()
 	defer t.rmu.Unlock()
-	if _, err := io.ReadFull(t.c, t.rbuf[:]); err != nil {
+	if _, err := io.ReadFull(t.r, t.rhdr[:]); err != nil {
 		return nil, err
 	}
-	n := binary.LittleEndian.Uint32(t.rbuf[:])
+	n := int(binary.LittleEndian.Uint32(t.rhdr[:]))
 	if n > MaxFrame {
 		return nil, fmt.Errorf("transport: oversized frame (%d bytes)", n)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(t.c, buf); err != nil {
-		return nil, err
+	// A frame up to recvStep is one exact allocation. A larger claim is
+	// believed only as far as bytes have arrived: the buffer doubles each
+	// time it fills, so a lying prefix costs at most recvStep.
+	buf := make([]byte, min(n, recvStep))
+	read := 0
+	for {
+		if _, err := io.ReadFull(t.r, buf[read:]); err != nil {
+			return nil, err
+		}
+		if len(buf) == n {
+			return buf, nil
+		}
+		read = len(buf)
+		grown := make([]byte, min(n, 2*read))
+		copy(grown, buf)
+		buf = grown
 	}
-	return buf, nil
 }
 
 func (t *tcpConn) Close() error { return t.c.Close() }
