@@ -693,7 +693,7 @@ func (n *Node) handle(m *proto.Message) {
 		}
 		n.mu.Unlock()
 	case proto.TypeRequest:
-		go n.serveRequest(m)
+		runtime.Go(func() { n.serveRequest(m) })
 	case proto.TypeObject:
 		n.ingestObject(m.From, m.Handle, m.Data)
 	case proto.TypeMissing:
@@ -708,7 +708,7 @@ func (n *Node) handle(m *proto.Message) {
 			}
 		}
 	case proto.TypeJob:
-		go n.serveJob(m)
+		runtime.Go(func() { n.serveJob(m) })
 	case proto.TypeResult:
 		n.mu.Lock()
 		waiters := n.jobW[m.Handle]
@@ -830,7 +830,7 @@ func (n *Node) serveJob(m *proto.Message) {
 	// ping-pong back to the sender, whose force future is already
 	// waiting on us (a distributed deadlock). Its children may still be
 	// outsourced.
-	ctx := withReceived(withHops(context.Background(), int(m.Hops)), m.Handle)
+	ctx := withJob(context.Background(), jobInfo{hops: int(m.Hops), received: m.Handle})
 	var t *obsv.Trace
 	tracer := n.tracer()
 	if tracer != nil && m.Trace != "" {
@@ -917,28 +917,40 @@ func fnvHash(s string) uint64 {
 	return h
 }
 
-type hopsKeyType struct{}
+// jobInfo is what an evaluation's context carries about the dataflow it
+// belongs to, as one context value: the delegation hops made so far, and
+// the Encode this node received and must therefore run itself (zero when
+// the evaluation did not arrive as a Job).
+type jobInfo struct {
+	hops     int
+	received core.Handle
+}
+
+type jobKeyType struct{}
+
+func withJob(ctx context.Context, j jobInfo) context.Context {
+	return context.WithValue(ctx, jobKeyType{}, j)
+}
+
+func jobOf(ctx context.Context) jobInfo {
+	j, _ := ctx.Value(jobKeyType{}).(jobInfo)
+	return j
+}
 
 func withHops(ctx context.Context, hops int) context.Context {
-	return context.WithValue(ctx, hopsKeyType{}, hops)
-}
-
-func hopsOf(ctx context.Context) int {
-	if v, ok := ctx.Value(hopsKeyType{}).(int); ok {
-		return v
+	j := jobOf(ctx)
+	if j.hops == hops {
+		return ctx // a context with no jobInfo already reads as zero hops
 	}
-	return 0
+	j.hops = hops
+	return withJob(ctx, j)
 }
 
-type receivedKeyType struct{}
-
-func withReceived(ctx context.Context, enc core.Handle) context.Context {
-	return context.WithValue(ctx, receivedKeyType{}, enc)
-}
+func hopsOf(ctx context.Context) int { return jobOf(ctx).hops }
 
 func receivedOf(ctx context.Context) (core.Handle, bool) {
-	h, ok := ctx.Value(receivedKeyType{}).(core.Handle)
-	return h, ok
+	h := jobOf(ctx).received
+	return h, !h.IsZero()
 }
 
 // Connect joins two nodes with a simulated link and waits until both ends

@@ -6,6 +6,7 @@ import (
 
 	"fixgo/internal/core"
 	"fixgo/internal/proto"
+	"fixgo/internal/runtime"
 )
 
 // This file is the node's programmatic ingestion surface: the hooks a
@@ -76,11 +77,11 @@ func (n *Node) EvalBatch(ctx context.Context, hs []core.Handle) ([]core.Handle, 
 	for i, h := range hs {
 		wg.Add(1)
 		sem <- struct{}{}
-		go func(i int, h core.Handle) {
+		runtime.Go(func() {
 			defer wg.Done()
 			defer func() { <-sem }()
 			results[i], errs[i] = n.Eval(ctx, h)
-		}(i, h)
+		})
 	}
 	wg.Wait()
 	return results, errs

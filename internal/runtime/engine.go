@@ -359,13 +359,17 @@ func (e *Engine) apply(ctx context.Context, t core.Handle, depth int) (core.Hand
 		return core.Handle{}, fmt.Errorf("runtime: invocation tree has %d entries, want ≥ 2", len(entries))
 	}
 
-	resolved, err := e.resolveEntries(ctx, entries, depth)
+	resolved, forced, err := e.resolveEntries(ctx, entries, depth)
 	if err != nil {
 		return core.Handle{}, err
 	}
-	input, err := e.st.PutTree(resolved)
-	if err != nil {
-		return core.Handle{}, err
+	// With nothing forced the definition is the input Tree: same entries,
+	// same handle, already resident. Re-putting it would only re-hash it.
+	input := def
+	if forced {
+		if input, err = e.st.PutTree(resolved); err != nil {
+			return core.Handle{}, err
+		}
 	}
 
 	limits, err := e.invocationLimits(ctx, resolved[0])
@@ -438,47 +442,40 @@ func (e *Engine) apply(ctx context.Context, t core.Handle, depth int) (core.Hand
 
 // resolveEntries forces every Encode among the definition entries
 // (concurrently when there is more than one), leaving other entries as-is.
-func (e *Engine) resolveEntries(ctx context.Context, entries []core.Handle, depth int) ([]core.Handle, error) {
-	resolved := make([]core.Handle, len(entries))
-	copy(resolved, entries)
+// With no Encode to force it returns entries itself and forced=false.
+func (e *Engine) resolveEntries(ctx context.Context, entries []core.Handle, depth int) (resolved []core.Handle, forced bool, err error) {
 	var idxs []int
 	for i, ent := range entries {
 		if ent.RefKind() == core.RefEncode {
+			if idxs == nil {
+				idxs = make([]int, 0, len(entries)-i) // one allocation however many follow
+			}
 			idxs = append(idxs, i)
 		}
 	}
-	switch len(idxs) {
-	case 0:
-		return resolved, nil
-	case 1:
-		r, err := e.force(ctx, entries[idxs[0]], depth+1)
-		if err != nil {
-			return nil, err
+	if len(idxs) == 0 {
+		return entries, false, nil
+	}
+	resolved = make([]core.Handle, len(entries))
+	copy(resolved, entries)
+	if len(idxs) == 1 {
+		i := idxs[0]
+		if resolved[i], err = e.force(ctx, entries[i], depth+1); err != nil {
+			return nil, false, err
 		}
-		resolved[idxs[0]] = r
-		return resolved, nil
+		return resolved, true, nil
 	}
-	var wg sync.WaitGroup
 	errs := make([]error, len(idxs))
-	for n, i := range idxs {
-		wg.Add(1)
-		go func(n, i int) {
-			defer wg.Done()
-			r, err := e.force(ctx, entries[i], depth+1)
-			if err != nil {
-				errs[n] = err
-				return
-			}
-			resolved[i] = r
-		}(n, i)
-	}
-	wg.Wait()
+	fanOut(len(idxs), func(n int) {
+		i := idxs[n]
+		resolved[i], errs[n] = e.force(ctx, entries[i], depth+1)
+	})
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
 	}
-	return resolved, nil
+	return resolved, true, nil
 }
 
 func (e *Engine) invocationLimits(ctx context.Context, h core.Handle) (core.Limits, error) {
@@ -538,10 +535,18 @@ func (e *Engine) loadProcedure(ctx context.Context, fn core.Handle) (core.Proced
 	return nil, fmt.Errorf("runtime: function blob has unknown format (%d bytes)", len(blob))
 }
 
-func (e *Engine) runProcedure(proc core.Procedure, input core.Handle, limits core.Limits) (core.Handle, error) {
+// runProcedure runs proc over input. A procedure that panics fails its
+// own invocation: the panic comes back as the invocation's error, so the
+// ordinary error path completes the future, releases the CPU/RAM slot and
+// unpins the repository, and the goroutine (possibly a shared one from Go)
+// survives.
+func (e *Engine) runProcedure(proc core.Procedure, input core.Handle, limits core.Limits) (out core.Handle, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			out, err = core.Handle{}, fmt.Errorf("runtime: procedure panicked: %v", r)
+		}
+	}()
 	api := newApplyAPI(e, input)
-	var out core.Handle
-	var err error
 	if prog, ok := proc.(*codelet.Program); ok {
 		gas := limits.Gas
 		if gas == 0 {
@@ -637,16 +642,10 @@ func (e *Engine) fetchBatch(ctx context.Context, batch []core.Handle) error {
 	if len(batch) == 1 {
 		return e.ensureLocal(ctx, batch[0])
 	}
-	var wg sync.WaitGroup
 	errs := make([]error, len(batch))
-	for i, h := range batch {
-		wg.Add(1)
-		go func(i int, h core.Handle) {
-			defer wg.Done()
-			errs[i] = e.ensureLocal(ctx, h)
-		}(i, h)
-	}
-	wg.Wait()
+	fanOut(len(batch), func(i int) {
+		errs[i] = e.ensureLocal(ctx, batch[i])
+	})
 	return errors.Join(errs...)
 }
 
@@ -739,21 +738,11 @@ func (e *Engine) strictifyTree(ctx context.Context, h core.Handle, depth int) (c
 		}
 		out[i] = r
 	} else if len(deferred) > 1 {
-		var wg sync.WaitGroup
 		errs := make([]error, len(deferred))
-		for n, i := range deferred {
-			wg.Add(1)
-			go func(n, i int) {
-				defer wg.Done()
-				r, err := e.strictify(ctx, entries[i], depth+1)
-				if err != nil {
-					errs[n] = err
-					return
-				}
-				out[i] = r
-			}(n, i)
-		}
-		wg.Wait()
+		fanOut(len(deferred), func(n int) {
+			i := deferred[n]
+			out[i], errs[n] = e.strictify(ctx, entries[i], depth+1)
+		})
 		if err := errors.Join(errs...); err != nil {
 			return core.Handle{}, err
 		}
