@@ -1,146 +1,41 @@
 // Command fixpoint runs a Fixpoint node: a runtime for programs expressed
-// in the Fix ABI that accepts peers and clients over TCP.
-//
-// Usage:
+// in the Fix ABI that accepts peers and clients (cmd/fixctl) over TCP.
 //
 //	fixpoint -listen :7600 -id node-a
 //	fixpoint -listen :7601 -id node-b -peers host-a:7600
-//	fixpoint -listen :7600 -data-dir /var/lib/fixpoint -fsync interval
+//	fixpoint -listen :7600 -data-dir /var/lib/fixpoint -remote-dir /mnt/bucket
 //
 // Nodes exchange object advertisements on connect and thereafter delegate
-// jobs by data locality. Clients (cmd/fixctl) connect the same way.
-//
-// With -replicas R ≥ 2 (uniform across the cluster), every write is
-// pushed to R−1 consistent-hash ring successors and node loss triggers
-// an anti-entropy repair pass, so objects survive the death of any R−1
-// holders. See OPERATIONS.md for the runbook.
-//
-// With -data-dir, every object and memoization write-throughs to a
-// crash-recoverable store (internal/durable); a restarted node replays it
-// and serves previously evaluated thunks without re-executing them.
+// jobs by data locality. -replicas R ≥ 2 keeps every object on R ring
+// successors, -data-dir makes objects and memoized results survive a
+// restart, -remote-dir spills cold objects to a storage tier. Flags are
+// bound in internal/daemon and tabulated in README.md §Running a
+// deployment; OPERATIONS.md is the runbook.
 package main
 
 import (
-	"flag"
 	"fmt"
-	"net/http"
-	"os"
-	"path/filepath"
-	"strings"
-	"time"
+	"log"
 
-	"fixgo/internal/bptree"
-	"fixgo/internal/buildsys"
 	"fixgo/internal/cluster"
+	"fixgo/internal/daemon"
 	"fixgo/internal/durable"
-	"fixgo/internal/flatware"
-	"fixgo/internal/obsv"
-	"fixgo/internal/runtime"
-	"fixgo/internal/storage"
 	"fixgo/internal/transport"
-	"fixgo/internal/wiki"
 )
 
-// sanitize maps a node ID onto a filesystem-safe fragment for the
-// default cache directory (IDs default to listen addresses like ":7600").
-func sanitize(id string) string {
-	return strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '-', r == '.':
-			return r
-		}
-		return '_'
-	}, id)
-}
-
 func main() {
-	listen := flag.String("listen", ":7600", "TCP listen address")
-	id := flag.String("id", "", "node identifier (default: listen address)")
-	peers := flag.String("peers", "", "comma-separated peer addresses to dial")
-	cores := flag.Int("cores", 32, "CPU slots")
-	memGiB := flag.Uint64("mem-gib", 64, "RAM capacity in GiB")
-	internalIO := flag.Bool("internal-io", false, "ablation: claim resources before dependencies arrive")
-	noLocality := flag.Bool("no-locality", false, "ablation: random placement")
-	dataDir := flag.String("data-dir", "", "directory for the durable object/memo store (empty: in-memory only)")
-	fsync := flag.String("fsync", "interval", "durable fsync policy: always | interval | never")
-	gcBudgetMiB := flag.Int64("gc-budget-mib", 0, "durable pack budget in MiB before GC (0: unbounded)")
-	hbInterval := flag.Duration("hb-interval", time.Second, "peer heartbeat interval (0 disables failure detection)")
-	hbTimeout := flag.Duration("hb-timeout", 0, "silence window before a peer is evicted (default 4×hb-interval)")
-	replicas := flag.Int("replicas", 1, "cluster replication factor R: writes are pushed to R-1 ring successors (1 disables replication)")
-	debugAddr := flag.String("debug-addr", "", "optional debug listen address serving /debug/pprof, /metrics, and /v1/trace")
-	storageMode := flag.String("storage", "local", "object storage mode: local | remote | hybrid (see OPERATIONS.md)")
-	remoteDir := flag.String("remote-dir", "", "remote tier directory (required for -storage remote|hybrid)")
-	lfcBudgetMiB := flag.Int64("lfc-budget-mib", 512, "local file cache byte budget in MiB (0 disables caching)")
-	demoteAfter := flag.Duration("demote-after", 10*time.Minute, "idle window before a cold object is demoted to the tier (0 disables demotion)")
-	flag.Parse()
+	cfg := daemon.MustParse(daemon.Fixpoint)
+	node := cfg.NewNode()
 
-	if *id == "" {
-		*id = *listen
+	dur, err := cfg.AttachDurable(node.Store(), nil)
+	cfg.Check(err)
+	if dur != nil {
+		defer dur.Close()
 	}
-	reg := runtime.NewRegistry()
-	wiki.Register(reg, wiki.Config{})
-	buildsys.Register(reg, buildsys.Config{})
-	bptree.Register(reg)
-	flatware.RegisterGetFile(reg)
-	flatware.RegisterSeBS(reg)
-
-	node := cluster.NewNode(*id, cluster.NodeOptions{
-		Cores:             *cores,
-		MemoryBytes:       *memGiB << 30,
-		InternalIO:        *internalIO,
-		NoLocality:        *noLocality,
-		Registry:          reg,
-		HeartbeatInterval: *hbInterval,
-		HeartbeatTimeout:  *hbTimeout,
-		Replicas:          *replicas,
-	})
-
-	var dur *durable.Store
-	if *dataDir != "" {
-		policy, err := durable.ParseFsyncPolicy(*fsync)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "fixpoint:", err)
-			os.Exit(1)
-		}
-		d, rs, err := durable.Attach(*dataDir, durable.Options{
-			Fsync:         policy,
-			GCBudgetBytes: *gcBudgetMiB << 20,
-			Logf: func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, format+"\n", args...)
-			},
-		}, node.Store())
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "fixpoint:", err)
-			os.Exit(1)
-		}
-		defer d.Close()
-		dur = d
-		fmt.Printf("fixpoint: recovered %d blobs, %d trees, %d thunk + %d encode memos from %s (fsync=%s)\n",
-			rs.Blobs, rs.Trees, rs.Thunks, rs.Encodes, *dataDir, policy)
-	}
-
-	// The storage tier attaches after the durable restore: hybrid mode's
-	// local side is the pack store itself, so demoted objects stay
-	// durable on this disk while their hot copy is evicted.
-	if *storageMode != "" && *storageMode != storage.ModeLocal {
-		cacheDir := filepath.Join(os.TempDir(), "fixpoint-lfc-"+sanitize(*id))
-		if *dataDir != "" {
-			cacheDir = filepath.Join(*dataDir, "lfc")
-		}
-		tier, err := storage.Build(storage.Config{
-			Mode:        *storageMode,
-			RemoteDir:   *remoteDir,
-			CacheDir:    cacheDir,
-			CacheBudget: *lfcBudgetMiB << 20,
-		}, dur)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "fixpoint:", err)
-			os.Exit(1)
-		}
+	tier, err := cfg.AttachTier(node, dur)
+	cfg.Check(err)
+	if tier != nil {
 		defer tier.Close()
-		node.SetTier(tier, *demoteAfter)
-		fmt.Printf("fixpoint: %s storage tier at %s (lfc %s, budget %d MiB, demote after %s)\n",
-			*storageMode, *remoteDir, cacheDir, *lfcBudgetMiB, *demoteAfter)
 	}
 
 	// The metrics registry and trace ring exist regardless of
@@ -151,39 +46,13 @@ func main() {
 	if dur != nil {
 		durableStats = dur.Stats
 	}
-	nodeReg, nodeTracer := cluster.NewNodeMetrics(node, durableStats)
-	node.SetTracer(nodeTracer)
-	if *debugAddr != "" {
-		mux := obsv.DebugMux(nodeReg, nodeTracer)
-		fmt.Printf("fixpoint: debug listener (pprof, metrics, traces) on %s\n", *debugAddr)
-		go func() {
-			if err := http.ListenAndServe(*debugAddr, mux); err != nil {
-				fmt.Fprintf(os.Stderr, "fixpoint: debug listener: %v\n", err)
-			}
-		}()
-	}
+	reg, tracer := cluster.NewNodeMetrics(node, durableStats)
+	node.SetTracer(tracer)
+	cfg.ServeDebug(reg, tracer)
 
-	for _, addr := range strings.Split(*peers, ",") {
-		addr = strings.TrimSpace(addr)
-		if addr == "" {
-			continue
-		}
-		conn, err := transport.Dial(addr)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "fixpoint: dial %s: %v\n", addr, err)
-			os.Exit(1)
-		}
-		node.AttachPeer(conn)
-		fmt.Printf("fixpoint: connected to peer %s\n", addr)
-	}
-
-	l, err := transport.Listen(*listen)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "fixpoint:", err)
-		os.Exit(1)
-	}
-	fmt.Printf("fixpoint: node %s listening on %s (%d cores, %d GiB)\n", *id, l.Addr(), *cores, *memGiB)
-	if err := transport.Serve(l, node.AttachPeer); err != nil {
-		fmt.Fprintln(os.Stderr, "fixpoint: accept:", err)
-	}
+	cfg.Check(cfg.Link("peer", cfg.Peers, "", transport.Dial, node.AttachPeer))
+	l, err := transport.Listen(cfg.Listen)
+	cfg.Check(err)
+	fmt.Printf("fixpoint: node %s listening on %s (%d cores, %d GiB)\n", cfg.ID, l.Addr(), cfg.Cores, cfg.MemGiB)
+	log.Printf("fixpoint: accept: %v", transport.Serve(l, node.AttachPeer))
 }

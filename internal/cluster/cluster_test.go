@@ -369,3 +369,37 @@ func TestConcurrentClusterEvals(t *testing.T) {
 		}
 	}
 }
+
+// TestTwoClientsKeepTheirLinks pins the identity rule the daemons'
+// derived -id exists for: a worker's Hello path treats a second link
+// under a known ID as a reconnect and closes the first, so two gateways
+// in front of one worker must carry different IDs — and when they do,
+// both links stay up and both can place jobs.
+func TestTwoClientsKeepTheirLinks(t *testing.T) {
+	w := NewNode("worker", NodeOptions{Cores: 2, Registry: countRegistry()})
+	defer w.Close()
+	gws := []*Node{
+		NewNode("host:7670", NodeOptions{Cores: 1, ClientOnly: true, Registry: countRegistry()}),
+		NewNode("host:7671", NodeOptions{Cores: 1, ClientOnly: true, Registry: countRegistry()}),
+	}
+	for _, gw := range gws {
+		defer gw.Close()
+		Connect(gw, w, fastLink())
+	}
+	if got := len(w.Peers()); got != 2 {
+		t.Fatalf("worker has %d peers after two gateways attached, want 2: %v", got, w.Peers())
+	}
+	for i, gw := range gws {
+		data := bytes.Repeat([]byte{byte(i + 1)}, 100*(i+1))
+		res, err := gw.Eval(context.Background(), lenJob(t, gw, gw.Store().PutBlob(data)))
+		if err != nil {
+			t.Fatalf("gateway %s: %v", gw.ID(), err)
+		}
+		if v, _ := core.DecodeU64(res.LiteralData()); v != uint64(len(data)) {
+			t.Errorf("gateway %s: len = %d, want %d", gw.ID(), v, len(data))
+		}
+		if got := gw.Peers(); len(got) != 1 {
+			t.Errorf("gateway %s lost its worker link: peers = %v", gw.ID(), got)
+		}
+	}
+}

@@ -57,21 +57,11 @@ type NodeOptions struct {
 	// ClientOnly marks a node that submits jobs and serves objects but
 	// never executes placements (the experiment "client").
 	ClientOnly bool
-	// MaxHops bounds the delegation depth of a dataflow (default 256;
-	// each level of a job tree may hop once, and a received Encode is
-	// never re-delegated, so this is a runaway guard, not a tuning
-	// knob).
-	MaxHops int
-	// PushLimit is the largest Blob shipped inside a Job message;
-	// larger dependencies are fetched on demand (default 4096).
-	PushLimit int
 	// ExtraFetcher supplies objects found on no peer (e.g. an object
 	// store).
 	ExtraFetcher runtime.Fetcher
 	// Seed makes NoLocality placement deterministic.
 	Seed int64
-	// MaxEvalDepth passes through to the engine.
-	MaxEvalDepth int
 	// HeartbeatInterval enables failure detection: every interval the
 	// node pings each peer and evicts peers not heard from within
 	// HeartbeatTimeout. Zero disables heartbeats (peers are then evicted
@@ -81,20 +71,12 @@ type NodeOptions struct {
 	// declared dead (default 4×HeartbeatInterval). Any received message
 	// counts as liveness, not just Pongs.
 	HeartbeatTimeout time.Duration
-	// MaxReplacements bounds how many times a delegated job is re-placed
-	// after losing its worker before the node gives up (runs the job
-	// locally, or fails it when ClientOnly). Default 3.
-	MaxReplacements int
 	// Replicas is the replication factor R: every write (PutBlob,
 	// PutTree, eval outputs) is stored synchronously at the writer and
 	// pushed asynchronously to R−1 consistent-hash ring successors, so
 	// the object survives the loss of any R−1 holders. 1 (the default)
 	// disables replication — the writer's copy is the only copy.
 	Replicas int
-	// RingVnodes is the virtual-node count per member on the placement
-	// ring (default objstore.DefaultVnodes). All nodes in a cluster must
-	// agree on it, or their rings diverge.
-	RingVnodes int
 	// Tier, when set, is the node's cold storage tier (internal/storage):
 	// the demotion pass spills cold objects into it and the fetcher's
 	// miss path ends with a tier lookup. Nil disables tiering. The tier's
@@ -116,29 +98,31 @@ type NodeOptions struct {
 }
 
 func (o NodeOptions) withDefaults() NodeOptions {
-	if o.MaxHops <= 0 {
-		o.MaxHops = 256
-	}
-	if o.PushLimit <= 0 {
-		o.PushLimit = 4096
-	}
 	if o.HeartbeatInterval > 0 && o.HeartbeatTimeout <= 0 {
 		o.HeartbeatTimeout = 4 * o.HeartbeatInterval
 	}
-	if o.MaxReplacements <= 0 {
-		o.MaxReplacements = 3
-	}
 	if o.Replicas <= 0 {
 		o.Replicas = 1
-	}
-	if o.RingVnodes <= 0 {
-		o.RingVnodes = objstore.DefaultVnodes
 	}
 	if o.DemoteAfter > 0 && o.DemoteEvery <= 0 {
 		o.DemoteEvery = o.DemoteAfter / 2
 	}
 	return o
 }
+
+const (
+	// maxHops bounds the delegation depth of a dataflow. Each level of a
+	// job tree may hop once, and a received Encode is never re-delegated,
+	// so this is a runaway guard, not a tuning knob.
+	maxHops = 256
+	// pushLimit is the largest Blob shipped inside a Job message; larger
+	// dependencies are fetched on demand.
+	pushLimit = 4096
+	// maxReplacements bounds how many times a delegated job is re-placed
+	// after losing its worker before the node gives up (runs the job
+	// locally, or fails it when ClientOnly).
+	maxReplacements = 3
+)
 
 // ErrNoWorkers reports that a placement found no live worker peer and
 // the node cannot run the job itself (ClientOnly). A gateway fronting
@@ -309,7 +293,6 @@ func NewNode(id string, opts NodeOptions) *Node {
 		Registry:           opts.Registry,
 		Fetcher:            &clusterFetcher{n: n},
 		Delegator:          n,
-		MaxEvalDepth:       opts.MaxEvalDepth,
 	})
 	if opts.HeartbeatInterval > 0 {
 		go n.heartbeatLoop()

@@ -27,12 +27,12 @@ type dep struct {
 //
 // Delegations survive worker death: when the owning peer is evicted
 // mid-flight, the job is re-placed on a surviving candidate (peers the
-// job already died on are excluded), up to MaxReplacements attempts.
+// job already died on are excluded), up to maxReplacements attempts.
 // Past the bound — or when no candidate survives — the job falls back to
 // local evaluation, except on a ClientOnly node, which cannot execute
 // and fails the job with an error wrapping ErrNoWorkers.
 func (n *Node) Offload(ctx context.Context, enc core.Handle) (core.Handle, bool, error) {
-	if hopsOf(ctx) >= n.opts.MaxHops {
+	if hopsOf(ctx) >= maxHops {
 		return core.Handle{}, false, nil
 	}
 	if rec, ok := receivedOf(ctx); ok && rec == enc {
@@ -109,10 +109,10 @@ func (n *Node) Offload(ctx context.Context, enc core.Handle) (core.Handle, bool,
 			tried = make(map[string]bool)
 		}
 		tried[target] = true
-		if replaced >= n.opts.MaxReplacements {
+		if replaced >= maxReplacements {
 			if n.opts.ClientOnly {
 				n.noteNet(func(s *NetStats) { s.ReplaceFailures++ })
-				return core.Handle{}, true, fmt.Errorf("cluster: job re-placement bound (%d) exhausted: %w", n.opts.MaxReplacements, err)
+				return core.Handle{}, true, fmt.Errorf("cluster: job re-placement bound (%d) exhausted: %w", maxReplacements, err)
 			}
 			n.noteNet(func(s *NetStats) { s.JobsLocalFallback++ })
 			return core.Handle{}, false, nil
@@ -319,7 +319,7 @@ func tieBreak(enc core.Handle, cand string) uint64 {
 }
 
 // delegate ships the job to the chosen peer: the Encode handle plus the
-// cheap part of its definition closure (Trees, and Blobs up to PushLimit,
+// cheap part of its definition closure (Trees, and Blobs up to pushLimit,
 // that the peer is not known to have), then waits for the Result. A send
 // failure or the peer's eviction mid-wait surfaces as PeerLostError so
 // Offload can re-place the job.
@@ -422,7 +422,7 @@ func (n *Node) pushSet(target string, enc core.Handle, deps []dep) []proto.Pushe
 			continue
 		}
 		isTree := d.h.Kind() == core.KindTree
-		if !isTree && d.size > uint64(n.opts.PushLimit) {
+		if !isTree && d.size > pushLimit {
 			continue
 		}
 		data, err := n.st.ObjectBytes(d.h)

@@ -40,7 +40,7 @@ func (n *Node) rebuildRingLocked() {
 	}
 	sort.Strings(ids)
 	n.targets, n.workers = ids, workers
-	n.ring = objstore.NewRing(ids, n.opts.RingVnodes)
+	n.ring = objstore.NewRing(ids, objstore.DefaultVnodes)
 }
 
 // Ring returns the node's current placement ring (rebuilt on every

@@ -2,11 +2,9 @@ package cluster
 
 import (
 	"context"
-	"sync"
 
 	"fixgo/internal/core"
 	"fixgo/internal/proto"
-	"fixgo/internal/runtime"
 )
 
 // This file is the node's programmatic ingestion surface: the hooks a
@@ -57,34 +55,6 @@ func (n *Node) PutTree(entries []core.Handle) (core.Handle, error) {
 	n.broadcast(&proto.Message{Type: proto.TypeAdvertise, From: n.id, Adverts: []core.Handle{h}})
 	n.replicate([]core.Handle{h}, false, "")
 	return h, nil
-}
-
-// maxBatchFanout bounds how many of one batch's evaluations run
-// concurrently on this node. The scheduler still places each item
-// independently, so a batch spreads across workers; the bound only keeps
-// one giant batch from monopolizing the local goroutine budget.
-const maxBatchFanout = 32
-
-// EvalBatch is the vectored submission entry (gateway.BatchEvaler): it
-// forces every handle of one batch concurrently and reports per-item
-// results and errors, both in input order. Items fail independently — a
-// missing dependency in one slot does not poison its neighbors.
-func (n *Node) EvalBatch(ctx context.Context, hs []core.Handle) ([]core.Handle, []error) {
-	results := make([]core.Handle, len(hs))
-	errs := make([]error, len(hs))
-	sem := make(chan struct{}, maxBatchFanout)
-	var wg sync.WaitGroup
-	for i, h := range hs {
-		wg.Add(1)
-		sem <- struct{}{}
-		runtime.Go(func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			results[i], errs[i] = n.Eval(ctx, h)
-		})
-	}
-	wg.Wait()
-	return results, errs
 }
 
 // ObjectBytes returns the packed bytes of an object, fetching it from

@@ -15,9 +15,10 @@ import (
 )
 
 // gatedPackages are the packages whose exported surface must be fully
-// documented: the serving tier plus the distributed layers (cluster,
-// object placement, wire transport, persistence) this repo grows PR
-// over PR; the rest of the tree is audited by review, not mechanically.
+// documented: the serving tier, the distributed layers (cluster, object
+// placement, wire transport, persistence) this repo grows PR over PR,
+// and the daemons' shared boot path; the rest of the tree is audited by
+// review, not mechanically.
 var gatedPackages = []string{
 	"../../internal/jobs",
 	"../../internal/gateway",
@@ -28,6 +29,7 @@ var gatedPackages = []string{
 	"../../internal/durable",
 	"../../internal/obsv",
 	"../../internal/storage",
+	"../../internal/daemon",
 }
 
 // TestExportedIdentifiersDocumented fails on any exported top-level

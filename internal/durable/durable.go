@@ -67,6 +67,15 @@ func ParseFsyncPolicy(s string) (FsyncPolicy, error) {
 	return 0, fmt.Errorf("durable: unknown fsync policy %q (want always|interval|never)", s)
 }
 
+// Set parses an -fsync flag value into p (flag.Value, with String).
+func (p *FsyncPolicy) Set(s string) error {
+	v, err := ParseFsyncPolicy(s)
+	if err == nil {
+		*p = v
+	}
+	return err
+}
+
 // String renders the policy as its -fsync flag value.
 func (p FsyncPolicy) String() string {
 	switch p {
@@ -84,8 +93,6 @@ type Options struct {
 	// Fsync selects the durability/latency trade-off (default
 	// FsyncInterval).
 	Fsync FsyncPolicy
-	// FsyncEvery is the FsyncInterval period (default 100ms).
-	FsyncEvery time.Duration
 	// MaxPackBytes rotates the active pack once it grows past this size
 	// (default 64 MiB).
 	MaxPackBytes int64
@@ -114,9 +121,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.FsyncEvery <= 0 {
-		o.FsyncEvery = 100 * time.Millisecond
-	}
 	if o.MaxPackBytes <= 0 {
 		o.MaxPackBytes = 64 << 20
 	}
@@ -281,7 +285,7 @@ func (d *Store) syncLocked() error {
 
 func (d *Store) syncLoop() {
 	defer close(d.syncDone)
-	t := time.NewTicker(d.opts.FsyncEvery)
+	t := time.NewTicker(fsyncEvery)
 	defer t.Stop()
 	for {
 		select {

@@ -6,7 +6,12 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"time"
 )
+
+// fsyncEvery is the FsyncInterval period: the data-loss window of every
+// file this package keeps (packs, memo journal, and each Journal).
+const fsyncEvery = 100 * time.Millisecond
 
 // Journal is the exported, general-purpose form of this package's
 // append-only file format: an 8-byte magic followed by CRC32-framed
@@ -16,11 +21,17 @@ import (
 // journal with the same crash-recovery discipline (replay on open,
 // torn-tail truncation) without reimplementing it.
 //
-// A Journal is safe for concurrent use.
+// A Journal is safe for concurrent use, and owns its durability policy:
+// under FsyncInterval it syncs itself from a background ticker until
+// Close, under FsyncAlways Commit syncs, under FsyncNever nothing does.
 type Journal struct {
-	mu    sync.Mutex
-	magic string
-	f     *appendFile
+	mu     sync.Mutex
+	magic  string
+	policy FsyncPolicy
+	f      *appendFile
+
+	stop chan struct{} // closed by Close; nil unless FsyncInterval
+	done chan struct{} // closed when the ticker goroutine has exited
 }
 
 // MaxJournalPayload bounds one record's payload; Append rejects anything
@@ -34,8 +45,9 @@ const MaxJournalPayload = maxPayload
 // order before OpenJournal returns; a torn or corrupt tail — the
 // signature of a crash mid-append — is truncated away rather than treated
 // as an error, and dropped reports how many bytes were discarded. visit
-// may be nil when the caller does not need replay.
-func OpenJournal(path, magic string, visit func(recType byte, payload []byte) error) (j *Journal, dropped int64, err error) {
+// may be nil when the caller does not need replay. policy decides when
+// later appends reach stable storage (see Commit).
+func OpenJournal(path, magic string, policy FsyncPolicy, visit func(recType byte, payload []byte) error) (j *Journal, dropped int64, err error) {
 	if len(magic) != magicLen {
 		return nil, 0, fmt.Errorf("durable: journal magic must be %d bytes, got %d", magicLen, len(magic))
 	}
@@ -53,14 +65,34 @@ func OpenJournal(path, magic string, visit func(recType byte, payload []byte) er
 		a.f.Close()
 		return nil, 0, err
 	}
-	return &Journal{magic: magic, f: a}, dropped, nil
+	j = &Journal{magic: magic, policy: policy, f: a}
+	if policy == FsyncInterval {
+		j.stop = make(chan struct{})
+		j.done = make(chan struct{})
+		go j.syncLoop()
+	}
+	return j, dropped, nil
+}
+
+func (j *Journal) syncLoop() {
+	defer close(j.done)
+	t := time.NewTicker(fsyncEvery)
+	defer t.Stop()
+	for {
+		select {
+		case <-t.C:
+			_ = j.Sync()
+		case <-j.stop:
+			return
+		}
+	}
 }
 
 // errJournalClosed reports use after Close.
 var errJournalClosed = errors.New("durable: journal is closed")
 
-// Append frames and appends one record. Durability is the caller's
-// policy: nothing is fsynced until Sync (or the OS writes back).
+// Append frames and appends one record: a page-cache write, never an
+// fsync, so it is cheap to call under the caller's own lock.
 func (j *Journal) Append(recType byte, payload []byte) error {
 	if int64(len(payload)) > MaxJournalPayload {
 		return fmt.Errorf("durable: journal payload %d bytes exceeds %d-byte record limit", len(payload), MaxJournalPayload)
@@ -72,6 +104,18 @@ func (j *Journal) Append(recType byte, payload []byte) error {
 	}
 	_, err := j.f.append(frame(recType, payload))
 	return err
+}
+
+// Commit makes every appended record durable when the policy is
+// FsyncAlways and is a no-op otherwise. Callers invoke it after
+// releasing their own lock and before acknowledging the transition the
+// records describe: an fsync is milliseconds, and holding a wide lock
+// across it would serialize everything behind disk latency.
+func (j *Journal) Commit() error {
+	if j.policy != FsyncAlways {
+		return nil
+	}
+	return j.Sync()
 }
 
 // Sync forces all appended records to stable storage.
@@ -99,8 +143,8 @@ func (j *Journal) Size() int64 {
 // Close.
 func (j *Journal) Close() error {
 	j.mu.Lock()
-	defer j.mu.Unlock()
 	if j.f == nil {
+		j.mu.Unlock()
 		return nil
 	}
 	err := j.f.sync()
@@ -108,6 +152,11 @@ func (j *Journal) Close() error {
 		err = cerr
 	}
 	j.f = nil
+	j.mu.Unlock()
+	if j.stop != nil {
+		close(j.stop)
+		<-j.done
+	}
 	return err
 }
 

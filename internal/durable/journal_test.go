@@ -15,7 +15,7 @@ type jrec struct {
 func replayAll(t *testing.T, path, magic string) (*Journal, int64, []jrec) {
 	t.Helper()
 	var got []jrec
-	j, dropped, err := OpenJournal(path, magic, func(recType byte, payload []byte) error {
+	j, dropped, err := OpenJournal(path, magic, FsyncNever, func(recType byte, payload []byte) error {
 		got = append(got, jrec{recType, string(payload)})
 		return nil
 	})
@@ -134,7 +134,7 @@ func TestJournalBadMagicRejected(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := OpenJournal(path, "OTHERMG1", nil); err == nil {
+	if _, _, err := OpenJournal(path, "OTHERMG1", FsyncNever, nil); err == nil {
 		t.Fatal("journal with mismatched magic opened without error")
 	}
 }

@@ -55,6 +55,10 @@ const recEntry = byte(1)
 // costs one re-evaluation, nothing more).
 const maxPendingHints = 4096
 
+// retainTerminal bounds how many settled entries stay in the table for
+// dedup and warm hints; the oldest settled entries are evicted beyond it.
+const retainTerminal = 8192
+
 // Options configures a Replicator.
 type Options struct {
 	// ID is this gateway's identity on the peer channel. Required, and
@@ -68,8 +72,6 @@ type Options struct {
 	// Fsync selects the journal's durability policy (default
 	// durable.FsyncInterval).
 	Fsync durable.FsyncPolicy
-	// FsyncEvery is the FsyncInterval period (default 100ms).
-	FsyncEvery time.Duration
 	// HeartbeatInterval spaces liveness probes to peers (default 1s).
 	HeartbeatInterval time.Duration
 	// HeartbeatTimeout declares a silent peer dead (default 5×interval).
@@ -80,10 +82,6 @@ type Options struct {
 	// dedups — the timeout only trades replication lag for availability,
 	// and QuorumTimeouts counts every such trade for operators.
 	AckTimeout time.Duration
-	// RetainTerminal bounds how many settled entries stay in the table
-	// for dedup and warm hints (default 8192); the oldest settled
-	// entries are evicted beyond it.
-	RetainTerminal int
 	// Takeover, when set, is invoked once per adopted job when a peer
 	// gateway dies: the gateway absorbs the entry's replicated payload
 	// into its backend, then resubmits (tenant, handle) into its own
@@ -109,12 +107,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.AckTimeout <= 0 {
 		o.AckTimeout = 2 * time.Second
-	}
-	if o.RetainTerminal <= 0 {
-		o.RetainTerminal = 8192
-	}
-	if o.FsyncEvery <= 0 {
-		o.FsyncEvery = 100 * time.Millisecond
 	}
 	return o
 }
@@ -230,10 +222,6 @@ func New(opts Options) (*Replicator, error) {
 	}
 	r.wg.Add(1)
 	go r.heartbeatLoop()
-	if r.journal != nil && opts.Fsync == durable.FsyncInterval {
-		r.wg.Add(1)
-		go r.syncLoop()
-	}
 	return r, nil
 }
 
@@ -247,7 +235,7 @@ func (r *Replicator) logf(format string, args ...any) {
 // the file when replay shows it has grown well past the folded state.
 func (r *Replicator) openJournal() error {
 	records := 0
-	j, dropped, err := durable.OpenJournal(r.opts.JournalPath, edgeJournalMagic, func(recType byte, payload []byte) error {
+	j, dropped, err := durable.OpenJournal(r.opts.JournalPath, edgeJournalMagic, r.opts.Fsync, func(recType byte, payload []byte) error {
 		records++
 		if recType != recEntry {
 			return fmt.Errorf("edgelog: unexpected journal record type %d", recType)
@@ -357,27 +345,14 @@ func (r *Replicator) appendJournalLocked(e *Entry) {
 	}
 }
 
-// syncAlways flushes the journal under the per-transition durability
-// policy. Called outside r.mu.
-func (r *Replicator) syncAlways() {
-	if r.journal != nil && r.opts.Fsync == durable.FsyncAlways {
-		if err := r.journal.Sync(); err != nil {
-			r.logf("edgelog: journal sync: %v", err)
-		}
+// commit flushes the journal under the per-transition durability policy
+// (durable.Journal.Commit). Called outside r.mu.
+func (r *Replicator) commit() {
+	if r.journal == nil {
+		return
 	}
-}
-
-func (r *Replicator) syncLoop() {
-	defer r.wg.Done()
-	t := time.NewTicker(r.opts.FsyncEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			_ = r.journal.Sync()
-		case <-r.stop:
-			return
-		}
+	if err := r.journal.Commit(); err != nil {
+		r.logf("edgelog: journal sync: %v", err)
 	}
 }
 
@@ -385,8 +360,7 @@ func (r *Replicator) syncLoop() {
 // retention bound is exceeded by an eighth (amortizing the scan), the
 // same policy the jobs manager applies to its terminal table.
 func (r *Replicator) evictTerminalLocked() {
-	retain := r.opts.RetainTerminal
-	if r.terminal <= retain+retain/8 {
+	if r.terminal <= retainTerminal+retainTerminal/8 {
 		return
 	}
 	settled := make([]*Entry, 0, r.terminal)
@@ -396,7 +370,7 @@ func (r *Replicator) evictTerminalLocked() {
 		}
 	}
 	sort.Slice(settled, func(i, j int) bool { return settled[i].At.Before(settled[j].At) })
-	for _, e := range settled[:len(settled)-retain] {
+	for _, e := range settled[:len(settled)-retainTerminal] {
 		delete(r.entries, e.Job)
 		r.terminal--
 	}
@@ -484,7 +458,7 @@ func (r *Replicator) appendAndBroadcast(e Entry, quorum bool) (uint64, *ackWait)
 	}
 	conns := r.connsLocked()
 	r.mu.Unlock()
-	r.syncAlways()
+	r.commit()
 	if len(conns) > 0 {
 		msg := &proto.Message{
 			Type:    proto.TypeEdgeAppend,
@@ -663,10 +637,7 @@ func (r *Replicator) Close() error {
 	}
 	r.wg.Wait()
 	if r.journal != nil {
-		if err := r.journal.Sync(); err != nil {
-			r.logf("edgelog: close sync: %v", err)
-		}
-		return r.journal.Close()
+		return r.journal.Close() // syncs first
 	}
 	return nil
 }

@@ -161,7 +161,7 @@ func (r *Replicator) handleAppend(pc *peerConn, m *proto.Message) {
 	}
 	r.stats.AcksSent++
 	r.mu.Unlock()
-	r.syncAlways()
+	r.commit()
 	ack := &proto.Message{Type: proto.TypeEdgeAck, From: r.opts.ID, Seq: m.Seq}
 	if err := pc.send(ack.Encode()); err != nil {
 		r.dropConn(pc, err)

@@ -111,7 +111,7 @@ func (s *Server) handleSubmitAsync(w http.ResponseWriter, r *http.Request, t *te
 	if isNew && s.edge != nil {
 		// Replicate the acceptance before acking the 202: once the client
 		// holds the 202, a surviving peer must be able to adopt the job.
-		// Blocks for a peer quorum, bounded by EdgeAckTimeout.
+		// Blocks for a peer quorum, bounded by edgelog's AckTimeout (2s).
 		s.edge.Accepted(v.ID, tenant, h, s.jobPayload(h))
 	}
 	reply := jobReply(v)

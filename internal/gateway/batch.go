@@ -11,11 +11,12 @@ import (
 
 	"fixgo/internal/core"
 	"fixgo/internal/obsv"
+	"fixgo/internal/runtime"
 )
 
 // POST /v1/jobs:batch amortizes the gateway's per-request costs over N
 // submissions: one HTTP round trip, one JSON decode, one admission
-// decision, and one vectored hand-off to the backend, with per-item
+// decision, and one bounded fan-out onto the backend, with per-item
 // results and errors reported in submission order. The batch shares the
 // sync path's cache semantics item for item — each item is a hit, a
 // collapsed join, or a led evaluation exactly as if it had been
@@ -156,19 +157,22 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 			}
 			return
 		}
-		// Evaluate the led items as one vectored submission under the
-		// single admitted slot. The flight context is detached from the
-		// request: collapsed waiters outside this batch may be riding on
-		// these flights, and the deterministic answers are worth caching
-		// even if this client disconnects.
-		flightCtx := obsv.WithTrace(context.WithoutCancel(r.Context()), tc)
+		// Evaluate the led items as one fan-out under the single admitted
+		// slot. The flight context is detached from the request exactly
+		// as evaluate's is: collapsed waiters outside this batch — an
+		// async job among them — may be riding on these flights, so they
+		// outlive this client's connection but not the server (Close
+		// cancels them and waits for s.flights before the edge's Leave).
+		flightCtx := flightContext{Context: s.closeCtx, values: obsv.WithTrace(r.Context(), tc)}
 		hs := make([]core.Handle, len(evals))
 		for j, i := range evals {
 			hs[j] = items[i].h
 		}
+		s.flights.Add(1)
 		bs := tc.StartSpan("backend_eval", "")
-		results, errs := s.evalBatch(flightCtx, hs)
+		results, errs := fanOutEval(flightCtx, s.opts.Backend.Eval, hs)
 		bs.End()
+		s.flights.Add(-1)
 		s.adm.Release()
 		for j, i := range evals {
 			it := &items[i]
@@ -228,22 +232,15 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 	s.reply(w, http.StatusOK, reply)
 }
 
-// evalBatch routes a vectored submission to the backend: the BatchEvaler
-// facet when implemented (cluster nodes, engine backends), a bounded
-// goroutine fan-out over scalar Eval otherwise.
-func (s *Server) evalBatch(ctx context.Context, hs []core.Handle) ([]core.Handle, []error) {
-	if be, ok := s.opts.Backend.(BatchEvaler); ok {
-		return be.EvalBatch(ctx, hs)
-	}
-	return fanOutEval(ctx, s.opts.Backend.Eval, hs)
-}
-
-// maxBatchFanout bounds how many concurrent evaluations one batch holds
-// when fanning out over a scalar Eval.
+// maxBatchFanout bounds how many concurrent evaluations one batch holds.
+// A cluster backend still places each item independently, so a batch
+// spreads across workers; the bound only keeps one giant batch from
+// monopolizing the local goroutine budget.
 const maxBatchFanout = 32
 
 // fanOutEval forces every handle concurrently (bounded) and reports
-// per-item results and errors in input order.
+// per-item results and errors in input order. Items fail independently:
+// a missing dependency in one slot does not poison its neighbors.
 func fanOutEval(ctx context.Context, eval func(context.Context, core.Handle) (core.Handle, error), hs []core.Handle) ([]core.Handle, []error) {
 	results := make([]core.Handle, len(hs))
 	errs := make([]error, len(hs))
@@ -252,11 +249,11 @@ func fanOutEval(ctx context.Context, eval func(context.Context, core.Handle) (co
 	for i, h := range hs {
 		wg.Add(1)
 		sem <- struct{}{}
-		go func(i int, h core.Handle) {
+		runtime.Go(func() {
 			defer wg.Done()
 			defer func() { <-sem }()
 			results[i], errs[i] = eval(ctx, h)
-		}(i, h)
+		})
 	}
 	wg.Wait()
 	return results, errs

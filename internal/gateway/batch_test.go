@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -281,5 +282,83 @@ func TestBatchColdItemsFanOutUnderOneSlot(t *testing.T) {
 	}
 	if st := srv.Stats(); st.Admission.Admitted != 1 || st.Cache.Misses != K {
 		t.Errorf("admitted %d slots for %d misses, want 1 slot for %d", st.Admission.Admitted, st.Cache.Misses, K)
+	}
+}
+
+// blockingBackend parks every evaluation until its context is cancelled
+// (or the test releases it), then takes a moment to unwind — long enough
+// that a Close which does not wait for it returns first.
+type blockingBackend struct {
+	slowBackend
+	entered  chan struct{} // one send per evaluation that reached the backend
+	release  chan struct{} // closed when the test ends, so a failure leaks nothing
+	unwound  atomic.Int64  // evaluations that returned
+	canceled atomic.Int64  // of those, how many saw their context cancelled
+}
+
+func (b *blockingBackend) Eval(ctx context.Context, h core.Handle) (core.Handle, error) {
+	defer b.unwound.Add(1)
+	b.entered <- struct{}{}
+	select {
+	case <-ctx.Done():
+		b.canceled.Add(1)
+		time.Sleep(50 * time.Millisecond)
+		return core.Handle{}, ctx.Err()
+	case <-b.release:
+		return core.LiteralU64(42), nil
+	}
+}
+
+// TestCloseCancelsAndAwaitsBatchFlights: a batch-led flight is bounded by
+// the server's lifetime exactly as a single submission's is. Close
+// cancels the backend's context and returns only after the evaluations
+// unwound — so on a replicated edge no batch evaluation (and no async job
+// collapsed onto one) is still executing when the Leave goes out.
+func TestCloseCancelsAndAwaitsBatchFlights(t *testing.T) {
+	const K = 3
+	back := &blockingBackend{
+		slowBackend: slowBackend{st: store.New()},
+		entered:     make(chan struct{}, K),
+		release:     make(chan struct{}),
+	}
+	srv, c := newTestGateway(t, Options{Backend: back, CacheEntries: 64})
+	// Registered after the HTTP server's own cleanup, so it runs before
+	// it: httptest's Close waits for the batch request to finish.
+	t.Cleanup(func() { close(back.release) })
+	hs := make([]core.Handle, K)
+	for i := range hs {
+		hs[i] = key(uint64(7700 + i))
+	}
+	replied := make(chan []BatchResult, 1)
+	go func() {
+		results, _ := c.SubmitBatch(context.Background(), hs)
+		replied <- results
+	}()
+	for i := 0; i < K; i++ {
+		select {
+		case <-back.entered:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("only %d of %d batch items reached the backend", i, K)
+		}
+	}
+
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := back.canceled.Load(); got != K {
+		t.Errorf("Close cancelled %d of %d batch evaluations", got, K)
+	}
+	if got := back.unwound.Load(); got != K {
+		t.Errorf("Close returned with %d of %d batch evaluations unwound", got, K)
+	}
+	select {
+	case results := <-replied:
+		for i, r := range results {
+			if r.Err == nil {
+				t.Errorf("item %d = %+v, want the cancellation error", i, r)
+			}
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the batch request never answered after Close")
 	}
 }

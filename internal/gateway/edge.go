@@ -171,7 +171,6 @@ func (s *Server) initEdge(opts Options) error {
 		Fsync:             opts.JobsFsync,
 		HeartbeatInterval: opts.EdgeHeartbeatInterval,
 		HeartbeatTimeout:  opts.EdgeHeartbeatTimeout,
-		AckTimeout:        opts.EdgeAckTimeout,
 		Takeover:          s.adoptJob,
 		Warm:              s.applyHint,
 		Logf:              opts.Logf,

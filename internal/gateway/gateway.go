@@ -52,16 +52,6 @@ type Backend interface {
 	ObjectBytes(ctx context.Context, h core.Handle) ([]byte, error)
 }
 
-// BatchEvaler is the optional Backend facet for vectored submission:
-// EvalBatch forces every handle of one batch and reports per-item
-// results and errors, both in input order. A backend that implements it
-// owns the batch's internal concurrency (the cluster node fans the
-// items out across workers); the gateway falls back to a bounded
-// goroutine fan-out over Eval otherwise.
-type BatchEvaler interface {
-	EvalBatch(ctx context.Context, hs []core.Handle) ([]core.Handle, []error)
-}
-
 // EngineBackend adapts an in-process runtime.Engine to the Backend
 // interface.
 type EngineBackend struct {
@@ -80,12 +70,6 @@ func (b *EngineBackend) Store() *store.Store { return b.eng.Store() }
 // Eval forces h on the engine.
 func (b *EngineBackend) Eval(ctx context.Context, h core.Handle) (core.Handle, error) {
 	return b.eng.Eval(ctx, h)
-}
-
-// EvalBatch forces each handle concurrently on the engine (the engine's
-// futures already dedupe shared sub-graphs across the items).
-func (b *EngineBackend) EvalBatch(ctx context.Context, hs []core.Handle) ([]core.Handle, []error) {
-	return fanOutEval(ctx, b.eng.Eval, hs)
 }
 
 // PutBlob stores a Blob.

@@ -60,14 +60,6 @@ type Options struct {
 	JobsJournalPath string
 	// JobsFsync selects the jobs journal's durability policy.
 	JobsFsync durable.FsyncPolicy
-	// TenantWeight, when set, maps a tenant to its fair-dequeue weight
-	// in the async queue (unset tenants weigh 1).
-	TenantWeight func(tenant string) int
-	// AsyncCloseGrace bounds how long Close waits for in-flight async
-	// evaluations to return after cancellation (default 5s; see
-	// jobs.Options.CloseGrace). On a replicated edge the wait must
-	// complete before the departure announcement goes out.
-	AsyncCloseGrace time.Duration
 	// EdgeID, when non-empty, joins this gateway to a replicated edge
 	// (internal/edgelog): accepted async jobs replicate to peer gateways
 	// for takeover on death, and memoized results gossip as cache-warm
@@ -81,9 +73,6 @@ type Options struct {
 	// membership view (defaults 1s / 5×interval).
 	EdgeHeartbeatInterval time.Duration
 	EdgeHeartbeatTimeout  time.Duration
-	// EdgeAckTimeout bounds how long an accepted job's replication waits
-	// for a peer quorum before acking the 202 anyway (default 2s).
-	EdgeAckTimeout time.Duration
 	// TraceEntries bounds the in-memory ring of finished request traces
 	// served at GET /v1/trace (default 512).
 	TraceEntries int
@@ -276,8 +265,6 @@ func NewServer(opts Options) (*Server, error) {
 			Workers:     opts.AsyncWorkers,
 			MaxQueue:    opts.AsyncQueueDepth,
 			MaxAttempts: opts.AsyncMaxAttempts,
-			CloseGrace:  opts.AsyncCloseGrace,
-			Weight:      opts.TenantWeight,
 			JournalPath: opts.JobsJournalPath,
 			Fsync:       opts.JobsFsync,
 			Logf:        opts.Logf,
@@ -312,22 +299,15 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // in cmd/fixgate reads its recovery stats.
 func (s *Server) Jobs() *jobs.Manager { return s.jobs }
 
-// Close stops the async worker pool (draining in-flight evaluations, up
-// to AsyncCloseGrace), then leaves the replicated edge, and closes both
-// journals; pending jobs stay journaled and resume on the next boot.
-// The order is load-bearing: the edge's Leave broadcast tells peers to
-// adopt this gateway's undrained jobs, so it must go out only after the
-// local queue has truly stopped executing — jobs first, edge second —
-// or a peer could re-execute a job still running here. The HTTP handler
-// must not be used after Close.
 // Close shuts the serving paths down in the only order that gives a
 // takeover peer clean handoff semantics: cancel every detached backend
 // flight, drain the local queue (running jobs revert to pending and
-// journal), wait out the in-flight evaluations, and only then leave the
-// replicated edge. The Leave is what triggers peer adoption, so
-// everything this gateway might still be executing must have stopped
-// first — otherwise the adopter and this gateway overlap on the same
-// job.
+// stay journaled for the next boot), wait out the in-flight evaluations
+// (up to closeGrace), and only then leave the replicated edge and close
+// both journals. The Leave is what triggers peer adoption, so everything
+// this gateway might still be executing must have stopped first —
+// otherwise the adopter and this gateway overlap on the same job. The
+// HTTP handler must not be used after Close.
 func (s *Server) Close() error {
 	s.closeCancel()
 	var err error
@@ -343,19 +323,19 @@ func (s *Server) Close() error {
 	return err
 }
 
+// closeGrace bounds how long Close waits for cancelled backend flights
+// to unwind (the jobs manager's own default CloseGrace is the same).
+const closeGrace = 5 * time.Second
+
 // awaitFlights waits for cancelled backend flights to unwind, bounded
-// by AsyncCloseGrace — a backend that ignores cancellation must not
-// wedge Close (the jobs manager takes the same stance).
+// by closeGrace — a backend that ignores cancellation must not wedge
+// Close (the jobs manager takes the same stance).
 func (s *Server) awaitFlights() {
-	grace := s.opts.AsyncCloseGrace
-	if grace <= 0 {
-		grace = 5 * time.Second
-	}
-	deadline := time.Now().Add(grace)
+	deadline := time.Now().Add(closeGrace)
 	for s.flights.Load() > 0 {
 		if time.Now().After(deadline) {
 			if s.opts.Logf != nil {
-				s.opts.Logf("gateway: close: abandoning %d in-flight evaluations after %v grace", s.flights.Load(), grace)
+				s.opts.Logf("gateway: close: abandoning %d in-flight evaluations after %v grace", s.flights.Load(), closeGrace)
 			}
 			return
 		}

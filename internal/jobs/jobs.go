@@ -28,7 +28,7 @@
 //     exhausts them parks in the dead-letter state for inspection
 //     rather than retrying forever.
 //
-// Dequeue order is per-tenant weighted fair round-robin, so one tenant's
+// Dequeue order is per-tenant fair round-robin, so one tenant's
 // burst of a thousand jobs does not starve another's single submission.
 package jobs
 
@@ -153,17 +153,12 @@ type Options struct {
 	// safe restart of already-memoized work. The journal keeps every
 	// record until the next boot's compaction folds it down.
 	RetainTerminal int
-	// Weight maps a tenant to its fair-dequeue weight (nil or
-	// non-positive values mean 1).
-	Weight func(tenant string) int
 	// JournalPath, when non-empty, makes the queue durable: every state
 	// transition is journaled there and replayed on the next New.
 	JournalPath string
 	// Fsync selects the journal's durability policy (default
 	// durable.FsyncInterval).
 	Fsync durable.FsyncPolicy
-	// FsyncEvery is the FsyncInterval period (default 100ms).
-	FsyncEvery time.Duration
 	// Logf, when set, receives one line per notable event (replay,
 	// compaction, dead-lettered job).
 	Logf func(format string, args ...any)
@@ -206,9 +201,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.RetainTerminal <= 0 {
 		o.RetainTerminal = 8192
-	}
-	if o.FsyncEvery <= 0 {
-		o.FsyncEvery = 100 * time.Millisecond
 	}
 	if o.CloseGrace <= 0 {
 		o.CloseGrace = 5 * time.Second
@@ -266,7 +258,7 @@ type Manager struct {
 
 	baseCtx  context.Context // cancelled on Close; parents every evaluation
 	baseStop context.CancelFunc
-	wg       sync.WaitGroup // workers + fsync ticker
+	wg       sync.WaitGroup // workers
 	evalWG   sync.WaitGroup // in-flight backend evaluations (drained by Close)
 	timersMu sync.Mutex
 	timers   map[*time.Timer]struct{} // outstanding retry timers
@@ -279,14 +271,10 @@ func New(opts Options) (*Manager, error) {
 	if opts.Eval == nil {
 		return nil, errors.New("jobs: Options.Eval is required")
 	}
-	weight := opts.Weight
-	if weight == nil {
-		weight = func(string) int { return 1 }
-	}
 	m := &Manager{
 		opts:   opts,
 		jobs:   make(map[string]*job),
-		queue:  newFairQueue(weight),
+		queue:  newFairQueue(),
 		timers: make(map[*time.Timer]struct{}),
 	}
 	m.cond = sync.NewCond(&m.mu)
@@ -301,10 +289,6 @@ func New(opts Options) (*Manager, error) {
 	for i := 0; i < opts.Workers; i++ {
 		m.wg.Add(1)
 		go m.worker()
-	}
-	if m.journal != nil && opts.Fsync == durable.FsyncInterval {
-		m.wg.Add(1)
-		go m.syncLoop()
 	}
 	return m, nil
 }
@@ -365,7 +349,7 @@ type (
 // shows it has grown well past the folded state.
 func (m *Manager) openJournal() error {
 	records := 0
-	j, dropped, err := durable.OpenJournal(m.opts.JournalPath, jobsJournalMagic, func(recType byte, payload []byte) error {
+	j, dropped, err := durable.OpenJournal(m.opts.JournalPath, jobsJournalMagic, m.opts.Fsync, func(recType byte, payload []byte) error {
 		records++
 		return m.replayRecord(recType, payload)
 	})
@@ -550,10 +534,7 @@ func (m *Manager) compactLocked() error {
 // append failures are logged, not fatal: the in-memory queue keeps
 // serving, degraded to the non-durable mode, which mirrors how the
 // object store surfaces PersistErrors rather than failing writes.
-// Under FsyncAlways the flush itself happens in syncAlways, outside
-// m.mu — an append is a page-cache write, but an fsync is milliseconds,
-// and holding the manager-wide lock across it would serialize every
-// submit, status read, and metrics scrape at disk latency.
+// Under FsyncAlways the flush itself happens in commit, outside m.mu.
 func (m *Manager) appendLocked(recType byte, v any) {
 	if m.journal == nil {
 		return
@@ -567,28 +548,15 @@ func (m *Manager) appendLocked(recType byte, v any) {
 	}
 }
 
-// syncAlways flushes the journal when the policy demands per-transition
-// durability. Call it after releasing m.mu but before acknowledging the
-// transition to the caller.
-func (m *Manager) syncAlways() {
-	if m.journal != nil && m.opts.Fsync == durable.FsyncAlways {
-		if err := m.journal.Sync(); err != nil {
-			m.logf("jobs: journal sync: %v", err)
-		}
+// commit flushes the journal when its policy demands per-transition
+// durability (durable.Journal.Commit). Call it after releasing m.mu but
+// before acknowledging the transition to the caller.
+func (m *Manager) commit() {
+	if m.journal == nil {
+		return
 	}
-}
-
-func (m *Manager) syncLoop() {
-	defer m.wg.Done()
-	t := time.NewTicker(m.opts.FsyncEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			_ = m.journal.Sync()
-		case <-m.baseCtx.Done():
-			return
-		}
+	if err := m.journal.Commit(); err != nil {
+		m.logf("jobs: journal sync: %v", err)
 	}
 }
 
@@ -600,7 +568,7 @@ func (m *Manager) Submit(tenant string, h core.Handle) (Job, bool, error) {
 	v, isNew, err := m.submit(tenant, h)
 	if isNew {
 		// The enqueue record is durable before the 202 is acked.
-		m.syncAlways()
+		m.commit()
 	}
 	return v, isNew, err
 }
@@ -704,7 +672,7 @@ func (m *Manager) Wait(ctx context.Context, id string, wait time.Duration) (Job,
 // determinism means a completed answer is always worth keeping).
 func (m *Manager) Cancel(id string) (Job, error) {
 	v, err := m.cancel(id)
-	m.syncAlways()
+	m.commit()
 	// A pending-cancel settles here; a running-cancel settles in the
 	// worker loop, which observes it there.
 	if err == nil && v.State.Terminal() && m.opts.Observe != nil {
@@ -905,7 +873,7 @@ func (m *Manager) worker() {
 		view := jb.view
 		m.running++
 		m.mu.Unlock()
-		m.syncAlways()
+		m.commit()
 
 		evalCtx := ctx
 		var traceDone func(error)
@@ -988,7 +956,7 @@ func (m *Manager) worker() {
 		}
 		settled := jb.view
 		m.mu.Unlock()
-		m.syncAlways()
+		m.commit()
 		if m.opts.Observe != nil && settled.State.Terminal() {
 			m.opts.Observe(settled)
 		}

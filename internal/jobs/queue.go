@@ -3,33 +3,26 @@ package jobs
 import "time"
 
 // fairQueue is the pending-job queue: one FIFO per tenant, drained by
-// weighted round-robin. Each time the scheduling cursor reaches a tenant
-// it earns `weight` credits and pops one job per credit before the cursor
-// moves on, so a tenant with weight 2 dequeues twice as often as a
-// tenant with weight 1 when both have work — and an idle tenant's turn
-// costs nothing. A single deep tenant therefore cannot starve shallow
-// ones: everyone else's jobs interleave at their weighted share.
+// round-robin. Each time the scheduling cursor reaches a tenant it pops
+// one job and moves on — an idle tenant's turn costs nothing — so a
+// single deep tenant cannot starve shallow ones: everyone else's jobs
+// interleave at an equal share.
 //
 // fairQueue is not self-locking; the Manager's mutex guards it.
 type fairQueue struct {
 	tenants map[string]*tenantQueue
 	ring    []*tenantQueue // round-robin order (tenant arrival order)
 	cursor  int
-	weight  func(tenant string) int
 	size    int
 }
 
 type tenantQueue struct {
-	name   string
-	jobs   []*job // FIFO: append at tail, pop from head
-	credit int
+	name string
+	jobs []*job // FIFO: append at tail, pop from head
 }
 
-func newFairQueue(weight func(tenant string) int) *fairQueue {
-	return &fairQueue{
-		tenants: make(map[string]*tenantQueue),
-		weight:  weight,
-	}
+func newFairQueue() *fairQueue {
+	return &fairQueue{tenants: make(map[string]*tenantQueue)}
 }
 
 // push appends j to its tenant's FIFO.
@@ -44,7 +37,7 @@ func (q *fairQueue) push(j *job) {
 	q.size++
 }
 
-// pop removes and returns the next job by weighted round-robin, or nil
+// pop removes and returns the next job by round-robin, or nil
 // when the queue is empty. Tenants whose FIFO drains are dropped from
 // the ring on the spot: tenant identity is client-supplied, so keeping
 // idle tenants would let a stream of fresh tenant names grow the ring
@@ -62,20 +55,13 @@ func (q *fairQueue) pop() *job {
 			q.dropAt(q.cursor)
 			continue
 		}
-		if tq.credit <= 0 {
-			tq.credit = q.weight(tq.name)
-			if tq.credit <= 0 {
-				tq.credit = 1
-			}
-		}
 		j := tq.jobs[0]
 		tq.jobs[0] = nil // release for GC
 		tq.jobs = tq.jobs[1:]
 		q.size--
-		tq.credit--
 		if len(tq.jobs) == 0 {
 			q.dropAt(q.cursor)
-		} else if tq.credit <= 0 {
+		} else {
 			q.cursor++
 		}
 		return j

@@ -24,9 +24,10 @@ var ErrDepthExceeded = errors.New("runtime: max evaluation depth exceeded")
 // evaluator for Fix objects over a runtime store, with CPU/RAM slot
 // accounting and optional delegation of Encode forcing to other nodes.
 type Engine struct {
-	st   *store.Store
-	opts Options
-	res  *resources
+	st    *store.Store
+	opts  Options
+	stats *stats.Collector // CPU-state accounting
+	res   *resources
 
 	futMu   sync.Mutex
 	futures map[futKey]*future
@@ -58,6 +59,7 @@ func New(st *store.Store, opts Options) *Engine {
 	return &Engine{
 		st:      st,
 		opts:    opts,
+		stats:   stats.NewCollector(opts.Cores),
 		res:     newResources(cpu, opts.MemoryBytes),
 		futures: make(map[futKey]*future),
 		progs:   make(map[core.Handle]*codelet.Program),
@@ -68,7 +70,7 @@ func New(st *store.Store, opts Options) *Engine {
 func (e *Engine) Store() *store.Store { return e.st }
 
 // Stats returns the engine's CPU-state collector.
-func (e *Engine) Stats() *stats.Collector { return e.opts.Stats }
+func (e *Engine) Stats() *stats.Collector { return e.stats }
 
 // InFlight reports the number of Application invocations currently being
 // prepared or executed — a load signal for distributed schedulers.
@@ -409,7 +411,7 @@ func (e *Engine) apply(ctx context.Context, t core.Handle, depth int) (core.Hand
 		fetchStart := time.Now()
 		err = e.fetchAll(ctx, missing)
 		fetchDur = time.Since(fetchStart)
-		e.opts.Stats.AddIOWait(fetchDur)
+		e.stats.AddIOWait(fetchDur)
 		if err != nil {
 			e.res.release(1, limits.MemoryBytes)
 			return core.Handle{}, err
@@ -431,9 +433,9 @@ func (e *Engine) apply(ctx context.Context, t core.Handle, depth int) (core.Hand
 	runDur = time.Since(runStart)
 	e.res.release(1, limits.MemoryBytes)
 
-	e.opts.Stats.AddUser(runDur)
-	e.opts.Stats.AddSystem(time.Since(sysStart) - runDur - fetchDur)
-	e.opts.Stats.AddTask()
+	e.stats.AddUser(runDur)
+	e.stats.AddSystem(time.Since(sysStart) - runDur - fetchDur)
+	e.stats.AddTask()
 	if err != nil {
 		return core.Handle{}, fmt.Errorf("runtime: %v: %w", t, err)
 	}
@@ -548,11 +550,8 @@ func (e *Engine) runProcedure(proc core.Procedure, input core.Handle, limits cor
 	}()
 	api := newApplyAPI(e, input)
 	if prog, ok := proc.(*codelet.Program); ok {
-		gas := limits.Gas
-		if gas == 0 {
-			gas = e.opts.DefaultGas
-		}
-		out, err = prog.Run(api, input, gas)
+		// Gas 0 means codelet.DefaultGas (codelet.Program.Run).
+		out, err = prog.Run(api, input, limits.Gas)
 	} else {
 		out, err = proc.Apply(api, input)
 	}

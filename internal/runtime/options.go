@@ -14,7 +14,6 @@ import (
 	"sync"
 
 	"fixgo/internal/core"
-	"fixgo/internal/stats"
 )
 
 // Fetcher retrieves the canonical bytes of objects that are not resident
@@ -61,14 +60,9 @@ type Options struct {
 	// Registry resolves named native procedures. Nil means only FixVM
 	// codelets can run.
 	Registry *Registry
-	// Stats receives CPU-state accounting; nil allocates a private one.
-	Stats *stats.Collector
 	// MaxEvalDepth bounds recursive evaluation nesting, converting
 	// runaway recursion into an error instead of a hang (default 1e5).
 	MaxEvalDepth int
-	// DefaultGas is the codelet instruction budget when an invocation's
-	// Limits carry none.
-	DefaultGas uint64
 }
 
 func (o Options) withDefaults() Options {
@@ -83,9 +77,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxEvalDepth <= 0 {
 		o.MaxEvalDepth = 100_000
-	}
-	if o.Stats == nil {
-		o.Stats = stats.NewCollector(o.Cores)
 	}
 	return o
 }

@@ -1,31 +1,11 @@
 package storage
 
-import (
-	"fmt"
-
-	"fixgo/internal/durable"
-)
-
-// Storage mode names, as accepted by the daemons' -storage flag.
-const (
-	// ModeLocal keeps every object hot: no tier, no remote. The
-	// pre-tiering behavior, and the default.
-	ModeLocal = "local"
-	// ModeRemote spills to the remote directory through a bounded local
-	// file cache.
-	ModeRemote = "remote"
-	// ModeHybrid writes through the durable pack store and uploads to
-	// the remote asynchronously; reads fall local → cache → remote.
-	ModeHybrid = "hybrid"
-)
+import "fixgo/internal/durable"
 
 // Config is a daemon's tier assembly, parsed straight from its flags.
 type Config struct {
-	// Mode is one of ModeLocal, ModeRemote, ModeHybrid ("" means local).
-	Mode string
 	// RemoteDir is the remote tier's backing directory (the local
-	// stand-in for an object store bucket). Required unless Mode is
-	// local.
+	// stand-in for an object store bucket). Empty means no tier.
 	RemoteDir string
 	// CacheDir holds the local file cache's spill files.
 	CacheDir string
@@ -34,22 +14,16 @@ type Config struct {
 	CacheBudget int64
 }
 
-// Build assembles a daemon's storage tier from its flag configuration.
-// local is the durable pack store backing hybrid mode's write-through
-// side; hybrid without one is a configuration error rather than a silent
-// downgrade. A nil Storage with a nil error means Mode is local: the
-// node runs untierred.
+// Build assembles a daemon's storage tier. The shape follows from what
+// the daemon has: no remote directory, no tier (nil Storage, nil error —
+// the node keeps every object hot); a remote directory alone spills to
+// it through a bounded local file cache ("remote"); with local, the
+// durable pack store, writes go through the packs and upload to the
+// remote asynchronously, and reads fall local → cache → remote
+// ("hybrid").
 func Build(cfg Config, local *durable.Store) (Storage, error) {
-	switch cfg.Mode {
-	case "", ModeLocal:
-		return nil, nil
-	case ModeRemote, ModeHybrid:
-	default:
-		return nil, fmt.Errorf("storage: unknown mode %q (want %s, %s, or %s)",
-			cfg.Mode, ModeLocal, ModeRemote, ModeHybrid)
-	}
 	if cfg.RemoteDir == "" {
-		return nil, fmt.Errorf("storage: mode %s requires a remote directory (-remote-dir)", cfg.Mode)
+		return nil, nil
 	}
 	remote, err := NewDir(cfg.RemoteDir)
 	if err != nil {
@@ -59,11 +33,8 @@ func Build(cfg Config, local *durable.Store) (Storage, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Mode == ModeRemote {
-		return cached, nil
-	}
 	if local == nil {
-		return nil, fmt.Errorf("storage: mode %s requires a durable store (-data-dir)", ModeHybrid)
+		return cached, nil
 	}
 	return NewHybrid(NewLocal(local), cached), nil
 }
