@@ -803,7 +803,13 @@ func (n *Node) serveJob(m *proto.Message) {
 	n.mu.Unlock()
 	defer n.pendingDec(n.id)
 	for _, p := range m.Pushed {
-		if err := n.st.PutObject(p.Handle, p.Data); err == nil {
+		// A resident object's pushed bytes would be discarded, so they are
+		// neither decoded nor re-hashed. The sender is still recorded as a
+		// holder: the view is advisory, and an Advertise makes the same
+		// claim unverified. A malformed handle goes to PutObject, which
+		// refuses it.
+		resident := p.Handle.Validate() == nil && n.st.Contains(p.Handle)
+		if resident || n.st.PutObject(p.Handle, p.Data) == nil {
 			n.mu.Lock()
 			n.viewAddLocked(p.Handle, m.From)
 			n.mu.Unlock()

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"fixgo/internal/core"
+	"fixgo/internal/objstore"
 	"fixgo/internal/obsv"
 	"fixgo/internal/proto"
 	"fixgo/internal/store"
@@ -166,14 +167,11 @@ func (n *Node) jobDeps(enc core.Handle) (deps []dep, hint uint64, ok bool) {
 	w.walk(def)
 	deps = w.deps
 
-	// The limits entry hints the output size (section 4.2.2).
-	if n.st.Contains(def) {
-		if entries, err := n.st.Tree(def); err == nil && len(entries) > 0 {
-			if raw, err := n.st.Blob(entries[0]); err == nil && len(raw) == len(core.DefaultLimits.Encode()) {
-				if lim, err := core.DecodeLimits(raw); err == nil {
-					hint = lim.OutputSizeHint
-				}
-			}
+	// The limits entry hints the output size (section 4.2.2). Encoded
+	// limits are always a literal, read in place.
+	if entries, err := n.st.Tree(def); err == nil && len(entries) > 0 {
+		if lim, err := core.DecodeLimits(entries[0].LiteralView()); err == nil {
+			hint = lim.OutputSizeHint
 		}
 	}
 	return deps, hint, true
@@ -263,16 +261,42 @@ func (n *Node) pick(enc core.Handle, candidates []string, deps []dep, hint uint6
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	best := ""
-	var bestCost, bestTie uint64
+	// Price every candidate in one pass over deps: each dependency costs
+	// one view lookup and one local-residency check, however many
+	// candidates there are.
+	var buf [pickInline]pricing
+	prices := buf[:0]
+	if len(candidates) > pickInline {
+		prices = make([]pricing, 0, len(candidates))
+	}
+	withSelf := false
 	for _, cand := range candidates {
-		var cost uint64
-		for _, d := range deps {
-			if !n.hasLocked(cand, d.h) {
-				cost += d.size
+		p := pricing{self: cand == n.id}
+		if !p.self {
+			p.id = n.view.ID(cand)
+		}
+		withSelf = withSelf || p.self
+		prices = append(prices, p)
+	}
+	for _, d := range deps {
+		held := n.view.Holders(keyOf(d.h))
+		local := withSelf && n.st.Contains(d.h)
+		for i := range prices {
+			p := &prices[i]
+			has := local
+			if !p.self {
+				has = held.Has(p.id)
+			}
+			if !has {
+				p.cost += d.size
 			}
 		}
-		if cand != n.id {
+	}
+	best := ""
+	var bestCost, bestTie uint64
+	for i, cand := range candidates {
+		cost := prices[i].cost
+		if !prices[i].self {
 			cost += hint
 		}
 		// Load term: parallel dependees of the same downstream job
@@ -280,7 +304,7 @@ func (n *Node) pick(enc core.Handle, candidates []string, deps []dep, hint uint6
 		// one equal-cost winner. Self load comes from the engine's
 		// in-flight count; peer load from our outstanding delegations.
 		load := uint64(n.pending[cand])
-		if cand == n.id {
+		if prices[i].self {
 			load += uint64(n.eng.InFlight())
 		}
 		cost += load * loadPenaltyBytes
@@ -292,17 +316,21 @@ func (n *Node) pick(enc core.Handle, candidates []string, deps []dep, hint uint6
 	return best
 }
 
+// pricing is one candidate's identity — this node, or a peer's interned
+// view ID — and the dependency bytes it lacks.
+type pricing struct {
+	self bool
+	id   objstore.OwnerID
+	cost uint64
+}
+
+// pickInline is how many candidates pick prices without allocating.
+const pickInline = 16
+
 // loadPenaltyBytes prices one in-flight job in data-movement bytes: small
 // enough that real locality (chunk-sized differences) still dominates,
 // large enough to break ties among equal-cost candidates.
 const loadPenaltyBytes = 8 << 10
-
-func (n *Node) hasLocked(node string, h core.Handle) bool {
-	if node == n.id {
-		return n.st.Contains(h)
-	}
-	return n.view.Holds(keyOf(h), node)
-}
 
 // tieBreak is FNV-1a over the handle bytes followed by the candidate's
 // own FNV-1a hash as eight little-endian bytes.

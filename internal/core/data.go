@@ -1,15 +1,28 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"unsafe"
+)
 
-// EncodeTree packs a Tree into its canonical byte representation: the
-// concatenation of its entries' 32-byte Handles. This is both the hashing
-// preimage and the wire format.
-func EncodeTree(entries []Handle) []byte {
-	out := make([]byte, 0, len(entries)*HandleSize)
-	for _, e := range entries {
-		out = append(out, e[:]...)
+// TreeBytes returns a Tree's canonical byte representation without
+// copying: a Handle is 32 plain bytes, so entries laid end to end already
+// are the encoding. The result aliases entries and is read-only, the same
+// contract as a stored Blob's bytes.
+func TreeBytes(entries []Handle) []byte {
+	if len(entries) == 0 {
+		return []byte{} // empty but non-nil: nil reads as "no bytes" to callers
 	}
+	return unsafe.Slice(&entries[0][0], len(entries)*HandleSize)
+}
+
+// EncodeTree packs a Tree into a fresh copy of its canonical byte
+// representation: the concatenation of its entries' 32-byte Handles. This
+// is both the hashing preimage and the wire format; TreeBytes is the
+// same bytes in place.
+func EncodeTree(entries []Handle) []byte {
+	out := make([]byte, len(entries)*HandleSize)
+	copy(out, TreeBytes(entries))
 	return out
 }
 
@@ -27,14 +40,4 @@ func DecodeTree(data []byte) ([]Handle, error) {
 		}
 	}
 	return entries, nil
-}
-
-// ObjectBytes returns the canonical byte representation of a stored value:
-// the Blob contents for Blobs, EncodeTree for Trees. It is what travels on
-// the wire alongside a Handle.
-func ObjectBytes(h Handle, blob []byte, tree []Handle) []byte {
-	if h.Kind() == KindTree {
-		return EncodeTree(tree)
-	}
-	return blob
 }

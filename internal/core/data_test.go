@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"testing"
 	"testing/quick"
 )
@@ -75,15 +76,63 @@ func TestTreeRoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestObjectBytes(t *testing.T) {
-	blob := []byte("hello world, this is a blob")
-	bh := BlobHandle(blob)
-	if got := ObjectBytes(bh, blob, nil); string(got) != string(blob) {
-		t.Fatal("blob bytes mismatch")
+// TestTreeBytesAliasesEntries: TreeBytes is EncodeTree's bytes without the
+// copy, and EncodeTree still hands out memory of its own.
+func TestTreeBytesAliasesEntries(t *testing.T) {
+	entries := []Handle{BlobHandle([]byte("hello world, this is a blob")), LiteralU64(7)}
+	view := TreeBytes(entries)
+	if !bytes.Equal(view, EncodeTree(entries)) || len(view) != 2*HandleSize {
+		t.Fatalf("TreeBytes = %x, want EncodeTree's %d bytes", view, 2*HandleSize)
 	}
-	entries := []Handle{bh}
-	th := TreeHandle(entries)
-	if got := ObjectBytes(th, nil, entries); len(got) != HandleSize {
-		t.Fatal("tree bytes mismatch")
+	if &view[HandleSize] != &entries[1][0] {
+		t.Fatal("TreeBytes copied the entries")
+	}
+	enc := EncodeTree(entries)
+	enc[0] ^= 0xff
+	if enc[0] == entries[0][0] {
+		t.Fatal("EncodeTree aliases the entries")
+	}
+	if TreeBytes(nil) == nil || len(TreeBytes(nil)) != 0 || len(EncodeTree(nil)) != 0 {
+		t.Fatal("the empty tree encodes to no bytes")
+	}
+}
+
+// TestLiteralViewInPlace: LiteralView reads the same bytes LiteralData
+// copies, from inside the handle, and nothing from a digest handle.
+func TestLiteralViewInPlace(t *testing.T) {
+	for _, data := range [][]byte{nil, []byte("x"), bytes.Repeat([]byte{9}, MaxLiteral)} {
+		h := BlobHandle(data)
+		v := h.LiteralView()
+		if !bytes.Equal(v, h.LiteralData()) || len(v) != len(data) {
+			t.Fatalf("LiteralView = %x, want %x", v, data)
+		}
+		if len(v) > 0 && &v[0] != &h[0] {
+			t.Fatal("LiteralView copied the handle")
+		}
+	}
+	big := BlobHandle(bytes.Repeat([]byte{9}, MaxLiteral+1))
+	if big.LiteralView() != nil {
+		t.Fatal("a digest handle has no literal view")
+	}
+}
+
+// TestAllocsHandles pins hashing (ROADMAP 2 Part D): a Tree is hashed
+// where it lies and the digest sums on the stack.
+func TestAllocsHandles(t *testing.T) {
+	entries := make([]Handle, 16)
+	for i := range entries {
+		entries[i] = LiteralU64(uint64(i))
+	}
+	blob := bytes.Repeat([]byte{7}, 4096)
+	lim := DefaultLimits.Handle()
+	for name, f := range map[string]func(){
+		"TreeHandle":         func() { sinkHandle = TreeHandle(entries) },
+		"BlobHandle":         func() { sinkHandle = BlobHandle(blob) },
+		"LiteralView":        func() { _, _ = DecodeLimits(lim.LiteralView()) },
+		"NativeFunctionName": func() { _, _ = NativeFunctionName(blob) },
+	} {
+		if allocs := testing.AllocsPerRun(100, f); allocs != 0 {
+			t.Errorf("%s allocates %v times, want 0", name, allocs)
+		}
 	}
 }

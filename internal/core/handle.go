@@ -206,7 +206,7 @@ func BlobHandle(data []byte) Handle {
 // field holds the number of entries. Trees are never literals.
 func TreeHandle(entries []Handle) Handle {
 	var h Handle
-	sum := digest(domainTree, EncodeTree(entries))
+	sum := digest(domainTree, TreeBytes(entries))
 	copy(h[:24], sum[:])
 	putSize(&h, uint64(len(entries)))
 	h[flagsByte] = flagKindTree
@@ -217,8 +217,9 @@ func digest(domain byte, payload []byte) [24]byte {
 	hsh := sha256.New()
 	hsh.Write([]byte{domain})
 	hsh.Write(payload)
+	var sum [sha256.Size]byte
 	var out [24]byte
-	copy(out[:], hsh.Sum(nil))
+	copy(out[:], hsh.Sum(sum[:0]))
 	return out
 }
 
@@ -295,6 +296,16 @@ func (h Handle) LiteralData() []byte {
 	out := make([]byte, n)
 	copy(out, h[:n])
 	return out
+}
+
+// LiteralView returns the inline Blob contents of a literal Handle in
+// place, as a read-only view of *h: unlike LiteralData it copies nothing.
+// It returns nil when the Handle is not a literal.
+func (h *Handle) LiteralView() []byte {
+	if !h.IsLiteral() {
+		return nil
+	}
+	return h[:min(int(h[auxByte]), MaxLiteral)]
 }
 
 // content returns the identity bits of a Handle: everything except the

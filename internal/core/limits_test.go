@@ -54,7 +54,7 @@ func TestInvocationTreeSplit(t *testing.T) {
 func TestFunctionBlobConventions(t *testing.T) {
 	nb := NativeFunctionBlob("count-string")
 	name, ok := NativeFunctionName(nb)
-	if !ok || name != "count-string" {
+	if !ok || string(name) != "count-string" {
 		t.Fatalf("native round-trip: %q %v", name, ok)
 	}
 	if _, ok := VMBytecode(nb); ok {

@@ -26,12 +26,10 @@ func NativeFunctionBlob(name string) []byte {
 	return append(append([]byte{}, MagicNative...), name...)
 }
 
-// NativeFunctionName decodes a native function Blob.
-func NativeFunctionName(blob []byte) (string, bool) {
-	if bytes.HasPrefix(blob, MagicNative) {
-		return string(blob[len(MagicNative):]), true
-	}
-	return "", false
+// NativeFunctionName decodes a native function Blob. The name aliases
+// blob; a map keyed by string(name) is indexed without a copy.
+func NativeFunctionName(blob []byte) ([]byte, bool) {
+	return bytes.CutPrefix(blob, MagicNative)
 }
 
 // VMFunctionBlob encodes a FixVM codelet Blob from assembled bytecode.

@@ -368,7 +368,7 @@ func (d *Store) PersistBlob(h core.Handle, data []byte) error {
 // Implements store.Persister.
 func (d *Store) PersistTree(h core.Handle, entries []core.Handle) error {
 	defer d.observe("tree", time.Now())
-	return d.persistFail("tree", h, d.appendObject(objectKey(h), core.EncodeTree(entries)))
+	return d.persistFail("tree", h, d.appendObject(objectKey(h), core.TreeBytes(entries)))
 }
 
 // PersistThunkResult journals a Thunk memoization. Implements

@@ -487,6 +487,9 @@ func (e *Engine) invocationLimits(ctx context.Context, h core.Handle) (core.Limi
 	if h.Size() == 0 {
 		return core.DefaultLimits, nil
 	}
+	if h.IsLiteral() {
+		return core.DecodeLimits(h.LiteralView())
+	}
 	if err := e.ensureLocal(ctx, h); err != nil {
 		return core.Limits{}, err
 	}
@@ -504,6 +507,10 @@ func (e *Engine) loadProcedure(ctx context.Context, fn core.Handle) (core.Proced
 	if fn.Kind() != core.KindBlob || !fn.IsData() {
 		return nil, fmt.Errorf("runtime: function entry must be a blob, got %v", fn)
 	}
+	// A short native name is read inside its literal handle, not copied.
+	if name, ok := core.NativeFunctionName(fn.LiteralView()); ok {
+		return e.nativeProcedure(name)
+	}
 	if err := e.ensureLocal(ctx, fn); err != nil {
 		return nil, err
 	}
@@ -512,10 +519,7 @@ func (e *Engine) loadProcedure(ctx context.Context, fn core.Handle) (core.Proced
 		return nil, err
 	}
 	if name, ok := core.NativeFunctionName(blob); ok {
-		if e.opts.Registry == nil {
-			return nil, fmt.Errorf("runtime: native procedure %q but no registry configured", name)
-		}
-		return e.opts.Registry.Lookup(name)
+		return e.nativeProcedure(name)
 	}
 	if bc, ok := core.VMBytecode(blob); ok {
 		key := fn.AsObject()
@@ -535,6 +539,16 @@ func (e *Engine) loadProcedure(ctx context.Context, fn core.Handle) (core.Proced
 		return prog, nil
 	}
 	return nil, fmt.Errorf("runtime: function blob has unknown format (%d bytes)", len(blob))
+}
+
+// nativeProcedure looks a native procedure up by its name's bytes. Errors
+// format a copy, so name never escapes (and neither does a literal
+// function handle it may point into).
+func (e *Engine) nativeProcedure(name []byte) (core.Procedure, error) {
+	if e.opts.Registry == nil {
+		return nil, fmt.Errorf("runtime: native procedure %q but no registry configured", string(name))
+	}
+	return e.opts.Registry.lookup(name)
 }
 
 // runProcedure runs proc over input. A procedure that panics fails its

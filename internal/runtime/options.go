@@ -108,11 +108,17 @@ func (r *Registry) RegisterFunc(name string, f func(api core.API, input core.Han
 
 // Lookup finds a procedure by name.
 func (r *Registry) Lookup(name string) (core.Procedure, error) {
+	return r.lookup([]byte(name))
+}
+
+// lookup finds a procedure by a name still inside its function Blob:
+// indexing with string(name) copies nothing.
+func (r *Registry) lookup(name []byte) (core.Procedure, error) {
 	r.mu.RLock()
-	defer r.mu.RUnlock()
-	p, ok := r.procs[name]
+	p, ok := r.procs[string(name)]
+	r.mu.RUnlock()
 	if !ok {
-		return nil, fmt.Errorf("runtime: no native procedure %q registered", name)
+		return nil, fmt.Errorf("runtime: no native procedure %q registered", string(name))
 	}
 	return p, nil
 }

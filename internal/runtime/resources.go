@@ -25,24 +25,30 @@ func newResources(cpu int, mem uint64) *resources {
 }
 
 // acquire blocks until cpu slots and mem bytes are available (or ctx is
-// done) and claims them.
+// done) and claims them. Free resources are claimed at once, even under a
+// done ctx; only a caller that must wait registers for cancellation.
 func (r *resources) acquire(ctx context.Context, cpu int, mem uint64) error {
 	if cpu > r.cpuCap || mem > r.memCap {
 		return fmt.Errorf("runtime: request (%d cores, %d bytes) exceeds node capacity (%d cores, %d bytes)", cpu, mem, r.cpuCap, r.memCap)
 	}
-	stop := context.AfterFunc(ctx, func() {
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		r.cond.Broadcast()
-	})
-	defer stop()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for r.cpuFree < cpu || r.memFree < mem {
-		if err := ctx.Err(); err != nil {
-			return err
+	if r.cpuFree < cpu || r.memFree < mem {
+		// The callback takes r.mu on its own goroutine, so registering it
+		// under the lock is safe, and its Broadcast cannot fall between a
+		// ctx check below and the Wait after it.
+		stop := context.AfterFunc(ctx, func() {
+			r.mu.Lock()
+			defer r.mu.Unlock()
+			r.cond.Broadcast()
+		})
+		defer stop()
+		for r.cpuFree < cpu || r.memFree < mem {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			r.cond.Wait()
 		}
-		r.cond.Wait()
 	}
 	r.cpuFree -= cpu
 	r.memFree -= mem

@@ -3,6 +3,7 @@ package runtime
 import (
 	"bytes"
 	"context"
+	"errors"
 	"strconv"
 	"strings"
 	"sync"
@@ -323,8 +324,48 @@ func TestAllocsWarmEval(t *testing.T) {
 		next++
 	}
 	eval() // load the program
-	if allocs := testing.AllocsPerRun(runs, eval); allocs > 21 {
-		t.Fatalf("one warm Engine.Eval allocates %v times, want ≤ 21", allocs)
+	if allocs := testing.AllocsPerRun(runs, eval); allocs > 17 {
+		t.Fatalf("one warm Engine.Eval allocates %v times, want ≤ 17", allocs)
+	}
+}
+
+// TestAllocsAcquireRelease: claiming a free CPU slot registers no
+// cancellation callback, so an uncontended acquire/release allocates
+// nothing.
+func TestAllocsAcquireRelease(t *testing.T) {
+	r := newResources(2, 1<<20)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var aerr error
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := r.acquire(ctx, 1, 1<<10); err != nil {
+			aerr = err
+		}
+		r.release(1, 1<<10)
+	})
+	if aerr != nil {
+		t.Fatal(aerr)
+	}
+	if allocs != 0 {
+		t.Fatalf("uncontended acquire/release allocates %v times, want 0", allocs)
+	}
+}
+
+// TestAcquireCancelledContext pins acquire under a done context (waiters
+// woken by cancellation are TestResourcesAccounting's): free slots are
+// still claimed, and a full node fails at once without claiming.
+func TestAcquireCancelledContext(t *testing.T) {
+	r := newResources(1, 1<<20)
+	done, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := r.acquire(done, 1, 1<<10); err != nil {
+		t.Fatalf("free slot under a done context: %v, want it claimed", err)
+	}
+	if err := r.acquire(done, 1, 1<<10); !errors.Is(err, context.Canceled) {
+		t.Fatalf("full node under a done context: %v, want context.Canceled", err)
+	}
+	if cpu, mem := r.inUse(); cpu != 1 || mem != 1<<10 {
+		t.Fatalf("%d cores / %d B claimed, want exactly the first request", cpu, mem)
 	}
 }
 

@@ -284,7 +284,9 @@ func (s *Store) Tree(h core.Handle) ([]core.Handle, error) {
 	return entries, nil
 }
 
-// ObjectBytes returns the canonical wire bytes of a resident object.
+// ObjectBytes returns the canonical wire bytes of a resident object. They
+// are the stored data itself, read-only: a Blob's contents, or a Tree's
+// entries viewed in place (core.TreeBytes).
 func (s *Store) ObjectBytes(h core.Handle) ([]byte, error) {
 	key := canonical(h)
 	if key.Kind() == core.KindBlob {
@@ -294,7 +296,7 @@ func (s *Store) ObjectBytes(h core.Handle) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return core.EncodeTree(entries), nil
+	return core.TreeBytes(entries), nil
 }
 
 // Contains reports whether the referent's data is resident. Literals are

@@ -143,6 +143,41 @@ func TestObjectBytesRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAllocsTreeBytes pins the tree paths of a delegation (ROADMAP 2 Part
+// D): a resident tree's wire bytes are its stored entries, and putting a
+// new tree allocates only the stored copy.
+func TestAllocsTreeBytes(t *testing.T) {
+	const runs = 200
+	s := New()
+	trees := make([][]core.Handle, runs+1)
+	for i := range trees {
+		trees[i] = core.InvocationTree(core.DefaultLimits.Handle(), core.LiteralU64(1), core.LiteralU64(uint64(i)))
+	}
+	next := 0
+	var perr error
+	allocs := testing.AllocsPerRun(runs, func() {
+		if _, err := s.PutTree(trees[next]); err != nil {
+			perr = err
+		}
+		next++
+	})
+	if perr != nil {
+		t.Fatal(perr)
+	}
+	if allocs > 1 {
+		t.Fatalf("PutTree of a new tree allocates %v times, want at most 1", allocs)
+	}
+	h, _ := s.PutTree(trees[0])
+	var raw []byte
+	allocs = testing.AllocsPerRun(runs, func() { raw, _ = s.ObjectBytes(h) })
+	if allocs != 0 {
+		t.Fatalf("ObjectBytes of a resident tree allocates %v times, want 0", allocs)
+	}
+	if !bytes.Equal(raw, core.EncodeTree(trees[0])) {
+		t.Fatal("ObjectBytes is not the tree's encoding")
+	}
+}
+
 func TestMemoization(t *testing.T) {
 	s := New()
 	tr, _ := s.PutTree([]core.Handle{core.LiteralU64(5)})
