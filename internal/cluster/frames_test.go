@@ -19,10 +19,11 @@ import (
 )
 
 // frameCounts tallies the frames sent over every link of a mesh, by
-// message type.
+// message type, and the handles that Request frames asked for.
 type frameCounts struct {
-	mu     sync.Mutex
-	byType map[byte]int
+	mu        sync.Mutex
+	byType    map[byte]int
+	requested []core.Handle
 }
 
 func (c *frameCounts) of(typ byte) int {
@@ -41,6 +42,9 @@ func (c *countingConn) Send(msg []byte) error {
 	if m, err := proto.Decode(msg); err == nil {
 		c.counts.mu.Lock()
 		c.counts.byType[m.Type]++
+		if m.Type == proto.TypeRequest {
+			c.counts.requested = append(c.counts.requested, m.Handle)
+		}
 		c.counts.mu.Unlock()
 	}
 	return c.Conn.Send(msg)

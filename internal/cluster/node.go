@@ -209,7 +209,7 @@ type Node struct {
 	ring    *objstore.Ring           // consistent-hash placement ring over live members
 	fetchW  map[core.Handle]*fetchWait
 	jobW    map[core.Handle][]*jobWaiter
-	pending map[string]int // node id → jobs in flight there (scheduling load)
+	pending map[string]int // peer id → our delegations in flight there (scheduling load)
 	rng     *rand.Rand
 	closed  bool
 	net     NetStats // counters only; Peers is filled at snapshot time
@@ -797,11 +797,11 @@ func (n *Node) completeFetch(h core.Handle, data []byte, err error) {
 // downstream placements and peer gateways' cache-warm hints can locate
 // them, and replicated. A literal result produced nothing: the delegator
 // learns it from the Result frame alone and no other frame is sent.
+//
+// The job is not added to this node's placement load: the engine counts
+// it (Engine.InFlight) once its children are resolved and it is about to
+// claim a slot, and not while it only waits on them.
 func (n *Node) serveJob(m *proto.Message) {
-	n.mu.Lock()
-	n.pending[n.id]++
-	n.mu.Unlock()
-	defer n.pendingDec(n.id)
 	for _, p := range m.Pushed {
 		// A resident object's pushed bytes would be discarded, so they are
 		// neither decoded nor re-hashed. The sender is still recorded as a

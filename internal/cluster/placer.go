@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"fixgo/internal/core"
@@ -45,10 +46,12 @@ func (n *Node) Offload(ctx context.Context, enc core.Handle) (core.Handle, bool,
 		}
 		return core.Handle{}, false, nil
 	}
-	deps, hint, ok := n.jobDeps(enc)
+	w, hint, ok := n.jobDeps(enc)
 	if !ok {
 		return core.Handle{}, false, nil
 	}
+	defer w.release()
+	deps := w.deps
 	t := obsv.FromContext(ctx)
 	placeStart := time.Now()
 	var tried map[string]bool // peers this job already died on
@@ -148,10 +151,11 @@ func (n *Node) candidates() ([]string, map[string]*peer) {
 }
 
 // jobDeps walks the locally resident definition closure of an Encode's
-// Thunk and collects the data objects its execution will need. It returns
-// ok=false when the definition itself is not local (the job cannot be
-// priced, so it runs here and fetching sorts it out).
-func (n *Node) jobDeps(enc core.Handle) (deps []dep, hint uint64, ok bool) {
+// Thunk and collects the data objects its execution will need in w.deps.
+// It returns ok=false when the definition itself is not local (the job
+// cannot be priced, so it runs here and fetching sorts it out). The walk
+// comes from a reuse pool: the caller releases it once done with w.deps.
+func (n *Node) jobDeps(enc core.Handle) (w *depWalk, hint uint64, ok bool) {
 	thunk, err := core.EncodedThunk(enc)
 	if err != nil {
 		return nil, 0, false
@@ -163,9 +167,8 @@ func (n *Node) jobDeps(enc core.Handle) (deps []dep, hint uint64, ok bool) {
 	if !def.IsLiteral() && !n.st.Contains(def) {
 		return nil, 0, false
 	}
-	w := depWalk{st: n.st, deps: make([]dep, 0, 8)}
+	w = acquireWalk(n.st)
 	w.walk(def)
-	deps = w.deps
 
 	// The limits entry hints the output size (section 4.2.2). Encoded
 	// limits are always a literal, read in place.
@@ -174,7 +177,7 @@ func (n *Node) jobDeps(enc core.Handle) (deps []dep, hint uint64, ok bool) {
 			hint = lim.OutputSizeHint
 		}
 	}
-	return deps, hint, true
+	return w, hint, true
 }
 
 // depWalk is jobDeps's traversal state. deps doubles as the visited set
@@ -189,6 +192,51 @@ type depWalk struct {
 
 // depScanMax is the closure size up to which depWalk scans deps.
 const depScanMax = 16
+
+// Bounds of the walk pool: how many idle walks it keeps, and the largest
+// closure whose deps slice it keeps for reuse.
+const (
+	maxIdleWalks  = 64
+	maxPooledDeps = 4096
+)
+
+// walks is the pool of idle depWalks, last-in first-out like runtime.Go's
+// parked workers. A sync.Pool would do, except that it drops Puts at
+// random under the race detector, and then pricing allocates there.
+var walks struct {
+	sync.Mutex
+	idle []*depWalk
+}
+
+func acquireWalk(st *store.Store) *depWalk {
+	walks.Lock()
+	var w *depWalk
+	if k := len(walks.idle); k > 0 {
+		w = walks.idle[k-1]
+		walks.idle = walks.idle[:k-1]
+	}
+	walks.Unlock()
+	if w == nil {
+		w = &depWalk{deps: make([]dep, 0, 8)}
+	}
+	w.st = st
+	return w
+}
+
+// release returns w to the pool. Neither w nor its deps may be used after.
+func (w *depWalk) release() {
+	if cap(w.deps) > maxPooledDeps {
+		return
+	}
+	w.st = nil // an idle walk must not pin a store
+	w.deps = w.deps[:0]
+	clear(w.seen)
+	walks.Lock()
+	if len(walks.idle) < maxIdleWalks {
+		walks.idle = append(walks.idle, w)
+	}
+	walks.Unlock()
+}
 
 func (w *depWalk) walk(h core.Handle) {
 	switch h.RefKind() {
@@ -229,7 +277,9 @@ func (w *depWalk) walk(h core.Handle) {
 // firstVisit reports whether k has not been collected yet. The caller
 // appends k to deps when it has not.
 func (w *depWalk) firstVisit(k core.Handle) bool {
-	if w.seen == nil && len(w.deps) < depScanMax {
+	// An empty seen means the map has not taken over in this walk; a
+	// pooled walk keeps the cleared map of an earlier one.
+	if len(w.seen) == 0 && len(w.deps) < depScanMax {
 		for i := range w.deps {
 			if w.deps[i].h == k {
 				return false
@@ -237,8 +287,10 @@ func (w *depWalk) firstVisit(k core.Handle) bool {
 		}
 		return true
 	}
-	if w.seen == nil {
-		w.seen = make(map[core.Handle]struct{}, 4*depScanMax)
+	if len(w.seen) == 0 {
+		if w.seen == nil {
+			w.seen = make(map[core.Handle]struct{}, 4*depScanMax)
+		}
 		for i := range w.deps {
 			w.seen[w.deps[i].h] = struct{}{}
 		}
@@ -301,11 +353,15 @@ func (n *Node) pick(enc core.Handle, candidates []string, deps []dep, hint uint6
 		}
 		// Load term: parallel dependees of the same downstream job
 		// (section 4.2.2) spread across nodes instead of piling onto
-		// one equal-cost winner. Self load comes from the engine's
-		// in-flight count; peer load from our outstanding delegations.
-		load := uint64(n.pending[cand])
+		// one equal-cost winner. Self load is the engine's in-flight
+		// count: invocations running or about to claim a slot, not
+		// parents only waiting on their children. Peer load is our
+		// outstanding delegations to that peer.
+		var load uint64
 		if prices[i].self {
-			load += uint64(n.eng.InFlight())
+			load = uint64(n.eng.InFlight())
+		} else {
+			load = uint64(n.pending[cand])
 		}
 		cost += load * loadPenaltyBytes
 		tie := tieBreak(enc, cand)

@@ -33,7 +33,7 @@ func referencePick(n *Node, enc core.Handle, candidates []string, deps []dep, hi
 		}
 		load := uint64(n.pending[cand])
 		if cand == n.id {
-			load += uint64(n.eng.InFlight())
+			load = uint64(n.eng.InFlight())
 		}
 		cost += load * loadPenaltyBytes
 		tie := tieBreak(enc, cand)

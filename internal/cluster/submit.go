@@ -79,13 +79,14 @@ func (n *Node) JobPayload(h core.Handle) []proto.PushedObject {
 		maxObjects = 1024
 		maxBytes   = 4 << 20
 	)
-	deps, _, ok := n.jobDeps(h)
+	w, _, ok := n.jobDeps(h)
 	if !ok {
 		return nil
 	}
-	out := make([]proto.PushedObject, 0, len(deps))
+	defer w.release()
+	out := make([]proto.PushedObject, 0, len(w.deps))
 	total := 0
-	for _, d := range deps {
+	for _, d := range w.deps {
 		if len(out) >= maxObjects {
 			break
 		}

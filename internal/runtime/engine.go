@@ -72,8 +72,11 @@ func (e *Engine) Store() *store.Store { return e.st }
 // Stats returns the engine's CPU-state collector.
 func (e *Engine) Stats() *stats.Collector { return e.stats }
 
-// InFlight reports the number of Application invocations currently being
-// prepared or executed — a load signal for distributed schedulers.
+// InFlight reports the number of Application invocations whose Encode
+// entries are resolved and that are now assembling their minimum
+// repository or running — a load signal for distributed schedulers. An
+// Application still waiting on its children holds no slot and is not
+// counted.
 func (e *Engine) InFlight() int64 { return e.inFlight.Load() }
 
 // Eval evaluates a Fix object to a data Handle: data evaluates to itself,
@@ -343,8 +346,6 @@ func (e *Engine) select_(ctx context.Context, t core.Handle, depth int) (core.Ha
 // resources are claimed only after every dependency is resident; the
 // InternalIO ablation claims them first and charges the fetch as I/O wait.
 func (e *Engine) apply(ctx context.Context, t core.Handle, depth int) (core.Handle, error) {
-	e.inFlight.Add(1)
-	defer e.inFlight.Add(-1)
 	sysStart := time.Now()
 	def, err := core.ThunkDefinition(t)
 	if err != nil {
@@ -365,6 +366,10 @@ func (e *Engine) apply(ctx context.Context, t core.Handle, depth int) (core.Hand
 	if err != nil {
 		return core.Handle{}, err
 	}
+	// Only now is the invocation load: while its children ran it held no
+	// slot and only waited.
+	e.inFlight.Add(1)
+	defer e.inFlight.Add(-1)
 	// With nothing forced the definition is the input Tree: same entries,
 	// same handle, already resident. Re-putting it would only re-hash it.
 	input := def
