@@ -57,7 +57,7 @@ func main() {
 		log.Fatal(err)
 	}
 	job, _ := core.Application(tree)
-	fmt.Printf("job handle: %s\n\n", gateway.FormatHandle(job))
+	fmt.Printf("job handle: %s\n\n", core.FormatHandle(job))
 
 	// 16 concurrent clients submit the *same* job. The gateway collapses
 	// them onto one evaluation; every caller gets the answer.

@@ -185,10 +185,6 @@ func (c *Cluster) putLocked(node int, data []byte) Ref {
 	return Ref{ID: c.nextID}
 }
 
-// PutDriver places an object at the driver (it must be shipped to the
-// cluster on first use).
-func (c *Cluster) PutDriver(data []byte) Ref { return c.Put(driverNode, data) }
-
 // Submit schedules a task from the driver and returns a future Ref. The
 // call costs the per-task overhead plus the driver→cluster hop.
 func (c *Cluster) Submit(ctx context.Context, name string, args ...Arg) (Ref, error) {

@@ -24,7 +24,7 @@ type clusterFetcher struct {
 
 func (f *clusterFetcher) Fetch(ctx context.Context, h core.Handle) ([]byte, error) {
 	n := f.n
-	k := keyOf(h)
+	k := h.AsObject()
 	defer obsv.FromContext(ctx).StartSpan("object_fetch", "").End()
 
 	// Single-flight: join an in-progress fetch if one exists. The wait

@@ -26,7 +26,7 @@ type countingFetcher struct {
 func (f *countingFetcher) Fetch(ctx context.Context, h core.Handle) ([]byte, error) {
 	f.calls.Add(1)
 	time.Sleep(f.delay)
-	if h.SameContent(f.h) {
+	if h.StorageKey() == f.h.StorageKey() {
 		return f.data, nil
 	}
 	return nil, &fetchMissErr{}

@@ -14,6 +14,7 @@ import (
 	"fixgo/internal/core"
 	"fixgo/internal/proto"
 	"fixgo/internal/runtime"
+	"fixgo/internal/store"
 	"fixgo/internal/transport"
 	"fixgo/internal/wiki"
 )
@@ -184,7 +185,7 @@ func TestPlacementAllocs(t *testing.T) {
 	n.mu.Unlock()
 	held := core.BlobHandle(bytes.Repeat([]byte{1}, 4096))
 	setView(n, held, "w1", "w2")
-	deps := []dep{{h: keyOf(held), size: 4096}, {h: keyOf(core.BlobHandle(bytes.Repeat([]byte{2}, 600))), size: 600}}
+	deps := []store.Dep{{Handle: held.AsObject(), Size: 4096}, {Handle: core.BlobHandle(bytes.Repeat([]byte{2}, 600)).AsObject(), Size: 600}}
 	enc := testEnc(t, n, 1)
 	var target string
 	allocs := testing.AllocsPerRun(200, func() {

@@ -523,7 +523,7 @@ func (n *Node) NetStats() NetStats {
 func (n *Node) ViewOwners(h core.Handle) []string {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.view.Owners(keyOf(h))
+	return n.view.Owners(h.AsObject())
 }
 
 // ResolvableHint reports whether a gossiped result handle could be
@@ -681,8 +681,8 @@ func (n *Node) handle(m *proto.Message) {
 		n.ingestObject(m.From, m.Handle, m.Data)
 	case proto.TypeMissing:
 		n.mu.Lock()
-		n.view.Remove(keyOf(m.Handle), m.From)
-		w := n.fetchW[keyOf(m.Handle)]
+		n.view.Remove(m.Handle.AsObject(), m.From)
+		w := n.fetchW[m.Handle.AsObject()]
 		n.mu.Unlock()
 		if w != nil {
 			select {
@@ -733,15 +733,8 @@ func (n *Node) handle(m *proto.Message) {
 	}
 }
 
-func keyOf(h core.Handle) core.Handle {
-	if h.IsData() {
-		return h.AsObject()
-	}
-	return h
-}
-
 func (n *Node) viewAddLocked(h core.Handle, owner string) {
-	n.view.Add(keyOf(h), owner)
+	n.view.Add(h.AsObject(), owner)
 }
 
 func (n *Node) serveRequest(m *proto.Message) {
@@ -782,8 +775,8 @@ func (n *Node) ingestObject(from string, h core.Handle, data []byte) bool {
 // the copy the fetch just promoted.
 func (n *Node) completeFetch(h core.Handle, data []byte, err error) {
 	n.mu.Lock()
-	w := n.fetchW[keyOf(h)]
-	delete(n.fetchW, keyOf(h))
+	w := n.fetchW[h.AsObject()]
+	delete(n.fetchW, h.AsObject())
 	n.mu.Unlock()
 	if w != nil {
 		w.data = data
@@ -858,7 +851,7 @@ func (n *Node) serveJob(m *proto.Message) {
 // (including h itself and thunk definitions), capped for sanity.
 func (n *Node) closureOf(h core.Handle) []core.Handle {
 	const maxClosure = 16384
-	if keyOf(h).IsLiteral() {
+	if h.IsLiteral() {
 		return nil
 	}
 	seen := make(map[core.Handle]bool)
@@ -868,7 +861,7 @@ func (n *Node) closureOf(h core.Handle) []core.Handle {
 		if len(out) >= maxClosure {
 			return
 		}
-		k := keyOf(h)
+		k := h.AsObject()
 		if k.IsLiteral() || seen[k] {
 			return
 		}

@@ -65,13 +65,13 @@ func TestPlacementWaitingParentIsNotLoad(t *testing.T) {
 		return n.pending["w2"] == 2
 	})
 
-	w, hint, ok := n.jobDeps(sibling)
-	if !ok {
+	c, hint := n.jobDeps(sibling)
+	if c == nil {
 		t.Fatal("sibling count cannot be priced")
 	}
 	candidates, _ := n.candidates()
-	got := n.pick(sibling, candidates, w.deps, hint)
-	w.release()
+	got := n.pick(sibling, candidates, c.Deps, hint)
+	c.Release()
 	if got != "self" {
 		n.mu.Lock()
 		self := n.pending["self"]
@@ -101,7 +101,7 @@ func TestPlacementMapReduceDelegations(t *testing.T) {
 	for c := range data {
 		data[c] = wiki.Chunk(int64(c), 64<<10, "", 0)
 		handles[c] = ws[c%len(ws)].Store().PutBlob(data[c])
-		isChunk[keyOf(handles[c])] = true
+		isChunk[handles[c].AsObject()] = true
 	}
 	nodes := append([]*Node{client}, ws...)
 	connectCounted(counts, nodes...)
@@ -143,7 +143,7 @@ func TestPlacementMapReduceDelegations(t *testing.T) {
 	counts.mu.Lock()
 	defer counts.mu.Unlock()
 	for _, h := range counts.requested {
-		if isChunk[keyOf(h)] {
+		if isChunk[h.AsObject()] {
 			t.Errorf("chunk %v was fetched", h)
 		}
 	}
@@ -183,13 +183,13 @@ func TestPlacementPricingAllocs(t *testing.T) {
 	var target string
 	var deps int
 	allocs := testing.AllocsPerRun(200, func() {
-		w, hint, ok := n.jobDeps(job)
-		if !ok {
+		c, hint := n.jobDeps(job)
+		if c == nil {
 			panic(fmt.Sprintf("job %v cannot be priced", job))
 		}
-		deps = len(w.deps)
-		target = n.pick(job, candidates, w.deps, hint)
-		w.release()
+		deps = len(c.Deps)
+		target = n.pick(job, candidates, c.Deps, hint)
+		c.Release()
 	})
 	// 31 invocation trees and 16 chunks; the needle is a literal.
 	if deps != 47 {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"fixgo/internal/core"
@@ -13,12 +12,6 @@ import (
 	"fixgo/internal/proto"
 	"fixgo/internal/store"
 )
-
-// dep is one object a job's execution would need resident.
-type dep struct {
-	h    core.Handle
-	size uint64
-}
 
 // Offload implements runtime.Delegator: the node's dataflow-aware
 // scheduler. Given an Encode about to be forced, it walks the job's
@@ -46,12 +39,12 @@ func (n *Node) Offload(ctx context.Context, enc core.Handle) (core.Handle, bool,
 		}
 		return core.Handle{}, false, nil
 	}
-	w, hint, ok := n.jobDeps(enc)
-	if !ok {
+	closure, hint := n.jobDeps(enc)
+	if closure == nil {
 		return core.Handle{}, false, nil
 	}
-	defer w.release()
-	deps := w.deps
+	defer closure.Release()
+	deps := closure.Deps
 	t := obsv.FromContext(ctx)
 	placeStart := time.Now()
 	var tried map[string]bool // peers this job already died on
@@ -151,161 +144,29 @@ func (n *Node) candidates() ([]string, map[string]*peer) {
 }
 
 // jobDeps walks the locally resident definition closure of an Encode's
-// Thunk and collects the data objects its execution will need in w.deps.
-// It returns ok=false when the definition itself is not local (the job
-// cannot be priced, so it runs here and fetching sorts it out). The walk
-// comes from a reuse pool: the caller releases it once done with w.deps.
-func (n *Node) jobDeps(enc core.Handle) (w *depWalk, hint uint64, ok bool) {
-	thunk, err := core.EncodedThunk(enc)
-	if err != nil {
-		return nil, 0, false
+// Thunk (store.Closure) and reads the output-size hint from its limits
+// entry. It returns nil when the definition itself is not local (the job
+// cannot be priced, so it runs here and fetching sorts it out). The caller
+// releases the closure once done with its Deps.
+func (n *Node) jobDeps(enc core.Handle) (c *store.Closure, hint uint64) {
+	c = n.st.Closure(enc)
+	if c == nil {
+		return nil, 0
 	}
-	def, err := core.ThunkDefinition(thunk)
-	if err != nil {
-		return nil, 0, false
-	}
-	if !def.IsLiteral() && !n.st.Contains(def) {
-		return nil, 0, false
-	}
-	w = acquireWalk(n.st)
-	w.walk(def)
-
 	// The limits entry hints the output size (section 4.2.2). Encoded
 	// limits are always a literal, read in place.
-	if entries, err := n.st.Tree(def); err == nil && len(entries) > 0 {
+	if entries, err := n.st.Tree(enc.StorageKey()); err == nil && len(entries) > 0 {
 		if lim, err := core.DecodeLimits(entries[0].LiteralView()); err == nil {
 			hint = lim.OutputSizeHint
 		}
 	}
-	return w, hint, true
-}
-
-// depWalk is jobDeps's traversal state. deps doubles as the visited set
-// while the closure is small (the common case: an invocation tree, a
-// function and a few arguments); seen takes over once scanning deps would
-// cost more than a map.
-type depWalk struct {
-	st   *store.Store
-	deps []dep
-	seen map[core.Handle]struct{}
-}
-
-// depScanMax is the closure size up to which depWalk scans deps.
-const depScanMax = 16
-
-// Bounds of the walk pool: how many idle walks it keeps, and the largest
-// closure whose deps slice it keeps for reuse.
-const (
-	maxIdleWalks  = 64
-	maxPooledDeps = 4096
-)
-
-// walks is the pool of idle depWalks, last-in first-out like runtime.Go's
-// parked workers. A sync.Pool would do, except that it drops Puts at
-// random under the race detector, and then pricing allocates there.
-var walks struct {
-	sync.Mutex
-	idle []*depWalk
-}
-
-func acquireWalk(st *store.Store) *depWalk {
-	walks.Lock()
-	var w *depWalk
-	if k := len(walks.idle); k > 0 {
-		w = walks.idle[k-1]
-		walks.idle = walks.idle[:k-1]
-	}
-	walks.Unlock()
-	if w == nil {
-		w = &depWalk{deps: make([]dep, 0, 8)}
-	}
-	w.st = st
-	return w
-}
-
-// release returns w to the pool. Neither w nor its deps may be used after.
-func (w *depWalk) release() {
-	if cap(w.deps) > maxPooledDeps {
-		return
-	}
-	w.st = nil // an idle walk must not pin a store
-	w.deps = w.deps[:0]
-	clear(w.seen)
-	walks.Lock()
-	if len(walks.idle) < maxIdleWalks {
-		walks.idle = append(walks.idle, w)
-	}
-	walks.Unlock()
-}
-
-func (w *depWalk) walk(h core.Handle) {
-	switch h.RefKind() {
-	case core.RefThunk, core.RefEncode:
-		// The deferred computation's definition is itself a
-		// dependency of running the job here or anywhere.
-		var inner core.Handle
-		if h.RefKind() == core.RefEncode {
-			t, _ := core.EncodedThunk(h)
-			inner, _ = core.ThunkDefinition(t)
-		} else {
-			inner, _ = core.ThunkDefinition(h)
-		}
-		w.walk(inner)
-	case core.RefObject:
-		k := h.AsObject()
-		if k.IsLiteral() || !w.firstVisit(k) {
-			return
-		}
-		size := k.Size()
-		if k.Kind() == core.KindTree {
-			size *= core.HandleSize
-		}
-		w.deps = append(w.deps, dep{h: k, size: size})
-		if k.Kind() == core.KindTree && w.st.Contains(k) {
-			children, err := w.st.Tree(k)
-			if err == nil {
-				for _, c := range children {
-					w.walk(c)
-				}
-			}
-		}
-	default:
-		// Refs are shallow dependencies: not needed to run.
-	}
-}
-
-// firstVisit reports whether k has not been collected yet. The caller
-// appends k to deps when it has not.
-func (w *depWalk) firstVisit(k core.Handle) bool {
-	// An empty seen means the map has not taken over in this walk; a
-	// pooled walk keeps the cleared map of an earlier one.
-	if len(w.seen) == 0 && len(w.deps) < depScanMax {
-		for i := range w.deps {
-			if w.deps[i].h == k {
-				return false
-			}
-		}
-		return true
-	}
-	if len(w.seen) == 0 {
-		if w.seen == nil {
-			w.seen = make(map[core.Handle]struct{}, 4*depScanMax)
-		}
-		for i := range w.deps {
-			w.seen[w.deps[i].h] = struct{}{}
-		}
-	}
-	if _, ok := w.seen[k]; ok {
-		return false
-	}
-	w.seen[k] = struct{}{}
-	return true
+	return c, hint
 }
 
 // pick chooses the placement. With NoLocality it is uniform random
 // (the Fig. 8b ablation); otherwise minimal data movement with a
 // deterministic pseudo-random tie-break so equal-cost jobs spread.
-func (n *Node) pick(enc core.Handle, candidates []string, deps []dep, hint uint64) string {
+func (n *Node) pick(enc core.Handle, candidates []string, deps []store.Dep, hint uint64) string {
 	if n.opts.NoLocality {
 		n.mu.Lock()
 		defer n.mu.Unlock()
@@ -331,8 +192,8 @@ func (n *Node) pick(enc core.Handle, candidates []string, deps []dep, hint uint6
 		prices = append(prices, p)
 	}
 	for _, d := range deps {
-		held := n.view.Holders(keyOf(d.h))
-		local := withSelf && n.st.Contains(d.h)
+		held := n.view.Holders(d.Handle)
+		local := withSelf && n.st.Contains(d.Handle)
 		for i := range prices {
 			p := &prices[i]
 			has := local
@@ -340,7 +201,7 @@ func (n *Node) pick(enc core.Handle, candidates []string, deps []dep, hint uint6
 				has = held.Has(p.id)
 			}
 			if !has {
-				p.cost += d.size
+				p.cost += d.Size
 			}
 		}
 	}
@@ -407,7 +268,7 @@ func tieBreak(enc core.Handle, cand string) uint64 {
 // that the peer is not known to have), then waits for the Result. A send
 // failure or the peer's eviction mid-wait surfaces as PeerLostError so
 // Offload can re-place the job.
-func (n *Node) delegate(ctx context.Context, p *peer, enc core.Handle, deps []dep) (core.Handle, error) {
+func (n *Node) delegate(ctx context.Context, p *peer, enc core.Handle, deps []store.Dep) (core.Handle, error) {
 	pushed := n.pushSet(p.id, enc, deps)
 	w := &jobWaiter{ch: make(chan jobResult, 1), peerID: p.id}
 	n.mu.Lock()
@@ -444,7 +305,7 @@ func (n *Node) delegate(ctx context.Context, p *peer, enc core.Handle, deps []de
 			// plus remote compute.
 			t.AddSpanDur("remote_eval", p.id, time.Duration(res.evalNS))
 		}
-		if res.err == nil && !keyOf(res.result).IsLiteral() {
+		if res.err == nil && !res.result.IsLiteral() {
 			n.mu.Lock()
 			n.viewAddLocked(res.result, p.id)
 			n.mu.Unlock()
@@ -489,7 +350,7 @@ func (n *Node) dropJobWaiter(enc core.Handle, w *jobWaiter) {
 // job: Trees (the invocation descriptions themselves) and small Blobs the
 // target is not known to hold. Shipping dependency information with the
 // job is what lets Fixpoint avoid scheduler round trips (section 4.2.1).
-func (n *Node) pushSet(target string, enc core.Handle, deps []dep) []proto.PushedObject {
+func (n *Node) pushSet(target string, enc core.Handle, deps []store.Dep) []proto.PushedObject {
 	const (
 		maxObjects = 8192
 		maxBytes   = 8 << 20
@@ -502,23 +363,23 @@ func (n *Node) pushSet(target string, enc core.Handle, deps []dep) []proto.Pushe
 		if len(out) >= maxObjects || total >= maxBytes {
 			break
 		}
-		if n.view.Holds(keyOf(d.h), target) {
+		if n.view.Holds(d.Handle, target) {
 			continue
 		}
-		isTree := d.h.Kind() == core.KindTree
-		if !isTree && d.size > pushLimit {
+		isTree := d.Handle.Kind() == core.KindTree
+		if !isTree && d.Size > pushLimit {
 			continue
 		}
-		data, err := n.st.ObjectBytes(d.h)
+		data, err := n.st.ObjectBytes(d.Handle)
 		if err != nil {
 			continue
 		}
 		if out == nil {
 			out = make([]proto.PushedObject, 0, min(len(deps), maxObjects))
 		}
-		out = append(out, proto.PushedObject{Handle: d.h, Data: data})
+		out = append(out, proto.PushedObject{Handle: d.Handle, Data: data})
 		total += len(data)
-		n.viewAddLocked(d.h, target) // optimistic: it will have it
+		n.viewAddLocked(d.Handle, target) // optimistic: it will have it
 	}
 	return out
 }

@@ -9,6 +9,7 @@ import (
 
 	"fixgo/internal/core"
 	"fixgo/internal/proto"
+	"fixgo/internal/store"
 	"fixgo/internal/transport"
 )
 
@@ -73,7 +74,7 @@ func TestPickPlacementTable(t *testing.T) {
 				depH = remote
 			}
 			setView(n, depH, tc.view...)
-			deps := []dep{{h: keyOf(depH), size: 4096}}
+			deps := []store.Dep{{Handle: depH.AsObject(), Size: 4096}}
 			enc := testEnc(t, n, 1)
 			if got := n.pick(enc, []string{"self", "w1", "w2"}, deps, tc.hint); got != tc.want {
 				t.Fatalf("pick = %s, want %s", got, tc.want)
@@ -125,7 +126,7 @@ func TestPickEmptyViewFallback(t *testing.T) {
 	defer n.Close()
 	addFakePeer(n, "w1", proto.RoleWorker)
 	ghost := core.BlobHandle(bytes.Repeat([]byte{3}, 2048))
-	deps := []dep{{h: keyOf(ghost), size: 2048}}
+	deps := []store.Dep{{Handle: ghost.AsObject(), Size: 2048}}
 	for arg := uint64(0); arg < 16; arg++ {
 		if got := n.pick(testEnc(t, n, arg), []string{"self", "w1"}, deps, 64); got != "self" {
 			t.Fatalf("arg %d: pick = %s, want self (hint must break the unknown-owner tie)", arg, got)
@@ -170,7 +171,7 @@ func TestPickNeverSelectsEvictedPeer(t *testing.T) {
 		// The view must be clean of evicted owners.
 		n.mu.Lock()
 		for _, h := range handles {
-			for _, id := range n.view.Owners(keyOf(h)) {
+			for _, id := range n.view.Owners(h.AsObject()) {
 				if evicted[id] {
 					n.mu.Unlock()
 					t.Fatalf("seed %d: view[%v] still lists evicted %s", seed, h, id)
@@ -180,10 +181,10 @@ func TestPickNeverSelectsEvictedPeer(t *testing.T) {
 		n.mu.Unlock()
 		// And placement must never name an evicted peer.
 		for trial := 0; trial < 200; trial++ {
-			var deps []dep
+			var deps []store.Dep
 			for k := 0; k < rng.Intn(4); k++ {
 				h := handles[rng.Intn(len(handles))]
-				deps = append(deps, dep{h: keyOf(h), size: h.Size()})
+				deps = append(deps, store.Dep{Handle: h.AsObject(), Size: h.Size()})
 			}
 			candidates, peerByID := n.candidates()
 			for _, c := range candidates {

@@ -7,12 +7,13 @@ import (
 	"testing"
 
 	"fixgo/internal/core"
+	"fixgo/internal/store"
 )
 
 // referencePick is pick's cost model as one formula per (candidate,
 // dependency) pair: a view lookup for a peer, a residency check for this
 // node. pick prices in one pass and must choose exactly what this does.
-func referencePick(n *Node, enc core.Handle, candidates []string, deps []dep, hint uint64) string {
+func referencePick(n *Node, enc core.Handle, candidates []string, deps []store.Dep, hint uint64) string {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	best := ""
@@ -20,12 +21,12 @@ func referencePick(n *Node, enc core.Handle, candidates []string, deps []dep, hi
 	for _, cand := range candidates {
 		var cost uint64
 		for _, d := range deps {
-			has := n.view.Holds(keyOf(d.h), cand)
+			has := n.view.Holds(d.Handle, cand)
 			if cand == n.id {
-				has = n.st.Contains(d.h)
+				has = n.st.Contains(d.Handle)
 			}
 			if !has {
-				cost += d.size
+				cost += d.Size
 			}
 		}
 		if cand != n.id {
@@ -81,10 +82,10 @@ func TestPickMatchesReferencePricing(t *testing.T) {
 			}
 			rng.Shuffle(len(candidates), func(i, j int) { candidates[i], candidates[j] = candidates[j], candidates[i] })
 
-			var deps []dep
+			var deps []store.Dep
 			for k := rng.Intn(8); k > 0; k-- {
 				h := handles[rng.Intn(len(handles))]
-				deps = append(deps, dep{h: keyOf(h), size: sizes[rng.Intn(len(sizes))]})
+				deps = append(deps, store.Dep{Handle: h.AsObject(), Size: sizes[rng.Intn(len(sizes))]})
 			}
 			n.mu.Lock()
 			for _, cand := range candidates {
@@ -127,7 +128,7 @@ func churn(rng *rand.Rand, n *Node, blobs [][]byte, handles []core.Handle, names
 		}
 	}
 	for k := rng.Intn(20); k > 0; k-- {
-		h := keyOf(handles[rng.Intn(len(handles))])
+		h := handles[rng.Intn(len(handles))].AsObject()
 		if rng.Intn(4) == 0 {
 			n.view.Remove(h, live())
 		} else {
@@ -143,7 +144,7 @@ func churn(rng *rand.Rand, n *Node, blobs [][]byte, handles []core.Handle, names
 		name := fmt.Sprintf("late%d", len(*names))
 		*names = append(*names, name)
 		for k := rng.Intn(6); k > 0; k-- {
-			n.view.Add(keyOf(handles[rng.Intn(len(handles))]), name)
+			n.view.Add(handles[rng.Intn(len(handles))].AsObject(), name)
 		}
 	}
 	for k := rng.Intn(4); k > 0; k-- {

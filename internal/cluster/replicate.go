@@ -57,7 +57,7 @@ func (n *Node) Ring() *objstore.Ring {
 func (n *Node) RingOwners(h core.Handle) []string {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.ring.Owners(keyOf(h), n.opts.Replicas)
+	return n.ring.Owners(h.AsObject(), n.opts.Replicas)
 }
 
 // ReplicaCount reports how many copies of h this node can account for:
@@ -65,7 +65,7 @@ func (n *Node) RingOwners(h core.Handle) []string {
 // holds it. It is a lower bound (the view is passive), used by tests and
 // the replication bench to watch repair convergence.
 func (n *Node) ReplicaCount(h core.Handle) int {
-	k := keyOf(h)
+	k := h.AsObject()
 	count := 0
 	if n.st.Contains(k) && !k.IsLiteral() {
 		count++
@@ -129,7 +129,7 @@ func (n *Node) replicate(handles []core.Handle, repair bool, traceID string) {
 	// exactly during the post-eviction window they are needed most.
 	// Object bytes are read outside n.mu (the store has its own lock).
 	for _, h := range handles {
-		k := keyOf(h)
+		k := h.AsObject()
 		if k.IsLiteral() {
 			continue
 		}

@@ -68,36 +68,13 @@ func (n *Node) ObjectBytes(ctx context.Context, h core.Handle) ([]byte, error) {
 	return f.Fetch(ctx, h)
 }
 
-// JobPayload collects the locally resident definition closure of an
-// accepted job — the invocation trees plus their blobs — bounded by a
-// budget like a delegation push set. The gateway replicates it inside
-// the job's edge-log entry so a peer adopting the job after this node
-// dies still has the bytes the handle names. Implements
-// gateway.JobPayloader.
+// JobPayload returns the locally resident definition closure of an
+// accepted job, bounded like every job payload (store.JobPayload). The
+// gateway replicates it inside the job's edge-log entry so a peer adopting
+// the job after this node dies still has the bytes the handle names.
+// Implements gateway.JobPayloader.
 func (n *Node) JobPayload(h core.Handle) []proto.PushedObject {
-	const (
-		maxObjects = 1024
-		maxBytes   = 4 << 20
-	)
-	w, _, ok := n.jobDeps(h)
-	if !ok {
-		return nil
-	}
-	defer w.release()
-	out := make([]proto.PushedObject, 0, len(w.deps))
-	total := 0
-	for _, d := range w.deps {
-		if len(out) >= maxObjects {
-			break
-		}
-		data, err := n.st.ObjectBytes(d.h)
-		if err != nil || total+len(data) > maxBytes {
-			continue
-		}
-		out = append(out, proto.PushedObject{Handle: d.h, Data: data})
-		total += len(data)
-	}
-	return out
+	return n.st.JobPayload(h)
 }
 
 // AbsorbPayload ingests a replicated job payload ahead of a takeover:

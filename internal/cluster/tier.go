@@ -40,7 +40,7 @@ func (n *Node) touch(h core.Handle) {
 	if n.opts.Tier == nil {
 		return
 	}
-	k := keyOf(h)
+	k := h.AsObject()
 	if k.IsLiteral() {
 		return
 	}

@@ -53,7 +53,7 @@ func TestTierDemoteAndRefetch(t *testing.T) {
 	if n.Store().Contains(h) {
 		t.Fatal("hot copy survives demotion")
 	}
-	if ok, err := tier.Has(context.Background(), keyOf(h)); err != nil || !ok {
+	if ok, err := tier.Has(context.Background(), h.AsObject()); err != nil || !ok {
 		t.Fatalf("tier does not hold demoted object: %v %v", ok, err)
 	}
 

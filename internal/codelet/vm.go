@@ -84,12 +84,6 @@ func Load(bytecode []byte) (*Program, error) {
 	return &Program{code: code, memSize: memSize, valid: valid}, nil
 }
 
-// MemSize reports the program's declared linear memory size.
-func (p *Program) MemSize() int { return p.memSize }
-
-// CodeLen reports the length of the code section in bytes.
-func (p *Program) CodeLen() int { return len(p.code) }
-
 // Apply executes the program's _fix_apply entrypoint against the Fixpoint
 // API with the given input handle in slot 0, using the DefaultGas budget.
 func (p *Program) Apply(api core.API, input core.Handle) (core.Handle, error) {

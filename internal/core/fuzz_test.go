@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
+	"strings"
 	"testing"
 )
 
@@ -41,6 +42,38 @@ func FuzzDecodeTree(f *testing.F) {
 		}
 		if got, want := TreeHandle(entries), treeHandleOf(data); got != want {
 			t.Fatalf("TreeHandle = %v, want %v from the input bytes", got, want)
+		}
+	})
+}
+
+// FuzzParseHandle: ParseHandle never panics, accepts nothing Validate
+// rejects, and on accepted input is the inverse of FormatHandle both ways,
+// so a Handle has exactly one text form.
+func FuzzParseHandle(f *testing.F) {
+	tree := TreeHandle([]Handle{LiteralU64(1)})
+	thunk, _ := Application(tree)
+	enc, _ := Shallow(thunk)
+	reserved := LiteralU64(3)
+	reserved[flagsByte] |= flagReservedBit
+	for _, h := range []Handle{{}, LiteralU64(3), reserved, BlobHandle(bytes.Repeat([]byte{5}, 500)), tree.AsRef(), thunk, enc} {
+		s := FormatHandle(h)
+		f.Add(s)
+		f.Add(s[1:])
+		f.Add(strings.ToUpper(s))
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		h, err := ParseHandle(s)
+		if err != nil {
+			return
+		}
+		if err := h.Validate(); err != nil {
+			t.Fatalf("ParseHandle(%q) accepted a handle Validate rejects: %v", s, err)
+		}
+		if FormatHandle(h) != s {
+			t.Fatalf("FormatHandle(ParseHandle(%q)) = %q", s, FormatHandle(h))
+		}
+		if back, err := ParseHandle(FormatHandle(h)); err != nil || back != h {
+			t.Fatalf("ParseHandle(FormatHandle(%v)) = %v, %v", h, back, err)
 		}
 	})
 }

@@ -308,18 +308,13 @@ func (h *Handle) LiteralView() []byte {
 	return h[:min(int(h[auxByte]), MaxLiteral)]
 }
 
-// content returns the identity bits of a Handle: everything except the
-// reference-kind metadata. Two Handles with equal content name the same
-// underlying value.
-func (h Handle) content() Handle {
+// StorageKey returns the key the object backing h is stored under: the
+// Object-tagged form of a data Handle, and the defining value of a Thunk
+// or Encode (ThunkDefinition of the Thunk). It clears every reference-kind
+// bit, so two Handles with equal keys name the same underlying value.
+func (h Handle) StorageKey() Handle {
 	h[flagsByte] &^= flagRefMask | flagThunkMask | flagEncShallow
 	return h
-}
-
-// SameContent reports whether two handles name the same underlying value,
-// ignoring reference kind (Object vs Ref vs Thunk tags).
-func (h Handle) SameContent(other Handle) bool {
-	return h.content() == other.content()
 }
 
 func (h Handle) withRef(rk RefKind) Handle {
@@ -333,7 +328,11 @@ func (h Handle) withThunkStyle(s ThunkStyle) Handle {
 }
 
 // AsObject retags a data Handle as an accessible Object. Thunks and
-// Encodes cannot be made accessible; they are returned unchanged.
+// Encodes cannot be made accessible; they are returned unchanged. That
+// makes AsObject the identity key of a Handle: an Object and a Ref to the
+// same bytes share it, while a Thunk or Encode keeps its full tag, because
+// its style (Application or Selection, Strict or Shallow) changes what it
+// evaluates to.
 func (h Handle) AsObject() Handle {
 	switch h.RefKind() {
 	case RefObject, RefRef:
@@ -526,4 +525,47 @@ func (h Handle) String() string {
 		fmt.Fprintf(&b, " n=%d %s…", h.Size(), hex.EncodeToString(h[:6]))
 	}
 	return b.String()
+}
+
+// FormatHandle writes h in its text form: the 64 lowercase hex digits of
+// its packed bytes. Journals, HTTP bodies and object file names all use it.
+func FormatHandle(h Handle) string {
+	var buf [2 * HandleSize]byte
+	hex.Encode(buf[:], h[:])
+	return string(buf[:])
+}
+
+// ParseHandle reads the text form FormatHandle writes: exactly 64
+// lowercase hex digits naming a Handle that passes Validate. Every Handle
+// that arrives as text, from a request, a journal or a file name, goes
+// through it.
+func ParseHandle(s string) (Handle, error) {
+	var h Handle
+	if len(s) != 2*HandleSize {
+		return Handle{}, fmt.Errorf("core: handle must be %d hex digits, got %d", 2*HandleSize, len(s))
+	}
+	for i := range h {
+		hi, lo := fromHex(s[2*i]), fromHex(s[2*i+1])
+		if hi > 0xf || lo > 0xf {
+			return Handle{}, fmt.Errorf("core: handle has a non-hex digit near offset %d", 2*i)
+		}
+		h[i] = hi<<4 | lo
+	}
+	if err := h.Validate(); err != nil {
+		return Handle{}, err
+	}
+	return h, nil
+}
+
+// fromHex is the value of a lowercase hex digit, or 0xff for any other
+// byte: uppercase digits are refused so that each Handle has exactly one
+// text form.
+func fromHex(c byte) byte {
+	switch {
+	case '0' <= c && c <= '9':
+		return c - '0'
+	case 'a' <= c && c <= 'f':
+		return c - 'a' + 10
+	}
+	return 0xff
 }

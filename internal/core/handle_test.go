@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"encoding/hex"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -79,7 +81,7 @@ func TestBlobVsTreeDomainSeparation(t *testing.T) {
 	enc := EncodeTree([]Handle{child})
 	bh := BlobHandle(enc)
 	th := TreeHandle([]Handle{child})
-	if bh.content() == th.content() {
+	if bh.StorageKey() == th.StorageKey() {
 		t.Fatal("blob and tree with identical payload share a digest")
 	}
 }
@@ -104,10 +106,6 @@ func TestThunkEncodeTagging(t *testing.T) {
 	if thunk.RefKind() != RefThunk || thunk.ThunkStyle() != ThunkApplication {
 		t.Fatalf("thunk = %v", thunk)
 	}
-	if !thunk.SameContent(tree) {
-		t.Fatal("thunk should share content with its defining tree")
-	}
-
 	strict, err := Strict(thunk)
 	if err != nil {
 		t.Fatal(err)
@@ -205,6 +203,69 @@ func TestObjectRefRetag(t *testing.T) {
 	th, _ := Application(tree)
 	if th.AsRef() != th || th.AsObject() != th {
 		t.Fatal("accessibility retag must not affect thunks")
+	}
+}
+
+// TestStorageKey pins the one storage key: a data Handle is stored as its
+// Object, a Thunk as its definition and an Encode as its Thunk's
+// definition, whatever the reference tags say.
+func TestStorageKey(t *testing.T) {
+	blob := BlobHandle(bytes.Repeat([]byte{3}, 100))
+	lit := LiteralU64(9)
+	tree := TreeHandle([]Handle{lit, blob})
+	app, _ := Application(tree)
+	idBlob, _ := Identification(blob.AsRef())
+	idLit, _ := Identification(lit)
+	sel, _ := SelectionThunk(TreeHandle(SelectionEntries(tree, 1)))
+	for _, h := range []Handle{blob, blob.AsRef(), lit, lit.AsRef(), tree, tree.AsRef()} {
+		if got := h.StorageKey(); got != h.AsObject() {
+			t.Errorf("StorageKey(%v) = %v, want AsObject %v", h, got, h.AsObject())
+		}
+	}
+	for _, th := range []Handle{app, idBlob, idLit, sel} {
+		def, _ := ThunkDefinition(th)
+		if got := th.StorageKey(); got != def {
+			t.Errorf("StorageKey(%v) = %v, want its definition %v", th, got, def)
+		}
+		strict, _ := Strict(th)
+		shallow, _ := Shallow(th)
+		for _, enc := range []Handle{strict, shallow} {
+			inner, _ := EncodedThunk(enc)
+			def, _ := ThunkDefinition(inner)
+			if got := enc.StorageKey(); got != def {
+				t.Errorf("StorageKey(%v) = %v, want its thunk's definition %v", enc, got, def)
+			}
+		}
+	}
+	// A Thunk shares its key with its defining Tree, and an
+	// Identification with the data it identifies.
+	if app.StorageKey() != tree.StorageKey() || idBlob.StorageKey() != blob {
+		t.Fatal("a thunk must share its storage key with its definition")
+	}
+}
+
+// TestFormatHandleIsLowercaseHex pins the text form the journals and the
+// HTTP API carry, and the inputs ParseHandle refuses.
+func TestFormatHandleIsLowercaseHex(t *testing.T) {
+	tree := TreeHandle([]Handle{LiteralU64(1)})
+	th, _ := Application(tree)
+	enc, _ := Shallow(th)
+	for _, h := range []Handle{{}, LiteralU64(7), BlobHandle(bytes.Repeat([]byte{0xab}, 64)), tree.AsRef(), th, enc} {
+		s := FormatHandle(h)
+		if s != hex.EncodeToString(h[:]) {
+			t.Fatalf("FormatHandle(%v) = %q, want lowercase hex of the packed bytes", h, s)
+		}
+		if got, err := ParseHandle(s); err != nil || got != h {
+			t.Fatalf("ParseHandle(FormatHandle(%v)) = %v, %v", h, got, err)
+		}
+	}
+	good := FormatHandle(th)
+	reserved := LiteralU64(1)
+	reserved[flagsByte] |= flagReservedBit
+	for _, s := range []string{"", good[:62], good + "00", strings.ToUpper(good), good[:10] + "g" + good[11:], FormatHandle(reserved)} {
+		if _, err := ParseHandle(s); err == nil {
+			t.Errorf("ParseHandle(%q) accepted", s)
+		}
 	}
 }
 

@@ -318,40 +318,12 @@ func (d *Store) Stats() Stats {
 	return st
 }
 
-// ForEachObject calls fn for every object handle in the pack index,
-// stopping early if fn returns an error. fn must not call back into the
-// Store. The iteration order is unspecified.
-func (d *Store) ForEachObject(fn func(h core.Handle) error) error {
-	d.mu.Lock()
-	handles := make([]core.Handle, 0, len(d.index))
-	for h := range d.index {
-		handles = append(handles, h)
-	}
-	d.mu.Unlock()
-	for _, h := range handles {
-		if err := fn(h); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Contains reports whether an object record for h is on disk.
 func (d *Store) Contains(h core.Handle) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	_, ok := d.index[objectKey(h)]
+	_, ok := d.index[h.AsObject()]
 	return ok
-}
-
-// objectKey canonicalizes a data Handle to its storage identity (Object
-// tag). Thunks/Encodes are never object keys here; the persist path only
-// sees data handles.
-func objectKey(h core.Handle) core.Handle {
-	if h.IsData() {
-		return h.AsObject()
-	}
-	return h
 }
 
 // PersistBlob appends a Blob record unless it is already on disk.
@@ -361,14 +333,14 @@ func (d *Store) PersistBlob(h core.Handle, data []byte) error {
 		return nil
 	}
 	defer d.observe("blob", time.Now())
-	return d.persistFail("blob", h, d.appendObject(objectKey(h), data))
+	return d.persistFail("blob", h, d.appendObject(h.AsObject(), data))
 }
 
 // PersistTree appends a Tree record unless it is already on disk.
 // Implements store.Persister.
 func (d *Store) PersistTree(h core.Handle, entries []core.Handle) error {
 	defer d.observe("tree", time.Now())
-	return d.persistFail("tree", h, d.appendObject(objectKey(h), core.TreeBytes(entries)))
+	return d.persistFail("tree", h, d.appendObject(h.AsObject(), core.TreeBytes(entries)))
 }
 
 // PersistThunkResult journals a Thunk memoization. Implements
@@ -406,7 +378,7 @@ func (d *Store) persistFail(what string, h core.Handle, err error) error {
 func (d *Store) ReadObject(h core.Handle) ([]byte, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	loc, ok := d.index[objectKey(h)]
+	loc, ok := d.index[h.AsObject()]
 	if !ok {
 		return nil, fmt.Errorf("durable: object %v not persisted", h)
 	}

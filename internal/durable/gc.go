@@ -146,7 +146,7 @@ func (d *Store) markLocked(live func(core.Handle) bool) map[core.Handle]struct{}
 	}
 	var stack []core.Handle
 	push := func(h core.Handle) {
-		k := canonical(h)
+		k := h.StorageKey()
 		if k.IsLiteral() {
 			return
 		}
@@ -191,25 +191,6 @@ func (d *Store) markLocked(live func(core.Handle) bool) map[core.Handle]struct{}
 		}
 	}
 	return liveSet
-}
-
-// canonical maps any Handle to the object key its data lives under:
-// data handles to their Object tag, Thunks and Encodes to their defining
-// Tree (mirroring store.canonical).
-func canonical(h core.Handle) core.Handle {
-	switch h.RefKind() {
-	case core.RefObject:
-		return h
-	case core.RefRef:
-		return h.AsObject()
-	case core.RefThunk:
-		d, _ := core.ThunkDefinition(h)
-		return d
-	default: // RefEncode
-		t, _ := core.EncodedThunk(h)
-		d, _ := core.ThunkDefinition(t)
-		return d
-	}
 }
 
 // compactJournalLocked rewrites the memo journal with exactly one record

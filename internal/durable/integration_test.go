@@ -83,7 +83,7 @@ func (p *gateProcess) stop(t *testing.T) {
 
 func submit(t *testing.T, baseURL string, job core.Handle) gateway.JobReply {
 	t.Helper()
-	body, _ := json.Marshal(gateway.JobRequest{Handle: gateway.FormatHandle(job), IncludeData: true})
+	body, _ := json.Marshal(gateway.JobRequest{Handle: core.FormatHandle(job), IncludeData: true})
 	resp, err := http.Post(baseURL+"/v1/jobs", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)

@@ -1,7 +1,6 @@
 package edgelog
 
 import (
-	"encoding/hex"
 	"fmt"
 	"hash/fnv"
 	"time"
@@ -142,15 +141,15 @@ func (e *Entry) journalBody() recEntryBody {
 		Tenant: e.Tenant,
 		State:  byte(e.State),
 		AtNS:   e.At.UnixNano(),
-		Handle: hex.EncodeToString(e.Handle[:]),
+		Handle: core.FormatHandle(e.Handle),
 	}
 	if e.State == EntryDone {
-		b.Result = hex.EncodeToString(e.Result[:])
+		b.Result = core.FormatHandle(e.Result)
 	}
 	if !e.State.Terminal() {
 		for _, p := range e.Objects {
 			b.Objects = append(b.Objects, recObjectBody{
-				Handle: hex.EncodeToString(p.Handle[:]),
+				Handle: core.FormatHandle(p.Handle),
 				Data:   p.Data,
 			})
 		}
@@ -170,32 +169,23 @@ func entryFromBody(b recEntryBody) (Entry, error) {
 		State:  s,
 		At:     time.Unix(0, b.AtNS),
 	}
-	if err := parseHandleInto(b.Handle, &e.Handle); err != nil {
+	var err error
+	if e.Handle, err = core.ParseHandle(b.Handle); err != nil {
 		return Entry{}, fmt.Errorf("edgelog: journal entry %s: %w", b.Job, err)
 	}
 	if b.Result != "" {
-		if err := parseHandleInto(b.Result, &e.Result); err != nil {
+		if e.Result, err = core.ParseHandle(b.Result); err != nil {
 			return Entry{}, fmt.Errorf("edgelog: journal entry %s result: %w", b.Job, err)
 		}
 	}
 	for _, o := range b.Objects {
 		p := proto.PushedObject{Data: o.Data}
-		if err := parseHandleInto(o.Handle, &p.Handle); err != nil {
+		if p.Handle, err = core.ParseHandle(o.Handle); err != nil {
 			return Entry{}, fmt.Errorf("edgelog: journal entry %s object: %w", b.Job, err)
 		}
 		e.Objects = append(e.Objects, p)
 	}
 	return e, nil
-}
-
-func parseHandleInto(s string, h *core.Handle) error {
-	if len(s) != 2*core.HandleSize {
-		return fmt.Errorf("handle must be %d hex digits, got %d", 2*core.HandleSize, len(s))
-	}
-	if _, err := hex.Decode(h[:], []byte(s)); err != nil {
-		return fmt.Errorf("bad handle encoding: %v", err)
-	}
-	return h.Validate()
 }
 
 // pickAdopter deterministically designates one live gateway to adopt a

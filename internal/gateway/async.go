@@ -41,13 +41,13 @@ func jobReply(v jobs.Job) JobStatusReply {
 	r := JobStatusReply{
 		ID:       v.ID,
 		Tenant:   v.Tenant,
-		Handle:   FormatHandle(v.Handle),
+		Handle:   core.FormatHandle(v.Handle),
 		State:    string(v.State),
 		Error:    v.Error,
 		Attempts: v.Attempts,
 	}
 	if v.State == jobs.StateDone {
-		r.Result = FormatHandle(v.Result)
+		r.Result = core.FormatHandle(v.Result)
 	}
 	if !v.Enqueued.IsZero() {
 		r.EnqueuedNS = v.Enqueued.UnixNano()
@@ -78,7 +78,7 @@ func wantsAsync(r *http.Request) bool {
 // handleSubmitAsync enqueues a submission into the job queue and replies
 // 202 Accepted immediately with the job's snapshot and Location.
 func (s *Server) handleSubmitAsync(w http.ResponseWriter, r *http.Request, t *tenantCounters, req JobRequest) {
-	h, err := ParseHandle(req.Handle)
+	h, err := parseHandle(req.Handle)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, err)
 		return

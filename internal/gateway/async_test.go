@@ -104,7 +104,7 @@ func TestAsyncPreferHeaderAndEvents(t *testing.T) {
 	// Prefer: respond-async triggers the async path without the query
 	// parameter: 202 plus a Location pointing at the job.
 	th := addJob(t, c, 1, 2)
-	body := strings.NewReader(`{"handle":"` + FormatHandle(th) + `"}`)
+	body := strings.NewReader(`{"handle":"` + core.FormatHandle(th) + `"}`)
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v1/jobs", body)
 	if err != nil {
 		t.Fatal(err)

@@ -93,7 +93,7 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 	var leaders, joins, evals []int // indices into items
 	for i := range req.Items {
 		it := &items[i]
-		h, err := ParseHandle(req.Items[i].Handle)
+		h, err := parseHandle(req.Items[i].Handle)
 		if err != nil {
 			// A malformed handle fails its own item; the rest of the
 			// batch proceeds.
@@ -116,7 +116,7 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 		// Reserving through the shared cache gives the batch the sync
 		// path's semantics item for item — including collapsing a
 		// duplicate within the batch onto the first occurrence's flight.
-		it.k = cacheKey(h)
+		it.k = h.AsObject()
 		rv := s.cache.reserve(it.k)
 		switch {
 		case rv.outcome == OutcomeHit:
@@ -221,7 +221,7 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 		if it.outcome == OutcomeHit || it.outcome == OutcomeCollapsed {
 			t.hits.Add(1)
 		}
-		reply.Items[i] = BatchItemReply{Result: FormatHandle(it.result), Outcome: string(it.outcome)}
+		reply.Items[i] = BatchItemReply{Result: core.FormatHandle(it.result), Outcome: string(it.outcome)}
 	}
 	if failed > 0 {
 		tc.SetOutcome("error")

@@ -47,9 +47,9 @@ func TestBatchMalformedItemIsolated(t *testing.T) {
 	th := addJob(t, c, 40, 2)
 
 	body, _ := json.Marshal(BatchRequest{Items: []BatchItem{
-		{Handle: FormatHandle(th)},
+		{Handle: core.FormatHandle(th)},
 		{Handle: "zz-not-a-handle"},
-		{Handle: FormatHandle(core.LiteralU64(5))}, // data evaluates to itself
+		{Handle: core.FormatHandle(core.LiteralU64(5))}, // data evaluates to itself
 	}})
 	resp, err := http.Post(c.base+"/v1/jobs:batch", "application/json", bytes.NewReader(body))
 	if err != nil {
@@ -72,7 +72,7 @@ func TestBatchMalformedItemIsolated(t *testing.T) {
 	if reply.Items[1].Error == "" || reply.Items[1].Result != "" {
 		t.Errorf("item 1 (malformed) = %+v, want an error", reply.Items[1])
 	}
-	if reply.Items[2].Error != "" || reply.Items[2].Result != FormatHandle(core.LiteralU64(5)) {
+	if reply.Items[2].Error != "" || reply.Items[2].Result != core.FormatHandle(core.LiteralU64(5)) {
 		t.Errorf("item 2 (data) = %+v, want itself", reply.Items[2])
 	}
 	st := srv.Stats()

@@ -129,17 +129,6 @@ func newResultCache(capacity, shards int) *resultCache {
 	return c
 }
 
-// cacheKey normalizes a submitted Handle to its memoization identity:
-// data Handles are keyed as Objects (an Object and a Ref to the same
-// bytes answer alike); Thunks and Encodes keep their full tag, because
-// style (Application vs Selection, Strict vs Shallow) changes the answer.
-func cacheKey(h core.Handle) core.Handle {
-	if h.IsData() {
-		return h.AsObject()
-	}
-	return h
-}
-
 // shardFor routes a normalized key to its shard: FNV-1a over the packed
 // Handle. Handles are already content hashes, but hashing all 32 bytes
 // keeps the routing uniform even for literal Handles, whose leading bytes
@@ -224,7 +213,7 @@ func (c *resultCache) publish(k core.Handle, f *flight) {
 // deterministic answer is worth caching regardless. Every caller —
 // leader included — is therefore governed only by its own ctx.
 func (c *resultCache) Do(ctx context.Context, h core.Handle, eval func() (core.Handle, error)) (core.Handle, CacheOutcome, error) {
-	k := cacheKey(h)
+	k := h.AsObject()
 	rv := c.reserve(k)
 	switch {
 	case rv.outcome == OutcomeHit:

@@ -23,7 +23,7 @@ func TestShardRoutingDeterministic(t *testing.T) {
 			t.Fatalf("shards=%d: built %d shards", shards, got)
 		}
 		for i := uint64(0); i < 512; i++ {
-			k := cacheKey(key(i))
+			k := key(i).AsObject()
 			s := c.shardFor(k)
 			for j := 0; j < 4; j++ {
 				if c.shardFor(k) != s {
@@ -137,7 +137,7 @@ func TestShardedCacheStress(t *testing.T) {
 					c.Stats() // concurrent scrape
 				}
 				if i%53 == 0 {
-					c.warm(cacheKey(key(v)), core.LiteralU64(v))
+					c.warm(key(v).AsObject(), core.LiteralU64(v))
 				}
 			}
 		}(g)

@@ -117,14 +117,14 @@ func (c *Client) PutBlob(ctx context.Context, data []byte) (core.Handle, error) 
 	if err := c.do(ctx, http.MethodPost, "/v1/blobs", "application/octet-stream", data, &reply); err != nil {
 		return core.Handle{}, err
 	}
-	return ParseHandle(reply.Handle)
+	return parseHandle(reply.Handle)
 }
 
 // PutTree uploads a Tree and returns its Handle.
 func (c *Client) PutTree(ctx context.Context, entries []core.Handle) (core.Handle, error) {
 	req := TreeRequest{Entries: make([]string, len(entries))}
 	for i, e := range entries {
-		req.Entries[i] = FormatHandle(e)
+		req.Entries[i] = core.FormatHandle(e)
 	}
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -134,7 +134,7 @@ func (c *Client) PutTree(ctx context.Context, entries []core.Handle) (core.Handl
 	if err := c.do(ctx, http.MethodPost, "/v1/trees", "application/json", body, &reply); err != nil {
 		return core.Handle{}, err
 	}
-	return ParseHandle(reply.Handle)
+	return parseHandle(reply.Handle)
 }
 
 // JobResult is a completed submission as seen by the client.
@@ -156,7 +156,7 @@ func (c *Client) SubmitFetch(ctx context.Context, h core.Handle) (JobResult, err
 }
 
 func (c *Client) submit(ctx context.Context, h core.Handle, includeData bool) (JobResult, error) {
-	body, err := json.Marshal(JobRequest{Handle: FormatHandle(h), IncludeData: includeData})
+	body, err := json.Marshal(JobRequest{Handle: core.FormatHandle(h), IncludeData: includeData})
 	if err != nil {
 		return JobResult{}, err
 	}
@@ -164,7 +164,7 @@ func (c *Client) submit(ctx context.Context, h core.Handle, includeData bool) (J
 	if err := c.do(ctx, http.MethodPost, "/v1/jobs", "application/json", body, &reply); err != nil {
 		return JobResult{}, err
 	}
-	res, err := ParseHandle(reply.Result)
+	res, err := parseHandle(reply.Result)
 	if err != nil {
 		return JobResult{}, err
 	}
@@ -193,7 +193,7 @@ type BatchResult struct {
 func (c *Client) SubmitBatch(ctx context.Context, hs []core.Handle) ([]BatchResult, error) {
 	req := BatchRequest{Items: make([]BatchItem, len(hs))}
 	for i, h := range hs {
-		req.Items[i] = BatchItem{Handle: FormatHandle(h)}
+		req.Items[i] = BatchItem{Handle: core.FormatHandle(h)}
 	}
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -212,7 +212,7 @@ func (c *Client) SubmitBatch(ctx context.Context, hs []core.Handle) ([]BatchResu
 			out[i].Err = errors.New(it.Error)
 			continue
 		}
-		res, err := ParseHandle(it.Result)
+		res, err := parseHandle(it.Result)
 		if err != nil {
 			out[i].Err = err
 			continue
@@ -235,7 +235,7 @@ func (c *Client) BlobBytes(ctx context.Context, h core.Handle) ([]byte, error) {
 	if h.Kind() == core.KindBlob && h.Size() > uint64(c.maxBytes) {
 		return nil, &BlobTooLargeError{Limit: c.maxBytes}
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/blobs/"+FormatHandle(h), nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/blobs/"+core.FormatHandle(h), nil)
 	if err != nil {
 		return nil, err
 	}

@@ -49,11 +49,11 @@ func parseJobStatus(r JobStatusReply) (JobStatus, error) {
 		Deduped:  r.Deduped,
 	}
 	var err error
-	if js.Handle, err = ParseHandle(r.Handle); err != nil {
+	if js.Handle, err = parseHandle(r.Handle); err != nil {
 		return js, fmt.Errorf("gateway: job %s handle: %w", r.ID, err)
 	}
 	if r.Result != "" {
-		if js.Result, err = ParseHandle(r.Result); err != nil {
+		if js.Result, err = parseHandle(r.Result); err != nil {
 			return js, fmt.Errorf("gateway: job %s result: %w", r.ID, err)
 		}
 	}
@@ -74,7 +74,7 @@ func parseJobStatus(r JobStatusReply) (JobStatus, error) {
 // onto the existing job when the same (tenant, handle) is already
 // pending, running, or done.
 func (c *Client) SubmitAsync(ctx context.Context, h core.Handle) (JobStatus, error) {
-	body, err := json.Marshal(JobRequest{Handle: FormatHandle(h)})
+	body, err := json.Marshal(JobRequest{Handle: core.FormatHandle(h)})
 	if err != nil {
 		return JobStatus{}, err
 	}

@@ -10,7 +10,6 @@ import (
 	"fixgo/internal/edgelog"
 	"fixgo/internal/jobs"
 	"fixgo/internal/proto"
-	"fixgo/internal/store"
 	"fixgo/internal/transport"
 )
 
@@ -49,10 +48,10 @@ type JobPayloader interface {
 	AbsorbPayload(objs []proto.PushedObject)
 }
 
-// JobPayload walks the definition closure in the engine's store.
-// Implements JobPayloader.
+// JobPayload returns the definition closure resident in the engine's
+// store (store.JobPayload). Implements JobPayloader.
 func (b *EngineBackend) JobPayload(h core.Handle) []proto.PushedObject {
-	return payloadFromStore(b.eng.Store(), h)
+	return b.eng.Store().JobPayload(h)
 }
 
 // AbsorbPayload ingests a replicated payload into the engine's store.
@@ -61,69 +60,6 @@ func (b *EngineBackend) AbsorbPayload(objs []proto.PushedObject) {
 	for _, p := range objs {
 		_ = b.eng.Store().PutObject(p.Handle, p.Data)
 	}
-}
-
-// payloadFromStore collects the definition closure of an Encode resident
-// in st — the invocation trees plus their non-literal blobs — bounded
-// like a delegation push set (cluster keeps its own variant with
-// owner-view bookkeeping).
-func payloadFromStore(st *store.Store, enc core.Handle) []proto.PushedObject {
-	const (
-		maxObjects = 1024
-		maxBytes   = 4 << 20
-	)
-	thunk, err := core.EncodedThunk(enc)
-	if err != nil {
-		return nil
-	}
-	def, err := core.ThunkDefinition(thunk)
-	if err != nil {
-		return nil
-	}
-	var out []proto.PushedObject
-	total := 0
-	seen := make(map[core.Handle]bool)
-	var walk func(h core.Handle)
-	walk = func(h core.Handle) {
-		if len(out) >= maxObjects || total >= maxBytes {
-			return
-		}
-		switch h.RefKind() {
-		case core.RefThunk, core.RefEncode:
-			inner := h
-			if h.RefKind() == core.RefEncode {
-				if inner, err = core.EncodedThunk(h); err != nil {
-					return
-				}
-			}
-			d, err := core.ThunkDefinition(inner)
-			if err != nil {
-				return
-			}
-			walk(d)
-		case core.RefObject:
-			k := h.AsObject()
-			if k.IsLiteral() || seen[k] {
-				return
-			}
-			seen[k] = true
-			data, err := st.ObjectBytes(k)
-			if err != nil || total+len(data) > maxBytes {
-				return
-			}
-			out = append(out, proto.PushedObject{Handle: k, Data: data})
-			total += len(data)
-			if k.Kind() == core.KindTree {
-				if children, err := st.Tree(k); err == nil {
-					for _, c := range children {
-						walk(c)
-					}
-				}
-			}
-		}
-	}
-	walk(def)
-	return out
 }
 
 // jobPayload packs the closure to replicate with an accepted entry; nil

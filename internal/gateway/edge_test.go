@@ -8,6 +8,7 @@ package gateway
 // depends on.
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"sync"
@@ -302,7 +303,7 @@ func TestEdgeGossipStaleHint(t *testing.T) {
 		t.Fatal(err)
 	}
 	bogus := store.New().PutBlob(make([]byte, 256))
-	srvB.Edge().AttachPeer(feedWarmHint(t, cacheKey(strictTh), bogus))
+	srvB.Edge().AttachPeer(feedWarmHint(t, strictTh.AsObject(), bogus))
 	waitUntil(t, "bogus hint parked at B", func() bool {
 		return srvB.Stats().Edge.HintsPending >= 1
 	})
@@ -427,4 +428,47 @@ func (f *edgeFakeBackend) PutTree(entries []core.Handle) (core.Handle, error) {
 }
 func (f *edgeFakeBackend) ObjectBytes(ctx context.Context, h core.Handle) ([]byte, error) {
 	return f.st.ObjectBytes(h)
+}
+
+// TestJobPayloadSameOnBothBackends: over one store, a cluster node and an
+// engine backend replicate the same payload, in the same order. An object
+// that would pass the 4 MiB budget is skipped, and later objects that fit
+// are still taken: here a 640 KiB subtree is dropped but the Blob it
+// names is kept.
+func TestJobPayloadSameOnBothBackends(t *testing.T) {
+	node := cluster.NewNode("payload", cluster.NodeOptions{Cores: 1})
+	defer node.Close()
+	st := node.Store()
+	first := st.PutBlob(bytes.Repeat([]byte{1}, 7<<19))
+	small := st.PutBlob(bytes.Repeat([]byte{2}, 100))
+	wide := make([]core.Handle, 20000)
+	for i := range wide {
+		wide[i] = core.LiteralU64(uint64(i))
+	}
+	wide[len(wide)-1] = small
+	sub, err := st.PutTree(wide)
+	if err != nil {
+		t.Fatal(err)
+	}
+	def, err := st.PutTree([]core.Handle{core.DefaultLimits.Handle(), first, sub})
+	if err != nil {
+		t.Fatal(err)
+	}
+	app, _ := core.Application(def)
+	enc, _ := core.Strict(app)
+
+	want := []core.Handle{def, first, small}
+	backends := []JobPayloader{node, NewEngineBackend(runtime.New(st, runtime.Options{Cores: 1}))}
+	for i, b := range backends {
+		got := b.JobPayload(enc)
+		if len(got) != len(want) {
+			t.Fatalf("backend %d: payload has %d objects, want %d (%v)", i, len(got), len(want), want)
+		}
+		for k, p := range got {
+			data, _ := st.ObjectBytes(want[k])
+			if p.Handle != want[k] || !bytes.Equal(p.Data, data) {
+				t.Errorf("backend %d: payload object %d = %v, want %v", i, k, p.Handle, want[k])
+			}
+		}
+	}
 }

@@ -30,7 +30,7 @@ package gateway
 
 import (
 	"context"
-	"encoding/hex"
+	"errors"
 	"fmt"
 
 	"fixgo/internal/core"
@@ -91,26 +91,16 @@ func (b *EngineBackend) ObjectBytes(ctx context.Context, h core.Handle) ([]byte,
 	return b.eng.Store().ObjectBytes(h)
 }
 
-// FormatHandle renders a Handle as the wire encoding used throughout the
-// HTTP API: 64 lowercase hex digits of the packed 32-byte form.
-func FormatHandle(h core.Handle) string {
-	return hex.EncodeToString(h[:])
-}
-
-// ParseHandle decodes and validates a Handle from its wire encoding.
-func ParseHandle(s string) (core.Handle, error) {
-	var h core.Handle
-	if len(s) != 2*core.HandleSize {
-		return h, fmt.Errorf("gateway: handle must be %d hex digits, got %d", 2*core.HandleSize, len(s))
+// parseHandle reads a Handle in core's text form. The zero Handle passes
+// core's checks but names nothing a client uploaded or a job returned, so
+// the API refuses it in requests and replies alike.
+func parseHandle(s string) (core.Handle, error) {
+	h, err := core.ParseHandle(s)
+	if err == nil && h.IsZero() {
+		err = errors.New("zero handle")
 	}
-	if _, err := hex.Decode(h[:], []byte(s)); err != nil {
-		return h, fmt.Errorf("gateway: bad handle encoding: %v", err)
-	}
-	if err := h.Validate(); err != nil {
-		return h, fmt.Errorf("gateway: invalid handle: %v", err)
-	}
-	if h.IsZero() {
-		return h, fmt.Errorf("gateway: zero handle")
+	if err != nil {
+		return core.Handle{}, fmt.Errorf("gateway: %w", err)
 	}
 	return h, nil
 }

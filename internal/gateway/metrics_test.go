@@ -320,7 +320,7 @@ func TestTraceEndToEndOverCluster(t *testing.T) {
 
 	// Raw POST so the reply's trace ID and the response header are both
 	// visible (the SDK client hides them).
-	body, err := json.Marshal(JobRequest{Handle: FormatHandle(th)})
+	body, err := json.Marshal(JobRequest{Handle: core.FormatHandle(th)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -107,7 +107,7 @@ func TestPoolAllocsPerRequest(t *testing.T) {
 		t.Fatal("Warm failed")
 	}
 
-	body := []byte(`{"handle":"` + FormatHandle(enc) + `"}`)
+	body := []byte(`{"handle":"` + core.FormatHandle(enc) + `"}`)
 	h := srv.Handler()
 	do := func() {
 		req := httptest.NewRequest("POST", "/v1/jobs", bytes.NewReader(body))
@@ -144,7 +144,7 @@ func BenchmarkSubmitHit(b *testing.B) {
 	thunk, _ := core.Identification(result)
 	enc, _ := core.Strict(thunk)
 	srv.Warm(enc, result)
-	body := []byte(`{"handle":"` + FormatHandle(enc) + `"}`)
+	body := []byte(`{"handle":"` + core.FormatHandle(enc) + `"}`)
 	h := srv.Handler()
 	b.ReportAllocs()
 	b.ResetTimer()

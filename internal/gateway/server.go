@@ -353,7 +353,7 @@ func (s *Server) Warm(job, result core.Handle) bool {
 	if s.cache == nil || job.IsData() || job.IsZero() {
 		return false
 	}
-	s.cache.warm(cacheKey(job), result)
+	s.cache.warm(job.AsObject(), result)
 	return true
 }
 
@@ -492,11 +492,11 @@ func (s *Server) handlePutBlob(w http.ResponseWriter, r *http.Request) {
 		h = s.opts.Backend.PutBlob(data)
 	}
 	t.uploads.Add(1)
-	s.reply(w, http.StatusOK, HandleReply{Handle: FormatHandle(h)})
+	s.reply(w, http.StatusOK, HandleReply{Handle: core.FormatHandle(h)})
 }
 
 func (s *Server) handleGetBlob(w http.ResponseWriter, r *http.Request) {
-	h, err := ParseHandle(r.PathValue("handle"))
+	h, err := parseHandle(r.PathValue("handle"))
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, err)
 		return
@@ -518,7 +518,7 @@ func (s *Server) handlePutTree(w http.ResponseWriter, r *http.Request) {
 	}
 	entries := make([]core.Handle, len(req.Entries))
 	for i, e := range req.Entries {
-		h, err := ParseHandle(e)
+		h, err := parseHandle(e)
 		if err != nil {
 			s.fail(w, http.StatusBadRequest, fmt.Errorf("entry %d: %w", i, err))
 			return
@@ -531,7 +531,7 @@ func (s *Server) handlePutTree(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	t.uploads.Add(1)
-	s.reply(w, http.StatusOK, HandleReply{Handle: FormatHandle(h)})
+	s.reply(w, http.StatusOK, HandleReply{Handle: core.FormatHandle(h)})
 }
 
 // decodeJSON decodes a bounded JSON request body, writing the error reply
@@ -571,7 +571,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.handleSubmitAsync(w, r, t, req)
 		return
 	}
-	h, err := ParseHandle(req.Handle)
+	h, err := parseHandle(req.Handle)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, err)
 		return
@@ -626,7 +626,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	reply := JobReply{
-		Result:    FormatHandle(result),
+		Result:    core.FormatHandle(result),
 		Outcome:   string(outcome),
 		ElapsedNS: elapsed.Nanoseconds(),
 		Trace:     tc.ID,
@@ -690,7 +690,7 @@ func (s *Server) evaluate(ctx context.Context, h core.Handle, acquire func(conte
 		// resolvable now → the flight is the hint; still stale → fall
 		// through, and the evaluation replaces the hint.
 		if s.edge != nil {
-			if hint, ok := s.edge.TakeHint(cacheKey(h)); ok {
+			if hint, ok := s.edge.TakeHint(h.AsObject()); ok {
 				if s.resolvableHint(hint) {
 					s.hintHits.Add(1)
 					return hint, nil

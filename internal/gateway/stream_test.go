@@ -75,7 +75,7 @@ func TestStreamedBlobUploadChunkedEncoding(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&reply); err != nil {
 		t.Fatal(err)
 	}
-	h, err := ParseHandle(reply.Handle)
+	h, err := parseHandle(reply.Handle)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -408,7 +408,7 @@ func (m *Manager) replayRecord(recType byte, payload []byte) error {
 		if err := json.Unmarshal(payload, &b); err != nil {
 			return fmt.Errorf("jobs: bad enqueued record: %w", err)
 		}
-		h, err := parseHandle(b.Handle)
+		h, err := core.ParseHandle(b.Handle)
 		if err != nil {
 			return fmt.Errorf("jobs: enqueued record: %w", err)
 		}
@@ -443,7 +443,7 @@ func (m *Manager) replayRecord(recType byte, payload []byte) error {
 		if jb == nil {
 			return nil
 		}
-		r, err := parseHandle(b.Result)
+		r, err := core.ParseHandle(b.Result)
 		if err != nil {
 			return fmt.Errorf("jobs: completed record: %w", err)
 		}
@@ -501,14 +501,14 @@ func (m *Manager) compactLocked() error {
 		for _, jb := range m.jobs {
 			v := jb.view
 			if err := emitJSON(recEnqueued, recEnqueuedBody{
-				ID: v.ID, Tenant: v.Tenant, Handle: formatHandle(v.Handle), EnqueuedNS: v.Enqueued.UnixNano(),
+				ID: v.ID, Tenant: v.Tenant, Handle: core.FormatHandle(v.Handle), EnqueuedNS: v.Enqueued.UnixNano(),
 			}); err != nil {
 				return err
 			}
 			switch v.State {
 			case StateDone:
 				if err := emitJSON(recCompleted, recCompletedBody{
-					ID: v.ID, Result: formatHandle(v.Result), FinishedNS: v.Finished.UnixNano(),
+					ID: v.ID, Result: core.FormatHandle(v.Result), FinishedNS: v.Finished.UnixNano(),
 				}); err != nil {
 					return err
 				}
@@ -614,7 +614,7 @@ func (m *Manager) submit(tenant string, h core.Handle) (Job, bool, error) {
 	m.queue.push(jb)
 	m.stats.Enqueued++
 	m.appendLocked(recEnqueued, recEnqueuedBody{
-		ID: id, Tenant: tenant, Handle: formatHandle(h), EnqueuedNS: jb.view.Enqueued.UnixNano(),
+		ID: id, Tenant: tenant, Handle: core.FormatHandle(h), EnqueuedNS: jb.view.Enqueued.UnixNano(),
 	})
 	m.publishLocked(jb)
 	m.cond.Signal()
@@ -974,7 +974,7 @@ func (m *Manager) finishLocked(jb *job, s State) {
 	switch s {
 	case StateDone:
 		m.appendLocked(recCompleted, recCompletedBody{
-			ID: jb.view.ID, Result: formatHandle(jb.view.Result), FinishedNS: jb.view.Finished.UnixNano(),
+			ID: jb.view.ID, Result: core.FormatHandle(jb.view.Result), FinishedNS: jb.view.Finished.UnixNano(),
 		})
 	case StateDeadLetter:
 		m.appendLocked(recFailed, recFailedBody{
@@ -1038,20 +1038,4 @@ func (m *Manager) scheduleRetryLocked(jb *job) {
 		m.cond.Signal()
 	})
 	m.timers[t] = struct{}{}
-}
-
-// formatHandle / parseHandle are the journal's handle wire encoding (the
-// same 64-hex-digit form the gateway API uses; duplicated here to keep
-// jobs independent of the gateway package).
-func formatHandle(h core.Handle) string { return hex.EncodeToString(h[:]) }
-
-func parseHandle(s string) (core.Handle, error) {
-	var h core.Handle
-	if len(s) != 2*core.HandleSize {
-		return h, fmt.Errorf("handle must be %d hex digits, got %d", 2*core.HandleSize, len(s))
-	}
-	if _, err := hex.Decode(h[:], []byte(s)); err != nil {
-		return h, fmt.Errorf("bad handle encoding: %v", err)
-	}
-	return h, h.Validate()
 }

@@ -12,7 +12,6 @@ package objstore
 
 import (
 	"context"
-	"encoding/hex"
 	"fmt"
 	"sync"
 	"time"
@@ -180,8 +179,7 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 
 // HandleKey is the storage key for a Fix object's canonical bytes.
 func HandleKey(h core.Handle) string {
-	o := h.AsObject()
-	return "fix/" + hex.EncodeToString(o[:])
+	return "fix/" + core.FormatHandle(h.AsObject())
 }
 
 // PutHandle stores a Fix object's canonical bytes under its handle key.

@@ -1,7 +1,6 @@
 package obsv
 
 import (
-	"fmt"
 	"math"
 	"sync/atomic"
 	"time"
@@ -140,13 +139,4 @@ func (h *Histogram) flatten(name string, labels []Label) []FlatSample {
 		FlatSample{Name: name + "_sum", Labels: labels, Value: h.Sum()},
 	)
 	return out
-}
-
-// QuantileString renders p50/p95/p99 compactly ("p50=1.2ms p95=8ms
-// p99=16ms") for logs and digests.
-func (h *Histogram) QuantileString() string {
-	return fmt.Sprintf("p50=%s p95=%s p99=%s",
-		time.Duration(h.Quantile(0.50)*1e9).Round(time.Microsecond),
-		time.Duration(h.Quantile(0.95)*1e9).Round(time.Microsecond),
-		time.Duration(h.Quantile(0.99)*1e9).Round(time.Microsecond))
 }

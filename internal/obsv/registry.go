@@ -157,14 +157,6 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 	r.funcs[name] = funcMetric{meta: m, fn: fn}
 }
 
-// CounterFunc registers a counter sampled by calling fn at scrape time.
-func (r *Registry) CounterFunc(name, help string, fn func() float64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	m := r.register(name, help, TypeCounter)
-	r.funcs[name] = funcMetric{meta: m, fn: fn}
-}
-
 // Histogram registers (and returns) a latency family with the default
 // exponential buckets.
 func (r *Registry) Histogram(name, help string) *Histogram {

@@ -51,9 +51,6 @@ func NewHybrid(local, remote Storage) *Hybrid {
 	return hy
 }
 
-// Remote returns the remote side of the tier.
-func (hy *Hybrid) Remote() Storage { return hy.remote }
-
 func (hy *Hybrid) uploadLoop() {
 	defer hy.wg.Done()
 	for {
@@ -161,22 +158,6 @@ func (hy *Hybrid) Delete(ctx context.Context, h core.Handle) error {
 		return err
 	}
 	return hy.remote.Delete(ctx, h)
-}
-
-// List enumerates the union of both sides.
-func (hy *Hybrid) List(ctx context.Context, fn func(h core.Handle) error) error {
-	seen := make(map[core.Handle]struct{})
-	wrap := func(h core.Handle) error {
-		if _, ok := seen[h]; ok {
-			return nil
-		}
-		seen[h] = struct{}{}
-		return fn(h)
-	}
-	if err := hy.local.List(ctx, wrap); err != nil {
-		return err
-	}
-	return hy.remote.List(ctx, wrap)
 }
 
 // Close drains the upload queue, stops the worker, and closes both sides.

@@ -3,7 +3,6 @@ package storage
 import (
 	"container/list"
 	"context"
-	"encoding/hex"
 	"os"
 	"path/filepath"
 	"sync"
@@ -69,8 +68,8 @@ func NewLFC(dir string, budget int64, backing Storage) (*LFC, error) {
 		if de.IsDir() {
 			continue
 		}
-		h, ok := handleFromName(de.Name())
-		if !ok {
+		h, err := core.ParseHandle(de.Name())
+		if err != nil {
 			// A temp file from an interrupted fill, or foreign debris.
 			os.Remove(filepath.Join(dir, de.Name()))
 			continue
@@ -87,11 +86,8 @@ func NewLFC(dir string, budget int64, backing Storage) (*LFC, error) {
 	return c, nil
 }
 
-// Budget returns the configured byte budget.
-func (c *LFC) Budget() int64 { return c.budget }
-
 func (c *LFC) path(h core.Handle) string {
-	return filepath.Join(c.dir, hex.EncodeToString(h[:]))
+	return filepath.Join(c.dir, core.FormatHandle(h))
 }
 
 // insert adds h to the index unless already present.
@@ -220,11 +216,6 @@ func (c *LFC) Delete(ctx context.Context, h core.Handle) error {
 	c.mu.Unlock()
 	os.Remove(c.path(h))
 	return c.backing.Delete(ctx, h)
-}
-
-// List enumerates the backing tier (the cache is a strict subset of it).
-func (c *LFC) List(ctx context.Context, fn func(h core.Handle) error) error {
-	return c.backing.List(ctx, fn)
 }
 
 // Close closes the backing tier. Cache files are left in place so the

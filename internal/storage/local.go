@@ -52,11 +52,6 @@ func (l *Local) Has(ctx context.Context, h core.Handle) (bool, error) {
 // per-object deletes.
 func (l *Local) Delete(ctx context.Context, h core.Handle) error { return nil }
 
-// List calls fn for every object in the pack index.
-func (l *Local) List(ctx context.Context, fn func(h core.Handle) error) error {
-	return l.d.ForEachObject(fn)
-}
-
 // Close is a no-op; the durable store's lifecycle is owned by the caller
 // that attached it.
 func (l *Local) Close() error { return nil }

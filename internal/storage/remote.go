@@ -2,7 +2,6 @@ package storage
 
 import (
 	"context"
-	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -11,8 +10,8 @@ import (
 	"fixgo/internal/core"
 )
 
-// tmpPrefix marks in-flight object files; List and the LFC warm scan skip
-// them, and a crash mid-write leaves only a skippable temp file behind.
+// tmpPrefix marks in-flight object files; the LFC warm scan removes them,
+// and a crash mid-write leaves only a temp file behind.
 const tmpPrefix = "tmp-"
 
 // Dir is an S3-like blob tier over a local directory: one file per
@@ -41,7 +40,7 @@ func NewDir(dir string) (*Dir, error) {
 func (d *Dir) Dir() string { return d.dir }
 
 func (d *Dir) path(h core.Handle) string {
-	name := hex.EncodeToString(h[:])
+	name := core.FormatHandle(h)
 	return filepath.Join(d.dir, name[:2], name)
 }
 
@@ -121,23 +120,6 @@ func (d *Dir) Delete(ctx context.Context, h core.Handle) error {
 	return nil
 }
 
-// List walks the shard directories and calls fn for every stored handle.
-func (d *Dir) List(ctx context.Context, fn func(h core.Handle) error) error {
-	return filepath.WalkDir(d.dir, func(path string, e os.DirEntry, err error) error {
-		if err != nil || e.IsDir() {
-			return err
-		}
-		if cerr := ctx.Err(); cerr != nil {
-			return cerr
-		}
-		h, ok := handleFromName(e.Name())
-		if !ok {
-			return nil
-		}
-		return fn(h)
-	})
-}
-
 // Close is a no-op; Dir holds no open resources between operations.
 func (d *Dir) Close() error { return nil }
 
@@ -149,21 +131,6 @@ func (d *Dir) StorageStats() Stats {
 		RemoteDeletes: d.deletes.Load(),
 		RemoteErrors:  d.errors.Load(),
 	}
-}
-
-// handleFromName decodes a hex object filename back into its Handle,
-// rejecting temp files and foreign names.
-func handleFromName(name string) (core.Handle, bool) {
-	if len(name) != 2*core.HandleSize || len(name) >= len(tmpPrefix) && name[:len(tmpPrefix)] == tmpPrefix {
-		return core.Handle{}, false
-	}
-	raw, err := hex.DecodeString(name)
-	if err != nil || len(raw) != core.HandleSize {
-		return core.Handle{}, false
-	}
-	var h core.Handle
-	copy(h[:], raw)
-	return h, true
 }
 
 // writeAtomic writes data to path by creating a temp file in dir and

@@ -35,9 +35,6 @@ type Storage interface {
 	// error. Tiers whose reclamation is owned elsewhere (Local's pack GC)
 	// may treat Delete as a no-op.
 	Delete(ctx context.Context, h core.Handle) error
-	// List calls fn for every handle the tier holds, stopping early if fn
-	// returns an error.
-	List(ctx context.Context, fn func(h core.Handle) error) error
 	// Close releases tier resources. Tiers wrapping stores whose
 	// lifecycle is owned elsewhere leave the wrapped store open.
 	Close() error

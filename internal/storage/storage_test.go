@@ -5,7 +5,9 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"fixgo/internal/core"
@@ -19,7 +21,7 @@ func blob(i int) (core.Handle, []byte) {
 	return core.BlobHandle(data), data
 }
 
-// roundTrip drives the common Storage contract: Put, Has, Get, List,
+// roundTrip drives the common Storage contract: Put, Has, Get,
 // Delete semantics, and typed misses.
 func roundTrip(t *testing.T, st Storage, deletable bool) {
 	t.Helper()
@@ -43,18 +45,6 @@ func roundTrip(t *testing.T, st Storage, deletable bool) {
 	got, err := st.Get(ctx, h)
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("Get = %q, %v", got, err)
-	}
-	found := false
-	if err := st.List(ctx, func(lh core.Handle) error {
-		if lh.SameContent(h) {
-			found = true
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if !found {
-		t.Fatal("List did not yield the stored handle")
 	}
 	if err := st.Delete(ctx, h); err != nil {
 		t.Fatal(err)
@@ -317,6 +307,39 @@ func TestLFCWarmReopen(t *testing.T) {
 	}
 	if cold.StorageStats().LFCMisses != 1 {
 		t.Fatal("cold read not counted as a cache miss")
+	}
+}
+
+// TestLFCBootScanRemovesInvalidNames: the warm scan adopts only names that
+// parse as valid handles. A 64-hex name with the reserved flag bit set, an
+// uppercase name and a temp file are debris: removed, and counted in
+// neither LFCEntries nor LFCBytes.
+func TestLFCBootScanRemovesInvalidNames(t *testing.T) {
+	dir := t.TempDir()
+	h, d := blob(3)
+	reserved := h
+	reserved[core.HandleSize-1] |= 0x80
+	debris := []string{core.FormatHandle(reserved), strings.ToUpper(core.FormatHandle(h)), tmpPrefix + "123"}
+	for _, name := range append(debris, core.FormatHandle(h)) {
+		if err := os.WriteFile(filepath.Join(dir, name), d, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	remote, err := NewDir(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewLFC(dir, 1<<20, remote)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range debris {
+		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
+			t.Errorf("boot scan left %q in place (stat err %v)", name, err)
+		}
+	}
+	if st := c.StorageStats(); st.LFCEntries != 1 || st.LFCBytes != uint64(len(d)) {
+		t.Fatalf("boot scan adopted %d entries / %d bytes, want 1 / %d", st.LFCEntries, st.LFCBytes, len(d))
 	}
 }
 

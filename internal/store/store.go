@@ -101,24 +101,6 @@ func New() *Store {
 	}
 }
 
-// canonical maps any data Handle to its storage key: the Object-tagged
-// form. Thunks and Encodes are keyed on their underlying definition.
-func canonical(h core.Handle) core.Handle {
-	switch h.RefKind() {
-	case core.RefObject:
-		return h
-	case core.RefRef:
-		return h.AsObject()
-	case core.RefThunk:
-		d, _ := core.ThunkDefinition(h)
-		return d
-	default: // RefEncode
-		t, _ := core.EncodedThunk(h)
-		d, _ := core.ThunkDefinition(t)
-		return d
-	}
-}
-
 // PutBlob stores a Blob and returns its Object Handle. Literal Blobs are
 // not persisted; their Handle carries the contents.
 func (s *Store) PutBlob(data []byte) core.Handle {
@@ -155,7 +137,7 @@ func (s *Store) PutBlobOwned(h core.Handle, data []byte) core.Handle {
 	if h.Kind() != core.KindBlob || h.Size() != uint64(len(data)) {
 		return s.PutBlob(data)
 	}
-	h = canonical(h)
+	h = h.StorageKey()
 	s.mu.Lock()
 	inserted := false
 	if _, ok := s.blobs[h]; !ok {
@@ -203,7 +185,7 @@ func (s *Store) PutObject(h core.Handle, data []byte) error {
 	if err := h.Validate(); err != nil {
 		return err
 	}
-	key := canonical(h)
+	key := h.StorageKey()
 	switch key.Kind() {
 	case core.KindBlob:
 		if key.IsLiteral() {
@@ -253,7 +235,7 @@ func (s *Store) PutObject(h core.Handle, data []byte) error {
 // Blob returns the contents of a Blob. Literal Handles resolve without
 // consulting storage.
 func (s *Store) Blob(h core.Handle) ([]byte, error) {
-	key := canonical(h)
+	key := h.StorageKey()
 	if key.Kind() != core.KindBlob {
 		return nil, fmt.Errorf("store: %v is not a blob", h)
 	}
@@ -271,7 +253,7 @@ func (s *Store) Blob(h core.Handle) ([]byte, error) {
 
 // Tree returns the entries of a Tree.
 func (s *Store) Tree(h core.Handle) ([]core.Handle, error) {
-	key := canonical(h)
+	key := h.StorageKey()
 	if key.Kind() != core.KindTree {
 		return nil, fmt.Errorf("store: %v is not a tree", h)
 	}
@@ -288,7 +270,7 @@ func (s *Store) Tree(h core.Handle) ([]core.Handle, error) {
 // are the stored data itself, read-only: a Blob's contents, or a Tree's
 // entries viewed in place (core.TreeBytes).
 func (s *Store) ObjectBytes(h core.Handle) ([]byte, error) {
-	key := canonical(h)
+	key := h.StorageKey()
 	if key.Kind() == core.KindBlob {
 		return s.Blob(key)
 	}
@@ -302,7 +284,7 @@ func (s *Store) ObjectBytes(h core.Handle) ([]byte, error) {
 // Contains reports whether the referent's data is resident. Literals are
 // always resident.
 func (s *Store) Contains(h core.Handle) bool {
-	key := canonical(h)
+	key := h.StorageKey()
 	if key.IsLiteral() {
 		return true
 	}
@@ -359,7 +341,7 @@ func (s *Store) SetEncodeResult(encode, result core.Handle) {
 // Pin marks an object as non-evictable (e.g. while it is part of a running
 // invocation's minimum repository).
 func (s *Store) Pin(h core.Handle) {
-	key := canonical(h)
+	key := h.StorageKey()
 	if key.IsLiteral() {
 		return
 	}
@@ -370,7 +352,7 @@ func (s *Store) Pin(h core.Handle) {
 
 // Unpin releases a Pin.
 func (s *Store) Unpin(h core.Handle) {
-	key := canonical(h)
+	key := h.StorageKey()
 	if key.IsLiteral() {
 		return
 	}
@@ -388,7 +370,7 @@ func (s *Store) Unpin(h core.Handle) {
 // "computational garbage collection": deterministic products of known
 // dependencies may be deleted and recomputed on demand.
 func (s *Store) Evict(h core.Handle) bool {
-	key := canonical(h)
+	key := h.StorageKey()
 	if key.IsLiteral() {
 		return false
 	}
