@@ -3,6 +3,7 @@ package codelet
 import (
 	"encoding/binary"
 	"fmt"
+	"sync"
 
 	"fixgo/internal/core"
 )
@@ -96,17 +97,59 @@ func (p *Program) Run(api core.API, input core.Handle, gas uint64) (core.Handle,
 	if gas == 0 {
 		gas = DefaultGas
 	}
-	m := &machine{
-		prog:  p,
-		api:   api,
-		mem:   make([]byte, p.memSize),
-		slots: []core.Handle{input},
-		gas:   gas,
-	}
-	return m.run()
+	m := getMachine()
+	m.reset(p, api, input, gas)
+	h, err := m.run()
+	putMachine(m)
+	return h, err
 }
 
 var _ core.Procedure = (*Program)(nil)
+
+// Bounds of the machine pool: how many idle machines it keeps, and the
+// largest memory plus handle table, in bytes, it keeps for reuse.
+const (
+	maxIdleMachines = 64
+	maxPooledBytes  = 256 << 10
+)
+
+// idle holds machines between runs, last-in first-out like runtime.Go's
+// parked workers. A machine's memory, handle table and call stack are
+// reused, and reset makes a reused machine indistinguishable from a fresh
+// one. No machine is reachable from the API it calls: host calls pass
+// values, or views of memory the callee copies and does not keep. A
+// sync.Pool would do, except that it drops Puts at random under the race
+// detector, where the allocation pins run too.
+var idle struct {
+	sync.Mutex
+	machines []*machine
+}
+
+func getMachine() *machine {
+	idle.Lock()
+	var m *machine
+	if k := len(idle.machines); k > 0 {
+		m = idle.machines[k-1]
+		idle.machines = idle.machines[:k-1]
+	}
+	idle.Unlock()
+	if m == nil {
+		m = new(machine)
+	}
+	return m
+}
+
+func putMachine(m *machine) {
+	if cap(m.mem)+cap(m.slots)*core.HandleSize > maxPooledBytes {
+		return
+	}
+	m.prog, m.api = nil, nil // an idle machine pins no program or API
+	idle.Lock()
+	if len(idle.machines) < maxIdleMachines {
+		idle.machines = append(idle.machines, m)
+	}
+	idle.Unlock()
+}
 
 // machine is a single execution of a Program.
 type machine struct {
@@ -118,6 +161,22 @@ type machine struct {
 	stack []int
 	gas   uint64
 	pc    int
+}
+
+// reset readies m to run p from its entrypoint: zeroed memory of p's
+// size, zeroed registers, input alone in the handle table, an empty call
+// stack.
+func (m *machine) reset(p *Program, api core.API, input core.Handle, gas uint64) {
+	m.prog, m.api, m.gas, m.pc = p, api, gas, 0
+	if cap(m.mem) < p.memSize {
+		m.mem = make([]byte, p.memSize)
+	} else {
+		m.mem = m.mem[:p.memSize]
+		clear(m.mem)
+	}
+	m.reg = [numRegisters]uint64{}
+	m.slots = append(m.slots[:0], input)
+	m.stack = m.stack[:0]
 }
 
 func (m *machine) trap(format string, args ...any) error {
@@ -390,6 +449,9 @@ func (m *machine) host(fn byte) error {
 		return nil
 	case hostCreateTree:
 		count := m.reg[2]
+		if count > uint64(len(m.mem))/4 { // and count*4 cannot wrap
+			return m.trap("create_tree: %d entries exceed memory (size %d)", count, len(m.mem))
+		}
 		raw, err := m.memRange(m.reg[1], count*4)
 		if err != nil {
 			return err

@@ -382,3 +382,26 @@ func TestDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// TestCreateTreeHugeCountTraps: an entry count whose byte size wraps
+// around 64 bits traps as out of memory instead of reaching make.
+func TestCreateTreeHugeCountTraps(t *testing.T) {
+	src := `
+.memory 64
+    li   r1, 0
+    li   r2, 4611686018427387905   ; 2^62 + 1: times 4 wraps to 4
+    host create_tree
+    ret  r0
+`
+	bc, err := Assemble(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, _ := Load(bc)
+	_, api := testEnv(t)
+	_, err = prog.Apply(api, core.LiteralU64(0))
+	te, ok := err.(*TrapError)
+	if !ok || !strings.Contains(te.Reason, "exceed memory") {
+		t.Fatalf("want an exceed-memory trap, got %v", err)
+	}
+}

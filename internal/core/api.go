@@ -33,7 +33,9 @@ type API interface {
 	// AttachTree maps a TreeObject's entries, granting access to each
 	// entry (recursive mapping starts from the input Tree).
 	AttachTree(h Handle) ([]Handle, error)
-	// CreateBlob stores a new Blob built by the procedure.
+	// CreateBlob stores a new Blob built by the procedure. data is only
+	// lent for the call (a codelet passes a view of its reused memory):
+	// an implementation keeps a copy, never data itself.
 	CreateBlob(data []byte) Handle
 	// CreateTree stores a new Tree built by the procedure. Every entry
 	// must be a Handle the procedure holds.

@@ -16,27 +16,53 @@ import (
 //
 // An applyAPI is used by a single invocation on a single goroutine;
 // procedures run to completion without blocking, so no locking is needed.
+// It is made fresh for every invocation and never pooled: a procedure may
+// keep its API after it returns, and a shared one would let that procedure
+// see a later invocation's grants.
 type applyAPI struct {
-	e       *Engine
-	granted map[core.Handle]struct{}
+	e *Engine
+	// The first grants are kept inline and scanned; most invocations
+	// never hold more, so the API is one allocation.
+	few  [8]core.Handle
+	nfew int
+	more map[core.Handle]struct{}
 }
 
 func newApplyAPI(e *Engine, input core.Handle) *applyAPI {
-	a := &applyAPI{e: e, granted: make(map[core.Handle]struct{})}
+	a := &applyAPI{e: e}
 	a.grant(input)
 	return a
 }
 
-func (a *applyAPI) grant(h core.Handle) { a.granted[h] = struct{}{} }
+func (a *applyAPI) grant(h core.Handle) {
+	if a.isGranted(h) {
+		return
+	}
+	if a.nfew < len(a.few) {
+		a.few[a.nfew] = h
+		a.nfew++
+		return
+	}
+	if a.more == nil {
+		a.more = make(map[core.Handle]struct{})
+	}
+	a.more[h] = struct{}{}
+}
 
 // isGranted reports whether the procedure legitimately holds h. Literal
 // Blobs are always holdable: their contents live in the handle itself, so
 // a procedure can synthesize them anyway.
 func (a *applyAPI) isGranted(h core.Handle) bool {
-	if _, ok := a.granted[h]; ok {
+	if h.IsLiteral() && h.RefKind() == core.RefObject {
 		return true
 	}
-	return h.IsLiteral() && h.RefKind() == core.RefObject
+	for _, g := range a.few[:a.nfew] {
+		if g == h {
+			return true
+		}
+	}
+	_, ok := a.more[h]
+	return ok
 }
 
 func (a *applyAPI) require(h core.Handle) error {

@@ -127,27 +127,38 @@ func (e *Engine) eval(ctx context.Context, h core.Handle, depth int) (core.Handl
 	}
 }
 
-// claimFuture returns (fut, true) when the caller must compute the value
-// and complete fut, or (fut, false) when another goroutine already is.
+// claimFuture returns (nil, true) when the caller must compute the value
+// and then call completeFuture, or (fut, false) when another goroutine
+// already is. The leader's entry is a nil placeholder: the future and its
+// channel are made only when the first joiner arrives, so an evaluation
+// nobody joins allocates nothing here.
 func (e *Engine) claimFuture(k futKey) (*future, bool) {
 	e.futMu.Lock()
 	defer e.futMu.Unlock()
-	if f, ok := e.futures[k]; ok {
-		return f, false
+	f, ok := e.futures[k]
+	if !ok {
+		e.futures[k] = nil
+		return nil, true
 	}
-	f := &future{done: make(chan struct{})}
-	e.futures[k] = f
-	return f, true
+	if f == nil {
+		f = &future{done: make(chan struct{})}
+		e.futures[k] = f
+	}
+	return f, false
 }
 
-func (e *Engine) completeFuture(k futKey, f *future, res core.Handle, err error) {
-	f.res, f.err = res, err
-	close(f.done)
-	// Completed futures are removed; results live in the memo tables.
-	// Failed computations may thus be retried by later callers.
+// completeFuture ends the leader's claim on k and wakes its joiners, if
+// any arrived. Completed futures are removed; results live in the memo
+// tables, so failed computations may be retried by later callers.
+func (e *Engine) completeFuture(k futKey, res core.Handle, err error) {
 	e.futMu.Lock()
+	f := e.futures[k]
 	delete(e.futures, k)
 	e.futMu.Unlock()
+	if f != nil {
+		f.res, f.err = res, err
+		close(f.done)
+	}
 }
 
 func (f *future) wait(ctx context.Context) (core.Handle, error) {
@@ -175,7 +186,7 @@ func (e *Engine) force(ctx context.Context, enc core.Handle, depth int) (core.Ha
 	if err == nil {
 		e.st.SetEncodeResult(enc, res)
 	}
-	e.completeFuture(k, f, res, err)
+	e.completeFuture(k, res, err)
 	return res, err
 }
 
@@ -213,12 +224,14 @@ func (e *Engine) evalThunk(ctx context.Context, t core.Handle, depth int) (core.
 		return f.wait(ctx)
 	}
 	res, err := e.evalThunkSlow(ctx, t, depth)
-	e.completeFuture(k, f, res, err)
+	e.completeFuture(k, res, err)
 	return res, err
 }
 
 func (e *Engine) evalThunkSlow(ctx context.Context, t core.Handle, depth int) (core.Handle, error) {
-	var chain []core.Handle
+	// Most chains are one Thunk long; only a longer one reaches the heap.
+	var buf [4]core.Handle
+	chain := buf[:0]
 	r := t
 	for r.RefKind() == core.RefThunk {
 		if m, ok := e.st.ThunkResult(r); ok {
@@ -393,7 +406,10 @@ func (e *Engine) apply(ctx context.Context, t core.Handle, depth int) (core.Hand
 		return core.Handle{}, err
 	}
 
-	missing, pins, err := e.minimumRepository(input)
+	// The minimum-repository walk lives in this frame: a repository of up
+	// to eight objects is walked, pinned and unpinned without garbage.
+	var pinBuf [8]core.Handle
+	pins, missing, err := minimumRepository(e.st, make(map[core.Handle]struct{}), pinBuf[:0], nil, input)
 	if err != nil {
 		return core.Handle{}, err
 	}
@@ -450,7 +466,7 @@ func (e *Engine) apply(ctx context.Context, t core.Handle, depth int) (core.Hand
 // resolveEntries forces every Encode among the definition entries
 // (concurrently when there is more than one), leaving other entries as-is.
 // With no Encode to force it returns entries itself and forced=false.
-func (e *Engine) resolveEntries(ctx context.Context, entries []core.Handle, depth int) (resolved []core.Handle, forced bool, err error) {
+func (e *Engine) resolveEntries(ctx context.Context, entries []core.Handle, depth int) ([]core.Handle, bool, error) {
 	var idxs []int
 	for i, ent := range entries {
 		if ent.RefKind() == core.RefEncode {
@@ -463,15 +479,26 @@ func (e *Engine) resolveEntries(ctx context.Context, entries []core.Handle, dept
 	if len(idxs) == 0 {
 		return entries, false, nil
 	}
-	resolved = make([]core.Handle, len(entries))
+	resolved := make([]core.Handle, len(entries))
 	copy(resolved, entries)
+	var err error
 	if len(idxs) == 1 {
 		i := idxs[0]
-		if resolved[i], err = e.force(ctx, entries[i], depth+1); err != nil {
-			return nil, false, err
-		}
-		return resolved, true, nil
+		resolved[i], err = e.force(ctx, entries[i], depth+1)
+	} else {
+		err = e.forceEach(ctx, entries, resolved, idxs, depth)
 	}
+	if err != nil {
+		return nil, false, err
+	}
+	return resolved, true, nil
+}
+
+// forceEach forces entries[i] into resolved[i] for every i in idxs, one
+// fan-out branch each. It is a function of its own so that only an
+// invocation with several Encodes pays for the variables its closure
+// captures.
+func (e *Engine) forceEach(ctx context.Context, entries, resolved []core.Handle, idxs []int, depth int) error {
 	errs := make([]error, len(idxs))
 	fanOut(len(idxs), func(n int) {
 		i := idxs[n]
@@ -479,10 +506,10 @@ func (e *Engine) resolveEntries(ctx context.Context, entries []core.Handle, dept
 	})
 	for _, err := range errs {
 		if err != nil {
-			return nil, false, err
+			return err
 		}
 	}
-	return resolved, true, nil
+	return nil
 }
 
 func (e *Engine) invocationLimits(ctx context.Context, h core.Handle) (core.Limits, error) {
@@ -586,47 +613,40 @@ func (e *Engine) runProcedure(proc core.Procedure, input core.Handle, limits cor
 	return out, nil
 }
 
-// minimumRepository walks the accessible closure of the resolved input
-// Tree and returns the handles whose data must be resident before the
-// invocation may run (missing), plus all accessible handles to pin.
-func (e *Engine) minimumRepository(input core.Handle) (missing, pins []core.Handle, err error) {
-	seen := make(map[core.Handle]bool)
-	var walk func(h core.Handle) error
-	walk = func(h core.Handle) error {
-		h = h.AsObject()
-		if h.RefKind() != core.RefObject || h.IsLiteral() {
-			return nil
-		}
-		if seen[h] {
-			return nil
-		}
-		seen[h] = true
-		pins = append(pins, h)
-		if !e.st.Contains(h) {
-			missing = append(missing, h)
-			// A missing Tree's children cannot be walked yet; fetchAll
-			// re-walks after fetching.
-			return nil
-		}
-		if h.Kind() == core.KindTree {
-			children, err := e.st.Tree(h)
-			if err != nil {
-				return err
-			}
-			for _, c := range children {
-				if c.IsData() && c.RefKind() == core.RefObject {
-					if err := walk(c); err != nil {
-						return err
-					}
-				}
-			}
-		}
-		return nil
+// minimumRepository walks the accessible closure of h, an invocation's
+// resolved input Tree, skipping what seen already holds. It appends every
+// accessible object to pins, and those whose data must be resident before
+// the invocation may run to missing.
+func minimumRepository(st *store.Store, seen map[core.Handle]struct{}, pins, missing []core.Handle, h core.Handle) ([]core.Handle, []core.Handle, error) {
+	h = h.AsObject()
+	if h.RefKind() != core.RefObject || h.IsLiteral() {
+		return pins, missing, nil
 	}
-	if err := walk(input); err != nil {
+	if _, ok := seen[h]; ok {
+		return pins, missing, nil
+	}
+	seen[h] = struct{}{}
+	pins = append(pins, h)
+	if !st.Contains(h) {
+		// A missing Tree's children cannot be walked yet; fetchAll
+		// re-walks after fetching.
+		return pins, append(missing, h), nil
+	}
+	if h.Kind() != core.KindTree {
+		return pins, missing, nil
+	}
+	children, err := st.Tree(h)
+	if err != nil {
 		return nil, nil, err
 	}
-	return missing, pins, nil
+	for _, c := range children {
+		if c.IsData() && c.RefKind() == core.RefObject {
+			if pins, missing, err = minimumRepository(st, seen, pins, missing, c); err != nil {
+				return nil, nil, err
+			}
+		}
+	}
+	return pins, missing, nil
 }
 
 // fetchAll fetches missing objects concurrently, then re-walks fetched
@@ -723,7 +743,7 @@ func (e *Engine) strictify(ctx context.Context, h core.Handle, depth int) (core.
 		return f.wait(ctx)
 	}
 	res, err := e.strictifyTree(ctx, h, depth)
-	e.completeFuture(k, f, res, err)
+	e.completeFuture(k, res, err)
 	return res, err
 }
 

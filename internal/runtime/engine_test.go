@@ -728,3 +728,34 @@ func TestResourcesAccounting(t *testing.T) {
 		t.Fatal("expected capacity error")
 	}
 }
+
+// TestGrantsBeyondInlineHeld: a procedure holds every entry of a Tree
+// wider than the API's inline grants, and may return the last of them.
+func TestGrantsBeyondInlineHeld(t *testing.T) {
+	st := store.New()
+	args := make([]core.Handle, 12)
+	for i := range args {
+		args[i] = st.PutBlob(bytes.Repeat([]byte{byte(i)}, 40))
+	}
+	reg := NewRegistry()
+	reg.RegisterFunc("last", func(api core.API, input core.Handle) (core.Handle, error) {
+		entries, err := api.AttachTree(input)
+		if err != nil {
+			return core.Handle{}, err
+		}
+		for _, ent := range entries[2:] {
+			if _, err := api.AttachBlob(ent); err != nil {
+				return core.Handle{}, err
+			}
+		}
+		return entries[len(entries)-1], nil
+	})
+	e := New(st, Options{Cores: 1, Registry: reg})
+	got, err := e.Eval(context.Background(), appThunk(t, st, core.NativeFunctionBlob("last"), args...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != args[len(args)-1] {
+		t.Fatalf("eval = %v, want the last argument %v", got, args[len(args)-1])
+	}
+}

@@ -306,7 +306,9 @@ func TestPanicFailsOnlyItsInvocation(t *testing.T) {
 }
 
 // TestAllocsWarmEval pins the allocations of one warm add-codelet
-// invocation (ROADMAP item 2 Part D); tighten it when item 2 C1 lands.
+// invocation (ROADMAP item 2 Part D). What is left: the procedure's API
+// (never pooled, for isolation), AttachTree's defensive copy for each of
+// the two tree_child calls, and read_u64's copy of each literal argument.
 func TestAllocsWarmEval(t *testing.T) {
 	const runs = 200
 	st := store.New()
@@ -324,8 +326,33 @@ func TestAllocsWarmEval(t *testing.T) {
 		next++
 	}
 	eval() // load the program
-	if allocs := testing.AllocsPerRun(runs, eval); allocs > 17 {
-		t.Fatalf("one warm Engine.Eval allocates %v times, want ≤ 17", allocs)
+	if allocs := testing.AllocsPerRun(runs, eval); allocs > 6 {
+		t.Fatalf("one warm Engine.Eval allocates %v times, want ≤ 6", allocs)
+	}
+}
+
+// TestAllocsWarmEncode is TestAllocsWarmEval through a Strict Encode, the
+// shape of BenchmarkInvocation and fig7a: two single-flight claims (the
+// Encode's and its Thunk's) that nobody joins, so no future is made.
+func TestAllocsWarmEncode(t *testing.T) {
+	const runs = 200
+	st := store.New()
+	e := New(st, Options{Cores: 1})
+	encs := make([]core.Handle, runs+2)
+	for i := range encs {
+		encs[i] = strictApp(t, st, codelet.AddFunctionBlob(), core.LiteralU64(uint64(i)), core.LiteralU64(7))
+	}
+	ctx := context.Background()
+	next := 0
+	eval := func() {
+		if _, err := e.Eval(ctx, encs[next]); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}
+	eval() // load the program
+	if allocs := testing.AllocsPerRun(runs, eval); allocs > 6 {
+		t.Fatalf("one warm Engine.Eval of an Encode allocates %v times, want ≤ 6", allocs)
 	}
 }
 
