@@ -28,11 +28,15 @@ func EncodeTree(entries []Handle) []byte {
 
 // DecodeTree unpacks the canonical byte representation of a Tree. Every
 // entry is validated.
-func DecodeTree(data []byte) ([]Handle, error) {
+func DecodeTree(data []byte) ([]Handle, error) { return DecodeTreeCap(data, 0) }
+
+// DecodeTreeCap is DecodeTree into a slice with room for extra more
+// handles past the entries, for a caller that keeps them alongside.
+func DecodeTreeCap(data []byte, extra int) ([]Handle, error) {
 	if len(data)%HandleSize != 0 {
 		return nil, fmt.Errorf("core: tree encoding length %d not a multiple of %d", len(data), HandleSize)
 	}
-	entries := make([]Handle, len(data)/HandleSize)
+	entries := make([]Handle, len(data)/HandleSize, len(data)/HandleSize+extra)
 	for i := range entries {
 		copy(entries[i][:], data[i*HandleSize:])
 		if err := entries[i].Validate(); err != nil {

@@ -2,6 +2,8 @@ package runtime
 
 import (
 	"context"
+	goruntime "runtime"
+	"sync/atomic"
 	"testing"
 
 	"fixgo/internal/codelet"
@@ -38,6 +40,64 @@ func BenchmarkInvocation(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkInvocationParallel is invoke_hot's engine on every core: each
+// goroutine of RunParallel puts a fresh add-invocation tree and evaluates
+// its Application, all on one shared store and engine. Against
+// BenchmarkInvocationPrivate it prices what concurrent invocations share.
+func BenchmarkInvocationParallel(b *testing.B) { benchInvocationCores(b, true) }
+
+// BenchmarkInvocationPrivate is BenchmarkInvocationParallel with one store
+// and engine per goroutine: the ceiling, where invocations share nothing.
+func BenchmarkInvocationPrivate(b *testing.B) { benchInvocationCores(b, false) }
+
+func benchInvocationCores(b *testing.B, shared bool) {
+	type node struct {
+		st *store.Store
+		e  *Engine
+		fn core.Handle
+	}
+	newNode := func() node {
+		st := store.New()
+		return node{st, New(st, Options{}), st.PutBlob(codelet.AddFunctionBlob())}
+	}
+	// One node per goroutine RunParallel starts (parallelism 1), or one
+	// for all of them.
+	procs := goruntime.GOMAXPROCS(0)
+	nodes := make(chan node, procs)
+	one := newNode()
+	for range procs {
+		if !shared {
+			one = newNode()
+		}
+		nodes <- one
+	}
+	lim := core.DefaultLimits.Handle()
+	ctx := context.Background()
+	// Each goroutine counts its operands in its own range, so no shared
+	// counter is written per iteration.
+	var ranges atomic.Uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		n := <-nodes
+		a := ranges.Add(1) << 32
+		for pb.Next() {
+			a++
+			tree, err := n.st.PutTree(core.InvocationTree(lim, n.fn, core.LiteralU64(a), core.LiteralU64(7)))
+			if err != nil {
+				b.Error(err)
+				return
+			}
+			th, _ := core.Application(tree)
+			r, err := n.e.Eval(ctx, th)
+			if err != nil || r != core.LiteralU64(a+7) {
+				b.Errorf("add(%d, 7) = %v, %v", a, r, err)
+				return
+			}
+		}
+	})
 }
 
 // BenchmarkMemoizedHit is the ablation partner of BenchmarkInvocation:

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -29,13 +30,30 @@ type Engine struct {
 	stats *stats.Collector // CPU-state accounting
 	res   *resources
 
-	futMu   sync.Mutex
-	futures map[futKey]*future
+	// stripes hold what concurrent invocations would otherwise all write:
+	// the single-flight table and the in-flight count, split like the
+	// store by the first byte of the key. A stripe is made on first use.
+	stripes [engineStripes]atomic.Pointer[engineStripe]
 
+	// progs caches loaded FixVM programs by function Object Handle. It is
+	// read without a lock on every invocation and copied on write, under
+	// progMu, once per function.
 	progMu sync.Mutex
-	progs  map[core.Handle]*codelet.Program
+	progs  atomic.Pointer[map[core.Handle]*codelet.Program]
+}
 
+// engineStripes is a power of two, as in the store.
+const engineStripes = 32
+
+// engineStripe is one share of the engine's per-key state: the futures
+// of its keys, and how many invocations of its Thunks are in flight.
+// Padding makes it a 64-byte allocation of its own, so no two stripes
+// share a cache line. Its map is made on first claim.
+type engineStripe struct {
+	mu       sync.Mutex
+	futures  map[futKey]*future
 	inFlight atomic.Int64
+	_        [40]byte
 }
 
 type futKey struct {
@@ -57,12 +75,10 @@ func New(st *store.Store, opts Options) *Engine {
 		cpu = opts.OversubscribeCores
 	}
 	return &Engine{
-		st:      st,
-		opts:    opts,
-		stats:   stats.NewCollector(opts.Cores),
-		res:     newResources(cpu, opts.MemoryBytes),
-		futures: make(map[futKey]*future),
-		progs:   make(map[core.Handle]*codelet.Program),
+		st:    st,
+		opts:  opts,
+		stats: stats.NewCollector(opts.Cores),
+		res:   newResources(cpu, opts.MemoryBytes),
 	}
 }
 
@@ -77,7 +93,15 @@ func (e *Engine) Stats() *stats.Collector { return e.stats }
 // repository or running — a load signal for distributed schedulers. An
 // Application still waiting on its children holds no slot and is not
 // counted.
-func (e *Engine) InFlight() int64 { return e.inFlight.Load() }
+func (e *Engine) InFlight() int64 {
+	var n int64
+	for i := range e.stripes {
+		if es := e.stripes[i].Load(); es != nil {
+			n += es.inFlight.Load()
+		}
+	}
+	return n
+}
 
 // Eval evaluates a Fix object to a data Handle: data evaluates to itself,
 // Thunks are evaluated until the result is not a Thunk, and Encodes are
@@ -133,28 +157,43 @@ func (e *Engine) eval(ctx context.Context, h core.Handle, depth int) (core.Handl
 // channel are made only when the first joiner arrives, so an evaluation
 // nobody joins allocates nothing here.
 func (e *Engine) claimFuture(k futKey) (*future, bool) {
-	e.futMu.Lock()
-	defer e.futMu.Unlock()
-	f, ok := e.futures[k]
+	es := e.stripe(k.h)
+	es.mu.Lock()
+	defer es.mu.Unlock()
+	f, ok := es.futures[k]
 	if !ok {
-		e.futures[k] = nil
+		if es.futures == nil {
+			es.futures = make(map[futKey]*future)
+		}
+		es.futures[k] = nil
 		return nil, true
 	}
 	if f == nil {
 		f = &future{done: make(chan struct{})}
-		e.futures[k] = f
+		es.futures[k] = f
 	}
 	return f, false
+}
+
+// stripe returns the stripe of key h, making it on first use.
+func (e *Engine) stripe(h core.Handle) *engineStripe {
+	p := &e.stripes[h[0]&(engineStripes-1)]
+	if es := p.Load(); es != nil {
+		return es
+	}
+	p.CompareAndSwap(nil, new(engineStripe))
+	return p.Load()
 }
 
 // completeFuture ends the leader's claim on k and wakes its joiners, if
 // any arrived. Completed futures are removed; results live in the memo
 // tables, so failed computations may be retried by later callers.
 func (e *Engine) completeFuture(k futKey, res core.Handle, err error) {
-	e.futMu.Lock()
-	f := e.futures[k]
-	delete(e.futures, k)
-	e.futMu.Unlock()
+	es := e.stripe(k.h)
+	es.mu.Lock()
+	f := es.futures[k]
+	delete(es.futures, k)
+	es.mu.Unlock()
 	if f != nil {
 		f.res, f.err = res, err
 		close(f.done)
@@ -381,8 +420,9 @@ func (e *Engine) apply(ctx context.Context, t core.Handle, depth int) (core.Hand
 	}
 	// Only now is the invocation load: while its children ran it held no
 	// slot and only waited.
-	e.inFlight.Add(1)
-	defer e.inFlight.Add(-1)
+	inFlight := &e.stripe(t).inFlight
+	inFlight.Add(1)
+	defer inFlight.Add(-1)
 	// With nothing forced the definition is the input Tree: same entries,
 	// same handle, already resident. Re-putting it would only re-hash it.
 	input := def
@@ -410,17 +450,14 @@ func (e *Engine) apply(ctx context.Context, t core.Handle, depth int) (core.Hand
 	// to eight objects is walked, pinned and unpinned without garbage.
 	var pinBuf [8]core.Handle
 	pins, missing, err := minimumRepository(e.st, make(map[core.Handle]struct{}), pinBuf[:0], nil, input)
-	if err != nil {
-		return core.Handle{}, err
-	}
-	for _, p := range pins {
-		e.st.Pin(p)
-	}
 	defer func() {
 		for _, p := range pins {
 			e.st.Unpin(p)
 		}
 	}()
+	if err != nil {
+		return core.Handle{}, err
+	}
 
 	var runDur, fetchDur time.Duration
 
@@ -543,6 +580,15 @@ func (e *Engine) loadProcedure(ctx context.Context, fn core.Handle) (core.Proced
 	if name, ok := core.NativeFunctionName(fn.LiteralView()); ok {
 		return e.nativeProcedure(name)
 	}
+	// A loaded program is found without touching the function Blob, the
+	// one object every invocation of the function shares. The Blob stays
+	// in the minimum repository, which pins it and makes it resident.
+	key := fn.AsObject()
+	if progs := e.progs.Load(); progs != nil {
+		if prog, ok := (*progs)[key]; ok {
+			return prog, nil
+		}
+	}
 	if err := e.ensureLocal(ctx, fn); err != nil {
 		return nil, err
 	}
@@ -554,23 +600,27 @@ func (e *Engine) loadProcedure(ctx context.Context, fn core.Handle) (core.Proced
 		return e.nativeProcedure(name)
 	}
 	if bc, ok := core.VMBytecode(blob); ok {
-		key := fn.AsObject()
-		e.progMu.Lock()
-		prog, ok := e.progs[key]
-		e.progMu.Unlock()
-		if ok {
-			return prog, nil
+		prog, err := codelet.Load(bc)
+		if err != nil {
+			return nil, err
 		}
-		prog, lerr := codelet.Load(bc)
-		if lerr != nil {
-			return nil, lerr
-		}
-		e.progMu.Lock()
-		e.progs[key] = prog
-		e.progMu.Unlock()
+		e.cacheProgram(key, prog)
 		return prog, nil
 	}
 	return nil, fmt.Errorf("runtime: function blob has unknown format (%d bytes)", len(blob))
+}
+
+// cacheProgram adds prog to the program cache by copying it: programs are
+// loaded once per function and read on every invocation.
+func (e *Engine) cacheProgram(key core.Handle, prog *codelet.Program) {
+	e.progMu.Lock()
+	defer e.progMu.Unlock()
+	next := make(map[core.Handle]*codelet.Program)
+	if old := e.progs.Load(); old != nil {
+		maps.Copy(next, *old)
+	}
+	next[key] = prog
+	e.progs.Store(&next)
 }
 
 // nativeProcedure looks a native procedure up by its name's bytes. Errors
@@ -614,9 +664,10 @@ func (e *Engine) runProcedure(proc core.Procedure, input core.Handle, limits cor
 }
 
 // minimumRepository walks the accessible closure of h, an invocation's
-// resolved input Tree, skipping what seen already holds. It appends every
-// accessible object to pins, and those whose data must be resident before
-// the invocation may run to missing.
+// resolved input Tree, skipping what seen already holds. It pins every
+// accessible object as it reaches it and appends it to pins, and appends
+// those whose data must be resident before the invocation may run to
+// missing. The caller unpins pins, also when an error is returned.
 func minimumRepository(st *store.Store, seen map[core.Handle]struct{}, pins, missing []core.Handle, h core.Handle) ([]core.Handle, []core.Handle, error) {
 	h = h.AsObject()
 	if h.RefKind() != core.RefObject || h.IsLiteral() {
@@ -627,7 +678,7 @@ func minimumRepository(st *store.Store, seen map[core.Handle]struct{}, pins, mis
 	}
 	seen[h] = struct{}{}
 	pins = append(pins, h)
-	if !st.Contains(h) {
+	if !st.Pin(h) {
 		// A missing Tree's children cannot be walked yet; fetchAll
 		// re-walks after fetching.
 		return pins, append(missing, h), nil
@@ -637,12 +688,12 @@ func minimumRepository(st *store.Store, seen map[core.Handle]struct{}, pins, mis
 	}
 	children, err := st.Tree(h)
 	if err != nil {
-		return nil, nil, err
+		return pins, missing, err
 	}
 	for _, c := range children {
 		if c.IsData() && c.RefKind() == core.RefObject {
 			if pins, missing, err = minimumRepository(st, seen, pins, missing, c); err != nil {
-				return nil, nil, err
+				return pins, missing, err
 			}
 		}
 	}

@@ -21,10 +21,11 @@ import (
 // waitForJoiner returns once some evaluation has joined the in-flight
 // computation k.
 func waitForJoiner(e *Engine, k futKey) {
+	es := e.stripe(k.h)
 	for {
-		e.futMu.Lock()
-		f := e.futures[k]
-		e.futMu.Unlock()
+		es.mu.Lock()
+		f := es.futures[k]
+		es.mu.Unlock()
 		if f != nil {
 			return
 		}
@@ -33,9 +34,15 @@ func waitForJoiner(e *Engine, k futKey) {
 }
 
 func futuresLen(e *Engine) int {
-	e.futMu.Lock()
-	defer e.futMu.Unlock()
-	return len(e.futures)
+	n := 0
+	for i := range e.stripes {
+		if es := e.stripes[i].Load(); es != nil {
+			es.mu.Lock()
+			n += len(es.futures)
+			es.mu.Unlock()
+		}
+	}
+	return n
 }
 
 // gatedRegistry registers "gated": each call counts itself in runs, says

@@ -11,7 +11,9 @@ package runtime
 import (
 	"context"
 	"fmt"
+	"maps"
 	"sync"
+	"sync/atomic"
 
 	"fixgo/internal/core"
 )
@@ -84,21 +86,29 @@ func (o Options) withDefaults() Options {
 // Registry maps native procedure names to implementations. It is the
 // trusted complement of the FixVM toolchain: entries play the role of
 // codelets produced by other trusted toolchains.
+//
+// Procedures are registered at set-up and looked up on every invocation,
+// so lookups read the map without a lock and Register replaces it with a
+// copy.
 type Registry struct {
-	mu    sync.RWMutex
-	procs map[string]core.Procedure
+	mu    sync.Mutex // serializes Register
+	procs atomic.Pointer[map[string]core.Procedure]
 }
 
 // NewRegistry returns an empty Registry.
 func NewRegistry() *Registry {
-	return &Registry{procs: make(map[string]core.Procedure)}
+	r := &Registry{}
+	r.procs.Store(&map[string]core.Procedure{})
+	return r
 }
 
 // Register installs a procedure under name, replacing any previous entry.
 func (r *Registry) Register(name string, p core.Procedure) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.procs[name] = p
+	next := maps.Clone(*r.procs.Load())
+	next[name] = p
+	r.procs.Store(&next)
 }
 
 // RegisterFunc installs a function as a procedure.
@@ -114,9 +124,7 @@ func (r *Registry) Lookup(name string) (core.Procedure, error) {
 // lookup finds a procedure by a name still inside its function Blob:
 // indexing with string(name) copies nothing.
 func (r *Registry) lookup(name []byte) (core.Procedure, error) {
-	r.mu.RLock()
-	p, ok := r.procs[string(name)]
-	r.mu.RUnlock()
+	p, ok := (*r.procs.Load())[string(name)]
 	if !ok {
 		return nil, fmt.Errorf("runtime: no native procedure %q registered", string(name))
 	}
@@ -125,10 +133,9 @@ func (r *Registry) lookup(name []byte) (core.Procedure, error) {
 
 // Names lists registered procedure names (for diagnostics).
 func (r *Registry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.procs))
-	for n := range r.procs {
+	procs := *r.procs.Load()
+	out := make([]string, 0, len(procs))
+	for n := range procs {
 		out = append(out, n)
 	}
 	return out

@@ -396,6 +396,58 @@ func TestAcquireCancelledContext(t *testing.T) {
 	}
 }
 
+// TestAcquireContended: goroutines claim and release a node whose CPU
+// slots and RAM both run short, some under contexts that expire while
+// they wait. No claim takes more than the node has, every release reaches
+// the waiters (the run finishes), and nothing is left claimed.
+func TestAcquireContended(t *testing.T) {
+	const cpuCap, memCap = 2, 100
+	r := newResources(cpuCap, memCap)
+	var cpuHeld, memHeld atomic.Int64
+	var wg sync.WaitGroup
+	for g := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 300 {
+				mem := uint64(20 + (g*7+i)%50) // sometimes two fit, sometimes one
+				ctx, cancel := context.WithCancel(context.Background())
+				if i%10 == 0 {
+					ctx, cancel = context.WithTimeout(ctx, time.Microsecond)
+				}
+				err := r.acquire(ctx, 1, mem)
+				cancel()
+				if err != nil {
+					if !errors.Is(err, context.DeadlineExceeded) {
+						t.Error(err)
+					}
+					continue
+				}
+				if n := cpuHeld.Add(1); n > cpuCap {
+					t.Errorf("%d slots claimed of %d", n, cpuCap)
+				}
+				if n := memHeld.Add(int64(mem)); n > memCap {
+					t.Errorf("%d bytes claimed of %d", n, memCap)
+				}
+				goruntime.Gosched()
+				cpuHeld.Add(-1)
+				memHeld.Add(-int64(mem))
+				r.release(1, mem)
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("acquires still waiting 30 s on: a release did not wake them")
+	}
+	if cpu, mem := r.inUse(); cpu != 0 || mem != 0 {
+		t.Fatalf("%d cores / %d B still claimed after every release", cpu, mem)
+	}
+}
+
 // TestAllocsGoHandoff: handing work to a parked worker allocates nothing
 // (the caller's closure aside, and this one captures nothing new).
 func TestAllocsGoHandoff(t *testing.T) {

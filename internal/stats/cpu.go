@@ -6,19 +6,20 @@ package stats
 
 import (
 	"fmt"
-	"sync"
+	"sync/atomic"
 	"time"
 )
 
 // Collector accumulates core-time by state for a node with a fixed number
-// of logical cores. It is safe for concurrent use.
+// of logical cores. It is safe for concurrent use and takes no lock: each
+// counter is an atomic, so a Usage taken while work is being added may
+// see one counter of an invocation before another.
 type Collector struct {
-	mu     sync.Mutex
 	cores  int
-	user   time.Duration
-	system time.Duration
-	iowait time.Duration
-	tasks  uint64
+	user   atomic.Int64 // nanoseconds, as every duration below
+	system atomic.Int64
+	iowait atomic.Int64
+	tasks  atomic.Uint64
 }
 
 // NewCollector returns a Collector for a node with the given core count.
@@ -33,40 +34,25 @@ func NewCollector(cores int) *Collector {
 func (c *Collector) Cores() int { return c.cores }
 
 // AddUser records core-time spent running user code.
-func (c *Collector) AddUser(d time.Duration) {
-	c.mu.Lock()
-	c.user += d
-	c.mu.Unlock()
-}
+func (c *Collector) AddUser(d time.Duration) { c.user.Add(int64(d)) }
 
 // AddSystem records core-time spent in runtime bookkeeping (dependency
 // resolution, scheduling, storage).
-func (c *Collector) AddSystem(d time.Duration) {
-	c.mu.Lock()
-	c.system += d
-	c.mu.Unlock()
-}
+func (c *Collector) AddSystem(d time.Duration) { c.system.Add(int64(d)) }
 
 // AddIOWait records core-time during which a claimed CPU slot sat idle
 // waiting for I/O — the starvation the paper's design eliminates.
-func (c *Collector) AddIOWait(d time.Duration) {
-	c.mu.Lock()
-	c.iowait += d
-	c.mu.Unlock()
-}
+func (c *Collector) AddIOWait(d time.Duration) { c.iowait.Add(int64(d)) }
 
 // AddTask counts a completed task (for throughput reporting).
-func (c *Collector) AddTask() {
-	c.mu.Lock()
-	c.tasks++
-	c.mu.Unlock()
-}
+func (c *Collector) AddTask() { c.tasks.Add(1) }
 
 // Reset zeroes all counters.
 func (c *Collector) Reset() {
-	c.mu.Lock()
-	c.user, c.system, c.iowait, c.tasks = 0, 0, 0, 0
-	c.mu.Unlock()
+	c.user.Store(0)
+	c.system.Store(0)
+	c.iowait.Store(0)
+	c.tasks.Store(0)
 }
 
 // Usage is a snapshot of accumulated core-time against a wall-clock
@@ -84,22 +70,16 @@ type Usage struct {
 // Usage computes the Usage for a run that took wall time. Idle is the
 // remainder of total core-time not attributed to user/system/iowait.
 func (c *Collector) Usage(wall time.Duration) Usage {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	total := wall * time.Duration(c.cores)
-	idle := total - c.user - c.system - c.iowait
-	if idle < 0 {
-		idle = 0
-	}
-	return Usage{
+	u := Usage{
 		Cores:  c.cores,
 		Wall:   wall,
-		User:   c.user,
-		System: c.system,
-		IOWait: c.iowait,
-		Idle:   idle,
-		Tasks:  c.tasks,
+		User:   time.Duration(c.user.Load()),
+		System: time.Duration(c.system.Load()),
+		IOWait: time.Duration(c.iowait.Load()),
+		Tasks:  c.tasks.Load(),
 	}
+	u.Idle = max(wall*time.Duration(c.cores)-u.User-u.System-u.IOWait, 0)
+	return u
 }
 
 // Merge combines per-node usages into a cluster-wide total (wall time is
