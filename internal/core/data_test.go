@@ -117,7 +117,8 @@ func TestLiteralViewInPlace(t *testing.T) {
 }
 
 // TestAllocsHandles pins hashing (ROADMAP 2 Part D): a Tree is hashed
-// where it lies and the digest sums on the stack.
+// where it lies and the digest sums on the stack. A Handle's text form
+// appends into the caller's buffer.
 func TestAllocsHandles(t *testing.T) {
 	entries := make([]Handle, 16)
 	for i := range entries {
@@ -125,11 +126,13 @@ func TestAllocsHandles(t *testing.T) {
 	}
 	blob := bytes.Repeat([]byte{7}, 4096)
 	lim := DefaultLimits.Handle()
+	text := make([]byte, 0, 2*HandleSize)
 	for name, f := range map[string]func(){
 		"TreeHandle":         func() { sinkHandle = TreeHandle(entries) },
 		"BlobHandle":         func() { sinkHandle = BlobHandle(blob) },
 		"LiteralView":        func() { _, _ = DecodeLimits(lim.LiteralView()) },
 		"NativeFunctionName": func() { _, _ = NativeFunctionName(blob) },
+		"AppendHandle":       func() { text = AppendHandle(text[:0], lim) },
 	} {
 		if allocs := testing.AllocsPerRun(100, f); allocs != 0 {
 			t.Errorf("%s allocates %v times, want 0", name, allocs)

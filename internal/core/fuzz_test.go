@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -48,7 +49,9 @@ func FuzzDecodeTree(f *testing.F) {
 
 // FuzzParseHandle: ParseHandle never panics, accepts nothing Validate
 // rejects, and on accepted input is the inverse of FormatHandle both ways,
-// so a Handle has exactly one text form.
+// so a Handle has exactly one text form. ParseHandleBytes agrees with it
+// on every input, errors included, and AppendHandle writes FormatHandle's
+// digits.
 func FuzzParseHandle(f *testing.F) {
 	tree := TreeHandle([]Handle{LiteralU64(1)})
 	thunk, _ := Application(tree)
@@ -63,8 +66,15 @@ func FuzzParseHandle(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, s string) {
 		h, err := ParseHandle(s)
+		hb, errb := ParseHandleBytes([]byte(s))
+		if hb != h || fmt.Sprint(errb) != fmt.Sprint(err) {
+			t.Fatalf("ParseHandleBytes(%q) = %v, %v; ParseHandle = %v, %v", s, hb, errb, h, err)
+		}
 		if err != nil {
 			return
+		}
+		if got := string(AppendHandle([]byte("x"), h)); got != "x"+s {
+			t.Fatalf("AppendHandle(%v) = %q", h, got)
 		}
 		if err := h.Validate(); err != nil {
 			t.Fatalf("ParseHandle(%q) accepted a handle Validate rejects: %v", s, err)

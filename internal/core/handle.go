@@ -531,15 +531,27 @@ func (h Handle) String() string {
 // its packed bytes. Journals, HTTP bodies and object file names all use it.
 func FormatHandle(h Handle) string {
 	var buf [2 * HandleSize]byte
-	hex.Encode(buf[:], h[:])
-	return string(buf[:])
+	return string(AppendHandle(buf[:0], h))
+}
+
+// AppendHandle appends h's text form (FormatHandle's 64 digits) to dst.
+// It allocates only when dst must grow, so an encoder framing a Handle
+// into a reused buffer pays nothing for it.
+func AppendHandle(dst []byte, h Handle) []byte {
+	return hex.AppendEncode(dst, h[:])
 }
 
 // ParseHandle reads the text form FormatHandle writes: exactly 64
 // lowercase hex digits naming a Handle that passes Validate. Every Handle
 // that arrives as text, from a request, a journal or a file name, goes
-// through it.
-func ParseHandle(s string) (Handle, error) {
+// through it or through ParseHandleBytes.
+func ParseHandle(s string) (Handle, error) { return parseHandle(s) }
+
+// ParseHandleBytes is ParseHandle over bytes, for a decoder reading a
+// Handle in place from a request body: same rule, same errors, no copy.
+func ParseHandleBytes(b []byte) (Handle, error) { return parseHandle(b) }
+
+func parseHandle[T string | []byte](s T) (Handle, error) {
 	var h Handle
 	if len(s) != 2*HandleSize {
 		return Handle{}, fmt.Errorf("core: handle must be %d hex digits, got %d", 2*HandleSize, len(s))

@@ -105,6 +105,15 @@ func (a *admission) AcquireWait(ctx context.Context) error {
 	}
 }
 
+// acquire claims a slot with AcquireWait when wait is set, with Acquire
+// otherwise.
+func (a *admission) acquire(ctx context.Context, wait bool) error {
+	if wait {
+		return a.AcquireWait(ctx)
+	}
+	return a.Acquire(ctx)
+}
+
 // Release returns a slot claimed by Acquire or AcquireWait.
 func (a *admission) Release() { <-a.slots }
 

@@ -62,8 +62,12 @@ func jobReply(v jobs.Job) JobStatusReply {
 }
 
 // wantsAsync reports whether a /v1/jobs submission asked for the
-// asynchronous lifecycle (?mode=async or Prefer: respond-async).
+// asynchronous lifecycle (?mode=async or Prefer: respond-async). A sync
+// submission has neither a query nor the header, and costs nothing here.
 func wantsAsync(r *http.Request) bool {
+	if r.URL.RawQuery == "" && len(r.Header["Prefer"]) == 0 {
+		return false
+	}
 	if r.URL.Query().Get("mode") == "async" {
 		return true
 	}
@@ -77,8 +81,8 @@ func wantsAsync(r *http.Request) bool {
 
 // handleSubmitAsync enqueues a submission into the job queue and replies
 // 202 Accepted immediately with the job's snapshot and Location.
-func (s *Server) handleSubmitAsync(w http.ResponseWriter, r *http.Request, t *tenantCounters, req JobRequest) {
-	h, err := parseHandle(req.Handle)
+func (s *Server) handleSubmitAsync(w http.ResponseWriter, r *http.Request, t *tenantCounters, handle []byte) {
+	h, err := parseHandleBytes(handle)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, err)
 		return

@@ -55,7 +55,7 @@ var errEmptyBatch = errors.New("gateway: batch has no items")
 func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 	t := s.tenant(r)
 	var req BatchRequest
-	if err := s.decodeJSON(w, r, &req); err != nil {
+	if !s.decodeJSON(w, r, &req) {
 		return
 	}
 	n := len(req.Items)

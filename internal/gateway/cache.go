@@ -168,10 +168,8 @@ func (c *resultCache) reserve(k core.Handle) reservation {
 	s := c.shardFor(k)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if el, ok := s.entries[k]; ok {
-		s.ll.MoveToFront(el)
-		s.hits++
-		return reservation{result: el.Value.(*cacheEntry).result, outcome: OutcomeHit}
+	if res, ok := s.hitLocked(k); ok {
+		return reservation{result: res, outcome: OutcomeHit}
 	}
 	if f, ok := s.inflight[k]; ok {
 		s.collapsed++
@@ -181,6 +179,27 @@ func (c *resultCache) reserve(k core.Handle) reservation {
 	s.inflight[k] = f
 	s.misses++
 	return reservation{outcome: OutcomeMiss, f: f, leader: true}
+}
+
+// hit returns k's cached result, counted as a hit. A miss is not
+// counted: the caller goes on to Do, which counts whatever the
+// submission turns out to be.
+func (c *resultCache) hit(k core.Handle) (core.Handle, bool) {
+	s := c.shardFor(k)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.hitLocked(k)
+}
+
+// hitLocked is hit on a locked shard.
+func (s *cacheShard) hitLocked(k core.Handle) (core.Handle, bool) {
+	el, ok := s.entries[k]
+	if !ok {
+		return core.Handle{}, false
+	}
+	s.ll.MoveToFront(el)
+	s.hits++
+	return el.Value.(*cacheEntry).result, true
 }
 
 // publish completes a flight reserve registered: the result is inserted

@@ -20,10 +20,12 @@ const DefaultMaxBlobBytes = 64 << 20
 
 // Client is the Go SDK for a gateway's HTTP API.
 type Client struct {
-	base     string
-	tenant   string
-	maxBytes int64
-	hc       *http.Client
+	base      string
+	jobsURL   string // base + "/v1/jobs", the route every Submit takes
+	tenant    string
+	tenantHdr []string // the X-Fix-Tenant value every request shares
+	maxBytes  int64
+	hc        *http.Client
 }
 
 // ClientOption customizes a Client.
@@ -55,11 +57,15 @@ func WithMaxBlobBytes(n int64) ClientOption {
 func NewClient(base string, opts ...ClientOption) *Client {
 	c := &Client{
 		base:     base,
+		jobsURL:  base + "/v1/jobs",
 		maxBytes: DefaultMaxBlobBytes,
 		hc:       &http.Client{Timeout: 5 * time.Minute},
 	}
 	for _, o := range opts {
 		o(c)
+	}
+	if c.tenant != "" {
+		c.tenantHdr = []string{c.tenant}
 	}
 	return c
 }
@@ -111,28 +117,34 @@ func IsUnavailable(err error) bool {
 	return ok && se.Code == http.StatusServiceUnavailable
 }
 
+// octetStreamContentType is PutBlob's Content-Type header value.
+var octetStreamContentType = []string{"application/octet-stream"}
+
 // PutBlob uploads a Blob and returns its Handle.
 func (c *Client) PutBlob(ctx context.Context, data []byte) (core.Handle, error) {
-	var reply HandleReply
-	if err := c.do(ctx, http.MethodPost, "/v1/blobs", "application/octet-stream", data, &reply); err != nil {
-		return core.Handle{}, err
-	}
-	return parseHandle(reply.Handle)
+	return c.postHandle(ctx, c.base+"/v1/blobs", octetStreamContentType, data)
 }
 
 // PutTree uploads a Tree and returns its Handle.
 func (c *Client) PutTree(ctx context.Context, entries []core.Handle) (core.Handle, error) {
-	req := TreeRequest{Entries: make([]string, len(entries))}
-	for i, e := range entries {
-		req.Entries[i] = core.FormatHandle(e)
-	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		return core.Handle{}, err
-	}
-	var reply HandleReply
-	if err := c.do(ctx, http.MethodPost, "/v1/trees", "application/json", body, &reply); err != nil {
-		return core.Handle{}, err
+	body := make([]byte, 0, len(`{"entries":[]}`)+len(entries)*(2*core.HandleSize+3))
+	return c.postHandle(ctx, c.base+"/v1/trees", jsonContentType, appendTreeRequest(body, entries))
+}
+
+// postHandle posts body and reads the HandleReply that answers it.
+func (c *Client) postHandle(ctx context.Context, url string, contentType []string, body []byte) (core.Handle, error) {
+	var h core.Handle
+	reply, err := post[HandleReply](ctx, c, url, contentType, body, func(b []byte) error {
+		text, ok := readHandleReply(b)
+		if !ok {
+			return errNotFramed
+		}
+		var err error
+		h, err = parseHandleBytes(text)
+		return err
+	})
+	if err != nil || reply == nil {
+		return h, err
 	}
 	return parseHandle(reply.Handle)
 }
@@ -155,21 +167,32 @@ func (c *Client) SubmitFetch(ctx context.Context, h core.Handle) (JobResult, err
 	return c.submit(ctx, h, true)
 }
 
+// jobRequestCap holds any JobRequest appendJobRequest writes.
+const jobRequestCap = len(`{"handle":"","include_data":true}`) + 2*core.HandleSize
+
 func (c *Client) submit(ctx context.Context, h core.Handle, includeData bool) (JobResult, error) {
-	body, err := json.Marshal(JobRequest{Handle: core.FormatHandle(h), IncludeData: includeData})
-	if err != nil {
-		return JobResult{}, err
+	var res JobResult
+	body := appendJobRequest(make([]byte, 0, jobRequestCap), h, includeData)
+	reply, err := post[JobReply](ctx, c, c.jobsURL, jsonContentType, body, func(b []byte) error {
+		v, ok := readJobReply(b)
+		if !ok {
+			return errNotFramed
+		}
+		r, err := parseHandleBytes(v.result)
+		if err == nil {
+			res = JobResult{Result: r, Outcome: outcomeOf(v.outcome), Elapsed: time.Duration(v.elapsedNS), Data: v.data}
+		}
+		return err
+	})
+	if err != nil || reply == nil {
+		return res, err
 	}
-	var reply JobReply
-	if err := c.do(ctx, http.MethodPost, "/v1/jobs", "application/json", body, &reply); err != nil {
-		return JobResult{}, err
-	}
-	res, err := parseHandle(reply.Result)
+	r, err := parseHandle(reply.Result)
 	if err != nil {
 		return JobResult{}, err
 	}
 	return JobResult{
-		Result:  res,
+		Result:  r,
 		Outcome: CacheOutcome(reply.Outcome),
 		Elapsed: time.Duration(reply.ElapsedNS),
 		Data:    reply.Data,
@@ -200,7 +223,7 @@ func (c *Client) SubmitBatch(ctx context.Context, hs []core.Handle) ([]BatchResu
 		return nil, err
 	}
 	var reply BatchReply
-	if err := c.do(ctx, http.MethodPost, "/v1/jobs:batch", "application/json", body, &reply); err != nil {
+	if err := c.do(ctx, http.MethodPost, c.base+"/v1/jobs:batch", body, &reply); err != nil {
 		return nil, err
 	}
 	if len(reply.Items) != len(hs) {
@@ -264,28 +287,81 @@ func (c *Client) Stats(ctx context.Context) (Stats, error) {
 	return st, c.get(ctx, "/v1/stats", &st)
 }
 
-func (c *Client) do(ctx context.Context, method, path, contentType string, body []byte, out any) error {
-	req, err := http.NewRequestWithContext(ctx, method, c.base+path, bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", contentType)
-	c.stamp(req)
-	resp, err := c.hc.Do(req)
+// do sends a JSON body to url and decodes the 2xx JSON reply into out.
+func (c *Client) do(ctx context.Context, method, url string, body []byte, out any) error {
+	resp, err := c.send(ctx, method, url, jsonContentType, body)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	// 200 for completed work, 202 for an accepted async submission.
-	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		return decodeError(resp)
-	}
 	return json.NewDecoder(resp.Body).Decode(out)
 }
 
+// send makes one request. A reply outside 2xx (200 for completed work,
+// 202 for an accepted async submission) comes back as a *StatusError.
+func (c *Client) send(ctx context.Context, method, url string, contentType []string, body []byte) (*http.Response, error) {
+	req, err := http.NewRequestWithContext(ctx, method, url, bytes.NewReader(body))
+	if err != nil {
+		return nil, err
+	}
+	req.Header["Content-Type"] = contentType
+	c.stamp(req)
+	resp, err := c.hc.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode < 200 || resp.StatusCode > 299 {
+		defer resp.Body.Close()
+		return nil, decodeError(resp)
+	}
+	return resp, nil
+}
+
+// maxFramedReply bounds the reply post reads whole into a pooled buffer;
+// a longer reply, or one of undeclared length, streams through
+// encoding/json as before.
+const maxFramedReply = 64 << 10
+
+// errNotFramed is what a post reader returns for a body that is not in
+// its shape's hand-framed form.
+var errNotFramed = errors.New("gateway: reply not hand-framed")
+
+// post sends body to url and decodes a reply of shape T, which has a
+// hand-framed reader (wire.go). A reply of at most maxFramedReply
+// declared bytes is read into a pooled buffer and handed to read, which
+// decodes it in place and must not keep b. When read returns
+// errNotFramed, or the reply was not read whole, encoding/json decodes
+// it into the returned *T instead; it is nil when read's result stands.
+func post[T any](ctx context.Context, c *Client, url string, contentType []string, body []byte, read func(b []byte) error) (*T, error) {
+	resp, err := c.send(ctx, http.MethodPost, url, contentType, body)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	var dec *json.Decoder
+	if resp.ContentLength < 0 || resp.ContentLength > maxFramedReply {
+		dec = json.NewDecoder(resp.Body)
+	} else {
+		buf := getBuf()
+		defer putBuf(buf)
+		if _, err := buf.ReadFrom(resp.Body); err != nil {
+			return nil, err
+		}
+		if err := read(buf.Bytes()); err != errNotFramed {
+			return nil, err
+		}
+		dec = json.NewDecoder(buf)
+	}
+	out := new(T)
+	if err := dec.Decode(out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
 func (c *Client) stamp(req *http.Request) {
-	if c.tenant != "" {
-		req.Header.Set(TenantHeader, c.tenant)
+	if c.tenantHdr != nil {
+		req.Header[TenantHeader] = c.tenantHdr
 	}
 }
 

@@ -74,12 +74,9 @@ func parseJobStatus(r JobStatusReply) (JobStatus, error) {
 // onto the existing job when the same (tenant, handle) is already
 // pending, running, or done.
 func (c *Client) SubmitAsync(ctx context.Context, h core.Handle) (JobStatus, error) {
-	body, err := json.Marshal(JobRequest{Handle: core.FormatHandle(h)})
-	if err != nil {
-		return JobStatus{}, err
-	}
+	body := appendJobRequest(make([]byte, 0, jobRequestCap), h, false)
 	var reply JobStatusReply
-	if err := c.do(ctx, http.MethodPost, "/v1/jobs?mode=async", "application/json", body, &reply); err != nil {
+	if err := c.do(ctx, http.MethodPost, c.jobsURL+"?mode=async", body, &reply); err != nil {
 		return JobStatus{}, err
 	}
 	return parseJobStatus(reply)

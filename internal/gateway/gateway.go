@@ -95,7 +95,15 @@ func (b *EngineBackend) ObjectBytes(ctx context.Context, h core.Handle) ([]byte,
 // core's checks but names nothing a client uploaded or a job returned, so
 // the API refuses it in requests and replies alike.
 func parseHandle(s string) (core.Handle, error) {
-	h, err := core.ParseHandle(s)
+	return checkHandle(core.ParseHandle(s))
+}
+
+// parseHandleBytes is parseHandle over text read in place from a body.
+func parseHandleBytes(b []byte) (core.Handle, error) {
+	return checkHandle(core.ParseHandleBytes(b))
+}
+
+func checkHandle(h core.Handle, err error) (core.Handle, error) {
 	if err == nil && h.IsZero() {
 		err = errors.New("zero handle")
 	}

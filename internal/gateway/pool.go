@@ -6,15 +6,17 @@ import (
 )
 
 // The gateway's request hot paths — JSON encode on every reply, JSON
-// decode scratch on /v1/jobs and /v1/jobs:batch, body slurp on /v1/blobs
-// — churn through short-lived byte buffers. Pooling them (the snippet-3
+// decode scratch on /v1/jobs, /v1/trees and /v1/jobs:batch, body slurp
+// on /v1/blobs, and the SDK's read of a hand-framed reply — churn
+// through short-lived byte buffers. Pooling them (the snippet-3
 // yggdrasil idiom) turns those per-request allocations into reuse of a
 // few warm buffers per P.
 //
 // The safety contract is strict: a pooled buffer's bytes must never
 // escape to a caller that can read them after putBuf. Handlers therefore
-// either copy out (handlePutBlob hands the backend an exact-size copy)
-// or fully drain the buffer into the ResponseWriter before returning it.
+// either copy out (handlePutBlob hands the backend an exact-size copy,
+// a handle read in place is parsed into a Handle) or fully drain the
+// buffer into the ResponseWriter before returning it.
 
 // maxPooledBuf caps the capacity a returned buffer may retain. A single
 // 64 MiB blob upload must not pin 64 MiB in the pool forever; oversized

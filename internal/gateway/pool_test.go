@@ -86,9 +86,9 @@ func TestPoolDropsOversizeBuffers(t *testing.T) {
 // TestPoolAllocsPerRequest pins the hot path's allocation budget: a
 // cache-hit /v1/jobs submission served straight from the handler (no
 // network, no backend) must stay under a fixed allocations-per-request
-// ceiling. Pooling the JSON decode scratch and reply encode buffer is
-// what keeps this low; a regression that re-introduces per-request
-// buffer churn trips the bound.
+// ceiling. Pooling the body and reply buffers, framing the JSON by hand
+// and a two-allocation trace are what keep this low; a regression that
+// re-introduces per-request buffer or encoder churn trips the bound.
 func TestPoolAllocsPerRequest(t *testing.T) {
 	srv, err := NewServer(Options{Backend: &fatalBackend{t: t}, CacheEntries: 16})
 	if err != nil {
@@ -121,11 +121,15 @@ func TestPoolAllocsPerRequest(t *testing.T) {
 
 	allocs := testing.AllocsPerRun(300, do)
 	t.Logf("cache-hit /v1/jobs: %.1f allocs/request", allocs)
-	// The fixture itself (NewRequest, NewRecorder, header maps) costs
-	// ~25; the ceiling leaves the handler roughly another 75 and fails
-	// loudly if pooling regresses into per-request buffer churn.
-	if allocs > 100 {
-		t.Errorf("cache-hit submission costs %.1f allocs/request, want ≤ 100", allocs)
+	// It reads 24: the fixture (NewRequest, NewRecorder and their header
+	// maps) about 14, the handler 10 (ARCHITECTURE.md, "What one warm
+	// gateway hit allocates"). A -race build reads 27.
+	limit := 26.0
+	if raceEnabled {
+		limit = 29
+	}
+	if allocs > limit {
+		t.Errorf("cache-hit submission costs %.1f allocs/request, want ≤ %v", allocs, limit)
 	}
 }
 

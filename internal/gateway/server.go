@@ -1,6 +1,7 @@
 package gateway
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -243,7 +244,7 @@ func NewServer(opts Options) (*Server, error) {
 			// sync handlers use, so async jobs share the result cache,
 			// single-flight collapsing, and admission bounds.
 			Eval: func(ctx context.Context, h core.Handle) (core.Handle, error) {
-				res, _, err := s.evaluate(ctx, h, s.adm.AcquireWait)
+				res, _, err := s.evaluate(ctx, h, true)
 				return res, err
 			},
 			// Async traces are anchored at enqueue, so the queue wait —
@@ -492,7 +493,7 @@ func (s *Server) handlePutBlob(w http.ResponseWriter, r *http.Request) {
 		h = s.opts.Backend.PutBlob(data)
 	}
 	t.uploads.Add(1)
-	s.reply(w, http.StatusOK, HandleReply{Handle: core.FormatHandle(h)})
+	replyHandle(w, h)
 }
 
 func (s *Server) handleGetBlob(w http.ResponseWriter, r *http.Request) {
@@ -512,18 +513,15 @@ func (s *Server) handleGetBlob(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handlePutTree(w http.ResponseWriter, r *http.Request) {
 	t := s.tenant(r)
-	var req TreeRequest
-	if err := s.decodeJSON(w, r, &req); err != nil {
+	body, ok := s.readJSON(w, r)
+	if !ok {
 		return
 	}
-	entries := make([]core.Handle, len(req.Entries))
-	for i, e := range req.Entries {
-		h, err := parseHandle(e)
-		if err != nil {
-			s.fail(w, http.StatusBadRequest, fmt.Errorf("entry %d: %w", i, err))
-			return
-		}
-		entries[i] = h
+	entries, err := decodeTreeRequest(body.Bytes())
+	putBuf(body)
+	if err != nil {
+		s.fail(w, http.StatusBadRequest, err)
+		return
 	}
 	h, err := s.opts.Backend.PutTree(entries)
 	if err != nil {
@@ -531,23 +529,60 @@ func (s *Server) handlePutTree(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	t.uploads.Add(1)
-	s.reply(w, http.StatusOK, HandleReply{Handle: core.FormatHandle(h)})
+	replyHandle(w, h)
 }
 
-// decodeJSON decodes a bounded JSON request body, writing the error reply
-// (413 for an oversized body, 400 otherwise) itself. The body is slurped
-// into a pooled scratch buffer before the one-shot Unmarshal, so the
-// decode path's transient allocations amortize across requests.
-func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
+// decodeTreeRequest reads a TreeRequest body into its entry Handles: in
+// place when it is in appendTreeRequest's form, through encoding/json
+// otherwise. An error reads as the reply's message.
+func decodeTreeRequest(b []byte) ([]core.Handle, error) {
+	var views [8][]byte
+	texts, ok := readTreeRequest(b, views[:0])
+	if !ok {
+		var req TreeRequest
+		if err := json.Unmarshal(b, &req); err != nil {
+			return nil, fmt.Errorf("decode request: %w", err)
+		}
+		texts = texts[:0]
+		for _, e := range req.Entries {
+			texts = append(texts, []byte(e))
+		}
+	}
+	entries := make([]core.Handle, len(texts))
+	for i, e := range texts {
+		h, err := parseHandleBytes(e)
+		if err != nil {
+			return nil, fmt.Errorf("entry %d: %w", i, err)
+		}
+		entries[i] = h
+	}
+	return entries, nil
+}
+
+// decodeJobRequest reads a JobRequest body: in place when it is in
+// appendJobRequest's form (handle then aliases b), through encoding/json
+// otherwise. An error reads as the reply's message.
+func decodeJobRequest(b []byte) (handle []byte, includeData bool, err error) {
+	if handle, includeData, ok := readJobRequest(b); ok {
+		return handle, includeData, nil
+	}
+	var req JobRequest
+	if err := json.Unmarshal(b, &req); err != nil {
+		return nil, false, fmt.Errorf("decode request: %w", err)
+	}
+	return []byte(req.Handle), req.IncludeData, nil
+}
+
+// readJSON reads a bounded JSON request body into a pooled buffer, which
+// the caller returns with putBuf. On failure it writes the error reply
+// (413 for an oversized body, 400 otherwise) itself.
+func (s *Server) readJSON(w http.ResponseWriter, r *http.Request) (*bytes.Buffer, bool) {
 	buf := getBuf()
-	defer putBuf(buf)
 	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, s.opts.MaxJSONBytes))
 	if err == nil {
-		err = json.Unmarshal(buf.Bytes(), v)
+		return buf, true
 	}
-	if err == nil {
-		return nil
-	}
+	putBuf(buf)
 	var tooBig *http.MaxBytesError
 	if errors.As(err, &tooBig) {
 		s.fail(w, http.StatusRequestEntityTooLarge,
@@ -555,23 +590,47 @@ func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any) error
 	} else {
 		s.fail(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
 	}
-	return err
+	return nil, false
+}
+
+// decodeJSON decodes a bounded JSON request body with encoding/json,
+// writing the error reply itself (readJSON's, or 400 for malformed JSON)
+// and reporting false when it did. The body is slurped into a pooled
+// scratch buffer before the one-shot Unmarshal, so the decode path's
+// transient allocations amortize across requests.
+func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
+	buf, ok := s.readJSON(w, r)
+	if !ok {
+		return false
+	}
+	defer putBuf(buf)
+	if err := json.Unmarshal(buf.Bytes(), v); err != nil {
+		s.fail(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+		return false
+	}
+	return true
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	t := s.tenant(r)
-	var req JobRequest
-	if err := s.decodeJSON(w, r, &req); err != nil {
+	body, ok := s.readJSON(w, r)
+	if !ok {
+		return
+	}
+	defer putBuf(body)
+	handle, includeData, err := decodeJobRequest(body.Bytes())
+	if err != nil {
+		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
 	if wantsAsync(r) {
 		if !s.requireJobs(w) {
 			return
 		}
-		s.handleSubmitAsync(w, r, t, req)
+		s.handleSubmitAsync(w, r, t, handle)
 		return
 	}
-	h, err := parseHandle(req.Handle)
+	h, err := parseHandleBytes(handle)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, err)
 		return
@@ -587,7 +646,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// holding an error reply can still pull the timing breakdown.
 	w.Header().Set(TraceHeader, tc.ID)
 	defer s.tracer.Finish(tc)
-	result, outcome, err := s.evaluate(obsv.WithTrace(r.Context(), tc), h, s.adm.Acquire)
+	result, outcome, err := s.evaluate(obsv.WithTrace(r.Context(), tc), h, false)
 	elapsed := time.Since(start)
 	s.reqHist.ObserveDuration(elapsed)
 	tc.AddSpanAt("gateway", "", start, elapsed)
@@ -625,34 +684,31 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	reply := JobReply{
-		Result:    core.FormatHandle(result),
-		Outcome:   string(outcome),
-		ElapsedNS: elapsed.Nanoseconds(),
-		Trace:     tc.ID,
-	}
-	if req.IncludeData && result.Kind() == core.KindBlob {
+	var data []byte
+	if includeData && result.Kind() == core.KindBlob {
 		sp := tc.StartSpan("result_fetch", "")
-		data, err := s.opts.Backend.ObjectBytes(r.Context(), result)
+		data, err = s.opts.Backend.ObjectBytes(r.Context(), result)
 		sp.End()
 		if err != nil {
 			s.fail(w, http.StatusInternalServerError, fmt.Errorf("result fetch: %w", err))
 			return
 		}
-		reply.Data = data
 	}
-	s.reply(w, http.StatusOK, reply)
+	// The request body is spent (h is parsed), so its buffer frames the
+	// reply.
+	body.Reset()
+	replyFrame(w, body, appendJobReply(body.AvailableBuffer(), result, outcome, elapsed.Nanoseconds(), tc.ID, data))
 }
 
 // evaluate routes a submission through the result cache (hit or collapse
 // when possible) and admission control (only evaluations that actually
 // reach the backend take a slot). Both the sync handlers (with the
 // request's context) and the async worker pool (with the job's context)
-// land here, so the two paths share one collapse domain. acquire selects
+// land here, so the two paths share one collapse domain. wait selects
 // the admission discipline: the sync path's shedding Acquire, or the
 // async pool's AcquireWait (its work was already admitted with a 202,
 // so overload means waiting, not burning the job's retry budget).
-func (s *Server) evaluate(ctx context.Context, h core.Handle, acquire func(context.Context) error) (core.Handle, CacheOutcome, error) {
+func (s *Server) evaluate(ctx context.Context, h core.Handle, wait bool) (core.Handle, CacheOutcome, error) {
 	t := obsv.FromContext(ctx)
 	if h.IsData() {
 		// Data evaluates to itself; don't spend cache or slots on it.
@@ -660,7 +716,7 @@ func (s *Server) evaluate(ctx context.Context, h core.Handle, acquire func(conte
 	}
 	if s.cache == nil {
 		sp := t.StartSpan("queue_wait", "")
-		err := acquire(ctx)
+		err := s.adm.acquire(ctx, wait)
 		sp.End()
 		if err != nil {
 			return core.Handle{}, OutcomeBypass, err
@@ -680,36 +736,17 @@ func (s *Server) evaluate(ctx context.Context, h core.Handle, acquire func(conte
 	// takes its cancellation from the server's lifetime: Server.Close
 	// cancels every flight before leaving the replicated edge, so an
 	// adopting peer never runs a job this gateway is still evaluating.
-	flightCtx := flightContext{Context: s.closeCtx, values: ctx}
 	doStart := time.Now()
-	res, outcome, err := s.cache.Do(ctx, h, func() (core.Handle, error) {
-		s.flights.Add(1)
-		defer s.flights.Add(-1)
-		// A deferred warm hint (gossiped while its result was not yet
-		// resolvable here) gets one last look before the backend is paid:
-		// resolvable now → the flight is the hint; still stale → fall
-		// through, and the evaluation replaces the hint.
-		if s.edge != nil {
-			if hint, ok := s.edge.TakeHint(h.AsObject()); ok {
-				if s.resolvableHint(hint) {
-					s.hintHits.Add(1)
-					return hint, nil
-				}
-				s.hintStale.Add(1)
-			}
-		}
-		sp := t.StartSpan("queue_wait", "")
-		err := acquire(flightCtx)
-		sp.End()
-		if err != nil {
-			return core.Handle{}, err
-		}
-		defer s.adm.Release()
-		bs := t.StartSpan("backend_eval", "")
-		res, err := s.opts.Backend.Eval(flightCtx, h)
-		bs.End()
-		return res, err
-	})
+	// A hit returns before Do, whose evaluation closure is made only for
+	// a submission that may have to lead a flight.
+	res, hit := s.cache.hit(h.AsObject())
+	outcome := OutcomeHit
+	var err error
+	if !hit {
+		res, outcome, err = s.cache.Do(ctx, h, func() (core.Handle, error) {
+			return s.lead(ctx, t, h, wait)
+		})
+	}
 	// Only the stages the *caller* experienced are attributed here: a
 	// hit spent its time in the lookup, a collapsed join spent it
 	// waiting on the leader's flight (whose own trace carries the
@@ -721,6 +758,38 @@ func (s *Server) evaluate(ctx context.Context, h core.Handle, acquire func(conte
 		t.AddSpanAt("collapse_wait", "", doStart, time.Since(doStart))
 	}
 	return res, outcome, err
+}
+
+// lead runs the backend flight of a cache miss on behalf of every
+// submission collapsed onto it.
+func (s *Server) lead(ctx context.Context, t *obsv.Trace, h core.Handle, wait bool) (core.Handle, error) {
+	flightCtx := flightContext{Context: s.closeCtx, values: ctx}
+	s.flights.Add(1)
+	defer s.flights.Add(-1)
+	// A deferred warm hint (gossiped while its result was not yet
+	// resolvable here) gets one last look before the backend is paid:
+	// resolvable now → the flight is the hint; still stale → fall
+	// through, and the evaluation replaces the hint.
+	if s.edge != nil {
+		if hint, ok := s.edge.TakeHint(h.AsObject()); ok {
+			if s.resolvableHint(hint) {
+				s.hintHits.Add(1)
+				return hint, nil
+			}
+			s.hintStale.Add(1)
+		}
+	}
+	sp := t.StartSpan("queue_wait", "")
+	err := s.adm.acquire(flightCtx, wait)
+	sp.End()
+	if err != nil {
+		return core.Handle{}, err
+	}
+	defer s.adm.Release()
+	bs := t.StartSpan("backend_eval", "")
+	res, err := s.opts.Backend.Eval(flightCtx, h)
+	bs.End()
+	return res, err
 }
 
 // flightContext detaches a backend flight from its leader's request:
@@ -740,9 +809,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 
 // reply encodes v into a pooled buffer and writes it out in one shot.
 // Encoding off-wire (rather than streaming json.NewEncoder(w)) reuses
-// scratch across requests, yields a Content-Length, and never leaves a
-// half-written body behind an encode error. The ResponseWriter copies
-// the bytes during Write, so the buffer is safe to recycle on return.
+// scratch across requests and never leaves a half-written body behind an
+// encode error. The ResponseWriter copies the bytes during Write, so the
+// buffer is safe to recycle on return.
 func (s *Server) reply(w http.ResponseWriter, code int, v any) {
 	buf := getBuf()
 	defer putBuf(buf)
@@ -750,10 +819,40 @@ func (s *Server) reply(w http.ResponseWriter, code int, v any) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
+	writeJSON(w, code, buf.Bytes())
+}
+
+// replyHandle writes a 200 HandleReply naming h.
+func replyHandle(w http.ResponseWriter, h core.Handle) {
+	buf := getBuf()
+	defer putBuf(buf)
+	replyFrame(w, buf, appendHandleReply(buf.AvailableBuffer(), h))
+}
+
+// replyFrame writes a 200 reply that an append function framed into
+// buf's free space, adding the Encoder's trailing newline. Writing the
+// frame back into buf keeps its capacity in the pool when it grew.
+func replyFrame(w http.ResponseWriter, buf *bytes.Buffer, frame []byte) {
+	buf.Write(append(frame, '\n'))
+	writeJSON(w, http.StatusOK, buf.Bytes())
+}
+
+// autoLengthMax is the largest body writeJSON leaves to net/http to
+// declare. A handler that writes all of a body under a few KB and does
+// not flush gets its Content-Length from net/http (ResponseWriter.Write),
+// formatted into the connection's own buffer; declaring it here would
+// cost a string and a header slice per reply.
+const autoLengthMax = 1 << 10
+
+// writeJSON writes a JSON reply body in one Write.
+func writeJSON(w http.ResponseWriter, code int, body []byte) {
+	h := w.Header()
+	h["Content-Type"] = jsonContentType
+	if len(body) > autoLengthMax {
+		h.Set("Content-Length", strconv.Itoa(len(body)))
+	}
 	w.WriteHeader(code)
-	_, _ = w.Write(buf.Bytes())
+	_, _ = w.Write(body)
 }
 
 func (s *Server) fail(w http.ResponseWriter, code int, err error) {

@@ -27,9 +27,21 @@ type Trace struct {
 	Start time.Time
 
 	mu      sync.Mutex
-	spans   []Span
+	spans   []Span // inline[:0] at mint, so the first spans cost nothing
+	inline  [inlineSpans]Span
 	total   time.Duration
 	outcome string
+}
+
+// inlineSpans is how many spans a Trace holds before its span slice
+// moves to the heap: a gateway hit records two, a miss three or four.
+const inlineSpans = 4
+
+// newTrace mints a trace whose span slice starts in its inline array.
+func newTrace(id, op string, start time.Time) *Trace {
+	t := &Trace{ID: id, Op: op, Start: start}
+	t.spans = t.inline[:0]
+	return t
 }
 
 // Span is one recorded stage of a trace.
@@ -54,11 +66,14 @@ type SpanHandle struct {
 	start time.Time
 }
 
-// newTraceID mints a 16-hex-digit random identifier.
+// newTraceID mints a 16-hex-digit random identifier. Both arrays stay
+// on the stack; the string is the one allocation.
 func newTraceID() string {
 	var b [8]byte
+	var text [16]byte
 	_, _ = rand.Read(b[:])
-	return hex.EncodeToString(b[:])
+	hex.Encode(text[:], b[:])
+	return string(text[:])
 }
 
 // StartSpan opens a stage; call End on the handle when it completes.
@@ -154,7 +169,7 @@ func (tr *Tracer) Start(op string) *Trace {
 	if tr == nil {
 		return nil
 	}
-	return &Trace{ID: newTraceID(), Op: op, Start: time.Now()}
+	return newTrace(newTraceID(), op, time.Now())
 }
 
 // StartAt mints a trace anchored at an earlier instant (an async job's
@@ -163,7 +178,7 @@ func (tr *Tracer) StartAt(op string, at time.Time) *Trace {
 	if tr == nil {
 		return nil
 	}
-	return &Trace{ID: newTraceID(), Op: op, Start: at}
+	return newTrace(newTraceID(), op, at)
 }
 
 // StartWithID adopts an identifier propagated from another node, so a
@@ -173,18 +188,21 @@ func (tr *Tracer) StartWithID(id, op string) *Trace {
 	if tr == nil {
 		return nil
 	}
-	return &Trace{ID: id, Op: op, Start: time.Now()}
+	return newTrace(id, op, time.Now())
 }
 
 // Finish seals the trace (total = since Start), feeds the stage
 // histograms, and retains it in the ring, evicting the oldest entry.
+// The histograms read the spans in place: a span added after Finish (a
+// detached flight outliving its request) only ever writes past the
+// length read here, or into a new array when the slice grows.
 func (tr *Tracer) Finish(t *Trace) {
 	if tr == nil || t == nil {
 		return
 	}
 	t.mu.Lock()
 	t.total = time.Since(t.Start)
-	spans := append([]Span(nil), t.spans...)
+	spans := t.spans
 	t.mu.Unlock()
 	if tr.stages != nil {
 		for _, sp := range spans {
