@@ -12,11 +12,12 @@
 // as a client-only cluster node; without either, jobs run on an
 // in-process engine. With -data-dir, uploads, memoized results, the async
 // job queue (jobs.journal) and the edge log (edge.journal) survive a
-// restart, and the result cache is warmed from the recovered memo
-// journal. With -gw-peers or -gw-listen the gateway joins a replicated
-// edge of peer fixgates (internal/edgelog) under its one identity, -id:
-// accepted async jobs replicate to the peers before their 202, and a dead
-// gateway's undrained jobs are adopted exactly once by a survivor.
+// restart: a repeat of a recovered job is answered from the restored
+// memo without re-executing. With -gw-peers or -gw-listen the gateway
+// joins a replicated edge of peer fixgates (internal/edgelog) under its
+// one identity, -id: accepted async jobs replicate to the peers before
+// their 202, and a dead gateway's undrained jobs are adopted exactly once
+// by a survivor.
 //
 // Flags are bound in internal/daemon and tabulated, with the HTTP API, in
 // README.md; OPERATIONS.md is the runbook.
@@ -31,9 +32,7 @@ import (
 	"time"
 
 	"fixgo/internal/cluster"
-	"fixgo/internal/core"
 	"fixgo/internal/daemon"
-	"fixgo/internal/durable"
 	"fixgo/internal/gateway"
 	"fixgo/internal/runtime"
 	"fixgo/internal/store"
@@ -127,26 +126,6 @@ func main() {
 		js := m.Stats()
 		fmt.Printf("fixgate: async jobs: %d workers, queue depth %d, recovered %d (%d resumed as pending)\n",
 			cfg.AsyncWorkers, cfg.QueueDepth, js.Replayed, js.Resumed)
-	}
-
-	if dur != nil {
-		// Warm the edge cache from the recovered memo journal: an Encode
-		// memo is exactly what a repeat submission of that job asks for
-		// (bare-Thunk submissions are wrapped in a Strict Encode). Warm
-		// only entries the restore accepted — RestoreInto drops memos
-		// whose result closure lost an object to the crash (the journal
-		// and packs are separate files with no cross-file atomicity),
-		// and warming those would pin an unfetchable answer.
-		warmed := 0
-		dur.MemoEntries(func(kind durable.MemoKind, key, result core.Handle) {
-			if kind != durable.MemoEncode {
-				return
-			}
-			if r, ok := backing.EncodeResult(key); ok && r == result && srv.Warm(key, result) {
-				warmed++
-			}
-		})
-		fmt.Printf("fixgate: warmed %d cache entries from the memo journal\n", warmed)
 	}
 
 	fmt.Printf("fixgate: %s serving on %s (%s, cache=%d, inflight=%d, queue=%d)\n",

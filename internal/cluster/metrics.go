@@ -30,19 +30,7 @@ func NewNodeMetrics(n *Node, durableStats func() durable.Stats) (*obsv.Registry,
 		}
 
 		ns := n.NetStats()
-		gauge("cluster_peers", "Live cluster peers", float64(ns.Peers))
-		counter("cluster_peers_evicted_total", "Peers evicted on link error or heartbeat timeout", float64(ns.Evicted))
-		counter("cluster_heartbeats_sent_total", "Ping probes sent", float64(ns.HeartbeatsSent))
-		counter("cluster_jobs_delegated_total", "Jobs shipped to peers", float64(ns.JobsDelegated))
-		counter("cluster_jobs_replaced_total", "Delegations re-placed after their worker died", float64(ns.JobsReplaced))
-		counter("cluster_jobs_local_fallback_total", "Jobs evaluated locally after delegation failed", float64(ns.JobsLocalFallback))
-		counter("cluster_replace_failures_total", "Jobs that could not be re-placed", float64(ns.ReplaceFailures))
-		gauge("cluster_replicas", "Configured replication factor", float64(ns.Replicas))
-		gauge("cluster_ring_members", "Consistent-hash ring size", float64(ns.RingMembers))
-		counter("cluster_replicas_sent_total", "Replica pushes for fresh writes", float64(ns.ReplicasSent))
-		counter("cluster_replicas_acked_total", "Replica push acknowledgements", float64(ns.ReplicasAcked))
-		counter("cluster_repair_passes_total", "Anti-entropy repair passes", float64(ns.RepairPasses))
-		counter("cluster_repair_replicas_sent_total", "Replica pushes sent by repair passes", float64(ns.RepairReplicasSent))
+		EmitNetStats(&ns, counter, gauge)
 
 		// Usage(0) yields the raw accumulated core-time (Wall/Idle are
 		// meaningless without an interval, and not emitted).
@@ -59,17 +47,41 @@ func NewNodeMetrics(n *Node, durableStats func() durable.Stats) (*obsv.Registry,
 
 		if durableStats != nil {
 			ds := durableStats()
-			gauge("durable_objects", "Distinct objects in the durable index", float64(ds.Objects))
-			gauge("durable_memo_entries", "Thunk and encode journal entries", float64(ds.MemoEntries))
-			gauge("durable_pack_bytes", "On-disk pack footprint", float64(ds.PackBytes))
-			counter("durable_appends_total", "Object records appended this process", float64(ds.Appends))
-			counter("durable_memo_appends_total", "Memo journal records appended this process", float64(ds.MemoAppends))
-			gauge("durable_truncated_tail", "Torn records dropped during recovery", float64(ds.TruncatedTail))
-			counter("durable_gc_passes_total", "Durable store GC passes", float64(ds.GCPasses))
-			counter("durable_gc_dropped_total", "Records dropped by durable GC", float64(ds.GCDropped))
+			EmitDurableStats(&ds, counter, gauge)
 		}
 	})
 	return reg, tr
+}
+
+// EmitNetStats renders a NetStats snapshot as the *_cluster_* metric
+// family set, under the caller's prefix like EmitStorageStats.
+func EmitNetStats(ns *NetStats, counter, gauge func(name, help string, v float64)) {
+	gauge("cluster_peers", "Live cluster peers", float64(ns.Peers))
+	counter("cluster_peers_evicted_total", "Peers evicted on link error or heartbeat timeout", float64(ns.Evicted))
+	counter("cluster_heartbeats_sent_total", "Ping probes sent", float64(ns.HeartbeatsSent))
+	counter("cluster_jobs_delegated_total", "Jobs shipped to peers", float64(ns.JobsDelegated))
+	counter("cluster_jobs_replaced_total", "Delegations re-placed after their worker died", float64(ns.JobsReplaced))
+	counter("cluster_jobs_local_fallback_total", "Jobs evaluated locally after delegation failed", float64(ns.JobsLocalFallback))
+	counter("cluster_replace_failures_total", "Jobs that could not be re-placed", float64(ns.ReplaceFailures))
+	gauge("cluster_replicas", "Configured replication factor", float64(ns.Replicas))
+	gauge("cluster_ring_members", "Consistent-hash ring size", float64(ns.RingMembers))
+	counter("cluster_replicas_sent_total", "Replica pushes for fresh writes", float64(ns.ReplicasSent))
+	counter("cluster_replicas_acked_total", "Replica push acknowledgements", float64(ns.ReplicasAcked))
+	counter("cluster_repair_passes_total", "Anti-entropy repair passes", float64(ns.RepairPasses))
+	counter("cluster_repair_replicas_sent_total", "Replica pushes sent by repair passes", float64(ns.RepairReplicasSent))
+}
+
+// EmitDurableStats renders a durable.Stats snapshot as the *_durable_*
+// metric family set, under the caller's prefix like EmitStorageStats.
+func EmitDurableStats(ds *durable.Stats, counter, gauge func(name, help string, v float64)) {
+	gauge("durable_objects", "Distinct objects in the durable index", float64(ds.Objects))
+	gauge("durable_memo_entries", "Thunk and encode journal entries", float64(ds.MemoEntries))
+	gauge("durable_pack_bytes", "On-disk pack footprint", float64(ds.PackBytes))
+	counter("durable_appends_total", "Object records appended this process", float64(ds.Appends))
+	counter("durable_memo_appends_total", "Memo journal records appended this process", float64(ds.MemoAppends))
+	gauge("durable_truncated_tail", "Torn records dropped during recovery", float64(ds.TruncatedTail))
+	counter("durable_gc_passes_total", "Durable store GC passes", float64(ds.GCPasses))
+	counter("durable_gc_dropped_total", "Records dropped by durable GC", float64(ds.GCDropped))
 }
 
 // EmitStorageStats renders a storage.Stats snapshot through the given

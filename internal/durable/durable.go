@@ -11,7 +11,7 @@
 //   - pack files (<dir>/packs/NNNNNNNN.pack) holding Blob and Tree
 //     records, each framed with a length header and CRC32 trailer; and
 //   - a memo journal (<dir>/memo.journal) of (Thunk → result) and
-//     (Encode → result) entries in the same framing.
+//     (Encode → result) entries, a Journal in the same framing.
 //
 // On Open the store replays both: a torn tail record — the signature of a
 // crash mid-append — is truncated away rather than treated as corruption,
@@ -23,8 +23,7 @@
 // durable.Store implements store.Persister, so attaching it to a
 // store.Store (store.SetPersister) makes every Put and memoization
 // write-through to disk. RestoreInto reloads a recovered image into an
-// in-memory store, and MemoEntries feeds the gateway's result-cache
-// warmer.
+// in-memory store, the memo tables' one home after a restart.
 package durable
 
 import (
@@ -148,7 +147,7 @@ type Store struct {
 	index    map[core.Handle]location
 	thunks   map[core.Handle]core.Handle
 	encodes  map[core.Handle]core.Handle
-	journal  *appendFile
+	journal  *Journal
 	packSize int64 // total bytes across all packs
 	gcFloor  int64 // packSize after the last auto-GC pass
 	closed   bool
@@ -242,6 +241,9 @@ func (d *Store) Close() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	err := d.syncLocked()
+	if jerr := d.journal.Close(); err == nil {
+		err = jerr
+	}
 	d.closeFiles()
 	return err
 }
@@ -251,10 +253,6 @@ func (d *Store) closeFiles() {
 		_ = p.f.Close()
 	}
 	d.packs = map[uint64]*packFile{}
-	if d.journal != nil {
-		_ = d.journal.f.Close()
-		d.journal = nil
-	}
 	if d.lock != nil {
 		_ = d.lock.Close() // releases the flock
 		d.lock = nil
@@ -265,18 +263,18 @@ func (d *Store) closeFiles() {
 func (d *Store) Sync() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.syncLocked()
+	err := d.syncLocked()
+	if jerr := d.journal.Sync(); err == nil {
+		err = jerr
+	}
+	return err
 }
 
+// syncLocked syncs the packs; the memo journal syncs itself.
 func (d *Store) syncLocked() error {
 	var first error
 	for _, p := range d.packs {
 		if err := p.sync(); err != nil && first == nil {
-			first = err
-		}
-	}
-	if d.journal != nil {
-		if err := d.journal.sync(); err != nil && first == nil {
 			first = err
 		}
 	}
@@ -387,29 +385,6 @@ func (d *Store) ReadObject(h core.Handle) ([]byte, error) {
 		return nil, err
 	}
 	return payload[core.HandleSize:], nil
-}
-
-// MemoKind distinguishes journal entry types.
-type MemoKind int
-
-const (
-	// MemoThunk is a (Thunk → one-pass result) entry.
-	MemoThunk MemoKind = iota
-	// MemoEncode is an (Encode → forced result) entry.
-	MemoEncode
-)
-
-// MemoEntries calls fn for every recovered or appended memoization entry.
-// fn must not call back into the Store.
-func (d *Store) MemoEntries(fn func(kind MemoKind, key, result core.Handle)) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for k, r := range d.thunks {
-		fn(MemoThunk, k, r)
-	}
-	for k, r := range d.encodes {
-		fn(MemoEncode, k, r)
-	}
 }
 
 // RestoreStats reports what RestoreInto loaded.

@@ -296,21 +296,22 @@ func TestMemoEntriesAndCompaction(t *testing.T) {
 	if _, err := d.GC(nil); err != nil {
 		t.Fatal(err)
 	}
-	seen := map[core.Handle]core.Handle{}
-	d.MemoEntries(func(kind MemoKind, k, r core.Handle) {
-		if kind == MemoEncode {
-			seen[k] = r
-		}
-	})
-	if len(seen) != len(encs) {
-		t.Fatalf("memo entries after compaction = %d, want %d", len(seen), len(encs))
+	d.Close()
+	d = mustOpen(t, dir, Options{})
+	defer d.Close()
+	mem := store.New()
+	rs, err := d.RestoreInto(mem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs.Encodes != len(encs) || rs.Thunks != 0 {
+		t.Fatalf("memo entries after compaction = %d encodes, %d thunks; want %d, 0", rs.Encodes, rs.Thunks, len(encs))
 	}
 	for _, e := range encs {
-		if seen[e] != res {
+		if r, ok := mem.EncodeResult(e); !ok || r != res {
 			t.Fatalf("entry %v lost in compaction", e)
 		}
 	}
-	d.Close()
 }
 
 func TestConcurrentWriteThrough(t *testing.T) {

@@ -32,7 +32,7 @@ type GCStats struct {
 // Crash safety: fresh packs are written and synced before old packs are
 // deleted, and records are content-addressed and idempotent — a crash
 // between the two leaves duplicates that the next Open deduplicates. The
-// journal is rewritten to a temp file and atomically renamed.
+// journal is compacted by Journal.Rewrite (temp file, then rename).
 func (d *Store) GC(live func(core.Handle) bool) (GCStats, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -194,49 +194,22 @@ func (d *Store) markLocked(live func(core.Handle) bool) map[core.Handle]struct{}
 }
 
 // compactJournalLocked rewrites the memo journal with exactly one record
-// per entry, via temp-file-and-rename so a crash leaves either the old or
-// the new journal intact.
+// per entry; Journal.Rewrite leaves either the old or the new journal
+// intact across a crash.
 func (d *Store) compactJournalLocked(st *GCStats) error {
-	tmpPath := d.journalPath() + ".tmp"
-	os.Remove(tmpPath)
-	tmp, err := openAppend(tmpPath, journalMagic)
-	if err != nil {
-		return err
-	}
-	writeAll := func(recType byte, table map[core.Handle]core.Handle) error {
-		for k, r := range table {
-			payload := make([]byte, 2*core.HandleSize)
-			copy(payload, k[:])
-			copy(payload[core.HandleSize:], r[:])
-			if _, err := tmp.append(frame(recType, payload)); err != nil {
-				return err
+	return d.journal.Rewrite(func(emit func(recType byte, payload []byte) error) error {
+		for _, t := range [...]struct {
+			recType byte
+			table   map[core.Handle]core.Handle
+		}{{recThunk, d.thunks}, {recEncode, d.encodes}} {
+			for k, r := range t.table {
+				rec := memoRecord(k, r)
+				if err := emit(t.recType, rec[:]); err != nil {
+					return err
+				}
+				st.MemoCompact++
 			}
-			st.MemoCompact++
 		}
 		return nil
-	}
-	if err := writeAll(recThunk, d.thunks); err == nil {
-		err = writeAll(recEncode, d.encodes)
-	}
-	if err != nil {
-		tmp.f.Close()
-		os.Remove(tmpPath)
-		return err
-	}
-	if err := tmp.sync(); err != nil {
-		tmp.f.Close()
-		os.Remove(tmpPath)
-		return err
-	}
-	if err := os.Rename(tmpPath, d.journalPath()); err != nil {
-		tmp.f.Close()
-		os.Remove(tmpPath)
-		return err
-	}
-	if err := syncDir(d.dir); err != nil {
-		d.logf("durable: gc: sync %s: %v", d.dir, err)
-	}
-	d.journal.f.Close()
-	d.journal = tmp
-	return nil
+	})
 }

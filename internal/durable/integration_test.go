@@ -18,9 +18,11 @@ import (
 
 // The acceptance pin for the durable subsystem: a fixgate-style process
 // restarted against the same -data-dir must serve a previously evaluated
-// thunk from the recovered memo journal WITHOUT re-executing it — at the
-// engine layer (restored memo table) and at the edge (warmed result
-// cache). This test replays exactly the wiring cmd/fixgate does.
+// thunk from the recovered memo journal WITHOUT re-executing it. The
+// restored memo table in the backend's store is the answer's one home
+// after a restart; the gateway's result cache starts empty and fills on
+// the first repeat. This test replays exactly the wiring cmd/fixgate
+// does.
 
 // gateProcess is one "process incarnation": engine + gateway over a
 // durable data-dir, sharing the execution counter across restarts.
@@ -46,8 +48,8 @@ func bootGateProcess(t *testing.T, dir string, execs *atomic.Int64) *gateProcess
 		return api.CreateBlob(append([]byte("counted:"), b...)), nil
 	})
 	st := store.New()
-	// cmd/fixgate boot order: restore the durable image, attach the
-	// write-through persister, then warm the edge cache.
+	// cmd/fixgate boot order: restore the durable image, then attach the
+	// write-through persister.
 	d, _, err := durable.Attach(dir, durable.Options{Fsync: durable.FsyncAlways}, st)
 	if err != nil {
 		t.Fatal(err)
@@ -60,16 +62,6 @@ func bootGateProcess(t *testing.T, dir string, execs *atomic.Int64) *gateProcess
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Warm only restore-accepted entries, mirroring cmd/fixgate: the
-	// restore drops memos whose result closure lost an object.
-	d.MemoEntries(func(kind durable.MemoKind, key, result core.Handle) {
-		if kind != durable.MemoEncode {
-			return
-		}
-		if r, ok := st.EncodeResult(key); ok && r == result {
-			srv.Warm(key, result)
-		}
-	})
 	return &gateProcess{d: d, srv: srv, ts: httptest.NewServer(srv.Handler())}
 }
 
@@ -140,14 +132,23 @@ func TestGatewayRestartServesRecoveredThunk(t *testing.T) {
 	if execs.Load() != 1 {
 		t.Fatalf("restarted gateway re-executed the thunk (%d executions)", execs.Load())
 	}
-	if second.Outcome != string(gateway.OutcomeHit) {
-		t.Fatalf("post-restart outcome = %s, want hit (warmed cache)", second.Outcome)
+	// The first repeat leads a flight that the restored memo answers; the
+	// one after it is a gateway-cache hit.
+	if second.Outcome != string(gateway.OutcomeMiss) {
+		t.Fatalf("first post-restart outcome = %s, want miss (a flight the memo answers)", second.Outcome)
 	}
 	if second.Result != first.Result {
 		t.Fatalf("result drifted across restart: %s → %s", first.Result, second.Result)
 	}
 	if !bytes.Equal(second.Data, first.Data) {
 		t.Fatal("result bytes drifted across restart")
+	}
+	third := submit(t, p2.ts.URL, thunk)
+	if execs.Load() != 1 {
+		t.Fatalf("restarted gateway re-executed the thunk (%d executions)", execs.Load())
+	}
+	if third.Outcome != string(gateway.OutcomeHit) || third.Result != first.Result {
+		t.Fatalf("second post-restart repeat = %s %s, want hit %s", third.Outcome, third.Result, first.Result)
 	}
 }
 

@@ -10,16 +10,16 @@ import (
 )
 
 // fsyncEvery is the FsyncInterval period: the data-loss window of every
-// file this package keeps (packs, memo journal, and each Journal).
+// file this package keeps (packs and each Journal).
 const fsyncEvery = 100 * time.Millisecond
 
 // Journal is the exported, general-purpose form of this package's
 // append-only file format: an 8-byte magic followed by CRC32-framed
-// records (see pack.go for the framing). The pack files and the memo
-// journal use the framing internally; Journal lets a parallel subsystem —
-// the gateway's asynchronous job queue (internal/jobs) — keep its own
-// journal with the same crash-recovery discipline (replay on open,
-// torn-tail truncation) without reimplementing it.
+// records (see pack.go for the framing). Every journal in the system is
+// one — the Store's memo journal, the async job queue's (internal/jobs)
+// and the edge log's (internal/edgelog) — so each gets the same
+// crash-recovery discipline (replay on open, torn-tail truncation) from
+// one implementation; only the pack files use the framing directly.
 //
 // A Journal is safe for concurrent use, and owns its durability policy:
 // under FsyncInterval it syncs itself from a background ticker until

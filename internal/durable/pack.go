@@ -14,7 +14,8 @@ import (
 	"fixgo/internal/core"
 )
 
-// File and record framing, shared by pack files and the memo journal.
+// File and record framing, shared by pack files and every Journal (the
+// memo journal among them).
 //
 //	file   := magic(8) record*
 //	record := payloadLen(u32 LE) recType(u8) payload crc32(u32 LE)
@@ -82,8 +83,6 @@ type packFile struct {
 func packPath(dir string, seq uint64) string {
 	return filepath.Join(dir, "packs", fmt.Sprintf("%08d.pack", seq))
 }
-
-func (d *Store) journalPath() string { return filepath.Join(d.dir, "memo.journal") }
 
 // syncDir fsyncs a directory so freshly created, renamed, or unlinked
 // entries survive power loss (a file's own fsync does not make its
@@ -263,16 +262,13 @@ func (d *Store) replayPacks() error {
 
 // replayJournal rebuilds the memo tables from dir/memo.journal.
 func (d *Store) replayJournal() error {
-	a, err := openAppend(d.journalPath(), journalMagic)
-	if err != nil {
-		return err
-	}
-	dropped, err := a.scan(func(off int64, recType byte, payload []byte) error {
+	path := filepath.Join(d.dir, "memo.journal")
+	j, dropped, err := OpenJournal(path, journalMagic, d.opts.Fsync, func(recType byte, payload []byte) error {
 		if recType != recThunk && recType != recEncode {
-			return fmt.Errorf("durable: %s: unexpected record type %d", a.path, recType)
+			return fmt.Errorf("durable: %s: unexpected record type %d", path, recType)
 		}
 		if len(payload) != 2*core.HandleSize {
-			return fmt.Errorf("durable: %s: memo record is %d bytes, want %d", a.path, len(payload), 2*core.HandleSize)
+			return fmt.Errorf("durable: %s: memo record is %d bytes, want %d", path, len(payload), 2*core.HandleSize)
 		}
 		var k, r core.Handle
 		copy(k[:], payload[:core.HandleSize])
@@ -285,15 +281,21 @@ func (d *Store) replayJournal() error {
 		return nil
 	})
 	if err != nil {
-		a.f.Close()
 		return err
 	}
 	if dropped > 0 {
 		d.stats.TruncatedTail++
-		d.logf("durable: %s: truncated %d-byte torn tail", a.path, dropped)
+		d.logf("durable: %s: truncated %d-byte torn tail", path, dropped)
 	}
-	d.journal = a
+	d.journal = j
 	return nil
+}
+
+// memoRecord is a memo record's payload: key(32) || result(32).
+func memoRecord(key, result core.Handle) (p [2 * core.HandleSize]byte) {
+	copy(p[:], key[:])
+	copy(p[core.HandleSize:], result[:])
+	return p
 }
 
 // newPackLocked rotates to a fresh active pack.
@@ -397,18 +399,13 @@ func (d *Store) appendMemo(recType byte, key, result core.Handle) error {
 	if prev, ok := table[key]; ok && prev == result {
 		return nil
 	}
-	payload := make([]byte, 2*core.HandleSize)
-	copy(payload, key[:])
-	copy(payload[core.HandleSize:], result[:])
-	if _, err := d.journal.append(frame(recType, payload)); err != nil {
+	rec := memoRecord(key, result)
+	if err := d.journal.Append(recType, rec[:]); err != nil {
 		return err
 	}
 	table[key] = result
 	d.stats.MemoAppends++
-	if d.opts.Fsync == FsyncAlways {
-		return d.journal.sync()
-	}
-	return nil
+	return d.journal.Commit()
 }
 
 // readRecordLocked fetches one framed record and returns its type and

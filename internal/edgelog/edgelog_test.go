@@ -2,11 +2,13 @@ package edgelog
 
 import (
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -416,4 +418,65 @@ func TestEdgeConvergence(t *testing.T) {
 		}
 		return true
 	})
+}
+
+// stalledConn is a peer that completes the handshake and then stops
+// draining its socket: Recv delivers one hello and the first Send (this
+// side's hello) goes through; after that both block until Close.
+type stalledConn struct {
+	hello  []byte
+	recvd  atomic.Bool
+	sent   atomic.Bool
+	closed chan struct{}
+	once   sync.Once
+}
+
+func (c *stalledConn) Send([]byte) error {
+	if c.sent.CompareAndSwap(false, true) {
+		return nil
+	}
+	<-c.closed
+	return io.ErrClosedPipe
+}
+
+func (c *stalledConn) Recv() ([]byte, error) {
+	if c.recvd.CompareAndSwap(false, true) {
+		return c.hello, nil
+	}
+	<-c.closed
+	return nil, io.EOF
+}
+
+func (c *stalledConn) Close() error {
+	c.once.Do(func() { close(c.closed) })
+	return nil
+}
+
+// TestEdgeStalledPeerCannotWedge: a peer whose link stops draining
+// blocks neither an Accepted append nor the heartbeat that expires it.
+// The stuck ping drops the link after HeartbeatTimeout, and closing it
+// releases the append's stuck Send.
+func TestEdgeStalledPeerCannotWedge(t *testing.T) {
+	r := newTestReplicator(t, "gw-a", Options{AckTimeout: 50 * time.Millisecond})
+	conn := &stalledConn{
+		hello:  (&proto.Message{Type: proto.TypeEdgeHello, From: "gw-stalled"}).Encode(),
+		closed: make(chan struct{}),
+	}
+	// Runs before r's Close (cleanups are LIFO), so a wedged build fails
+	// this test instead of hanging the package.
+	t.Cleanup(func() { conn.Close() })
+	r.AttachPeer(conn)
+	waitUntil(t, "stalled peer live", func() bool { return r.Stats().Live == 1 })
+
+	done := make(chan struct{})
+	go func() {
+		r.Accepted("job-stalled", "acme", testHandle(1), nil)
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Accepted still blocked on a stalled peer after 10s")
+	}
+	waitUntil(t, "stalled peer expired", func() bool { return r.Stats().Live == 0 })
 }

@@ -8,7 +8,9 @@ package edgelog
 // leave for clean shutdown.
 
 import (
+	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"fixgo/internal/proto"
@@ -21,6 +23,11 @@ import (
 type peerConn struct {
 	conn   transport.Conn
 	sendMu sync.Mutex
+
+	// pingBusy marks a heartbeat ping still being sent, since pingStart
+	// (unix ns); see heartbeatLoop.
+	pingBusy  atomic.Bool
+	pingStart atomic.Int64
 
 	mu sync.Mutex
 	id string
@@ -321,9 +328,26 @@ func (r *Replicator) heartbeatLoop() {
 			}
 		}
 		r.mu.Unlock()
+		now := time.Now()
 		for _, pc := range conns {
-			if err := pc.send(ping); err != nil {
-				r.dropConn(pc, err)
+			// Pings go out off-loop so one peer whose socket stopped
+			// draining cannot block probing and expiring the rest. At
+			// most one ping is in flight per link, and one stuck past the
+			// timeout drops the link: closing it unblocks every Send
+			// waiting on it, Accepted's replication among them.
+			if pc.pingBusy.CompareAndSwap(false, true) {
+				pc.pingStart.Store(now.UnixNano())
+				r.wg.Add(1)
+				go func(pc *peerConn) {
+					defer r.wg.Done()
+					err := pc.send(ping)
+					pc.pingBusy.Store(false)
+					if err != nil {
+						r.dropConn(pc, err)
+					}
+				}(pc)
+			} else if now.Sub(time.Unix(0, pc.pingStart.Load())) > r.opts.HeartbeatTimeout {
+				r.dropConn(pc, fmt.Errorf("heartbeat send stalled beyond the %v timeout", r.opts.HeartbeatTimeout))
 			}
 		}
 		for _, id := range expired {

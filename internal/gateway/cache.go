@@ -32,7 +32,6 @@ type CacheStats struct {
 	Collapsed uint64 `json:"collapsed"`
 	Evicted   uint64 `json:"evicted"`
 	Errors    uint64 `json:"errors"`
-	Warmed    uint64 `json:"warmed"` // entries preloaded from a recovered memo journal
 	Entries   int    `json:"entries"`
 	Capacity  int    `json:"capacity"`
 }
@@ -59,7 +58,7 @@ type resultCache struct {
 	// evaluation entering the cache) outside the shard lock. warm()
 	// inserts deliberately bypass it: the replicated edge uses this hook
 	// to gossip fresh memoizations, and re-gossiping entries that arrived
-	// *as* gossip (or from journal replay) would echo between gateways.
+	// *as* gossip would echo between gateways.
 	// Set before the cache serves traffic.
 	onInsert func(k, result core.Handle)
 }
@@ -77,7 +76,6 @@ type cacheShard struct {
 	collapsed uint64
 	evicted   uint64
 	errors    uint64
-	warmed    uint64
 }
 
 type cacheEntry struct {
@@ -287,14 +285,13 @@ func (s *cacheShard) insertLocked(k core.Handle, result core.Handle) {
 	}
 }
 
-// warm inserts a known (key → result) pair without an evaluation, for
-// pre-populating the cache from a recovered memo journal.
+// warm inserts a known (key → result) pair without an evaluation: an
+// applied edge gossip hint.
 func (c *resultCache) warm(k, result core.Handle) {
 	s := c.shardFor(k)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.insertLocked(k, result)
-	s.warmed++
 }
 
 // Stats snapshots the counters, summed across shards.
@@ -307,7 +304,6 @@ func (c *resultCache) Stats() CacheStats {
 		out.Collapsed += s.collapsed
 		out.Evicted += s.evicted
 		out.Errors += s.errors
-		out.Warmed += s.warmed
 		out.Entries += s.ll.Len()
 		s.mu.Unlock()
 	}

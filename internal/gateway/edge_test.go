@@ -324,6 +324,28 @@ func TestEdgeGossipStaleHint(t *testing.T) {
 	}
 }
 
+// TestEdgeHintWithoutCache: a gossip hint reaching a gateway whose
+// result cache is disabled is consumed as a no-op — not parked for
+// retry, and not a nil-cache panic.
+func TestEdgeHintWithoutCache(t *testing.T) {
+	srv, _ := newTestGateway(t, edgeGatewayOpts(Options{}, "gw-b"))
+	t.Cleanup(func() { _ = srv.Close() })
+	result := core.LiteralU64(42)
+	thunk, err := core.Identification(result)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, err := core.Strict(thunk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Edge().AttachPeer(feedWarmHint(t, enc.AsObject(), result))
+	waitUntil(t, "hint consumed", func() bool { return srv.Stats().Edge.WarmApplied == 1 })
+	if st := srv.Stats(); st.Edge.HintsPending != 0 || st.Cache.Entries != 0 {
+		t.Fatalf("cache-less gateway kept the hint: %d pending, %d cache entries", st.Edge.HintsPending, st.Cache.Entries)
+	}
+}
+
 // feedWarmHint returns a transport endpoint whose far side has already
 // sent one TypeEdgeWarm message (and nothing else), standing in for a
 // peer gateway gossiping a hint.

@@ -40,7 +40,7 @@ func BenchmarkWarmHitLoopback(b *testing.B) {
 	}
 	defer srv.Close()
 	enc, result := warmHit(b)
-	srv.Warm(enc, result)
+	srv.cache.warm(enc.AsObject(), result)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	tr := &http.Transport{MaxIdleConnsPerHost: 1}

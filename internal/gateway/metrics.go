@@ -86,7 +86,6 @@ func (s *Server) collectStats(emit func(obsv.Sample)) {
 	counter("cache_collapsed_total", "Submissions that joined an in-flight identical evaluation", float64(st.Cache.Collapsed))
 	counter("cache_evicted_total", "Result-cache LRU evictions", float64(st.Cache.Evicted))
 	counter("cache_errors_total", "Evaluations that failed while leading a flight", float64(st.Cache.Errors))
-	counter("cache_warmed_total", "Entries preloaded from a recovered memo journal", float64(st.Cache.Warmed))
 	gauge("cache_entries", "Result-cache entries resident", float64(st.Cache.Entries))
 	gauge("cache_capacity", "Result-cache capacity", float64(st.Cache.Capacity))
 
@@ -108,20 +107,7 @@ func (s *Server) collectStats(emit func(obsv.Sample)) {
 	gauge("batch_max_items", "Configured per-batch item bound", float64(st.Batch.MaxItems))
 
 	if st.Cluster != nil {
-		cs := st.Cluster
-		gauge("cluster_peers", "Live cluster peers", float64(cs.Peers))
-		counter("cluster_peers_evicted_total", "Peers evicted on link error or heartbeat timeout", float64(cs.Evicted))
-		counter("cluster_heartbeats_sent_total", "Ping probes sent", float64(cs.HeartbeatsSent))
-		counter("cluster_jobs_delegated_total", "Jobs shipped to peers", float64(cs.JobsDelegated))
-		counter("cluster_jobs_replaced_total", "Delegations re-placed after their worker died", float64(cs.JobsReplaced))
-		counter("cluster_jobs_local_fallback_total", "Jobs evaluated locally after delegation failed", float64(cs.JobsLocalFallback))
-		counter("cluster_replace_failures_total", "Jobs that could not be re-placed", float64(cs.ReplaceFailures))
-		gauge("cluster_replicas", "Configured replication factor", float64(cs.Replicas))
-		gauge("cluster_ring_members", "Consistent-hash ring size", float64(cs.RingMembers))
-		counter("cluster_replicas_sent_total", "Replica pushes for fresh writes", float64(cs.ReplicasSent))
-		counter("cluster_replicas_acked_total", "Replica push acknowledgements", float64(cs.ReplicasAcked))
-		counter("cluster_repair_passes_total", "Anti-entropy repair passes", float64(cs.RepairPasses))
-		counter("cluster_repair_replicas_sent_total", "Replica pushes sent by repair passes", float64(cs.RepairReplicasSent))
+		cluster.EmitNetStats(st.Cluster, counter, gauge)
 	}
 
 	if st.Storage != nil {
@@ -172,15 +158,7 @@ func (s *Server) collectStats(emit func(obsv.Sample)) {
 	}
 
 	if st.Durable != nil {
-		ds := st.Durable
-		gauge("durable_objects", "Distinct objects in the durable index", float64(ds.Objects))
-		gauge("durable_memo_entries", "Thunk and encode journal entries", float64(ds.MemoEntries))
-		gauge("durable_pack_bytes", "On-disk pack footprint", float64(ds.PackBytes))
-		counter("durable_appends_total", "Object records appended this process", float64(ds.Appends))
-		counter("durable_memo_appends_total", "Memo journal records appended this process", float64(ds.MemoAppends))
-		gauge("durable_truncated_tail", "Torn records dropped during recovery", float64(ds.TruncatedTail))
-		counter("durable_gc_passes_total", "Durable store GC passes", float64(ds.GCPasses))
-		counter("durable_gc_dropped_total", "Records dropped by durable GC", float64(ds.GCDropped))
+		cluster.EmitDurableStats(st.Durable, counter, gauge)
 	}
 
 	// Tenants arrive as a map; the registry's encoder sorts samples by

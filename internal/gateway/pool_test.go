@@ -103,9 +103,7 @@ func TestPoolAllocsPerRequest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !srv.Warm(enc, result) {
-		t.Fatal("Warm failed")
-	}
+	srv.cache.warm(enc.AsObject(), result)
 
 	body := []byte(`{"handle":"` + core.FormatHandle(enc) + `"}`)
 	h := srv.Handler()
@@ -147,7 +145,7 @@ func BenchmarkSubmitHit(b *testing.B) {
 	result := core.BlobHandle([]byte("bench-result"))
 	thunk, _ := core.Identification(result)
 	enc, _ := core.Strict(thunk)
-	srv.Warm(enc, result)
+	srv.cache.warm(enc.AsObject(), result)
 	body := []byte(`{"handle":"` + core.FormatHandle(enc) + `"}`)
 	h := srv.Handler()
 	b.ReportAllocs()

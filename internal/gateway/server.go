@@ -344,20 +344,6 @@ func (s *Server) awaitFlights() {
 	}
 }
 
-// Warm pre-populates the result cache with a known (job → result)
-// memoization — the boot path for a gateway restarted against a durable
-// data-dir, which replays the recovered memo journal here so repeat
-// submissions hit at the edge without re-evaluating. It reports whether
-// the entry was inserted (false when the cache is disabled or job is
-// plain data).
-func (s *Server) Warm(job, result core.Handle) bool {
-	if s.cache == nil || job.IsData() || job.IsZero() {
-		return false
-	}
-	s.cache.warm(job.AsObject(), result)
-	return true
-}
-
 // Stats snapshots all counters (also served at /v1/stats). Every source
 // is either atomic or snapshotted under its own shard lock, so scraping
 // while handlers mutate is race-free by construction.

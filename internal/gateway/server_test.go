@@ -417,56 +417,6 @@ func (b *fatalBackend) ObjectBytes(ctx context.Context, h core.Handle) ([]byte, 
 	return nil, fmt.Errorf("not resident")
 }
 
-// TestWarmServesWithoutBackend: a cache entry preloaded from a recovered
-// memo journal answers a repeat submission without touching the backend.
-func TestWarmServesWithoutBackend(t *testing.T) {
-	srv, c := newTestGateway(t, Options{Backend: &fatalBackend{t: t}, CacheEntries: 16})
-
-	result := core.BlobHandle([]byte("the-memoized-answer-from-last-boot"))
-	thunk, err := core.Identification(result)
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc, err := core.Strict(thunk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !srv.Warm(enc, result) {
-		t.Fatal("Warm rejected a valid encode entry")
-	}
-	if srv.Warm(result, result) {
-		t.Fatal("Warm accepted plain data")
-	}
-
-	// Submitting the bare Thunk wraps it in a Strict Encode — the same
-	// key the journal recorded.
-	res, err := c.Submit(context.Background(), thunk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Outcome != OutcomeHit {
-		t.Fatalf("outcome = %v, want hit from warmed cache", res.Outcome)
-	}
-	if res.Result != result {
-		t.Fatalf("result = %v, want %v", res.Result, result)
-	}
-	if got := srv.Stats().Cache.Warmed; got != 1 {
-		t.Fatalf("warmed counter = %d, want 1", got)
-	}
-}
-
-// TestWarmDisabledCache: warming a cache-less gateway is a no-op, not a
-// panic.
-func TestWarmDisabledCache(t *testing.T) {
-	srv, _ := newTestGateway(t, Options{Backend: &fatalBackend{t: t}})
-	result := core.BlobHandle([]byte("the-memoized-answer-from-last-boot"))
-	thunk, _ := core.Identification(result)
-	enc, _ := core.Strict(thunk)
-	if srv.Warm(enc, result) {
-		t.Fatal("Warm should report false with the cache disabled")
-	}
-}
-
 // TestUploadBodyLimits: every ingestion endpoint bounds its request body
 // — an oversized upload draws 413, not an unbounded read into memory.
 func TestUploadBodyLimits(t *testing.T) {

@@ -251,7 +251,7 @@ func TestWireFallbackKeepsErrors(t *testing.T) {
 func TestJSONRepliesDeclareLength(t *testing.T) {
 	srv, c := newTestGateway(t, Options{CacheEntries: 16})
 	enc, result := warmHit(t)
-	srv.Warm(enc, result)
+	srv.cache.warm(enc.AsObject(), result)
 	big := bytes.Repeat([]byte{'x'}, autoLengthMax)
 	for _, req := range []struct {
 		path, body string
