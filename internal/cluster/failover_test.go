@@ -6,11 +6,13 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"fixgo/internal/core"
 	"fixgo/internal/objstore"
+	"fixgo/internal/proto"
 	"fixgo/internal/runtime"
 	"fixgo/internal/transport"
 )
@@ -407,5 +409,114 @@ func TestFailoverCloseRecvRace(t *testing.T) {
 		case <-time.After(30 * time.Second):
 			t.Fatal("deadlock: workers did not return after Close")
 		}
+	}
+}
+
+// stalledLink is a peer that says Hello, keeps sending Pongs (so it is
+// never silent), and stops draining its side at the first frame of type
+// stallOn: that Send and every later one block until Close. Only the
+// stalled heartbeat send can get it evicted.
+type stalledLink struct {
+	hello   []byte
+	pong    []byte
+	stallOn byte
+	stalled atomic.Bool
+	frames  atomic.Int32 // frames of type stallOn sent to the link
+	closed  chan struct{}
+	once    sync.Once
+}
+
+func newStalledLink(id string, stallOn byte, adverts []core.Handle) *stalledLink {
+	return &stalledLink{
+		hello:   (&proto.Message{Type: proto.TypeHello, From: id, Role: proto.RoleWorker, Adverts: adverts}).Encode(),
+		pong:    (&proto.Message{Type: proto.TypePong, From: id}).Encode(),
+		stallOn: stallOn,
+		closed:  make(chan struct{}),
+	}
+}
+
+func (l *stalledLink) Send(msg []byte) error {
+	if len(msg) > 0 && msg[0] == l.stallOn {
+		l.frames.Add(1)
+		l.stalled.Store(true)
+	}
+	if l.stalled.Load() {
+		<-l.closed
+		return transport.ErrClosed
+	}
+	return nil
+}
+
+// Recv is called only by the node's receive loop.
+func (l *stalledLink) Recv() ([]byte, error) {
+	if h := l.hello; h != nil {
+		l.hello = nil
+		return h, nil
+	}
+	select {
+	case <-l.closed:
+		return nil, transport.ErrClosed
+	case <-time.After(time.Millisecond):
+		return bytes.Clone(l.pong), nil
+	}
+}
+
+func (l *stalledLink) Close() error {
+	l.once.Do(func() { close(l.closed) })
+	return nil
+}
+
+// TestFailoverHeartbeatCountsStartedPings: HeartbeatsSent counts the
+// pings the loop starts. A peer whose first ping never leaves Send gets
+// no second one, and its eviction after the timeout counts once.
+func TestFailoverHeartbeatCountsStartedPings(t *testing.T) {
+	n := NewNode("a", NodeOptions{Cores: 1, HeartbeatInterval: 5 * time.Millisecond})
+	defer n.Close()
+	link := newStalledLink("stuck", proto.TypePing, nil)
+	n.AttachPeer(link)
+	waitFor(t, "a to evict the stalled peer", func() bool { return n.NetStats().Evicted == 1 })
+	if st := n.NetStats(); st.HeartbeatsSent != 1 || st.Evicted != 1 || link.frames.Load() != 1 {
+		t.Fatalf("heartbeats sent %d, evicted %d, pings reaching the link %d; want 1, 1, 1",
+			st.HeartbeatsSent, st.Evicted, link.frames.Load())
+	}
+}
+
+// TestFailoverStalledSendReplacesDelegation: a delegation stuck in Send to
+// a peer that stopped draining is released when the stalled heartbeat
+// send gets the peer evicted; it fails with PeerLostError, is placed
+// again on the live worker, and Eval returns the right answer.
+func TestFailoverStalledSendReplacesDelegation(t *testing.T) {
+	client := NewNode("client", NodeOptions{Cores: 1, ClientOnly: true,
+		HeartbeatInterval: 5 * time.Millisecond, HeartbeatTimeout: 40 * time.Millisecond})
+	w := NewNode("w", NodeOptions{Cores: 2, Registry: countRegistry()})
+	defer client.Close()
+	defer w.Close()
+	Connect(client, w, fastLink())
+
+	blob := client.Store().PutBlob(bytes.Repeat([]byte{7}, 3000))
+	fn := client.Store().PutBlob(core.NativeFunctionBlob("len"))
+	tree, err := client.Store().PutTree(core.InvocationTree(core.DefaultLimits.Handle(), fn, blob))
+	if err != nil {
+		t.Fatal(err)
+	}
+	th, _ := core.Application(tree)
+	enc, _ := core.Strict(th)
+	// The stalled peer advertises the job's whole closure, so the placer
+	// prices it below w and ships the job there first.
+	link := newStalledLink("stuck", proto.TypeJob, []core.Handle{blob, fn, tree})
+	client.AttachPeer(link)
+	waitPeer(client, "stuck")
+
+	res, err := client.Eval(context.Background(), enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res != core.LiteralU64(3000) {
+		t.Fatalf("Eval = %v, want the literal 3000", res)
+	}
+	st := client.NetStats()
+	if st.Evicted != 1 || st.JobsReplaced != 1 || link.frames.Load() != 1 {
+		t.Fatalf("evicted %d, jobs replaced %d, jobs sent to the stalled peer %d; want 1, 1, 1",
+			st.Evicted, st.JobsReplaced, link.frames.Load())
 	}
 }

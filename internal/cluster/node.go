@@ -157,7 +157,8 @@ type NetStats struct {
 	Peers int `json:"peers"`
 	// Evicted counts peers removed on link error or heartbeat timeout.
 	Evicted uint64 `json:"evicted"`
-	// HeartbeatsSent counts Ping probes sent.
+	// HeartbeatsSent counts Ping sends started: a peer evicted for
+	// silence, or whose previous ping is still in Send, gets none.
 	HeartbeatsSent uint64 `json:"heartbeats_sent"`
 	// JobsDelegated counts jobs shipped to peers.
 	JobsDelegated uint64 `json:"jobs_delegated"`
@@ -477,9 +478,9 @@ func (n *Node) heartbeatLoop() {
 		for _, p := range n.peers {
 			peers = append(peers, p)
 		}
-		n.net.HeartbeatsSent += uint64(len(peers))
 		n.mu.Unlock()
 		ping := &proto.Message{Type: proto.TypePing, From: n.id}
+		var started uint64
 		for _, p := range peers {
 			if now.Sub(time.Unix(0, p.lastSeen.Load())) > n.opts.HeartbeatTimeout {
 				n.evictPeer(p, fmt.Errorf("no message within the %v heartbeat timeout", n.opts.HeartbeatTimeout))
@@ -491,6 +492,7 @@ func (n *Node) heartbeatLoop() {
 			// At most one ping send is in flight per peer; a send still
 			// stuck after a full timeout window is itself a failure.
 			if p.pingBusy.CompareAndSwap(false, true) {
+				started++
 				p.pingStart.Store(now.UnixNano())
 				go func(p *peer) {
 					err := p.send(ping)
@@ -503,6 +505,9 @@ func (n *Node) heartbeatLoop() {
 				n.evictPeer(p, fmt.Errorf("heartbeat send stalled beyond the %v timeout", n.opts.HeartbeatTimeout))
 			}
 		}
+		n.mu.Lock()
+		n.net.HeartbeatsSent += started
+		n.mu.Unlock()
 	}
 }
 

@@ -30,7 +30,6 @@
 package edgelog
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
@@ -43,10 +42,12 @@ import (
 )
 
 // edgeJournalMagic distinguishes an edge log from the jobs journal, memo
-// journal, and pack files sharing a data-dir.
-const edgeJournalMagic = "FIXEDGE1"
+// journal, and pack files sharing a data-dir. A FIXEDGE1 journal (JSON
+// records) fails to open with a bad-magic error that names the file.
+const edgeJournalMagic = "FIXEDGE2"
 
-// recEntry is the only journal record type: one folded entry state.
+// recEntry is the only journal record type: one folded entry state, as
+// its wire frame (appendRecord).
 const recEntry = byte(1)
 
 // maxPendingHints bounds the deferred warm-hint table: hints whose
@@ -190,6 +191,7 @@ type Replicator struct {
 	waits    map[uint64]*ackWait
 	hints    map[core.Handle]core.Handle
 	hintFIFO []core.Handle // eviction order for the hint table
+	scratch  []byte        // journal record encode buffer
 	seq      uint64
 	terminal int
 	closed   bool
@@ -240,11 +242,7 @@ func (r *Replicator) openJournal() error {
 		if recType != recEntry {
 			return fmt.Errorf("edgelog: unexpected journal record type %d", recType)
 		}
-		var b recEntryBody
-		if err := json.Unmarshal(payload, &b); err != nil {
-			return fmt.Errorf("edgelog: bad journal record: %w", err)
-		}
-		e, err := entryFromBody(b)
+		e, err := decodeRecord(payload)
 		if err != nil {
 			return err
 		}
@@ -281,11 +279,8 @@ func (r *Replicator) openJournal() error {
 func (r *Replicator) compactLocked() error {
 	return r.journal.Rewrite(func(emit func(byte, []byte) error) error {
 		for _, e := range r.entries {
-			p, err := json.Marshal(e.journalBody())
-			if err != nil {
-				return err
-			}
-			if err := emit(recEntry, p); err != nil {
+			r.scratch = appendRecord(r.scratch[:0], e)
+			if err := emit(recEntry, r.scratch); err != nil {
 				return err
 			}
 		}
@@ -336,11 +331,8 @@ func (r *Replicator) appendJournalLocked(e *Entry) {
 	if r.journal == nil {
 		return
 	}
-	p, err := json.Marshal(e.journalBody())
-	if err == nil {
-		err = r.journal.Append(recEntry, p)
-	}
-	if err != nil {
+	r.scratch = appendRecord(r.scratch[:0], e)
+	if err := r.journal.Append(recEntry, r.scratch); err != nil {
 		r.logf("edgelog: journal append: %v", err)
 	}
 }

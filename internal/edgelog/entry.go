@@ -113,79 +113,25 @@ func fromWire(w proto.EdgeEntry) (Entry, error) {
 	return e, nil
 }
 
-// recEntryBody is the journal payload (JSON, like the jobs journal: edge
-// records are small and rare relative to object traffic, and benefit
-// more from extensibility than packed encoding).
-type recEntryBody struct {
-	Job     string          `json:"job"`
-	Origin  string          `json:"origin"`
-	Tenant  string          `json:"tenant"`
-	State   byte            `json:"state"`
-	AtNS    int64           `json:"at_ns"`
-	Handle  string          `json:"handle"`
-	Result  string          `json:"result,omitempty"`
-	Objects []recObjectBody `json:"objects,omitempty"`
+// appendRecord appends e's journal record to buf: the wire encoding of an
+// EdgeAppend message carrying e alone, with no sender and sequence 0.
+func appendRecord(buf []byte, e *Entry) []byte {
+	w := [1]proto.EdgeEntry{e.wire()}
+	m := proto.Message{Type: proto.TypeEdgeAppend, Entries: w[:]}
+	return m.AppendEncode(buf)
 }
 
-// recObjectBody is one payload object in the journal ([]byte marshals as
-// base64, so the record stays line-safe JSON).
-type recObjectBody struct {
-	Handle string `json:"handle"`
-	Data   []byte `json:"data"`
-}
-
-func (e *Entry) journalBody() recEntryBody {
-	b := recEntryBody{
-		Job:    e.Job,
-		Origin: e.Origin,
-		Tenant: e.Tenant,
-		State:  byte(e.State),
-		AtNS:   e.At.UnixNano(),
-		Handle: core.FormatHandle(e.Handle),
+// decodeRecord parses one appendRecord record through proto.Decode and
+// fromWire, the path a replicated entry takes.
+func decodeRecord(p []byte) (Entry, error) {
+	m, err := proto.Decode(p)
+	if err != nil {
+		return Entry{}, fmt.Errorf("edgelog: bad journal record: %w", err)
 	}
-	if e.State == EntryDone {
-		b.Result = core.FormatHandle(e.Result)
+	if m.Type != proto.TypeEdgeAppend || len(m.Entries) != 1 {
+		return Entry{}, fmt.Errorf("edgelog: journal record is a type-%d frame with %d entries, want one EdgeAppend entry", m.Type, len(m.Entries))
 	}
-	if !e.State.Terminal() {
-		for _, p := range e.Objects {
-			b.Objects = append(b.Objects, recObjectBody{
-				Handle: core.FormatHandle(p.Handle),
-				Data:   p.Data,
-			})
-		}
-	}
-	return b
-}
-
-func entryFromBody(b recEntryBody) (Entry, error) {
-	s := EntryState(b.State)
-	if s < EntryAccepted || s > EntryDone {
-		return Entry{}, fmt.Errorf("edgelog: journal entry %s has invalid state %d", b.Job, b.State)
-	}
-	e := Entry{
-		Job:    b.Job,
-		Origin: b.Origin,
-		Tenant: b.Tenant,
-		State:  s,
-		At:     time.Unix(0, b.AtNS),
-	}
-	var err error
-	if e.Handle, err = core.ParseHandle(b.Handle); err != nil {
-		return Entry{}, fmt.Errorf("edgelog: journal entry %s: %w", b.Job, err)
-	}
-	if b.Result != "" {
-		if e.Result, err = core.ParseHandle(b.Result); err != nil {
-			return Entry{}, fmt.Errorf("edgelog: journal entry %s result: %w", b.Job, err)
-		}
-	}
-	for _, o := range b.Objects {
-		p := proto.PushedObject{Data: o.Data}
-		if p.Handle, err = core.ParseHandle(o.Handle); err != nil {
-			return Entry{}, fmt.Errorf("edgelog: journal entry %s object: %w", b.Job, err)
-		}
-		e.Objects = append(e.Objects, p)
-	}
-	return e, nil
+	return fromWire(m.Entries[0])
 }
 
 // pickAdopter deterministically designates one live gateway to adopt a

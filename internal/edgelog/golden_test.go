@@ -2,21 +2,19 @@ package edgelog
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"fixgo/internal/core"
 	"fixgo/internal/durable"
 )
 
-// TestGoldenJournalReplays: an edge journal written by an earlier build
-// replays to the same table, and re-encoding each replayed entry gives
-// back its record byte for byte. The journal holds an accepted entry with
-// a two-object payload, and done, cancelled and dead-letter settlements.
-func TestGoldenJournalReplays(t *testing.T) {
-	golden, err := os.ReadFile("testdata/golden.journal")
+// copyGolden copies a testdata journal into a fresh temp path.
+func copyGolden(t *testing.T, name string) string {
+	t.Helper()
+	golden, err := os.ReadFile(filepath.Join("testdata", name))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,24 +22,24 @@ func TestGoldenJournalReplays(t *testing.T) {
 	if err := os.WriteFile(path, golden, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	return path
+}
 
+// TestGoldenJournalReplays: an edge journal written by an earlier build
+// replays to the same table, and re-encoding each replayed entry gives
+// back its record byte for byte. The journal holds an accepted entry with
+// a two-object payload, and done, cancelled and dead-letter settlements.
+func TestGoldenJournalReplays(t *testing.T) {
+	path := copyGolden(t, "golden-v2.journal")
 	records := 0
 	j, dropped, err := durable.OpenJournal(path, edgeJournalMagic, durable.FsyncNever, func(recType byte, payload []byte) error {
 		records++
-		var b recEntryBody
-		if err := json.Unmarshal(payload, &b); err != nil {
-			return err
-		}
-		e, err := entryFromBody(b)
+		e, err := decodeRecord(payload)
 		if err != nil {
 			return err
 		}
-		again, err := json.Marshal(e.journalBody())
-		if err != nil {
-			return err
-		}
-		if !bytes.Equal(again, payload) {
-			t.Errorf("entry %s re-encodes as %s, journal holds %s", e.Job, again, payload)
+		if again := appendRecord(nil, &e); !bytes.Equal(again, payload) {
+			t.Errorf("entry %s re-encodes as %x, journal holds %x", e.Job, again, payload)
 		}
 		return nil
 	})
@@ -106,5 +104,19 @@ func TestGoldenJournalReplays(t *testing.T) {
 			e.Objects[1].Handle != blob || !bytes.Equal(e.Objects[1].Data, big)) {
 			t.Errorf("accepted entry's payload replayed as %v", e.Objects)
 		}
+	}
+}
+
+// TestOldJournalRefused: a FIXEDGE1 journal (JSON records) is not read;
+// New fails with an error naming the file.
+func TestOldJournalRefused(t *testing.T) {
+	path := copyGolden(t, "golden-v1.journal")
+	r, err := New(Options{ID: "gw-replay", JournalPath: path})
+	if err == nil {
+		r.Close()
+		t.Fatal("New opened a FIXEDGE1 journal")
+	}
+	if !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "FIXEDGE1") {
+		t.Fatalf("New: %v; want an error naming %s and its FIXEDGE1 magic", err, path)
 	}
 }

@@ -3,18 +3,17 @@ package jobs
 import (
 	"bytes"
 	"context"
-	"encoding/json"
-	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
 	"fixgo/internal/core"
 	"fixgo/internal/durable"
 )
 
-// goldenHandles rebuilds the handles testdata/golden.journal was written
+// goldenHandles rebuilds the handles the golden journals were written
 // with, from core's constructors alone: a Strict and a Shallow Encode of
 // one Application, a Strict Identification of a literal, a Strict
 // Selection, and the non-literal Blob one job returned.
@@ -37,13 +36,10 @@ func goldenHandles(t *testing.T) (strict, shallow, ident, sel, blob core.Handle)
 	return strict, shallow, ident, sel, blob
 }
 
-// TestGoldenJournalReplays: a jobs journal written by an earlier build
-// replays to the same job table, and re-encoding each record's handles in
-// core's text form gives back its payload byte for byte. The journal
-// holds every record type: a job done at once, one done after a failed
-// attempt, one dead-lettered and one cancelled while running.
-func TestGoldenJournalReplays(t *testing.T) {
-	golden, err := os.ReadFile("testdata/golden.journal")
+// copyGolden copies a testdata journal into a fresh temp path.
+func copyGolden(t *testing.T, name string) string {
+	t.Helper()
+	golden, err := os.ReadFile(filepath.Join("testdata", name))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,53 +47,49 @@ func TestGoldenJournalReplays(t *testing.T) {
 	if err := os.WriteFile(path, golden, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	return path
+}
 
-	records := 0
+// goldenRecords replays a jobs journal's raw records.
+func goldenRecords(t testing.TB, path string) [][]byte {
+	t.Helper()
+	var out [][]byte
 	j, dropped, err := durable.OpenJournal(path, jobsJournalMagic, durable.FsyncNever, func(recType byte, payload []byte) error {
-		records++
-		var body any
-		var handle *string // the record's handle field, when it has one
-		switch recType {
-		case recEnqueued:
-			b := new(recEnqueuedBody)
-			body, handle = b, &b.Handle
-		case recStarted:
-			body = new(recStartedBody)
-		case recCompleted:
-			b := new(recCompletedBody)
-			body, handle = b, &b.Result
-		case recFailed:
-			body = new(recFailedBody)
-		case recCancelled:
-			body = new(recCancelledBody)
-		default:
-			return fmt.Errorf("record type %d", recType)
+		if recType != recJob {
+			t.Errorf("record type %d, want %d", recType, recJob)
 		}
-		if err := json.Unmarshal(payload, body); err != nil {
-			return err
-		}
-		if handle != nil {
-			h, err := core.ParseHandle(*handle)
-			if err != nil {
-				return err
-			}
-			*handle = core.FormatHandle(h)
-		}
-		again, err := json.Marshal(body)
-		if err != nil {
-			return err
-		}
-		if !bytes.Equal(again, payload) {
-			t.Errorf("record type %d re-encodes as %s, journal holds %s", recType, again, payload)
-		}
+		out = append(out, bytes.Clone(payload))
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	j.Close()
-	if dropped != 0 || records != 16 {
-		t.Fatalf("golden journal: %d records, %d bytes dropped; want 16 and 0", records, dropped)
+	if dropped != 0 {
+		t.Fatalf("%s: %d bytes dropped", path, dropped)
+	}
+	return out
+}
+
+// TestGoldenJournalReplays: a jobs journal written by an earlier build
+// replays to the same job table, and re-encoding each decoded snapshot
+// gives back its record byte for byte. The journal holds one snapshot per
+// transition of a job done at once, one done after a failed attempt, one
+// dead-lettered and one cancelled while running.
+func TestGoldenJournalReplays(t *testing.T) {
+	path := copyGolden(t, "golden-v2.journal")
+	records := goldenRecords(t, path)
+	if len(records) != 16 {
+		t.Fatalf("golden journal: %d records, want 16", len(records))
+	}
+	for _, p := range records {
+		v, err := decodeJob(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again := appendJob(nil, &v); !bytes.Equal(again, p) {
+			t.Errorf("job %s re-encodes as %x, journal holds %x", v.ID, again, p)
+		}
 	}
 
 	m, err := New(Options{
@@ -140,4 +132,42 @@ func TestGoldenJournalReplays(t *testing.T) {
 			t.Errorf("job %d replayed as %+v, want %+v", i, got[i], want[i])
 		}
 	}
+}
+
+// TestOldJournalRefused: a FIXJOBS1 journal (JSON records, one per
+// transition kind) is not read; New fails with an error naming the file.
+func TestOldJournalRefused(t *testing.T) {
+	path := copyGolden(t, "golden-v1.journal")
+	m, err := New(Options{JournalPath: path, Eval: echoEval(0)})
+	if err == nil {
+		m.Close()
+		t.Fatal("New opened a FIXJOBS1 journal")
+	}
+	if !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "FIXJOBS1") {
+		t.Fatalf("New: %v; want an error naming %s and its FIXJOBS1 magic", err, path)
+	}
+}
+
+// FuzzJobRecord: decodeJob never panics, and on every record it accepts,
+// appendJob gives back the same bytes and decoding those gives the same
+// snapshot.
+func FuzzJobRecord(f *testing.F) {
+	for _, p := range goldenRecords(f, filepath.Join("testdata", "golden-v2.journal")) {
+		f.Add(p)
+	}
+	f.Add([]byte{})
+	f.Add(make([]byte, jobRecordFixed+8))
+	f.Fuzz(func(t *testing.T, p []byte) {
+		v, err := decodeJob(p)
+		if err != nil {
+			return
+		}
+		again := appendJob(nil, &v)
+		if !bytes.Equal(again, p) {
+			t.Fatalf("record %x re-encodes as %x", p, again)
+		}
+		if w, err := decodeJob(again); err != nil || w != v {
+			t.Fatalf("re-encoded record decodes as %+v, %v; want %+v", w, err, v)
+		}
+	})
 }

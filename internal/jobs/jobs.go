@@ -35,8 +35,8 @@ package jobs
 import (
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
@@ -248,6 +248,7 @@ type Manager struct {
 
 	mu           sync.Mutex
 	cond         *sync.Cond // signals workers when the queue grows or the manager closes
+	scratch      []byte     // journal record encode buffer
 	jobs         map[string]*job
 	queue        *fairQueue
 	running      int
@@ -299,50 +300,86 @@ func (m *Manager) logf(format string, args ...any) {
 	}
 }
 
-// Journal record types. Payloads are JSON — job records are small, rare
-// relative to object traffic, and benefit more from extensibility than
-// from packed encoding.
-const (
-	recEnqueued  = byte(1)
-	recStarted   = byte(2)
-	recCompleted = byte(3)
-	recFailed    = byte(4)
-	recCancelled = byte(5)
-)
+// recJob is the journal's one record type: a job's snapshot after a
+// transition. Replay keeps each job's last snapshot.
+const recJob = byte(1)
 
 // jobsJournalMagic distinguishes a jobs journal from the memo journal
-// and pack files sharing the data-dir.
-const jobsJournalMagic = "FIXJOBS1"
+// and pack files sharing the data-dir. A FIXJOBS1 journal (one JSON
+// record per transition kind) fails to open with a bad-magic error that
+// names the file.
+const jobsJournalMagic = "FIXJOBS2"
 
-type (
-	recEnqueuedBody struct {
-		ID         string `json:"id"`
-		Tenant     string `json:"tenant"`
-		Handle     string `json:"handle"`
-		EnqueuedNS int64  `json:"enqueued_ns"`
+// stateCodes numbers the states in a record: a state's code is its index.
+var stateCodes = [...]State{StatePending, StateRunning, StateDone, StateDeadLetter, StateCancelled}
+
+// jobRecordFixed is a record's fixed-width head: state code, attempts,
+// handle, result and three timestamps.
+const jobRecordFixed = 1 + 4 + 2*core.HandleSize + 3*8
+
+// appendJob appends v's record to buf: the state code, Attempts (uint32),
+// Handle, Result, the Enqueued/Started/Finished times in Unix nanoseconds
+// (0 for the zero time), then Tenant and Error, each behind a uint32
+// length. The ID is not stored: it is JobID(Tenant, Handle).
+func appendJob(buf []byte, v *Job) []byte {
+	code := 0
+	for i, s := range stateCodes {
+		if s == v.State {
+			code = i
+		}
 	}
-	recStartedBody struct {
-		ID        string `json:"id"`
-		Attempt   int    `json:"attempt"`
-		StartedNS int64  `json:"started_ns"`
+	buf = append(buf, byte(code))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(v.Attempts))
+	buf = append(buf, v.Handle[:]...)
+	buf = append(buf, v.Result[:]...)
+	for _, t := range [...]time.Time{v.Enqueued, v.Started, v.Finished} {
+		var ns int64
+		if !t.IsZero() {
+			ns = t.UnixNano()
+		}
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(ns))
 	}
-	recCompletedBody struct {
-		ID         string `json:"id"`
-		Result     string `json:"result"`
-		FinishedNS int64  `json:"finished_ns"`
+	for _, s := range [...]string{v.Tenant, v.Error} {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s)))
+		buf = append(buf, s...)
 	}
-	recFailedBody struct {
-		ID         string `json:"id"`
-		Error      string `json:"error"`
-		Attempt    int    `json:"attempt"`
-		Dead       bool   `json:"dead"`
-		FinishedNS int64  `json:"finished_ns"`
+	return buf
+}
+
+// errJobRecord reports a jobs journal record that is not appendJob's
+// output.
+var errJobRecord = errors.New("jobs: malformed job record")
+
+// decodeJob parses one appendJob record. It accepts only what appendJob
+// writes, so re-encoding a decoded record gives back its bytes.
+func decodeJob(p []byte) (Job, error) {
+	if len(p) < jobRecordFixed || int(p[0]) >= len(stateCodes) {
+		return Job{}, errJobRecord
 	}
-	recCancelledBody struct {
-		ID         string `json:"id"`
-		FinishedNS int64  `json:"finished_ns"`
+	v := Job{State: stateCodes[p[0]], Attempts: int(binary.LittleEndian.Uint32(p[1:]))}
+	p = p[5:]
+	p = p[copy(v.Handle[:], p):]
+	p = p[copy(v.Result[:], p):]
+	for _, t := range [...]*time.Time{&v.Enqueued, &v.Started, &v.Finished} {
+		if ns := int64(binary.LittleEndian.Uint64(p)); ns != 0 {
+			*t = time.Unix(0, ns)
+		}
+		p = p[8:]
 	}
-)
+	for _, s := range [...]*string{&v.Tenant, &v.Error} {
+		if len(p) < 4 || uint64(len(p)-4) < uint64(binary.LittleEndian.Uint32(p)) {
+			return Job{}, errJobRecord
+		}
+		n := 4 + int(binary.LittleEndian.Uint32(p))
+		*s = string(p[4:n])
+		p = p[n:]
+	}
+	if len(p) != 0 {
+		return Job{}, errJobRecord
+	}
+	v.ID = JobID(v.Tenant, v.Handle)
+	return v, nil
+}
 
 // openJournal replays the journal into the in-memory job table,
 // re-enqueues every non-terminal job, and compacts the file when replay
@@ -351,7 +388,15 @@ func (m *Manager) openJournal() error {
 	records := 0
 	j, dropped, err := durable.OpenJournal(m.opts.JournalPath, jobsJournalMagic, m.opts.Fsync, func(recType byte, payload []byte) error {
 		records++
-		return m.replayRecord(recType, payload)
+		if recType != recJob {
+			return fmt.Errorf("jobs: unexpected journal record type %d", recType)
+		}
+		v, err := decodeJob(payload)
+		if err != nil {
+			return err
+		}
+		m.jobs[v.ID] = &job{view: v}
+		return nil
 	})
 	if err != nil {
 		return err
@@ -362,16 +407,21 @@ func (m *Manager) openJournal() error {
 	}
 	// Re-enqueue everything non-terminal: pending jobs resume where they
 	// were; running jobs restart from pending — determinism makes
-	// re-evaluation safe, and a surviving memo entry makes it cheap.
+	// re-evaluation safe, and a surviving memo entry makes it cheap. The
+	// attempt count carries over, so a job that keeps killing its gateway
+	// still reaches the dead-letter state.
 	resumed := 0
 	for _, jb := range m.jobs {
-		switch jb.view.State {
-		case StatePending, StateRunning:
-			jb.view.State = StatePending
-			jb.view.Error = ""
-			m.queue.push(jb)
-			resumed++
+		jb.done = make(chan struct{})
+		if jb.view.State.Terminal() {
+			close(jb.done)
+			m.terminal++
+			continue
 		}
+		jb.view.State = StatePending
+		jb.view.Error = ""
+		m.queue.push(jb)
+		resumed++
 	}
 	m.stats.Replayed = len(m.jobs)
 	m.stats.Resumed = resumed
@@ -381,16 +431,11 @@ func (m *Manager) openJournal() error {
 	// Apply the retention bound to the replayed image too, so a journal
 	// accumulated over many lives does not resurrect an unbounded job
 	// table (and so the compaction below folds only what is retained).
-	for _, jb := range m.jobs {
-		if jb.view.State.Terminal() {
-			m.terminal++
-		}
-	}
 	m.evictTerminalLocked()
-	// Compact when the journal carries > 2× the records the folded state
-	// needs (enqueued + one terminal record per job), so a long-lived
-	// queue does not replay every historical retry forever.
-	if records > 2*(2*len(m.jobs))+16 {
+	// Compact when the journal carries more than twice the records the
+	// folded state needs (one snapshot per job), so a long-lived queue
+	// does not replay every historical transition forever.
+	if records > 2*len(m.jobs)+16 {
 		if err := m.compactLocked(); err != nil {
 			m.logf("jobs: compaction failed: %v", err)
 		} else {
@@ -400,150 +445,31 @@ func (m *Manager) openJournal() error {
 	return nil
 }
 
-// replayRecord folds one journal record into the job table.
-func (m *Manager) replayRecord(recType byte, payload []byte) error {
-	switch recType {
-	case recEnqueued:
-		var b recEnqueuedBody
-		if err := json.Unmarshal(payload, &b); err != nil {
-			return fmt.Errorf("jobs: bad enqueued record: %w", err)
-		}
-		h, err := core.ParseHandle(b.Handle)
-		if err != nil {
-			return fmt.Errorf("jobs: enqueued record: %w", err)
-		}
-		// An enqueue of a known job is a resubmission after a terminal
-		// state: reset it, as Submit did live.
-		m.jobs[b.ID] = &job{
-			view: Job{
-				ID:       b.ID,
-				Tenant:   b.Tenant,
-				Handle:   h,
-				State:    StatePending,
-				Enqueued: time.Unix(0, b.EnqueuedNS),
-			},
-			done: make(chan struct{}),
-		}
-	case recStarted:
-		var b recStartedBody
-		if err := json.Unmarshal(payload, &b); err != nil {
-			return fmt.Errorf("jobs: bad started record: %w", err)
-		}
-		if jb := m.jobs[b.ID]; jb != nil {
-			jb.view.State = StateRunning
-			jb.view.Attempts = b.Attempt
-			jb.view.Started = time.Unix(0, b.StartedNS)
-		}
-	case recCompleted:
-		var b recCompletedBody
-		if err := json.Unmarshal(payload, &b); err != nil {
-			return fmt.Errorf("jobs: bad completed record: %w", err)
-		}
-		jb := m.jobs[b.ID]
-		if jb == nil {
-			return nil
-		}
-		r, err := core.ParseHandle(b.Result)
-		if err != nil {
-			return fmt.Errorf("jobs: completed record: %w", err)
-		}
-		jb.view.State = StateDone
-		jb.view.Result = r
-		jb.view.Error = ""
-		jb.view.Finished = time.Unix(0, b.FinishedNS)
-		close(jb.done)
-	case recFailed:
-		var b recFailedBody
-		if err := json.Unmarshal(payload, &b); err != nil {
-			return fmt.Errorf("jobs: bad failed record: %w", err)
-		}
-		jb := m.jobs[b.ID]
-		if jb == nil {
-			return nil
-		}
-		jb.view.Attempts = b.Attempt
-		jb.view.Error = b.Error
-		if b.Dead {
-			jb.view.State = StateDeadLetter
-			jb.view.Finished = time.Unix(0, b.FinishedNS)
-			close(jb.done)
-		} else {
-			jb.view.State = StatePending
-		}
-	case recCancelled:
-		var b recCancelledBody
-		if err := json.Unmarshal(payload, &b); err != nil {
-			return fmt.Errorf("jobs: bad cancelled record: %w", err)
-		}
-		if jb := m.jobs[b.ID]; jb != nil {
-			jb.view.State = StateCancelled
-			jb.view.Finished = time.Unix(0, b.FinishedNS)
-			close(jb.done)
-		}
-	default:
-		return fmt.Errorf("jobs: unexpected journal record type %d", recType)
-	}
-	return nil
-}
-
-// compactLocked rewrites the journal to the minimal record set for the
-// current job table. Called during New (before workers start) — the job
-// table is quiescent.
+// compactLocked rewrites the journal to one snapshot per held job.
+// Called during New (before workers start) — the job table is quiescent.
 func (m *Manager) compactLocked() error {
 	return m.journal.Rewrite(func(emit func(byte, []byte) error) error {
-		emitJSON := func(recType byte, v any) error {
-			p, err := json.Marshal(v)
-			if err != nil {
-				return err
-			}
-			return emit(recType, p)
-		}
 		for _, jb := range m.jobs {
-			v := jb.view
-			if err := emitJSON(recEnqueued, recEnqueuedBody{
-				ID: v.ID, Tenant: v.Tenant, Handle: core.FormatHandle(v.Handle), EnqueuedNS: v.Enqueued.UnixNano(),
-			}); err != nil {
+			m.scratch = appendJob(m.scratch[:0], &jb.view)
+			if err := emit(recJob, m.scratch); err != nil {
 				return err
-			}
-			switch v.State {
-			case StateDone:
-				if err := emitJSON(recCompleted, recCompletedBody{
-					ID: v.ID, Result: core.FormatHandle(v.Result), FinishedNS: v.Finished.UnixNano(),
-				}); err != nil {
-					return err
-				}
-			case StateDeadLetter:
-				if err := emitJSON(recFailed, recFailedBody{
-					ID: v.ID, Error: v.Error, Attempt: v.Attempts, Dead: true, FinishedNS: v.Finished.UnixNano(),
-				}); err != nil {
-					return err
-				}
-			case StateCancelled:
-				if err := emitJSON(recCancelled, recCancelledBody{
-					ID: v.ID, FinishedNS: v.Finished.UnixNano(),
-				}); err != nil {
-					return err
-				}
 			}
 		}
 		return nil
 	})
 }
 
-// appendLocked journals one record (no-op without a journal). Journal
-// append failures are logged, not fatal: the in-memory queue keeps
-// serving, degraded to the non-durable mode, which mirrors how the
+// appendLocked journals the job's snapshot (no-op without a journal).
+// Journal append failures are logged, not fatal: the in-memory queue
+// keeps serving, degraded to the non-durable mode, which mirrors how the
 // object store surfaces PersistErrors rather than failing writes.
 // Under FsyncAlways the flush itself happens in commit, outside m.mu.
-func (m *Manager) appendLocked(recType byte, v any) {
+func (m *Manager) appendLocked(jb *job) {
 	if m.journal == nil {
 		return
 	}
-	p, err := json.Marshal(v)
-	if err == nil {
-		err = m.journal.Append(recType, p)
-	}
-	if err != nil {
+	m.scratch = appendJob(m.scratch[:0], &jb.view)
+	if err := m.journal.Append(recJob, m.scratch); err != nil {
 		m.logf("jobs: journal append: %v", err)
 	}
 }
@@ -613,9 +539,7 @@ func (m *Manager) submit(tenant string, h core.Handle) (Job, bool, error) {
 	m.jobs[id] = jb
 	m.queue.push(jb)
 	m.stats.Enqueued++
-	m.appendLocked(recEnqueued, recEnqueuedBody{
-		ID: id, Tenant: tenant, Handle: core.FormatHandle(h), EnqueuedNS: jb.view.Enqueued.UnixNano(),
-	})
+	m.appendLocked(jb)
 	m.publishLocked(jb)
 	m.cond.Signal()
 	return jb.view, true, nil
@@ -865,9 +789,7 @@ func (m *Manager) worker() {
 		jb.view.State = StateRunning
 		jb.view.Attempts++
 		jb.view.Started = time.Now()
-		m.appendLocked(recStarted, recStartedBody{
-			ID: jb.view.ID, Attempt: jb.view.Attempts, StartedNS: jb.view.Started.UnixNano(),
-		})
+		m.appendLocked(jb)
 		m.publishLocked(jb)
 		h := jb.view.Handle
 		view := jb.view
@@ -933,7 +855,7 @@ func (m *Manager) worker() {
 			m.finishLocked(jb, StateCancelled)
 		case m.baseCtx.Err() != nil:
 			// Shutdown interrupted the evaluation: revert to pending in
-			// memory; the journal's started record replays as pending.
+			// memory; the journal's running snapshot replays as pending.
 			jb.view.State = StatePending
 		default:
 			m.stats.Failed++
@@ -943,13 +865,10 @@ func (m *Manager) worker() {
 				m.logf("jobs: job %s dead-lettered after %d attempts: %v", jb.view.ID, jb.view.Attempts, err)
 			} else {
 				// Finished stays zero: the job is pending again, not
-				// done (the record still timestamps the attempt).
+				// done.
 				jb.view.State = StatePending
 				m.stats.Retried++
-				m.appendLocked(recFailed, recFailedBody{
-					ID: jb.view.ID, Error: jb.view.Error, Attempt: jb.view.Attempts,
-					FinishedNS: time.Now().UnixNano(),
-				})
+				m.appendLocked(jb)
 				m.publishLocked(jb)
 				m.scheduleRetryLocked(jb)
 			}
@@ -971,22 +890,10 @@ func (m *Manager) finishLocked(jb *job, s State) {
 	jb.view.Finished = time.Now()
 	m.terminal++
 	m.evictTerminalLocked()
-	switch s {
-	case StateDone:
-		m.appendLocked(recCompleted, recCompletedBody{
-			ID: jb.view.ID, Result: core.FormatHandle(jb.view.Result), FinishedNS: jb.view.Finished.UnixNano(),
-		})
-	case StateDeadLetter:
-		m.appendLocked(recFailed, recFailedBody{
-			ID: jb.view.ID, Error: jb.view.Error, Attempt: jb.view.Attempts, Dead: true,
-			FinishedNS: jb.view.Finished.UnixNano(),
-		})
-	case StateCancelled:
+	if s == StateCancelled {
 		m.stats.CancelledTotal++
-		m.appendLocked(recCancelled, recCancelledBody{
-			ID: jb.view.ID, FinishedNS: jb.view.Finished.UnixNano(),
-		})
 	}
+	m.appendLocked(jb)
 	close(jb.done)
 	m.publishLocked(jb)
 }

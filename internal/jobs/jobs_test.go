@@ -441,6 +441,60 @@ func TestJournalCompaction(t *testing.T) {
 	}
 }
 
+// TestAttemptsSurviveRestart: a running job's attempt count is journaled,
+// so a job whose gateway goes down during an attempt does not get a fresh
+// budget on reboot. With MaxAttempts 2, attempt 1 fails and Close runs
+// during attempt 2; after reopening, the job's first failure (attempt 3)
+// dead-letters it.
+func TestAttemptsSurviveRestart(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "jobs.journal")
+	second := make(chan struct{})
+	var calls atomic.Int32
+	m, err := New(Options{
+		Workers:     1,
+		MaxAttempts: 2,
+		RetryDelay:  time.Millisecond,
+		JournalPath: path,
+		Eval: func(ctx context.Context, h core.Handle) (core.Handle, error) {
+			if calls.Add(1) == 1 {
+				return core.Handle{}, errors.New("attempt 1 fails")
+			}
+			close(second)
+			<-ctx.Done()
+			return core.Handle{}, ctx.Err()
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, _, err := m.Submit("t", testHandle(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-second
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var after atomic.Int32
+	m2 := newTestManager(t, Options{
+		Workers:     1,
+		MaxAttempts: 2,
+		JournalPath: path,
+		Eval: func(ctx context.Context, h core.Handle) (core.Handle, error) {
+			after.Add(1)
+			return core.Handle{}, errors.New("attempt 3 fails")
+		},
+	})
+	got := awaitState(t, m2, v.ID, StateDeadLetter)
+	if got.Attempts != 3 || after.Load() != 1 {
+		t.Fatalf("after restart: attempts = %d over %d evals, want 3 over 1", got.Attempts, after.Load())
+	}
+	if st := m2.Stats(); st.Resumed != 1 || st.Retried != 0 {
+		t.Fatalf("after restart: stats = %+v, want 1 resumed and 0 retried", st)
+	}
+}
+
 func TestSubscribeStreamsTransitions(t *testing.T) {
 	m := newTestManager(t, Options{Workers: 1, Eval: echoEval(5 * time.Millisecond)})
 	v, _, err := m.Submit("t", testHandle(1))
