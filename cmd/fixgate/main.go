@@ -10,14 +10,15 @@
 //
 // With -peers or -cluster-listen the gateway fronts cmd/fixpoint workers
 // as a client-only cluster node; without either, jobs run on an
-// in-process engine. With -data-dir, uploads, memoized results, the async
-// job queue (jobs.journal) and the edge log (edge.journal) survive a
-// restart: a repeat of a recovered job is answered from the restored
-// memo without re-executing. With -gw-peers or -gw-listen the gateway
-// joins a replicated edge of peer fixgates (internal/edgelog) under its
-// one identity, -id: accepted async jobs replicate to the peers before
-// their 202, and a dead gateway's undrained jobs are adopted exactly once
-// by a survivor.
+// in-process engine. With -data-dir, uploads, memoized results and the
+// async job queue (jobs.journal) survive a restart: a repeat of a
+// recovered job is answered from the restored memo without re-executing.
+// With -gw-peers or -gw-listen the gateway joins a replicated edge of peer
+// fixgates (internal/edgelog) under its one identity, -id: accepted async
+// jobs replicate to the peers before their 202, and a dead gateway's
+// undrained jobs are adopted exactly once by a survivor. The edge log
+// keeps no file: a restarted gateway rebuilds its own entries from
+// jobs.journal and relearns its peers' from their snapshots.
 //
 // Flags are bound in internal/daemon and tabulated, with the HTTP API, in
 // README.md; OPERATIONS.md is the runbook.
@@ -103,13 +104,12 @@ func main() {
 		gwOpts.EdgeID = cfg.ID
 	}
 	if dur != nil {
-		// The journals share the data-dir (and fsync policy) with the
-		// durable store; the memo restore above already ran, so jobs
+		// The jobs journal shares the data-dir (and fsync policy) with
+		// the durable store; the memo restore above already ran, so jobs
 		// resumed by the worker pool hit recovered memos instead of
 		// re-executing.
 		gwOpts.DurableStats = dur.Stats
 		gwOpts.JobsJournalPath = filepath.Join(cfg.DataDir, "jobs.journal")
-		gwOpts.EdgeJournalPath = filepath.Join(cfg.DataDir, "edge.journal") // read only with an EdgeID
 	}
 	srv, err := gateway.NewServer(gwOpts)
 	cfg.Check(err)

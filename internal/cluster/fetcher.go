@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 
@@ -29,22 +30,28 @@ func (f *clusterFetcher) Fetch(ctx context.Context, h core.Handle) ([]byte, erro
 
 	// Single-flight: join an in-progress fetch if one exists. The wait
 	// carries the fetched bytes: re-reading the hot store here would race
-	// with a demotion pass evicting the freshly promoted copy.
+	// with a demotion pass evicting the freshly promoted copy. A leader
+	// that gave up on its own context does not fail a joiner whose
+	// context is live: the joiner looks again, and leads if nobody does.
 	n.mu.Lock()
-	if w, ok := n.fetchW[k]; ok {
+	for w, ok := n.fetchW[k]; ok; w, ok = n.fetchW[k] {
 		n.mu.Unlock()
 		select {
 		case <-w.done:
-			if w.err != nil {
-				return nil, w.err
-			}
-			if w.data != nil {
-				return w.data, nil
-			}
-			return n.st.ObjectBytes(k)
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
+		if leaderGaveUp(ctx, w.err) {
+			n.mu.Lock()
+			continue
+		}
+		if w.err != nil {
+			return nil, w.err
+		}
+		if w.data != nil {
+			return w.data, nil
+		}
+		return n.st.ObjectBytes(k)
 	}
 	w := &fetchWait{done: make(chan struct{}), miss: make(chan string, 16)}
 	n.fetchW[k] = w
@@ -88,6 +95,12 @@ func (f *clusterFetcher) Fetch(ctx context.Context, h core.Handle) ([]byte, erro
 		return nil, err
 	}
 	return data, nil
+}
+
+// leaderGaveUp reports whether err is a context error that is not the
+// caller's own: ctx is still live.
+func leaderGaveUp(ctx context.Context, err error) bool {
+	return ctx.Err() == nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded))
 }
 
 // run walks the owner tiers and returns the object's bytes. Every success
@@ -156,6 +169,9 @@ func (f *clusterFetcher) run(ctx context.Context, k core.Handle, w *fetchWait, o
 			return data, nil
 		}
 		n.tier.fetchMisses.Add(1)
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err // gave up, which is not a miss
 	}
 	return nil, fmt.Errorf("cluster: object %v not found on any of %d known owners", k, len(owners))
 }

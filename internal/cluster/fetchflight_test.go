@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -103,5 +104,66 @@ func TestFetchSingleFlight(t *testing.T) {
 	}
 	if !n.Store().Contains(h) {
 		t.Error("fetched object not resident after fetch")
+	}
+}
+
+// gatedFetcher is an ExtraFetcher that announces each call on entered,
+// then serves data once release closes, or gives up when its caller's
+// context ends.
+type gatedFetcher struct {
+	calls   atomic.Int64
+	data    []byte
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (f *gatedFetcher) Fetch(ctx context.Context, h core.Handle) ([]byte, error) {
+	f.calls.Add(1)
+	f.entered <- struct{}{}
+	select {
+	case <-f.release:
+		return f.data, nil
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+}
+
+// TestCancelledFetchLeaderLeavesJoiner: a fetch leader whose own context
+// ends fails with that context's error, and a joiner whose context is
+// live fetches again instead of sharing it.
+func TestCancelledFetchLeaderLeavesJoiner(t *testing.T) {
+	data := bytes.Repeat([]byte{0x5A}, 1024)
+	h := core.BlobHandle(data)
+	extra := &gatedFetcher{data: data, entered: make(chan struct{}, 2), release: make(chan struct{})}
+	n := NewNode("n", NodeOptions{Cores: 1, ExtraFetcher: extra})
+	defer n.Close()
+	f := &clusterFetcher{n: n}
+
+	lctx, cancel := context.WithCancel(context.Background())
+	leader := make(chan error, 1)
+	go func() { _, err := f.Fetch(lctx, h); leader <- err }()
+	<-extra.entered // the leader is inside the ExtraFetcher
+	type out struct {
+		data []byte
+		err  error
+	}
+	joiner := make(chan out, 1)
+	go func() { d, err := f.Fetch(context.Background(), h); joiner <- out{d, err} }()
+	time.Sleep(20 * time.Millisecond) // let the joiner reach the fetch wait
+	cancel()
+	if err := <-leader; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled leader: %v, want context.Canceled", err)
+	}
+	<-extra.entered // the joiner fetches on its own
+	close(extra.release)
+	j := <-joiner
+	if j.err != nil {
+		t.Fatalf("joiner failed with its leader's cancellation: %v", j.err)
+	}
+	if !bytes.Equal(j.data, data) {
+		t.Fatalf("joiner got %d bytes, want the %d-byte object", len(j.data), len(data))
+	}
+	if got := extra.calls.Load(); got != 2 {
+		t.Fatalf("extra fetcher calls = %d, want 2 (the leader's and the joiner's)", got)
 	}
 }

@@ -8,13 +8,13 @@
 // Log entries are keyed by the deterministic job ID (a digest of tenant
 // and thunk handle) and carry a totally ordered lifecycle state, so the
 // replica fold is commutative and idempotent: appends, peer snapshots,
-// and journal replays can arrive in any interleaving and every replica
-// converges to the same table. That shape removes the need for a
-// leader or a global sequence — each gateway appends its own entries,
-// replicates them to peers, and waits for a majority acknowledgement
-// before acking the client's 202 (with a bounded timeout fallback,
-// because a duplicated or lost entry costs at most one deduplicated
-// re-evaluation, never a wrong answer).
+// and a restarted gateway's re-appends can arrive in any interleaving
+// and every replica converges to the same table. That shape removes the
+// need for a leader or a global sequence — each gateway appends its own
+// entries, replicates them to peers, and waits for a majority
+// acknowledgement before acking the client's 202 (with a bounded timeout
+// fallback, because a duplicated or lost entry costs at most one
+// deduplicated re-evaluation, never a wrong answer).
 //
 // Membership is a heartbeat view over the same peer channel. When a
 // gateway dies — link EOF, heartbeat timeout, or a clean Leave — each
@@ -24,31 +24,21 @@
 // duplicate death signals idempotent locally; across gateways, job-ID
 // dedup and memoization make even a split-brain double adoption safe.
 //
-// The local log is durable when given a journal path, reusing
-// internal/durable's CRC framing with torn-tail truncation, so a
-// restarted gateway rejoins with its replicated view intact.
+// The table lives in memory only. A restarted gateway rebuilds its own
+// entries from its jobs journal (the gateway re-appends them before any
+// peer attaches) and relearns its peers' entries from the snapshot each
+// live peer sends on attach.
 package edgelog
 
 import (
 	"errors"
-	"fmt"
 	"sort"
 	"sync"
 	"time"
 
 	"fixgo/internal/core"
-	"fixgo/internal/durable"
 	"fixgo/internal/proto"
 )
-
-// edgeJournalMagic distinguishes an edge log from the jobs journal, memo
-// journal, and pack files sharing a data-dir. A FIXEDGE1 journal (JSON
-// records) fails to open with a bad-magic error that names the file.
-const edgeJournalMagic = "FIXEDGE2"
-
-// recEntry is the only journal record type: one folded entry state, as
-// its wire frame (appendRecord).
-const recEntry = byte(1)
 
 // maxPendingHints bounds the deferred warm-hint table: hints whose
 // result the backend cannot resolve yet wait here for the advert to
@@ -66,22 +56,16 @@ type Options struct {
 	// must be stable across restarts so a rejoining gateway reclaims its
 	// membership slot instead of appearing as a new peer.
 	ID string
-	// JournalPath, when non-empty, makes the local log durable: entries
-	// journal there with durable's CRC framing and replay on the next
-	// New (torn tails truncated).
-	JournalPath string
-	// Fsync selects the journal's durability policy (default
-	// durable.FsyncInterval).
-	Fsync durable.FsyncPolicy
 	// HeartbeatInterval spaces liveness probes to peers (default 1s).
 	HeartbeatInterval time.Duration
 	// HeartbeatTimeout declares a silent peer dead (default 5×interval).
 	HeartbeatTimeout time.Duration
 	// AckTimeout bounds how long an Accepted append waits for a quorum
 	// of peer acknowledgements before proceeding anyway (default 2s).
-	// Proceeding is safe — the entry is journaled locally and the job ID
-	// dedups — the timeout only trades replication lag for availability,
-	// and QuorumTimeouts counts every such trade for operators.
+	// Proceeding is safe — the job is in the origin's jobs journal and
+	// the job ID dedups — the timeout only trades replication lag for
+	// availability, and QuorumTimeouts counts every such trade for
+	// operators.
 	AckTimeout time.Duration
 	// Takeover, when set, is invoked once per adopted job when a peer
 	// gateway dies: the gateway absorbs the entry's replicated payload
@@ -94,8 +78,8 @@ type Options struct {
 	// is taken by a flight, or is evicted. Called without internal locks
 	// held.
 	Warm func(key, result core.Handle) bool
-	// Logf, when set, receives one line per notable event (replay,
-	// peer death, takeover, quorum timeout).
+	// Logf, when set, receives one line per notable event (peer death,
+	// takeover, quorum timeout).
 	Logf func(format string, args ...any)
 }
 
@@ -150,8 +134,6 @@ type Stats struct {
 	// peer has not yet acknowledged — the replication-lag gauge the
 	// runbook watches.
 	PeerLag uint64 `json:"peer_lag"`
-	// Replayed counts entries recovered from the journal at startup.
-	Replayed int `json:"replayed"`
 }
 
 // member is one peer gateway's membership view.
@@ -178,11 +160,9 @@ type adoption struct {
 }
 
 // Replicator is one gateway's endpoint of the replicated edge log: the
-// local folded table, its journal, the peer connections, and the
-// membership view.
+// local folded table, the peer connections, and the membership view.
 type Replicator struct {
-	opts    Options
-	journal *durable.Journal // nil when not durable
+	opts Options
 
 	mu       sync.Mutex
 	entries  map[string]*Entry
@@ -191,7 +171,6 @@ type Replicator struct {
 	waits    map[uint64]*ackWait
 	hints    map[core.Handle]core.Handle
 	hintFIFO []core.Handle // eviction order for the hint table
-	scratch  []byte        // journal record encode buffer
 	seq      uint64
 	terminal int
 	closed   bool
@@ -201,8 +180,8 @@ type Replicator struct {
 	wg   sync.WaitGroup
 }
 
-// New opens (and, when JournalPath is set, replays) the local log and
-// starts the heartbeat loop. Peers attach afterwards via AttachPeer.
+// New makes an empty log and starts the heartbeat loop. Peers attach
+// afterwards via AttachPeer.
 func New(opts Options) (*Replicator, error) {
 	opts = opts.withDefaults()
 	if opts.ID == "" {
@@ -217,11 +196,6 @@ func New(opts Options) (*Replicator, error) {
 		hints:   make(map[core.Handle]core.Handle),
 		stop:    make(chan struct{}),
 	}
-	if opts.JournalPath != "" {
-		if err := r.openJournal(); err != nil {
-			return nil, err
-		}
-	}
 	r.wg.Add(1)
 	go r.heartbeatLoop()
 	return r, nil
@@ -233,65 +207,9 @@ func (r *Replicator) logf(format string, args ...any) {
 	}
 }
 
-// openJournal replays the edge log into the in-memory table and compacts
-// the file when replay shows it has grown well past the folded state.
-func (r *Replicator) openJournal() error {
-	records := 0
-	j, dropped, err := durable.OpenJournal(r.opts.JournalPath, edgeJournalMagic, r.opts.Fsync, func(recType byte, payload []byte) error {
-		records++
-		if recType != recEntry {
-			return fmt.Errorf("edgelog: unexpected journal record type %d", recType)
-		}
-		e, err := decodeRecord(payload)
-		if err != nil {
-			return err
-		}
-		r.foldLocked(e, false)
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	r.journal = j
-	if dropped > 0 {
-		r.logf("edgelog: %s: truncated %d-byte torn tail", r.opts.JournalPath, dropped)
-	}
-	r.stats.Replayed = len(r.entries)
-	r.evictTerminalLocked()
-	if len(r.entries) > 0 {
-		r.logf("edgelog: recovered %d entries from %s", len(r.entries), r.opts.JournalPath)
-	}
-	// Compact when the journal carries more than twice the records the
-	// folded table needs, so a long-lived edge does not replay every
-	// historical transition forever.
-	if records > 2*len(r.entries)+16 {
-		if err := r.compactLocked(); err != nil {
-			r.logf("edgelog: compaction failed: %v", err)
-		} else {
-			r.logf("edgelog: compacted %s: %d records -> %d entries", r.opts.JournalPath, records, len(r.entries))
-		}
-	}
-	return nil
-}
-
-// compactLocked rewrites the journal to one record per folded entry.
-// Called during New, before any peer attaches — the table is quiescent.
-func (r *Replicator) compactLocked() error {
-	return r.journal.Rewrite(func(emit func(byte, []byte) error) error {
-		for _, e := range r.entries {
-			r.scratch = appendRecord(r.scratch[:0], e)
-			if err := emit(recEntry, r.scratch); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
-
 // foldLocked merges one entry into the table by rank, reporting whether
-// the table changed. A change is journaled (when durable and journal is
-// true — replay itself must not re-append).
-func (r *Replicator) foldLocked(e Entry, journal bool) bool {
+// the table changed.
+func (r *Replicator) foldLocked(e Entry) bool {
 	cur, ok := r.entries[e.Job]
 	if ok && cur.rank() >= e.rank() {
 		// A duplicate accepted entry may still carry the payload the
@@ -317,35 +235,7 @@ func (r *Replicator) foldLocked(e Entry, journal bool) bool {
 		r.terminal++
 		r.evictTerminalLocked()
 	}
-	if journal {
-		r.appendJournalLocked(cur)
-	}
 	return true
-}
-
-// appendJournalLocked journals one folded entry state (no-op without a
-// journal). Failures are logged, not fatal — the in-memory log keeps
-// replicating, degraded to non-durable, the same stance the jobs journal
-// takes.
-func (r *Replicator) appendJournalLocked(e *Entry) {
-	if r.journal == nil {
-		return
-	}
-	r.scratch = appendRecord(r.scratch[:0], e)
-	if err := r.journal.Append(recEntry, r.scratch); err != nil {
-		r.logf("edgelog: journal append: %v", err)
-	}
-}
-
-// commit flushes the journal under the per-transition durability policy
-// (durable.Journal.Commit). Called outside r.mu.
-func (r *Replicator) commit() {
-	if r.journal == nil {
-		return
-	}
-	if err := r.journal.Commit(); err != nil {
-		r.logf("edgelog: journal sync: %v", err)
-	}
 }
 
 // evictTerminalLocked drops the oldest settled entries once the
@@ -428,8 +318,8 @@ func (r *Replicator) Settled(job, tenant string, state EntryState, h, result cor
 	r.appendAndBroadcast(e, false)
 }
 
-// appendAndBroadcast folds an entry locally, journals it, replicates it
-// to every attached peer, and (when quorum is set) registers an ack
+// appendAndBroadcast folds an entry locally, replicates it to every
+// attached peer, and (when quorum is set) registers an ack
 // wait sized to a majority of the live membership.
 func (r *Replicator) appendAndBroadcast(e Entry, quorum bool) (uint64, *ackWait) {
 	r.mu.Lock()
@@ -437,7 +327,7 @@ func (r *Replicator) appendAndBroadcast(e Entry, quorum bool) (uint64, *ackWait)
 		r.mu.Unlock()
 		return 0, nil
 	}
-	changed := r.foldLocked(e, true)
+	changed := r.foldLocked(e)
 	r.stats.Appends++
 	r.seq++
 	seq := r.seq
@@ -450,7 +340,6 @@ func (r *Replicator) appendAndBroadcast(e Entry, quorum bool) (uint64, *ackWait)
 	}
 	conns := r.connsLocked()
 	r.mu.Unlock()
-	r.commit()
 	if len(conns) > 0 {
 		msg := &proto.Message{
 			Type:    proto.TypeEdgeAppend,
@@ -608,7 +497,7 @@ func (r *Replicator) ID() string { return r.opts.ID }
 
 // Close announces a clean departure (peers adopt this gateway's
 // undrained entries immediately instead of waiting out a heartbeat
-// timeout), closes every peer link, and closes the journal. Call it
+// timeout) and closes every peer link. Call it
 // only after the local jobs queue has fully stopped draining — the
 // Leave is the signal that hands the queue to the survivors, and
 // sending it while evaluations are still running would open a
@@ -628,9 +517,6 @@ func (r *Replicator) Close() error {
 		_ = pc.conn.Close()
 	}
 	r.wg.Wait()
-	if r.journal != nil {
-		return r.journal.Close() // syncs first
-	}
 	return nil
 }
 

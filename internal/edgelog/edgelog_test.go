@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -80,7 +78,7 @@ func foldAll(r *Replicator, entries []Entry) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, e := range entries {
-		r.foldLocked(e, false)
+		r.foldLocked(e)
 	}
 }
 
@@ -143,101 +141,6 @@ func TestEdgeFoldOrderingDeterminism(t *testing.T) {
 	}
 }
 
-// TestEdgeLogTornTailRecovery reuses the durable torn-record shapes: a
-// crash can leave a partial header, a partial payload, or a record with
-// its CRC cut off at the journal tail, and recovery must truncate the
-// torn record, keep the intact prefix, and leave the log appendable.
-func TestEdgeLogTornTailRecovery(t *testing.T) {
-	const intact = 6
-	newAt := func(dir string) (*Replicator, string) {
-		path := filepath.Join(dir, "edge.journal")
-		r, err := New(Options{ID: "gw-a", JournalPath: path})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r, path
-	}
-
-	// Measure one record's on-disk length so the cut points can target
-	// header, payload, and CRC regions of the final record.
-	dir := t.TempDir()
-	r, path := newAt(dir)
-	for i := 0; i < intact; i++ {
-		r.Accepted(fmt.Sprintf("job-%d", i), "acme", testHandle(i), nil)
-	}
-	if err := r.Close(); err != nil {
-		t.Fatal(err)
-	}
-	st, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sizeBefore := st.Size()
-	r2, err := New(Options{ID: "gw-a", JournalPath: path})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2.Accepted("job-last", "acme", testHandle(intact), nil)
-	if err := r2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	st, err = os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recLen := st.Size() - sizeBefore
-	if recLen <= 8 {
-		t.Fatalf("implausible record length %d", recLen)
-	}
-
-	cuts := map[string]int64{
-		"missing-crc":     2,
-		"partial-payload": recLen / 2,
-		"partial-header":  recLen - 3,
-	}
-	for name, cut := range cuts {
-		t.Run(name, func(t *testing.T) {
-			dir := t.TempDir()
-			r, path := newAt(dir)
-			for i := 0; i < intact; i++ {
-				r.Accepted(fmt.Sprintf("job-%d", i), "acme", testHandle(i), nil)
-			}
-			r.Accepted("job-torn", "acme", testHandle(intact), nil)
-			if err := r.Close(); err != nil {
-				t.Fatal(err)
-			}
-			st, err := os.Stat(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.Truncate(path, st.Size()-cut); err != nil {
-				t.Fatal(err)
-			}
-
-			re, _ := newAt(dir)
-			got := re.Stats()
-			if got.Replayed != intact {
-				t.Fatalf("replayed %d entries after %s cut, want %d", got.Replayed, name, intact)
-			}
-			for _, e := range re.Entries() {
-				if e.Job == "job-torn" {
-					t.Fatal("torn record survived recovery")
-				}
-			}
-			// The truncated log must accept appends again and replay them.
-			re.Accepted("job-after", "acme", testHandle(intact+1), nil)
-			if err := re.Close(); err != nil {
-				t.Fatal(err)
-			}
-			re2, _ := newAt(dir)
-			if got := re2.Stats().Replayed; got != intact+1 {
-				t.Fatalf("after re-append: replayed %d, want %d", got, intact+1)
-			}
-			_ = re2.Close()
-		})
-	}
-}
-
 // TestEdgeDuplicateTakeoverIdempotent pins the adopted flag: a peer
 // death signalled more than once (link EOF plus heartbeat timeout, or a
 // flap) dispatches each undrained job's takeover exactly once.
@@ -258,13 +161,13 @@ func TestEdgeDuplicateTakeoverIdempotent(t *testing.T) {
 		r.foldLocked(Entry{
 			Job: fmt.Sprintf("job-%d", i), Origin: "gw-b", Tenant: "acme",
 			State: EntryAccepted, At: time.Now(), Handle: testHandle(i),
-		}, false)
+		})
 	}
 	// One already-settled job must never be adopted.
 	r.foldLocked(Entry{
 		Job: "job-done", Origin: "gw-b", Tenant: "acme",
 		State: EntryDone, At: time.Now(), Handle: testHandle(99), Result: core.LiteralU64(7),
-	}, false)
+	})
 	r.mu.Unlock()
 
 	r.peerDown("gw-b")
@@ -338,6 +241,73 @@ func TestEdgeMembershipFlap(t *testing.T) {
 	defer mu.Unlock()
 	if adopted != 1 {
 		t.Fatalf("job adopted %d times across the flap, want exactly once", adopted)
+	}
+}
+
+// TestEdgeSnapshotRestoresPeerEntries: a replicator with an empty table
+// (a restarted gateway, which keeps no edge file) relearns a peer's
+// entries from that peer's Hello snapshot, payload included, and when the
+// entries' origin dies, each undrained job is adopted by exactly one of
+// the two survivors.
+func TestEdgeSnapshotRestoresPeerEntries(t *testing.T) {
+	const jobs = 8
+	var mu sync.Mutex
+	adopted := map[string][]string{} // handle → adopters
+	takeover := func(id string) func(string, core.Handle, []proto.PushedObject) {
+		return func(_ string, h core.Handle, payload []proto.PushedObject) {
+			mu.Lock()
+			defer mu.Unlock()
+			if len(payload) != 1 {
+				t.Errorf("%s adopted %v with %d payload objects, want 1", id, h, len(payload))
+			}
+			adopted[h.String()] = append(adopted[h.String()], id)
+		}
+	}
+	b := newTestReplicator(t, "gw-b", Options{Takeover: takeover("gw-b")})
+	c := newTestReplicator(t, "gw-c", Options{})
+	cb := connect(c, b)
+	// Job IDs are hex digests, like jobs.JobID's: rendezvous hashing
+	// splits short, similar IDs such as "job-1" unevenly.
+	for i := 0; i < jobs; i++ {
+		payload := []proto.PushedObject{{Handle: core.BlobHandle([]byte{byte(i)}), Data: []byte{byte(i)}}}
+		c.Accepted(testHandle(i).String(), "acme", testHandle(i), payload)
+	}
+	waitUntil(t, "b holds c's entries", func() bool { return b.Stats().Undrained == jobs })
+
+	a := newTestReplicator(t, "gw-a", Options{Takeover: takeover("gw-a")})
+	connect(a, b)
+	waitUntil(t, "a folded b's snapshot", func() bool { return a.Stats().Undrained == jobs })
+	for _, e := range a.Entries() {
+		if e.Origin != "gw-c" || e.State != EntryAccepted || len(e.Objects) != 1 {
+			t.Fatalf("snapshot entry %s: origin %s, state %d, %d objects; want gw-c, accepted, 1",
+				e.Job, e.Origin, e.State, len(e.Objects))
+		}
+	}
+
+	// a learns that c is live, then c crashes: both links drop.
+	ca := connect(c, a)
+	waitUntil(t, "a sees c live", func() bool { return a.Stats().Live == 2 })
+	_ = cb.Close()
+	_ = ca.Close()
+	waitUntil(t, "every job adopted", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(adopted) == jobs
+	})
+	time.Sleep(50 * time.Millisecond) // room for a duplicate adoption to show
+	mu.Lock()
+	defer mu.Unlock()
+	byA := 0
+	for h, ids := range adopted {
+		if len(ids) != 1 {
+			t.Fatalf("job %s adopted by %v, want exactly one gateway", h, ids)
+		}
+		if ids[0] == "gw-a" {
+			byA++
+		}
+	}
+	if byA == 0 || byA == jobs {
+		t.Fatalf("gw-a adopted %d of %d jobs; want both survivors designated for some", byA, jobs)
 	}
 }
 

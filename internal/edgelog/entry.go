@@ -12,8 +12,8 @@ import (
 // EntryState is an entry's lifecycle rank. States are totally ordered by
 // their byte value, and the fold keeps the highest rank seen for a job —
 // that commutativity is what makes replication order-independent: any
-// interleaving of appends, snapshots, and replays converges replicas to
-// the same table.
+// interleaving of appends and snapshots converges replicas to the same
+// table.
 type EntryState byte
 
 // The entry lifecycle mirrors the async job lifecycle, collapsed to the
@@ -65,7 +65,7 @@ type Entry struct {
 	// adopted marks that this replica already dispatched a takeover for
 	// the entry, making duplicate dead-peer signals (EOF plus heartbeat
 	// timeout, or a membership flap) idempotent. Local-only: never
-	// journaled or replicated.
+	// replicated.
 	adopted bool
 }
 
@@ -111,27 +111,6 @@ func fromWire(w proto.EdgeEntry) (Entry, error) {
 		e.Objects = w.Objects
 	}
 	return e, nil
-}
-
-// appendRecord appends e's journal record to buf: the wire encoding of an
-// EdgeAppend message carrying e alone, with no sender and sequence 0.
-func appendRecord(buf []byte, e *Entry) []byte {
-	w := [1]proto.EdgeEntry{e.wire()}
-	m := proto.Message{Type: proto.TypeEdgeAppend, Entries: w[:]}
-	return m.AppendEncode(buf)
-}
-
-// decodeRecord parses one appendRecord record through proto.Decode and
-// fromWire, the path a replicated entry takes.
-func decodeRecord(p []byte) (Entry, error) {
-	m, err := proto.Decode(p)
-	if err != nil {
-		return Entry{}, fmt.Errorf("edgelog: bad journal record: %w", err)
-	}
-	if m.Type != proto.TypeEdgeAppend || len(m.Entries) != 1 {
-		return Entry{}, fmt.Errorf("edgelog: journal record is a type-%d frame with %d entries, want one EdgeAppend entry", m.Type, len(m.Entries))
-	}
-	return fromWire(m.Entries[0])
 }
 
 // pickAdopter deterministically designates one live gateway to adopt a

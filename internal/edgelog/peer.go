@@ -147,8 +147,7 @@ func (r *Replicator) handleHello(pc *peerConn, from string) {
 	}
 }
 
-// handleAppend folds a peer's entries, journals the changes, and acks
-// the batch. Newly done entries double as cache-warm hints.
+// handleAppend folds a peer's entries and acks the batch. Newly done entries double as cache-warm hints.
 func (r *Replicator) handleAppend(pc *peerConn, m *proto.Message) {
 	var warms []proto.EdgeEntry
 	r.mu.Lock()
@@ -159,7 +158,7 @@ func (r *Replicator) handleAppend(pc *peerConn, m *proto.Message) {
 			r.logf("edgelog: %s: dropping entry from %s: %v", r.opts.ID, m.From, err)
 			continue
 		}
-		if r.foldLocked(e, true) {
+		if r.foldLocked(e) {
 			r.stats.Replicated++
 			if e.State == EntryDone {
 				warms = append(warms, w)
@@ -168,7 +167,6 @@ func (r *Replicator) handleAppend(pc *peerConn, m *proto.Message) {
 	}
 	r.stats.AcksSent++
 	r.mu.Unlock()
-	r.commit()
 	ack := &proto.Message{Type: proto.TypeEdgeAck, From: r.opts.ID, Seq: m.Seq}
 	if err := pc.send(ack.Encode()); err != nil {
 		r.dropConn(pc, err)

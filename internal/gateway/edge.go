@@ -103,8 +103,6 @@ func (s *Server) AttachEdgePeer(conn transport.Conn) {
 func (s *Server) initEdge(opts Options) error {
 	rep, err := edgelog.New(edgelog.Options{
 		ID:                opts.EdgeID,
-		JournalPath:       opts.EdgeJournalPath,
-		Fsync:             opts.JobsFsync,
 		HeartbeatInterval: opts.EdgeHeartbeatInterval,
 		HeartbeatTimeout:  opts.EdgeHeartbeatTimeout,
 		Takeover:          s.adoptJob,
@@ -116,6 +114,25 @@ func (s *Server) initEdge(opts Options) error {
 	}
 	s.edge = rep
 	return nil
+}
+
+// restoreEdge rebuilds this gateway's own edge entries, which have no
+// file of their own, from the jobs the jobs journal recovered: an
+// undrained job is appended as accepted, with its payload, and a settled
+// one as settled. NewServer calls it before any peer attaches, so no
+// append waits for a quorum. The fold is rank-ordered, so a resumed job
+// that settles before the loop reaches it stays settled.
+func (s *Server) restoreEdge() {
+	if s.edge == nil {
+		return
+	}
+	for _, j := range s.jobs.List() {
+		if j.State.Terminal() {
+			s.observeSettled(j)
+		} else {
+			s.edge.Accepted(j.ID, j.Tenant, j.Handle, s.jobPayload(j.Handle))
+		}
+	}
 }
 
 // adoptJob resubmits a dead peer's accepted job into the local async

@@ -2,7 +2,8 @@ package gateway
 
 // The replicated-edge failover suite: two gateways over one worker
 // mesh, with a gateway killed mid-drain (its accepted jobs must
-// complete exactly once on the survivor), cache-warm gossip (a repeat
+// complete exactly once on the survivor), a gateway restarted on its
+// jobs journal and then killed, cache-warm gossip (a repeat
 // submission on the peer gateway is a cache hit), stale-hint
 // fall-through, and the shutdown ordering regression a takeover peer
 // depends on.
@@ -11,6 +12,8 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -18,6 +21,7 @@ import (
 
 	"fixgo/internal/cluster"
 	"fixgo/internal/core"
+	"fixgo/internal/edgelog"
 	"fixgo/internal/jobs"
 	"fixgo/internal/proto"
 	"fixgo/internal/runtime"
@@ -225,6 +229,138 @@ func TestEdgeTakeoverGatewayKilledMidDrain(t *testing.T) {
 	}
 	if st := srvB.Stats(); st.Edge.Adopted != 6 {
 		t.Errorf("B adopted %d jobs, want 6", st.Edge.Adopted)
+	}
+}
+
+// holdBackend is an engine backend that, while hold is set, parks every
+// Eval until its context ends without entering the engine, so a held
+// attempt leaves no execution behind in an edgeExecLog.
+type holdBackend struct {
+	*EngineBackend
+	hold atomic.Bool
+	held chan struct{}
+}
+
+func (b *holdBackend) Eval(ctx context.Context, h core.Handle) (core.Handle, error) {
+	if b.hold.Load() {
+		b.held <- struct{}{}
+		<-ctx.Done()
+		return core.Handle{}, ctx.Err()
+	}
+	return b.EngineBackend.Eval(ctx, h)
+}
+
+// TestEdgeRestartRebuildsFromJobsJournal: an edge gateway restarted on
+// its jobs.journal, with no edge file anywhere, shows its done job as
+// settled and its undrained jobs as accepted, with their payload, both
+// in its own edge table and, after the Hello snapshot, in a peer's.
+// Killing it mid-drain then hands every undrained job to that peer, and
+// each runs exactly once.
+func TestEdgeRestartRebuildsFromJobsJournal(t *testing.T) {
+	log := newEdgeExecLog()
+	dir := t.TempDir()
+	st := store.New() // the durable store a restarted process restores
+	startA := func() (*Server, *Client, *holdBackend) {
+		b := &holdBackend{
+			EngineBackend: NewEngineBackend(runtime.New(st, runtime.Options{Cores: 2, Registry: edgeRegistry(log)})),
+			held:          make(chan struct{}, 4),
+		}
+		b.hold.Store(true)
+		srv, c := newTestGateway(t, edgeGatewayOpts(Options{
+			Backend: b, CacheEntries: 64, AsyncWorkers: 1,
+			JobsJournalPath: filepath.Join(dir, "jobs.journal"),
+		}, "gw-a"))
+		t.Cleanup(func() { _ = srv.Close() })
+		return srv, c, b
+	}
+	ctx := context.Background()
+
+	// First life: one job done, then three undrained behind a held one.
+	srvA, ca, backA := startA()
+	backA.hold.Store(false)
+	doneTh := edgeSubmission(t, ca, 1)
+	js, err := ca.SubmitAsync(ctx, doneTh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, err := ca.WaitJob(ctx, js.ID, 5*time.Second); err != nil || v.State != jobs.StateDone {
+		t.Fatalf("first job: %+v, %v; want done", v, err)
+	}
+	backA.hold.Store(true)
+	undrained := map[string]uint64{}
+	for _, arg := range []uint64{101, 102, 103} {
+		js, err := ca.SubmitAsync(ctx, edgeSubmission(t, ca, arg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		undrained[js.ID] = arg
+	}
+	<-backA.held
+	if err := srvA.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Second life on the same journal and store: the edge table is
+	// rebuilt from jobs.journal alone.
+	srvA, _, backA = startA()
+	<-backA.held // A's one worker holds a resumed job; the rest wait
+	if ents, err := os.ReadDir(dir); err != nil || len(ents) != 1 || ents[0].Name() != "jobs.journal" {
+		t.Fatalf("data dir holds %v (%v), want jobs.journal alone", ents, err)
+	}
+	checkTable := func(who string, r *edgelog.Replicator) {
+		t.Helper()
+		got := map[string]edgelog.Entry{}
+		for _, e := range r.Entries() {
+			got[e.Job] = e
+		}
+		if len(got) != 1+len(undrained) {
+			t.Fatalf("%s holds %d edge entries, want %d", who, len(got), 1+len(undrained))
+		}
+		if e := got[js.ID]; e.State != edgelog.EntryDone || e.Result.IsZero() || e.Origin != "gw-a" {
+			t.Errorf("%s: done job's entry is %+v, want done from gw-a", who, e)
+		}
+		for id := range undrained {
+			if e := got[id]; e.State != edgelog.EntryAccepted || len(e.Objects) == 0 || e.Origin != "gw-a" {
+				t.Errorf("%s: undrained job %s: state %d, %d payload objects, origin %q; want accepted with payload from gw-a",
+					who, id, e.State, len(e.Objects), e.Origin)
+			}
+		}
+	}
+	checkTable("restarted gw-a", srvA.Edge())
+
+	stB := store.New()
+	srvB, _ := newTestGateway(t, edgeGatewayOpts(Options{
+		Backend:      NewEngineBackend(runtime.New(stB, runtime.Options{Cores: 2, Registry: edgeRegistry(log)})),
+		CacheEntries: 64, AsyncWorkers: 2,
+	}, "gw-b"))
+	t.Cleanup(func() { _ = srvB.Close() })
+	pa, pb := transport.Pipe(clusterLink())
+	srvA.AttachEdgePeer(pa)
+	srvB.AttachEdgePeer(pb)
+	waitUntil(t, "B folded A's snapshot", func() bool { return srvB.Stats().Edge.Entries == 1+len(undrained) })
+	checkTable("peer gw-b", srvB.Edge())
+
+	// Kill the restarted A mid-drain, crash-style: no Leave.
+	if err := srvA.Jobs().Close(); err != nil {
+		t.Fatal(err)
+	}
+	_ = pa.Close()
+	for id := range undrained {
+		waitUntil(t, "job "+id+" done on B", func() bool {
+			v, ok := srvB.Jobs().Get(id)
+			return ok && v.State == jobs.StateDone
+		})
+	}
+	for id, arg := range undrained {
+		if n := log.count(arg); n != 1 {
+			t.Errorf("undrained job %s executed %d times across restart and takeover, want exactly 1", id, n)
+		}
+	}
+	if n := log.count(1); n != 1 {
+		t.Errorf("done job executed %d times, want 1", n)
+	}
+	if st := srvB.Stats(); st.Edge.Adopted != uint64(len(undrained)) {
+		t.Errorf("B adopted %d jobs, want %d", st.Edge.Adopted, len(undrained))
 	}
 }
 

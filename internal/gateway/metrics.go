@@ -152,7 +152,6 @@ func (s *Server) collectStats(emit func(obsv.Sample)) {
 		counter("edge_warm_deferred_total", "Received hints parked awaiting a resolvable result", float64(es.WarmDeferred))
 		gauge("edge_hints_pending", "Deferred warm hints resident", float64(es.HintsPending))
 		gauge("edge_peer_lag", "Largest unacknowledged append backlog across live peers", float64(es.PeerLag))
-		gauge("edge_replayed", "Edge-log entries recovered from the journal at startup", float64(es.Replayed))
 		counter("edge_hint_hits_total", "Miss flights served by a deferred warm hint", float64(es.HintHits))
 		counter("edge_hint_stale_total", "Deferred hints still unresolvable at flight time", float64(es.HintStale))
 	}

@@ -67,9 +67,6 @@ type Options struct {
 	// hints. Must be stable across restarts. Peers attach via
 	// AttachEdgePeer.
 	EdgeID string
-	// EdgeJournalPath, when non-empty, makes the local edge log durable
-	// (usually <data-dir>/edge.journal next to the jobs journal).
-	EdgeJournalPath string
 	// EdgeHeartbeatInterval / EdgeHeartbeatTimeout tune the edge
 	// membership view (defaults 1s / 5×interval).
 	EdgeHeartbeatInterval time.Duration
@@ -274,6 +271,7 @@ func NewServer(opts Options) (*Server, error) {
 			return nil, err
 		}
 		s.jobs = m
+		s.restoreEdge()
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/blobs", s.handlePutBlob)

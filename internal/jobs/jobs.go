@@ -101,9 +101,8 @@ type job struct {
 	view   Job
 	done   chan struct{}      // closed on transition to a terminal state
 	cancel context.CancelFunc // set while running
-	// cancelRequested records a DELETE on a running job, so the
-	// cancellation sticks even when the backend surfaces it as an error
-	// that does not wrap context.Canceled.
+	// cancelRequested records a DELETE on a running job. It alone marks
+	// the job cancelled, whatever error the backend surfaces.
 	cancelRequested bool
 	subs            []chan Job
 }
@@ -846,12 +845,12 @@ func (m *Manager) worker() {
 			jb.view.Error = ""
 			m.stats.Completed++
 			m.finishLocked(jb, StateDone)
-		case (errors.Is(err, context.Canceled) || jb.cancelRequested) && m.baseCtx.Err() == nil:
-			// Cancelled via DELETE — matched either by the context error
-			// or by the recorded request, since a backend racing the
-			// cancellation may surface it as its own error. (Manager
-			// shutdown instead leaves the job pending in the journal, to
-			// resume on reboot.)
+		case jb.cancelRequested && m.baseCtx.Err() == nil:
+			// Cancelled via DELETE. Only the recorded request counts: a
+			// backend racing the cancellation may surface its own error,
+			// and a context.Canceled nobody requested is a failed attempt.
+			// (Manager shutdown instead leaves the job pending in the
+			// journal, to resume on reboot.)
 			m.finishLocked(jb, StateCancelled)
 		case m.baseCtx.Err() != nil:
 			// Shutdown interrupted the evaluation: revert to pending in

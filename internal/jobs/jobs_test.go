@@ -566,6 +566,31 @@ func TestCancelSticksOnNonCanceledEvalError(t *testing.T) {
 	}
 }
 
+// TestUnrequestedCanceledIsAFailedAttempt: an eval that returns
+// context.Canceled with no Cancel call (a backend's own give-up) is a
+// failed attempt, retried and then dead-lettered, not a cancellation.
+func TestUnrequestedCanceledIsAFailedAttempt(t *testing.T) {
+	m := newTestManager(t, Options{
+		Workers:     1,
+		MaxAttempts: 2,
+		RetryDelay:  time.Millisecond,
+		Eval: func(ctx context.Context, h core.Handle) (core.Handle, error) {
+			return core.Handle{}, context.Canceled
+		},
+	})
+	v, _, err := m.Submit("t", testHandle(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := awaitState(t, m, v.ID, StateDeadLetter)
+	if got.Attempts != 2 {
+		t.Fatalf("job = %+v, want dead-lettered after 2 attempts", got)
+	}
+	if st := m.Stats(); st.CancelledTotal != 0 || st.Failed != 2 || st.Retried != 1 {
+		t.Fatalf("stats = %+v, want 0 cancelled / 2 failed / 1 retried", st)
+	}
+}
+
 func TestTerminalRetentionBound(t *testing.T) {
 	m := newTestManager(t, Options{Workers: 2, RetainTerminal: 8})
 	var last string

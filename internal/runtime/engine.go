@@ -209,6 +209,13 @@ func (f *future) wait(ctx context.Context) (core.Handle, error) {
 	}
 }
 
+// leaderGaveUp reports whether a joiner's wait ended in a context error
+// that is not the joiner's own: ctx is still live, so the leader gave up
+// on its context. The joiner then starts over and may lead itself.
+func leaderGaveUp(ctx context.Context, err error) bool {
+	return ctx.Err() == nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded))
+}
+
 // force evaluates an Encode: the referenced Thunk is evaluated until the
 // result is not a Thunk, then delivered as an Object (Strict, deeply
 // evaluated) or as a Ref (Shallow).
@@ -219,7 +226,11 @@ func (e *Engine) force(ctx context.Context, enc core.Handle, depth int) (core.Ha
 	k := futKey{'E', enc}
 	f, mine := e.claimFuture(k)
 	if !mine {
-		return f.wait(ctx)
+		res, err := f.wait(ctx)
+		if leaderGaveUp(ctx, err) {
+			return e.force(ctx, enc, depth)
+		}
+		return res, err
 	}
 	res, err := e.forceSlow(ctx, enc, depth)
 	if err == nil {
@@ -260,7 +271,11 @@ func (e *Engine) evalThunk(ctx context.Context, t core.Handle, depth int) (core.
 	k := futKey{'T', t}
 	f, mine := e.claimFuture(k)
 	if !mine {
-		return f.wait(ctx)
+		res, err := f.wait(ctx)
+		if leaderGaveUp(ctx, err) {
+			return e.evalThunk(ctx, t, depth)
+		}
+		return res, err
 	}
 	res, err := e.evalThunkSlow(ctx, t, depth)
 	e.completeFuture(k, res, err)
@@ -791,7 +806,11 @@ func (e *Engine) strictify(ctx context.Context, h core.Handle, depth int) (core.
 	k := futKey{'S', h.AsObject()}
 	f, mine := e.claimFuture(k)
 	if !mine {
-		return f.wait(ctx)
+		res, err := f.wait(ctx)
+		if leaderGaveUp(ctx, err) {
+			return e.strictify(ctx, h, depth)
+		}
+		return res, err
 	}
 	res, err := e.strictifyTree(ctx, h, depth)
 	e.completeFuture(k, res, err)

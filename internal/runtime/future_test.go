@@ -33,6 +33,20 @@ func waitForJoiner(e *Engine, k futKey) {
 	}
 }
 
+// waitForClaim returns once some evaluation leads computation k.
+func waitForClaim(e *Engine, k futKey) {
+	es := e.stripe(k.h)
+	for {
+		es.mu.Lock()
+		_, ok := es.futures[k]
+		es.mu.Unlock()
+		if ok {
+			return
+		}
+		goruntime.Gosched()
+	}
+}
+
 func futuresLen(e *Engine) int {
 	n := 0
 	for i := range e.stripes {
@@ -161,6 +175,52 @@ func TestCancelledJoinerLeavesLeader(t *testing.T) {
 	}
 	if n := runs.Load(); n != 1 {
 		t.Fatalf("procedure ran %d times, want 1: the leader's result is memoized", n)
+	}
+}
+
+// TestCancelledLeaderLeavesJoiner: a leader that gives up on its own
+// context (here while waiting for the one CPU slot) does not fail a
+// joiner whose context is live; the joiner claims the computation
+// again and runs it.
+func TestCancelledLeaderLeavesJoiner(t *testing.T) {
+	var runs atomic.Int64
+	entered := make(chan struct{}, 2)
+	release := make(chan struct{})
+	e, st := newTestEngine(t, Options{Cores: 1, Registry: gatedRegistry(&runs, entered, release, nil)})
+	blocker := appThunk(t, st, core.NativeFunctionBlob("gated"), core.LiteralU64(1))
+	thunk := appThunk(t, st, core.NativeFunctionBlob("gated"), core.LiteralU64(2))
+	blocked := make(chan error, 1)
+	go func() { _, err := e.Eval(context.Background(), blocker); blocked <- err }()
+	<-entered // the blocker holds the only slot
+
+	lctx, cancel := context.WithCancel(context.Background())
+	leader := make(chan error, 1)
+	go func() { _, err := e.Eval(lctx, thunk); leader <- err }()
+	waitForClaim(e, futKey{'T', thunk})
+	type out struct {
+		res core.Handle
+		err error
+	}
+	joiner := make(chan out, 1)
+	go func() { r, err := e.Eval(context.Background(), thunk); joiner <- out{r, err} }()
+	waitForJoiner(e, futKey{'T', thunk})
+	cancel()
+	if err := <-leader; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled leader: %v, want context.Canceled", err)
+	}
+	close(release)
+	if err := <-blocked; err != nil {
+		t.Fatalf("blocker: %v", err)
+	}
+	j := <-joiner
+	if j.err != nil {
+		t.Fatalf("joiner failed with its leader's cancellation: %v", j.err)
+	}
+	if j.res != core.LiteralU64(9) {
+		t.Fatalf("joiner = %v, want 9", j.res)
+	}
+	if n := runs.Load(); n != 2 {
+		t.Fatalf("procedure ran %d times, want 2 (the blocker and the joiner's retry)", n)
 	}
 }
 
