@@ -209,8 +209,8 @@ type Node struct {
 	view    *objstore.ReplicaTracker // passive object view: key → believed holders
 	ring    *objstore.Ring           // consistent-hash placement ring over live members
 	fetchW  map[core.Handle]*fetchWait
-	jobW    map[core.Handle][]*jobWaiter
-	pending map[string]int // peer id → our delegations in flight there (scheduling load)
+	jobW    map[core.Handle]*jobWaiter // each Encode's outstanding delegations, linked by next
+	pending map[string]int             // peer id → our delegations in flight there (scheduling load)
 	rng     *rand.Rand
 	closed  bool
 	net     NetStats // counters only; Peers is filled at snapshot time
@@ -263,11 +263,21 @@ type jobResult struct {
 
 // jobWaiter is one outstanding delegation: the channel its Offload call
 // waits on, pinned to the peer the job was shipped to so eviction can
-// fail exactly the delegations parked on the dead node.
+// fail exactly the delegations parked on the dead node. Whoever takes a
+// waiter out of jobW (a Result, an eviction, Close) makes its one
+// delivery, reading next first: once delivered, the waiter may be
+// recycled.
 type jobWaiter struct {
 	ch     chan jobResult // buffered (cap 1); at most one delivery
 	peerID string
+	next   *jobWaiter // the next waiter on the same Encode
 }
+
+// waiterPool recycles jobWaiters with their channels. A waiter goes back
+// only once its delegate call has received its delivery; one abandoned
+// on cancellation or a send failure may still be delivered to, and is
+// left to the collector.
+var waiterPool = sync.Pool{New: func() any { return &jobWaiter{ch: make(chan jobResult, 1)} }}
 
 // NewNode creates a node with the given identifier.
 func NewNode(id string, opts NodeOptions) *Node {
@@ -280,7 +290,7 @@ func NewNode(id string, opts NodeOptions) *Node {
 		peers:   make(map[string]*peer),
 		view:    objstore.NewReplicaTracker(),
 		fetchW:  make(map[core.Handle]*fetchWait),
-		jobW:    make(map[core.Handle][]*jobWaiter),
+		jobW:    make(map[core.Handle]*jobWaiter),
 		pending: make(map[string]int),
 		rng:     rand.New(rand.NewSource(opts.Seed ^ int64(fnvHash(id)))),
 	}
@@ -366,8 +376,10 @@ func (n *Node) Close() {
 	n.peers = make(map[string]*peer)
 	n.targets, n.workers = nil, nil
 	var lost []*jobWaiter
-	for enc, ws := range n.jobW {
-		lost = append(lost, ws...)
+	for enc, w := range n.jobW {
+		for ; w != nil; w = w.next {
+			lost = append(lost, w)
+		}
 		delete(n.jobW, enc)
 	}
 	var waits []*fetchWait
@@ -442,16 +454,18 @@ func (n *Node) stripPeerLocked(id string) []*jobWaiter {
 	n.view.DropOwner(id)
 	delete(n.pending, id)
 	var lost []*jobWaiter
-	for enc, ws := range n.jobW {
-		keep := ws[:0]
-		for _, w := range ws {
+	for enc, w := range n.jobW {
+		var keep *jobWaiter
+		for w != nil {
+			next := w.next
 			if w.peerID == id {
 				lost = append(lost, w)
 			} else {
-				keep = append(keep, w)
+				w.next, keep = keep, w
 			}
+			w = next
 		}
-		if len(keep) == 0 {
+		if keep == nil {
 			delete(n.jobW, enc)
 		} else {
 			n.jobW[enc] = keep
@@ -602,6 +616,9 @@ func (n *Node) broadcast(m *proto.Message) {
 
 func (n *Node) recvLoop(conn transport.Conn) {
 	var p *peer
+	// One message per link: frames handled inline decode into it, and
+	// handle copies out the ones it hands to another goroutine.
+	m := new(proto.Message)
 	for {
 		raw, err := conn.Recv()
 		if err != nil {
@@ -614,8 +631,11 @@ func (n *Node) recvLoop(conn transport.Conn) {
 			}
 			return
 		}
-		m, err := proto.Decode(raw)
-		if err != nil {
+		var from string
+		if p != nil {
+			from = p.id
+		}
+		if proto.DecodeInto(m, raw, from) != nil {
 			continue // malformed frame: ignore
 		}
 		if p == nil {
@@ -672,6 +692,8 @@ func (n *Node) recvLoop(conn transport.Conn) {
 	}
 }
 
+// handle acts on one frame. m is the link's reused message, so a frame
+// served on another goroutine is copied out of it first.
 func (n *Node) handle(m *proto.Message) {
 	switch m.Type {
 	case proto.TypeHello, proto.TypeAdvertise:
@@ -681,7 +703,8 @@ func (n *Node) handle(m *proto.Message) {
 		}
 		n.mu.Unlock()
 	case proto.TypeRequest:
-		runtime.Go(func() { n.serveRequest(m) })
+		req := *m
+		runtime.Go(func() { n.serveRequest(&req) })
 	case proto.TypeObject:
 		n.ingestObject(m.From, m.Handle, m.Data)
 	case proto.TypeMissing:
@@ -696,18 +719,21 @@ func (n *Node) handle(m *proto.Message) {
 			}
 		}
 	case proto.TypeJob:
-		runtime.Go(func() { n.serveJob(m) })
+		job := *m
+		runtime.Go(func() { n.serveJob(&job) })
 	case proto.TypeResult:
 		n.mu.Lock()
-		waiters := n.jobW[m.Handle]
+		w := n.jobW[m.Handle]
 		delete(n.jobW, m.Handle)
 		n.mu.Unlock()
 		res := jobResult{result: m.Result, evalNS: m.EvalNS}
 		if m.Err != "" {
 			res.err = fmt.Errorf("cluster: remote job on %s failed: %s", m.From, m.Err)
 		}
-		for _, w := range waiters {
+		for w != nil {
+			next := w.next
 			w.ch <- res
+			w = next
 		}
 	case proto.TypePing:
 		n.mu.Lock()
@@ -915,13 +941,30 @@ type jobInfo struct {
 
 type jobKeyType struct{}
 
+// jobCtx carries a jobInfo in one allocation, where context.WithValue
+// and the boxed jobInfo would take two.
+type jobCtx struct {
+	context.Context
+	info jobInfo
+}
+
+// Value answers the jobInfo key with the jobCtx itself.
+func (c *jobCtx) Value(key any) any {
+	if key == (jobKeyType{}) {
+		return c
+	}
+	return c.Context.Value(key)
+}
+
 func withJob(ctx context.Context, j jobInfo) context.Context {
-	return context.WithValue(ctx, jobKeyType{}, j)
+	return &jobCtx{Context: ctx, info: j}
 }
 
 func jobOf(ctx context.Context) jobInfo {
-	j, _ := ctx.Value(jobKeyType{}).(jobInfo)
-	return j
+	if c, ok := ctx.Value(jobKeyType{}).(*jobCtx); ok {
+		return c.info
+	}
+	return jobInfo{}
 }
 
 func withHops(ctx context.Context, hops int) context.Context {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"fixgo/internal/core"
@@ -95,10 +96,14 @@ func (n *Node) Offload(ctx context.Context, enc core.Handle) (core.Handle, bool,
 		t.AddSpanAt("placement", "", placeStart, time.Since(placeStart))
 		res, err := n.delegate(ctx, p, enc, deps)
 		placeStart = time.Now()
+		if err == nil {
+			return res, true, nil
+		}
+		// Declared past the success return: errors.As makes it escape.
 		var lost *PeerLostError
-		if err == nil || !errors.As(err, &lost) {
-			// Success, or a deterministic remote failure (the job itself
-			// errored): re-running elsewhere would fail the same way.
+		if !errors.As(err, &lost) {
+			// A deterministic remote failure (the job itself errored):
+			// re-running elsewhere would fail the same way.
 			return res, true, err
 		}
 		// The worker died under the job. Re-place it on a survivor.
@@ -269,14 +274,24 @@ func tieBreak(enc core.Handle, cand string) uint64 {
 // failure or the peer's eviction mid-wait surfaces as PeerLostError so
 // Offload can re-place the job.
 func (n *Node) delegate(ctx context.Context, p *peer, enc core.Handle, deps []store.Dep) (core.Handle, error) {
-	pushed := n.pushSet(p.id, enc, deps)
-	w := &jobWaiter{ch: make(chan jobResult, 1), peerID: p.id}
+	w := waiterPool.Get().(*jobWaiter)
+	w.peerID = p.id
 	n.mu.Lock()
-	n.jobW[enc] = append(n.jobW[enc], w)
+	if n.closed {
+		// Close has already failed every registered waiter; one
+		// registered now would wait for a delivery that never comes.
+		n.mu.Unlock()
+		waiterPool.Put(w)
+		return core.Handle{}, ErrNodeClosed
+	}
+	w.next = n.jobW[enc]
+	n.jobW[enc] = w
 	n.pending[p.id]++
 	n.net.JobsDelegated++
 	n.mu.Unlock()
 	defer n.pendingDec(p.id)
+	pushed := pushPool.Get().(*[]proto.PushedObject)
+	*pushed = n.pushSet(p.id, deps, (*pushed)[:0])
 
 	t := obsv.FromContext(ctx)
 	var traceID string
@@ -284,20 +299,24 @@ func (n *Node) delegate(ctx context.Context, p *peer, enc core.Handle, deps []st
 		traceID = t.ID
 	}
 	sp := t.StartSpan("delegate", p.id)
-	msg := &proto.Message{
+	err := p.send(&proto.Message{
 		Type:   proto.TypeJob,
 		From:   n.id,
 		Handle: enc,
 		Hops:   uint8(hopsOf(ctx) + 1),
 		Trace:  traceID,
-		Pushed: pushed,
-	}
-	if err := p.send(msg); err != nil {
+		Pushed: *pushed,
+	})
+	clear(*pushed) // the pool must not pin object bytes
+	*pushed = (*pushed)[:0]
+	pushPool.Put(pushed)
+	if err != nil {
 		n.dropJobWaiter(enc, w)
 		return core.Handle{}, &PeerLostError{Peer: p.id, Cause: err}
 	}
 	select {
 	case res := <-w.ch:
+		waiterPool.Put(w)
 		sp.End()
 		if res.evalNS > 0 {
 			// The worker reports its eval wall time in the Result header;
@@ -331,31 +350,38 @@ func (n *Node) pendingDec(id string) {
 	}
 }
 
+// dropJobWaiter unlinks w from enc's waiters, if a delivery has not
+// already taken it out.
 func (n *Node) dropJobWaiter(enc core.Handle, w *jobWaiter) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	ws := n.jobW[enc]
-	for i, cand := range ws {
-		if cand == w {
-			n.jobW[enc] = append(ws[:i], ws[i+1:]...)
-			break
+	head := n.jobW[enc]
+	if head == w {
+		if w.next == nil {
+			delete(n.jobW, enc)
+		} else {
+			n.jobW[enc] = w.next
 		}
+		return
 	}
-	if len(n.jobW[enc]) == 0 {
-		delete(n.jobW, enc)
+	for link := head; link != nil; link = link.next {
+		if link.next == w {
+			link.next = w.next
+			return
+		}
 	}
 }
 
 // pushSet gathers the definition closure objects worth shipping with a
 // job: Trees (the invocation descriptions themselves) and small Blobs the
-// target is not known to hold. Shipping dependency information with the
-// job is what lets Fixpoint avoid scheduler round trips (section 4.2.1).
-func (n *Node) pushSet(target string, enc core.Handle, deps []store.Dep) []proto.PushedObject {
+// target is not known to hold, appended to out. Shipping dependency
+// information with the job is what lets Fixpoint avoid scheduler round
+// trips (section 4.2.1).
+func (n *Node) pushSet(target string, deps []store.Dep, out []proto.PushedObject) []proto.PushedObject {
 	const (
 		maxObjects = 8192
 		maxBytes   = 8 << 20
 	)
-	var out []proto.PushedObject
 	var total int
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -374,12 +400,13 @@ func (n *Node) pushSet(target string, enc core.Handle, deps []store.Dep) []proto
 		if err != nil {
 			continue
 		}
-		if out == nil {
-			out = make([]proto.PushedObject, 0, min(len(deps), maxObjects))
-		}
 		out = append(out, proto.PushedObject{Handle: d.Handle, Data: data})
 		total += len(data)
 		n.viewAddLocked(d.Handle, target) // optimistic: it will have it
 	}
 	return out
 }
+
+// pushPool recycles pushSet's slices. It holds pointers: putting a slice
+// value would box its header on every call.
+var pushPool = sync.Pool{New: func() any { return new([]proto.PushedObject) }}

@@ -18,7 +18,8 @@ func sendJob(t *testing.T, from *Node, to string, enc core.Handle, pushed []prot
 	w := &jobWaiter{ch: make(chan jobResult, 1), peerID: to}
 	from.mu.Lock()
 	p := from.peers[to]
-	from.jobW[enc] = append(from.jobW[enc], w)
+	w.next = from.jobW[enc]
+	from.jobW[enc] = w
 	from.mu.Unlock()
 	if err := p.send(&proto.Message{Type: proto.TypeJob, From: from.id, Handle: enc, Hops: 1, Pushed: pushed}); err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package proto
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"runtime"
 	"testing"
@@ -61,8 +62,22 @@ func decodeGrowth(data []byte) (*Message, uint64, error) {
 	return m, after.TotalAlloc - before.TotalAlloc, err
 }
 
+// dirty is a message with every field set, for DecodeInto to overwrite.
+func dirty() *Message {
+	c := corpus()
+	job, edge := c[5], c[12]
+	return &Message{
+		Type: TypeEdgeAppend, From: "stale-sender", Role: RoleClient,
+		Handle: job.Handle, Result: job.Handle, Hops: 9, Trace: "stale-trace",
+		EvalNS: 77, Err: "stale", Data: []byte("stale"), Adverts: c[0].Adverts,
+		Pushed: job.Pushed, Seq: 5, Entries: edge.Entries,
+	}
+}
+
 // FuzzDecode: Decode never panics, never allocates beyond decodeBudget,
-// and what it accepts survives a round trip through Encode.
+// and what it accepts survives a round trip through Encode. DecodeInto,
+// filling a dirty, reused message, gives what Decode gives, with the same
+// error, whether or not the sender hint matches.
 func FuzzDecode(f *testing.F) {
 	for _, m := range corpus() {
 		raw := m.Encode()
@@ -78,6 +93,20 @@ func FuzzDecode(f *testing.F) {
 		}
 		if grew > decodeBudget(len(data)) {
 			t.Fatalf("Decode of %d bytes allocated %d", len(data), grew)
+		}
+		hints := []string{"not-the-sender"}
+		if err == nil {
+			hints = append(hints, m.From)
+		}
+		reused := dirty()
+		for _, from := range hints {
+			errInto := DecodeInto(reused, data, from)
+			if fmt.Sprint(errInto) != fmt.Sprint(err) {
+				t.Fatalf("DecodeInto with hint %q: error %v, Decode's %v", from, errInto, err)
+			}
+			if err == nil && !reflect.DeepEqual(reused, m) {
+				t.Fatalf("DecodeInto with hint %q differs from Decode:\n got %+v\nwant %+v", from, reused, m)
+			}
 		}
 		if err != nil {
 			return
@@ -151,5 +180,26 @@ func TestDecodeAllocs(t *testing.T) {
 	}
 	if allocs > 3 {
 		t.Fatalf("Decode of a Job frame with four pushed objects allocates %v times, want at most 3", allocs)
+	}
+}
+
+// TestDecodeIntoReusesSender: a Result frame decoded into a link's reused
+// message with the sender's ID as the hint allocates nothing; the frames
+// a delegation answers with cost no decode allocations.
+func TestDecodeIntoReusesSender(t *testing.T) {
+	raw := (&Message{Type: TypeResult, From: "worker-7", Handle: core.LiteralU64(1), Result: core.LiteralU64(8), EvalNS: 42}).Encode()
+	var m Message
+	from := "worker-7"
+	var derr error
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := DecodeInto(&m, raw, from); err != nil {
+			derr = err
+		}
+	})
+	if derr != nil {
+		t.Fatal(derr)
+	}
+	if allocs != 0 || m.From != from || m.Result != core.LiteralU64(8) {
+		t.Fatalf("DecodeInto of a Result: %v allocs, message %+v", allocs, m)
 	}
 }

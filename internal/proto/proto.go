@@ -205,16 +205,29 @@ func (m *Message) AppendEncode(buf []byte) []byte {
 // bytes. Edge-log entry objects are copied, because the edge log keeps
 // them long after the frame that carried them.
 func Decode(data []byte) (*Message, error) {
-	d := decoder{buf: data}
 	m := &Message{}
-	m.Type = d.u8()
-	m.From = d.str()
+	if err := DecodeInto(m, data, ""); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// DecodeInto is Decode into a caller-owned message, which a receive loop
+// reuses across frames. Every field of m is overwritten, and slices are
+// made fresh, never reused, so a message copied out of m before the next
+// call keeps its own. When the frame's sender equals from, m.From is from
+// itself and the sender is not copied out of the frame. On error m is
+// left in an unspecified state.
+func DecodeInto(m *Message, data []byte, from string) error {
+	d := decoder{buf: data}
+	*m = Message{Type: d.u8()}
+	m.From = d.strAs(from)
 	switch m.Type {
 	case TypeHello, TypeAdvertise:
 		m.Role = d.u8()
 		n := d.u32()
 		if uint64(n)*core.HandleSize > uint64(len(data)) {
-			return nil, fmt.Errorf("proto: advert count %d too large", n)
+			return fmt.Errorf("proto: advert count %d too large", n)
 		}
 		m.Adverts = make([]core.Handle, n)
 		for i := range m.Adverts {
@@ -240,7 +253,7 @@ func Decode(data []byte) (*Message, error) {
 		m.Trace = d.str()
 		n := d.u32()
 		if uint64(n)*core.HandleSize > uint64(len(data)) {
-			return nil, fmt.Errorf("proto: push count %d too large", n)
+			return fmt.Errorf("proto: push count %d too large", n)
 		}
 		m.Pushed = make([]PushedObject, n)
 		for i := range m.Pushed {
@@ -256,7 +269,7 @@ func Decode(data []byte) (*Message, error) {
 		m.Seq = d.u64()
 		n := d.u32()
 		if uint64(n)*(2*core.HandleSize) > uint64(len(data)) {
-			return nil, fmt.Errorf("proto: edge entry count %d too large", n)
+			return fmt.Errorf("proto: edge entry count %d too large", n)
 		}
 		m.Entries = make([]EdgeEntry, n)
 		for i := range m.Entries {
@@ -270,7 +283,7 @@ func Decode(data []byte) (*Message, error) {
 			e.Result = d.handle()
 			no := d.u32()
 			if uint64(no)*core.HandleSize > uint64(len(data)) {
-				return nil, fmt.Errorf("proto: edge object count %d too large", no)
+				return fmt.Errorf("proto: edge object count %d too large", no)
 			}
 			if no > 0 {
 				e.Objects = make([]PushedObject, no)
@@ -288,12 +301,12 @@ func Decode(data []byte) (*Message, error) {
 	case TypePing, TypePong, TypeEdgeHello, TypeEdgeLeave:
 		// No payload beyond the sender identity.
 	default:
-		return nil, fmt.Errorf("proto: unknown message type %d", m.Type)
+		return fmt.Errorf("proto: unknown message type %d", m.Type)
 	}
 	if d.failed {
-		return nil, fmt.Errorf("proto: truncated message (type %d, %d bytes)", m.Type, len(data))
+		return fmt.Errorf("proto: truncated message (type %d, %d bytes)", m.Type, len(data))
 	}
-	return m, nil
+	return nil
 }
 
 func appendString(buf []byte, s string) []byte {
@@ -330,8 +343,16 @@ func (d *decoder) u8() byte    { return d.take(1)[0] }
 func (d *decoder) u32() uint32 { return binary.LittleEndian.Uint32(d.take(4)) }
 func (d *decoder) u64() uint64 { return binary.LittleEndian.Uint64(d.take(8)) }
 
-func (d *decoder) str() string {
-	return string(d.prefixed(int(binary.LittleEndian.Uint16(d.take(2)))))
+func (d *decoder) str() string { return d.strAs("") }
+
+// strAs reads a string, returning hint itself instead of a copy when the
+// bytes spell it.
+func (d *decoder) strAs(hint string) string {
+	b := d.prefixed(int(binary.LittleEndian.Uint16(d.take(2))))
+	if string(b) == hint {
+		return hint
+	}
+	return string(b)
 }
 
 func (d *decoder) bytes() []byte {

@@ -14,7 +14,7 @@ import (
 )
 
 // tcpPair returns the two raw ends of one loopback TCP connection.
-func tcpPair(t *testing.T) (dialed, accepted net.Conn) {
+func tcpPair(t testing.TB) (dialed, accepted net.Conn) {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
