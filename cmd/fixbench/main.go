@@ -33,9 +33,9 @@ func main() {
 		scale = bench.PaperScale()
 	}
 
-	run := func(id string, fn func(bench.Scale) (bench.Result, error)) bool {
+	run := func(id string) bool {
 		fmt.Printf("running %s...\n", id)
-		res, err := fn(scale)
+		res, err := bench.Run(id, scale)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", id, err)
 			return false
@@ -55,21 +55,10 @@ func main() {
 	ok := true
 	if *exp == "all" {
 		for _, e := range bench.Experiments {
-			ok = run(e.ID, e.Run) && ok
+			ok = run(e.ID) && ok
 		}
 	} else {
-		found := false
-		for _, e := range bench.Experiments {
-			if e.ID == *exp {
-				ok = run(e.ID, e.Run)
-				found = true
-				break
-			}
-		}
-		if !found {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
-			ok = false
-		}
+		ok = run(*exp)
 	}
 	if !ok {
 		os.Exit(1)

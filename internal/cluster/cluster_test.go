@@ -10,7 +10,6 @@ import (
 
 	"fixgo/internal/codelet"
 	"fixgo/internal/core"
-	"fixgo/internal/objstore"
 	"fixgo/internal/runtime"
 	"fixgo/internal/transport"
 )
@@ -272,16 +271,14 @@ func TestNoLocalityStillCorrect(t *testing.T) {
 	}
 }
 
-func TestExtraFetcherFallback(t *testing.T) {
-	// Object lives only in the object store; no peer has it.
-	os := objstore.New(objstore.Config{})
+func TestTierFetchFallback(t *testing.T) {
+	// Object lives only in the storage tier; no peer has it.
 	data := bytes.Repeat([]byte{4}, 777)
-	h := core.BlobHandle(data)
-	if err := os.PutHandle(context.Background(), h, data); err != nil {
-		t.Fatal(err)
-	}
-	a := NewNode("a", NodeOptions{Cores: 2, Registry: countRegistry(), ExtraFetcher: os})
-	b := NewNode("b", NodeOptions{Cores: 2, Registry: countRegistry(), ExtraFetcher: os})
+	tier, h := storedTier(t, data)
+	a := NewNode("a", NodeOptions{Cores: 2, Registry: countRegistry()})
+	b := NewNode("b", NodeOptions{Cores: 2, Registry: countRegistry()})
+	a.SetTier(tier, 0)
+	b.SetTier(tier, 0)
 	defer a.Close()
 	defer b.Close()
 	Connect(a, b, fastLink())

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"fixgo/internal/core"
-	"fixgo/internal/objstore"
 	"fixgo/internal/proto"
 	"fixgo/internal/runtime"
 	"fixgo/internal/transport"
@@ -220,16 +219,14 @@ func TestFailoverLocalFallback(t *testing.T) {
 		return api.CreateBlob(core.LiteralU64(uint64(len(b))).LiteralData()), nil
 	})
 	// The job's input lives on b (so placement prefers b) and in a
-	// backing object store (so the local fallback can still fetch it
+	// backing storage tier (so the local fallback can still fetch it
 	// once b is dead).
 	data := bytes.Repeat([]byte{5}, 777)
-	h := core.BlobHandle(data)
-	os := objstore.New(objstore.Config{})
-	if err := os.PutHandle(context.Background(), h, data); err != nil {
-		t.Fatal(err)
-	}
-	a := NewNode("a", hbOpts(NodeOptions{Cores: 2, Registry: regA, ExtraFetcher: os}))
-	b := NewNode("b", hbOpts(NodeOptions{Cores: 2, Registry: holdRegistry("b", started, release), ExtraFetcher: os}))
+	tier, h := storedTier(t, data)
+	a := NewNode("a", hbOpts(NodeOptions{Cores: 2, Registry: regA}))
+	b := NewNode("b", hbOpts(NodeOptions{Cores: 2, Registry: holdRegistry("b", started, release)}))
+	a.SetTier(tier, 0)
+	b.SetTier(tier, 0)
 	defer a.Close()
 	defer b.Close()
 	if err := b.Store().PutObject(h, data); err != nil {

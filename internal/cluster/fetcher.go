@@ -17,8 +17,8 @@ import (
 // so any node can locate a copy it was never told about — including one
 // re-placed by repair after the advertised holder died); then the peers
 // the passive view locates the object on; then every remaining peer (the
-// view advances passively and may lag); finally the node's ExtraFetcher
-// (e.g. an object store).
+// view advances passively and may lag); finally the node's storage
+// tier, when SetTier attached one.
 type clusterFetcher struct {
 	n *Node
 }
@@ -143,21 +143,10 @@ func (f *clusterFetcher) run(ctx context.Context, k core.Handle, w *fetchWait, o
 			return data, nil
 		}
 	}
-	if n.opts.ExtraFetcher != nil {
-		data, err := n.opts.ExtraFetcher.Fetch(ctx, k)
-		if err == nil {
-			if err := n.st.PutObject(k, data); err != nil {
-				return nil, err
-			}
-			n.touch(k)
-			n.completeFetch(k, data, nil)
-			return data, nil
-		}
-	}
 	// Final hop: the cold storage tier. A demoted object (or one whose
 	// every hot holder died) is recovered from here and promoted back
 	// into the hot store.
-	if tier := n.opts.Tier; tier != nil {
+	if tier := n.tier.store; tier != nil {
 		data, err := tier.Get(ctx, k)
 		if err == nil {
 			if err := n.st.PutObject(k, data); err != nil {

@@ -11,42 +11,42 @@ import (
 
 	"fixgo/internal/core"
 	"fixgo/internal/proto"
+	"fixgo/internal/storage"
 	"fixgo/internal/transport"
 )
 
-// countingFetcher is an ExtraFetcher that counts calls and serves one blob
+// countingTier is a storage tier that counts Gets and serves one blob
 // after a delay long enough for every concurrent Fetch to pile up on the
-// in-flight wait.
-type countingFetcher struct {
+// in-flight wait. Only Get is implemented: a node given it with
+// demoteAfter 0 never writes to its tier.
+type countingTier struct {
+	storage.Storage
 	calls atomic.Int64
 	h     core.Handle
 	data  []byte
 	delay time.Duration
 }
 
-func (f *countingFetcher) Fetch(ctx context.Context, h core.Handle) ([]byte, error) {
+func (f *countingTier) Get(ctx context.Context, h core.Handle) ([]byte, error) {
 	f.calls.Add(1)
 	time.Sleep(f.delay)
 	if h.StorageKey() == f.h.StorageKey() {
 		return f.data, nil
 	}
-	return nil, &fetchMissErr{}
+	return nil, &storage.NotFoundError{Handle: h, Tier: "counting"}
 }
-
-type fetchMissErr struct{}
-
-func (*fetchMissErr) Error() string { return "counting fetcher: no such object" }
 
 // TestFetchSingleFlight drives N concurrent clusterFetcher.Fetch calls for
 // one handle against a scripted peer that always answers Missing. Exactly
-// one peer request and one ExtraFetcher fallback may occur: the other N−1
-// callers must join the in-flight wait (fetchW in fetcher.go).
+// one peer request and one tier read may occur: the other N−1 callers
+// must join the in-flight wait (fetchW in fetcher.go).
 func TestFetchSingleFlight(t *testing.T) {
 	data := bytes.Repeat([]byte{0xA5}, 1024)
 	h := core.BlobHandle(data)
 
-	extra := &countingFetcher{h: h, data: data, delay: 50 * time.Millisecond}
-	n := NewNode("n", NodeOptions{Cores: 1, ExtraFetcher: extra})
+	tier := &countingTier{h: h, data: data, delay: 50 * time.Millisecond}
+	n := NewNode("n", NodeOptions{Cores: 1})
+	n.SetTier(tier, 0)
 	defer n.Close()
 
 	// A scripted peer: replies to the Hello, advertises ownership of h so
@@ -99,25 +99,26 @@ func TestFetchSingleFlight(t *testing.T) {
 	if got := peerRequests.Load(); got != 1 {
 		t.Errorf("peer requests = %d, want exactly 1 (single-flight)", got)
 	}
-	if got := extra.calls.Load(); got != 1 {
-		t.Errorf("extra fetcher calls = %d, want exactly 1 (single-flight)", got)
+	if got := tier.calls.Load(); got != 1 {
+		t.Errorf("tier reads = %d, want exactly 1 (single-flight)", got)
 	}
 	if !n.Store().Contains(h) {
 		t.Error("fetched object not resident after fetch")
 	}
 }
 
-// gatedFetcher is an ExtraFetcher that announces each call on entered,
+// gatedTier is a storage tier whose Get announces each call on entered,
 // then serves data once release closes, or gives up when its caller's
-// context ends.
-type gatedFetcher struct {
+// context ends. Like countingTier, it implements only Get.
+type gatedTier struct {
+	storage.Storage
 	calls   atomic.Int64
 	data    []byte
 	entered chan struct{}
 	release chan struct{}
 }
 
-func (f *gatedFetcher) Fetch(ctx context.Context, h core.Handle) ([]byte, error) {
+func (f *gatedTier) Get(ctx context.Context, h core.Handle) ([]byte, error) {
 	f.calls.Add(1)
 	f.entered <- struct{}{}
 	select {
@@ -134,15 +135,16 @@ func (f *gatedFetcher) Fetch(ctx context.Context, h core.Handle) ([]byte, error)
 func TestCancelledFetchLeaderLeavesJoiner(t *testing.T) {
 	data := bytes.Repeat([]byte{0x5A}, 1024)
 	h := core.BlobHandle(data)
-	extra := &gatedFetcher{data: data, entered: make(chan struct{}, 2), release: make(chan struct{})}
-	n := NewNode("n", NodeOptions{Cores: 1, ExtraFetcher: extra})
+	tier := &gatedTier{data: data, entered: make(chan struct{}, 2), release: make(chan struct{})}
+	n := NewNode("n", NodeOptions{Cores: 1})
+	n.SetTier(tier, 0)
 	defer n.Close()
 	f := &clusterFetcher{n: n}
 
 	lctx, cancel := context.WithCancel(context.Background())
 	leader := make(chan error, 1)
 	go func() { _, err := f.Fetch(lctx, h); leader <- err }()
-	<-extra.entered // the leader is inside the ExtraFetcher
+	<-tier.entered // the leader is inside the tier read
 	type out struct {
 		data []byte
 		err  error
@@ -154,8 +156,8 @@ func TestCancelledFetchLeaderLeavesJoiner(t *testing.T) {
 	if err := <-leader; !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled leader: %v, want context.Canceled", err)
 	}
-	<-extra.entered // the joiner fetches on its own
-	close(extra.release)
+	<-tier.entered // the joiner fetches on its own
+	close(tier.release)
 	j := <-joiner
 	if j.err != nil {
 		t.Fatalf("joiner failed with its leader's cancellation: %v", j.err)
@@ -163,7 +165,7 @@ func TestCancelledFetchLeaderLeavesJoiner(t *testing.T) {
 	if !bytes.Equal(j.data, data) {
 		t.Fatalf("joiner got %d bytes, want the %d-byte object", len(j.data), len(data))
 	}
-	if got := extra.calls.Load(); got != 2 {
-		t.Fatalf("extra fetcher calls = %d, want 2 (the leader's and the joiner's)", got)
+	if got := tier.calls.Load(); got != 2 {
+		t.Fatalf("tier reads = %d, want 2 (the leader's and the joiner's)", got)
 	}
 }

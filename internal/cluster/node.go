@@ -37,7 +37,6 @@ import (
 	"fixgo/internal/proto"
 	"fixgo/internal/runtime"
 	"fixgo/internal/stats"
-	"fixgo/internal/storage"
 	"fixgo/internal/store"
 	"fixgo/internal/transport"
 )
@@ -57,9 +56,6 @@ type NodeOptions struct {
 	// ClientOnly marks a node that submits jobs and serves objects but
 	// never executes placements (the experiment "client").
 	ClientOnly bool
-	// ExtraFetcher supplies objects found on no peer (e.g. an object
-	// store).
-	ExtraFetcher runtime.Fetcher
 	// Seed makes NoLocality placement deterministic.
 	Seed int64
 	// HeartbeatInterval enables failure detection: every interval the
@@ -77,24 +73,6 @@ type NodeOptions struct {
 	// the object survives the loss of any R−1 holders. 1 (the default)
 	// disables replication — the writer's copy is the only copy.
 	Replicas int
-	// Tier, when set, is the node's cold storage tier (internal/storage):
-	// the demotion pass spills cold objects into it and the fetcher's
-	// miss path ends with a tier lookup. Nil disables tiering. The tier's
-	// lifecycle is owned by the caller; Close does not close it.
-	Tier storage.Storage
-	// DemoteAfter is the idle window after which a resident object
-	// becomes a demotion candidate. Zero disables the demotion loop even
-	// with a Tier set (the tier then only serves fetch misses).
-	DemoteAfter time.Duration
-	// DemoteEvery is the demotion sweep interval (default DemoteAfter/2).
-	DemoteEvery time.Duration
-	// Tracer, when set, gives this node a local trace ring: delegated
-	// jobs arriving with a trace ID in their Job header are recorded
-	// under that same ID (eval span, outcome), so a worker's -debug-addr
-	// can answer "what did the gateway's trace abc do here". Nil disables
-	// worker-side recording; spans still flow back to the delegator via
-	// the Result header's EvalNS field.
-	Tracer *obsv.Tracer
 }
 
 func (o NodeOptions) withDefaults() NodeOptions {
@@ -103,9 +81,6 @@ func (o NodeOptions) withDefaults() NodeOptions {
 	}
 	if o.Replicas <= 0 {
 		o.Replicas = 1
-	}
-	if o.DemoteAfter > 0 && o.DemoteEvery <= 0 {
-		o.DemoteEvery = o.DemoteAfter / 2
 	}
 	return o
 }
@@ -198,7 +173,10 @@ type Node struct {
 	opts NodeOptions
 	st   *store.Store
 	eng  *runtime.Engine
-	tier tierState // demotion bookkeeping; counters live even with Tier nil
+	tier tierState // the spill tier and its demotion bookkeeping; counters live even with no tier
+	// tracer, when set by SetTracer, records delegated jobs that arrive
+	// with a trace ID; nil disables worker-side recording.
+	tracer *obsv.Tracer
 
 	done chan struct{} // closed by Close; stops the heartbeat and demote loops
 
@@ -308,9 +286,6 @@ func NewNode(id string, opts NodeOptions) *Node {
 	if opts.HeartbeatInterval > 0 {
 		go n.heartbeatLoop()
 	}
-	if opts.Tier != nil && opts.DemoteAfter > 0 {
-		go n.demoteLoop()
-	}
 	return n
 }
 
@@ -326,22 +301,15 @@ func (n *Node) Engine() *runtime.Engine { return n.eng }
 // Stats returns the node's CPU-state collector.
 func (n *Node) Stats() *stats.Collector { return n.eng.Stats() }
 
-// SetTracer installs the worker-side tracer after construction — the
-// registry owning its stage histogram (NewNodeMetrics) needs the node
-// first, so the boot path closes the loop with this setter before
-// attaching any peer.
-func (n *Node) SetTracer(tr *obsv.Tracer) {
-	n.mu.Lock()
-	n.opts.Tracer = tr
-	n.mu.Unlock()
-}
-
-// tracer reads the worker-side tracer (nil when tracing is off).
-func (n *Node) tracer() *obsv.Tracer {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.opts.Tracer
-}
+// SetTracer gives the node a local trace ring: delegated jobs arriving
+// with a trace ID in their Job header are recorded under that same ID
+// (eval span, outcome), so a worker's -debug-addr can answer "what did
+// the gateway's trace abc do here". Without one, spans still flow back
+// to the delegator in the Result header's EvalNS field. The registry
+// owning the tracer's stage histogram (NewNodeMetrics) needs the node
+// first, hence a setter; like SetTier, it must be called before the
+// node serves peers or jobs, since serveJob reads the tracer unlocked.
+func (n *Node) SetTracer(tr *obsv.Tracer) { n.tracer = tr }
 
 // Eval evaluates a Fix object, with the distributed scheduler free to
 // place work anywhere in the cluster.
@@ -845,7 +813,7 @@ func (n *Node) serveJob(m *proto.Message) {
 	// outsourced.
 	ctx := withJob(context.Background(), jobInfo{hops: int(m.Hops), received: m.Handle})
 	var t *obsv.Trace
-	tracer := n.tracer()
+	tracer := n.tracer
 	if tracer != nil && m.Trace != "" {
 		t = tracer.StartWithID(m.Trace, "remote_job")
 		ctx = obsv.WithTrace(ctx, t)

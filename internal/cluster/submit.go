@@ -58,7 +58,7 @@ func (n *Node) PutTree(entries []core.Handle) (core.Handle, error) {
 }
 
 // ObjectBytes returns the packed bytes of an object, fetching it from
-// peers (or the ExtraFetcher) when it is not locally resident.
+// peers (or the storage tier) when it is not locally resident.
 func (n *Node) ObjectBytes(ctx context.Context, h core.Handle) ([]byte, error) {
 	if data, err := n.st.ObjectBytes(h); err == nil {
 		n.touch(h)

@@ -10,8 +10,8 @@ import (
 	"fixgo/internal/storage"
 )
 
-// This file wires the tiered-storage spill path into the node. With
-// NodeOptions.Tier set, the node gains a cold tier under its hot
+// This file wires the tiered-storage spill path into the node. With a
+// tier attached by SetTier, the node gains a cold tier under its hot
 // in-memory store: an anti-entropy demotion pass uploads cold objects to
 // the tier and evicts the hot copy once the tier's remote side confirms
 // it, and the fetcher's miss path (fetcher.go) ends with a tier lookup so
@@ -19,9 +19,12 @@ import (
 // recoverable. A tier fetch re-inserts the object into the hot store and
 // refreshes its access time: that is the promotion half of the lifecycle.
 
-// tierState is the node's demotion bookkeeping: last-access times for
-// resident objects and the spill counters merged into StorageStats.
+// tierState is the node's spill tier with its demotion bookkeeping:
+// last-access times for resident objects and the spill counters merged
+// into StorageStats.
 type tierState struct {
+	store storage.Storage // nil: no tiering; set once, by SetTier
+
 	mu        sync.Mutex
 	lastTouch map[core.Handle]time.Time
 
@@ -34,10 +37,10 @@ type tierState struct {
 // touch records an access to h so the demotion pass sees it as hot. It is
 // called on every write, ingest, serve, and fetch of an object; objects
 // the node produced internally (eval outputs) are first-sight-stamped by
-// the next demotion pass instead, which gives them a full DemoteAfter
-// window too.
+// the next demotion pass instead, which gives them a full idle window
+// too.
 func (n *Node) touch(h core.Handle) {
-	if n.opts.Tier == nil {
+	if n.tier.store == nil {
 		return
 	}
 	k := h.AsObject()
@@ -49,57 +52,57 @@ func (n *Node) touch(h core.Handle) {
 	n.tier.mu.Unlock()
 }
 
-// SetTier attaches a spill tier after construction. The boot paths need
-// this ordering: in hybrid mode the tier's local side is the durable
+// SetTier attaches the node's cold storage tier (internal/storage): the
+// demotion pass spills cold objects into it and the fetcher's miss path
+// ends with a tier lookup. The caller owns the tier's lifecycle; Close
+// does not close it. Attaching after construction is what the boot
+// paths need: in hybrid mode the tier's local side is the durable
 // store, which attaches to the node's runtime store only after NewNode
-// returns. It must be called before the node starts serving peers or
-// jobs — tier reads are unsynchronized against it. When demoteAfter is
-// positive the demotion loop starts here, sweeping every demoteAfter/2
-// (NodeOptions.DemoteEvery is unset on this path).
+// returns. It must be called at most once, before the node starts
+// serving peers or jobs — tier reads are unsynchronized against it.
+// When demoteAfter is positive, one demotion loop starts here: every
+// demoteAfter/2 it demotes the objects idle for demoteAfter. With zero,
+// the tier only serves fetch misses and DemotePass runs when called.
 func (n *Node) SetTier(tier storage.Storage, demoteAfter time.Duration) {
 	if tier == nil {
 		return
 	}
-	n.opts.Tier = tier
-	n.opts.DemoteAfter = demoteAfter
+	n.tier.store = tier
 	if demoteAfter > 0 {
-		if n.opts.DemoteEvery <= 0 {
-			n.opts.DemoteEvery = demoteAfter / 2
-		}
-		go n.demoteLoop()
+		go n.demoteLoop(demoteAfter)
 	}
 }
 
-// demoteLoop runs demotion passes every DemoteEvery until Close.
-func (n *Node) demoteLoop() {
-	t := time.NewTicker(n.opts.DemoteEvery)
+// demoteLoop runs a demotion pass every demoteAfter/2 until Close.
+func (n *Node) demoteLoop(demoteAfter time.Duration) {
+	t := time.NewTicker(demoteAfter / 2)
 	defer t.Stop()
 	for {
 		select {
 		case <-n.done:
 			return
-		case <-t.C:
-			n.DemotePass(context.Background())
+		case now := <-t.C:
+			n.DemotePass(context.Background(), now.Add(-demoteAfter))
 		}
 	}
 }
 
 // DemotePass runs one anti-entropy demotion sweep: every resident object
-// not accessed within DemoteAfter is uploaded to the tier, buffered tier
+// not accessed since cutoff is uploaded to the tier, buffered tier
 // writes are flushed, and the hot copy is evicted only after the tier's
 // remote side confirms it holds the object. With replication on, objects
 // this node cannot account R copies of are skipped — the repair pass gets
 // to re-establish replicas before demotion thins holders. Pinned objects
 // survive (store.Evict refuses them). It returns the number of hot copies
-// evicted. The loop calls it on a ticker; tests and operators may call it
-// directly.
-func (n *Node) DemotePass(ctx context.Context) int {
-	tier := n.opts.Tier
+// evicted. An object the pass sees for the first time is stamped as
+// accessed now. The loop calls it on a ticker; tests and operators may
+// call it directly.
+func (n *Node) DemotePass(ctx context.Context, cutoff time.Time) int {
+	tier := n.tier.store
 	if tier == nil || n.isClosed() {
 		return 0
 	}
 	now := time.Now()
-	cutoff := now.Add(-n.opts.DemoteAfter)
 	resident := make(map[core.Handle]struct{})
 	var all []core.Handle
 	n.st.ForEach(func(h core.Handle, size uint64) {
@@ -186,7 +189,7 @@ func tierRemoteHas(ctx context.Context, tier storage.Storage, k core.Handle) (bo
 // The gateway surfaces it at /v1/stats and as the fixgate_storage_*
 // families; NewNodeMetrics emits the fixpoint_storage_* twins.
 func (n *Node) StorageStats() *storage.Stats {
-	tier := n.opts.Tier
+	tier := n.tier.store
 	if tier == nil {
 		return nil
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	goruntime "runtime"
 	"sync"
 	"testing"
 	"time"
@@ -26,13 +27,104 @@ func testTier(t *testing.T, budget int64) *storage.LFC {
 	return lfc
 }
 
+// storedTier returns a remote-style tier (a storage.Dir) already holding
+// data: an object the platform stores and no peer has.
+func storedTier(t *testing.T, data []byte) (storage.Storage, core.Handle) {
+	t.Helper()
+	tier, err := storage.NewDir(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := core.BlobHandle(data)
+	if err := tier.Put(context.Background(), h.AsObject(), data); err != nil {
+		t.Fatal(err)
+	}
+	return tier, h
+}
+
+// tierNode returns a node with tier attached and no demotion loop: the
+// test runs every DemotePass itself.
+func tierNode(id string, opts NodeOptions, tier storage.Storage) *Node {
+	n := NewNode(id, opts)
+	n.SetTier(tier, 0)
+	return n
+}
+
+// demoteLoops counts the live goroutines SetTier started: the demotion
+// loops. One that has not run yet shows SetTier's go-statement wrapper
+// as its frame; a running one names SetTier as its creator.
+func demoteLoops() int {
+	buf := make([]byte, 1<<16)
+	for {
+		n := goruntime.Stack(buf, true)
+		if n < len(buf) {
+			loops := 0
+			for _, g := range bytes.Split(buf[:n], []byte("\n\n")) {
+				if bytes.Contains(g, []byte("cluster.(*Node).SetTier")) {
+					loops++
+				}
+			}
+			return loops
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
+// waitDemoteLoops waits until exactly want demotion loops run.
+func waitDemoteLoops(t *testing.T, want int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for demoteLoops() != want {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d demotion loops running, want %d", demoteLoops(), want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestSetTierDemotion pins the one way a node gets its tier. With
+// demoteAfter 0 no demotion loop runs, and DemotePass demotes exactly
+// the objects idle since before its cutoff; with demoteAfter > 0
+// exactly one loop runs, until Close.
+func TestSetTierDemotion(t *testing.T) {
+	waitDemoteLoops(t, 0) // earlier tests' nodes are closed
+	n := tierNode("w0", NodeOptions{Cores: 1}, testTier(t, 1<<20))
+	defer n.Close()
+	if got := demoteLoops(); got != 0 {
+		t.Fatalf("SetTier(tier, 0) started %d demotion loops", got)
+	}
+	idle := n.PutBlob(bytes.Repeat([]byte{1}, 300))
+	time.Sleep(time.Millisecond)
+	cutoff := time.Now()
+	fresh := n.PutBlob(bytes.Repeat([]byte{2}, 300))
+	if got := n.DemotePass(context.Background(), cutoff); got != 1 {
+		t.Fatalf("DemotePass = %d, want 1 (the object idle since before the cutoff)", got)
+	}
+	if n.Store().Contains(idle) {
+		t.Fatal("object idle past the cutoff survives the pass")
+	}
+	if !n.Store().Contains(fresh) {
+		t.Fatal("object written after the cutoff was demoted")
+	}
+
+	m := NewNode("w1", NodeOptions{Cores: 1})
+	m.SetTier(testTier(t, 1<<20), time.Hour)
+	if got := demoteLoops(); got != 1 {
+		m.Close()
+		t.Fatalf("SetTier(tier, time.Hour) started %d demotion loops, want 1", got)
+	}
+	m.Close()
+	waitDemoteLoops(t, 0)
+}
+
 // TestTierDemoteAndRefetch pins the demotion/promotion lifecycle on one
 // node: a cold object is spilled to the tier and evicted from the hot
 // store, then a later read recovers it through the fetcher's tier hop
 // and promotes it back.
 func TestTierDemoteAndRefetch(t *testing.T) {
+	const idle = 10 * time.Millisecond
 	tier := testTier(t, 1<<20)
-	n := NewNode("w0", NodeOptions{Cores: 1, Tier: tier, DemoteAfter: 10 * time.Millisecond, DemoteEvery: time.Hour})
+	n := tierNode("w0", NodeOptions{Cores: 1}, tier)
 	defer n.Close()
 
 	data := bytes.Repeat([]byte{42}, 512)
@@ -42,12 +134,12 @@ func TestTierDemoteAndRefetch(t *testing.T) {
 	}
 
 	// Too hot to demote: inside the idle window nothing moves.
-	if got := n.DemotePass(context.Background()); got != 0 {
+	if got := n.DemotePass(context.Background(), time.Now().Add(-idle)); got != 0 {
 		t.Fatalf("hot object demoted: %d", got)
 	}
 
-	time.Sleep(20 * time.Millisecond)
-	if got := n.DemotePass(context.Background()); got != 1 {
+	time.Sleep(2 * idle)
+	if got := n.DemotePass(context.Background(), time.Now().Add(-idle)); got != 1 {
 		t.Fatalf("DemotePass = %d, want 1", got)
 	}
 	if n.Store().Contains(h) {
@@ -79,12 +171,12 @@ func TestTierDemoteAndRefetch(t *testing.T) {
 // object stays hot even when cold by access time.
 func TestTierPinnedObjectSurvivesDemotion(t *testing.T) {
 	tier := testTier(t, 1<<20)
-	n := NewNode("w0", NodeOptions{Cores: 1, Tier: tier, DemoteAfter: 5 * time.Millisecond, DemoteEvery: time.Hour})
+	n := tierNode("w0", NodeOptions{Cores: 1}, tier)
 	defer n.Close()
 	h := n.PutBlob(bytes.Repeat([]byte{7}, 256))
 	n.Store().Pin(h)
 	time.Sleep(15 * time.Millisecond)
-	n.DemotePass(context.Background())
+	n.DemotePass(context.Background(), time.Now().Add(-5*time.Millisecond))
 	if !n.Store().Contains(h) {
 		t.Fatal("pinned object was demoted")
 	}
@@ -96,11 +188,11 @@ func TestTierPinnedObjectSurvivesDemotion(t *testing.T) {
 func TestTierDemoteRequiresReplicas(t *testing.T) {
 	tier := testTier(t, 1<<20)
 	// R=2 but no peers: every object is under-replicated.
-	n := NewNode("w0", NodeOptions{Cores: 1, Replicas: 2, Tier: tier, DemoteAfter: 5 * time.Millisecond, DemoteEvery: time.Hour})
+	n := tierNode("w0", NodeOptions{Cores: 1, Replicas: 2}, tier)
 	defer n.Close()
 	h := n.PutBlob(bytes.Repeat([]byte{9}, 256))
 	time.Sleep(15 * time.Millisecond)
-	if got := n.DemotePass(context.Background()); got != 0 {
+	if got := n.DemotePass(context.Background(), time.Now().Add(-5*time.Millisecond)); got != 0 {
 		t.Fatalf("under-replicated object demoted: %d", got)
 	}
 	if !n.Store().Contains(h) {
@@ -118,7 +210,7 @@ func TestTierMissRecoversFromTier(t *testing.T) {
 	if err := tier.Put(context.Background(), h.AsObject(), data); err != nil {
 		t.Fatal(err)
 	}
-	n := NewNode("w0", NodeOptions{Cores: 1, Tier: tier})
+	n := tierNode("w0", NodeOptions{Cores: 1}, tier)
 	defer n.Close()
 	got, err := n.ObjectBytes(context.Background(), h)
 	if err != nil || !bytes.Equal(got, data) {
@@ -135,7 +227,7 @@ func TestTierMissRecoversFromTier(t *testing.T) {
 // an object caught mid-demotion is always recoverable from the tier.
 func TestTierDemoteFetchRace(t *testing.T) {
 	tier := testTier(t, 1<<20)
-	n := NewNode("w0", NodeOptions{Cores: 1, Tier: tier, DemoteAfter: time.Millisecond, DemoteEvery: time.Hour})
+	n := tierNode("w0", NodeOptions{Cores: 1}, tier)
 	defer n.Close()
 
 	const objects = 24
@@ -157,7 +249,7 @@ func TestTierDemoteFetchRace(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				n.DemotePass(context.Background())
+				n.DemotePass(context.Background(), time.Now().Add(-time.Millisecond))
 			}
 		}
 	}()

@@ -18,7 +18,8 @@ import (
 func TestDelegationTracePropagation(t *testing.T) {
 	workerTracer := obsv.NewTracer(16, nil)
 	client := NewNode("client", NodeOptions{Cores: 2, ClientOnly: true, Registry: countRegistry()})
-	worker := NewNode("worker", NodeOptions{Cores: 2, Registry: countRegistry(), Tracer: workerTracer})
+	worker := NewNode("worker", NodeOptions{Cores: 2, Registry: countRegistry()})
+	worker.SetTracer(workerTracer)
 	defer client.Close()
 	defer worker.Close()
 	Connect(client, worker, fastLink())
@@ -84,7 +85,8 @@ func TestDelegationTracePropagation(t *testing.T) {
 func TestDelegationWithoutTraceIsZeroCost(t *testing.T) {
 	workerTracer := obsv.NewTracer(16, nil)
 	client := NewNode("c2", NodeOptions{Cores: 2, ClientOnly: true, Registry: countRegistry()})
-	worker := NewNode("w2", NodeOptions{Cores: 2, Registry: countRegistry(), Tracer: workerTracer})
+	worker := NewNode("w2", NodeOptions{Cores: 2, Registry: countRegistry()})
+	worker.SetTracer(workerTracer)
 	defer client.Close()
 	defer worker.Close()
 	Connect(client, worker, fastLink())

@@ -8,6 +8,7 @@ import (
 	"io/fs"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -40,19 +41,28 @@ var uncalledAllowed = map[string]string{
 	"bench.ScaleFromEnv":            "test-only helper",
 	"whisk.Platform.ResetStats":     "test-only helper",
 	"codelet.ConcatFunctionBlob":    "test-only helper",
-	"obsv.Counter.Inc":              "test-only helper",
+	"flatware.ReadFile":             "the host-side reference reader tests compare in-Fix file reads against",
+	"flatware.List":                 "the host-side reference walk tests compare archive contents against",
 }
 
 // TestExportedFunctionsHaveCallers fails when an exported function or
 // method declared under internal/ is named by no non-test Go file in the
-// module (ROADMAP item 13: only what something uses). A name counts as
-// used wherever it appears outside its own declaration, so a method
+// module (ROADMAP item 13: only what something uses). A function counts
+// as used where its package names it: as pkg.Name in a file importing
+// the package, or as Name in the package itself. A method counts as used
+// wherever its name appears outside its own declaration, so a method
 // reached through an interface is used once the interface method is
 // called. Delete such a function, give it a caller, or allow it above
 // with its reason.
 func TestExportedFunctionsHaveCallers(t *testing.T) {
-	used := make(map[string]bool)
-	declared := make(map[string]string) // key → "file:line"
+	usedNames := make(map[string]bool) // every identifier: a method's use
+	usedFuncs := make(map[string]bool) // "<import path>.<name>": a function's use
+	type decl struct {
+		at     string // "file:line"
+		use    string // the usedFuncs key for a function, "" for a method
+		method string // the method name
+	}
+	declared := make(map[string]decl)
 	err := filepath.WalkDir("../..", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -72,16 +82,56 @@ func TestExportedFunctionsHaveCallers(t *testing.T) {
 			return err
 		}
 		rel := filepath.ToSlash(path)
-		dir, inInternal := strings.CutPrefix(filepath.ToSlash(filepath.Dir(path)), "../../internal/")
-		for _, decl := range f.Decls {
-			fd, isFunc := decl.(*ast.FuncDecl)
-			if isFunc && inInternal && fd.Name.IsExported() {
-				declared[funcKey(filepath.Base(dir), fd)] = fmt.Sprintf("%s:%d", rel, fset.Position(fd.Pos()).Line)
+		pkgDir := strings.TrimPrefix(filepath.ToSlash(filepath.Dir(path)), "../..")
+		self := "fixgo" + pkgDir // the file's import path
+		dir, inInternal := strings.CutPrefix(pkgDir, "/internal/")
+		imports := make(map[string]string) // local name → import path
+		for _, imp := range f.Imports {
+			p, _ := strconv.Unquote(imp.Path.Value)
+			name := p[strings.LastIndexByte(p, '/')+1:]
+			if imp.Name != nil {
+				name = imp.Name.Name
 			}
-			ast.Inspect(decl, func(n ast.Node) bool {
-				// A function's own declared name is not a use of it.
-				if id, ok := n.(*ast.Ident); ok && !(isFunc && id == fd.Name) {
-					used[id.Name] = true
+			imports[name] = p
+		}
+		for _, d := range f.Decls {
+			fd, isFunc := d.(*ast.FuncDecl)
+			if isFunc && inInternal && fd.Name.IsExported() {
+				at := fmt.Sprintf("%s:%d", rel, fset.Position(fd.Pos()).Line)
+				if fd.Recv == nil {
+					declared[funcKey(filepath.Base(dir), fd)] = decl{at: at, use: self + "." + fd.Name.Name}
+				} else {
+					declared[funcKey(filepath.Base(dir), fd)] = decl{at: at, method: fd.Name.Name}
+				}
+			}
+			notBare := make(map[*ast.Ident]bool) // selected, declared and key names
+			if isFunc {
+				notBare[fd.Name] = true
+			}
+			ast.Inspect(d, func(n ast.Node) bool {
+				switch x := n.(type) {
+				case *ast.Field:
+					for _, id := range x.Names {
+						notBare[id] = true
+					}
+				case *ast.SelectorExpr:
+					if pkg, ok := x.X.(*ast.Ident); ok && imports[pkg.Name] != "" {
+						usedFuncs[imports[pkg.Name]+"."+x.Sel.Name] = true
+					}
+					notBare[x.Sel] = true
+				case *ast.KeyValueExpr:
+					if key, ok := x.Key.(*ast.Ident); ok {
+						notBare[key] = true
+					}
+				case *ast.Ident:
+					// A function's own declared name is not a use of it.
+					if isFunc && x == fd.Name {
+						break
+					}
+					usedNames[x.Name] = true
+					if !notBare[x] {
+						usedFuncs[self+"."+x.Name] = true
+					}
 				}
 				return true
 			})
@@ -92,13 +142,17 @@ func TestExportedFunctionsHaveCallers(t *testing.T) {
 		t.Fatal(err)
 	}
 	var unused []string
-	for key, at := range declared {
+	for key, d := range declared {
 		_, allowed := uncalledAllowed[key]
-		switch name := key[strings.LastIndexByte(key, '.')+1:]; {
-		case !used[name] && !allowed:
-			unused = append(unused, key+" ("+at+"): exported and named by no non-test file: delete it, call it, or allow it with a reason")
-		case used[name] && allowed:
-			unused = append(unused, key+" ("+at+"): now named by a non-test file: drop it from the allow-list")
+		used := usedNames[d.method]
+		if d.use != "" {
+			used = usedFuncs[d.use]
+		}
+		switch {
+		case !used && !allowed:
+			unused = append(unused, key+" ("+d.at+"): exported and named by no non-test file: delete it, call it, or allow it with a reason")
+		case used && allowed:
+			unused = append(unused, key+" ("+d.at+"): now named by a non-test file: drop it from the allow-list")
 		}
 	}
 	sort.Strings(unused)

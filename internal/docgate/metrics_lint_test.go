@@ -45,7 +45,8 @@ func TestMetricFamiliesNamedAndDocumented(t *testing.T) {
 		}
 		return tier
 	}
-	edge := cluster.NewNode("edge", cluster.NodeOptions{Cores: 1, ClientOnly: true, Tier: newTier()})
+	edge := cluster.NewNode("edge", cluster.NodeOptions{Cores: 1, ClientOnly: true})
+	edge.SetTier(newTier(), 0)
 	defer edge.Close()
 	srv, err := gateway.NewServer(gateway.Options{
 		Backend:       edge,
@@ -65,7 +66,8 @@ func TestMetricFamiliesNamedAndDocumented(t *testing.T) {
 	srv.Handler().ServeHTTP(httptest.NewRecorder(), req)
 
 	// A worker's registry, durable and storage sections included.
-	worker := cluster.NewNode("w0", cluster.NodeOptions{Cores: 1, Tier: newTier()})
+	worker := cluster.NewNode("w0", cluster.NodeOptions{Cores: 1})
+	worker.SetTier(newTier(), 0)
 	defer worker.Close()
 	workerReg, _ := cluster.NewNodeMetrics(worker, func() durable.Stats { return durable.Stats{} })
 

@@ -1,6 +1,7 @@
 package durable
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -186,7 +187,8 @@ func TestCrashBetweenPackAndJournal(t *testing.T) {
 	if mem.Contains(h) {
 		t.Fatal("torn object should not be resident")
 	}
-	if _, err := mem.Blob(h); !store.IsNotFound(err) {
+	var nf *store.ErrNotFound
+	if _, err := mem.Blob(h); !errors.As(err, &nf) {
 		t.Fatalf("want ErrNotFound for torn object, got %v", err)
 	}
 }

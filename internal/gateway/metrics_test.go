@@ -166,7 +166,8 @@ func TestStatsMetricsParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	edge := cluster.NewNode("edge", cluster.NodeOptions{Cores: 1, ClientOnly: true, Tier: tier})
+	edge := cluster.NewNode("edge", cluster.NodeOptions{Cores: 1, ClientOnly: true})
+	edge.SetTier(tier, 0)
 	defer edge.Close()
 	srv, c := newTestGateway(t, Options{
 		Backend:       edge,
@@ -295,9 +296,9 @@ func TestTraceEndToEndOverCluster(t *testing.T) {
 		name := fmt.Sprintf("w%d", i)
 		w := cluster.NewNode(name, cluster.NodeOptions{Cores: 2, Registry: reg})
 		defer w.Close()
-		cluster.Connect(edge, w, link)
 		_, wt := cluster.NewNodeMetrics(w, nil)
 		w.SetTracer(wt)
+		cluster.Connect(edge, w, link)
 		workerTracers[name] = wt
 		workers = append(workers, w)
 	}
@@ -552,9 +553,9 @@ func TestScrapeWhileServing(t *testing.T) {
 	defer edge.Close()
 	worker := cluster.NewNode("w0", cluster.NodeOptions{Cores: 4, Registry: traceWorkRegistry("scrapework")})
 	defer worker.Close()
-	cluster.Connect(edge, worker, link)
 	_, wt := cluster.NewNodeMetrics(worker, nil)
 	worker.SetTracer(wt)
+	cluster.Connect(edge, worker, link)
 
 	_, c := newTestGateway(t, Options{
 		Backend: edge, CacheEntries: 64, AsyncWorkers: 2,

@@ -51,12 +51,11 @@ func TestGatewayTierWarmColdLFCRestart(t *testing.T) {
 	}
 
 	// Phase 1: upload, demote, and fetch back through the same gateway.
-	// DemoteEvery keeps the background loop dormant so the single manual
+	// The tier is attached with no demotion loop, so the manual
 	// DemotePass below is the only sweep — residency stays deterministic.
-	edge := cluster.NewNode("edge", cluster.NodeOptions{
-		Cores: 1, ClientOnly: true,
-		Tier: newTier(lfcDir), DemoteAfter: 10 * time.Millisecond, DemoteEvery: time.Hour,
-	})
+	const idle = 10 * time.Millisecond
+	edge := cluster.NewNode("edge", cluster.NodeOptions{Cores: 1, ClientOnly: true})
+	edge.SetTier(newTier(lfcDir), 0)
 	srv, c := newTestGateway(t, Options{Backend: edge, CacheEntries: 16})
 	handles := make([]core.Handle, objects)
 	for i, p := range payloads {
@@ -68,10 +67,10 @@ func TestGatewayTierWarmColdLFCRestart(t *testing.T) {
 	}
 
 	// Wait out the idle window, then demote every hot copy.
-	time.Sleep(30 * time.Millisecond)
+	time.Sleep(3 * idle)
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		edge.DemotePass(ctx)
+		edge.DemotePass(ctx, time.Now().Add(-idle))
 		if ss := srv.Stats().Storage; ss != nil && ss.Demoted >= objects {
 			break
 		}
@@ -104,9 +103,8 @@ func TestGatewayTierWarmColdLFCRestart(t *testing.T) {
 	// (and so hit) before the non-resident fills start evicting.
 	restart := func(cacheDir string) *storage.Stats {
 		t.Helper()
-		node := cluster.NewNode("edge-restarted", cluster.NodeOptions{
-			Cores: 1, ClientOnly: true, Tier: newTier(cacheDir),
-		})
+		node := cluster.NewNode("edge-restarted", cluster.NodeOptions{Cores: 1, ClientOnly: true})
+		node.SetTier(newTier(cacheDir), 0)
 		defer node.Close()
 		srv, c := newTestGateway(t, Options{Backend: node, CacheEntries: 16})
 		for i := objects - 1; i >= 0; i-- {

@@ -143,8 +143,6 @@ type Options struct {
 	// MaxAttempts bounds evaluation attempts before a job parks in the
 	// dead-letter state (default 3).
 	MaxAttempts int
-	// RetryDelay spaces retries of a failed attempt (default 100ms).
-	RetryDelay time.Duration
 	// RetainTerminal bounds how many finished (done / dead-letter /
 	// cancelled) jobs stay in memory for status queries and dedup
 	// (default 8192). Beyond it the oldest-finished jobs are evicted:
@@ -194,9 +192,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxAttempts <= 0 {
 		o.MaxAttempts = 3
-	}
-	if o.RetryDelay <= 0 {
-		o.RetryDelay = 100 * time.Millisecond
 	}
 	if o.RetainTerminal <= 0 {
 		o.RetainTerminal = 8192
@@ -922,7 +917,10 @@ func (m *Manager) evictTerminalLocked() {
 	}
 }
 
-// scheduleRetryLocked re-enqueues a failed job after the retry delay.
+// retryDelay spaces retries of a failed attempt.
+const retryDelay = 100 * time.Millisecond
+
+// scheduleRetryLocked re-enqueues a failed job after retryDelay.
 func (m *Manager) scheduleRetryLocked(jb *job) {
 	m.retryWaiting++
 	// timersMu is held across AfterFunc so the callback (which locks it
@@ -930,7 +928,7 @@ func (m *Manager) scheduleRetryLocked(jb *job) {
 	m.timersMu.Lock()
 	defer m.timersMu.Unlock()
 	var t *time.Timer
-	t = time.AfterFunc(m.opts.RetryDelay, func() {
+	t = time.AfterFunc(retryDelay, func() {
 		m.timersMu.Lock()
 		delete(m.timers, t)
 		m.timersMu.Unlock()

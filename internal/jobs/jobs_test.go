@@ -142,7 +142,6 @@ func TestRetriesThenDeadLetter(t *testing.T) {
 	m := newTestManager(t, Options{
 		Workers:     1,
 		MaxAttempts: 3,
-		RetryDelay:  time.Millisecond,
 		Eval: func(ctx context.Context, h core.Handle) (core.Handle, error) {
 			calls.Add(1)
 			return core.Handle{}, errors.New("synthetic failure")
@@ -384,7 +383,6 @@ func TestJournalCompaction(t *testing.T) {
 	m, err := New(Options{
 		Workers:     1,
 		MaxAttempts: 2,
-		RetryDelay:  time.Millisecond,
 		JournalPath: path,
 		Eval: func(ctx context.Context, h core.Handle) (core.Handle, error) {
 			return core.Handle{}, errors.New("always fails")
@@ -453,7 +451,6 @@ func TestAttemptsSurviveRestart(t *testing.T) {
 	m, err := New(Options{
 		Workers:     1,
 		MaxAttempts: 2,
-		RetryDelay:  time.Millisecond,
 		JournalPath: path,
 		Eval: func(ctx context.Context, h core.Handle) (core.Handle, error) {
 			if calls.Add(1) == 1 {
@@ -543,7 +540,6 @@ func TestCancelSticksOnNonCanceledEvalError(t *testing.T) {
 	m := newTestManager(t, Options{
 		Workers:     1,
 		MaxAttempts: 3,
-		RetryDelay:  time.Millisecond,
 		Eval: func(ctx context.Context, h core.Handle) (core.Handle, error) {
 			started <- struct{}{}
 			<-ctx.Done()
@@ -573,7 +569,6 @@ func TestUnrequestedCanceledIsAFailedAttempt(t *testing.T) {
 	m := newTestManager(t, Options{
 		Workers:     1,
 		MaxAttempts: 2,
-		RetryDelay:  time.Millisecond,
 		Eval: func(ctx context.Context, h core.Handle) (core.Handle, error) {
 			return core.Handle{}, context.Canceled
 		},
@@ -724,7 +719,7 @@ func TestObserveTerminalTransitions(t *testing.T) {
 	}
 	m := newTestManager(t, Options{
 		JournalPath: path, Observe: observe, Eval: failEval,
-		MaxAttempts: 2, RetryDelay: time.Millisecond,
+		MaxAttempts: 2,
 	})
 	doneJob, _, _ := m.Submit("acme", testHandle(0))
 	deadJob, _, _ := m.Submit("acme", testHandle(1))

@@ -6,8 +6,8 @@
 //
 // The registry replaces the gateway's original hand-rolled /metrics
 // printer. Every family is registered once — as a directly instrumented
-// Counter/Gauge/Histogram, a Func metric sampled at scrape time, or via
-// a Collector that emits snapshot-derived samples — and the encoder
+// Histogram, a Func metric sampled at scrape time, or via a Collector
+// that emits snapshot-derived samples — and the encoder
 // renders the union in sorted family order with # HELP/# TYPE headers,
 // so scrapes are byte-stable for identical states and diffable across
 // them. Family names are validated at registration: lowercase
@@ -29,7 +29,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 )
 
 // Type classifies a metric family for the # TYPE header.
@@ -86,10 +85,7 @@ type familyMeta struct {
 // (programmer error, caught at boot).
 type Registry struct {
 	mu         sync.Mutex
-	counters   map[string]*Counter
-	gauges     map[string]*Gauge
 	hists      map[string]*Histogram
-	counterVec map[string]*CounterVec
 	histVec    map[string]*HistogramVec
 	funcs      map[string]funcMetric
 	collectors []Collector
@@ -104,13 +100,10 @@ type funcMetric struct {
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters:   make(map[string]*Counter),
-		gauges:     make(map[string]*Gauge),
-		hists:      make(map[string]*Histogram),
-		counterVec: make(map[string]*CounterVec),
-		histVec:    make(map[string]*HistogramVec),
-		funcs:      make(map[string]funcMetric),
-		meta:       make(map[string]familyMeta),
+		hists:   make(map[string]*Histogram),
+		histVec: make(map[string]*HistogramVec),
+		funcs:   make(map[string]funcMetric),
+		meta:    make(map[string]familyMeta),
 	}
 }
 
@@ -127,26 +120,6 @@ func (r *Registry) register(name, help string, typ Type) familyMeta {
 	m := familyMeta{name: name, help: help, typ: typ}
 	r.meta[name] = m
 	return m
-}
-
-// Counter registers (and returns) a monotonically increasing family.
-func (r *Registry) Counter(name, help string) *Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.register(name, help, TypeCounter)
-	c := &Counter{}
-	r.counters[name] = c
-	return c
-}
-
-// Gauge registers (and returns) an up/down family.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.register(name, help, TypeGauge)
-	g := &Gauge{}
-	r.gauges[name] = g
-	return g
 }
 
 // GaugeFunc registers a gauge sampled by calling fn at scrape time.
@@ -181,21 +154,6 @@ func (r *Registry) SizeHistogram(name, help string) *Histogram {
 	return h
 }
 
-// CounterVec registers a labeled counter family.
-func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, l := range labels {
-		if !metricName.MatchString(l) {
-			panic(fmt.Sprintf("obsv: label name %q is not lowercase snake_case", l))
-		}
-	}
-	r.register(name, help, TypeCounter)
-	v := &CounterVec{labels: labels, children: make(map[string]*Counter)}
-	r.counterVec[name] = v
-	return v
-}
-
 // HistogramVec registers a labeled histogram family with the default
 // exponential buckets.
 func (r *Registry) HistogramVec(name, help string, labels ...string) *HistogramVec {
@@ -219,65 +177,6 @@ func (r *Registry) Collect(c Collector) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.collectors = append(r.collectors, c)
-}
-
-// Counter is a monotonically increasing metric.
-type Counter struct {
-	v atomic.Uint64
-}
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
-
-// Value reports the current count.
-func (c *Counter) Value() uint64 { return c.v.Load() }
-
-// Gauge is an up/down metric (float-valued).
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set replaces the value.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add shifts the value by d (negative to decrease).
-func (g *Gauge) Add(d float64) {
-	for {
-		old := g.bits.Load()
-		if g.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+d)) {
-			return
-		}
-	}
-}
-
-// Value reports the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
-// CounterVec is a counter family with labels.
-type CounterVec struct {
-	labels   []string
-	mu       sync.Mutex
-	children map[string]*Counter
-}
-
-// With returns the child counter for the given label values (created on
-// first use). values must match the registered label names in order.
-func (v *CounterVec) With(values ...string) *Counter {
-	if len(values) != len(v.labels) {
-		panic(fmt.Sprintf("obsv: counter vec wants %d label values, got %d", len(v.labels), len(values)))
-	}
-	key := labelKey(values)
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	c := v.children[key]
-	if c == nil {
-		c = &Counter{}
-		v.children[key] = c
-	}
-	return c
 }
 
 // HistogramVec is a histogram family with labels.
@@ -366,21 +265,9 @@ func (r *Registry) Snapshot() []Family {
 	for k, v := range r.meta {
 		meta[k] = v
 	}
-	counters := make(map[string]*Counter, len(r.counters))
-	for k, v := range r.counters {
-		counters[k] = v
-	}
-	gauges := make(map[string]*Gauge, len(r.gauges))
-	for k, v := range r.gauges {
-		gauges[k] = v
-	}
 	hists := make(map[string]*Histogram, len(r.hists))
 	for k, v := range r.hists {
 		hists[k] = v
-	}
-	counterVecs := make(map[string]*CounterVec, len(r.counterVec))
-	for k, v := range r.counterVec {
-		counterVecs[k] = v
 	}
 	histVecs := make(map[string]*HistogramVec, len(r.histVec))
 	for k, v := range r.histVec {
@@ -402,37 +289,12 @@ func (r *Registry) Snapshot() []Family {
 		}
 		return f
 	}
-	for name, c := range counters {
-		family(meta[name]).Samples = append(family(meta[name]).Samples,
-			FlatSample{Name: name, Value: float64(c.Value())})
-	}
-	for name, g := range gauges {
-		family(meta[name]).Samples = append(family(meta[name]).Samples,
-			FlatSample{Name: name, Value: g.Value()})
-	}
 	for name, fm := range funcs {
 		family(meta[name]).Samples = append(family(meta[name]).Samples,
 			FlatSample{Name: name, Value: fm.fn()})
 	}
 	for name, h := range hists {
 		family(meta[name]).Samples = append(family(meta[name]).Samples, h.flatten(name, nil)...)
-	}
-	for name, v := range counterVecs {
-		f := family(meta[name])
-		v.mu.Lock()
-		keys := make([]string, 0, len(v.children))
-		for k := range v.children {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			f.Samples = append(f.Samples, FlatSample{
-				Name:   name,
-				Labels: zipLabels(v.labels, splitLabelKey(k)),
-				Value:  float64(v.children[k].Value()),
-			})
-		}
-		v.mu.Unlock()
 	}
 	for name, v := range histVecs {
 		f := family(meta[name])

@@ -9,28 +9,12 @@ import (
 	"time"
 )
 
-func TestCounterGaugeBasics(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("fixgate_test_total", "test counter")
-	c.Inc()
-	c.Add(4)
-	if got := c.Value(); got != 5 {
-		t.Fatalf("counter = %d, want 5", got)
-	}
-	g := r.Gauge("fixgate_test_gauge", "test gauge")
-	g.Set(3.5)
-	g.Add(-1)
-	if got := g.Value(); got != 2.5 {
-		t.Fatalf("gauge = %g, want 2.5", got)
-	}
-}
-
 func TestRegisterPanicsOnDupAndBadName(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("fixgate_dup_total", "x")
-	mustPanic(t, "duplicate name", func() { r.Gauge("fixgate_dup_total", "y") })
-	mustPanic(t, "uppercase name", func() { r.Counter("Fixgate_Bad", "z") })
-	mustPanic(t, "bad label", func() { r.CounterVec("fixgate_vec_total", "v", "Bad-Label") })
+	r.Histogram("fixgate_dup_seconds", "x")
+	mustPanic(t, "duplicate name", func() { r.GaugeFunc("fixgate_dup_seconds", "y", func() float64 { return 0 }) })
+	mustPanic(t, "uppercase name", func() { r.Histogram("Fixgate_Bad", "z") })
+	mustPanic(t, "bad label", func() { r.HistogramVec("fixgate_vec_seconds", "v", "Bad-Label") })
 }
 
 func mustPanic(t *testing.T, what string, fn func()) {
@@ -95,11 +79,17 @@ func TestHistogramOverflowBucket(t *testing.T) {
 
 func TestWritePrometheusDeterministicAndSorted(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("fixgate_b_total", "b").Add(2)
-	r.Counter("fixgate_a_total", "a").Inc()
-	v := r.CounterVec("fixgate_tenant_total", "per tenant", "tenant")
-	v.With("zeta").Add(3)
-	v.With("alpha").Inc()
+	r.Collect(func(emit func(Sample)) {
+		emit(Sample{Name: "fixgate_b_total", Help: "b", Type: TypeCounter, Value: 2})
+		emit(Sample{Name: "fixgate_a_total", Help: "a", Type: TypeCounter, Value: 1})
+		for _, s := range []struct {
+			tenant string
+			v      float64
+		}{{"zeta", 3}, {"alpha", 1}} {
+			emit(Sample{Name: "fixgate_tenant_total", Help: "per tenant", Type: TypeCounter,
+				Value: s.v, Labels: []Label{{Key: "tenant", Value: s.tenant}}})
+		}
+	})
 	r.GaugeFunc("fixgate_depth", "queue depth", func() float64 { return 7 })
 	h := r.Histogram("fixgate_lat_seconds", "lat")
 	h.Observe(1e-3)
@@ -200,10 +190,8 @@ func TestCollectorSamples(t *testing.T) {
 
 func TestConcurrentMutationWhileScraping(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("fixgate_hammer_total", "hammer")
 	h := r.Histogram("fixgate_hammer_seconds", "hammer lat")
-	v := r.CounterVec("fixgate_hammer_vec_total", "hammer vec", "tenant")
-	g := r.Gauge("fixgate_hammer_gauge", "hammer gauge")
+	v := r.HistogramVec("fixgate_hammer_vec_seconds", "hammer vec", "tenant")
 
 	const workers = 8
 	const perWorker = 2000
@@ -235,10 +223,8 @@ func TestConcurrentMutationWhileScraping(t *testing.T) {
 			defer mut.Done()
 			tenant := string(rune('a' + w%4))
 			for i := 0; i < perWorker; i++ {
-				c.Inc()
 				h.Observe(float64(i%10+1) * 1e-4)
-				v.With(tenant).Inc()
-				g.Add(1)
+				v.With(tenant).Observe(1e-3)
 			}
 		}(w)
 	}
@@ -246,18 +232,12 @@ func TestConcurrentMutationWhileScraping(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	if got := c.Value(); got != workers*perWorker {
-		t.Fatalf("counter = %d, want %d", got, workers*perWorker)
-	}
 	if got := h.Count(); got != workers*perWorker {
 		t.Fatalf("histogram count = %d, want %d", got, workers*perWorker)
 	}
-	if got := g.Value(); got != workers*perWorker {
-		t.Fatalf("gauge = %g, want %d", got, workers*perWorker)
-	}
 	var sum uint64
 	for _, tenant := range []string{"a", "b", "c", "d"} {
-		sum += v.With(tenant).Value()
+		sum += v.With(tenant).Count()
 	}
 	if sum != workers*perWorker {
 		t.Fatalf("vec total = %d, want %d", sum, workers*perWorker)

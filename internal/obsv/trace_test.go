@@ -136,7 +136,7 @@ func TestSlowestDigestOrdersAndStages(t *testing.T) {
 
 func TestDebugMuxServesTraceAndMetrics(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("fixgate_test_total", "x").Inc()
+	r.GaugeFunc("fixgate_test_gauge", "x", func() float64 { return 1 })
 	tr := NewTracer(16, nil)
 	tc := tr.Start("sync")
 	tc.AddSpanDur("gateway", "", time.Millisecond)

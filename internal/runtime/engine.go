@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -135,7 +136,7 @@ func (e *Engine) EvalTree(ctx context.Context, h core.Handle) ([]core.Handle, er
 }
 
 func (e *Engine) eval(ctx context.Context, h core.Handle, depth int) (core.Handle, error) {
-	if depth > e.opts.MaxEvalDepth {
+	if depth > maxEvalDepth {
 		return core.Handle{}, ErrDepthExceeded
 	}
 	if err := ctx.Err(); err != nil {
@@ -282,23 +283,40 @@ func (e *Engine) evalThunk(ctx context.Context, t core.Handle, depth int) (core.
 	return res, err
 }
 
+// chainScanMax is the tail-call chain length up to which evalThunkSlow
+// looks for a cycle by scanning the chain; a longer chain keeps a set,
+// so a runaway chain costs time linear in its length.
+const chainScanMax = 16
+
 func (e *Engine) evalThunkSlow(ctx context.Context, t core.Handle, depth int) (core.Handle, error) {
 	// Most chains are one Thunk long; only a longer one reaches the heap.
 	var buf [4]core.Handle
 	chain := buf[:0]
+	var seen map[core.Handle]struct{} // the chain's Thunks, past chainScanMax
 	r := t
 	for r.RefKind() == core.RefThunk {
 		if m, ok := e.st.ThunkResult(r); ok {
 			r = m
 			continue
 		}
-		if depth+len(chain) > e.opts.MaxEvalDepth {
+		if depth+len(chain) > maxEvalDepth {
 			return core.Handle{}, ErrDepthExceeded
 		}
-		for _, seen := range chain {
-			if seen == r {
-				return core.Handle{}, fmt.Errorf("runtime: evaluation cycle through %v", r)
+		if seen == nil && len(chain) >= chainScanMax {
+			seen = make(map[core.Handle]struct{}, 2*chainScanMax)
+			for _, s := range chain {
+				seen[s] = struct{}{}
 			}
+		}
+		var cycle bool
+		if seen == nil {
+			cycle = slices.Contains(chain, r)
+		} else {
+			_, cycle = seen[r]
+			seen[r] = struct{}{}
+		}
+		if cycle {
+			return core.Handle{}, fmt.Errorf("runtime: evaluation cycle through %v", r)
 		}
 		chain = append(chain, r)
 		next, err := e.step(ctx, r, depth+len(chain))
@@ -776,7 +794,7 @@ func (e *Engine) ensureLocal(ctx context.Context, h core.Handle) error {
 // Trees are rebuilt with every Thunk and Encode inside evaluated and every
 // Ref made accessible (the Strict Encode semantics of section 3.2).
 func (e *Engine) strictify(ctx context.Context, h core.Handle, depth int) (core.Handle, error) {
-	if depth > e.opts.MaxEvalDepth {
+	if depth > maxEvalDepth {
 		return core.Handle{}, ErrDepthExceeded
 	}
 	switch h.RefKind() {

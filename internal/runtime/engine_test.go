@@ -542,11 +542,33 @@ func TestEvaluationCycleDetected(t *testing.T) {
 		// Return an application thunk of our own input: a 1-cycle.
 		return api.Application(input)
 	})
+	// A 40-cycle: longer than chainScanMax, so the chain's set finds it.
+	const ring = 40
+	reg.RegisterFunc("ring", func(api core.API, input core.Handle) (core.Handle, error) {
+		entries, err := api.AttachTree(input)
+		if err != nil {
+			return core.Handle{}, err
+		}
+		raw, err := api.AttachBlob(entries[2])
+		if err != nil {
+			return core.Handle{}, err
+		}
+		n, _ := core.DecodeU64(raw)
+		tree, err := api.CreateTree([]core.Handle{entries[0], entries[1], core.LiteralU64((n + 1) % ring)})
+		if err != nil {
+			return core.Handle{}, err
+		}
+		return api.Application(tree)
+	})
 	e, st := newTestEngine(t, Options{Registry: reg})
-	enc := strictApp(t, st, core.NativeFunctionBlob("self"))
-	_, err := e.Eval(context.Background(), enc)
-	if err == nil || !strings.Contains(err.Error(), "cycle") {
-		t.Fatalf("want cycle error, got %v", err)
+	for _, enc := range []core.Handle{
+		strictApp(t, st, core.NativeFunctionBlob("self")),
+		strictApp(t, st, core.NativeFunctionBlob("ring"), core.LiteralU64(0)),
+	} {
+		_, err := e.Eval(context.Background(), enc)
+		if err == nil || !strings.Contains(err.Error(), "cycle") {
+			t.Fatalf("want cycle error, got %v", err)
+		}
 	}
 }
 
@@ -569,11 +591,17 @@ func TestDepthLimit(t *testing.T) {
 		}
 		return api.Application(tree)
 	})
-	e, st := newTestEngine(t, Options{Registry: reg, MaxEvalDepth: 64})
+	e, st := newTestEngine(t, Options{Registry: reg})
 	enc := strictApp(t, st, core.NativeFunctionBlob("up"), core.LiteralU64(0))
+	start := time.Now()
 	_, err := e.Eval(context.Background(), enc)
 	if !errors.Is(err, ErrDepthExceeded) {
 		t.Fatalf("want ErrDepthExceeded, got %v", err)
+	}
+	// The chain is maxEvalDepth Thunks long: a cycle check that rescans
+	// it at every step takes about half a minute to get here.
+	if d := time.Since(start); d > 15*time.Second {
+		t.Fatalf("a %d-step runaway chain took %v to fail", maxEvalDepth, d)
 	}
 }
 

@@ -62,10 +62,12 @@ type Options struct {
 	// Registry resolves named native procedures. Nil means only FixVM
 	// codelets can run.
 	Registry *Registry
-	// MaxEvalDepth bounds recursive evaluation nesting, converting
-	// runaway recursion into an error instead of a hang (default 1e5).
-	MaxEvalDepth int
 }
+
+// maxEvalDepth bounds recursive evaluation nesting and tail-call chain
+// length, converting runaway recursion into ErrDepthExceeded instead of
+// a hang.
+const maxEvalDepth = 100_000
 
 func (o Options) withDefaults() Options {
 	if o.Cores <= 0 {
@@ -76,9 +78,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.OversubscribeCores <= 0 {
 		o.OversubscribeCores = o.Cores
-	}
-	if o.MaxEvalDepth <= 0 {
-		o.MaxEvalDepth = 100_000
 	}
 	return o
 }

@@ -22,12 +22,6 @@ func (e *ErrNotFound) Error() string {
 	return fmt.Sprintf("store: object not resident: %v", e.Handle)
 }
 
-// IsNotFound reports whether err is an ErrNotFound.
-func IsNotFound(err error) bool {
-	_, ok := err.(*ErrNotFound)
-	return ok
-}
-
 // Persister is the pluggable persistence hook behind a Store. When one
 // is attached (SetPersister), every newly inserted object and every
 // memoization write-throughs to it. Implementations must be safe for

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -79,7 +80,8 @@ func TestMissingObject(t *testing.T) {
 	s := New()
 	h := core.BlobHandle(bytes.Repeat([]byte{1}, 50))
 	_, err := s.Blob(h)
-	if !IsNotFound(err) {
+	var nf *ErrNotFound
+	if !errors.As(err, &nf) {
 		t.Fatalf("want ErrNotFound, got %v", err)
 	}
 	if s.Contains(h) {
