@@ -60,22 +60,21 @@ func (n *Node) touch(h core.Handle) {
 // store, which attaches to the node's runtime store only after NewNode
 // returns. It must be called at most once, before the node starts
 // serving peers or jobs — tier reads are unsynchronized against it.
-// When demoteAfter is positive, one demotion loop starts here: every
-// demoteAfter/2 it demotes the objects idle for demoteAfter. With zero,
+// When demoteAfter/2 is positive, one demotion loop starts here: every
+// demoteAfter/2 it demotes the objects idle for demoteAfter. Otherwise
 // the tier only serves fetch misses and DemotePass runs when called.
 func (n *Node) SetTier(tier storage.Storage, demoteAfter time.Duration) {
 	if tier == nil {
 		return
 	}
 	n.tier.store = tier
-	if demoteAfter > 0 {
-		go n.demoteLoop(demoteAfter)
+	if sweep := demoteAfter / 2; sweep > 0 {
+		go n.demoteLoop(time.NewTicker(sweep), demoteAfter)
 	}
 }
 
-// demoteLoop runs a demotion pass every demoteAfter/2 until Close.
-func (n *Node) demoteLoop(demoteAfter time.Duration) {
-	t := time.NewTicker(demoteAfter / 2)
+// demoteLoop runs a demotion pass on every tick of t until Close.
+func (n *Node) demoteLoop(t *time.Ticker, demoteAfter time.Duration) {
 	defer t.Stop()
 	for {
 		select {

@@ -117,6 +117,19 @@ func TestSetTierDemotion(t *testing.T) {
 	waitDemoteLoops(t, 0)
 }
 
+// TestSetTierZeroSweep: a demoteAfter whose sweep period, demoteAfter/2,
+// rounds to zero starts no demotion loop. It used to panic on a ticker
+// of period 0.
+func TestSetTierZeroSweep(t *testing.T) {
+	waitDemoteLoops(t, 0)
+	n := NewNode("w0", NodeOptions{Cores: 1})
+	defer n.Close()
+	n.SetTier(testTier(t, 1<<20), 1)
+	if got := demoteLoops(); got != 0 {
+		t.Fatalf("SetTier(tier, 1ns) started %d demotion loops, want 0", got)
+	}
+}
+
 // TestTierDemoteAndRefetch pins the demotion/promotion lifecycle on one
 // node: a cold object is spilled to the tier and evicted from the hot
 // store, then a later read recovers it through the fetcher's tier hop

@@ -152,6 +152,8 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("-hb-timeout %s is shorter than -hb-interval %s: every idle peer would be evicted on each tick", c.HBTimeout, c.HBInterval)
 	case c.GCBudgetMiB < 0 || c.LFCBudgetMiB < 0:
 		return errors.New("-gc-budget-mib and -lfc-budget-mib must not be negative")
+	case c.DemoteAfter < 0 || (c.DemoteAfter > 0 && c.DemoteAfter/2 == 0):
+		return fmt.Errorf("-demote-after %s: the demotion sweep runs every half of it, so it is 0 (off) or at least 2ns", c.DemoteAfter)
 	case c.RemoteDir != "" && c.Daemon == Fixgate && !c.Clustered():
 		return errors.New("-remote-dir needs cluster mode (-peers or -cluster-listen): the in-process engine keeps everything hot")
 	case c.Edged() && c.AsyncWorkers <= 0:

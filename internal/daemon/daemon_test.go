@@ -26,6 +26,8 @@ func TestParseRejects(t *testing.T) {
 		{Fixgate, "-gw-listen :7680 -async-workers 0", "need -async-workers > 0"},
 		{Fixpoint, "-gc-budget-mib -1", "must not be negative"},
 		{Fixgate, "-lfc-budget-mib -512", "must not be negative"},
+		{Fixpoint, "-remote-dir /mnt/bucket -demote-after 1ns", "0 (off) or at least 2ns"},
+		{Fixpoint, "-demote-after -1s", "0 (off) or at least 2ns"},
 		{Fixgate, "-storage hybrid", "flag provided but not defined"},
 		{Fixgate, "-gw-id gw-a", "flag provided but not defined"},
 		{Fixpoint, "-gw-listen :7680", "flag provided but not defined"},

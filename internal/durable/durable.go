@@ -27,6 +27,7 @@
 package durable
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -140,6 +141,12 @@ type Store struct {
 	dir  string
 	opts Options
 
+	// syncMu serializes the packs' syncs (syncPacks, Close). It is taken
+	// before mu, and syncPacks holds mu only to pick the dirty packs and
+	// to record what each fsync covered, never across the fsync itself:
+	// persists, memo appends and reads go on while a sync is in flight.
+	syncMu sync.Mutex
+
 	mu       sync.Mutex
 	packs    map[uint64]*packFile // open packs by sequence number
 	active   uint64               // sequence of the pack receiving appends
@@ -238,9 +245,16 @@ func (d *Store) Close() error {
 		close(d.syncStop)
 		<-d.syncDone
 	}
+	d.syncMu.Lock()
+	defer d.syncMu.Unlock()
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	err := d.syncLocked()
+	var err error
+	for _, p := range d.packs {
+		if serr := p.sync(); err == nil {
+			err = serr
+		}
+	}
 	if jerr := d.journal.Close(); err == nil {
 		err = jerr
 	}
@@ -261,22 +275,57 @@ func (d *Store) closeFiles() {
 
 // Sync forces all buffered appends to stable storage.
 func (d *Store) Sync() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	err := d.syncLocked()
+	err := d.syncPacks(nil)
 	if jerr := d.journal.Sync(); err == nil {
 		err = jerr
 	}
 	return err
 }
 
-// syncLocked syncs the packs; the memo journal syncs itself.
-func (d *Store) syncLocked() error {
-	var first error
-	for _, p := range d.packs {
-		if err := p.sync(); err != nil && first == nil {
-			first = err
+// errStoreClosed reports use after Close.
+var errStoreClosed = errors.New("durable: store is closed")
+
+// packSync is one pack picked for a sync, with the size it had then: the
+// fsync covers the pack at least that far.
+type packSync struct {
+	p   *packFile
+	end int64
+}
+
+// syncPacks fsyncs every pack appended to since its last sync, each
+// outside d.mu. With need set (FsyncAlways), it returns at once when an
+// earlier sync already covered that record. A pack that GC retires
+// mid-sync is not a failure: os.File defers the close until the fsync
+// returns, and GC synced the records' new home itself.
+func (d *Store) syncPacks(need *location) error {
+	d.syncMu.Lock()
+	defer d.syncMu.Unlock()
+	d.mu.Lock()
+	if need != nil {
+		// No pack: GC retired it, after syncing the records' new home,
+		// or Close did, after syncing it or reporting why not.
+		if p := d.packs[need.pack]; p == nil || p.synced >= need.offset+need.length {
+			d.mu.Unlock()
+			return nil
 		}
+	}
+	var todo []packSync
+	for _, p := range d.packs {
+		if p.synced < p.size {
+			todo = append(todo, packSync{p, p.size})
+		}
+	}
+	d.mu.Unlock()
+	var first error
+	for _, t := range todo {
+		err := fsync(t.p.f)
+		d.mu.Lock()
+		if err == nil {
+			t.p.synced = t.end
+		} else if d.packs[t.p.seq] == t.p && first == nil {
+			first = err // the pack stays dirty: the next sync retries it
+		}
+		d.mu.Unlock()
 	}
 	return first
 }
@@ -288,11 +337,7 @@ func (d *Store) syncLoop() {
 	for {
 		select {
 		case <-t.C:
-			d.mu.Lock()
-			if !d.closed {
-				_ = d.syncLocked()
-			}
-			d.mu.Unlock()
+			_ = d.syncPacks(nil)
 		case <-d.syncStop:
 			return
 		}

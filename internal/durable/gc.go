@@ -37,7 +37,7 @@ func (d *Store) GC(live func(core.Handle) bool) (GCStats, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
-		return GCStats{}, fmt.Errorf("durable: store is closed")
+		return GCStats{}, errStoreClosed
 	}
 	return d.gcLocked(live)
 }

@@ -3,6 +3,7 @@ package durable
 import (
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -24,11 +25,18 @@ const fsyncEvery = 100 * time.Millisecond
 // A Journal is safe for concurrent use, and owns its durability policy:
 // under FsyncInterval it syncs itself from a background ticker until
 // Close, under FsyncAlways Commit syncs, under FsyncNever nothing does.
+// No sync holds the append lock across its fsync, so an Append never
+// waits on the disk.
 type Journal struct {
+	// syncMu serializes syncs, Rewrite and Close. It is taken before mu,
+	// so neither Rewrite nor Close swaps or closes the file while an
+	// fsync is in flight.
+	syncMu sync.Mutex
 	mu     sync.Mutex
 	magic  string
 	policy FsyncPolicy
 	f      *appendFile
+	buf    []byte // Append's frame scratch, under mu
 
 	stop chan struct{} // closed by Close; nil unless FsyncInterval
 	done chan struct{} // closed when the ticker goroutine has exited
@@ -91,8 +99,13 @@ func (j *Journal) syncLoop() {
 // errJournalClosed reports use after Close.
 var errJournalClosed = errors.New("durable: journal is closed")
 
+// maxKeptFrame bounds the frame scratch a Journal keeps between appends;
+// a larger record's buffer goes to the GC.
+const maxKeptFrame = 64 << 10
+
 // Append frames and appends one record: a page-cache write, never an
-// fsync, so it is cheap to call under the caller's own lock.
+// fsync, so it is cheap to call under the caller's own lock. The record
+// is framed into a buffer the journal reuses.
 func (j *Journal) Append(recType byte, payload []byte) error {
 	if int64(len(payload)) > MaxJournalPayload {
 		return fmt.Errorf("durable: journal payload %d bytes exceeds %d-byte record limit", len(payload), MaxJournalPayload)
@@ -102,7 +115,11 @@ func (j *Journal) Append(recType byte, payload []byte) error {
 	if j.f == nil {
 		return errJournalClosed
 	}
-	_, err := j.f.append(frame(recType, payload))
+	j.buf = appendFrame(j.buf[:0], recType, nil, payload)
+	_, err := j.f.append(j.buf)
+	if cap(j.buf) > maxKeptFrame {
+		j.buf = nil
+	}
 	return err
 }
 
@@ -110,22 +127,54 @@ func (j *Journal) Append(recType byte, payload []byte) error {
 // FsyncAlways and is a no-op otherwise. Callers invoke it after
 // releasing their own lock and before acknowledging the transition the
 // records describe: an fsync is milliseconds, and holding a wide lock
-// across it would serialize everything behind disk latency.
+// across it would serialize everything behind disk latency. When an
+// fsync that started after the caller's records were appended has
+// already finished, Commit returns without one of its own.
 func (j *Journal) Commit() error {
 	if j.policy != FsyncAlways {
 		return nil
 	}
-	return j.Sync()
+	j.mu.Lock()
+	if j.f == nil {
+		j.mu.Unlock()
+		return errJournalClosed
+	}
+	end := j.f.size
+	j.mu.Unlock()
+	return j.syncTo(end)
 }
 
 // Sync forces all appended records to stable storage.
 func (j *Journal) Sync() error {
+	return j.syncTo(math.MaxInt64)
+}
+
+// syncTo makes the journal durable at least through offset end: at once
+// when an earlier fsync covered it, otherwise by one fsync, issued
+// outside j.mu, that covers every record appended before it starts. A
+// failed fsync leaves the file dirty for the next one.
+func (j *Journal) syncTo(end int64) error {
+	j.syncMu.Lock()
+	defer j.syncMu.Unlock()
 	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.f == nil {
+	a := j.f
+	if a == nil {
+		j.mu.Unlock()
 		return errJournalClosed
 	}
-	return j.f.sync()
+	to := a.size
+	if a.synced >= min(end, to) {
+		j.mu.Unlock()
+		return nil
+	}
+	j.mu.Unlock()
+	if err := fsync(a.f); err != nil {
+		return err
+	}
+	j.mu.Lock()
+	a.synced = to
+	j.mu.Unlock()
+	return nil
 }
 
 // Size reports the journal's current on-disk size in bytes (including
@@ -142,9 +191,11 @@ func (j *Journal) Size() int64 {
 // Close syncs and closes the journal. The Journal must not be used after
 // Close.
 func (j *Journal) Close() error {
+	j.syncMu.Lock()
 	j.mu.Lock()
 	if j.f == nil {
 		j.mu.Unlock()
+		j.syncMu.Unlock()
 		return nil
 	}
 	err := j.f.sync()
@@ -153,6 +204,7 @@ func (j *Journal) Close() error {
 	}
 	j.f = nil
 	j.mu.Unlock()
+	j.syncMu.Unlock()
 	if j.stop != nil {
 		close(j.stop)
 		<-j.done
@@ -168,6 +220,8 @@ func (j *Journal) Close() error {
 // over the journal, so a crash at any point leaves either the old or the
 // new journal intact — never a mix.
 func (j *Journal) Rewrite(fn func(emit func(recType byte, payload []byte) error) error) error {
+	j.syncMu.Lock()
+	defer j.syncMu.Unlock()
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.f == nil {
@@ -186,11 +240,13 @@ func (j *Journal) Rewrite(fn func(emit func(recType byte, payload []byte) error)
 		return err
 	}
 	a.size = magicLen
+	var buf []byte
 	emit := func(recType byte, payload []byte) error {
 		if int64(len(payload)) > MaxJournalPayload {
 			return fmt.Errorf("durable: journal payload %d bytes exceeds %d-byte record limit", len(payload), MaxJournalPayload)
 		}
-		_, err := a.append(frame(recType, payload))
+		buf = appendFrame(buf[:0], recType, nil, payload)
+		_, err := a.append(buf)
 		return err
 	}
 	if err := fn(emit); err != nil {
@@ -198,11 +254,12 @@ func (j *Journal) Rewrite(fn func(emit func(recType byte, payload []byte) error)
 		os.Remove(tmp)
 		return err
 	}
-	if err := nf.Sync(); err != nil {
+	if err := fsync(nf); err != nil {
 		nf.Close()
 		os.Remove(tmp)
 		return err
 	}
+	a.synced = a.size
 	if err := os.Rename(tmp, path); err != nil {
 		nf.Close()
 		os.Remove(tmp)

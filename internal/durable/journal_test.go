@@ -8,6 +8,11 @@ import (
 	"testing"
 )
 
+// frame encodes one record into a buffer of its own.
+func frame(recType byte, payload []byte) []byte {
+	return appendFrame(nil, recType, nil, payload)
+}
+
 type jrec struct {
 	typ     byte
 	payload string

@@ -46,11 +46,14 @@ const (
 )
 
 // appendFile is an append-only file with size tracking and sync-on-demand.
+// synced is the prefix an fsync is known to have made durable: the file
+// is dirty while synced < size. A sync that fails leaves synced where it
+// was, so the file stays dirty and the next sync retries it.
 type appendFile struct {
-	f     *os.File
-	path  string
-	size  int64
-	dirty bool
+	f      *os.File
+	path   string
+	size   int64
+	synced int64
 }
 
 func (a *appendFile) append(rec []byte) (offset int64, err error) {
@@ -59,20 +62,28 @@ func (a *appendFile) append(rec []byte) (offset int64, err error) {
 		return 0, err
 	}
 	a.size += int64(len(rec))
-	a.dirty = true
 	return offset, nil
 }
 
+// sync fsyncs a dirty file under whatever lock its caller holds: GC's
+// fresh packs and the final sync of Close, which have the file to
+// themselves. Every other sync runs outside the append lock
+// (Journal.syncTo, Store.syncPacks).
 func (a *appendFile) sync() error {
-	if !a.dirty {
+	if a.synced >= a.size {
 		return nil
 	}
-	if err := a.f.Sync(); err != nil {
+	end := a.size
+	if err := fsync(a.f); err != nil {
 		return err
 	}
-	a.dirty = false
+	a.synced = end
 	return nil
 }
+
+// fsync forces a file's contents to stable storage. Every sync of a pack
+// or a journal goes through it, so a test can hold one in flight.
+var fsync = (*os.File).Sync
 
 // packFile is one numbered object pack.
 type packFile struct {
@@ -96,15 +107,16 @@ func syncDir(path string) error {
 	return f.Sync()
 }
 
-// frame encodes one record.
-func frame(recType byte, payload []byte) []byte {
-	rec := make([]byte, recHeaderLen+len(payload)+recTrailLen)
-	binary.LittleEndian.PutUint32(rec[0:4], uint32(len(payload)))
-	rec[4] = recType
-	copy(rec[recHeaderLen:], payload)
-	crc := crc32.ChecksumIEEE(rec[4 : recHeaderLen+len(payload)])
-	binary.LittleEndian.PutUint32(rec[recHeaderLen+len(payload):], crc)
-	return rec
+// appendFrame appends one record whose payload is head followed by body,
+// so a caller with a two-part payload frames it without joining the parts
+// first.
+func appendFrame(dst []byte, recType byte, head, body []byte) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(head)+len(body)))
+	start := len(dst)
+	dst = append(dst, recType)
+	dst = append(dst, head...)
+	dst = append(dst, body...)
+	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[start:]))
 }
 
 // openAppend opens (or creates) an append-only file, writing the magic
@@ -119,7 +131,7 @@ func openAppend(path, magic string) (*appendFile, error) {
 		f.Close()
 		return nil, err
 	}
-	a := &appendFile{f: f, path: path, size: st.Size()}
+	a := &appendFile{f: f, path: path, size: st.Size(), synced: st.Size()}
 	if a.size < int64(magicLen) {
 		// Empty, or a runt left by a crash during file creation (the
 		// magic itself was torn). Re-initialize rather than fail: like
@@ -134,7 +146,7 @@ func openAppend(path, magic string) (*appendFile, error) {
 			return nil, err
 		}
 		a.size = magicLen
-		a.dirty = true
+		a.synced = 0
 		return a, nil
 	}
 	hdr := make([]byte, magicLen)
@@ -189,7 +201,7 @@ func (a *appendFile) scan(visit func(offset int64, recType byte, payload []byte)
 			return 0, err
 		}
 		a.size = off
-		a.dirty = true
+		a.synced = 0 // no fsync has covered the truncation
 	}
 	return dropped, nil
 }
@@ -334,77 +346,88 @@ func (d *Store) appendObject(h core.Handle, packed []byte) error {
 	// or peer-ingested objects are common and should not pay a full
 	// frame copy.
 	d.mu.Lock()
-	_, dup := d.index[h]
+	loc, dup := d.index[h]
 	d.mu.Unlock()
-	if dup {
+	if !dup {
+		recType := recBlob
+		if h.Kind() == core.KindTree {
+			recType = recTree
+		}
+		rec := appendFrame(make([]byte, 0, recHeaderLen+core.HandleSize+len(packed)+recTrailLen), recType, h[:], packed)
+		var err error
+		if loc, err = d.appendRecord(h, rec); err != nil {
+			return err
+		}
+	}
+	if d.opts.Fsync != FsyncAlways {
 		return nil
 	}
-	recType := recBlob
-	if h.Kind() == core.KindTree {
-		recType = recTree
-	}
-	payload := make([]byte, core.HandleSize+len(packed))
-	copy(payload, h[:])
-	copy(payload[core.HandleSize:], packed)
-	rec := frame(recType, payload)
+	// A duplicate syncs too: the put that appended it may not have
+	// synced it yet.
+	return d.syncPacks(&loc)
+}
 
+// appendRecord appends h's framed record to the active pack, unless a
+// concurrent put got there first, and returns where h's record lies.
+func (d *Store) appendRecord(h core.Handle, rec []byte) (location, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
-		return fmt.Errorf("durable: store is closed")
+		return location{}, errStoreClosed
 	}
-	if _, ok := d.index[h]; ok {
-		return nil
+	if loc, ok := d.index[h]; ok {
+		return loc, nil
 	}
 	p := d.packs[d.active]
 	if p == nil || p.size >= d.opts.MaxPackBytes {
 		var err error
 		if p, err = d.newPackLocked(); err != nil {
-			return err
+			return location{}, err
 		}
 	}
 	off, err := p.append(rec)
 	if err != nil {
-		return err
+		return location{}, err
 	}
-	d.packSize += int64(len(rec))
-	d.index[h] = location{pack: p.seq, offset: off, length: int64(len(rec))}
+	loc := location{pack: p.seq, offset: off, length: int64(len(rec))}
+	d.packSize += loc.length
+	d.index[h] = loc
 	d.stats.Appends++
-	if d.opts.Fsync == FsyncAlways {
-		if err := p.sync(); err != nil {
-			return err
-		}
-	}
 	if b := d.opts.GCBudgetBytes; b > 0 && d.packSize > b && d.packSize > d.gcFloor+b/4 {
 		if _, err := d.gcLocked(d.opts.Live); err != nil {
 			d.logf("durable: auto-GC: %v", err)
 		}
 		d.gcFloor = d.packSize
 	}
-	return nil
+	return loc, nil
 }
 
 // appendMemo journals one memoization entry, deduplicating identical
 // (key → result) pairs (determinism guarantees a key never remaps).
 func (d *Store) appendMemo(recType byte, key, result core.Handle) error {
 	d.mu.Lock()
-	defer d.mu.Unlock()
 	if d.closed {
-		return fmt.Errorf("durable: store is closed")
+		d.mu.Unlock()
+		return errStoreClosed
 	}
 	table := d.thunks
 	if recType == recEncode {
 		table = d.encodes
 	}
 	if prev, ok := table[key]; ok && prev == result {
-		return nil
+		// Under FsyncAlways the appender of this record may not have
+		// synced it yet; Commit waits for that sync or makes its own.
+		d.mu.Unlock()
+		return d.journal.Commit()
 	}
 	rec := memoRecord(key, result)
 	if err := d.journal.Append(recType, rec[:]); err != nil {
+		d.mu.Unlock()
 		return err
 	}
 	table[key] = result
 	d.stats.MemoAppends++
+	d.mu.Unlock()
 	return d.journal.Commit()
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"strings"
 	"time"
 
@@ -37,28 +38,50 @@ type JobListReply struct {
 	Jobs []JobStatusReply `json:"jobs"`
 }
 
+// jobReply is the JobStatusReply of v, for the replies still encoded by
+// encoding/json (GET /v1/jobs, SSE event data); appendJobStatusReply
+// frames the same bytes by hand.
 func jobReply(v jobs.Job) JobStatusReply {
 	r := JobStatusReply{
-		ID:       v.ID,
-		Tenant:   v.Tenant,
-		Handle:   core.FormatHandle(v.Handle),
-		State:    string(v.State),
-		Error:    v.Error,
-		Attempts: v.Attempts,
+		ID:         v.ID,
+		Tenant:     v.Tenant,
+		Handle:     core.FormatHandle(v.Handle),
+		State:      string(v.State),
+		Error:      v.Error,
+		Attempts:   v.Attempts,
+		EnqueuedNS: unixNano(v.Enqueued),
+		StartedNS:  unixNano(v.Started),
+		FinishedNS: unixNano(v.Finished),
 	}
 	if v.State == jobs.StateDone {
 		r.Result = core.FormatHandle(v.Result)
 	}
-	if !v.Enqueued.IsZero() {
-		r.EnqueuedNS = v.Enqueued.UnixNano()
-	}
-	if !v.Started.IsZero() {
-		r.StartedNS = v.Started.UnixNano()
-	}
-	if !v.Finished.IsZero() {
-		r.FinishedNS = v.Finished.UnixNano()
-	}
 	return r
+}
+
+// replyJobStatus writes v's JobStatusReply with the given status code.
+func replyJobStatus(w http.ResponseWriter, code int, v *jobs.Job, deduped bool) {
+	buf := getBuf()
+	defer putBuf(buf)
+	replyFrame(w, code, buf, appendJobStatusReply(buf.AvailableBuffer(), v, deduped))
+}
+
+// queryGet is r.URL.Query().Get(key) without building the url.Values
+// map: a raw query with nothing to unescape is read in place, and any
+// other goes through url.ParseQuery as before.
+func queryGet(raw, key string) string {
+	if strings.ContainsAny(raw, "%+;") {
+		v, _ := url.ParseQuery(raw)
+		return v.Get(key)
+	}
+	for raw != "" {
+		var pair string
+		pair, raw, _ = strings.Cut(raw, "&")
+		if k, v, _ := strings.Cut(pair, "="); k == key {
+			return v
+		}
+	}
+	return ""
 }
 
 // wantsAsync reports whether a /v1/jobs submission asked for the
@@ -68,7 +91,7 @@ func wantsAsync(r *http.Request) bool {
 	if r.URL.RawQuery == "" && len(r.Header["Prefer"]) == 0 {
 		return false
 	}
-	if r.URL.Query().Get("mode") == "async" {
+	if queryGet(r.URL.RawQuery, "mode") == "async" {
 		return true
 	}
 	for _, p := range strings.Split(r.Header.Get("Prefer"), ",") {
@@ -118,10 +141,8 @@ func (s *Server) handleSubmitAsync(w http.ResponseWriter, r *http.Request, t *te
 		// Blocks for a peer quorum, bounded by edgelog's AckTimeout (2s).
 		s.edge.Accepted(v.ID, tenant, h, s.jobPayload(h))
 	}
-	reply := jobReply(v)
-	reply.Deduped = !isNew
 	w.Header().Set("Location", "/v1/jobs/"+v.ID)
-	s.reply(w, http.StatusAccepted, reply)
+	replyJobStatus(w, http.StatusAccepted, &v, !isNew)
 }
 
 // errAsyncDisabled is served on the async endpoints when the server was
@@ -149,7 +170,7 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	id := r.PathValue("id")
-	if waitStr := r.URL.Query().Get("wait"); waitStr != "" {
+	if waitStr := queryGet(r.URL.RawQuery, "wait"); waitStr != "" {
 		wait, err := time.ParseDuration(waitStr)
 		if err != nil {
 			s.fail(w, http.StatusBadRequest, fmt.Errorf("bad wait duration %q: %v", waitStr, err))
@@ -165,7 +186,7 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 		case err != nil:
 			s.fail(w, http.StatusGatewayTimeout, err)
 		default:
-			s.reply(w, http.StatusOK, jobReply(v))
+			replyJobStatus(w, http.StatusOK, &v, false)
 		}
 		return
 	}
@@ -174,7 +195,7 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusNotFound, jobs.ErrNotFound)
 		return
 	}
-	s.reply(w, http.StatusOK, jobReply(v))
+	replyJobStatus(w, http.StatusOK, &v, false)
 }
 
 // handleJobList serves every job's snapshot, most recent first.
@@ -205,7 +226,7 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 	case err != nil:
 		s.fail(w, http.StatusInternalServerError, err)
 	default:
-		s.reply(w, http.StatusOK, jobReply(v))
+		replyJobStatus(w, http.StatusOK, &v, false)
 	}
 }
 
@@ -254,5 +275,8 @@ func tenantName(r *http.Request) string {
 	if name := r.Header.Get(TenantHeader); name != "" {
 		return name
 	}
-	return "default"
+	return defaultTenant
 }
+
+// defaultTenant is the tenant of a request that names none.
+const defaultTenant = "default"

@@ -22,6 +22,7 @@ const DefaultMaxBlobBytes = 64 << 20
 type Client struct {
 	base      string
 	jobsURL   string // base + "/v1/jobs", the route every Submit takes
+	asyncURL  string // jobsURL + "?mode=async", SubmitAsync's
 	tenant    string
 	tenantHdr []string // the X-Fix-Tenant value every request shares
 	maxBytes  int64
@@ -58,6 +59,7 @@ func NewClient(base string, opts ...ClientOption) *Client {
 	c := &Client{
 		base:     base,
 		jobsURL:  base + "/v1/jobs",
+		asyncURL: base + "/v1/jobs?mode=async",
 		maxBytes: DefaultMaxBlobBytes,
 		hc:       &http.Client{Timeout: 5 * time.Minute},
 	}
@@ -134,7 +136,7 @@ func (c *Client) PutTree(ctx context.Context, entries []core.Handle) (core.Handl
 // postHandle posts body and reads the HandleReply that answers it.
 func (c *Client) postHandle(ctx context.Context, url string, contentType []string, body []byte) (core.Handle, error) {
 	var h core.Handle
-	reply, err := post[HandleReply](ctx, c, url, contentType, body, func(b []byte) error {
+	reply, err := call[HandleReply](ctx, c, http.MethodPost, url, contentType, body, func(b []byte) error {
 		text, ok := readHandleReply(b)
 		if !ok {
 			return errNotFramed
@@ -173,7 +175,7 @@ const jobRequestCap = len(`{"handle":"","include_data":true}`) + 2*core.HandleSi
 func (c *Client) submit(ctx context.Context, h core.Handle, includeData bool) (JobResult, error) {
 	var res JobResult
 	body := appendJobRequest(make([]byte, 0, jobRequestCap), h, includeData)
-	reply, err := post[JobReply](ctx, c, c.jobsURL, jsonContentType, body, func(b []byte) error {
+	reply, err := call[JobReply](ctx, c, http.MethodPost, c.jobsURL, jsonContentType, body, func(b []byte) error {
 		v, ok := readJobReply(b)
 		if !ok {
 			return errNotFramed
@@ -297,14 +299,21 @@ func (c *Client) do(ctx context.Context, method, url string, body []byte, out an
 	return json.NewDecoder(resp.Body).Decode(out)
 }
 
-// send makes one request. A reply outside 2xx (200 for completed work,
-// 202 for an accepted async submission) comes back as a *StatusError.
+// send makes one request; a nil body sends none. A reply outside 2xx (200
+// for completed work, 202 for an accepted async submission) comes back
+// as a *StatusError.
 func (c *Client) send(ctx context.Context, method, url string, contentType []string, body []byte) (*http.Response, error) {
-	req, err := http.NewRequestWithContext(ctx, method, url, bytes.NewReader(body))
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, url, rd)
 	if err != nil {
 		return nil, err
 	}
-	req.Header["Content-Type"] = contentType
+	if contentType != nil {
+		req.Header["Content-Type"] = contentType
+	}
 	c.stamp(req)
 	resp, err := c.hc.Do(req)
 	if err != nil {
@@ -317,23 +326,23 @@ func (c *Client) send(ctx context.Context, method, url string, contentType []str
 	return resp, nil
 }
 
-// maxFramedReply bounds the reply post reads whole into a pooled buffer;
+// maxFramedReply bounds the reply call reads whole into a pooled buffer;
 // a longer reply, or one of undeclared length, streams through
 // encoding/json as before.
 const maxFramedReply = 64 << 10
 
-// errNotFramed is what a post reader returns for a body that is not in
+// errNotFramed is what a call reader returns for a body that is not in
 // its shape's hand-framed form.
 var errNotFramed = errors.New("gateway: reply not hand-framed")
 
-// post sends body to url and decodes a reply of shape T, which has a
+// call sends body to url and decodes a reply of shape T, which has a
 // hand-framed reader (wire.go). A reply of at most maxFramedReply
 // declared bytes is read into a pooled buffer and handed to read, which
 // decodes it in place and must not keep b. When read returns
 // errNotFramed, or the reply was not read whole, encoding/json decodes
 // it into the returned *T instead; it is nil when read's result stands.
-func post[T any](ctx context.Context, c *Client, url string, contentType []string, body []byte, read func(b []byte) error) (*T, error) {
-	resp, err := c.send(ctx, http.MethodPost, url, contentType, body)
+func call[T any](ctx context.Context, c *Client, method, url string, contentType []string, body []byte, read func(b []byte) error) (*T, error) {
+	resp, err := c.send(ctx, method, url, contentType, body)
 	if err != nil {
 		return nil, err
 	}

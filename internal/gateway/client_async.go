@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strconv"
 	"strings"
 	"time"
 
@@ -39,34 +40,89 @@ type JobStatus struct {
 // Done reports whether the job reached a terminal state.
 func (j JobStatus) Done() bool { return j.State.Terminal() }
 
-func parseJobStatus(r JobStatusReply) (JobStatus, error) {
+// jobStatus converts a JobStatusReply read in place. It allocates only
+// what the client does not hold already: id is reused when the reply
+// names the job asked about, and so are the client's tenant, the
+// server's default tenant and the lifecycle states.
+func (c *Client) jobStatus(v jobStatusView, id string) (JobStatus, error) {
+	if string(v.id) != id {
+		id = string(v.id)
+	}
 	js := JobStatus{
-		ID:       r.ID,
-		Tenant:   r.Tenant,
-		State:    jobs.State(r.State),
-		Err:      r.Error,
-		Attempts: r.Attempts,
-		Deduped:  r.Deduped,
+		ID:       id,
+		Tenant:   c.tenantOf(v.tenant),
+		State:    stateOf(v.state),
+		Attempts: int(v.attempts),
+		Deduped:  v.deduped,
+		Enqueued: timeOf(v.enqueuedNS),
+		Started:  timeOf(v.startedNS),
+		Finished: timeOf(v.finishedNS),
+	}
+	if len(v.err) > 0 {
+		js.Err = string(v.err)
 	}
 	var err error
-	if js.Handle, err = parseHandle(r.Handle); err != nil {
-		return js, fmt.Errorf("gateway: job %s handle: %w", r.ID, err)
+	if js.Handle, err = parseHandleBytes(v.handle); err != nil {
+		return js, fmt.Errorf("gateway: job %s handle: %w", id, err)
 	}
-	if r.Result != "" {
-		if js.Result, err = parseHandle(r.Result); err != nil {
-			return js, fmt.Errorf("gateway: job %s result: %w", r.ID, err)
+	if len(v.result) > 0 {
+		if js.Result, err = parseHandleBytes(v.result); err != nil {
+			return js, fmt.Errorf("gateway: job %s result: %w", id, err)
 		}
 	}
-	if r.EnqueuedNS != 0 {
-		js.Enqueued = time.Unix(0, r.EnqueuedNS)
-	}
-	if r.StartedNS != 0 {
-		js.Started = time.Unix(0, r.StartedNS)
-	}
-	if r.FinishedNS != 0 {
-		js.Finished = time.Unix(0, r.FinishedNS)
-	}
 	return js, nil
+}
+
+// tenantOf names a reply's tenant, sharing the client's own string.
+func (c *Client) tenantOf(b []byte) string {
+	switch string(b) {
+	case c.tenant:
+		return c.tenant
+	case defaultTenant:
+		return defaultTenant
+	}
+	return string(b)
+}
+
+// stateOf names a reply's state, sharing the constants' strings.
+func stateOf(b []byte) jobs.State {
+	for _, s := range [...]jobs.State{jobs.StatePending, jobs.StateRunning, jobs.StateDone, jobs.StateDeadLetter, jobs.StateCancelled} {
+		if string(b) == string(s) {
+			return s
+		}
+	}
+	return jobs.State(b)
+}
+
+// timeOf is a reply timestamp as a time: zero for 0.
+func timeOf(ns int64) time.Time {
+	if ns == 0 {
+		return time.Time{}
+	}
+	return time.Unix(0, ns)
+}
+
+// jobCall sends one request, with a JSON body or none, whose reply is a
+// JobStatusReply about job id ("" when the request names none).
+func (c *Client) jobCall(ctx context.Context, method, url string, body []byte, id string) (JobStatus, error) {
+	var contentType []string
+	if body != nil {
+		contentType = jsonContentType
+	}
+	var js JobStatus
+	reply, err := call[JobStatusReply](ctx, c, method, url, contentType, body, func(b []byte) error {
+		v, ok := readJobStatusReply(b)
+		if !ok {
+			return errNotFramed
+		}
+		var err error
+		js, err = c.jobStatus(v, id)
+		return err
+	})
+	if err != nil || reply == nil {
+		return js, err
+	}
+	return c.jobStatus(viewOf(reply), id)
 }
 
 // SubmitAsync enqueues the evaluation of h (POST /v1/jobs?mode=async)
@@ -75,31 +131,32 @@ func parseJobStatus(r JobStatusReply) (JobStatus, error) {
 // pending, running, or done.
 func (c *Client) SubmitAsync(ctx context.Context, h core.Handle) (JobStatus, error) {
 	body := appendJobRequest(make([]byte, 0, jobRequestCap), h, false)
-	var reply JobStatusReply
-	if err := c.do(ctx, http.MethodPost, c.jobsURL+"?mode=async", body, &reply); err != nil {
-		return JobStatus{}, err
-	}
-	return parseJobStatus(reply)
+	return c.jobCall(ctx, http.MethodPost, c.asyncURL, body, "")
 }
 
 // Job fetches a job's current status (GET /v1/jobs/{id}).
 func (c *Client) Job(ctx context.Context, id string) (JobStatus, error) {
-	var reply JobStatusReply
-	if err := c.get(ctx, "/v1/jobs/"+id, &reply); err != nil {
-		return JobStatus{}, err
-	}
-	return parseJobStatus(reply)
+	return c.jobCall(ctx, http.MethodGet, c.jobsURL+"/"+id, nil, id)
 }
 
 // WaitJob long-polls one GET /v1/jobs/{id}?wait= round: it returns when
 // the job reaches a terminal state or after wait, whichever is first
 // (the caller inspects State to tell which).
 func (c *Client) WaitJob(ctx context.Context, id string, wait time.Duration) (JobStatus, error) {
-	var reply JobStatusReply
-	if err := c.get(ctx, fmt.Sprintf("/v1/jobs/%s?wait=%s", id, wait), &reply); err != nil {
-		return JobStatus{}, err
+	var buf [128]byte
+	url := append(buf[:0], c.jobsURL...)
+	url = append(append(url, '/'), id...)
+	url = appendWait(append(url, "?wait="...), wait)
+	return c.jobCall(ctx, http.MethodGet, string(url), nil, id)
+}
+
+// appendWait appends wait as time.Duration.String writes it, formatting
+// a whole number of seconds under a minute (AwaitJob's rounds) in place.
+func appendWait(dst []byte, wait time.Duration) []byte {
+	if wait > 0 && wait < time.Minute && wait%time.Second == 0 {
+		return append(strconv.AppendInt(dst, int64(wait/time.Second), 10), 's')
 	}
-	return parseJobStatus(reply)
+	return append(dst, wait.String()...)
 }
 
 // AwaitJob long-polls until the job reaches a terminal state or ctx is
@@ -119,24 +176,7 @@ func (c *Client) AwaitJob(ctx context.Context, id string) (JobStatus, error) {
 // CancelJob cancels a pending or running job (DELETE /v1/jobs/{id}).
 // Cancelling an already-finished job fails with a 409 StatusError.
 func (c *Client) CancelJob(ctx context.Context, id string) (JobStatus, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, c.base+"/v1/jobs/"+id, nil)
-	if err != nil {
-		return JobStatus{}, err
-	}
-	c.stamp(req)
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return JobStatus{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return JobStatus{}, decodeError(resp)
-	}
-	var reply JobStatusReply
-	if err := json.NewDecoder(resp.Body).Decode(&reply); err != nil {
-		return JobStatus{}, err
-	}
-	return parseJobStatus(reply)
+	return c.jobCall(ctx, http.MethodDelete, c.jobsURL+"/"+id, nil, id)
 }
 
 // ListJobs fetches every job's snapshot, most recent first (GET
@@ -147,8 +187,8 @@ func (c *Client) ListJobs(ctx context.Context) ([]JobStatus, error) {
 		return nil, err
 	}
 	out := make([]JobStatus, len(reply.Jobs))
-	for i, r := range reply.Jobs {
-		js, err := parseJobStatus(r)
+	for i := range reply.Jobs {
+		js, err := c.jobStatus(viewOf(&reply.Jobs[i]), "")
 		if err != nil {
 			return nil, err
 		}
@@ -181,11 +221,16 @@ func (c *Client) JobEvents(ctx context.Context, id string, fn func(JobStatus) er
 		if !strings.HasPrefix(line, "data: ") {
 			continue
 		}
-		var reply JobStatusReply
-		if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &reply); err != nil {
-			return fmt.Errorf("gateway: bad event payload: %w", err)
+		data := []byte(strings.TrimPrefix(line, "data: "))
+		v, ok := readJobStatusReply(data)
+		if !ok {
+			var reply JobStatusReply
+			if err := json.Unmarshal(data, &reply); err != nil {
+				return fmt.Errorf("gateway: bad event payload: %w", err)
+			}
+			v = viewOf(&reply)
 		}
-		js, err := parseJobStatus(reply)
+		js, err := c.jobStatus(v, id)
 		if err != nil {
 			return err
 		}

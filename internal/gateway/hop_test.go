@@ -8,8 +8,10 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"testing"
+	"time"
 
 	"fixgo/internal/core"
+	"fixgo/internal/jobs"
 )
 
 // warmHit returns a Strict encode and its result, for a server to Warm so
@@ -141,5 +143,75 @@ func TestAllocsClientSubmit(t *testing.T) {
 	t.Logf("SDK Submit: %.1f allocs", allocs)
 	if allocs > 13 {
 		t.Errorf("SDK Submit costs %.1f allocs, want ≤ 13", allocs)
+	}
+}
+
+// methodTransport answers each request with the canned reply for its
+// method.
+type methodTransport map[string]*cannedTransport
+
+func (m methodTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	return m[req.Method].RoundTrip(req)
+}
+
+// TestAllocsClientAsync pins what the SDK allocates for one async job's
+// round trip: SubmitAsync and one WaitJob. The replies are a loopback
+// server's own bytes, replayed by an allocation-free transport, so only
+// the SDK (and http.Client's send path) is counted. Of the 24, SubmitAsync
+// takes Submit's 13 plus the job ID; WaitJob takes its URL, three in
+// http.NewRequestWithContext (no body), the header map's first entry and
+// http.Client.Do's five. Both replies are read in place; the tenant, the
+// states and the ID the wait asked about are shared, not copied.
+func TestAllocsClientAsync(t *testing.T) {
+	_, live := newAsyncGateway(t, Options{CacheEntries: 64})
+	th := addJob(t, live, 40, 2)
+	ctx := context.Background()
+	js, err := live.SubmitAsync(ctx, th)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if js, err = live.AwaitJob(ctx, js.ID); err != nil || js.State != jobs.StateDone {
+		t.Fatalf("await = %+v, %v", js, err)
+	}
+	capture := func(resp *http.Response, err error) []byte {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := readJobStatusReply(body); !ok {
+			t.Fatalf("server's job status reply is not hand-framed: %q", body)
+		}
+		return body
+	}
+	accepted := capture(live.hc.Post(live.asyncURL, "application/json", bytes.NewReader(appendJobRequest(nil, th, false))))
+	waited := capture(live.hc.Get(live.jobsURL + "/" + js.ID + "?wait=30s"))
+
+	c := NewClient("http://gateway.invalid", WithTenant(defaultTenant), WithHTTPClient(&http.Client{Transport: methodTransport{
+		http.MethodPost: newCannedTransport(http.StatusAccepted, accepted),
+		http.MethodGet:  newCannedTransport(http.StatusOK, waited),
+	}}))
+	round := func() {
+		got, err := c.SubmitAsync(ctx, th)
+		if err != nil || got.ID != js.ID || !got.Deduped {
+			t.Fatalf("SubmitAsync = %+v, %v", got, err)
+		}
+		if got, err = c.WaitJob(ctx, got.ID, 30*time.Second); err != nil || got.State != jobs.StateDone || got.Result != js.Result {
+			t.Fatalf("WaitJob = %+v, %v", got, err)
+		}
+	}
+	round()
+	allocs := testing.AllocsPerRun(300, round)
+	t.Logf("SDK SubmitAsync + WaitJob: %.1f allocs", allocs)
+	limit := 24.0
+	if raceEnabled {
+		limit = 25 // a race build's sync.Pool drops some puts: the read buffer is remade
+	}
+	if allocs > limit {
+		t.Errorf("SDK SubmitAsync + WaitJob cost %.1f allocs, want ≤ %.0f", allocs, limit)
 	}
 }

@@ -681,7 +681,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// The request body is spent (h is parsed), so its buffer frames the
 	// reply.
 	body.Reset()
-	replyFrame(w, body, appendJobReply(body.AvailableBuffer(), result, outcome, elapsed.Nanoseconds(), tc.ID, data))
+	replyFrame(w, http.StatusOK, body, appendJobReply(body.AvailableBuffer(), result, outcome, elapsed.Nanoseconds(), tc.ID, data))
 }
 
 // evaluate routes a submission through the result cache (hit or collapse
@@ -810,15 +810,15 @@ func (s *Server) reply(w http.ResponseWriter, code int, v any) {
 func replyHandle(w http.ResponseWriter, h core.Handle) {
 	buf := getBuf()
 	defer putBuf(buf)
-	replyFrame(w, buf, appendHandleReply(buf.AvailableBuffer(), h))
+	replyFrame(w, http.StatusOK, buf, appendHandleReply(buf.AvailableBuffer(), h))
 }
 
-// replyFrame writes a 200 reply that an append function framed into
-// buf's free space, adding the Encoder's trailing newline. Writing the
-// frame back into buf keeps its capacity in the pool when it grew.
-func replyFrame(w http.ResponseWriter, buf *bytes.Buffer, frame []byte) {
+// replyFrame writes a reply that an append function framed into buf's
+// free space, adding the Encoder's trailing newline. Writing the frame
+// back into buf keeps its capacity in the pool when it grew.
+func replyFrame(w http.ResponseWriter, code int, buf *bytes.Buffer, frame []byte) {
 	buf.Write(append(frame, '\n'))
-	writeJSON(w, http.StatusOK, buf.Bytes())
+	writeJSON(w, code, buf.Bytes())
 }
 
 // autoLengthMax is the largest body writeJSON leaves to net/http to

@@ -5,17 +5,21 @@ import (
 	"encoding/json"
 	"math"
 	"strconv"
+	"time"
 
 	"fixgo/internal/core"
+	"fixgo/internal/jobs"
 )
 
-// The four JSON shapes a warm submission moves — JobRequest and JobReply
-// on /v1/jobs, TreeRequest and HandleReply on /v1/trees — are framed by
-// hand. Each append function below writes exactly the bytes json.Marshal
-// writes for its shape (the server adds the Encoder's trailing newline),
-// and each read function accepts exactly that form and nothing else: the
-// fields in declaration order, no whitespace, no escapes, omitempty fields
-// absent rather than empty, at most one trailing newline. Any other
+// Five JSON shapes are framed by hand: the four a warm submission moves —
+// JobRequest and JobReply on /v1/jobs, TreeRequest and HandleReply on
+// /v1/trees — and JobStatusReply, the 202 of an async submission and the
+// reply of GET and DELETE /v1/jobs/{id}. Each append function below
+// writes exactly the bytes json.Marshal writes for its shape (the server
+// adds the Encoder's trailing newline), and each read function accepts
+// exactly that form and nothing else: the fields in declaration order, no
+// whitespace, no escapes, omitempty fields absent rather than empty, at
+// most one trailing newline. Any other
 // input, valid JSON or not, is decoded by encoding/json as before, so the
 // choice depends only on the input's bytes. FuzzWireJSON pins both
 // directions against encoding/json. Handles are read and written in place
@@ -107,6 +111,51 @@ func appendJobReply(dst []byte, result core.Handle, outcome CacheOutcome, elapse
 	return append(dst, '}')
 }
 
+// appendJobStatusReply writes jobReply(*v) with Deduped set to deduped.
+func appendJobStatusReply(dst []byte, v *jobs.Job, deduped bool) []byte {
+	dst = append(dst, `{"id":`...)
+	dst = appendJSONString(dst, v.ID)
+	dst = append(dst, `,"tenant":`...)
+	dst = appendJSONString(dst, v.Tenant)
+	dst = append(dst, `,"handle":`...)
+	dst = appendQuotedHandle(dst, v.Handle)
+	dst = append(dst, `,"state":`...)
+	dst = appendJSONString(dst, string(v.State))
+	if v.State == jobs.StateDone {
+		dst = append(dst, `,"result":`...)
+		dst = appendQuotedHandle(dst, v.Result)
+	}
+	if v.Error != "" {
+		dst = append(dst, `,"error":`...)
+		dst = appendJSONString(dst, v.Error)
+	}
+	dst = appendNonZero(dst, `,"attempts":`, int64(v.Attempts))
+	if deduped {
+		dst = append(dst, `,"deduped":true`...)
+	}
+	dst = appendNonZero(dst, `,"enqueued_ns":`, unixNano(v.Enqueued))
+	dst = appendNonZero(dst, `,"started_ns":`, unixNano(v.Started))
+	dst = appendNonZero(dst, `,"finished_ns":`, unixNano(v.Finished))
+	return append(dst, '}')
+}
+
+// appendNonZero writes an omitempty integer field.
+func appendNonZero(dst []byte, key string, n int64) []byte {
+	if n == 0 {
+		return dst
+	}
+	return strconv.AppendInt(append(dst, key...), n, 10)
+}
+
+// unixNano is a JobStatusReply timestamp: 0 for a transition not yet
+// made.
+func unixNano(t time.Time) int64 {
+	if t.IsZero() {
+		return 0
+	}
+	return t.UnixNano()
+}
+
 // wireReader reads one document in the append functions' form, front to
 // back. The first mismatch clears ok and every later step is a no-op.
 type wireReader struct {
@@ -182,6 +231,32 @@ func (r *wireReader) int() int64 {
 
 func isDigit(c byte) bool { return '0' <= c && c <= '9' }
 
+// optStr consumes an omitempty string field if the input continues with
+// key; omitempty never writes an empty one.
+func (r *wireReader) optStr(key string) []byte {
+	if !r.has(key) {
+		return nil
+	}
+	s := r.str()
+	if len(s) == 0 {
+		r.ok = false
+	}
+	return s
+}
+
+// optInt consumes an omitempty integer field if the input continues with
+// key; omitempty never writes a zero.
+func (r *wireReader) optInt(key string) int64 {
+	if !r.has(key) {
+		return 0
+	}
+	n := r.int()
+	if n == 0 {
+		r.ok = false
+	}
+	return n
+}
+
 // end consumes the closing brace, an optional newline and requires the
 // end of input.
 func (r *wireReader) end() bool {
@@ -241,17 +316,8 @@ func readJobReply(b []byte) (v jobReplyView, ok bool) {
 	v.outcome = r.str()
 	r.lit(`,"elapsed_ns":`)
 	v.elapsedNS = r.int()
-	// omitempty never writes an empty trace or data.
-	if r.has(`,"trace":`) {
-		if v.trace = r.str(); len(v.trace) == 0 {
-			return v, false
-		}
-	}
-	if r.has(`,"data":`) {
-		text := r.str()
-		if len(text) == 0 {
-			return v, false
-		}
+	v.trace = r.optStr(`,"trace":`)
+	if text := r.optStr(`,"data":`); len(text) > 0 {
 		v.data = make([]byte, base64.StdEncoding.DecodedLen(len(text)))
 		n, err := base64.StdEncoding.Decode(v.data, text)
 		if err != nil {
@@ -260,6 +326,47 @@ func readJobReply(b []byte) (v jobReplyView, ok bool) {
 		v.data = v.data[:n]
 	}
 	return v, r.end()
+}
+
+// jobStatusView is a JobStatusReply read in place: its strings alias the
+// input.
+type jobStatusView struct {
+	id, tenant, handle, state, result, err []byte
+	attempts                               int64
+	deduped                                bool
+	enqueuedNS, startedNS, finishedNS      int64
+}
+
+// readJobStatusReply reads appendJobStatusReply's form.
+func readJobStatusReply(b []byte) (v jobStatusView, ok bool) {
+	r := wireReader{b: b, ok: true}
+	r.lit(`{"id":`)
+	v.id = r.str()
+	r.lit(`,"tenant":`)
+	v.tenant = r.str()
+	r.lit(`,"handle":`)
+	v.handle = r.str()
+	r.lit(`,"state":`)
+	v.state = r.str()
+	v.result = r.optStr(`,"result":`)
+	v.err = r.optStr(`,"error":`)
+	v.attempts = r.optInt(`,"attempts":`)
+	v.deduped = r.has(`,"deduped":true`)
+	v.enqueuedNS = r.optInt(`,"enqueued_ns":`)
+	v.startedNS = r.optInt(`,"started_ns":`)
+	v.finishedNS = r.optInt(`,"finished_ns":`)
+	return v, r.end()
+}
+
+// viewOf is the view of a reply encoding/json decoded, so the fallback
+// and the in-place path share one conversion. It copies each string;
+// neither the fallback nor ListJobs is on a job's path.
+func viewOf(r *JobStatusReply) jobStatusView {
+	return jobStatusView{
+		id: []byte(r.ID), tenant: []byte(r.Tenant), handle: []byte(r.Handle), state: []byte(r.State),
+		result: []byte(r.Result), err: []byte(r.Error), attempts: int64(r.Attempts), deduped: r.Deduped,
+		enqueuedNS: r.EnqueuedNS, startedNS: r.StartedNS, finishedNS: r.FinishedNS,
+	}
 }
 
 // outcomeOf names a reply's outcome, sharing the constants' strings for

@@ -5,11 +5,16 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net/http"
+	"net/url"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"fixgo/internal/core"
+	"fixgo/internal/jobs"
 )
 
 // encodeJSON is what encoding/json writes for v: json.Marshal's bytes and
@@ -79,16 +84,50 @@ func referenceTree(b []byte) ([]core.Handle, error) {
 	return entries, nil
 }
 
+// statusReplyOf is the JobStatusReply a view reads as.
+func statusReplyOf(v jobStatusView) JobStatusReply {
+	return JobStatusReply{
+		ID: string(v.id), Tenant: string(v.tenant), Handle: string(v.handle), State: string(v.state),
+		Result: string(v.result), Error: string(v.err), Attempts: int(v.attempts), Deduped: v.deduped,
+		EnqueuedNS: v.enqueuedNS, StartedNS: v.startedNS, FinishedNS: v.finishedNS,
+	}
+}
+
+// fuzzJob builds a job snapshot from fuzzed fields. An even stamp leaves
+// Started and Finished unmade; an odd one finishes the job at the Unix
+// epoch, a real time whose reply timestamp is 0 all the same.
+func fuzzJob(hs []core.Handle, id, tenant, state, errText string, attempts int, stamp int64) jobs.Job {
+	v := jobs.Job{ID: id, Tenant: tenant, State: jobs.State(state), Error: errText, Attempts: attempts}
+	if len(hs) > 0 {
+		v.Handle = hs[0]
+		v.Result = hs[len(hs)-1]
+	}
+	v.Enqueued = time.Unix(0, stamp)
+	if stamp%2 != 0 {
+		v.Started = time.Unix(0, stamp/2)
+		v.Finished = time.Unix(0, 0)
+	}
+	return v
+}
+
 // FuzzWireJSON pins the hand-framed JSON shapes to encoding/json in both
 // directions. Reading: for any input, when a shape's reader accepts it,
 // encoding/json decodes the same value from it, and the server's decode
 // (reader, else encoding/json) agrees with encoding/json alone, errors
 // included. Writing: for any field values, each append function writes
 // json.Marshal's bytes (and with a newline the Encoder's), and its reader
-// reads them back whenever every string in them is plain.
+// reads them back whenever every string in them is plain. It also pins the
+// async routes' query reading to net/url and their wait formatting to
+// time.Duration.String.
 func FuzzWireJSON(f *testing.F) {
 	enc, result := warmHit(f)
 	tree := []core.Handle{core.DefaultLimits.Handle(), result, core.LiteralU64(7)}
+	done := jobs.Job{
+		ID: jobs.JobID("tenant-0", enc), Tenant: "tenant-0", Handle: enc, State: jobs.StateDone, Result: result,
+		Attempts: 1, Enqueued: time.Unix(0, 1e18), Started: time.Unix(0, 1e18+1), Finished: time.Unix(0, 1e18+2),
+	}
+	failed := done
+	failed.State, failed.Error, failed.Attempts = jobs.StateDeadLetter, `runtime: <boom> & "quoted"`, 3
 	seeds := [][]byte{
 		appendJobRequest(nil, enc, false),
 		appendJobRequest(nil, enc, true),
@@ -109,14 +148,29 @@ func FuzzWireJSON(f *testing.F) {
 		[]byte(`{"result":"x","outcome":"hit","elapsed_ns":1,"data":"QR=="}`),
 		[]byte(`{"handle":"a","include_data":false}`),
 		[]byte(`{"handle":"a"}trailing`),
+		append(appendJobStatusReply(nil, &done, true), '\n'),
+		appendJobStatusReply(nil, &failed, false),
+		[]byte(`{"id":"","tenant":"","handle":"","state":""}`),
+		[]byte(`{"id":"a","tenant":"b","handle":"c","state":"pending","attempts":0}`),
+		[]byte(`{"id":"a","tenant":"b","handle":"c","state":"done","result":""}`),
+		[]byte(`{"id":"a","tenant":"b","handle":"c","state":"running","deduped":false}`),
+		[]byte(`{"id":"a","tenant":"b","handle":"c","state":"running","started_ns":-9223372036854775808}`),
+		[]byte(`{"tenant":"b","id":"a","handle":"c","state":"running"}`),
+		[]byte("mode=async&wait=1m30s"),
+		[]byte("&&mode=sync&mode=async&wait=&wait=5s"),
+		[]byte("=x&mode=a=b;wait=1s"),
+		[]byte("mode=a%73ync&wait=3%30s"),
+		[]byte("mode=as+ync&wait=%zz"),
 	}
 	for i, s := range seeds {
-		f.Add(s, "hit", "0123456789abcdef", int64(i*1000-3), i%2 == 0)
+		f.Add(s, "hit", "0123456789abcdef", int64(i*1000-3), i%2 == 0, "job-"+strconv.Itoa(i), "tenant-0", "done", "", i)
 	}
-	f.Add([]byte("<&>"), "coll apsed", "tr\"ace\\", int64(-1<<63), true)
-	f.Add([]byte{0xff, 0xfe}, "\x7f", "\xff", int64(1<<62), false)
+	f.Add([]byte("wait=30s"), "hit", "", int64(30*time.Second), false, "", "", "", "", 0)
+	f.Add([]byte("<&>"), "coll apsed", "tr\"ace\\", int64(-1<<63), true, " id", "t\x00", "pending", "err<&>", -1)
+	f.Add([]byte{0xff, 0xfe}, "\x7f", "\xff", int64(1<<62), false, "\xff", "é", "deadletter", "line\nbreak", 1<<40)
 
-	f.Fuzz(func(t *testing.T, doc []byte, outcome, trace string, elapsed int64, includeData bool) {
+	f.Fuzz(func(t *testing.T, doc []byte, outcome, trace string, elapsed int64, includeData bool,
+		id, tenant, state, errText string, attempts int) {
 		// Reading any input.
 		if handle, ok := readHandleReply(doc); ok {
 			var v HandleReply
@@ -148,6 +202,22 @@ func FuzzWireJSON(f *testing.F) {
 				v.ElapsedNS != r.elapsedNS || v.Trace != string(r.trace) || !reflect.DeepEqual(v.Data, r.data) {
 				t.Fatalf("readJobReply(%q) = %+v; encoding/json: %+v, %v", doc, r, v, err)
 			}
+		}
+		if r, ok := readJobStatusReply(doc); ok {
+			var v JobStatusReply
+			if err := json.Unmarshal(doc, &v); err != nil || v != statusReplyOf(r) {
+				t.Fatalf("readJobStatusReply(%q) = %+v; encoding/json: %+v, %v", doc, statusReplyOf(r), v, err)
+			}
+		}
+		// A query string read in place.
+		query, _ := url.ParseQuery(string(doc))
+		for _, key := range []string{"mode", "wait"} {
+			if got := queryGet(string(doc), key); got != query.Get(key) {
+				t.Fatalf("queryGet(%q, %q) = %q, url.Values.Get %q", doc, key, got, query.Get(key))
+			}
+		}
+		if wait := time.Duration(elapsed); string(appendWait(nil, wait)) != wait.String() {
+			t.Fatalf("appendWait(%v) = %q", wait, appendWait(nil, wait))
 		}
 		got, gotErr := decodeTreeRequest(doc)
 		want, wantErr := referenceTree(doc)
@@ -200,6 +270,19 @@ func FuzzWireJSON(f *testing.F) {
 			}
 		} else if ok {
 			t.Fatalf("readJobReply accepted an escaped string: %q", frame)
+		}
+		job := fuzzJob(hs, id, tenant, state, errText, attempts, elapsed)
+		status := jobReply(job)
+		status.Deduped = includeData
+		frame = appendJobStatusReply(nil, &job, includeData)
+		sameFrame(t, "JobStatusReply", frame, status)
+		statusBack, ok := readJobStatusReply(append(frame, '\n'))
+		if plainString(id) && plainString(tenant) && plainString(state) && plainString(errText) {
+			if !ok || statusReplyOf(statusBack) != status {
+				t.Fatalf("readJobStatusReply(%q) = %+v, %v", frame, statusReplyOf(statusBack), ok)
+			}
+		} else if ok {
+			t.Fatalf("readJobStatusReply accepted an escaped string: %q", frame)
 		}
 	})
 }
@@ -275,6 +358,40 @@ func TestJSONRepliesDeclareLength(t *testing.T) {
 		}
 		if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
 			t.Errorf("POST %s: Content-Type %q", req.path, ct)
+		}
+	}
+}
+
+// TestJobStatusFallback: a JobStatusReply in another valid JSON form —
+// here spaced, reordered and with its error escaped — reaches the SDK
+// whole through encoding/json, as the hand-framed form does in place.
+func TestJobStatusFallback(t *testing.T) {
+	enc, result := warmHit(t)
+	v := jobs.Job{
+		ID: "job-1", Tenant: "tenant-0", Handle: enc, State: jobs.StateDone, Result: result, Error: "first try: <timeout>",
+		Attempts: 2, Enqueued: time.Unix(0, 10), Started: time.Unix(0, 20), Finished: time.Unix(0, 30),
+	}
+	framed := appendJobStatusReply(nil, &v, true)
+	var fields map[string]any
+	if err := json.Unmarshal(framed, &fields); err != nil {
+		t.Fatal(err)
+	}
+	spaced, err := json.MarshalIndent(fields, "", "  ") // keys sorted: a different order
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := readJobStatusReply(spaced); ok {
+		t.Fatalf("the framed reader accepted %s", spaced)
+	}
+	for _, body := range [][]byte{framed, spaced} {
+		c := NewClient("http://gateway.invalid", WithHTTPClient(&http.Client{Transport: newCannedTransport(http.StatusOK, body)}))
+		got, err := c.Job(t.Context(), "job-1")
+		want := JobStatus{
+			ID: v.ID, Tenant: v.Tenant, Handle: v.Handle, State: v.State, Result: v.Result, Err: v.Error,
+			Attempts: v.Attempts, Deduped: true, Enqueued: v.Enqueued, Started: v.Started, Finished: v.Finished,
+		}
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("Job over %s = %+v, %v; want %+v", body, got, err, want)
 		}
 	}
 }

@@ -171,3 +171,28 @@ func FuzzJobRecord(f *testing.F) {
 		}
 	})
 }
+
+// TestJobIDUnchanged pins JobID for fixed inputs: journals on disk and
+// clients holding a 202 key jobs by it, so its bytes may never move. A
+// tenant name longer than JobID's stack buffer takes the heap path. The
+// ID is the digest's one allocation.
+func TestJobIDUnchanged(t *testing.T) {
+	for _, c := range []struct {
+		tenant string
+		h      core.Handle
+		want   string
+	}{
+		{"", core.Handle{}, "7f9c9e31ac8256ca2f258583df262dbc"},
+		{"default", core.LiteralU64(42), "91d383f1abd939e4b124d44c09d9646f"},
+		{"tenant-0", core.BlobHandle([]byte("warm-hit-result-payload-over-the-literal-bound")), "78502e32efc1c7c4b4dd8de3411eed5c"},
+		{strings.Repeat("\x00", 200) + "long", core.LiteralU64(7), "68e5d21ce02f08e08276b6483d33c378"},
+	} {
+		if got := JobID(c.tenant, c.h); got != c.want {
+			t.Errorf("JobID(%.12q…, %v) = %s, want %s", c.tenant, c.h, got, c.want)
+		}
+	}
+	h := core.LiteralU64(42)
+	if allocs := testing.AllocsPerRun(100, func() { _ = JobID("default", h) }); allocs > 1 {
+		t.Errorf("JobID costs %.1f allocs, want 1", allocs)
+	}
+}

@@ -110,11 +110,16 @@ type job struct {
 // JobID derives the deterministic job identity for a (tenant, handle)
 // submission.
 func JobID(tenant string, h core.Handle) string {
-	d := sha256.New()
-	d.Write([]byte(tenant))
-	d.Write([]byte{0})
-	d.Write(h[:])
-	return hex.EncodeToString(d.Sum(nil))[:32]
+	// The digest's input and output stay on the stack (a tenant name
+	// longer than the array spills to the heap); only the ID is
+	// allocated.
+	var in [64 + 1 + core.HandleSize]byte
+	b := append(in[:0], tenant...)
+	b = append(b, 0)
+	sum := sha256.Sum256(append(b, h[:]...))
+	var id [32]byte
+	hex.Encode(id[:], sum[:len(id)/2])
+	return string(id[:])
 }
 
 // Errors reported by the Manager.

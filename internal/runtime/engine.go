@@ -299,6 +299,15 @@ func (e *Engine) evalThunkSlow(ctx context.Context, t core.Handle, depth int) (c
 			r = m
 			continue
 		}
+		// A chain may run long past its caller's deadline. Err, not
+		// Done: a cancelCtx makes its Done channel on first use, which
+		// would cost every warm eval an allocation. The first step needs
+		// no check: eval made one on the way in.
+		if len(chain) > 0 {
+			if err := ctx.Err(); err != nil {
+				return core.Handle{}, err
+			}
+		}
 		if depth+len(chain) > maxEvalDepth {
 			return core.Handle{}, ErrDepthExceeded
 		}

@@ -603,6 +603,20 @@ func TestDepthLimit(t *testing.T) {
 	if d := time.Since(start); d > 15*time.Second {
 		t.Fatalf("a %d-step runaway chain took %v to fail", maxEvalDepth, d)
 	}
+
+	// Under a deadline shorter than the chain, the walk stops at the
+	// deadline instead of running on to the depth limit.
+	e, st = newTestEngine(t, Options{Registry: reg})
+	enc = strictApp(t, st, core.NativeFunctionBlob("up"), core.LiteralU64(0))
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	start = time.Now()
+	if _, err := e.Eval(ctx, enc); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("runaway chain under a 100ms deadline: want the deadline error, got %v", err)
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Fatalf("runaway chain under a 100ms deadline took %v to fail", d)
+	}
 }
 
 func TestMemoryRequestExceedsCapacity(t *testing.T) {
