@@ -5,20 +5,22 @@
 // The paper's determinism argument makes persistence unusually simple:
 // every object is named by its content, and a memoized (thunk → result)
 // entry is valid forever — there is no update-in-place, no versioning,
-// and no cache invalidation. Durable therefore needs only two append-only
-// structures:
+// and no cache invalidation. Durable therefore needs one append-only file
+// type, the Journal, used two ways:
 //
 //   - pack files (<dir>/packs/NNNNNNNN.pack) holding Blob and Tree
 //     records, each framed with a length header and CRC32 trailer; and
 //   - a memo journal (<dir>/memo.journal) of (Thunk → result) and
-//     (Encode → result) entries, a Journal in the same framing.
+//     (Encode → result) entries in the same framing.
 //
 // On Open the store replays both: a torn tail record — the signature of a
 // crash mid-append — is truncated away rather than treated as corruption,
 // so recovery always lands on a consistent prefix of the pre-crash state.
-// Fsync policy is configurable (always / interval / never), and a
-// size-budgeted garbage collector rewrites live records into fresh packs
-// and drops unreferenced ones once the on-disk footprint exceeds budget.
+// One sync rule (Journal.syncTo) covers every file under a configurable
+// fsync policy (always / interval / never); under interval an idle store
+// runs no goroutine. A size-budgeted garbage collector rewrites live
+// records into fresh packs and drops unreferenced ones once the on-disk
+// footprint exceeds budget.
 //
 // durable.Store implements store.Persister, so attaching it to a
 // store.Store (store.SetPersister) makes every Put and memoization
@@ -45,8 +47,9 @@ import (
 type FsyncPolicy int
 
 const (
-	// FsyncInterval syncs dirty files from a background ticker (default;
-	// bounded data-loss window, near-in-memory append latency).
+	// FsyncInterval syncs each file within 100 ms of an append, from a
+	// timer the append arms (default; bounded data-loss window,
+	// near-in-memory append latency, no goroutine while idle).
 	FsyncInterval FsyncPolicy = iota
 	// FsyncAlways syncs after every append (no data-loss window).
 	FsyncAlways
@@ -141,15 +144,9 @@ type Store struct {
 	dir  string
 	opts Options
 
-	// syncMu serializes the packs' syncs (syncPacks, Close). It is taken
-	// before mu, and syncPacks holds mu only to pick the dirty packs and
-	// to record what each fsync covered, never across the fsync itself:
-	// persists, memo appends and reads go on while a sync is in flight.
-	syncMu sync.Mutex
-
 	mu       sync.Mutex
-	packs    map[uint64]*packFile // open packs by sequence number
-	active   uint64               // sequence of the pack receiving appends
+	packs    map[uint64]*Journal // packs by sequence number
+	active   uint64              // sequence of the pack receiving appends
 	nextSeq  uint64
 	index    map[core.Handle]location
 	thunks   map[core.Handle]core.Handle
@@ -158,9 +155,6 @@ type Store struct {
 	packSize int64 // total bytes across all packs
 	gcFloor  int64 // packSize after the last auto-GC pass
 	closed   bool
-
-	syncStop chan struct{}
-	syncDone chan struct{}
 	lock     *os.File // flock on <dir>/LOCK, held for the Store's lifetime
 
 	stats Stats
@@ -206,7 +200,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	d := &Store{
 		dir:     dir,
 		opts:    opts,
-		packs:   make(map[uint64]*packFile),
+		packs:   make(map[uint64]*Journal),
 		index:   make(map[core.Handle]location),
 		thunks:  make(map[core.Handle]core.Handle),
 		encodes: make(map[core.Handle]core.Handle),
@@ -220,11 +214,6 @@ func Open(dir string, opts Options) (*Store, error) {
 		d.closeFiles()
 		return nil, err
 	}
-	if opts.Fsync == FsyncInterval {
-		d.syncStop = make(chan struct{})
-		d.syncDone = make(chan struct{})
-		go d.syncLoop()
-	}
 	return d, nil
 }
 
@@ -235,24 +224,15 @@ func (d *Store) Dir() string { return d.dir }
 // Close.
 func (d *Store) Close() error {
 	d.mu.Lock()
+	defer d.mu.Unlock()
 	if d.closed {
-		d.mu.Unlock()
 		return nil
 	}
 	d.closed = true
-	d.mu.Unlock()
-	if d.syncStop != nil {
-		close(d.syncStop)
-		<-d.syncDone
-	}
-	d.syncMu.Lock()
-	defer d.syncMu.Unlock()
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	var err error
 	for _, p := range d.packs {
-		if serr := p.sync(); err == nil {
-			err = serr
+		if perr := p.Close(); err == nil {
+			err = perr
 		}
 	}
 	if jerr := d.journal.Close(); err == nil {
@@ -264,9 +244,8 @@ func (d *Store) Close() error {
 
 func (d *Store) closeFiles() {
 	for _, p := range d.packs {
-		_ = p.f.Close()
+		_ = p.retire()
 	}
-	d.packs = map[uint64]*packFile{}
 	if d.lock != nil {
 		_ = d.lock.Close() // releases the flock
 		d.lock = nil
@@ -275,74 +254,25 @@ func (d *Store) closeFiles() {
 
 // Sync forces all buffered appends to stable storage.
 func (d *Store) Sync() error {
-	err := d.syncPacks(nil)
-	if jerr := d.journal.Sync(); err == nil {
-		err = jerr
+	d.mu.Lock()
+	packs := make([]*Journal, 0, len(d.packs))
+	for _, p := range d.packs {
+		packs = append(packs, p)
+	}
+	d.mu.Unlock()
+	err := d.journal.Sync()
+	for _, p := range packs {
+		// A pack closed meanwhile was retired by GC, which synced the
+		// records' new home.
+		if perr := p.Sync(); err == nil && !errors.Is(perr, errJournalClosed) {
+			err = perr
+		}
 	}
 	return err
 }
 
 // errStoreClosed reports use after Close.
 var errStoreClosed = errors.New("durable: store is closed")
-
-// packSync is one pack picked for a sync, with the size it had then: the
-// fsync covers the pack at least that far.
-type packSync struct {
-	p   *packFile
-	end int64
-}
-
-// syncPacks fsyncs every pack appended to since its last sync, each
-// outside d.mu. With need set (FsyncAlways), it returns at once when an
-// earlier sync already covered that record. A pack that GC retires
-// mid-sync is not a failure: os.File defers the close until the fsync
-// returns, and GC synced the records' new home itself.
-func (d *Store) syncPacks(need *location) error {
-	d.syncMu.Lock()
-	defer d.syncMu.Unlock()
-	d.mu.Lock()
-	if need != nil {
-		// No pack: GC retired it, after syncing the records' new home,
-		// or Close did, after syncing it or reporting why not.
-		if p := d.packs[need.pack]; p == nil || p.synced >= need.offset+need.length {
-			d.mu.Unlock()
-			return nil
-		}
-	}
-	var todo []packSync
-	for _, p := range d.packs {
-		if p.synced < p.size {
-			todo = append(todo, packSync{p, p.size})
-		}
-	}
-	d.mu.Unlock()
-	var first error
-	for _, t := range todo {
-		err := fsync(t.p.f)
-		d.mu.Lock()
-		if err == nil {
-			t.p.synced = t.end
-		} else if d.packs[t.p.seq] == t.p && first == nil {
-			first = err // the pack stays dirty: the next sync retries it
-		}
-		d.mu.Unlock()
-	}
-	return first
-}
-
-func (d *Store) syncLoop() {
-	defer close(d.syncDone)
-	t := time.NewTicker(fsyncEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			_ = d.syncPacks(nil)
-		case <-d.syncStop:
-			return
-		}
-	}
-}
 
 func (d *Store) logf(format string, args ...any) {
 	if d.opts.Logf != nil {
@@ -425,11 +355,11 @@ func (d *Store) ReadObject(h core.Handle) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("durable: object %v not persisted", h)
 	}
-	_, payload, err := d.readRecordLocked(loc)
+	rec, err := d.readLocked(loc)
 	if err != nil {
 		return nil, err
 	}
-	return payload[core.HandleSize:], nil
+	return objectOf(rec, loc)
 }
 
 // RestoreStats reports what RestoreInto loaded.
@@ -497,14 +427,19 @@ func (d *Store) RestoreInto(st *store.Store) (RestoreStats, error) {
 			span += locs[j].loc.length
 			j++
 		}
-		buf, err := d.readSpan(locs[i].loc.pack, locs[i].loc.offset, span)
+		d.mu.Lock()
+		buf, err := d.readLocked(location{pack: locs[i].loc.pack, offset: locs[i].loc.offset, length: span})
+		d.mu.Unlock()
 		if err != nil {
 			return rs, err
 		}
 		off := int64(0)
 		for _, e := range locs[i:j] {
-			payload := buf[off+recHeaderLen : off+e.loc.length-recTrailLen]
-			if err := st.PutObject(e.h, payload[core.HandleSize:]); err != nil {
+			obj, err := objectOf(buf[off:off+e.loc.length], e.loc)
+			if err != nil {
+				return rs, err
+			}
+			if err := st.PutObject(e.h, obj); err != nil {
 				return rs, fmt.Errorf("durable: restore %v: %w", e.h, err)
 			}
 			if e.h.Kind() == core.KindBlob {
@@ -573,20 +508,6 @@ func (d *Store) RestoreInto(st *store.Store) (RestoreStats, error) {
 
 // restoreSpanBytes caps one coalesced restore read.
 const restoreSpanBytes = 4 << 20
-
-func (d *Store) readSpan(pack uint64, offset, length int64) ([]byte, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	p := d.packs[pack]
-	if p == nil {
-		return nil, fmt.Errorf("durable: pack %d vanished", pack)
-	}
-	buf := make([]byte, length)
-	if _, err := p.f.ReadAt(buf, offset); err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
 
 // Attach is the daemon boot path: it opens (or recovers) a durable store
 // at dir, restores the recovered image into st, and installs itself as

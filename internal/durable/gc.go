@@ -52,7 +52,7 @@ func (d *Store) gcLocked(live func(core.Handle) bool) (GCStats, error) {
 	// even if old packs briefly coexist with new ones after a crash).
 	oldPacks := d.packs
 	oldIndex := d.index
-	d.packs = make(map[uint64]*packFile)
+	d.packs = make(map[uint64]*Journal)
 	d.index = make(map[core.Handle]location, len(liveSet))
 	d.packSize = 0
 	cur, err := d.newPackLocked()
@@ -63,7 +63,7 @@ func (d *Store) gcLocked(live func(core.Handle) bool) (GCStats, error) {
 	}
 	restore := func() {
 		for _, p := range d.packs {
-			p.f.Close()
+			p.retire()
 			os.Remove(p.path)
 		}
 		d.packs, d.index = oldPacks, oldIndex
@@ -81,23 +81,23 @@ func (d *Store) gcLocked(live func(core.Handle) bool) (GCStats, error) {
 			return st, fmt.Errorf("durable: gc: pack %d vanished", loc.pack)
 		}
 		buf := make([]byte, loc.length)
-		if _, err := p.f.ReadAt(buf, loc.offset); err != nil {
+		if err := p.readAt(buf, loc.offset); err != nil {
 			restore()
 			return st, err
 		}
-		if cur.size >= d.opts.MaxPackBytes {
+		if cur.Size() >= d.opts.MaxPackBytes {
 			if cur, err = d.newPackLocked(); err != nil {
 				restore()
 				return st, err
 			}
 		}
-		off, err := cur.append(buf)
+		off, err := cur.appendFramed(buf)
 		if err != nil {
 			restore()
 			return st, err
 		}
 		d.packSize += int64(len(buf))
-		d.index[h] = location{pack: cur.seq, offset: off, length: loc.length}
+		d.index[h] = location{pack: d.active, offset: off, length: loc.length}
 		st.Kept++
 	}
 	// Durability point: new packs — contents AND directory entries —
@@ -105,7 +105,7 @@ func (d *Store) gcLocked(live func(core.Handle) bool) (GCStats, error) {
 	// can only leave recoverable duplicates, never a hole.
 	packsDir := filepath.Join(d.dir, "packs")
 	for _, p := range d.packs {
-		if err := p.sync(); err != nil {
+		if err := p.Sync(); err != nil {
 			restore()
 			return st, err
 		}
@@ -114,8 +114,9 @@ func (d *Store) gcLocked(live func(core.Handle) bool) (GCStats, error) {
 		restore()
 		return st, err
 	}
+	// Retiring never waits on a sync of an old pack still in flight.
 	for _, p := range oldPacks {
-		p.f.Close()
+		p.retire()
 		if err := os.Remove(p.path); err != nil {
 			d.logf("durable: gc: remove %s: %v", p.path, err)
 		}
@@ -176,12 +177,16 @@ func (d *Store) markLocked(live func(core.Handle) bool) map[core.Handle]struct{}
 		if h.Kind() != core.KindTree {
 			continue
 		}
-		_, payload, err := d.readRecordLocked(d.index[h])
+		loc := d.index[h]
+		rec, err := d.readLocked(loc)
+		if err == nil {
+			rec, err = objectOf(rec, loc)
+		}
 		if err != nil {
 			d.logf("durable: gc: read %v: %v", h, err)
 			continue
 		}
-		entries, err := core.DecodeTree(payload[core.HandleSize:])
+		entries, err := core.DecodeTree(rec)
 		if err != nil {
 			d.logf("durable: gc: decode tree %v: %v", h, err)
 			continue

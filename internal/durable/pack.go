@@ -2,9 +2,9 @@ package durable
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -14,8 +14,8 @@ import (
 	"fixgo/internal/core"
 )
 
-// File and record framing, shared by pack files and every Journal (the
-// memo journal among them).
+// File and record framing of every Journal: pack files, the memo journal
+// and the job queue's journal.
 //
 //	file   := magic(8) record*
 //	record := payloadLen(u32 LE) recType(u8) payload crc32(u32 LE)
@@ -45,51 +45,10 @@ const (
 	recEncode = byte(4)
 )
 
-// appendFile is an append-only file with size tracking and sync-on-demand.
-// synced is the prefix an fsync is known to have made durable: the file
-// is dirty while synced < size. A sync that fails leaves synced where it
-// was, so the file stays dirty and the next sync retries it.
-type appendFile struct {
-	f      *os.File
-	path   string
-	size   int64
-	synced int64
-}
-
-func (a *appendFile) append(rec []byte) (offset int64, err error) {
-	offset = a.size
-	if _, err := a.f.WriteAt(rec, offset); err != nil {
-		return 0, err
-	}
-	a.size += int64(len(rec))
-	return offset, nil
-}
-
-// sync fsyncs a dirty file under whatever lock its caller holds: GC's
-// fresh packs and the final sync of Close, which have the file to
-// themselves. Every other sync runs outside the append lock
-// (Journal.syncTo, Store.syncPacks).
-func (a *appendFile) sync() error {
-	if a.synced >= a.size {
-		return nil
-	}
-	end := a.size
-	if err := fsync(a.f); err != nil {
-		return err
-	}
-	a.synced = end
-	return nil
-}
-
-// fsync forces a file's contents to stable storage. Every sync of a pack
-// or a journal goes through it, so a test can hold one in flight.
+// fsync forces a file's contents to stable storage. Every sync of a
+// Journal goes through it (syncTo, and Rewrite's temp file), so a test can
+// hold one in flight or count them.
 var fsync = (*os.File).Sync
-
-// packFile is one numbered object pack.
-type packFile struct {
-	appendFile
-	seq uint64
-}
 
 func packPath(dir string, seq uint64) string {
 	return filepath.Join(dir, "packs", fmt.Sprintf("%08d.pack", seq))
@@ -119,93 +78,6 @@ func appendFrame(dst []byte, recType byte, head, body []byte) []byte {
 	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[start:]))
 }
 
-// openAppend opens (or creates) an append-only file, writing the magic
-// into an empty file and validating it in a non-empty one.
-func openAppend(path, magic string) (*appendFile, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	a := &appendFile{f: f, path: path, size: st.Size(), synced: st.Size()}
-	if a.size < int64(magicLen) {
-		// Empty, or a runt left by a crash during file creation (the
-		// magic itself was torn). Re-initialize rather than fail: like
-		// any torn tail, everything before the tear — here, nothing —
-		// is the consistent prefix.
-		if err := f.Truncate(0); err != nil {
-			f.Close()
-			return nil, err
-		}
-		if _, err := f.WriteAt([]byte(magic), 0); err != nil {
-			f.Close()
-			return nil, err
-		}
-		a.size = magicLen
-		a.synced = 0
-		return a, nil
-	}
-	hdr := make([]byte, magicLen)
-	if _, err := io.ReadFull(io.NewSectionReader(f, 0, int64(magicLen)), hdr); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("durable: %s: short magic: %w", path, err)
-	}
-	if string(hdr) != magic {
-		f.Close()
-		return nil, fmt.Errorf("durable: %s: bad magic %q (want %q)", path, hdr, magic)
-	}
-	return a, nil
-}
-
-// scan replays a file's records, calling visit for each valid one with
-// its offset and framed length. On a torn or corrupt tail it truncates
-// the file to the last valid record and reports how many bytes were
-// dropped. Corruption is indistinguishable from a crash mid-append, and
-// the append-only discipline means everything before the tear is intact —
-// so truncation, not failure, is the correct recovery.
-func (a *appendFile) scan(visit func(offset int64, recType byte, payload []byte) error) (dropped int64, err error) {
-	off := int64(magicLen)
-	var hdr [recHeaderLen]byte
-	for off < a.size {
-		rest := a.size - off
-		if rest < recHeaderLen {
-			break // torn header
-		}
-		if _, err := a.f.ReadAt(hdr[:], off); err != nil {
-			return 0, err
-		}
-		plen := int64(binary.LittleEndian.Uint32(hdr[0:4]))
-		if plen > maxPayload || recHeaderLen+plen+recTrailLen > rest {
-			break // corrupt length or torn payload/crc
-		}
-		buf := make([]byte, plen+recTrailLen)
-		if _, err := a.f.ReadAt(buf, off+recHeaderLen); err != nil {
-			return 0, err
-		}
-		crc := crc32.Update(crc32.Update(0, crc32.IEEETable, hdr[4:5]), crc32.IEEETable, buf[:plen])
-		if crc != binary.LittleEndian.Uint32(buf[plen:]) {
-			break // torn or bit-flipped record
-		}
-		if err := visit(off, hdr[4], buf[:plen]); err != nil {
-			return 0, err
-		}
-		off += recHeaderLen + plen + recTrailLen
-	}
-	if off < a.size {
-		dropped = a.size - off
-		if err := a.f.Truncate(off); err != nil {
-			return 0, err
-		}
-		a.size = off
-		a.synced = 0 // no fsync has covered the truncation
-	}
-	return dropped, nil
-}
-
 // replayPacks opens every pack under dir/packs in sequence order and
 // rebuilds the object index.
 func (d *Store) replayPacks() error {
@@ -228,17 +100,13 @@ func (d *Store) replayPacks() error {
 	}
 	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
 	for _, seq := range seqs {
-		a, err := openAppend(packPath(d.dir, seq), packMagic)
-		if err != nil {
-			return err
-		}
-		p := &packFile{appendFile: *a, seq: seq}
-		dropped, err := p.scan(func(off int64, recType byte, payload []byte) error {
+		path := packPath(d.dir, seq)
+		p, dropped, err := openJournal(path, packMagic, d.opts.Fsync, func(off int64, recType byte, payload []byte) error {
 			if recType != recBlob && recType != recTree {
-				return fmt.Errorf("durable: %s: unexpected record type %d", p.path, recType)
+				return fmt.Errorf("durable: %s: unexpected record type %d", path, recType)
 			}
 			if len(payload) < core.HandleSize {
-				return fmt.Errorf("durable: %s: object record shorter than a handle", p.path)
+				return fmt.Errorf("durable: %s: object record shorter than a handle", path)
 			}
 			var h core.Handle
 			copy(h[:], payload[:core.HandleSize])
@@ -250,15 +118,14 @@ func (d *Store) replayPacks() error {
 			return nil
 		})
 		if err != nil {
-			p.f.Close()
 			return err
 		}
 		if dropped > 0 {
 			d.stats.TruncatedTail++
-			d.logf("durable: %s: truncated %d-byte torn tail", p.path, dropped)
+			d.logf("durable: %s: truncated %d-byte torn tail", path, dropped)
 		}
 		d.packs[seq] = p
-		d.packSize += p.size
+		d.packSize += p.Size()
 		if seq >= d.nextSeq {
 			d.nextSeq = seq + 1
 		}
@@ -311,16 +178,15 @@ func memoRecord(key, result core.Handle) (p [2 * core.HandleSize]byte) {
 }
 
 // newPackLocked rotates to a fresh active pack.
-func (d *Store) newPackLocked() (*packFile, error) {
+func (d *Store) newPackLocked() (*Journal, error) {
 	seq := d.nextSeq
 	d.nextSeq++
-	a, err := openAppend(packPath(d.dir, seq), packMagic)
+	p, _, err := openJournal(packPath(d.dir, seq), packMagic, d.opts.Fsync, nil)
 	if err != nil {
 		return nil, err
 	}
-	p := &packFile{appendFile: *a, seq: seq}
 	d.packs[seq] = p
-	d.packSize += p.size
+	d.packSize += p.Size()
 	d.active = seq
 	if d.opts.Fsync == FsyncAlways {
 		// Under the no-loss policy the new pack's directory entry must
@@ -347,6 +213,7 @@ func (d *Store) appendObject(h core.Handle, packed []byte) error {
 	// frame copy.
 	d.mu.Lock()
 	loc, dup := d.index[h]
+	p := d.packs[loc.pack]
 	d.mu.Unlock()
 	if !dup {
 		recType := recBlob
@@ -355,7 +222,7 @@ func (d *Store) appendObject(h core.Handle, packed []byte) error {
 		}
 		rec := appendFrame(make([]byte, 0, recHeaderLen+core.HandleSize+len(packed)+recTrailLen), recType, h[:], packed)
 		var err error
-		if loc, err = d.appendRecord(h, rec); err != nil {
+		if p, loc, err = d.appendRecord(h, rec); err != nil {
 			return err
 		}
 	}
@@ -363,33 +230,39 @@ func (d *Store) appendObject(h core.Handle, packed []byte) error {
 		return nil
 	}
 	// A duplicate syncs too: the put that appended it may not have
-	// synced it yet.
-	return d.syncPacks(&loc)
+	// synced it yet. A closed pack is no failure: GC retired it after
+	// syncing the records' new home, or Close synced it or reported why
+	// not.
+	if err := p.syncTo(loc.offset + loc.length); !errors.Is(err, errJournalClosed) {
+		return err
+	}
+	return nil
 }
 
 // appendRecord appends h's framed record to the active pack, unless a
-// concurrent put got there first, and returns where h's record lies.
-func (d *Store) appendRecord(h core.Handle, rec []byte) (location, error) {
+// concurrent put got there first, and returns the pack and location of
+// h's record.
+func (d *Store) appendRecord(h core.Handle, rec []byte) (*Journal, location, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
-		return location{}, errStoreClosed
+		return nil, location{}, errStoreClosed
 	}
 	if loc, ok := d.index[h]; ok {
-		return loc, nil
+		return d.packs[loc.pack], loc, nil
 	}
 	p := d.packs[d.active]
-	if p == nil || p.size >= d.opts.MaxPackBytes {
+	if p == nil || p.Size() >= d.opts.MaxPackBytes {
 		var err error
 		if p, err = d.newPackLocked(); err != nil {
-			return location{}, err
+			return nil, location{}, err
 		}
 	}
-	off, err := p.append(rec)
+	off, err := p.appendFramed(rec)
 	if err != nil {
-		return location{}, err
+		return nil, location{}, err
 	}
-	loc := location{pack: p.seq, offset: off, length: int64(len(rec))}
+	loc := location{pack: d.active, offset: off, length: int64(len(rec))}
 	d.packSize += loc.length
 	d.index[h] = loc
 	d.stats.Appends++
@@ -399,7 +272,7 @@ func (d *Store) appendRecord(h core.Handle, rec []byte) (location, error) {
 		}
 		d.gcFloor = d.packSize
 	}
-	return loc, nil
+	return p, loc, nil
 }
 
 // appendMemo journals one memoization entry, deduplicating identical
@@ -431,20 +304,26 @@ func (d *Store) appendMemo(recType byte, key, result core.Handle) error {
 	return d.journal.Commit()
 }
 
-// readRecordLocked fetches one framed record and returns its type and
-// payload.
-func (d *Store) readRecordLocked(loc location) (byte, []byte, error) {
+// readLocked reads the bytes at loc: one record, or a run of contiguous
+// records when RestoreInto coalesces them.
+func (d *Store) readLocked(loc location) ([]byte, error) {
 	p := d.packs[loc.pack]
 	if p == nil {
-		return 0, nil, fmt.Errorf("durable: pack %d vanished", loc.pack)
+		return nil, fmt.Errorf("durable: pack %d vanished", loc.pack)
 	}
 	buf := make([]byte, loc.length)
-	if _, err := p.f.ReadAt(buf, loc.offset); err != nil {
-		return 0, nil, err
+	if err := p.readAt(buf, loc.offset); err != nil {
+		return nil, err
 	}
-	plen := int64(binary.LittleEndian.Uint32(buf[0:4]))
+	return buf, nil
+}
+
+// objectOf returns the packed object bytes of rec, the one record read at
+// loc.
+func objectOf(rec []byte, loc location) ([]byte, error) {
+	plen := int64(binary.LittleEndian.Uint32(rec[0:4]))
 	if recHeaderLen+plen+recTrailLen != loc.length {
-		return 0, nil, fmt.Errorf("durable: pack %d offset %d: length mismatch", loc.pack, loc.offset)
+		return nil, fmt.Errorf("durable: pack %d offset %d: length mismatch", loc.pack, loc.offset)
 	}
-	return buf[4], buf[recHeaderLen : recHeaderLen+plen], nil
+	return rec[recHeaderLen+core.HandleSize : recHeaderLen+plen], nil
 }

@@ -2,9 +2,12 @@ package durable
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -302,5 +305,142 @@ func TestGCRetiresPackMidSync(t *testing.T) {
 		if err != nil || !bytes.Equal(got, blobOf(i)) {
 			t.Fatalf("object %d after reopen: %v", i, err)
 		}
+	}
+}
+
+// countFsyncs swaps the fsync seam for one that counts the syncs of each
+// file by base name.
+func countFsyncs(t testing.TB) func(name string) int {
+	var mu sync.Mutex
+	counts := map[string]int{}
+	prev := fsync
+	fsync = func(f *os.File) error {
+		mu.Lock()
+		counts[filepath.Base(f.Name())]++
+		mu.Unlock()
+		return prev(f)
+	}
+	t.Cleanup(func() { fsync = prev })
+	return func(name string) int {
+		mu.Lock()
+		defer mu.Unlock()
+		return counts[name]
+	}
+}
+
+// goroutinesSettle fails the test unless the goroutine count falls back to
+// at most base within a second.
+func goroutinesSettle(t *testing.T, base int, when string) {
+	t.Helper()
+	deadline := time.Now().Add(time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: %d goroutines, want at most %d", when, runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestIntervalSyncsByTimer: under FsyncInterval an open file costs no
+// goroutine. One append syncs its file exactly once within the interval,
+// a later append arms the timer again, an untouched file is never synced,
+// and after Close no timer fires.
+func TestIntervalSyncsByTimer(t *testing.T) {
+	count := countFsyncs(t)
+	dir := t.TempDir()
+	base := runtime.NumGoroutine()
+	const n = 4
+	var js [n]*Journal
+	for i := range js {
+		j, _, err := OpenJournal(filepath.Join(dir, fmt.Sprintf("j%d.journal", i)), "TESTJNL1", FsyncInterval, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		js[i] = j
+	}
+	d := mustOpen(t, filepath.Join(dir, "store"), Options{Fsync: FsyncInterval})
+	goroutinesSettle(t, base, "after opening 4 journals and a store")
+
+	for _, j := range js[:n-1] {
+		if err := j.Append(1, []byte("a")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.PersistBlob(core.BlobHandle(blobOf(1)), blobOf(1)); err != nil {
+		t.Fatal(err)
+	}
+	pack := filepath.Base(packPath(dir, d.active))
+	time.Sleep(3 * fsyncEvery)
+	want := map[string]int{"j0.journal": 1, "j1.journal": 1, "j2.journal": 1, "j3.journal": 0, pack: 1, "memo.journal": 0}
+	for name, w := range want {
+		if got := count(name); got != w {
+			t.Errorf("%s: %d fsyncs after one interval, want %d", name, got, w)
+		}
+	}
+
+	if err := js[0].Append(1, []byte("b")); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(3 * fsyncEvery)
+	want["j0.journal"] = 2
+	for name, w := range want {
+		if got := count(name); got != w {
+			t.Errorf("%s: %d fsyncs after a second append to j0, want %d", name, got, w)
+		}
+	}
+
+	for _, j := range js {
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for name := range want {
+		want[name] = count(name) // Close syncs the untouched files' magic
+	}
+	time.Sleep(3 * fsyncEvery)
+	for name, w := range want {
+		if got := count(name); got != w {
+			t.Errorf("%s: %d fsyncs after Close, want none", name, got-w)
+		}
+	}
+	goroutinesSettle(t, base, "after Close")
+}
+
+// BenchmarkPersistAlways: PersistBlob under FsyncAlways from 1, 4 and 16
+// concurrent writers, with the fsyncs each persist costs counted through
+// the seam — fewer than one per persist means one fsync covered several
+// writers' records.
+func BenchmarkPersistAlways(b *testing.B) {
+	for _, writers := range []int{1, 4, 16} {
+		b.Run(fmt.Sprintf("writers=%d", writers), func(b *testing.B) {
+			d, err := Open(b.TempDir(), Options{Fsync: FsyncAlways})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer d.Close()
+			count := countFsyncs(b)
+			var next atomic.Int64
+			var wg sync.WaitGroup
+			b.ResetTimer()
+			for range writers {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := next.Add(1); i <= int64(b.N); i = next.Add(1) {
+						blob := binary.LittleEndian.AppendUint64(make([]byte, 0, 64), uint64(i))[:64]
+						if err := d.PersistBlob(core.BlobHandle(blob), blob); err != nil {
+							b.Error(err)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			b.StopTimer()
+			b.ReportMetric(float64(count(filepath.Base(packPath(d.dir, d.active))))/float64(b.N), "fsyncs/op")
+		})
 	}
 }

@@ -309,6 +309,50 @@ func TestWeightedFairDequeue(t *testing.T) {
 	}
 }
 
+// TestFairQueueReusesDrainedTenant: a push/pop cycle on a tenant whose
+// queue drains each time allocates nothing; a tenant that never drains
+// keeps its array from growing; remove finds jobs behind popped ones.
+func TestFairQueueReusesDrainedTenant(t *testing.T) {
+	q := newFairQueue()
+	a := &job{view: Job{Tenant: "a"}}
+	cycle := func() {
+		q.push(a)
+		if q.pop() != a {
+			t.Fatal("pop returned another job")
+		}
+	}
+	cycle()
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Fatalf("push/pop on a drained tenant: %v allocs, want 0", n)
+	}
+
+	b := &job{view: Job{Tenant: "b"}}
+	q.push(b)
+	for i := 0; i < 1000; i++ {
+		q.push(b)
+		if q.pop() != b {
+			t.Fatal("pop returned another job")
+		}
+	}
+	if c := cap(q.tenants["b"].jobs); c > 4 {
+		t.Fatalf("a tenant with one job pending across 1000 pops holds an array of %d", c)
+	}
+	if q.pop() != b || q.pop() != nil {
+		t.Fatal("queue did not drain to empty")
+	}
+
+	c1, c2, c3 := &job{view: Job{Tenant: "c"}}, &job{view: Job{Tenant: "c"}}, &job{view: Job{Tenant: "c"}}
+	q.push(c1)
+	q.push(c2)
+	q.push(c3)
+	if q.pop() != c1 || !q.remove(c3) || q.remove(c1) {
+		t.Fatal("remove behind a popped job")
+	}
+	if q.pop() != c2 || q.size != 0 || len(q.ring) != 0 {
+		t.Fatal("queue did not drain to empty after remove")
+	}
+}
+
 func TestJournalRecovery(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "jobs.journal")
 	block := make(chan struct{})

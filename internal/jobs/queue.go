@@ -14,11 +14,16 @@ type fairQueue struct {
 	ring    []*tenantQueue // round-robin order (tenant arrival order)
 	cursor  int
 	size    int
+	// spare is the last tenant queue to drain, kept with its array for
+	// the next tenant that arrives: with one tenant submitting at a
+	// time, every job finds its queue drained.
+	spare *tenantQueue
 }
 
 type tenantQueue struct {
 	name string
-	jobs []*job // FIFO: append at tail, pop from head
+	jobs []*job // FIFO: append at tail, pop at jobs[head]
+	head int
 }
 
 func newFairQueue() *fairQueue {
@@ -29,9 +34,20 @@ func newFairQueue() *fairQueue {
 func (q *fairQueue) push(j *job) {
 	tq := q.tenants[j.view.Tenant]
 	if tq == nil {
-		tq = &tenantQueue{name: j.view.Tenant}
-		q.tenants[j.view.Tenant] = tq
+		tq, q.spare = q.spare, nil
+		if tq == nil {
+			tq = &tenantQueue{}
+		}
+		tq.name = j.view.Tenant
+		q.tenants[tq.name] = tq
 		q.ring = append(q.ring, tq)
+	}
+	if tq.head > 0 && len(tq.jobs) == cap(tq.jobs) {
+		// Slide the pending jobs to the array start instead of growing
+		// the array past the popped head slots.
+		n := copy(tq.jobs, tq.jobs[tq.head:])
+		clear(tq.jobs[n:])
+		tq.jobs, tq.head = tq.jobs[:n], 0
 	}
 	tq.jobs = append(tq.jobs, j)
 	q.size++
@@ -51,15 +67,15 @@ func (q *fairQueue) pop() *job {
 			q.cursor = 0
 		}
 		tq := q.ring[q.cursor]
-		if len(tq.jobs) == 0 {
+		if tq.head == len(tq.jobs) {
 			q.dropAt(q.cursor)
 			continue
 		}
-		j := tq.jobs[0]
-		tq.jobs[0] = nil // release for GC
-		tq.jobs = tq.jobs[1:]
+		j := tq.jobs[tq.head]
+		tq.jobs[tq.head] = nil // release for GC
+		tq.head++
 		q.size--
-		if len(tq.jobs) == 0 {
+		if tq.head == len(tq.jobs) {
 			q.dropAt(q.cursor)
 		} else {
 			q.cursor++
@@ -69,9 +85,13 @@ func (q *fairQueue) pop() *job {
 	return nil
 }
 
-// dropAt unlinks the drained tenant at ring index i.
+// dropAt unlinks the drained tenant at ring index i and keeps its queue
+// as the spare.
 func (q *fairQueue) dropAt(i int) {
-	delete(q.tenants, q.ring[i].name)
+	tq := q.ring[i]
+	delete(q.tenants, tq.name)
+	tq.jobs, tq.head = tq.jobs[:0], 0
+	q.spare = tq
 	q.ring = append(q.ring[:i], q.ring[i+1:]...)
 	if q.cursor > i {
 		q.cursor--
@@ -85,13 +105,16 @@ func (q *fairQueue) remove(j *job) bool {
 	if tq == nil {
 		return false
 	}
-	for i, cand := range tq.jobs {
+	for i, cand := range tq.jobs[tq.head:] {
 		if cand != j {
 			continue
 		}
-		tq.jobs = append(tq.jobs[:i:i], tq.jobs[i+1:]...)
+		last := len(tq.jobs) - 1
+		copy(tq.jobs[tq.head+i:], tq.jobs[tq.head+i+1:])
+		tq.jobs[last] = nil // release for GC
+		tq.jobs = tq.jobs[:last]
 		q.size--
-		if len(tq.jobs) == 0 {
+		if tq.head == len(tq.jobs) {
 			for ri, rtq := range q.ring {
 				if rtq == tq {
 					q.dropAt(ri)
@@ -112,7 +135,7 @@ func (q *fairQueue) oldest() (time.Time, bool) {
 	var min time.Time
 	found := false
 	for _, tq := range q.ring {
-		for _, j := range tq.jobs {
+		for _, j := range tq.jobs[tq.head:] {
 			if !found || j.view.Enqueued.Before(min) {
 				min = j.view.Enqueued
 				found = true
