@@ -81,11 +81,7 @@ func main() {
 	}
 	// The tier rides on the cluster node: Validate refused -remote-dir
 	// for the in-process engine, so a nil node gets a nil tier.
-	tier, err := cfg.AttachTier(node, dur)
-	cfg.Check(err)
-	if tier != nil {
-		defer tier.Close()
-	}
+	cfg.Check(cfg.AttachTier(node, dur))
 
 	gwOpts := gateway.Options{
 		Backend:         backend,

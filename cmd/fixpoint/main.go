@@ -32,11 +32,7 @@ func main() {
 	if dur != nil {
 		defer dur.Close()
 	}
-	tier, err := cfg.AttachTier(node, dur)
-	cfg.Check(err)
-	if tier != nil {
-		defer tier.Close()
-	}
+	cfg.Check(cfg.AttachTier(node, dur))
 
 	// The metrics registry and trace ring exist regardless of
 	// -debug-addr: delegated jobs still record under the gateway's

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -233,6 +234,10 @@ func TestFailoverLocalFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	Connect(a, b, fastLink())
+	// Placement prefers b only once a's view shows b holding the input.
+	waitFor(t, "a to see b holding the input", func() bool {
+		return slices.Contains(a.ViewOwners(h), "b")
+	})
 
 	enc := holdJob(t, a, h)
 	out := make(chan error, 1)
@@ -242,8 +247,17 @@ func TestFailoverLocalFallback(t *testing.T) {
 		got = res
 		out <- err
 	}()
-	if v := <-started; v != "b" {
-		t.Fatalf("job started on %s, want b (locality placement)", v)
+	timeout := time.NewTimer(10 * time.Second)
+	defer timeout.Stop()
+	select {
+	case v := <-started:
+		if v != "b" {
+			t.Fatalf("job started on %s, want b (locality placement)", v)
+		}
+	case err := <-out:
+		t.Fatalf("eval returned (%v) before the job started on any worker", err)
+	case <-timeout.C:
+		t.Fatal("job not started on any worker within 10s")
 	}
 	b.Close()
 	close(release)

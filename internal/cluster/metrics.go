@@ -99,11 +99,7 @@ func EmitStorageStats(ss *storage.Stats, counter, gauge func(name, help string, 
 	gauge("storage_lfc_entries", "Resident local file cache objects", float64(ss.LFCEntries))
 	counter("storage_remote_gets_total", "Reads served by the remote tier", float64(ss.RemoteGets))
 	counter("storage_remote_puts_total", "Objects written to the remote tier", float64(ss.RemotePuts))
-	counter("storage_remote_deletes_total", "Objects removed from the remote tier", float64(ss.RemoteDeletes))
 	counter("storage_remote_errors_total", "Remote tier operation failures", float64(ss.RemoteErrors))
-	gauge("storage_uploads_pending", "Async remote uploads queued or in flight", float64(ss.UploadsPending))
-	counter("storage_uploads_done_total", "Async remote uploads applied", float64(ss.UploadsDone))
-	counter("storage_upload_errors_total", "Async remote uploads failed", float64(ss.UploadErrors))
 	counter("storage_demoted_total", "Hot copies evicted after demotion to the tier", float64(ss.Demoted))
 	counter("storage_demote_passes_total", "Anti-entropy demotion sweeps", float64(ss.DemotePasses))
 	counter("storage_tier_fetches_total", "Fetch misses recovered from the tier", float64(ss.TierFetches))

@@ -12,9 +12,9 @@ import (
 
 // This file wires the tiered-storage spill path into the node. With a
 // tier attached by SetTier, the node gains a cold tier under its hot
-// in-memory store: an anti-entropy demotion pass uploads cold objects to
-// the tier and evicts the hot copy once the tier's remote side confirms
-// it, and the fetcher's miss path (fetcher.go) ends with a tier lookup so
+// in-memory store: an anti-entropy demotion pass writes cold objects to
+// the tier and evicts the hot copy of each one the tier accepted, and
+// the fetcher's miss path (fetcher.go) ends with a tier lookup so
 // a demoted object — or one whose every hot holder died — is always
 // recoverable. A tier fetch re-inserts the object into the hot store and
 // refreshes its access time: that is the promotion half of the lifecycle.
@@ -54,12 +54,12 @@ func (n *Node) touch(h core.Handle) {
 
 // SetTier attaches the node's cold storage tier (internal/storage): the
 // demotion pass spills cold objects into it and the fetcher's miss path
-// ends with a tier lookup. The caller owns the tier's lifecycle; Close
-// does not close it. Attaching after construction is what the boot
-// paths need: in hybrid mode the tier's local side is the durable
-// store, which attaches to the node's runtime store only after NewNode
-// returns. It must be called at most once, before the node starts
-// serving peers or jobs — tier reads are unsynchronized against it.
+// ends with a tier lookup. Attaching after construction is what the
+// boot paths need: in hybrid mode the tier reads and writes the durable
+// store's packs, and that store attaches to the node's runtime store
+// only after NewNode returns. It must be called at most once, before
+// the node starts serving peers or jobs — tier reads are unsynchronized
+// against it.
 // When demoteAfter/2 is positive, one demotion loop starts here: every
 // demoteAfter/2 it demotes the objects idle for demoteAfter. Otherwise
 // the tier only serves fetch misses and DemotePass runs when called.
@@ -87,15 +87,14 @@ func (n *Node) demoteLoop(t *time.Ticker, demoteAfter time.Duration) {
 }
 
 // DemotePass runs one anti-entropy demotion sweep: every resident object
-// not accessed since cutoff is uploaded to the tier, buffered tier
-// writes are flushed, and the hot copy is evicted only after the tier's
-// remote side confirms it holds the object. With replication on, objects
-// this node cannot account R copies of are skipped — the repair pass gets
-// to re-establish replicas before demotion thins holders. Pinned objects
-// survive (store.Evict refuses them). It returns the number of hot copies
-// evicted. An object the pass sees for the first time is stamped as
-// accessed now. The loop calls it on a ticker; tests and operators may
-// call it directly.
+// not accessed since cutoff is written to the tier, and its hot copy is
+// evicted exactly when that write succeeded — a failed write leaves the
+// object hot. With replication on, objects this node cannot account R
+// copies of are skipped — the repair pass gets to re-establish replicas
+// before demotion thins holders. Pinned objects survive (store.Evict
+// refuses them). It returns the number of hot copies evicted. An object
+// the pass sees for the first time is stamped as accessed now. The loop
+// calls it on a ticker; tests and operators may call it directly.
 func (n *Node) DemotePass(ctx context.Context, cutoff time.Time) int {
 	tier := n.tier.store
 	if tier == nil || n.isClosed() {
@@ -130,9 +129,7 @@ func (n *Node) DemotePass(ctx context.Context, cutoff time.Time) int {
 	}
 	n.tier.mu.Unlock()
 
-	// Upload every cold object first, then flush once, then confirm and
-	// evict — one queue drain covers the whole batch.
-	uploaded := cold[:0]
+	demoted := 0
 	for _, k := range cold {
 		if ctx.Err() != nil {
 			break
@@ -141,24 +138,7 @@ func (n *Node) DemotePass(ctx context.Context, cutoff time.Time) int {
 			continue
 		}
 		data, err := n.st.ObjectBytes(k)
-		if err != nil {
-			continue
-		}
-		if err := tier.Put(ctx, k, data); err != nil {
-			continue
-		}
-		uploaded = append(uploaded, k)
-	}
-	if f, ok := tier.(storage.Flusher); ok && len(uploaded) > 0 {
-		if err := f.Flush(ctx); err != nil {
-			n.tier.demotePasses.Add(1)
-			return 0
-		}
-	}
-	demoted := 0
-	for _, k := range uploaded {
-		ok, err := tierRemoteHas(ctx, tier, k)
-		if err != nil || !ok {
+		if err != nil || tier.Put(ctx, k, data) != nil {
 			continue
 		}
 		if n.st.Evict(k) {
@@ -173,29 +153,16 @@ func (n *Node) DemotePass(ctx context.Context, cutoff time.Time) int {
 	return demoted
 }
 
-// tierRemoteHas confirms the durable (remote) side of the tier holds k:
-// composite tiers answer through RemoteConfirmer, simple tiers through
-// Has.
-func tierRemoteHas(ctx context.Context, tier storage.Storage, k core.Handle) (bool, error) {
-	if rc, ok := tier.(storage.RemoteConfirmer); ok {
-		return rc.RemoteHas(ctx, k)
-	}
-	return tier.Has(ctx, k)
-}
-
 // StorageStats snapshots the node's tier counters merged with the tier's
-// own (LFC, remote, upload queue), or nil when the node has no tier.
-// The gateway surfaces it at /v1/stats and as the fixgate_storage_*
-// families; NewNodeMetrics emits the fixpoint_storage_* twins.
+// own (LFC and remote), or nil when the node has no tier. The gateway
+// surfaces it at /v1/stats and as the fixgate_storage_* families;
+// NewNodeMetrics emits the fixpoint_storage_* twins.
 func (n *Node) StorageStats() *storage.Stats {
 	tier := n.tier.store
 	if tier == nil {
 		return nil
 	}
-	var out storage.Stats
-	if p, ok := tier.(storage.StatsProvider); ok {
-		out = p.StorageStats()
-	}
+	out := tier.StorageStats()
 	out.Demoted += n.tier.demoted.Load()
 	out.DemotePasses += n.tier.demotePasses.Load()
 	out.TierFetches += n.tier.fetches.Load()

@@ -3,13 +3,16 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"math/rand"
 	goruntime "runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"fixgo/internal/core"
+	"fixgo/internal/durable"
 	"fixgo/internal/storage"
 )
 
@@ -158,8 +161,8 @@ func TestTierDemoteAndRefetch(t *testing.T) {
 	if n.Store().Contains(h) {
 		t.Fatal("hot copy survives demotion")
 	}
-	if ok, err := tier.Has(context.Background(), h.AsObject()); err != nil || !ok {
-		t.Fatalf("tier does not hold demoted object: %v %v", ok, err)
+	if got, err := tier.Get(context.Background(), h.AsObject()); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("tier does not hold demoted object: %v", err)
 	}
 
 	// The read path recovers and promotes it.
@@ -177,6 +180,94 @@ func TestTierDemoteAndRefetch(t *testing.T) {
 	}
 	if ss.Demoted != 1 || ss.TierFetches != 1 || ss.DemotePasses != 2 {
 		t.Fatalf("counters: %+v", ss)
+	}
+}
+
+// TestTierHybridDemoteServesFromPacks puts a node over the hybrid tier
+// a daemon with -data-dir and -remote-dir builds. One pass demotes N
+// cold objects with one remote write each, and the read path then
+// recovers every one from the packs, without a remote read.
+func TestTierHybridDemoteServesFromPacks(t *testing.T) {
+	const objects = 12
+	n := NewNode("w0", NodeOptions{Cores: 1})
+	defer n.Close()
+	packs, _, err := durable.Attach(t.TempDir(), durable.Options{}, n.Store())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer packs.Close()
+	tier, err := storage.Build(storage.Config{RemoteDir: t.TempDir(), CacheDir: t.TempDir(), CacheBudget: 1 << 20}, packs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.SetTier(tier, 0)
+
+	handles := make([]core.Handle, objects)
+	payloads := make([][]byte, objects)
+	for i := range handles {
+		payloads[i] = bytes.Repeat([]byte{byte(i), 0x5A}, 150+i)
+		handles[i] = n.PutBlob(payloads[i])
+	}
+	time.Sleep(time.Millisecond)
+	if got := n.DemotePass(context.Background(), time.Now()); got != objects {
+		t.Fatalf("DemotePass = %d, want %d", got, objects)
+	}
+	if ss := n.StorageStats(); ss.RemotePuts != objects {
+		t.Fatalf("RemotePuts = %d, want %d (one per demoted object)", ss.RemotePuts, objects)
+	}
+	for i, h := range handles {
+		if n.Store().Contains(h) {
+			t.Fatalf("object %d survives demotion", i)
+		}
+		got, err := n.ObjectBytes(context.Background(), h)
+		if err != nil || !bytes.Equal(got, payloads[i]) {
+			t.Fatalf("object %d after demotion: %v", i, err)
+		}
+	}
+	ss := n.StorageStats()
+	if ss.TierFetches != objects || ss.RemoteGets != 0 {
+		t.Fatalf("TierFetches = %d, RemoteGets = %d; want %d and 0 (the packs serve every read)",
+			ss.TierFetches, ss.RemoteGets, objects)
+	}
+}
+
+// failingTier is a storage tier whose Put fails for the handles in fail
+// and otherwise writes to the tier it wraps.
+type failingTier struct {
+	storage.Storage
+	fail map[core.Handle]bool
+}
+
+func (f *failingTier) Put(ctx context.Context, h core.Handle, data []byte) error {
+	if f.fail[h] {
+		return errors.New("tier write refused")
+	}
+	return f.Storage.Put(ctx, h, data)
+}
+
+// TestTierDemoteFailedPutKeepsHotCopy: a pass evicts exactly the
+// objects the tier accepted. Those whose Put failed, a seeded third,
+// stay hot.
+func TestTierDemoteFailedPutKeepsHotCopy(t *testing.T) {
+	const objects = 24
+	tier := &failingTier{Storage: testTier(t, 1<<20), fail: map[core.Handle]bool{}}
+	n := tierNode("w0", NodeOptions{Cores: 1}, tier)
+	defer n.Close()
+	handles := make([]core.Handle, objects)
+	for i := range handles {
+		handles[i] = n.PutBlob(bytes.Repeat([]byte{byte(i), 0xC3}, 100+i))
+	}
+	for _, i := range rand.New(rand.NewSource(44)).Perm(objects)[:objects/3] {
+		tier.fail[handles[i].AsObject()] = true
+	}
+	time.Sleep(time.Millisecond)
+	if got, want := n.DemotePass(context.Background(), time.Now()), objects-len(tier.fail); got != want {
+		t.Fatalf("DemotePass = %d, want %d", got, want)
+	}
+	for i, h := range handles {
+		if hot := n.Store().Contains(h); hot != tier.fail[h.AsObject()] {
+			t.Errorf("object %d: hot = %v, its tier write failed = %v", i, hot, tier.fail[h.AsObject()])
+		}
 	}
 }
 

@@ -256,23 +256,23 @@ func (c *Config) AttachDurable(st *store.Store, observe func(op string, took tim
 }
 
 // AttachTier assembles the storage tier -remote-dir asks for and hands
-// it to node; nil without -remote-dir. It runs after AttachDurable
-// because the hybrid tier's local side is the pack store itself: demoted
-// objects stay durable on this disk while their hot copy is evicted. The
-// caller closes the tier.
-func (c *Config) AttachTier(node *cluster.Node, dur *durable.Store) (storage.Storage, error) {
+// it to node; without -remote-dir it does nothing. It runs after
+// AttachDurable because the hybrid tier writes the pack store itself:
+// demoted objects stay durable on this disk while their hot copy is
+// evicted. The tier holds nothing to close.
+func (c *Config) AttachTier(node *cluster.Node, dur *durable.Store) error {
 	tier, err := storage.Build(storage.Config{
 		RemoteDir:   c.RemoteDir,
 		CacheDir:    c.CacheDir(),
 		CacheBudget: c.LFCBudgetMiB << 20,
 	}, dur)
 	if tier == nil || err != nil {
-		return nil, err
+		return err
 	}
 	node.SetTier(tier, c.DemoteAfter)
 	fmt.Printf("%s: %s storage tier at %s (lfc %s, budget %d MiB, demote after %s)\n",
 		c.Daemon, c.StorageMode(), c.RemoteDir, c.CacheDir(), c.LFCBudgetMiB, c.DemoteAfter)
-	return tier, nil
+	return nil
 }
 
 // ServeDebug serves pprof, reg and tracer on -debug-addr, if set.

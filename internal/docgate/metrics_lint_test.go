@@ -101,7 +101,7 @@ func TestMetricFamiliesNamedAndDocumented(t *testing.T) {
 		"fixgate_storage_lfc_bytes",
 		"fixgate_storage_lfc_budget_bytes",
 		"fixgate_storage_remote_gets_total",
-		"fixgate_storage_uploads_pending",
+		"fixgate_storage_remote_errors_total",
 		"fixgate_storage_demoted_total",
 		"fixgate_storage_tier_fetches_total",
 		"fixgate_edge_live",

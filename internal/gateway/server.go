@@ -177,7 +177,7 @@ type Stats struct {
 	Durable *durable.Stats `json:"durable,omitempty"`
 	// Storage is the tiered-storage snapshot (nil when the backend has no
 	// cold tier): LFC hit/miss/eviction counters, remote tier traffic,
-	// async upload queue, and demotion activity.
+	// and demotion activity.
 	Storage *storage.Stats `json:"storage,omitempty"`
 	// Edge is the replicated-edge snapshot (nil when this gateway is not
 	// part of one): membership, log size, replication and takeover

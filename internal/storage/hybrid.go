@@ -2,194 +2,64 @@ package storage
 
 import (
 	"context"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"fixgo/internal/core"
+	"fixgo/internal/durable"
 )
 
-// hybridQueueCap bounds the async upload queue. Puts beyond the bound
-// fall back to a synchronous remote write — backpressure instead of
-// unbounded memory growth.
-const hybridQueueCap = 256
-
-// Hybrid composes a fast local tier with a slower remote tier: writes
-// land locally synchronously and are uploaded to the remote tier by a
-// background worker; reads fall back local → remote (when the remote is
-// LFC-fronted, that is the paper-style local → LFC → remote chain).
-// Flush drains the upload queue; the cluster's demotion pass flushes and
-// confirms RemoteHas before evicting a hot copy, because the local side
-// may itself be reclaimed by pack GC later.
+// Hybrid is the tier over the node's durable pack files and a remote
+// tier: Put lands in the packs, then in the remote, and returns only
+// once both hold the object; Get reads the pack index first and falls
+// back to the remote (when the remote is LFC-fronted, that is the
+// paper-style packs → LFC → remote chain). The remote write is what
+// lets the demotion pass evict a hot copy: pack GC may later reclaim
+// the object from the packs, but never from the remote.
 type Hybrid struct {
-	local  Storage
+	packs  *durable.Store
 	remote Storage
-
-	mu      sync.Mutex
-	cond    *sync.Cond
-	queue   []hybridUpload
-	pending int // queued + in flight
-	closed  bool
-	wg      sync.WaitGroup
-
-	done   atomic.Uint64
-	errors atomic.Uint64
 }
 
-type hybridUpload struct {
-	h    core.Handle
-	data []byte
+// NewHybrid builds a hybrid tier over an attached durable store and a
+// remote tier. The caller keeps ownership of the durable store's
+// lifecycle.
+func NewHybrid(packs *durable.Store, remote Storage) *Hybrid {
+	return &Hybrid{packs: packs, remote: remote}
 }
 
-// NewHybrid builds a hybrid tier over local and remote and starts its
-// upload worker.
-func NewHybrid(local, remote Storage) *Hybrid {
-	hy := &Hybrid{local: local, remote: remote}
-	hy.cond = sync.NewCond(&hy.mu)
-	hy.wg.Add(1)
-	go hy.uploadLoop()
-	return hy
-}
-
-func (hy *Hybrid) uploadLoop() {
-	defer hy.wg.Done()
-	for {
-		hy.mu.Lock()
-		for len(hy.queue) == 0 && !hy.closed {
-			hy.cond.Wait()
-		}
-		if len(hy.queue) == 0 && hy.closed {
-			hy.mu.Unlock()
-			return
-		}
-		up := hy.queue[0]
-		hy.queue = hy.queue[1:]
-		hy.mu.Unlock()
-
-		if err := hy.remote.Put(context.Background(), up.h, up.data); err != nil {
-			hy.errors.Add(1)
-		} else {
-			hy.done.Add(1)
-		}
-
-		hy.mu.Lock()
-		hy.pending--
-		hy.cond.Broadcast()
-		hy.mu.Unlock()
-	}
-}
-
-// Get reads from the local tier, falling back to the remote tier on a
-// miss.
+// Get reads h from the packs, falling back to the remote tier when the
+// pack index does not hold it.
 func (hy *Hybrid) Get(ctx context.Context, h core.Handle) ([]byte, error) {
-	data, err := hy.local.Get(ctx, h)
-	if err == nil {
-		return data, nil
-	}
-	if !IsNotFound(err) {
-		return nil, err
+	if hy.packs.Contains(h) {
+		return hy.packs.ReadObject(h)
 	}
 	return hy.remote.Get(ctx, h)
 }
 
-// Put writes through to the local tier and enqueues an async remote
-// upload. When the queue is full, the remote write happens synchronously
-// instead.
+// Put appends h to the packs (a no-op when the index already holds it),
+// then writes it to the remote tier.
 func (hy *Hybrid) Put(ctx context.Context, h core.Handle, data []byte) error {
 	if h.IsLiteral() {
 		return nil
 	}
-	if err := hy.local.Put(ctx, h, data); err != nil {
+	if err := hy.persist(h, data); err != nil {
 		return err
 	}
-	hy.mu.Lock()
-	if hy.closed || len(hy.queue) >= hybridQueueCap {
-		hy.mu.Unlock()
-		if err := hy.remote.Put(ctx, h, data); err != nil {
-			hy.errors.Add(1)
-			return err
-		}
-		hy.done.Add(1)
-		return nil
+	return hy.remote.Put(ctx, h, data)
+}
+
+// persist appends the object to the pack files in the record form its
+// kind takes there.
+func (hy *Hybrid) persist(h core.Handle, data []byte) error {
+	if h.Kind() != core.KindTree {
+		return hy.packs.PersistBlob(h, data)
 	}
-	hy.queue = append(hy.queue, hybridUpload{h: h, data: data})
-	hy.pending++
-	hy.cond.Broadcast()
-	hy.mu.Unlock()
-	return nil
-}
-
-// Flush blocks until every queued upload has been applied to the remote
-// tier, or ctx is done. Implements Flusher.
-func (hy *Hybrid) Flush(ctx context.Context) error {
-	for {
-		hy.mu.Lock()
-		n := hy.pending
-		hy.mu.Unlock()
-		if n == 0 {
-			return nil
-		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(time.Millisecond):
-		}
-	}
-}
-
-// Has reports residency on either side.
-func (hy *Hybrid) Has(ctx context.Context, h core.Handle) (bool, error) {
-	ok, err := hy.local.Has(ctx, h)
-	if err != nil || ok {
-		return ok, err
-	}
-	return hy.remote.Has(ctx, h)
-}
-
-// RemoteHas reports residency on the remote side only, counting pending
-// uploads as not-yet-resident. Implements RemoteConfirmer.
-func (hy *Hybrid) RemoteHas(ctx context.Context, h core.Handle) (bool, error) {
-	return hy.remote.Has(ctx, h)
-}
-
-// Delete removes h from both sides.
-func (hy *Hybrid) Delete(ctx context.Context, h core.Handle) error {
-	if err := hy.local.Delete(ctx, h); err != nil {
+	entries, err := core.DecodeTree(data)
+	if err != nil {
 		return err
 	}
-	return hy.remote.Delete(ctx, h)
+	return hy.packs.PersistTree(h, entries)
 }
 
-// Close drains the upload queue, stops the worker, and closes both sides.
-func (hy *Hybrid) Close() error {
-	hy.mu.Lock()
-	if hy.closed {
-		hy.mu.Unlock()
-		return nil
-	}
-	hy.closed = true
-	hy.cond.Broadcast()
-	hy.mu.Unlock()
-	hy.wg.Wait()
-	err := hy.local.Close()
-	if rerr := hy.remote.Close(); err == nil {
-		err = rerr
-	}
-	return err
-}
-
-// StorageStats implements StatsProvider, merging both sides' counters
-// under the upload-queue gauges.
-func (hy *Hybrid) StorageStats() Stats {
-	hy.mu.Lock()
-	pending := hy.pending
-	hy.mu.Unlock()
-	st := Stats{
-		UploadsPending: uint64(pending),
-		UploadsDone:    hy.done.Load(),
-		UploadErrors:   hy.errors.Load(),
-	}
-	statsOf(hy.local, &st)
-	statsOf(hy.remote, &st)
-	return st
-}
+// StorageStats reports the remote side's counters; the packs report
+// theirs through durable.Stats.
+func (hy *Hybrid) StorageStats() Stats { return hy.remote.StorageStats() }

@@ -118,17 +118,6 @@ func (c *LFC) evictOverBudgetLocked() {
 	}
 }
 
-// dropLocked removes h from the index without touching counters. Caller
-// holds c.mu.
-func (c *LFC) dropLocked(h core.Handle) {
-	if el, ok := c.entries[h]; ok {
-		ent := el.Value.(*lfcEntry)
-		c.lru.Remove(el)
-		delete(c.entries, h)
-		c.bytes -= ent.size
-	}
-}
-
 // fill writes data into the cache for h (temp file + atomic rename) and
 // charges it to the budget, evicting older entries as needed. Objects
 // larger than the whole budget are not cached.
@@ -173,7 +162,11 @@ func (c *LFC) Get(ctx context.Context, h core.Handle) ([]byte, error) {
 		// The file vanished underneath the index (external cleanup);
 		// drop the entry and fall through to the backing tier.
 		c.mu.Lock()
-		c.dropLocked(h)
+		if el, ok := c.entries[h]; ok {
+			c.lru.Remove(el)
+			delete(c.entries, h)
+			c.bytes -= el.Value.(*lfcEntry).size
+		}
 		c.mu.Unlock()
 	}
 	c.misses.Add(1)
@@ -198,32 +191,7 @@ func (c *LFC) Put(ctx context.Context, h core.Handle, data []byte) error {
 	return nil
 }
 
-// Has reports residency in the cache or the backing tier.
-func (c *LFC) Has(ctx context.Context, h core.Handle) (bool, error) {
-	c.mu.Lock()
-	_, ok := c.entries[h]
-	c.mu.Unlock()
-	if ok {
-		return true, nil
-	}
-	return c.backing.Has(ctx, h)
-}
-
-// Delete removes h from the cache and the backing tier.
-func (c *LFC) Delete(ctx context.Context, h core.Handle) error {
-	c.mu.Lock()
-	c.dropLocked(h)
-	c.mu.Unlock()
-	os.Remove(c.path(h))
-	return c.backing.Delete(ctx, h)
-}
-
-// Close closes the backing tier. Cache files are left in place so the
-// next open starts warm.
-func (c *LFC) Close() error { return c.backing.Close() }
-
-// StorageStats implements StatsProvider, merging the backing tier's
-// counters under the cache's own.
+// StorageStats merges the backing tier's counters under the cache's own.
 func (c *LFC) StorageStats() Stats {
 	c.mu.Lock()
 	bytes, entries := c.bytes, len(c.entries)
@@ -239,6 +207,6 @@ func (c *LFC) StorageStats() Stats {
 	if c.budget > 0 {
 		st.LFCBudget = uint64(c.budget)
 	}
-	statsOf(c.backing, &st)
+	st.Add(c.backing.StorageStats())
 	return st
 }

@@ -22,10 +22,9 @@ const tmpPrefix = "tmp-"
 type Dir struct {
 	dir string
 
-	gets    atomic.Uint64
-	puts    atomic.Uint64
-	deletes atomic.Uint64
-	errors  atomic.Uint64
+	gets   atomic.Uint64
+	puts   atomic.Uint64
+	errors atomic.Uint64
 }
 
 // NewDir opens (creating if needed) a directory-backed tier rooted at dir.
@@ -35,9 +34,6 @@ func NewDir(dir string) (*Dir, error) {
 	}
 	return &Dir{dir: dir}, nil
 }
-
-// Dir returns the tier's root directory.
-func (d *Dir) Dir() string { return d.dir }
 
 func (d *Dir) path(h core.Handle) string {
 	name := core.FormatHandle(h)
@@ -87,49 +83,12 @@ func (d *Dir) Put(ctx context.Context, h core.Handle, data []byte) error {
 	return nil
 }
 
-// Has reports whether the object file for h exists.
-func (d *Dir) Has(ctx context.Context, h core.Handle) (bool, error) {
-	if err := ctx.Err(); err != nil {
-		return false, err
-	}
-	_, err := os.Stat(d.path(h))
-	if err == nil {
-		return true, nil
-	}
-	if os.IsNotExist(err) {
-		return false, nil
-	}
-	d.errors.Add(1)
-	return false, err
-}
-
-// Delete removes the object file for h; deleting an absent object is not
-// an error.
-func (d *Dir) Delete(ctx context.Context, h core.Handle) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	err := os.Remove(d.path(h))
-	if err != nil && !os.IsNotExist(err) {
-		d.errors.Add(1)
-		return err
-	}
-	if err == nil {
-		d.deletes.Add(1)
-	}
-	return nil
-}
-
-// Close is a no-op; Dir holds no open resources between operations.
-func (d *Dir) Close() error { return nil }
-
-// StorageStats implements StatsProvider.
+// StorageStats reports the remote tier's counters.
 func (d *Dir) StorageStats() Stats {
 	return Stats{
-		RemoteGets:    d.gets.Load(),
-		RemotePuts:    d.puts.Load(),
-		RemoteDeletes: d.deletes.Load(),
-		RemoteErrors:  d.errors.Load(),
+		RemoteGets:   d.gets.Load(),
+		RemotePuts:   d.puts.Load(),
+		RemoteErrors: d.errors.Load(),
 	}
 }
 

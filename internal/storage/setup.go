@@ -17,11 +17,10 @@ type Config struct {
 // Build assembles a daemon's storage tier. The shape follows from what
 // the daemon has: no remote directory, no tier (nil Storage, nil error —
 // the node keeps every object hot); a remote directory alone spills to
-// it through a bounded local file cache ("remote"); with local, the
-// durable pack store, writes go through the packs and upload to the
-// remote asynchronously, and reads fall local → cache → remote
-// ("hybrid").
-func Build(cfg Config, local *durable.Store) (Storage, error) {
+// it through a bounded local file cache ("remote"); with packs, the
+// durable pack store, writes go to the packs and then the remote, and
+// reads fall packs → cache → remote ("hybrid").
+func Build(cfg Config, packs *durable.Store) (Storage, error) {
 	if cfg.RemoteDir == "" {
 		return nil, nil
 	}
@@ -33,8 +32,8 @@ func Build(cfg Config, local *durable.Store) (Storage, error) {
 	if err != nil {
 		return nil, err
 	}
-	if local == nil {
+	if packs == nil {
 		return cached, nil
 	}
-	return NewHybrid(NewLocal(local), cached), nil
+	return NewHybrid(packs, cached), nil
 }

@@ -3,10 +3,12 @@ package storage
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -21,16 +23,19 @@ func blob(i int) (core.Handle, []byte) {
 	return core.BlobHandle(data), data
 }
 
-// roundTrip drives the common Storage contract: Put, Has, Get,
-// Delete semantics, and typed misses.
-func roundTrip(t *testing.T, st Storage, deletable bool) {
+// isNotFound reports whether err is a typed tier miss.
+func isNotFound(err error) bool {
+	var nf *NotFoundError
+	return errors.As(err, &nf)
+}
+
+// roundTrip drives the common Storage contract: typed misses, Put,
+// idempotent Put, and Get.
+func roundTrip(t *testing.T, st Storage) {
 	t.Helper()
 	ctx := context.Background()
 	h, data := blob(1)
-	if ok, err := st.Has(ctx, h); err != nil || ok {
-		t.Fatalf("Has before Put = %v, %v", ok, err)
-	}
-	if _, err := st.Get(ctx, h); !IsNotFound(err) {
+	if _, err := st.Get(ctx, h); !isNotFound(err) {
 		t.Fatalf("Get before Put: err = %v, want not-found", err)
 	}
 	if err := st.Put(ctx, h, data); err != nil {
@@ -39,23 +44,9 @@ func roundTrip(t *testing.T, st Storage, deletable bool) {
 	if err := st.Put(ctx, h, data); err != nil {
 		t.Fatalf("idempotent Put: %v", err)
 	}
-	if ok, err := st.Has(ctx, h); err != nil || !ok {
-		t.Fatalf("Has after Put = %v, %v", ok, err)
-	}
 	got, err := st.Get(ctx, h)
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("Get = %q, %v", got, err)
-	}
-	if err := st.Delete(ctx, h); err != nil {
-		t.Fatal(err)
-	}
-	if deletable {
-		if ok, _ := st.Has(ctx, h); ok {
-			t.Fatal("object survives Delete")
-		}
-		if err := st.Delete(ctx, h); err != nil {
-			t.Fatalf("Delete of absent object: %v", err)
-		}
 	}
 }
 
@@ -64,50 +55,52 @@ func TestDirRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	roundTrip(t, d, true)
+	roundTrip(t, d)
 	st := d.StorageStats()
-	if st.RemotePuts == 0 || st.RemoteGets == 0 || st.RemoteDeletes == 0 {
-		t.Fatalf("counters not advancing: %+v", st)
+	if st.RemotePuts != 1 || st.RemoteGets != 1 {
+		t.Fatalf("counters: %+v, want 1 put and 1 get", st)
 	}
 }
 
-func TestLocalRoundTrip(t *testing.T) {
-	mem := store.New()
-	dur, _, err := durable.Attach(t.TempDir(), durable.Options{}, mem)
+// attachPacks opens a durable pack store in a temp dir.
+func attachPacks(t *testing.T) *durable.Store {
+	t.Helper()
+	dur, _, err := durable.Attach(t.TempDir(), durable.Options{}, store.New())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer dur.Close()
-	// Local has no per-object delete (pack GC owns reclamation).
-	roundTrip(t, NewLocal(dur), false)
+	t.Cleanup(func() { dur.Close() })
+	return dur
 }
 
-func TestLocalTreePut(t *testing.T) {
-	mem := store.New()
-	dur, _, err := durable.Attach(t.TempDir(), durable.Options{}, mem)
+// TestHybridTreePut: a Tree written through the hybrid tier reads back
+// as its EncodeTree bytes, from the packs and from the remote.
+func TestHybridTreePut(t *testing.T) {
+	remote, err := NewDir(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer dur.Close()
-	l := NewLocal(dur)
+	hy := NewHybrid(attachPacks(t), remote)
 	ctx := context.Background()
 	h1, d1 := blob(10)
 	h2, d2 := blob(11)
-	if err := l.Put(ctx, h1, d1); err != nil {
+	if err := hy.Put(ctx, h1, d1); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Put(ctx, h2, d2); err != nil {
+	if err := hy.Put(ctx, h2, d2); err != nil {
 		t.Fatal(err)
 	}
 	entries := []core.Handle{h1, h2}
 	th := core.TreeHandle(entries)
 	enc := core.EncodeTree(entries)
-	if err := l.Put(ctx, th, enc); err != nil {
+	if err := hy.Put(ctx, th, enc); err != nil {
 		t.Fatal(err)
 	}
-	got, err := l.Get(ctx, th)
-	if err != nil || !bytes.Equal(got, enc) {
-		t.Fatalf("tree Get = %x, %v, want %x", got, err, enc)
+	for name, st := range map[string]Storage{"hybrid": hy, "remote": remote} {
+		got, err := st.Get(ctx, th)
+		if err != nil || !bytes.Equal(got, enc) {
+			t.Fatalf("%s tree Get = %x, %v, want %x", name, got, err, enc)
+		}
 	}
 }
 
@@ -120,26 +113,37 @@ func TestLFCRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	roundTrip(t, c, true)
+	roundTrip(t, c)
 }
 
+// TestHybridRoundTrip: the common contract on a hybrid tier, and once
+// Put returns, the remote serves the object.
 func TestHybridRoundTrip(t *testing.T) {
-	mem := store.New()
-	dur, _, err := durable.Attach(t.TempDir(), durable.Options{}, mem)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dur.Close()
 	remote, err := NewDir(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	hy := NewHybrid(NewLocal(dur), remote)
-	defer hy.Close()
-	// Local side has no delete, so post-delete state is tier-dependent.
-	roundTrip(t, hy, false)
-	if err := hy.Flush(context.Background()); err != nil {
+	roundTrip(t, NewHybrid(attachPacks(t), remote))
+	h, data := blob(1)
+	if got, err := remote.Get(context.Background(), h); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("remote Get after hybrid Put = %q, %v", got, err)
+	}
+}
+
+// TestHybridStartsNoGoroutine: a hybrid tier is two synchronous writes,
+// so assembling one starts no goroutine.
+func TestHybridStartsNoGoroutine(t *testing.T) {
+	packs := attachPacks(t)
+	base := runtime.NumGoroutine()
+	tier, err := Build(Config{RemoteDir: t.TempDir(), CacheDir: t.TempDir(), CacheBudget: 1 << 20}, packs)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if _, ok := tier.(*Hybrid); !ok {
+		t.Fatalf("Build with packs and a remote dir = %T, want *Hybrid", tier)
+	}
+	if got := runtime.NumGoroutine(); got > base {
+		t.Fatalf("goroutines %d → %d after Build", base, got)
 	}
 }
 
@@ -147,13 +151,6 @@ func TestHybridRoundTrip(t *testing.T) {
 // local hit, LFC hit, remote hit, and a miss at every tier.
 func TestHybridFallbackMatrix(t *testing.T) {
 	ctx := context.Background()
-	mem := store.New()
-	dur, _, err := durable.Attach(t.TempDir(), durable.Options{}, mem)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dur.Close()
-	local := NewLocal(dur)
 	remote, err := NewDir(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -162,16 +159,15 @@ func TestHybridFallbackMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hy := NewHybrid(local, lfc)
-	defer hy.Close()
+	hy := NewHybrid(attachPacks(t), lfc)
 
-	// Case 1: local hit — written through Put, never read from remote.
+	// Case 1: pack hit — written through Put, never read from remote.
 	h1, d1 := blob(1)
 	if err := hy.Put(ctx, h1, d1); err != nil {
 		t.Fatal(err)
 	}
 	if got, err := hy.Get(ctx, h1); err != nil || !bytes.Equal(got, d1) {
-		t.Fatalf("local hit: %v", err)
+		t.Fatalf("pack hit: %v", err)
 	}
 
 	// Case 2: LFC hit — present only in the remote chain, first read
@@ -207,17 +203,13 @@ func TestHybridFallbackMatrix(t *testing.T) {
 
 	// Case 4: miss everywhere.
 	h4, _ := blob(4)
-	if _, err := hy.Get(ctx, h4); !IsNotFound(err) {
+	if _, err := hy.Get(ctx, h4); !isNotFound(err) {
 		t.Fatalf("full miss: err = %v, want not-found", err)
 	}
 
-	// The async upload of case 1 must reach the remote side: flush, then
-	// confirm through the demotion-confirmation facet.
-	if err := hy.Flush(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if ok, err := hy.RemoteHas(ctx, h1); err != nil || !ok {
-		t.Fatalf("RemoteHas after flush = %v, %v", ok, err)
+	// Case 1's Put returned, so the remote Dir already serves it.
+	if got, err := remote.Get(ctx, h1); err != nil || !bytes.Equal(got, d1) {
+		t.Fatalf("remote Get after Put = %v", err)
 	}
 }
 
@@ -474,10 +466,10 @@ func TestLFCConcurrentFillRace(t *testing.T) {
 }
 
 func TestStatsMerge(t *testing.T) {
-	a := Stats{LFCHits: 1, RemoteGets: 2, UploadsDone: 3}
+	a := Stats{LFCHits: 1, RemoteGets: 2, RemotePuts: 3}
 	b := Stats{LFCHits: 10, RemoteGets: 20, Demoted: 5}
 	a.Add(b)
-	if a.LFCHits != 11 || a.RemoteGets != 22 || a.UploadsDone != 3 || a.Demoted != 5 {
+	if a.LFCHits != 11 || a.RemoteGets != 22 || a.RemotePuts != 3 || a.Demoted != 5 {
 		t.Fatalf("merge wrong: %+v", a)
 	}
 }
