@@ -332,6 +332,11 @@ func (c *Cluster) worker(node int, ready chan *task) {
 		}
 		tc := &TaskCtx{c: c, node: node}
 		data, err := t.fn(tc, t.args)
+		// Count the task before its result is published, so a caller
+		// woken by Get sees it in Stats.
+		c.statsMu.Lock()
+		c.tasksRun[node]++
+		c.statsMu.Unlock()
 		if err == nil && tc.forward != nil {
 			// The task returned a future (Ray's nested-ObjectRef
 			// pattern): resolve it asynchronously without holding the
@@ -340,9 +345,6 @@ func (c *Cluster) worker(node int, ready chan *task) {
 		} else {
 			c.finish(t.result, data, err, node)
 		}
-		c.statsMu.Lock()
-		c.tasksRun[node]++
-		c.statsMu.Unlock()
 	}
 }
 

@@ -130,6 +130,29 @@ func TestHybridRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLocalRoundTrip: the common contract on a hybrid tier, and the
+// pack side alone holds what Put wrote: a hybrid over the same packs
+// and an empty remote serves it without reading the remote.
+func TestLocalRoundTrip(t *testing.T) {
+	packs := attachPacks(t)
+	remote, err := NewDir(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	roundTrip(t, NewHybrid(packs, remote))
+	empty, err := NewDir(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, data := blob(1)
+	if got, err := NewHybrid(packs, empty).Get(context.Background(), h); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("pack Get = %q, %v", got, err)
+	}
+	if st := empty.StorageStats(); st.RemoteGets != 0 {
+		t.Fatalf("pack hit read the remote: %+v", st)
+	}
+}
+
 // TestHybridStartsNoGoroutine: a hybrid tier is two synchronous writes,
 // so assembling one starts no goroutine.
 func TestHybridStartsNoGoroutine(t *testing.T) {
