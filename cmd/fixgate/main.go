@@ -25,6 +25,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"net/http"
@@ -71,13 +72,10 @@ func main() {
 		}
 	})
 	cfg.Check(err)
-	if dur != nil {
-		defer dur.Close()
-		if node != nil {
-			// Peers connected before the restore saw an empty-store
-			// Hello; re-advertise so recovered objects are placeable.
-			node.AdvertiseAll()
-		}
+	if dur != nil && node != nil {
+		// Peers connected before the restore saw an empty-store Hello;
+		// re-advertise so recovered objects are placeable.
+		node.AdvertiseAll()
 	}
 	// The tier rides on the cluster node: Validate refused -remote-dir
 	// for the in-process engine, so a nil node gets a nil tier.
@@ -109,7 +107,6 @@ func main() {
 	}
 	srv, err := gateway.NewServer(gwOpts)
 	cfg.Check(err)
-	defer srv.Close()
 	// Peer gateways boot in arbitrary order; retry each dial so a whole
 	// edge can be started by one script without sequencing.
 	cfg.Check(cfg.Link("peer gateway", cfg.GWPeers, cfg.GWListen, func(addr string) (transport.Conn, error) {
@@ -126,5 +123,24 @@ func main() {
 
 	fmt.Printf("fixgate: %s serving on %s (%s, cache=%d, inflight=%d, queue=%d)\n",
 		cfg.ID, cfg.Listen, mode, cfg.Cache, cfg.MaxInFlight, cfg.MaxQueue)
-	cfg.Check(http.ListenAndServe(cfg.Listen, srv.Handler()))
+	// On SIGINT or SIGTERM: stop accepting and give open requests a
+	// bounded grace (a long poll or event stream would hold Shutdown),
+	// then Server.Close (flights, jobs, EdgeLeave), the node, the
+	// durable store.
+	hs := &http.Server{Addr: cfg.Listen, Handler: srv.Handler()}
+	closers := []func() error{func() error {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		if hs.Shutdown(ctx) != nil {
+			return hs.Close()
+		}
+		return nil
+	}, srv.Close}
+	if node != nil {
+		closers = append(closers, func() error { node.Close(); return nil })
+	}
+	if dur != nil {
+		closers = append(closers, dur.Close)
+	}
+	cfg.Run(hs.ListenAndServe, closers...)
 }

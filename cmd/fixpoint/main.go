@@ -15,7 +15,6 @@ package main
 
 import (
 	"fmt"
-	"log"
 
 	"fixgo/internal/cluster"
 	"fixgo/internal/daemon"
@@ -29,9 +28,6 @@ func main() {
 
 	dur, err := cfg.AttachDurable(node.Store(), nil)
 	cfg.Check(err)
-	if dur != nil {
-		defer dur.Close()
-	}
 	cfg.Check(cfg.AttachTier(node, dur))
 
 	// The metrics registry and trace ring exist regardless of
@@ -50,5 +46,11 @@ func main() {
 	l, err := transport.Listen(cfg.Listen)
 	cfg.Check(err)
 	fmt.Printf("fixpoint: node %s listening on %s (%d cores, %d GiB)\n", cfg.ID, l.Addr(), cfg.Cores, cfg.MemGiB)
-	log.Printf("fixpoint: accept: %v", transport.Serve(l, node.AttachPeer))
+	// On SIGINT or SIGTERM: stop accepting, close the node, then the
+	// durable store.
+	closers := []func() error{l.Close, func() error { node.Close(); return nil }}
+	if dur != nil {
+		closers = append(closers, dur.Close)
+	}
+	cfg.Run(func() error { return transport.Serve(l, node.AttachPeer) }, closers...)
 }

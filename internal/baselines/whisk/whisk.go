@@ -114,13 +114,6 @@ func (p *Platform) Usage(wall time.Duration) stats.Usage {
 	return stats.Merge(us...)
 }
 
-// ResetStats zeroes the per-node collectors.
-func (p *Platform) ResetStats() {
-	for _, n := range p.nodes {
-		n.stats.Reset()
-	}
-}
-
 // Invoke runs an action to completion and returns its result bytes.
 //
 // The activation pays the controller path, is placed round-robin

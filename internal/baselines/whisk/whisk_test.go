@@ -155,3 +155,10 @@ func TestResetStats(t *testing.T) {
 		t.Fatalf("tasks after reset = %d", u.Tasks)
 	}
 }
+
+// ResetStats zeroes the per-node collectors.
+func (p *Platform) ResetStats() {
+	for _, n := range p.nodes {
+		n.stats.Reset()
+	}
+}

@@ -516,7 +516,7 @@ func (n *Node) ViewOwners(h core.Handle) []string {
 // ResolvableHint reports whether a gossiped result handle could be
 // served by this node right now: resident in the local store (literals
 // always are) or locatable on a live peer via the passive object view.
-// Implements the gateway's HintResolver facet behind cache-warm gossip.
+// The gateway asks it before a cache-warm hint enters its result cache.
 func (n *Node) ResolvableHint(h core.Handle) bool {
 	return n.st.Contains(h) || len(n.ViewOwners(h)) > 0
 }

@@ -51,15 +51,6 @@ func (n *Node) Ring() *objstore.Ring {
 	return n.ring
 }
 
-// RingOwners returns the ordered ring owner list for h at the node's
-// replication factor — where the object is canonically placed once
-// written and repaired.
-func (n *Node) RingOwners(h core.Handle) []string {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.ring.Owners(h.AsObject(), n.opts.Replicas)
-}
-
 // ReplicaCount reports how many copies of h this node can account for:
 // one if locally resident, plus every peer the passive view believes
 // holds it. It is a lower bound (the view is passive), used by tests and

@@ -296,3 +296,12 @@ func TestChaosReplicationUnderChaosLink(t *testing.T) {
 		t.Fatal("fetched bytes mismatch")
 	}
 }
+
+// RingOwners returns the ordered ring owner list for h at the node's
+// replication factor — where the object is canonically placed once
+// written and repaired.
+func (n *Node) RingOwners(h core.Handle) []string {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.ring.Owners(h.AsObject(), n.opts.Replicas)
+}

@@ -14,25 +14,12 @@ import (
 // whole inventory the way AdvertiseAll does, so a gateway pushing many
 // small objects does not quadratically re-announce its store.
 
-// PutBlob stores a Blob on this node, advertises it to all peers, and —
-// with Replicas > 1 — asynchronously pushes copies to the blob's ring
-// successors. Literal Blobs live entirely in their Handle and need no
-// advertisement or replication.
-func (n *Node) PutBlob(data []byte) core.Handle {
-	h := n.st.PutBlob(data)
-	if !h.IsLiteral() {
-		n.touch(h)
-		n.broadcast(&proto.Message{Type: proto.TypeAdvertise, From: n.id, Adverts: []core.Handle{h}})
-		n.replicate([]core.Handle{h}, false, "")
-	}
-	return h
-}
-
 // PutBlobOwned stores a Blob whose Handle the caller already computed
 // with a core.BlobHasher over exactly data, taking ownership of the slice
-// — the streaming upload path's no-copy, no-rehash insert — then
-// advertises and replicates like PutBlob. Implements
-// gateway.OwnedBlobPutter.
+// — the streaming upload path's no-copy, no-rehash insert — advertises it
+// to all peers, and — with Replicas > 1 — asynchronously pushes copies to
+// the blob's ring successors. Literal Blobs live entirely in their Handle
+// and need no advertisement or replication.
 func (n *Node) PutBlobOwned(h core.Handle, data []byte) core.Handle {
 	h = n.st.PutBlobOwned(h, data)
 	if !h.IsLiteral() {
@@ -43,9 +30,8 @@ func (n *Node) PutBlobOwned(h core.Handle, data []byte) core.Handle {
 	return h
 }
 
-// PutTree stores a Tree on this node, advertises it to all peers, and —
-// with Replicas > 1 — asynchronously pushes copies to the tree's ring
-// successors.
+// PutTree stores a Tree on this node and advertises and replicates it
+// like PutBlobOwned.
 func (n *Node) PutTree(entries []core.Handle) (core.Handle, error) {
 	h, err := n.st.PutTree(entries)
 	if err != nil {
@@ -72,7 +58,6 @@ func (n *Node) ObjectBytes(ctx context.Context, h core.Handle) ([]byte, error) {
 // accepted job, bounded like every job payload (store.JobPayload). The
 // gateway replicates it inside the job's edge-log entry so a peer adopting
 // the job after this node dies still has the bytes the handle names.
-// Implements gateway.JobPayloader.
 func (n *Node) JobPayload(h core.Handle) []proto.PushedObject {
 	return n.st.JobPayload(h)
 }
@@ -80,7 +65,7 @@ func (n *Node) JobPayload(h core.Handle) []proto.PushedObject {
 // AbsorbPayload ingests a replicated job payload ahead of a takeover:
 // every object is stored and advertised like an upload, so the adopted
 // job's evaluation — local or delegated — finds its definition
-// resident. Implements gateway.JobPayloader.
+// resident.
 func (n *Node) AbsorbPayload(objs []proto.PushedObject) {
 	if len(objs) == 0 {
 		return

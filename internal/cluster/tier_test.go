@@ -387,3 +387,8 @@ func TestTierDemoteFetchRace(t *testing.T) {
 	default:
 	}
 }
+
+// PutBlob uploads a copy of data through PutBlobOwned.
+func (n *Node) PutBlob(data []byte) core.Handle {
+	return n.PutBlobOwned(core.BlobHandle(data), bytes.Clone(data))
+}

@@ -183,6 +183,3 @@ func IfFunctionBlob() []byte { return core.VMFunctionBlob(IfBytecode) }
 
 // FibFunctionBlob returns the fib codelet as a function Blob.
 func FibFunctionBlob() []byte { return core.VMFunctionBlob(FibBytecode) }
-
-// ConcatFunctionBlob returns the concat codelet as a function Blob.
-func ConcatFunctionBlob() []byte { return core.VMFunctionBlob(ConcatBytecode) }

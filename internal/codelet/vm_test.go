@@ -405,3 +405,6 @@ func TestCreateTreeHugeCountTraps(t *testing.T) {
 		t.Fatalf("want an exceed-memory trap, got %v", err)
 	}
 }
+
+// ConcatFunctionBlob returns the concat codelet as a function Blob.
+func ConcatFunctionBlob() []byte { return core.VMFunctionBlob(ConcatBytecode) }

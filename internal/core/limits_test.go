@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -68,4 +69,12 @@ func TestFunctionBlobConventions(t *testing.T) {
 	if _, ok := NativeFunctionName(vb); ok {
 		t.Fatal("vm blob must not parse as native blob")
 	}
+}
+
+// SplitInvocation decomposes a resolved Application definition Tree.
+func SplitInvocation(entries []Handle) (limits, function Handle, args []Handle, err error) {
+	if len(entries) < 2 {
+		return Handle{}, Handle{}, nil, fmt.Errorf("core: invocation tree needs ≥2 entries, got %d", len(entries))
+	}
+	return entries[0], entries[1], entries[2:], nil
 }

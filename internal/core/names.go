@@ -1,9 +1,6 @@
 package core
 
-import (
-	"bytes"
-	"fmt"
-)
+import "bytes"
 
 // Function Blob conventions. An Application Thunk's second Tree entry is a
 // Blob containing the function. Two encodings are understood by the
@@ -51,12 +48,4 @@ func InvocationTree(limits Handle, function Handle, args ...Handle) []Handle {
 	entries := make([]Handle, 0, 2+len(args))
 	entries = append(entries, limits, function)
 	return append(entries, args...)
-}
-
-// SplitInvocation decomposes a resolved Application definition Tree.
-func SplitInvocation(entries []Handle) (limits, function Handle, args []Handle, err error) {
-	if len(entries) < 2 {
-		return Handle{}, Handle{}, nil, fmt.Errorf("core: invocation tree needs ≥2 entries, got %d", len(entries))
-	}
-	return entries[0], entries[1], entries[2:], nil
 }

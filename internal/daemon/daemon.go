@@ -4,18 +4,22 @@
 // Bind by internal/docgate), one Validate that rejects contradictory
 // combinations before anything is opened, and the boot steps both
 // daemons take — procedure registry, cluster node, durable attach, tier
-// assembly, debug listener, peer dialing.
+// assembly, debug listener, peer dialing, and the clean shutdown on
+// SIGINT or SIGTERM.
 package daemon
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"net/http"
 	"os"
+	"os/signal"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"time"
 
 	"fixgo/internal/bptree"
@@ -314,4 +318,37 @@ func (c *Config) Link(what, list, listen string, dial func(addr string) (transpo
 		log.Printf("%s: %s accept loop: %v", c.Daemon, what, transport.Serve(l, attach))
 	}()
 	return nil
+}
+
+// Serve runs serve until it returns or ctx is done, then runs closers in
+// order and returns serve's failure joined with theirs, once serve has
+// returned. When ctx is done, the first closer must make serve return
+// (close its listener): that return is not a failure.
+func Serve(ctx context.Context, serve func() error, closers ...func() error) error {
+	served := make(chan error, 1)
+	go func() { served <- serve() }()
+	var err error
+	returned := false
+	select {
+	case err = <-served:
+		returned = true
+	case <-ctx.Done():
+	}
+	for _, closer := range closers {
+		err = errors.Join(err, closer())
+	}
+	if !returned {
+		<-served
+	}
+	return err
+}
+
+// Run is Serve until the process receives SIGINT or SIGTERM. After the
+// closers the daemon returns from Run, and so exits 0, or exits 1 when
+// serve or a closer failed. A second signal kills it at once.
+func (c *Config) Run(serve func() error, closers ...func() error) {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	context.AfterFunc(ctx, stop)
+	c.Check(Serve(ctx, serve, closers...))
+	fmt.Printf("%s: shut down\n", c.Daemon)
 }

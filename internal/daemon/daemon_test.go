@@ -1,8 +1,11 @@
 package daemon
 
 import (
+	"context"
+	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -106,5 +109,44 @@ func TestDerivedIdentity(t *testing.T) {
 	}
 	if c, _ := Parse(Fixgate, []string{"-id", "gw-a"}); c.ID != "gw-a" {
 		t.Errorf("-id gw-a gave ID %q", c.ID)
+	}
+}
+
+// TestServeClosesInOrder: cancelling Serve's context runs every closer,
+// in order, and the first one stopping serve is not a failure. A serve
+// that fails on its own still gets the closers, and its error comes back.
+func TestServeClosesInOrder(t *testing.T) {
+	var ran []int
+	stopped := make(chan struct{})
+	serve := func() error {
+		<-stopped
+		return errors.New("accept: listener closed")
+	}
+	closer := func(i int) func() error {
+		return func() error {
+			if i == 1 {
+				close(stopped)
+			}
+			ran = append(ran, i)
+			return nil
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := Serve(ctx, serve, closer(1), closer(2), closer(3)); err != nil {
+		t.Fatalf("Serve after cancel = %v, want nil", err)
+	}
+	if want := []int{1, 2, 3}; !slices.Equal(ran, want) {
+		t.Fatalf("closers ran %v, want %v", ran, want)
+	}
+
+	ran = nil
+	bind := errors.New("listen: address in use")
+	err := Serve(context.Background(), func() error { return bind }, closer(2), closer(3))
+	if !errors.Is(err, bind) {
+		t.Fatalf("Serve of a failing serve = %v, want %v", err, bind)
+	}
+	if want := []int{2, 3}; !slices.Equal(ran, want) {
+		t.Fatalf("closers ran %v after a failed serve, want %v", ran, want)
 	}
 }

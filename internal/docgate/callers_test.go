@@ -13,6 +13,11 @@ import (
 	"testing"
 )
 
+// testOnly is the reason of an allowed function that only tests call. It
+// holds only while a test of another package names it: one that its own
+// package's tests alone name belongs in one of their _test.go files.
+const testOnly = "test-only helper"
+
 // uncalledAllowed are the exported functions and methods under internal/
 // that no non-test file names, each with the reason it stays. Keys are
 // "<package dir>.<name>" or "<package dir>.<receiver>.<name>".
@@ -33,14 +38,7 @@ var uncalledAllowed = map[string]string{
 	"transport.ChaosConn.Sends":     "fault-injection control: surface on purpose",
 	"cluster.PeerLostError.Unwrap":  "called by errors.Is and errors.As",
 	"bptree.GetDirect":              "the reference lookup tests compare the Fix lookup against",
-	"runtime.Engine.EvalTree":       "test-only helper",
-	"cluster.Node.RingOwners":       "test-only helper",
-	"objstore.Ring.Primary":         "test-only helper",
-	"core.SplitInvocation":          "test-only helper",
-	"durable.Store.GC":              "test-only helper",
-	"bench.ScaleFromEnv":            "test-only helper",
-	"whisk.Platform.ResetStats":     "test-only helper",
-	"codelet.ConcatFunctionBlob":    "test-only helper",
+	"bench.ScaleFromEnv":            testOnly,
 	"flatware.ReadFile":             "the host-side reference reader tests compare in-Fix file reads against",
 	"flatware.List":                 "the host-side reference walk tests compare archive contents against",
 }
@@ -50,15 +48,21 @@ var uncalledAllowed = map[string]string{
 // module (ROADMAP item 13: only what something uses). A function counts
 // as used where its package names it: as pkg.Name in a file importing
 // the package, or as Name in the package itself. A method counts as used
-// wherever its name appears outside its own declaration, so a method
-// reached through an interface is used once the interface method is
-// called. Delete such a function, give it a caller, or allow it above
-// with its reason.
+// wherever its name appears outside its own declaration and off a
+// package name, so a method reached through an interface is used once
+// the interface method is called. Delete such a function, give it a
+// caller, or allow it above with its reason. The test files are scanned
+// too: a testOnly helper that no test outside its own package names
+// fails, since it can move into its package's tests.
 func TestExportedFunctionsHaveCallers(t *testing.T) {
 	usedNames := make(map[string]bool) // every identifier: a method's use
 	usedFuncs := make(map[string]bool) // "<import path>.<name>": a function's use
+	// testUsers maps a use in a _test.go file (a usedFuncs key, or "."
+	// and a method name) to the directories of the tests naming it.
+	testUsers := make(map[string]map[string]bool)
 	type decl struct {
 		at     string // "file:line"
+		dir    string // the declaring package's directory
 		use    string // the usedFuncs key for a function, "" for a method
 		method string // the method name
 	}
@@ -73,9 +77,10 @@ func TestExportedFunctionsHaveCallers(t *testing.T) {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+		if !strings.HasSuffix(path, ".go") {
 			return nil
 		}
+		isTest := strings.HasSuffix(path, "_test.go")
 		fset := token.NewFileSet()
 		f, err := parser.ParseFile(fset, path, nil, 0)
 		if err != nil {
@@ -94,17 +99,28 @@ func TestExportedFunctionsHaveCallers(t *testing.T) {
 			}
 			imports[name] = p
 		}
+		useFunc, useName := func(key string) { usedFuncs[key] = true }, func(name string) { usedNames[name] = true }
+		if isTest {
+			useFunc = func(key string) {
+				if testUsers[key] == nil {
+					testUsers[key] = make(map[string]bool)
+				}
+				testUsers[key][pkgDir] = true
+			}
+			useName = func(name string) { useFunc("." + name) }
+		}
 		for _, d := range f.Decls {
 			fd, isFunc := d.(*ast.FuncDecl)
-			if isFunc && inInternal && fd.Name.IsExported() {
+			if isFunc && inInternal && !isTest && fd.Name.IsExported() {
 				at := fmt.Sprintf("%s:%d", rel, fset.Position(fd.Pos()).Line)
 				if fd.Recv == nil {
-					declared[funcKey(filepath.Base(dir), fd)] = decl{at: at, use: self + "." + fd.Name.Name}
+					declared[funcKey(filepath.Base(dir), fd)] = decl{at: at, dir: pkgDir, use: self + "." + fd.Name.Name}
 				} else {
-					declared[funcKey(filepath.Base(dir), fd)] = decl{at: at, method: fd.Name.Name}
+					declared[funcKey(filepath.Base(dir), fd)] = decl{at: at, dir: pkgDir, method: fd.Name.Name}
 				}
 			}
-			notBare := make(map[*ast.Ident]bool) // selected, declared and key names
+			notBare := make(map[*ast.Ident]bool)   // selected, declared and key names
+			qualified := make(map[*ast.Ident]bool) // the Name of pkg.Name
 			if isFunc {
 				notBare[fd.Name] = true
 			}
@@ -116,7 +132,8 @@ func TestExportedFunctionsHaveCallers(t *testing.T) {
 					}
 				case *ast.SelectorExpr:
 					if pkg, ok := x.X.(*ast.Ident); ok && imports[pkg.Name] != "" {
-						usedFuncs[imports[pkg.Name]+"."+x.Sel.Name] = true
+						useFunc(imports[pkg.Name] + "." + x.Sel.Name)
+						qualified[x.Sel] = true
 					}
 					notBare[x.Sel] = true
 				case *ast.KeyValueExpr:
@@ -128,9 +145,11 @@ func TestExportedFunctionsHaveCallers(t *testing.T) {
 					if isFunc && x == fd.Name {
 						break
 					}
-					usedNames[x.Name] = true
+					if !qualified[x] {
+						useName(x.Name)
+					}
 					if !notBare[x] {
-						usedFuncs[self+"."+x.Name] = true
+						useFunc(self + "." + x.Name)
 					}
 				}
 				return true
@@ -143,16 +162,22 @@ func TestExportedFunctionsHaveCallers(t *testing.T) {
 	}
 	var unused []string
 	for key, d := range declared {
-		_, allowed := uncalledAllowed[key]
-		used := usedNames[d.method]
+		reason, allowed := uncalledAllowed[key]
+		used, use := usedNames[d.method], "."+d.method
 		if d.use != "" {
-			used = usedFuncs[d.use]
+			used, use = usedFuncs[d.use], d.use
+		}
+		foreign := false // named by a test of another package
+		for dir := range testUsers[use] {
+			foreign = foreign || dir != d.dir
 		}
 		switch {
 		case !used && !allowed:
 			unused = append(unused, key+" ("+d.at+"): exported and named by no non-test file: delete it, call it, or allow it with a reason")
 		case used && allowed:
 			unused = append(unused, key+" ("+d.at+"): now named by a non-test file: drop it from the allow-list")
+		case !used && reason == testOnly && !foreign:
+			unused = append(unused, key+" ("+d.at+"): a test-only helper named only by its own package's tests: move it into one of their _test.go files")
 		}
 	}
 	sort.Strings(unused)

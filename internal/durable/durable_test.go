@@ -393,3 +393,13 @@ func TestDataDirLock(t *testing.T) {
 	d2 := mustOpen(t, dir, Options{})
 	d2.Close()
 }
+
+// GC runs one collection pass (gcLocked) on demand.
+func (d *Store) GC(live func(core.Handle) bool) (GCStats, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.closed {
+		return GCStats{}, errStoreClosed
+	}
+	return d.gcLocked(live)
+}

@@ -17,7 +17,7 @@ type GCStats struct {
 	MemoCompact int   // journal entries rewritten (duplicates folded)
 }
 
-// GC rewrites live object records into fresh packs and drops the rest,
+// gcLocked rewrites live object records into fresh packs and drops the rest,
 // then compacts the memo journal. This is the durable half of the paper's
 // "computational garbage collection": a deterministic product whose
 // (thunk → result) entry survives may be deleted and recomputed on
@@ -33,15 +33,7 @@ type GCStats struct {
 // deleted, and records are content-addressed and idempotent — a crash
 // between the two leaves duplicates that the next Open deduplicates. The
 // journal is compacted by Journal.Rewrite (temp file, then rename).
-func (d *Store) GC(live func(core.Handle) bool) (GCStats, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
-		return GCStats{}, errStoreClosed
-	}
-	return d.gcLocked(live)
-}
-
+// The caller holds d.mu.
 func (d *Store) gcLocked(live func(core.Handle) bool) (GCStats, error) {
 	st := GCStats{BytesBefore: d.packSize}
 

@@ -134,6 +134,12 @@ type Stats struct {
 	// peer has not yet acknowledged — the replication-lag gauge the
 	// runbook watches.
 	PeerLag uint64 `json:"peer_lag"`
+	// HintHits counts deferred hints that served a miss flight (TakeHint
+	// found them resolvable) instead of a backend evaluation.
+	HintHits uint64 `json:"hint_hits"`
+	// HintStale counts deferred hints still unresolvable when a miss
+	// flight took them; the flight fell through to the backend.
+	HintStale uint64 `json:"hint_stale"`
 }
 
 // member is one peer gateway's membership view.
@@ -389,17 +395,28 @@ func (r *Replicator) GossipWarm(key, result core.Handle) {
 	})
 }
 
-// TakeHint removes and returns the deferred warm hint for key, if one is
-// parked. The gateway's miss flight consults it before evaluating: a
-// hint that resolves serves the flight; one that does not is dropped
-// and the flight falls through to the backend.
-func (r *Replicator) TakeHint(key core.Handle) (core.Handle, bool) {
+// TakeHint removes the deferred warm hint for key, if one is parked, and
+// returns it when resolvable says it can serve. The gateway's miss
+// flight consults it before evaluating: a hint that resolves serves the
+// flight (a hint hit); one that does not is dropped (stale) and the
+// flight falls through to the backend. resolvable runs outside the
+// replicator's lock.
+func (r *Replicator) TakeHint(key core.Handle, resolvable func(core.Handle) bool) (core.Handle, bool) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	res, ok := r.hints[key]
-	if ok {
-		delete(r.hints, key)
+	delete(r.hints, key)
+	r.mu.Unlock()
+	if !ok {
+		return core.Handle{}, false
 	}
+	ok = resolvable(res)
+	r.mu.Lock()
+	if ok {
+		r.stats.HintHits++
+	} else {
+		r.stats.HintStale++
+	}
+	r.mu.Unlock()
 	return res, ok
 }
 

@@ -139,7 +139,7 @@ func (s *Server) handleSubmitAsync(w http.ResponseWriter, r *http.Request, t *te
 		// Replicate the acceptance before acking the 202: once the client
 		// holds the 202, a surviving peer must be able to adopt the job.
 		// Blocks for a peer quorum, bounded by edgelog's AckTimeout (2s).
-		s.edge.Accepted(v.ID, tenant, h, s.jobPayload(h))
+		s.edge.Accepted(v.ID, tenant, h, s.opts.Backend.JobPayload(h))
 	}
 	w.Header().Set("Location", "/v1/jobs/"+v.ID)
 	replyJobStatus(w, http.StatusAccepted, &v, !isNew)

@@ -89,7 +89,7 @@ func TestBatchMalformedItemIsolated(t *testing.T) {
 // flights it reserved are torn down so the same handles evaluate fine
 // once load drains.
 func TestBatchShedsSingle429(t *testing.T) {
-	back := &slowBackend{st: store.New(), delay: 300 * time.Millisecond}
+	back := &slowBackend{storeBackend: storeBackend{store.New()}, delay: 300 * time.Millisecond}
 	_, c := newTestGateway(t, Options{
 		Backend: back, CacheEntries: 64, MaxInFlight: 1, MaxQueue: 1,
 	})
@@ -199,7 +199,7 @@ func TestBatchSDKOrdering(t *testing.T) {
 // cost exactly one backend evaluation — the batch collapses onto the
 // first occurrence's flight just like concurrent single submissions do.
 func TestBatchDuplicatesCollapse(t *testing.T) {
-	back := &slowBackend{st: store.New(), delay: 30 * time.Millisecond}
+	back := &slowBackend{storeBackend: storeBackend{store.New()}, delay: 30 * time.Millisecond}
 	srv, c := newTestGateway(t, Options{Backend: back, CacheEntries: 64, MaxInFlight: 4})
 	const K = 12
 	hs := make([]core.Handle, K)
@@ -258,7 +258,7 @@ func (b *overlapBackend) Eval(ctx context.Context, h core.Handle) (core.Handle, 
 // takes one admission slot, not one per item, and its items reach the
 // backend concurrently — each exactly once.
 func TestBatchColdItemsFanOutUnderOneSlot(t *testing.T) {
-	back := &overlapBackend{slowBackend: slowBackend{st: store.New()}, overlapped: make(chan struct{})}
+	back := &overlapBackend{slowBackend: slowBackend{storeBackend: storeBackend{store.New()}}, overlapped: make(chan struct{})}
 	srv, c := newTestGateway(t, Options{Backend: back, CacheEntries: 64, MaxInFlight: 1})
 	const K = 8
 	hs := make([]core.Handle, K)
@@ -317,7 +317,7 @@ func (b *blockingBackend) Eval(ctx context.Context, h core.Handle) (core.Handle,
 func TestCloseCancelsAndAwaitsBatchFlights(t *testing.T) {
 	const K = 3
 	back := &blockingBackend{
-		slowBackend: slowBackend{st: store.New()},
+		slowBackend: slowBackend{storeBackend: storeBackend{store.New()}},
 		entered:     make(chan struct{}, K),
 		release:     make(chan struct{}),
 	}

@@ -260,19 +260,11 @@ func (c *Client) BlobBytes(ctx context.Context, h core.Handle) ([]byte, error) {
 	if h.Kind() == core.KindBlob && h.Size() > uint64(c.maxBytes) {
 		return nil, &BlobTooLargeError{Limit: c.maxBytes}
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/blobs/"+core.FormatHandle(h), nil)
-	if err != nil {
-		return nil, err
-	}
-	c.stamp(req)
-	resp, err := c.hc.Do(req)
+	resp, err := c.send(ctx, http.MethodGet, c.base+"/v1/blobs/"+core.FormatHandle(h), nil, nil)
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, decodeError(resp)
-	}
 	data, err := io.ReadAll(io.LimitReader(resp.Body, c.maxBytes+1))
 	if err != nil {
 		return nil, err
@@ -286,17 +278,26 @@ func (c *Client) BlobBytes(ctx context.Context, h core.Handle) ([]byte, error) {
 // Stats fetches the gateway's counters.
 func (c *Client) Stats(ctx context.Context) (Stats, error) {
 	var st Stats
-	return st, c.get(ctx, "/v1/stats", &st)
+	return st, c.do(ctx, http.MethodGet, c.base+"/v1/stats", nil, &st)
 }
 
-// do sends a JSON body to url and decodes the 2xx JSON reply into out.
+// do sends a JSON body, or none when body is nil, to url and decodes the
+// 2xx JSON reply into out.
 func (c *Client) do(ctx context.Context, method, url string, body []byte, out any) error {
-	resp, err := c.send(ctx, method, url, jsonContentType, body)
+	resp, err := c.send(ctx, method, url, jsonType(body), body)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
 	return json.NewDecoder(resp.Body).Decode(out)
+}
+
+// jsonType is the Content-Type of a JSON request body: none without one.
+func jsonType(body []byte) []string {
+	if body == nil {
+		return nil
+	}
+	return jsonContentType
 }
 
 // send makes one request; a nil body sends none. A reply outside 2xx (200
@@ -314,7 +315,9 @@ func (c *Client) send(ctx context.Context, method, url string, contentType []str
 	if contentType != nil {
 		req.Header["Content-Type"] = contentType
 	}
-	c.stamp(req)
+	if c.tenantHdr != nil {
+		req.Header[TenantHeader] = c.tenantHdr
+	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
 		return nil, err
@@ -366,12 +369,6 @@ func call[T any](ctx context.Context, c *Client, method, url string, contentType
 		return nil, err
 	}
 	return out, nil
-}
-
-func (c *Client) stamp(req *http.Request) {
-	if c.tenantHdr != nil {
-		req.Header[TenantHeader] = c.tenantHdr
-	}
 }
 
 func decodeError(resp *http.Response) error {

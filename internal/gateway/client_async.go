@@ -105,12 +105,8 @@ func timeOf(ns int64) time.Time {
 // jobCall sends one request, with a JSON body or none, whose reply is a
 // JobStatusReply about job id ("" when the request names none).
 func (c *Client) jobCall(ctx context.Context, method, url string, body []byte, id string) (JobStatus, error) {
-	var contentType []string
-	if body != nil {
-		contentType = jsonContentType
-	}
 	var js JobStatus
-	reply, err := call[JobStatusReply](ctx, c, method, url, contentType, body, func(b []byte) error {
+	reply, err := call[JobStatusReply](ctx, c, method, url, jsonType(body), body, func(b []byte) error {
 		v, ok := readJobStatusReply(b)
 		if !ok {
 			return errNotFramed
@@ -183,7 +179,7 @@ func (c *Client) CancelJob(ctx context.Context, id string) (JobStatus, error) {
 // /v1/jobs).
 func (c *Client) ListJobs(ctx context.Context) ([]JobStatus, error) {
 	var reply JobListReply
-	if err := c.get(ctx, "/v1/jobs", &reply); err != nil {
+	if err := c.do(ctx, http.MethodGet, c.jobsURL, nil, &reply); err != nil {
 		return nil, err
 	}
 	out := make([]JobStatus, len(reply.Jobs))
@@ -202,19 +198,11 @@ func (c *Client) ListJobs(ctx context.Context) ([]JobStatus, error) {
 // transition, fn returns an error, or ctx is cancelled. It returns nil
 // after the terminal event.
 func (c *Client) JobEvents(ctx context.Context, id string, fn func(JobStatus) error) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/jobs/"+id+"/events", nil)
-	if err != nil {
-		return err
-	}
-	c.stamp(req)
-	resp, err := c.hc.Do(req)
+	resp, err := c.send(ctx, http.MethodGet, c.jobsURL+"/"+id+"/events", nil, nil)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return decodeError(resp)
-	}
 	sc := bufio.NewScanner(resp.Body)
 	for sc.Scan() {
 		line := sc.Text()
@@ -245,22 +233,4 @@ func (c *Client) JobEvents(ctx context.Context, id string, fn func(JobStatus) er
 		return err
 	}
 	return ctx.Err()
-}
-
-// get fetches a JSON endpoint.
-func (c *Client) get(ctx context.Context, path string, out any) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
-	if err != nil {
-		return err
-	}
-	c.stamp(req)
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return decodeError(resp)
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
 }

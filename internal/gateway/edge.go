@@ -1,9 +1,7 @@
 package gateway
 
 // The gateway's side of the replicated edge (internal/edgelog): wiring
-// the replicator's callbacks into the jobs queue and result cache, the
-// optional HintResolver backend facet, and the EdgeStats slice of the
-// /v1/stats snapshot.
+// the replicator's callbacks into the jobs queue and result cache.
 
 import (
 	"fixgo/internal/core"
@@ -12,77 +10,6 @@ import (
 	"fixgo/internal/proto"
 	"fixgo/internal/transport"
 )
-
-// HintResolver is the optional Backend facet behind cache-warm gossip:
-// ResolvableHint reports whether a gossiped result handle could be
-// served from this backend right now (resident locally or locatable on
-// a live peer). Without the facet only literal results — which carry
-// their value inside the handle — are considered resolvable, so a warm
-// hint can never point the cache at an answer the backend cannot
-// produce. cluster.Node and *EngineBackend implement it.
-type HintResolver interface {
-	ResolvableHint(h core.Handle) bool
-}
-
-// ResolvableHint reports whether the engine's store holds the result
-// (literals are always resolvable). Implements HintResolver.
-func (b *EngineBackend) ResolvableHint(h core.Handle) bool {
-	return b.eng.Store().Contains(h)
-}
-
-// JobPayloader is the optional Backend facet behind takeover payload
-// replication. An accepted async job's bytes live only in the accepting
-// gateway's backend until a worker pulls them; if that gateway dies
-// first, the handle in the replicated log names data nobody holds. The
-// origin therefore packs the job's definition closure (JobPayload) into
-// its edge-log entry, and the adopting peer ingests it (AbsorbPayload)
-// before resubmitting. cluster.Node and *EngineBackend implement it; a
-// backend whose data plane is durable mesh-wide can omit the facet and
-// replicate bare handles.
-type JobPayloader interface {
-	// JobPayload returns the definition closure of h resident locally,
-	// bounded by the implementation's payload budget.
-	JobPayload(h core.Handle) []proto.PushedObject
-	// AbsorbPayload stores a replicated payload locally so a subsequent
-	// evaluation of the adopted handle finds its definition resident.
-	AbsorbPayload(objs []proto.PushedObject)
-}
-
-// JobPayload returns the definition closure resident in the engine's
-// store (store.JobPayload). Implements JobPayloader.
-func (b *EngineBackend) JobPayload(h core.Handle) []proto.PushedObject {
-	return b.eng.Store().JobPayload(h)
-}
-
-// AbsorbPayload ingests a replicated payload into the engine's store.
-// Implements JobPayloader.
-func (b *EngineBackend) AbsorbPayload(objs []proto.PushedObject) {
-	for _, p := range objs {
-		_ = b.eng.Store().PutObject(p.Handle, p.Data)
-	}
-}
-
-// jobPayload packs the closure to replicate with an accepted entry; nil
-// when the backend has no payload facet.
-func (s *Server) jobPayload(h core.Handle) []proto.PushedObject {
-	if jp, ok := s.opts.Backend.(JobPayloader); ok {
-		return jp.JobPayload(h)
-	}
-	return nil
-}
-
-// EdgeStats is the replicated-edge slice of the stats report: the
-// replicator's own counters plus the gateway-side hint accounting.
-type EdgeStats struct {
-	edgelog.Stats
-	// HintHits counts miss flights served by a deferred warm hint
-	// instead of a backend evaluation.
-	HintHits uint64 `json:"hint_hits"`
-	// HintStale counts deferred hints that were still unresolvable when
-	// a miss flight consulted them; the flight fell through to the
-	// backend.
-	HintStale uint64 `json:"hint_stale"`
-}
 
 // Edge exposes the replicated-edge endpoint (nil when Options.EdgeID is
 // empty) — the boot path and tests read its stats and entries.
@@ -130,7 +57,7 @@ func (s *Server) restoreEdge() {
 		if j.State.Terminal() {
 			s.observeSettled(j)
 		} else {
-			s.edge.Accepted(j.ID, j.Tenant, j.Handle, s.jobPayload(j.Handle))
+			s.edge.Accepted(j.ID, j.Tenant, j.Handle, s.opts.Backend.JobPayload(j.Handle))
 		}
 	}
 }
@@ -146,11 +73,7 @@ func (s *Server) adoptJob(tenant string, h core.Handle, payload []proto.PushedOb
 	if s.jobs == nil {
 		return
 	}
-	if len(payload) > 0 {
-		if jp, ok := s.opts.Backend.(JobPayloader); ok {
-			jp.AbsorbPayload(payload)
-		}
-	}
+	s.opts.Backend.AbsorbPayload(payload)
 	if _, _, err := s.jobs.Submit(tenant, h); err != nil {
 		// ErrQueueFull: the entry stays accepted in the log; a later
 		// membership event (or this gateway's own death) re-designates
@@ -171,25 +94,11 @@ func (s *Server) applyHint(key, result core.Handle) bool {
 		// Nowhere to warm; consume the hint so it is not retried forever.
 		return true
 	}
-	if !s.resolvableHint(result) {
+	if !s.opts.Backend.ResolvableHint(result) {
 		return false
 	}
 	s.cache.warm(key, result)
 	return true
-}
-
-// resolvableHint reports whether a gossiped result handle is servable
-// here: literals always are (the value rides in the handle); otherwise
-// the backend's HintResolver facet decides. A backend without the facet
-// resolves nothing beyond literals — the conservative default.
-func (s *Server) resolvableHint(h core.Handle) bool {
-	if h.IsLiteral() {
-		return true
-	}
-	if hr, ok := s.opts.Backend.(HintResolver); ok {
-		return hr.ResolvableHint(h)
-	}
-	return false
 }
 
 // observeSettled is the jobs Observe hook: every live terminal

@@ -9,7 +9,6 @@ package gateway
 // depends on.
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"os"
@@ -527,7 +526,7 @@ func TestEdgeShutdownRevertOrderingTakeover(t *testing.T) {
 	aRunning := make(chan struct{}, 1)
 	// A's backend wedges until cancelled — the evaluation Close must
 	// drain. B's completes immediately.
-	backendA := &edgeFakeBackend{st: store.New(), eval: track(func(ctx context.Context) (core.Handle, error) {
+	backendA := &edgeFakeBackend{storeBackend: storeBackend{store.New()}, eval: track(func(ctx context.Context) (core.Handle, error) {
 		select {
 		case aRunning <- struct{}{}:
 		default:
@@ -535,7 +534,7 @@ func TestEdgeShutdownRevertOrderingTakeover(t *testing.T) {
 		<-ctx.Done()
 		return core.Handle{}, ctx.Err()
 	})}
-	backendB := &edgeFakeBackend{st: store.New(), eval: track(func(context.Context) (core.Handle, error) {
+	backendB := &edgeFakeBackend{storeBackend: storeBackend{store.New()}, eval: track(func(context.Context) (core.Handle, error) {
 		return core.LiteralU64(7), nil
 	})}
 
@@ -573,60 +572,10 @@ func TestEdgeShutdownRevertOrderingTakeover(t *testing.T) {
 // edgeFakeBackend is a Backend whose Eval is scripted by the test; the
 // ingestion surface rides a plain store.
 type edgeFakeBackend struct {
-	st   *store.Store
+	storeBackend
 	eval func(ctx context.Context, h core.Handle) (core.Handle, error)
 }
 
 func (f *edgeFakeBackend) Eval(ctx context.Context, h core.Handle) (core.Handle, error) {
 	return f.eval(ctx, h)
-}
-func (f *edgeFakeBackend) PutBlob(data []byte) core.Handle { return f.st.PutBlob(data) }
-func (f *edgeFakeBackend) PutTree(entries []core.Handle) (core.Handle, error) {
-	return f.st.PutTree(entries)
-}
-func (f *edgeFakeBackend) ObjectBytes(ctx context.Context, h core.Handle) ([]byte, error) {
-	return f.st.ObjectBytes(h)
-}
-
-// TestJobPayloadSameOnBothBackends: over one store, a cluster node and an
-// engine backend replicate the same payload, in the same order. An object
-// that would pass the 4 MiB budget is skipped, and later objects that fit
-// are still taken: here a 640 KiB subtree is dropped but the Blob it
-// names is kept.
-func TestJobPayloadSameOnBothBackends(t *testing.T) {
-	node := cluster.NewNode("payload", cluster.NodeOptions{Cores: 1})
-	defer node.Close()
-	st := node.Store()
-	first := st.PutBlob(bytes.Repeat([]byte{1}, 7<<19))
-	small := st.PutBlob(bytes.Repeat([]byte{2}, 100))
-	wide := make([]core.Handle, 20000)
-	for i := range wide {
-		wide[i] = core.LiteralU64(uint64(i))
-	}
-	wide[len(wide)-1] = small
-	sub, err := st.PutTree(wide)
-	if err != nil {
-		t.Fatal(err)
-	}
-	def, err := st.PutTree([]core.Handle{core.DefaultLimits.Handle(), first, sub})
-	if err != nil {
-		t.Fatal(err)
-	}
-	app, _ := core.Application(def)
-	enc, _ := core.Strict(app)
-
-	want := []core.Handle{def, first, small}
-	backends := []JobPayloader{node, NewEngineBackend(runtime.New(st, runtime.Options{Cores: 1}))}
-	for i, b := range backends {
-		got := b.JobPayload(enc)
-		if len(got) != len(want) {
-			t.Fatalf("backend %d: payload has %d objects, want %d (%v)", i, len(got), len(want), want)
-		}
-		for k, p := range got {
-			data, _ := st.ObjectBytes(want[k])
-			if p.Handle != want[k] || !bytes.Equal(p.Data, data) {
-				t.Errorf("backend %d: payload object %d = %v, want %v", i, k, p.Handle, want[k])
-			}
-		}
-	}
 }

@@ -34,6 +34,7 @@ import (
 	"fmt"
 
 	"fixgo/internal/core"
+	"fixgo/internal/proto"
 	"fixgo/internal/runtime"
 	"fixgo/internal/store"
 )
@@ -43,13 +44,29 @@ import (
 type Backend interface {
 	// Eval forces h (data, Thunk, or Encode) to a data Handle.
 	Eval(ctx context.Context, h core.Handle) (core.Handle, error)
-	// PutBlob ingests an uploaded Blob.
-	PutBlob(data []byte) core.Handle
+	// PutBlobOwned ingests an uploaded Blob whose Handle the gateway
+	// already computed with a core.BlobHasher over exactly data, taking
+	// ownership of the slice: the streaming upload path inserts without
+	// copying or re-hashing.
+	PutBlobOwned(h core.Handle, data []byte) core.Handle
 	// PutTree ingests an uploaded Tree.
 	PutTree(entries []core.Handle) (core.Handle, error)
 	// ObjectBytes returns the packed bytes of an object, fetching it
 	// from the substrate when it is not immediately at hand.
 	ObjectBytes(ctx context.Context, h core.Handle) ([]byte, error)
+	// ResolvableHint reports whether a gossiped result handle could be
+	// served right now (resident, literal, or locatable on a live peer),
+	// so a cache-warm hint never points the cache at an answer the
+	// backend cannot produce.
+	ResolvableHint(h core.Handle) bool
+	// JobPayload returns the locally resident definition closure of an
+	// accepted async job, bounded like every job payload. It rides in
+	// the job's edge-log entry, because until a worker pulls them the
+	// job's bytes live only in the accepting gateway's backend.
+	JobPayload(h core.Handle) []proto.PushedObject
+	// AbsorbPayload stores a replicated payload locally, so a peer
+	// adopting the job finds its definition resident.
+	AbsorbPayload(objs []proto.PushedObject)
 }
 
 // EngineBackend adapts an in-process runtime.Engine to the Backend
@@ -72,11 +89,7 @@ func (b *EngineBackend) Eval(ctx context.Context, h core.Handle) (core.Handle, e
 	return b.eng.Eval(ctx, h)
 }
 
-// PutBlob stores a Blob.
-func (b *EngineBackend) PutBlob(data []byte) core.Handle { return b.eng.Store().PutBlob(data) }
-
-// PutBlobOwned stores a pre-hashed Blob without copying or re-hashing,
-// taking ownership of data. Implements OwnedBlobPutter.
+// PutBlobOwned stores a pre-hashed Blob without copying or re-hashing.
 func (b *EngineBackend) PutBlobOwned(h core.Handle, data []byte) core.Handle {
 	return b.eng.Store().PutBlobOwned(h, data)
 }
@@ -89,6 +102,27 @@ func (b *EngineBackend) PutTree(entries []core.Handle) (core.Handle, error) {
 // ObjectBytes reads an object's packed bytes from the engine's store.
 func (b *EngineBackend) ObjectBytes(ctx context.Context, h core.Handle) ([]byte, error) {
 	return b.eng.Store().ObjectBytes(h)
+}
+
+// ResolvableHint reports whether the engine's store holds the result
+// (literals are always held).
+func (b *EngineBackend) ResolvableHint(h core.Handle) bool {
+	return b.eng.Store().Contains(h)
+}
+
+// JobPayload returns the definition closure resident in the engine's
+// store (store.JobPayload).
+func (b *EngineBackend) JobPayload(h core.Handle) []proto.PushedObject {
+	return b.eng.Store().JobPayload(h)
+}
+
+// AbsorbPayload ingests a replicated payload into the engine's store.
+// An object whose bytes do not match its handle is skipped: the adopted
+// job then runs as if it had not been replicated.
+func (b *EngineBackend) AbsorbPayload(objs []proto.PushedObject) {
+	for _, p := range objs {
+		_ = b.eng.Store().PutObject(p.Handle, p.Data)
+	}
 }
 
 // parseHandle reads a Handle in core's text form. The zero Handle passes

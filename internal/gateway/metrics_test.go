@@ -241,14 +241,7 @@ func TestStatsMetricsParity(t *testing.T) {
 	check("fixgate_cluster_", reflect.ValueOf(*st.Cluster))
 	check("fixgate_durable_", reflect.ValueOf(*st.Durable))
 	check("fixgate_storage_", reflect.ValueOf(*st.Storage))
-	// EdgeStats is checked at both levels: the embedded replicator
-	// snapshot (a struct field, which the reflection walk above skips)
-	// and the gateway-side hint counters declared on EdgeStats itself.
-	check("fixgate_edge_", reflect.ValueOf(st.Edge.Stats))
-	check("fixgate_edge_hint_", reflect.ValueOf(struct {
-		Hits  uint64 `json:"hits"`
-		Stale uint64 `json:"stale"`
-	}{st.Edge.HintHits, st.Edge.HintStale}))
+	check("fixgate_edge_", reflect.ValueOf(*st.Edge))
 
 	for _, want := range []string{
 		"fixgate_tenant_jobs_total", "fixgate_tenant_hits_total",

@@ -138,8 +138,6 @@ type Server struct {
 	jobsFailed atomic.Uint64
 	batches    atomic.Uint64
 	batchItems atomic.Uint64
-	hintHits   atomic.Uint64
-	hintStale  atomic.Uint64
 }
 
 // BatchStats is the /v1/jobs:batch accounting slice of the stats report.
@@ -181,8 +179,8 @@ type Stats struct {
 	Storage *storage.Stats `json:"storage,omitempty"`
 	// Edge is the replicated-edge snapshot (nil when this gateway is not
 	// part of one): membership, log size, replication and takeover
-	// counters, warm-hint gossip, and peer replication lag.
-	Edge    *EdgeStats              `json:"edge,omitempty"`
+	// counters, warm-hint gossip and hint hits, and peer replication lag.
+	Edge    *edgelog.Stats          `json:"edge,omitempty"`
 	Tenants map[string]*TenantStats `json:"tenants"`
 }
 
@@ -197,15 +195,6 @@ type netStatser interface {
 // surfaces it in /v1/stats and as the fixgate_storage_* families.
 type storageStatser interface {
 	StorageStats() *storage.Stats
-}
-
-// OwnedBlobPutter is the optional Backend facet for the streaming upload
-// path: the gateway hashes the body incrementally while reading it and
-// hands over an owned slice plus its precomputed Handle, so the backend
-// can insert without copying or re-hashing. cluster.Node and
-// *EngineBackend implement it.
-type OwnedBlobPutter interface {
-	PutBlobOwned(h core.Handle, data []byte) core.Handle
 }
 
 // NewServer builds a gateway over opts.Backend.
@@ -375,11 +364,8 @@ func (s *Server) Stats() Stats {
 		out.Storage = ss.StorageStats()
 	}
 	if s.edge != nil {
-		out.Edge = &EdgeStats{
-			Stats:     s.edge.Stats(),
-			HintHits:  s.hintHits.Load(),
-			HintStale: s.hintStale.Load(),
-		}
+		es := s.edge.Stats()
+		out.Edge = &es
 	}
 	if s.opts.DurableStats != nil {
 		ds := s.opts.DurableStats()
@@ -470,12 +456,7 @@ func (s *Server) handlePutBlob(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	h := hasher.Handle()
-	if op, ok := s.opts.Backend.(OwnedBlobPutter); ok {
-		h = op.PutBlobOwned(h, data)
-	} else {
-		h = s.opts.Backend.PutBlob(data)
-	}
+	h := s.opts.Backend.PutBlobOwned(hasher.Handle(), data)
 	t.uploads.Add(1)
 	replyHandle(w, h)
 }
@@ -755,12 +736,8 @@ func (s *Server) lead(ctx context.Context, t *obsv.Trace, h core.Handle, wait bo
 	// resolvable now → the flight is the hint; still stale → fall
 	// through, and the evaluation replaces the hint.
 	if s.edge != nil {
-		if hint, ok := s.edge.TakeHint(h.AsObject()); ok {
-			if s.resolvableHint(hint) {
-				s.hintHits.Add(1)
-				return hint, nil
-			}
-			s.hintStale.Add(1)
+		if hint, ok := s.edge.TakeHint(h.AsObject(), s.opts.Backend.ResolvableHint); ok {
+			return hint, nil
 		}
 	}
 	sp := t.StartSpan("queue_wait", "")

@@ -16,6 +16,7 @@ import (
 	"fixgo/internal/cluster"
 	"fixgo/internal/codelet"
 	"fixgo/internal/core"
+	"fixgo/internal/proto"
 	"fixgo/internal/runtime"
 	"fixgo/internal/store"
 	"fixgo/internal/transport"
@@ -134,7 +135,7 @@ func TestTenantAccounting(t *testing.T) {
 // stand-in for a cluster whose every evaluation costs network and
 // compute.
 type slowBackend struct {
-	st    *store.Store
+	storeBackend
 	delay time.Duration
 	evals atomic.Int64
 	// running counts evaluations in progress; peak is its high-water mark.
@@ -155,12 +156,27 @@ func (b *slowBackend) Eval(ctx context.Context, h core.Handle) (core.Handle, err
 	return core.LiteralU64(42), nil
 }
 
-func (b *slowBackend) PutBlob(data []byte) core.Handle { return b.st.PutBlob(data) }
-func (b *slowBackend) PutTree(entries []core.Handle) (core.Handle, error) {
+// storeBackend is every Backend method but Eval over a plain store; the
+// fakes embed it and script Eval.
+type storeBackend struct{ st *store.Store }
+
+func (b storeBackend) PutBlobOwned(h core.Handle, data []byte) core.Handle {
+	return b.st.PutBlobOwned(h, data)
+}
+func (b storeBackend) PutTree(entries []core.Handle) (core.Handle, error) {
 	return b.st.PutTree(entries)
 }
-func (b *slowBackend) ObjectBytes(ctx context.Context, h core.Handle) ([]byte, error) {
+func (b storeBackend) ObjectBytes(ctx context.Context, h core.Handle) ([]byte, error) {
 	return b.st.ObjectBytes(h)
+}
+func (b storeBackend) ResolvableHint(h core.Handle) bool { return b.st.Contains(h) }
+func (b storeBackend) JobPayload(h core.Handle) []proto.PushedObject {
+	return b.st.JobPayload(h)
+}
+func (b storeBackend) AbsorbPayload(objs []proto.PushedObject) {
+	for _, p := range objs {
+		_ = b.st.PutObject(p.Handle, p.Data)
+	}
 }
 
 // TestCollapseBeatsNoCache is the cache's acceptance check at the HTTP
@@ -195,7 +211,7 @@ func TestCollapseBeatsNoCache(t *testing.T) {
 	}
 
 	// Cached gateway: one backend evaluation, K−1 collapsed/hit.
-	cachedBack := &slowBackend{st: store.New(), delay: delay}
+	cachedBack := &slowBackend{storeBackend: storeBackend{store.New()}, delay: delay}
 	cachedSrv, cachedClient := newTestGateway(t, Options{
 		Backend: cachedBack, CacheEntries: 64, MaxInFlight: 4, MaxQueue: K,
 	})
@@ -209,7 +225,7 @@ func TestCollapseBeatsNoCache(t *testing.T) {
 	}
 
 	// No-cache gateway: every submission pays, throttled by admission.
-	plainBack := &slowBackend{st: store.New(), delay: delay}
+	plainBack := &slowBackend{storeBackend: storeBackend{store.New()}, delay: delay}
 	_, plainClient := newTestGateway(t, Options{
 		Backend: plainBack, CacheEntries: 0, MaxInFlight: 4, MaxQueue: K,
 	})
@@ -231,7 +247,7 @@ func TestCollapseBeatsNoCache(t *testing.T) {
 // a collapsed evaluation may vanish; the waiters riding its flight must
 // still get the answer.
 func TestLeaderDisconnectDoesNotKillFlight(t *testing.T) {
-	back := &slowBackend{st: store.New(), delay: 150 * time.Millisecond}
+	back := &slowBackend{storeBackend: storeBackend{store.New()}, delay: 150 * time.Millisecond}
 	_, c := newTestGateway(t, Options{Backend: back, CacheEntries: 16})
 	th := key(9)
 
@@ -264,24 +280,17 @@ func TestLeaderDisconnectDoesNotKillFlight(t *testing.T) {
 
 // panicBackend blows up on Eval — a stand-in for a buggy native
 // function.
-type panicBackend struct{ st *store.Store }
+type panicBackend struct{ storeBackend }
 
 func (b *panicBackend) Eval(ctx context.Context, h core.Handle) (core.Handle, error) {
 	panic("boom")
-}
-func (b *panicBackend) PutBlob(data []byte) core.Handle { return b.st.PutBlob(data) }
-func (b *panicBackend) PutTree(entries []core.Handle) (core.Handle, error) {
-	return b.st.PutTree(entries)
-}
-func (b *panicBackend) ObjectBytes(ctx context.Context, h core.Handle) ([]byte, error) {
-	return b.st.ObjectBytes(h)
 }
 
 // TestEvalPanicDoesNotWedgeFlight: a panicking evaluation must tear its
 // flight down so later submissions of the same handle don't block on a
 // dead channel forever.
 func TestEvalPanicDoesNotWedgeFlight(t *testing.T) {
-	_, c := newTestGateway(t, Options{Backend: &panicBackend{st: store.New()}, CacheEntries: 16})
+	_, c := newTestGateway(t, Options{Backend: &panicBackend{storeBackend{store.New()}}, CacheEntries: 16})
 	th := key(11)
 	ctx := context.Background()
 	for i := 0; i < 2; i++ {
@@ -302,7 +311,7 @@ func TestEvalPanicDoesNotWedgeFlight(t *testing.T) {
 }
 
 func TestAdmissionSheds429(t *testing.T) {
-	back := &slowBackend{st: store.New(), delay: 200 * time.Millisecond}
+	back := &slowBackend{storeBackend: storeBackend{store.New()}, delay: 200 * time.Millisecond}
 	srv, c := newTestGateway(t, Options{Backend: back, MaxInFlight: 1, MaxQueue: 1})
 	ctx := context.Background()
 
@@ -409,13 +418,16 @@ func (b *fatalBackend) Eval(ctx context.Context, h core.Handle) (core.Handle, er
 	b.t.Error("backend.Eval called; warmed cache should have answered")
 	return core.Handle{}, fmt.Errorf("unexpected eval")
 }
-func (b *fatalBackend) PutBlob(data []byte) core.Handle { return core.BlobHandle(data) }
+func (b *fatalBackend) PutBlobOwned(h core.Handle, data []byte) core.Handle { return h }
 func (b *fatalBackend) PutTree(entries []core.Handle) (core.Handle, error) {
 	return core.TreeHandle(entries), nil
 }
 func (b *fatalBackend) ObjectBytes(ctx context.Context, h core.Handle) ([]byte, error) {
 	return nil, fmt.Errorf("not resident")
 }
+func (b *fatalBackend) ResolvableHint(h core.Handle) bool             { return h.IsLiteral() }
+func (b *fatalBackend) JobPayload(h core.Handle) []proto.PushedObject { return nil }
+func (b *fatalBackend) AbsorbPayload(objs []proto.PushedObject)       {}
 
 // TestUploadBodyLimits: every ingestion endpoint bounds its request body
 // — an oversized upload draws 413, not an unbounded read into memory.

@@ -116,15 +116,6 @@ func (r *Ring) Owners(key core.Handle, n int) []string {
 	return out
 }
 
-// Primary returns the key's first owner ("" on an empty ring).
-func (r *Ring) Primary(key core.Handle) string {
-	o := r.Owners(key, 1)
-	if len(o) == 0 {
-		return ""
-	}
-	return o[0]
-}
-
 func pointHash(id string, vnode int) uint64 {
 	f := fnv.New64a()
 	f.Write([]byte(id))

@@ -219,3 +219,12 @@ func TestReplicaTrackerAddAllocs(t *testing.T) {
 		t.Fatalf("Owners = %v", got)
 	}
 }
+
+// Primary returns the key's first owner ("" on an empty ring).
+func (r *Ring) Primary(key core.Handle) string {
+	o := r.Owners(key, 1)
+	if len(o) == 0 {
+		return ""
+	}
+	return o[0]
+}

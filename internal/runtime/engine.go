@@ -123,18 +123,6 @@ func (e *Engine) EvalBlob(ctx context.Context, h core.Handle) ([]byte, error) {
 	return e.st.Blob(r)
 }
 
-// EvalTree evaluates h and returns the resulting Tree's entries.
-func (e *Engine) EvalTree(ctx context.Context, h core.Handle) ([]core.Handle, error) {
-	r, err := e.Eval(ctx, h)
-	if err != nil {
-		return nil, err
-	}
-	if err := e.ensureLocal(ctx, r); err != nil {
-		return nil, err
-	}
-	return e.st.Tree(r)
-}
-
 func (e *Engine) eval(ctx context.Context, h core.Handle, depth int) (core.Handle, error) {
 	if depth > maxEvalDepth {
 		return core.Handle{}, ErrDepthExceeded

@@ -801,3 +801,15 @@ func TestGrantsBeyondInlineHeld(t *testing.T) {
 		t.Fatalf("eval = %v, want the last argument %v", got, args[len(args)-1])
 	}
 }
+
+// EvalTree evaluates h and returns the resulting Tree's entries.
+func (e *Engine) EvalTree(ctx context.Context, h core.Handle) ([]core.Handle, error) {
+	r, err := e.Eval(ctx, h)
+	if err != nil {
+		return nil, err
+	}
+	if err := e.ensureLocal(ctx, r); err != nil {
+		return nil, err
+	}
+	return e.st.Tree(r)
+}
