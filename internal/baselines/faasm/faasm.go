@@ -59,7 +59,6 @@ type Runtime struct {
 	progs   map[string]*codelet.Program
 	zygotes map[string][]byte
 	scratch []byte
-	invoked int64
 }
 
 // New creates a runtime over st.
@@ -72,9 +71,6 @@ func New(st *store.Store, opts Options) *Runtime {
 		zygotes: make(map[string][]byte),
 	}
 }
-
-// Store returns the runtime's object store.
-func (r *Runtime) Store() *store.Store { return r.st }
 
 // Register deploys a codelet under a function name, pre-validating it and
 // building its zygote snapshot (done once, like Faasm's proto-functions).
@@ -114,17 +110,7 @@ func (r *Runtime) Invoke(ctx context.Context, name string, input core.Handle) (c
 	copy(restored, zygote)
 	_ = restored
 
-	r.mu.Lock()
-	r.invoked++
-	r.mu.Unlock()
 	return prog.Apply(core.BasicAPI{S: r.st}, input)
-}
-
-// Invocations reports the number of completed invocations.
-func (r *Runtime) Invocations() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.invoked
 }
 
 func sleepCtx(ctx context.Context, d time.Duration) error {

@@ -32,9 +32,6 @@ func TestInvokeAddCodelet(t *testing.T) {
 	if v, _ := core.DecodeU64(data); v != 42 {
 		t.Fatalf("add = %d", v)
 	}
-	if r.Invocations() != 1 {
-		t.Fatalf("invocations = %d", r.Invocations())
-	}
 }
 
 func TestRegisterRejectsBadBytecode(t *testing.T) {

@@ -20,7 +20,7 @@ import (
 	"sync"
 	"time"
 
-	"fixgo/internal/objstore"
+	"fixgo/internal/baselines/s3sim"
 	"fixgo/internal/stats"
 )
 
@@ -43,7 +43,7 @@ type Options struct {
 	// once per workflow trigger and once for the reply — not per step.
 	ClientLatency time.Duration
 	// Store is the external object store (MinIO analog).
-	Store *objstore.Store
+	Store *s3sim.Store
 }
 
 func (o Options) withDefaults() Options {
@@ -82,9 +82,6 @@ func (e *Engine) Register(name string, fn Func) {
 	defer e.mu.Unlock()
 	e.fns[name] = fn
 }
-
-// Stats returns the engine's CPU accounting.
-func (e *Engine) Stats() *stats.Collector { return e.stats }
 
 // RunChain triggers a workflow whose stages are chained by function-level
 // dependencies (output of stage i feeds stage i+1). The client pays its
@@ -169,7 +166,7 @@ func (e *Engine) invoke(ctx context.Context, name string, input []byte) ([]byte,
 
 // Env is the per-invocation environment.
 type Env struct {
-	store *objstore.Store
+	store *s3sim.Store
 	ioDur time.Duration
 }
 
@@ -184,17 +181,6 @@ func (env *Env) GetObject(ctx context.Context, key string) ([]byte, error) {
 	data, err := env.store.Get(ctx, key)
 	env.ioDur += time.Since(start)
 	return data, err
-}
-
-// PutObject writes to external storage.
-func (env *Env) PutObject(ctx context.Context, key string, data []byte) error {
-	if env.store == nil {
-		return fmt.Errorf("pheromone: no object store configured")
-	}
-	start := time.Now()
-	err := env.store.Put(ctx, key, data)
-	env.ioDur += time.Since(start)
-	return err
 }
 
 func sleepCtx(ctx context.Context, d time.Duration) error {

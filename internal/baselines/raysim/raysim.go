@@ -441,9 +441,6 @@ type TaskCtx struct {
 // immediately; resolution happens asynchronously.
 func (tc *TaskCtx) Forward(r Ref) { tc.forward = &r }
 
-// Node reports the executing node index.
-func (tc *TaskCtx) Node() int { return tc.node }
-
 // Get is a blocking ray.get: it holds this task's worker slot while the
 // object completes and transfers to the local node — the starvation the
 // paper's Listing 2 illustrates.
@@ -467,13 +464,6 @@ func (tc *TaskCtx) Get(ctx context.Context, r Ref) ([]byte, error) {
 		return nil, err
 	}
 	return o.data, nil
-}
-
-// Put stores a new object on the local node.
-func (tc *TaskCtx) Put(data []byte) Ref {
-	tc.c.mu.Lock()
-	defer tc.c.mu.Unlock()
-	return tc.c.putLocked(tc.node, data)
 }
 
 // Submit is a continuation-passing-style task launch from inside a task

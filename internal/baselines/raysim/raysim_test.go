@@ -66,7 +66,7 @@ func TestLocalityScheduling(t *testing.T) {
 	c := NewCluster(Options{Nodes: 4, CoresPerNode: 1, TaskOverhead: time.Microsecond, GetOverhead: time.Microsecond, Seed: 7})
 	defer c.Close()
 	c.Register("where", func(tc *TaskCtx, args []Arg) ([]byte, error) {
-		return []byte(fmt.Sprintf("%d", tc.Node())), nil
+		return []byte(fmt.Sprintf("%d", tc.node)), nil
 	})
 	ctx := context.Background()
 	// A big object on node 2 should attract the task there.

@@ -18,7 +18,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"fixgo/internal/objstore"
+	"fixgo/internal/baselines/s3sim"
 	"fixgo/internal/stats"
 )
 
@@ -44,7 +44,7 @@ type Options struct {
 	InvokeOverhead time.Duration
 	ColdStart      time.Duration
 	// Store is the MinIO-analog object store actions read and write.
-	Store *objstore.Store
+	Store *s3sim.Store
 }
 
 func (o Options) withDefaults() Options {
@@ -101,9 +101,6 @@ func (p *Platform) Register(name string, a Action) {
 	defer p.mu.Unlock()
 	p.actions[name] = a
 }
-
-// Store returns the platform's object store.
-func (p *Platform) Store() *objstore.Store { return p.opts.Store }
 
 // Usage merges per-node CPU accounting over a wall interval.
 func (p *Platform) Usage(wall time.Duration) stats.Usage {

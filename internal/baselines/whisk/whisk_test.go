@@ -7,12 +7,12 @@ import (
 	"testing"
 	"time"
 
-	"fixgo/internal/objstore"
+	"fixgo/internal/baselines/s3sim"
 )
 
 func testPlatform(opts Options) *Platform {
 	if opts.Store == nil {
-		opts.Store = objstore.New(objstore.Config{})
+		opts.Store = s3sim.New(s3sim.Config{})
 	}
 	if opts.InvokeOverhead == 0 {
 		opts.InvokeOverhead = time.Microsecond
@@ -60,7 +60,7 @@ func TestColdThenWarm(t *testing.T) {
 }
 
 func TestInternalIOAccounting(t *testing.T) {
-	store := objstore.New(objstore.Config{Latency: 30 * time.Millisecond})
+	store := s3sim.New(s3sim.Config{Latency: 30 * time.Millisecond})
 	p := testPlatform(Options{Nodes: 1, CoresPerNode: 1, Store: store})
 	store.Put(context.Background(), "input", []byte("data"))
 	p.Register("fetch", func(ctx context.Context, inv *Invocation) ([]byte, error) {
@@ -82,7 +82,7 @@ func TestInternalIOAccounting(t *testing.T) {
 func TestSlotContention(t *testing.T) {
 	// 1 node × 1 core: two invocations that each hold the slot 30ms
 	// while "fetching" must serialize (internal I/O starvation).
-	store := objstore.New(objstore.Config{Latency: 30 * time.Millisecond})
+	store := s3sim.New(s3sim.Config{Latency: 30 * time.Millisecond})
 	p := testPlatform(Options{Nodes: 1, CoresPerNode: 1, Store: store})
 	store.Put(context.Background(), "k", []byte("v"))
 	p.Register("fetch", func(ctx context.Context, inv *Invocation) ([]byte, error) {
@@ -140,7 +140,7 @@ func TestParamsAndPut(t *testing.T) {
 	if _, err := p.Invoke(context.Background(), "store", map[string]string{"n": "10"}); err != nil {
 		t.Fatal(err)
 	}
-	data, err := p.Store().Get(context.Background(), "out")
+	data, err := p.opts.Store.Get(context.Background(), "out")
 	if err != nil || len(data) != 10 {
 		t.Fatalf("%d %v", len(data), err)
 	}

@@ -9,10 +9,10 @@ import (
 	"time"
 
 	"fixgo/internal/baselines/raysim"
+	"fixgo/internal/baselines/s3sim"
 	"fixgo/internal/baselines/whisk"
 	"fixgo/internal/buildsys"
 	"fixgo/internal/cluster"
-	"fixgo/internal/objstore"
 	"fixgo/internal/runtime"
 	"fixgo/internal/transport"
 )
@@ -90,7 +90,7 @@ func fig10Fixpoint(s Scale, p *buildsys.Project, want []byte) (time.Duration, er
 }
 
 func fig10Ray(s Scale, p *buildsys.Project, want []byte) (time.Duration, error) {
-	store := objstore.New(objstore.Config{Latency: s.StoreLatency, Bandwidth: s.StoreBW})
+	store := s3sim.New(s3sim.Config{Latency: s.StoreLatency, Bandwidth: s.StoreBW})
 	ctx := context.Background()
 	if err := store.Put(ctx, "headers", p.Headers); err != nil {
 		return 0, err
@@ -175,12 +175,12 @@ func fig10Ray(s Scale, p *buildsys.Project, want []byte) (time.Duration, error) 
 	return wall, nil
 }
 
-func storeGet(ctx context.Context, s *objstore.Store, key string) ([]byte, error) {
+func storeGet(ctx context.Context, s *s3sim.Store, key string) ([]byte, error) {
 	return s.Get(ctx, key)
 }
 
 func fig10Whisk(s Scale, p *buildsys.Project, want []byte) (time.Duration, error) {
-	store := objstore.New(objstore.Config{Latency: s.StoreLatency, Bandwidth: s.StoreBW})
+	store := s3sim.New(s3sim.Config{Latency: s.StoreLatency, Bandwidth: s.StoreBW})
 	ctx := context.Background()
 	if err := store.Put(ctx, "headers", p.Headers); err != nil {
 		return 0, err

@@ -11,10 +11,10 @@ import (
 	"fixgo/internal/baselines/faasm"
 	"fixgo/internal/baselines/pheromone"
 	"fixgo/internal/baselines/raysim"
+	"fixgo/internal/baselines/s3sim"
 	"fixgo/internal/baselines/whisk"
 	"fixgo/internal/codelet"
 	"fixgo/internal/core"
-	"fixgo/internal/objstore"
 	"fixgo/internal/runtime"
 	"fixgo/internal/store"
 )
@@ -253,7 +253,7 @@ func fig7aFaasm(n int) (time.Duration, error) {
 }
 
 func fig7aWhisk(n int) (time.Duration, error) {
-	p := whisk.New(whisk.Options{Nodes: 1, CoresPerNode: 1, Store: objstore.New(objstore.Config{})})
+	p := whisk.New(whisk.Options{Nodes: 1, CoresPerNode: 1, Store: s3sim.New(s3sim.Config{})})
 	p.Register("add", func(ctx context.Context, inv *whisk.Invocation) ([]byte, error) {
 		a, _ := strconv.Atoi(inv.Params["a"])
 		b, _ := strconv.Atoi(inv.Params["b"])

@@ -6,8 +6,8 @@ import (
 	"sync"
 	"time"
 
+	"fixgo/internal/baselines/s3sim"
 	"fixgo/internal/core"
-	"fixgo/internal/objstore"
 	"fixgo/internal/runtime"
 	"fixgo/internal/store"
 )
@@ -40,7 +40,7 @@ func Fig8a(s Scale) (Result, error) {
 }
 
 func fig8aRun(s Scale, internalIO bool) (time.Duration, usageLite, error) {
-	remote := objstore.New(objstore.Config{Latency: s.StorageLatency})
+	remote := s3sim.New(s3sim.Config{Latency: s.StorageLatency})
 	ctx := context.Background()
 
 	st := store.New()

@@ -9,10 +9,10 @@ import (
 
 	"fixgo/internal/baselines/pheromone"
 	"fixgo/internal/baselines/raysim"
+	"fixgo/internal/baselines/s3sim"
 	"fixgo/internal/baselines/whisk"
 	"fixgo/internal/cluster"
 	"fixgo/internal/core"
-	"fixgo/internal/objstore"
 	"fixgo/internal/runtime"
 	"fixgo/internal/stats"
 	"fixgo/internal/transport"
@@ -244,7 +244,7 @@ func fig8bRay(s Scale, chunks [][]byte, want uint64, cps bool) (time.Duration, e
 }
 
 func fig8bPheromone(s Scale, chunks [][]byte, want uint64) (time.Duration, error) {
-	store := objstore.New(objstore.Config{Latency: s.Fig8bStoreLatency, Bandwidth: s.Fig8bStoreBW})
+	store := s3sim.New(s3sim.Config{Latency: s.Fig8bStoreLatency, Bandwidth: s.Fig8bStoreBW})
 	ctx := context.Background()
 	inputs := make([][]byte, len(chunks))
 	for i, data := range chunks {
@@ -285,7 +285,7 @@ func fig8bPheromone(s Scale, chunks [][]byte, want uint64) (time.Duration, error
 }
 
 func fig8bWhisk(s Scale, chunks [][]byte, want uint64) (time.Duration, stats.Usage, error) {
-	store := objstore.New(objstore.Config{Latency: s.Fig8bStoreLatency, Bandwidth: s.Fig8bStoreBW})
+	store := s3sim.New(s3sim.Config{Latency: s.Fig8bStoreLatency, Bandwidth: s.Fig8bStoreBW})
 	ctx := context.Background()
 	for i, data := range chunks {
 		if err := store.Put(ctx, fmt.Sprintf("chunk-%d", i), data); err != nil {

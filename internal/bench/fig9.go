@@ -106,15 +106,15 @@ func fig9Fix(s Scale, arity int, keys []string, values [][]byte, queryIdx []int)
 func fig9Ray(s Scale, arity int, keys []string, values [][]byte, queryIdx []int, cps bool) (time.Duration, error) {
 	c := raysim.NewCluster(raysim.Options{Nodes: 1, CoresPerNode: 1, Seed: 5})
 	defer c.Close()
-	bptree.RegisterRay(c)
-	root, err := bptree.BuildRay(c, 0, arity, keys, values)
+	registerRay(c)
+	root, err := buildRay(c, 0, arity, keys, values)
 	if err != nil {
 		return 0, err
 	}
 	ctx := context.Background()
-	get := bptree.GetRayBlocking
+	get := getRayBlocking
 	if cps {
-		get = bptree.GetRayCPS
+		get = getRayCPS
 	}
 	if _, err := get(ctx, c, root, keys[0]); err != nil {
 		return 0, err

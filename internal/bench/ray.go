@@ -1,4 +1,4 @@
-package bptree
+package bench
 
 import (
 	"context"
@@ -7,15 +7,17 @@ import (
 	"sort"
 
 	"fixgo/internal/baselines/raysim"
+	"fixgo/internal/bptree"
 )
 
+// Fig. 9's Ray arm: the B+-tree of internal/bptree in a raysim cluster.
 // Ray representation (section 5.4): each node is a pair of objects — the
 // key array, and a children list of ObjectRef IDs. An internal node's
 // children entries are (keysRefID, childrenRefID) pairs for the subnodes;
 // a leaf's entries are value ObjectRef IDs.
 
-// RayRoot names the root node's two objects.
-type RayRoot struct {
+// rayRoot names the root node's two objects.
+type rayRoot struct {
 	Keys     raysim.Ref
 	Children raysim.Ref
 	Depth    int
@@ -37,10 +39,10 @@ func decodeRefIDs(data []byte) []uint64 {
 	return out
 }
 
-// BuildRay mirrors Build into a raysim cluster's object store on node.
-func BuildRay(c *raysim.Cluster, node, arity int, keys []string, values [][]byte) (RayRoot, error) {
+// buildRay mirrors bptree.Build into a raysim cluster's object store on node.
+func buildRay(c *raysim.Cluster, node, arity int, keys []string, values [][]byte) (rayRoot, error) {
 	if arity < 2 || len(keys) != len(values) || len(keys) == 0 || !sort.StringsAreSorted(keys) {
-		return RayRoot{}, fmt.Errorf("bptree: invalid ray build inputs")
+		return rayRoot{}, fmt.Errorf("bench: invalid ray build inputs")
 	}
 	type rnode struct {
 		keys, children raysim.Ref
@@ -49,7 +51,7 @@ func BuildRay(c *raysim.Cluster, node, arity int, keys []string, values [][]byte
 	var level []rnode
 	for i := 0; i < len(keys); i += arity {
 		end := min(i+arity, len(keys))
-		keysRef := c.Put(node, EncodeKeys(true, keys[i:end]))
+		keysRef := c.Put(node, bptree.EncodeKeys(true, keys[i:end]))
 		ids := make([]uint64, 0, end-i)
 		for _, v := range values[i:end] {
 			ids = append(ids, c.Put(node, v).ID)
@@ -69,7 +71,7 @@ func BuildRay(c *raysim.Cluster, node, arity int, keys []string, values [][]byte
 				ids = append(ids, ch.keys.ID, ch.children.ID)
 			}
 			next = append(next, rnode{
-				keys:     c.Put(node, EncodeKeys(false, mins)),
+				keys:     c.Put(node, bptree.EncodeKeys(false, mins)),
 				children: c.Put(node, encodeRefIDs(ids)),
 				min:      group[0].min,
 			})
@@ -77,11 +79,11 @@ func BuildRay(c *raysim.Cluster, node, arity int, keys []string, values [][]byte
 		level = next
 		depth++
 	}
-	return RayRoot{Keys: level[0].keys, Children: level[0].children, Depth: depth}, nil
+	return rayRoot{Keys: level[0].keys, Children: level[0].children, Depth: depth}, nil
 }
 
-// RegisterRay installs the two traversal styles of Listings 2 and 3.
-func RegisterRay(c *raysim.Cluster) {
+// registerRay installs the two traversal styles of Listings 2 and 3.
+func registerRay(c *raysim.Cluster) {
 	// Blocking style: one task per query; each level performs two
 	// blocking gets (keys, children list) while holding its worker slot.
 	c.Register("bptree/get_blocking", func(tc *raysim.TaskCtx, args []raysim.Arg) ([]byte, error) {
@@ -97,7 +99,7 @@ func RegisterRay(c *raysim.Cluster) {
 			if err != nil {
 				return nil, err
 			}
-			isLeaf, keys, err := DecodeKeys(kb)
+			isLeaf, keys, err := bptree.DecodeKeys(kb)
 			if err != nil {
 				return nil, err
 			}
@@ -109,7 +111,7 @@ func RegisterRay(c *raysim.Cluster) {
 				}
 				return tc.Get(ctx, raysim.Ref{ID: ids[i]})
 			}
-			i, ok := childIndex(keys, key)
+			i, ok := bptree.ChildIndex(keys, key)
 			if !ok {
 				return nil, fmt.Errorf("bptree: key %q below minimum", key)
 			}
@@ -123,7 +125,6 @@ func RegisterRay(c *raysim.Cluster) {
 	c.Register("bptree/cps_keys", func(tc *raysim.TaskCtx, args []raysim.Arg) ([]byte, error) {
 		// args: key, keysRef (pulled), childrenRef (id by value)
 		ctx := context.Background()
-		key := string(args[0].Data)
 		kb, err := tc.Get(ctx, args[1].Ref) // local: pulled before run
 		if err != nil {
 			return nil, err
@@ -133,7 +134,6 @@ func RegisterRay(c *raysim.Cluster) {
 		if err != nil {
 			return nil, err
 		}
-		_ = key
 		tc.Forward(next)
 		return nil, nil
 	})
@@ -141,7 +141,7 @@ func RegisterRay(c *raysim.Cluster) {
 		// args: key, keysBlob (by value), childrenRef (pulled)
 		ctx := context.Background()
 		key := string(args[0].Data)
-		isLeaf, keys, err := DecodeKeys(args[1].Data)
+		isLeaf, keys, err := bptree.DecodeKeys(args[1].Data)
 		if err != nil {
 			return nil, err
 		}
@@ -162,7 +162,7 @@ func RegisterRay(c *raysim.Cluster) {
 			tc.Forward(next)
 			return nil, nil
 		}
-		i, ok := childIndex(keys, key)
+		i, ok := bptree.ChildIndex(keys, key)
 		if !ok {
 			return nil, fmt.Errorf("bptree: key %q below minimum", key)
 		}
@@ -181,8 +181,8 @@ func RegisterRay(c *raysim.Cluster) {
 	})
 }
 
-// GetRayBlocking runs a blocking-style lookup from the driver.
-func GetRayBlocking(ctx context.Context, c *raysim.Cluster, root RayRoot, key string) ([]byte, error) {
+// getRayBlocking runs a blocking-style lookup from the driver.
+func getRayBlocking(ctx context.Context, c *raysim.Cluster, root rayRoot, key string) ([]byte, error) {
 	ref, err := c.Submit(ctx, "bptree/get_blocking",
 		raysim.ByValue([]byte(key)), raysim.ByRef(root.Keys), raysim.ByRef(root.Children))
 	if err != nil {
@@ -191,8 +191,8 @@ func GetRayBlocking(ctx context.Context, c *raysim.Cluster, root RayRoot, key st
 	return c.Get(ctx, ref)
 }
 
-// GetRayCPS runs a continuation-passing-style lookup from the driver.
-func GetRayCPS(ctx context.Context, c *raysim.Cluster, root RayRoot, key string) ([]byte, error) {
+// getRayCPS runs a continuation-passing-style lookup from the driver.
+func getRayCPS(ctx context.Context, c *raysim.Cluster, root rayRoot, key string) ([]byte, error) {
 	ref, err := c.Submit(ctx, "bptree/cps_keys",
 		raysim.ByValue([]byte(key)), raysim.ByRef(root.Keys), raysim.ByRef(root.Children))
 	if err != nil {

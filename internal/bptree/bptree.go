@@ -59,9 +59,9 @@ func DecodeKeys(data []byte) (isLeaf bool, keys []string, err error) {
 	return isLeaf, keys, nil
 }
 
-// childIndex picks the child to descend into: the last child whose
+// ChildIndex picks the child to descend into: the last child whose
 // minimum key is ≤ key.
-func childIndex(keys []string, key string) (int, bool) {
+func ChildIndex(keys []string, key string) (int, bool) {
 	i := sort.SearchStrings(keys, key)
 	if i < len(keys) && keys[i] == key {
 		return i, true
@@ -167,7 +167,7 @@ func GetDirect(st core.Store, root Root, key string) ([]byte, error) {
 			}
 			return st.Blob(entries[1+i])
 		}
-		i, ok := childIndex(keys, key)
+		i, ok := ChildIndex(keys, key)
 		if !ok {
 			return nil, fmt.Errorf("bptree: key %q below minimum", key)
 		}
@@ -220,7 +220,7 @@ func Register(reg *runtime.Registry) {
 			}
 			return api.Strict(sel)
 		}
-		i, ok := childIndex(keys, key)
+		i, ok := ChildIndex(keys, key)
 		if !ok {
 			return core.Handle{}, fmt.Errorf("bptree/get: key %q below minimum", key)
 		}

@@ -6,9 +6,7 @@ import (
 	"fmt"
 	"testing"
 	"testing/quick"
-	"time"
 
-	"fixgo/internal/baselines/raysim"
 	"fixgo/internal/core"
 	"fixgo/internal/runtime"
 	"fixgo/internal/store"
@@ -179,79 +177,6 @@ func TestFixTraversalMinimalFootprint(t *testing.T) {
 	// require far fewer fetches than the ~560 objects in the tree.
 	if fetches > 4*root.Depth+4 {
 		t.Fatalf("fetched %d objects for one lookup at depth %d", fetches, root.Depth)
-	}
-}
-
-func newRayCluster(t *testing.T) *raysim.Cluster {
-	t.Helper()
-	c := raysim.NewCluster(raysim.Options{Nodes: 1, CoresPerNode: 1,
-		TaskOverhead: 10 * time.Microsecond, GetOverhead: time.Microsecond})
-	t.Cleanup(c.Close)
-	RegisterRay(c)
-	return c
-}
-
-func TestRayBlockingTraversal(t *testing.T) {
-	c := newRayCluster(t)
-	keys, values := testData(300)
-	root, err := BuildRay(c, 0, 8, keys, values)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	for i := 0; i < len(keys); i += 41 {
-		got, err := GetRayBlocking(ctx, c, root, keys[i])
-		if err != nil {
-			t.Fatalf("key %d: %v", i, err)
-		}
-		if !bytes.Equal(got, values[i]) {
-			t.Fatalf("key %d mismatch", i)
-		}
-	}
-}
-
-func TestRayCPSTraversal(t *testing.T) {
-	c := newRayCluster(t)
-	keys, values := testData(300)
-	root, err := BuildRay(c, 0, 8, keys, values)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	for i := 0; i < len(keys); i += 41 {
-		got, err := GetRayCPS(ctx, c, root, keys[i])
-		if err != nil {
-			t.Fatalf("key %d: %v", i, err)
-		}
-		if !bytes.Equal(got, values[i]) {
-			t.Fatalf("key %d mismatch", i)
-		}
-	}
-}
-
-func TestRayCPSUsesMoreInvocations(t *testing.T) {
-	c := newRayCluster(t)
-	keys, values := testData(256)
-	root, err := BuildRay(c, 0, 4, keys, values)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	if _, err := GetRayBlocking(ctx, c, root, keys[100]); err != nil {
-		t.Fatal(err)
-	}
-	tasks, _ := c.Stats()
-	blocking := tasks[0]
-	if _, err := GetRayCPS(ctx, c, root, keys[100]); err != nil {
-		t.Fatal(err)
-	}
-	tasks, _ = c.Stats()
-	cps := tasks[0] - blocking
-	if blocking != 1 {
-		t.Fatalf("blocking used %d invocations, want 1", blocking)
-	}
-	if cps < 2*int64(root.Depth) {
-		t.Fatalf("cps used %d invocations, want ≥ 2×depth (%d)", cps, 2*root.Depth)
 	}
 }
 

@@ -43,14 +43,6 @@ func (n *Node) rebuildRingLocked() {
 	n.ring = objstore.NewRing(ids, objstore.DefaultVnodes)
 }
 
-// Ring returns the node's current placement ring (rebuilt on every
-// membership change; the returned Ring itself is immutable).
-func (n *Node) Ring() *objstore.Ring {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.ring
-}
-
 // ReplicaCount reports how many copies of h this node can account for:
 // one if locally resident, plus every peer the passive view believes
 // holds it. It is a lower bound (the view is passive), used by tests and

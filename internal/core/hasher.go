@@ -34,9 +34,6 @@ func (bh *BlobHasher) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// Size reports the number of payload bytes absorbed so far.
-func (bh *BlobHasher) Size() uint64 { return bh.n }
-
 // Handle returns the Object Handle of the absorbed payload. The hasher
 // remains usable: further Writes extend the payload.
 func (bh *BlobHasher) Handle() Handle {

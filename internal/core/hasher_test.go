@@ -24,8 +24,8 @@ func TestBlobHasherMatchesBlobHandle(t *testing.T) {
 		if got := h.Handle(); got != want {
 			t.Errorf("size %d one-shot: hasher handle %v != BlobHandle %v", size, got, want)
 		}
-		if h.Size() != uint64(size) {
-			t.Errorf("size %d: hasher Size() = %d", size, h.Size())
+		if h.n != uint64(size) {
+			t.Errorf("size %d: hasher absorbed %d bytes", size, h.n)
 		}
 
 		// Byte-at-a-time and uneven chunk splits must agree too.

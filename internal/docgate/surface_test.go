@@ -2,16 +2,15 @@ package docgate
 
 import (
 	"flag"
+	"fmt"
 	"go/ast"
-	"go/parser"
 	"go/token"
-	"io/fs"
+	"go/types"
 	"maps"
 	"os"
-	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -35,7 +34,7 @@ var surfaceStructs = map[string]string{
 // packages they are built from and the benchmark, test files skipped. A
 // field only a test or an example sets has one value in deployment, so
 // it is a constant unless testOnlyAllowed gives the reason it is not.
-var scanRoots = []string{"../../cmd", "../../internal", "../../benchmark"}
+var scanRoots = []string{"cmd/", "internal/", "benchmark/"}
 
 // testOnlyAllowed are the budgeted fields no deployment sets, keyed
 // "<package dir>.<struct>.<field>", each with the reason it stays an
@@ -57,185 +56,152 @@ var testOnlyAllowed = map[string]string{
 // outside its own declaration and defaulting code and is not in
 // testOnlyAllowed: such a field has one value in use and should be a
 // constant. It also fails when an allowed field gained a deployment
-// setter or no longer exists. A setter is a keyed composite-literal
-// element of the struct's type, or — in a file that is in or imports the
-// struct's package and outside the struct's own methods — an assignment
-// to, or an address taken of (flag binding), a selector of that field
-// name.
+// setter or no longer exists. A setter is, outside the struct's own
+// methods, a keyed composite-literal element, an assignment or an
+// address taken (flag binding) whose field resolves, by type, to that
+// struct's field: a same-named field of another struct sets nothing.
 func TestOptionFieldsHaveSetters(t *testing.T) {
-	exported := make(map[string]map[string]bool) // package dir → field → true
-	unset := make(map[string]map[string]bool)    // package dir → field → no deployment setter yet
-	for dir, name := range surfaceStructs {
-		exported[dir] = structFields(t, filepath.Join("../../internal", dir), name)
-		if len(exported[dir]) == 0 {
-			t.Fatalf("internal/%s: struct %s not found or has no exported fields", dir, name)
-		}
-		unset[dir] = maps.Clone(exported[dir])
+	m, err := repo()
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, root := range scanRoots {
-		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-				return err
+	problems, counts := setterFindings(m, surfaceStructs, testOnlyAllowed)
+	for _, p := range problems {
+		t.Error(p)
+	}
+	for _, c := range counts {
+		t.Log(c)
+	}
+}
+
+// setterFindings applies the setters gate to m: structs maps a package
+// directory under internal/ to its budgeted struct, allowed is keyed as
+// testOnlyAllowed is. It returns one line per finding, each starting
+// with the field's key, and one count line per struct.
+func setterFindings(m *module, structs, allowed map[string]string) (problems, counts []string) {
+	internal := m.path + "/internal/"
+	exported := make(map[string]bool) // "<dir>.<struct>.<field>" → true
+	for _, tp := range m.pkgs {
+		dir, ok := strings.CutPrefix(tp.path, internal)
+		if !ok || structs[dir] == "" {
+			continue
+		}
+		if obj, ok := tp.types.Scope().Lookup(structs[dir]).(*types.TypeName); ok {
+			if st, ok := obj.Type().Underlying().(*types.Struct); ok {
+				for i := 0; i < st.NumFields(); i++ {
+					if f := st.Field(i); f.Exported() {
+						exported[dir+"."+structs[dir]+"."+f.Name()] = true
+					}
+				}
 			}
-			markSetters(t, path, unset)
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
 		}
 	}
-	for key := range testOnlyAllowed {
-		parts := strings.Split(key, ".")
-		if len(parts) != 3 || surfaceStructs[parts[0]] != parts[1] || !exported[parts[0]][parts[2]] {
-			t.Errorf("allow-list entry %s names no exported field of a budgeted struct", key)
-		} else if !unset[parts[0]][parts[2]] {
-			t.Errorf("%s now has a deployment setter: drop it from the allow-list", key)
+	unset := maps.Clone(exported) // deleted from as setters are found
+	// set marks the field of struct n, unless the walk is inside one of
+	// n's own methods.
+	set := func(n *types.Named, field string, own *types.Named) {
+		if n != nil && n.Obj().Pkg() != nil && (own == nil || objKey(own.Obj()) != objKey(n.Obj())) {
+			delete(unset, strings.TrimPrefix(objKey(n.Obj()), internal)+"."+field)
+		}
+	}
+	for _, tp := range m.pkgs {
+		if !slices.ContainsFunc(scanRoots, func(root string) bool { return strings.HasPrefix(tp.dir+"/", root) }) {
+			continue
+		}
+		for i, f := range tp.files {
+			if tp.test[i] {
+				continue
+			}
+			for _, decl := range f.Decls {
+				var own *types.Named // the receiver of the method being walked
+				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv != nil {
+					own = named(tp.info.Defs[fd.Name].Type().(*types.Signature).Recv().Type())
+				}
+				field := func(e ast.Expr) {
+					if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+						if s := tp.info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
+							set(fieldOwner(s), sel.Sel.Name, own)
+						}
+					}
+				}
+				ast.Inspect(decl, func(n ast.Node) bool {
+					switch x := n.(type) {
+					case *ast.CompositeLit:
+						for _, el := range x.Elts {
+							if kv, ok := el.(*ast.KeyValueExpr); ok {
+								if key, ok := kv.Key.(*ast.Ident); ok {
+									if v, ok := tp.info.Uses[key].(*types.Var); ok && v.IsField() {
+										set(named(tp.info.TypeOf(x)), key.Name, own)
+									}
+								}
+							}
+						}
+					case *ast.AssignStmt:
+						for _, lhs := range x.Lhs {
+							field(lhs)
+						}
+					case *ast.UnaryExpr:
+						if x.Op == token.AND {
+							field(x.X)
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+	for key := range allowed {
+		if !exported[key] {
+			problems = append(problems, key+": allow-list entry names no exported field of a budgeted struct")
+		} else if !unset[key] {
+			problems = append(problems, key+": now has a deployment setter: drop it from the allow-list")
+		}
+	}
+	for key := range unset {
+		if _, ok := allowed[key]; !ok {
+			problems = append(problems, key+": set by no command, package or benchmark: make it a constant, or allow it with a reason")
 		}
 	}
 	var dirs []string
-	for dir := range surfaceStructs {
+	for dir := range structs {
 		dirs = append(dirs, dir)
 	}
 	sort.Strings(dirs)
 	for _, dir := range dirs {
-		var fields, allowed []string
-		for f := range unset[dir] {
-			fields = append(fields, f)
-		}
-		sort.Strings(fields)
-		for _, f := range fields {
-			key := dir + "." + surfaceStructs[dir] + "." + f
-			if _, ok := testOnlyAllowed[key]; ok {
-				allowed = append(allowed, f)
-			} else {
-				t.Errorf("%s is set by no command, package or benchmark: make it a constant, or allow it with a reason", key)
-			}
-		}
-		t.Logf("%s.%s: %d exported fields, %d with a deployment setter, %d allow-listed %v",
-			dir, surfaceStructs[dir], len(exported[dir]), len(exported[dir])-len(fields), len(allowed), allowed)
-	}
-}
-
-// structFields returns the exported field names of struct name declared
-// in the (non-test) package at dir.
-func structFields(t *testing.T, dir, name string) map[string]bool {
-	t.Helper()
-	pkgs, err := parser.ParseDir(token.NewFileSet(), dir, func(fi os.FileInfo) bool {
-		return !strings.HasSuffix(fi.Name(), "_test.go")
-	}, 0)
-	if err != nil {
-		t.Fatalf("%s: %v", dir, err)
-	}
-	fields := make(map[string]bool)
-	for _, pkg := range pkgs {
-		for _, f := range pkg.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				ts, ok := n.(*ast.TypeSpec)
-				if !ok || ts.Name.Name != name {
-					return true
-				}
-				if st, ok := ts.Type.(*ast.StructType); ok {
-					for _, fld := range st.Fields.List {
-						for _, id := range fld.Names {
-							if id.IsExported() {
-								fields[id.Name] = true
-							}
-						}
+		name := dir + "." + structs[dir]
+		var fields, notSet int
+		var allowedHere []string
+		for key := range exported {
+			if field, ok := strings.CutPrefix(key, name+"."); ok {
+				fields++
+				if unset[key] {
+					notSet++
+					if _, ok := allowed[key]; ok {
+						allowedHere = append(allowedHere, field)
 					}
 				}
-				return false
-			})
+			}
 		}
+		if fields == 0 {
+			problems = append(problems, name+": struct not found or has no exported fields")
+		}
+		sort.Strings(allowedHere)
+		counts = append(counts, fmt.Sprintf("%s: %d exported fields, %d with a deployment setter, %d allow-listed %v",
+			name, fields, fields-notSet, len(allowedHere), allowedHere))
 	}
-	return fields
+	sort.Strings(problems)
+	return problems, counts
 }
 
-// markSetters deletes from unset every field the file at path sets.
-func markSetters(t *testing.T, path string, unset map[string]map[string]bool) {
-	t.Helper()
-	f, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
-	if err != nil {
-		t.Fatalf("%s: %v", path, err)
+// fieldOwner returns the named struct that declares the field a field
+// selection picks, following embedded fields.
+func fieldOwner(s *types.Selection) *types.Named {
+	t := s.Recv()
+	idx := s.Index()
+	for _, i := range idx[:len(idx)-1] {
+		t = named(t).Underlying().(*types.Struct).Field(i).Type()
 	}
-	// local maps the name a budgeted package goes by in this file to its
-	// directory; "" is the file's own package.
-	local := make(map[string]string)
-	if dir := filepath.Base(filepath.Dir(path)); surfaceStructs[dir] != "" && strings.Contains(filepath.ToSlash(path), "internal/"+dir+"/") {
-		local[""] = dir
-	}
-	for _, imp := range f.Imports {
-		p, _ := strconv.Unquote(imp.Path.Value)
-		dir, ok := strings.CutPrefix(p, "fixgo/internal/")
-		if !ok || surfaceStructs[dir] == "" {
-			continue
-		}
-		name := dir
-		if imp.Name != nil {
-			name = imp.Name.Name
-		}
-		local[name] = dir
-	}
-	if len(local) == 0 {
-		return
-	}
-	structOf := func(e ast.Expr) string { // the budgeted package dir e names a struct of, or ""
-		switch x := e.(type) {
-		case *ast.Ident:
-			if dir, ok := local[""]; ok && x.Name == surfaceStructs[dir] {
-				return dir
-			}
-		case *ast.SelectorExpr:
-			if pkg, ok := x.X.(*ast.Ident); ok {
-				if dir, ok := local[pkg.Name]; ok && x.Sel.Name == surfaceStructs[dir] {
-					return dir
-				}
-			}
-		}
-		return ""
-	}
-	own := "" // the struct whose method is being walked: its defaulting code sets nothing
-	markField := func(e ast.Expr) {
-		if sel, ok := e.(*ast.SelectorExpr); ok {
-			for _, dir := range local {
-				if dir != own {
-					delete(unset[dir], sel.Sel.Name)
-				}
-			}
-		}
-	}
-	for _, decl := range f.Decls {
-		own = ""
-		if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv != nil && len(fd.Recv.List) == 1 {
-			recv := fd.Recv.List[0].Type
-			if star, ok := recv.(*ast.StarExpr); ok {
-				recv = star.X
-			}
-			own = structOf(recv)
-		}
-		ast.Inspect(decl, func(n ast.Node) bool {
-			switch x := n.(type) {
-			case *ast.CompositeLit:
-				if dir := structOf(x.Type); dir != "" && dir != own {
-					for _, el := range x.Elts {
-						if kv, ok := el.(*ast.KeyValueExpr); ok {
-							if key, ok := kv.Key.(*ast.Ident); ok {
-								delete(unset[dir], key.Name)
-							}
-						}
-					}
-				}
-			case *ast.AssignStmt:
-				for _, lhs := range x.Lhs {
-					markField(lhs)
-				}
-			case *ast.UnaryExpr:
-				if x.Op == token.AND {
-					markField(x.X)
-				}
-			}
-			return true
-		})
-	}
+	return named(t)
 }
 
 // flagRow matches one row of README's daemon flag table:

@@ -217,9 +217,6 @@ func Open(dir string, opts Options) (*Store, error) {
 	return d, nil
 }
 
-// Dir returns the store's root directory.
-func (d *Store) Dir() string { return d.dir }
-
 // Close syncs and closes every file. The Store must not be used after
 // Close.
 func (d *Store) Close() error {
@@ -250,25 +247,6 @@ func (d *Store) closeFiles() {
 		_ = d.lock.Close() // releases the flock
 		d.lock = nil
 	}
-}
-
-// Sync forces all buffered appends to stable storage.
-func (d *Store) Sync() error {
-	d.mu.Lock()
-	packs := make([]*Journal, 0, len(d.packs))
-	for _, p := range d.packs {
-		packs = append(packs, p)
-	}
-	d.mu.Unlock()
-	err := d.journal.Sync()
-	for _, p := range packs {
-		// A pack closed meanwhile was retired by GC, which synced the
-		// records' new home.
-		if perr := p.Sync(); err == nil && !errors.Is(perr, errJournalClosed) {
-			err = perr
-		}
-	}
-	return err
 }
 
 // errStoreClosed reports use after Close.

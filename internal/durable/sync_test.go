@@ -444,3 +444,23 @@ func BenchmarkPersistAlways(b *testing.B) {
 		})
 	}
 }
+
+// Sync forces all buffered appends to stable storage, whatever the
+// fsync policy. Only tests need that; the Store syncs by its policy.
+func (d *Store) Sync() error {
+	d.mu.Lock()
+	packs := make([]*Journal, 0, len(d.packs))
+	for _, p := range d.packs {
+		packs = append(packs, p)
+	}
+	d.mu.Unlock()
+	err := d.journal.Sync()
+	for _, p := range packs {
+		// A pack closed meanwhile was retired by GC, which synced the
+		// records' new home.
+		if perr := p.Sync(); err == nil && !errors.Is(perr, errJournalClosed) {
+			err = perr
+		}
+	}
+	return err
+}

@@ -475,8 +475,8 @@ func (r *Replicator) retryHints() {
 	}
 }
 
-// Entries snapshots the folded table (tests and the bench harness read
-// it; the serving path never needs the full table).
+// Entries snapshots the folded table. Only tests read it; the serving
+// path never needs the full table.
 func (r *Replicator) Entries() []Entry {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -508,9 +508,6 @@ func (r *Replicator) Stats() Stats {
 	}
 	return st
 }
-
-// ID returns this gateway's identity on the peer channel.
-func (r *Replicator) ID() string { return r.opts.ID }
 
 // Close announces a clean departure (peers adopt this gateway's
 // undrained entries immediately instead of waiting out a heartbeat

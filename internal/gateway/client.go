@@ -275,12 +275,6 @@ func (c *Client) BlobBytes(ctx context.Context, h core.Handle) ([]byte, error) {
 	return data, nil
 }
 
-// Stats fetches the gateway's counters.
-func (c *Client) Stats(ctx context.Context) (Stats, error) {
-	var st Stats
-	return st, c.do(ctx, http.MethodGet, c.base+"/v1/stats", nil, &st)
-}
-
 // do sends a JSON body, or none when body is nil, to url and decodes the
 // 2xx JSON reply into out.
 func (c *Client) do(ctx context.Context, method, url string, body []byte, out any) error {

@@ -11,10 +11,6 @@ import (
 	"fixgo/internal/transport"
 )
 
-// Edge exposes the replicated-edge endpoint (nil when Options.EdgeID is
-// empty) — the boot path and tests read its stats and entries.
-func (s *Server) Edge() *edgelog.Replicator { return s.edge }
-
 // AttachEdgePeer adds a peer-gateway link to the replicated edge. The
 // boot path dials (or accepts) one transport connection per peer and
 // hands each to this method; it panics when the server was built

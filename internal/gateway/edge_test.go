@@ -325,7 +325,7 @@ func TestEdgeRestartRebuildsFromJobsJournal(t *testing.T) {
 			}
 		}
 	}
-	checkTable("restarted gw-a", srvA.Edge())
+	checkTable("restarted gw-a", srvA.edge)
 
 	stB := store.New()
 	srvB, _ := newTestGateway(t, edgeGatewayOpts(Options{
@@ -337,7 +337,7 @@ func TestEdgeRestartRebuildsFromJobsJournal(t *testing.T) {
 	srvA.AttachEdgePeer(pa)
 	srvB.AttachEdgePeer(pb)
 	waitUntil(t, "B folded A's snapshot", func() bool { return srvB.Stats().Edge.Entries == 1+len(undrained) })
-	checkTable("peer gw-b", srvB.Edge())
+	checkTable("peer gw-b", srvB.edge)
 
 	// Kill the restarted A mid-drain, crash-style: no Leave.
 	if err := srvA.Jobs().Close(); err != nil {
@@ -438,7 +438,7 @@ func TestEdgeGossipStaleHint(t *testing.T) {
 		t.Fatal(err)
 	}
 	bogus := store.New().PutBlob(make([]byte, 256))
-	srvB.Edge().AttachPeer(feedWarmHint(t, strictTh.AsObject(), bogus))
+	srvB.edge.AttachPeer(feedWarmHint(t, strictTh.AsObject(), bogus))
 	waitUntil(t, "bogus hint parked at B", func() bool {
 		return srvB.Stats().Edge.HintsPending >= 1
 	})
@@ -474,7 +474,7 @@ func TestEdgeHintWithoutCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.Edge().AttachPeer(feedWarmHint(t, enc.AsObject(), result))
+	srv.edge.AttachPeer(feedWarmHint(t, enc.AsObject(), result))
 	waitUntil(t, "hint consumed", func() bool { return srv.Stats().Edge.WarmApplied == 1 })
 	if st := srv.Stats(); st.Edge.HintsPending != 0 || st.Cache.Entries != 0 {
 		t.Fatalf("cache-less gateway kept the hint: %d pending, %d cache entries", st.Edge.HintsPending, st.Cache.Entries)

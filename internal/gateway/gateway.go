@@ -36,7 +36,6 @@ import (
 	"fixgo/internal/core"
 	"fixgo/internal/proto"
 	"fixgo/internal/runtime"
-	"fixgo/internal/store"
 )
 
 // Backend is the execution substrate behind a gateway. Both
@@ -77,12 +76,6 @@ type EngineBackend struct {
 
 // NewEngineBackend wraps an engine.
 func NewEngineBackend(e *runtime.Engine) *EngineBackend { return &EngineBackend{eng: e} }
-
-// Engine returns the wrapped engine.
-func (b *EngineBackend) Engine() *runtime.Engine { return b.eng }
-
-// Store returns the engine's runtime storage.
-func (b *EngineBackend) Store() *store.Store { return b.eng.Store() }
 
 // Eval forces h on the engine.
 func (b *EngineBackend) Eval(ctx context.Context, h core.Handle) (core.Handle, error) {

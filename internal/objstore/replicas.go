@@ -223,6 +223,3 @@ func (t *ReplicaTracker) DropOwner(owner string) int {
 	t.free = append(t.free, id)
 	return dropped
 }
-
-// Len reports how many distinct keys have at least one known holder.
-func (t *ReplicaTracker) Len() int { return len(t.byKey) }

@@ -57,8 +57,8 @@ func TestReplicaTrackerManyOwners(t *testing.T) {
 			}
 		}
 	}
-	if tr.Count(keys[0]) != 0 || tr.Count(keys[1]) != peers/6 || tr.Len() != 1 {
-		t.Fatalf("Count = %d / %d, Len = %d; want 0 / %d, 1", tr.Count(keys[0]), tr.Count(keys[1]), tr.Len(), peers/6)
+	if tr.Count(keys[0]) != 0 || tr.Count(keys[1]) != peers/6 || len(tr.byKey) != 1 {
+		t.Fatalf("Count = %d / %d, Len = %d; want 0 / %d, 1", tr.Count(keys[0]), tr.Count(keys[1]), len(tr.byKey), peers/6)
 	}
 }
 
@@ -148,8 +148,8 @@ func TestReplicaTrackerMatchesModel(t *testing.T) {
 			if o := owner(); tr.Holds(k, o) != model[k][o] {
 				t.Fatalf("seed %d step %d: Holds(%s) = %v", seed, step, o, !model[k][o])
 			}
-			if tr.Len() != keysHeld {
-				t.Fatalf("seed %d step %d: Len = %d, want %d", seed, step, tr.Len(), keysHeld)
+			if len(tr.byKey) != keysHeld {
+				t.Fatalf("seed %d step %d: Len = %d, want %d", seed, step, len(tr.byKey), keysHeld)
 			}
 		}
 	}

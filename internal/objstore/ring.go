@@ -1,3 +1,8 @@
+// Package objstore holds the object-placement layer shared by the
+// cluster: the consistent-hash Ring that deterministically maps every
+// handle to an ordered replica owner list (ring.go), and the
+// ReplicaTracker passive view of which nodes hold which objects
+// (replicas.go).
 package objstore
 
 import (
@@ -77,13 +82,6 @@ func NewRing(ids []string, vnodes int) *Ring {
 
 // Len reports the number of distinct members.
 func (r *Ring) Len() int { return len(r.ids) }
-
-// Members lists the distinct member ids, sorted.
-func (r *Ring) Members() []string {
-	out := make([]string, len(r.ids))
-	copy(out, r.ids)
-	return out
-}
 
 // Owners returns the ordered owner list for a key: the first n distinct
 // members walking clockwise from the key's hash. Fewer than n members

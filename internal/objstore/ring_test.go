@@ -188,12 +188,12 @@ func TestReplicaTracker(t *testing.T) {
 	if tr.Holds(keys[0], "w0") || tr.Holds(keys[1], "w0") {
 		t.Fatal("dropped owner still held")
 	}
-	if tr.Len() != 1 {
-		t.Fatalf("Len = %d, want 1 (key1's only holder dropped)", tr.Len())
+	if len(tr.byKey) != 1 {
+		t.Fatalf("Len = %d, want 1 (key1's only holder dropped)", len(tr.byKey))
 	}
 	tr.Remove(keys[0], "w1")
-	if tr.Len() != 0 {
-		t.Fatalf("Len = %d, want 0", tr.Len())
+	if len(tr.byKey) != 0 {
+		t.Fatalf("Len = %d, want 0", len(tr.byKey))
 	}
 }
 

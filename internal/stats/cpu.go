@@ -5,7 +5,6 @@
 package stats
 
 import (
-	"fmt"
 	"sync/atomic"
 	"time"
 )
@@ -29,9 +28,6 @@ func NewCollector(cores int) *Collector {
 	}
 	return &Collector{cores: cores}
 }
-
-// Cores reports the node's logical core count.
-func (c *Collector) Cores() int { return c.cores }
 
 // AddUser records core-time spent running user code.
 func (c *Collector) AddUser(d time.Duration) { c.user.Add(int64(d)) }
@@ -108,20 +104,4 @@ func (u Usage) WaitingPct() float64 {
 		return 0
 	}
 	return 100 * float64(u.IOWait+u.Idle) / float64(total)
-}
-
-// Throughput reports completed tasks per second.
-func (u Usage) Throughput() float64 {
-	if u.Wall <= 0 {
-		return 0
-	}
-	return float64(u.Tasks) / u.Wall.Seconds()
-}
-
-// String renders the usage like a Fig. 8a table row.
-func (u Usage) String() string {
-	return fmt.Sprintf("user=%v system=%v io+wait=%v idle=%v wall=%v waiting=%.0f%%",
-		u.User.Round(time.Microsecond), u.System.Round(time.Microsecond),
-		u.IOWait.Round(time.Microsecond), u.Idle.Round(time.Microsecond),
-		u.Wall.Round(time.Microsecond), u.WaitingPct())
 }

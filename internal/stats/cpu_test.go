@@ -25,9 +25,6 @@ func TestUsageAccounting(t *testing.T) {
 	if u.Tasks != 2 {
 		t.Fatalf("tasks = %d", u.Tasks)
 	}
-	if tp := u.Throughput(); tp < 0.19 || tp > 0.21 {
-		t.Fatalf("throughput = %f", tp)
-	}
 }
 
 func TestIdleNeverNegative(t *testing.T) {
@@ -78,17 +75,14 @@ func TestResetAndString(t *testing.T) {
 	if u.User != 0 {
 		t.Fatal("reset failed")
 	}
-	if u.String() == "" {
-		t.Fatal("empty String")
-	}
-	if NewCollector(0).Cores() != 1 {
+	if NewCollector(0).cores != 1 {
 		t.Fatal("cores floor")
 	}
 }
 
 func TestZeroWall(t *testing.T) {
 	var u Usage
-	if u.WaitingPct() != 0 || u.Throughput() != 0 {
+	if u.WaitingPct() != 0 {
 		t.Fatal("zero usage should report zeros")
 	}
 }

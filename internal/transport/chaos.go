@@ -70,17 +70,6 @@ func (c *ChaosConn) Heal() {
 	c.mu.Unlock()
 }
 
-// Kill hard-closes the underlying link immediately (both directions),
-// the imperative form of CloseAfter.
-func (c *ChaosConn) Kill() { _ = c.inner.Close() }
-
-// Dropped reports how many sends were blackholed so far.
-func (c *ChaosConn) Dropped() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.dropped
-}
-
 // Sends reports how many messages were offered to Send so far.
 func (c *ChaosConn) Sends() int {
 	c.mu.Lock()

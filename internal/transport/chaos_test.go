@@ -119,3 +119,10 @@ func TestChaosLatencySpike(t *testing.T) {
 		}
 	}
 }
+
+// Dropped reports how many sends were blackholed so far.
+func (c *ChaosConn) Dropped() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.dropped
+}
