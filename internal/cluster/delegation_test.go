@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -62,14 +63,18 @@ func (p *addPair) check(tb testing.TB, i uint64, res core.Handle, err error) {
 func pipeLink(tb testing.TB, a, b *Node) { Connect(a, b, transport.LinkConfig{}) }
 
 // tcpLink joins a and b over a loopback TCP connection.
-func tcpLink(tb testing.TB, a, b *Node) {
+func tcpLink(tb testing.TB, a, b *Node) { joinTCP(tb, a, b, transport.NewTCP) }
+
+// joinTCP joins a and b over one loopback TCP connection, each end made a
+// link by wrap.
+func joinTCP(tb testing.TB, a, b *Node, wrap func(net.Conn) transport.Conn) {
 	tb.Helper()
-	l, err := transport.Listen("127.0.0.1:0")
+	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		tb.Fatal(err)
 	}
 	defer l.Close()
-	accepted := make(chan transport.Conn, 1)
+	accepted := make(chan net.Conn, 1)
 	go func() {
 		c, err := l.Accept()
 		if err != nil {
@@ -78,7 +83,7 @@ func tcpLink(tb testing.TB, a, b *Node) {
 		}
 		accepted <- c
 	}()
-	ca, err := transport.Dial(l.Addr().String())
+	ca, err := net.Dial("tcp", l.Addr().String())
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -86,8 +91,8 @@ func tcpLink(tb testing.TB, a, b *Node) {
 	if !ok {
 		tb.Fatal("loopback accept failed")
 	}
-	a.AttachPeer(ca)
-	b.AttachPeer(cb)
+	a.AttachPeer(wrap(ca))
+	b.AttachPeer(wrap(cb))
 	waitPeer(a, b.id)
 	waitPeer(b, a.id)
 }
@@ -116,18 +121,40 @@ func BenchmarkDelegationRoundTrip(b *testing.B) {
 }
 
 // TestAllocsDelegationRoundTrip pins one delegation of a fresh add over
-// Pipe, both sides counted (ROADMAP 2 Part D). It reads 14:
-//   - delegating side: the invocation tree's entries and its store (2);
-//     the Pipe's copy of the Job frame (1);
-//   - worker side: the Job copied out of the link's message and the
-//     closure that serves it (2); the Pushed slice (1); the pushed tree
-//     decoded on ingest (1); the job's context (1); the add evaluation
-//     itself (5: its API, two tree copies, two literal reads); the
-//     Pipe's copy of the Result frame (1).
-//
-// Over TCP the frame copies become the receive buffers, one per frame.
+// Pipe, both sides counted (ROADMAP 2 Part D). It reads 10: the 8 of
+// TestAllocsDelegationRoundTripTCP, and the Pipe's copy of the Job and of
+// the Result frame (1 each), which Pipe.Send must make because its caller
+// reuses the buffer.
 func TestAllocsDelegationRoundTrip(t *testing.T) {
-	p := newAddPair(t, pipeLink)
+	limit := 11.0
+	if raceEnabled {
+		limit = 13 // the race detector's sync.Pool drops a quarter of all Puts
+	}
+	pinDelegationAllocs(t, pipeLink, limit)
+}
+
+// TestAllocsDelegationRoundTripTCP pins one delegation of a fresh add over
+// loopback TCP, both sides counted. It reads 8:
+//   - delegating side: the invocation tree's entries and its store (2);
+//   - worker side: the served job and the closure that runs it on an
+//     evaluation goroutine (2); the pushed tree, decoded on ingest (1);
+//     the add evaluation itself (3: its API, two literal reads).
+//
+// Neither frame allocates: each is read in place in its link's buffer,
+// and the Job's Pushed slice is the link's.
+func TestAllocsDelegationRoundTripTCP(t *testing.T) {
+	limit := 9.0
+	if raceEnabled {
+		limit = 11
+	}
+	pinDelegationAllocs(t, tcpLink, limit)
+}
+
+// pinDelegationAllocs fails if one steady-state delegation over link
+// allocates more than limit times.
+func pinDelegationAllocs(t *testing.T, link func(tb testing.TB, a, b *Node), limit float64) {
+	t.Helper()
+	p := newAddPair(t, link)
 	ctx := context.Background()
 	var i uint64
 	run := func() {
@@ -141,13 +168,54 @@ func TestAllocsDelegationRoundTrip(t *testing.T) {
 	for range 100 {
 		run()
 	}
-	allocs := testing.AllocsPerRun(2000, run)
-	limit := 15.0
-	if raceEnabled {
-		limit = 17 // the race detector's sync.Pool drops a quarter of all Puts
-	}
-	if allocs > limit {
+	if allocs := testing.AllocsPerRun(2000, run); allocs > limit {
 		t.Fatalf("a delegation round trip allocates %v times, want at most %v", allocs, limit)
+	}
+}
+
+// writeCounter counts the Write calls that reach the wrapped net.Conn.
+type writeCounter struct {
+	net.Conn
+	writes *atomic.Int64
+}
+
+func (w writeCounter) Write(p []byte) (int, error) {
+	w.writes.Add(1)
+	return w.Conn.Write(p)
+}
+
+// TestFramesDelegationTCPTwoWrites: one delegation of a fresh add over
+// loopback TCP is 2 frames, its Job and its Result, in 2 write calls.
+func TestFramesDelegationTCPTwoWrites(t *testing.T) {
+	counts := &frameCounts{byType: make(map[byte]int)}
+	var writes atomic.Int64
+	p := newAddPair(t, func(tb testing.TB, a, b *Node) {
+		joinTCP(tb, a, b, func(c net.Conn) transport.Conn {
+			return &countingConn{Conn: transport.NewTCP(writeCounter{Conn: c, writes: &writes}), counts: counts}
+		})
+	})
+	tally := func() (frames, jobs, results int64) {
+		counts.mu.Lock()
+		defer counts.mu.Unlock()
+		for _, c := range counts.byType {
+			frames += int64(c)
+		}
+		return frames, int64(counts.byType[proto.TypeJob]), int64(counts.byType[proto.TypeResult])
+	}
+	const delegations = 20
+	frames0, jobs0, results0 := tally()
+	writes0 := writes.Load()
+	for i := uint64(0); i < delegations; i++ {
+		res, err := p.client.Eval(context.Background(), p.enc(t, i))
+		p.check(t, i, res, err)
+	}
+	frames, jobs, results := tally()
+	if frames-frames0 != 2*delegations || jobs-jobs0 != delegations || results-results0 != delegations {
+		t.Fatalf("%d delegations sent %d frames (%d Job, %d Result), want one Job and one Result each",
+			delegations, frames-frames0, jobs-jobs0, results-results0)
+	}
+	if got := writes.Load() - writes0; got != 2*delegations {
+		t.Fatalf("%d delegations made %d write calls, want 2 each", delegations, got)
 	}
 }
 
@@ -173,6 +241,33 @@ func TestDelegateAfterCloseFailsFast(t *testing.T) {
 	defer n.mu.Unlock()
 	if len(n.jobW) != 0 {
 		t.Fatalf("%d Encodes left waiting after Close", len(n.jobW))
+	}
+}
+
+// TestDelegateToEvictedPeerFailsFast: a delegation to a peer evicted
+// after placement read it must fail with PeerLostError at once, so the
+// job is re-placed. Here the evicted link still accepts frames, as one
+// whose close has not happened yet does; a waiter registered for it would
+// wait for a Result nothing can deliver.
+func TestDelegateToEvictedPeerFailsFast(t *testing.T) {
+	n := NewNode("client", NodeOptions{Cores: 1, ClientOnly: true})
+	defer n.Close()
+	a, _ := transport.Pipe(transport.LinkConfig{})
+	w := &peer{id: "w1", role: proto.RoleWorker, conn: silentConn{a}}
+	n.mu.Lock()
+	n.peers[w.id] = w
+	n.mu.Unlock()
+	n.evictPeer(w, errors.New("evicted by the test"))
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	var lost *PeerLostError
+	if _, err := n.delegate(ctx, w, testEnc(t, n, 1), nil); !errors.As(err, &lost) || lost.Peer != w.id {
+		t.Fatalf("delegate to an evicted peer = %v, want a PeerLostError for %s", err, w.id)
+	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if len(n.jobW) != 0 {
+		t.Fatalf("%d Encodes left waiting on an evicted peer", len(n.jobW))
 	}
 }
 

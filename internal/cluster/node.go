@@ -23,6 +23,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -106,6 +107,10 @@ var ErrNoWorkers = errors.New("cluster: no live worker peers")
 
 // ErrNodeClosed reports an operation on a node after Close.
 var ErrNodeClosed = errors.New("cluster: node closed")
+
+// errPeerGone is the cause of a delegation to a peer that left the
+// membership between placement and send.
+var errPeerGone = errors.New("peer left before the job was sent")
 
 // PeerLostError reports a delegation interrupted by the death of the
 // peer it was parked on; the scheduler reacts by re-placing the job.
@@ -584,9 +589,12 @@ func (n *Node) broadcast(m *proto.Message) {
 
 func (n *Node) recvLoop(conn transport.Conn) {
 	var p *peer
-	// One message per link: frames handled inline decode into it, and
-	// handle copies out the ones it hands to another goroutine.
+	// One message per link, and one Pushed array for its Job frames.
+	// The frame and everything decoded from it are valid until the next
+	// Recv, so handle keeps nothing of m: what another goroutine serves
+	// is copied out first.
 	m := new(proto.Message)
+	var pushed []proto.PushedObject
 	for {
 		raw, err := conn.Recv()
 		if err != nil {
@@ -603,8 +611,12 @@ func (n *Node) recvLoop(conn transport.Conn) {
 		if p != nil {
 			from = p.id
 		}
+		m.Pushed = pushed
 		if proto.DecodeInto(m, raw, from) != nil {
 			continue // malformed frame: ignore
+		}
+		if m.Type == proto.TypeJob {
+			pushed = m.Pushed[:0]
 		}
 		if p == nil {
 			if m.Type != proto.TypeHello {
@@ -660,8 +672,9 @@ func (n *Node) recvLoop(conn transport.Conn) {
 	}
 }
 
-// handle acts on one frame. m is the link's reused message, so a frame
-// served on another goroutine is copied out of it first.
+// handle acts on one frame. m is the link's reused message and aliases
+// the frame, which the link reuses at its next Recv: a frame served on
+// another goroutine hands it only what it copied out of m.
 func (n *Node) handle(m *proto.Message) {
 	switch m.Type {
 	case proto.TypeHello, proto.TypeAdvertise:
@@ -671,8 +684,8 @@ func (n *Node) handle(m *proto.Message) {
 		}
 		n.mu.Unlock()
 	case proto.TypeRequest:
-		req := *m
-		runtime.Go(func() { n.serveRequest(&req) })
+		from, h := m.From, m.Handle
+		runtime.Go(func() { n.serveRequest(from, h) })
 	case proto.TypeObject:
 		n.ingestObject(m.From, m.Handle, m.Data)
 	case proto.TypeMissing:
@@ -687,8 +700,10 @@ func (n *Node) handle(m *proto.Message) {
 			}
 		}
 	case proto.TypeJob:
-		job := *m
-		runtime.Go(func() { n.serveJob(&job) })
+		n.ingestPushed(m.From, m.Pushed)
+		clear(m.Pushed) // the link's array must not pin frame bytes
+		j := newServedJob(m)
+		runtime.Go(func() { n.serveJob(j) })
 	case proto.TypeResult:
 		n.mu.Lock()
 		w := n.jobW[m.Handle]
@@ -736,26 +751,29 @@ func (n *Node) viewAddLocked(h core.Handle, owner string) {
 	n.view.Add(h.AsObject(), owner)
 }
 
-func (n *Node) serveRequest(m *proto.Message) {
-	data, err := n.st.ObjectBytes(m.Handle)
+// serveRequest answers a peer's Request for h's bytes.
+func (n *Node) serveRequest(from string, h core.Handle) {
+	data, err := n.st.ObjectBytes(h)
 	if err == nil {
-		n.touch(m.Handle)
+		n.touch(h)
 	}
 	n.mu.Lock()
-	p := n.peers[m.From]
+	p := n.peers[from]
 	n.mu.Unlock()
 	if p == nil {
 		return
 	}
 	if err != nil {
-		_ = p.send(&proto.Message{Type: proto.TypeMissing, From: n.id, Handle: m.Handle})
+		_ = p.send(&proto.Message{Type: proto.TypeMissing, From: n.id, Handle: h})
 		return
 	}
-	_ = p.send(&proto.Message{Type: proto.TypeObject, From: n.id, Handle: m.Handle, Data: data})
+	_ = p.send(&proto.Message{Type: proto.TypeObject, From: n.id, Handle: h, Data: data})
 }
 
 // ingestObject stores object bytes received from a peer and reports
-// whether they were accepted (content matching the handle).
+// whether they were accepted (content matching the handle). data is a
+// frame's: the store keeps its own copy, and so does a fetch waiting for
+// the object.
 func (n *Node) ingestObject(from string, h core.Handle, data []byte) bool {
 	if err := n.st.PutObject(h, data); err != nil {
 		return false
@@ -763,67 +781,89 @@ func (n *Node) ingestObject(from string, h core.Handle, data []byte) bool {
 	n.touch(h)
 	n.mu.Lock()
 	n.viewAddLocked(h, from)
+	w := n.takeFetchLocked(h)
 	n.mu.Unlock()
-	n.completeFetch(h, data, nil)
+	if w != nil {
+		w.complete(bytes.Clone(data), nil)
+	}
 	return true
+}
+
+// ingestPushed stores the objects a Job pushed. A resident object's
+// pushed bytes would be discarded, so they are neither decoded nor
+// re-hashed. The sender is still recorded as a holder: the view is
+// advisory, and an Advertise makes the same claim unverified. A malformed
+// handle goes to PutObject, which refuses it.
+func (n *Node) ingestPushed(from string, pushed []proto.PushedObject) {
+	for _, p := range pushed {
+		resident := p.Handle.Validate() == nil && n.st.Contains(p.Handle)
+		if resident || n.st.PutObject(p.Handle, p.Data) == nil {
+			n.mu.Lock()
+			n.viewAddLocked(p.Handle, from)
+			n.mu.Unlock()
+		}
+	}
 }
 
 // completeFetch finishes an outstanding fetch wait, if any. Success
 // completions carry the object's bytes so waiters don't have to re-read
 // the hot store — a concurrent demotion pass may already have evicted
-// the copy the fetch just promoted.
+// the copy the fetch just promoted. data must stay valid and unchanged
+// for as long as a waiter may read it: stored or tier bytes, never a
+// frame's.
 func (n *Node) completeFetch(h core.Handle, data []byte, err error) {
 	n.mu.Lock()
-	w := n.fetchW[h.AsObject()]
-	delete(n.fetchW, h.AsObject())
+	w := n.takeFetchLocked(h)
 	n.mu.Unlock()
 	if w != nil {
-		w.data = data
-		w.err = err
-		close(w.done)
+		w.complete(data, err)
 	}
 }
 
-// serveJob executes a delegated Encode forcing and replies with the
-// result. Objects the job produced are advertised cluster-wide, so
-// downstream placements and peer gateways' cache-warm hints can locate
-// them, and replicated. A literal result produced nothing: the delegator
+// takeFetchLocked removes h's outstanding fetch wait from fetchW and
+// returns it, or nil. Callers hold n.mu.
+func (n *Node) takeFetchLocked(h core.Handle) *fetchWait {
+	k := h.AsObject()
+	w := n.fetchW[k]
+	delete(n.fetchW, k)
+	return w
+}
+
+// complete delivers the fetch's outcome to every waiter.
+func (w *fetchWait) complete(data []byte, err error) {
+	w.data = data
+	w.err = err
+	close(w.done)
+}
+
+// serveJob executes a delegated Encode forcing, whose pushed objects the
+// receive loop has already stored, and replies with the result. Objects
+// the job produced are advertised cluster-wide, so downstream placements
+// and peer gateways' cache-warm hints can locate them, and replicated. A literal result produced nothing: the delegator
 // learns it from the Result frame alone and no other frame is sent.
 //
 // The job is not added to this node's placement load: the engine counts
 // it (Engine.InFlight) once its children are resolved and it is about to
 // claim a slot, and not while it only waits on them.
-func (n *Node) serveJob(m *proto.Message) {
-	for _, p := range m.Pushed {
-		// A resident object's pushed bytes would be discarded, so they are
-		// neither decoded nor re-hashed. The sender is still recorded as a
-		// holder: the view is advisory, and an Advertise makes the same
-		// claim unverified. A malformed handle goes to PutObject, which
-		// refuses it.
-		resident := p.Handle.Validate() == nil && n.st.Contains(p.Handle)
-		if resident || n.st.PutObject(p.Handle, p.Data) == nil {
-			n.mu.Lock()
-			n.viewAddLocked(p.Handle, m.From)
-			n.mu.Unlock()
-		}
-	}
+func (n *Node) serveJob(j *servedJob) {
 	// The received Encode itself must run here: re-delegating it could
 	// ping-pong back to the sender, whose force future is already
 	// waiting on us (a distributed deadlock). Its children may still be
 	// outsourced.
-	ctx := withJob(context.Background(), jobInfo{hops: int(m.Hops), received: m.Handle})
+	enc := j.info.received
+	var ctx context.Context = &j.jobCtx
 	var t *obsv.Trace
 	tracer := n.tracer
-	if tracer != nil && m.Trace != "" {
-		t = tracer.StartWithID(m.Trace, "remote_job")
+	if tracer != nil && j.trace != "" {
+		t = tracer.StartWithID(j.trace, "remote_job")
 		ctx = obsv.WithTrace(ctx, t)
 	}
 	evalStart := time.Now()
-	res, err := n.eng.Eval(ctx, m.Handle)
+	res, err := n.eng.Eval(ctx, enc)
 	evalDur := time.Since(evalStart)
 	t.AddSpanAt("eval", n.id, evalStart, evalDur)
 	reply := &proto.Message{
-		Type: proto.TypeResult, From: n.id, Handle: m.Handle,
+		Type: proto.TypeResult, From: n.id, Handle: enc,
 		Result: res, EvalNS: evalDur.Nanoseconds(),
 	}
 	if err != nil {
@@ -833,13 +873,13 @@ func (n *Node) serveJob(m *proto.Message) {
 		n.broadcast(&proto.Message{Type: proto.TypeAdvertise, From: n.id, Adverts: closure})
 		// Eval outputs are writes too: a result living only on the worker
 		// that computed it would vanish with that worker.
-		n.replicate(closure, false, m.Trace)
+		n.replicate(closure, false, j.trace)
 	}
 	if t != nil {
 		tracer.Finish(t)
 	}
 	n.mu.Lock()
-	p := n.peers[m.From]
+	p := n.peers[j.from]
 	n.mu.Unlock()
 	if p != nil {
 		_ = p.send(reply)
@@ -916,16 +956,30 @@ type jobCtx struct {
 	info jobInfo
 }
 
+// servedJob is a received Job on its way to its evaluation goroutine, in
+// one allocation: its jobCtx is the evaluation's context (the Encode and
+// its hops), and from and trace are the Job's sender and trace ID.
+type servedJob struct {
+	jobCtx
+	from  string
+	trace string
+}
+
+// newServedJob copies out of the Job frame m what serving it needs.
+func newServedJob(m *proto.Message) *servedJob {
+	return &servedJob{
+		jobCtx: jobCtx{Context: context.Background(), info: jobInfo{hops: int(m.Hops), received: m.Handle}},
+		from:   m.From,
+		trace:  m.Trace,
+	}
+}
+
 // Value answers the jobInfo key with the jobCtx itself.
 func (c *jobCtx) Value(key any) any {
 	if key == (jobKeyType{}) {
 		return c
 	}
 	return c.Context.Value(key)
-}
-
-func withJob(ctx context.Context, j jobInfo) context.Context {
-	return &jobCtx{Context: ctx, info: j}
 }
 
 func jobOf(ctx context.Context) jobInfo {
@@ -941,7 +995,7 @@ func withHops(ctx context.Context, hops int) context.Context {
 		return ctx // a context with no jobInfo already reads as zero hops
 	}
 	j.hops = hops
-	return withJob(ctx, j)
+	return &jobCtx{Context: ctx, info: j}
 }
 
 func hopsOf(ctx context.Context) int { return jobOf(ctx).hops }

@@ -284,6 +284,14 @@ func (n *Node) delegate(ctx context.Context, p *peer, enc core.Handle, deps []st
 		waiterPool.Put(w)
 		return core.Handle{}, ErrNodeClosed
 	}
+	if n.peers[p.id] != p {
+		// Evicted or replaced since the candidates were read: its
+		// eviction stripped the waiters it could, and one registered
+		// now would wait for a Result its closed link cannot carry.
+		n.mu.Unlock()
+		waiterPool.Put(w)
+		return core.Handle{}, &PeerLostError{Peer: p.id, Cause: errPeerGone}
+	}
 	w.next = n.jobW[enc]
 	n.jobW[enc] = w
 	n.pending[p.id]++

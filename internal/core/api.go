@@ -31,7 +31,9 @@ type API interface {
 	// Encodes, Trees, and Handles outside the minimum repository.
 	AttachBlob(h Handle) ([]byte, error)
 	// AttachTree maps a TreeObject's entries, granting access to each
-	// entry (recursive mapping starts from the input Tree).
+	// entry (recursive mapping starts from the input Tree). The entries
+	// may be the store's own: a procedure reads them and never writes
+	// into them (appending is safe; the slice has no spare capacity).
 	AttachTree(h Handle) ([]Handle, error)
 	// CreateBlob stores a new Blob built by the procedure. data is only
 	// lent for the call (a codelet passes a view of its reused memory):

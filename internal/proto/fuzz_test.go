@@ -77,13 +77,20 @@ func dirty() *Message {
 // FuzzDecode: Decode never panics, never allocates beyond decodeBudget,
 // and what it accepts survives a round trip through Encode. DecodeInto,
 // filling a dirty, reused message, gives what Decode gives, with the same
-// error, whether or not the sender hint matches.
+// error, whether or not the sender hint matches; and so it does for the
+// second of two frames decoded into one message, whichever of the fuzzed
+// frame and a Job with two pushed objects comes first, so that no Pushed
+// entry of the first frame shows through and nil and empty slices come
+// out as Decode gives them.
 func FuzzDecode(f *testing.F) {
+	job := corpus()[5].Encode()
 	for _, m := range corpus() {
 		raw := m.Encode()
 		f.Add(raw)
 		f.Add(raw[:len(raw)*2/3])
 	}
+	// A Job that pushes nothing decodes to an empty, non-nil Pushed.
+	f.Add((&Message{Type: TypeJob, From: "client", Handle: core.LiteralU64(3)}).Encode())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, grew, err := decodeGrowth(data)
 		// TotalAlloc is process-wide; another goroutine's allocation can
@@ -106,6 +113,18 @@ func FuzzDecode(f *testing.F) {
 			}
 			if err == nil && !reflect.DeepEqual(reused, m) {
 				t.Fatalf("DecodeInto with hint %q differs from Decode:\n got %+v\nwant %+v", from, reused, m)
+			}
+		}
+		for _, pair := range [][2][]byte{{job, data}, {data, job}, {data, data}} {
+			want, wantErr := Decode(pair[1])
+			into := new(Message)
+			_ = DecodeInto(into, pair[0], "")
+			errInto := DecodeInto(into, pair[1], "")
+			if fmt.Sprint(errInto) != fmt.Sprint(wantErr) {
+				t.Fatalf("DecodeInto after another frame: error %v, Decode's %v", errInto, wantErr)
+			}
+			if wantErr == nil && !reflect.DeepEqual(into, want) {
+				t.Fatalf("DecodeInto after another frame differs from Decode:\n got %+v\nwant %+v", into, want)
 			}
 		}
 		if err != nil {
@@ -180,6 +199,29 @@ func TestDecodeAllocs(t *testing.T) {
 	}
 	if allocs > 3 {
 		t.Fatalf("Decode of a Job frame with four pushed objects allocates %v times, want at most 3", allocs)
+	}
+}
+
+// TestDecodeIntoReusesPushed: a Job frame decoded into a link's reused
+// message, whose Pushed array has room from an earlier Job, allocates
+// nothing; the pushed objects are read in place.
+func TestDecodeIntoReusesPushed(t *testing.T) {
+	job := corpus()[5]
+	job.Trace = ""
+	raw := job.Encode()
+	var m Message
+	var derr error
+	allocs := testing.AllocsPerRun(200, func() {
+		m.Pushed = m.Pushed[:0] // the link keeps the array across frames
+		if err := DecodeInto(&m, raw, job.From); err != nil {
+			derr = err
+		}
+	})
+	if derr != nil {
+		t.Fatal(derr)
+	}
+	if allocs != 0 || !reflect.DeepEqual(m.Pushed, job.Pushed) {
+		t.Fatalf("DecodeInto of a Job: %v allocs, pushed %+v", allocs, m.Pushed)
 	}
 }
 

@@ -199,11 +199,11 @@ func (m *Message) AppendEncode(buf []byte) []byte {
 }
 
 // Decode unpacks a message. Data and Pushed[i].Data are slices of data,
-// not copies: the message aliases the frame it was decoded from, so the
-// caller must own data for as long as it uses the message (transport.Conn's
-// Recv hands over such a buffer), and receivers never write into those
-// bytes. Edge-log entry objects are copied, because the edge log keeps
-// them long after the frame that carried them.
+// not copies: the message aliases the frame it was decoded from, so it is
+// valid only while data is (a transport.Conn's Recv buffer lasts until
+// the link's next Recv), and receivers never write into those bytes.
+// Edge-log entry objects are copied, because the edge log keeps them long
+// after the frame that carried them.
 func Decode(data []byte) (*Message, error) {
 	m := &Message{}
 	if err := DecodeInto(m, data, ""); err != nil {
@@ -213,13 +213,16 @@ func Decode(data []byte) (*Message, error) {
 }
 
 // DecodeInto is Decode into a caller-owned message, which a receive loop
-// reuses across frames. Every field of m is overwritten, and slices are
-// made fresh, never reused, so a message copied out of m before the next
-// call keeps its own. When the frame's sender equals from, m.From is from
-// itself and the sender is not copied out of the frame. On error m is
-// left in an unspecified state.
+// reuses across frames. Every field of m is overwritten. A Job frame's
+// Pushed reuses the array of m.Pushed when that is non-nil and has room,
+// so a link that keeps one array for its Jobs decodes them without
+// allocating it; every other slice is made fresh. The result equals
+// Decode's, nil and empty slices included. When the frame's sender
+// equals from, m.From is from itself and the sender is not copied out of
+// the frame. On error m is left in an unspecified state.
 func DecodeInto(m *Message, data []byte, from string) error {
 	d := decoder{buf: data}
+	pushed := m.Pushed
 	*m = Message{Type: d.u8()}
 	m.From = d.strAs(from)
 	switch m.Type {
@@ -255,7 +258,11 @@ func DecodeInto(m *Message, data []byte, from string) error {
 		if uint64(n)*core.HandleSize > uint64(len(data)) {
 			return fmt.Errorf("proto: push count %d too large", n)
 		}
-		m.Pushed = make([]PushedObject, n)
+		if pushed != nil && uint64(cap(pushed)) >= uint64(n) {
+			m.Pushed = pushed[:n]
+		} else {
+			m.Pushed = make([]PushedObject, n)
+		}
 		for i := range m.Pushed {
 			m.Pushed[i].Handle = d.handle()
 			m.Pushed[i].Data = d.bytes()

@@ -87,6 +87,7 @@ func (a *applyAPI) AttachBlob(h core.Handle) ([]byte, error) {
 }
 
 // AttachTree maps a TreeObject's entries and grants access to each entry.
+// The entries are the store's own, read-only, as AttachBlob's bytes are.
 func (a *applyAPI) AttachTree(h core.Handle) ([]core.Handle, error) {
 	if err := a.require(h); err != nil {
 		return nil, err
@@ -104,9 +105,7 @@ func (a *applyAPI) AttachTree(h core.Handle) ([]core.Handle, error) {
 	for _, ent := range entries {
 		a.grant(ent)
 	}
-	out := make([]core.Handle, len(entries))
-	copy(out, entries)
-	return out, nil
+	return entries, nil
 }
 
 // CreateBlob stores a Blob built by the procedure.

@@ -258,3 +258,62 @@ func TestKeptAPISeesNoLaterGrants(t *testing.T) {
 		}
 	}
 }
+
+// TestAttachedEntriesAppendLeavesTree: AttachTree hands a procedure the
+// stored entries, so appending to them must copy, not write the spare
+// entry past their end, which holds the Tree's Application memo. A
+// procedure appends to its own input's entries and to those of a Tree
+// whose Application is already memoized; both Trees keep their handles,
+// and both Applications evaluate to their first results again.
+func TestAttachedEntriesAppendLeavesTree(t *testing.T) {
+	var spare []int
+	reg := NewRegistry()
+	reg.RegisterFunc("grow", func(api core.API, input core.Handle) (core.Handle, error) {
+		entries, err := api.AttachTree(input)
+		if err != nil {
+			return core.Handle{}, err
+		}
+		spare = append(spare, cap(entries)-len(entries))
+		grown := append(entries, core.LiteralU64(99))
+		if arg := entries[2]; arg.Kind() == core.KindTree {
+			inner, err := api.AttachTree(arg)
+			if err != nil {
+				return core.Handle{}, err
+			}
+			spare = append(spare, cap(inner)-len(inner))
+			_ = append(inner, core.LiteralU64(99))
+		}
+		return core.LiteralU64(uint64(len(grown))), nil
+	})
+	st := store.New()
+	e := New(st, Options{Cores: 1, Registry: reg})
+	fn := core.NativeFunctionBlob("grow")
+	first := appThunk(t, st, fn, core.LiteralU64(7))
+	firstTree := first.StorageKey()
+	if got := mustU64(t, e, first); got != 4 {
+		t.Fatalf("grow over a literal = %d, want 4", got)
+	}
+	second := appThunk(t, st, fn, firstTree)
+	if got := mustU64(t, e, second); got != 4 {
+		t.Fatalf("grow over a tree = %d, want 4", got)
+	}
+	for _, tree := range []core.Handle{firstTree, second.StorageKey()} {
+		entries, err := st.Tree(tree)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if core.TreeHandle(entries) != tree {
+			t.Fatalf("tree %v no longer hashes to its handle", tree)
+		}
+	}
+	for _, th := range []core.Handle{first, second} {
+		if got := mustU64(t, e, th); got != 4 {
+			t.Fatalf("second evaluation of %v = %d, want 4", th, got)
+		}
+	}
+	for i, n := range spare {
+		if n != 0 {
+			t.Fatalf("attached entries %d have %d spare slots, want 0", i, n)
+		}
+	}
+}

@@ -102,11 +102,10 @@ func (c *Closure) walk(h core.Handle) {
 			size *= core.HandleSize
 		}
 		c.Deps = append(c.Deps, Dep{Handle: k, Size: size})
-		if k.Kind() == core.KindTree && c.st.Contains(k) {
-			if children, err := c.st.Tree(k); err == nil {
-				for _, child := range children {
-					c.walk(child)
-				}
+		if k.Kind() == core.KindTree {
+			children, _ := c.st.residentTree(k.StorageKey())
+			for _, child := range children {
+				c.walk(child)
 			}
 		}
 	}

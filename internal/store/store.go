@@ -298,8 +298,9 @@ func (sp *stripe) insertTree(h core.Handle, entries []core.Handle) []core.Handle
 	return entries[:len(entries):len(entries)]
 }
 
-// tree returns the entries of the resident Tree key; the caller holds
-// sp.mu. With spare set the slice ends with the spare entry.
+// tree returns the entries of the resident Tree key, with capacity equal
+// to length; the caller holds sp.mu. With spare set the slice ends with
+// the spare entry.
 func (sp *stripe) tree(key core.Handle, spare bool) ([]core.Handle, bool) {
 	first, ok := sp.trees[key]
 	if !ok {
@@ -335,20 +336,28 @@ func (s *Store) Blob(h core.Handle) ([]byte, error) {
 	return data, nil
 }
 
-// Tree returns the entries of a Tree.
+// Tree returns the entries of a Tree. They are the stored entries
+// themselves, read-only, and their capacity is their length, so an
+// append copies them rather than reaching the spare memo entry.
 func (s *Store) Tree(h core.Handle) ([]core.Handle, error) {
 	key := h.StorageKey()
 	if key.Kind() != core.KindTree {
 		return nil, fmt.Errorf("store: %v is not a tree", h)
 	}
-	sp := s.stripe(key)
-	sp.mu.Lock()
-	entries, ok := sp.tree(key, false)
-	sp.mu.Unlock()
+	entries, ok := s.residentTree(key)
 	if !ok {
 		return nil, &ErrNotFound{Handle: h}
 	}
 	return entries, nil
+}
+
+// residentTree returns the entries of the Tree key, and whether it is
+// resident, in one stripe lookup that allocates nothing.
+func (s *Store) residentTree(key core.Handle) ([]core.Handle, bool) {
+	sp := s.stripe(key)
+	sp.mu.Lock()
+	defer sp.mu.Unlock()
+	return sp.tree(key, false)
 }
 
 // ObjectBytes returns the canonical wire bytes of a resident object. They

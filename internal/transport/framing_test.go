@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"net"
 	"runtime"
 	"sync"
@@ -132,10 +133,10 @@ func TestTCPFramesConcurrentSendersArriveWhole(t *testing.T) {
 }
 
 // TestTCPFramesDecodedMessageSurvivesScratchReuse: Send is finished with
-// the caller's buffer when it returns and Recv hands over a buffer of its
-// own, so a message decoded on the far side (which aliases that buffer)
-// is unaffected by the sender encoding the next message into the same
-// scratch.
+// the caller's buffer when it returns, so a message decoded on the far
+// side (which aliases the frame Recv returned) is unaffected by the
+// sender encoding the next message into the same scratch. Each message is
+// checked before the next Recv, which may reuse its frame.
 func TestTCPFramesDecodedMessageSurvivesScratchReuse(t *testing.T) {
 	a, b := tcpPair(t)
 	sender, receiver := NewTCP(a), NewTCP(b)
@@ -152,20 +153,21 @@ func TestTCPFramesDecodedMessageSurvivesScratchReuse(t *testing.T) {
 	if err := sender.Send(scratch); err != nil {
 		t.Fatal(err)
 	}
-	var got [2]*proto.Message
-	for i := range got {
+	recv := func() *proto.Message {
 		raw, err := receiver.Recv()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got[i], err = proto.Decode(raw); err != nil {
+		m, err := proto.Decode(raw)
+		if err != nil {
 			t.Fatal(err)
 		}
+		return m
 	}
-	if len(got[0].Pushed) != 1 || !bytes.Equal(got[0].Pushed[0].Data, first) {
+	if got := recv(); len(got.Pushed) != 1 || !bytes.Equal(got.Pushed[0].Data, first) {
 		t.Fatal("first message changed after the sender reused its scratch")
 	}
-	if !bytes.Equal(got[1].Data, second) {
+	if got := recv(); !bytes.Equal(got.Data, second) {
 		t.Fatal("second message corrupted")
 	}
 }
@@ -213,6 +215,91 @@ func TestTCPFramesLargeFrameGrows(t *testing.T) {
 	}
 }
 
+// TestTCPRecvAllocs pins the new receive path: once a link's buffers
+// exist, Recv of frames up to the read buffer's size allocates nothing,
+// and neither does a frame that fits the buffer the link keeps.
+func TestTCPRecvAllocs(t *testing.T) {
+	a, b := tcpPair(t)
+	sender, receiver := NewTCP(a), NewTCP(b)
+	for _, sizes := range [][]int{{64, 4 << 10, connBufSize - 1, connBufSize}, {200 << 10, recvStep}} {
+		frames := make([][]byte, len(sizes))
+		for i, n := range sizes {
+			frames[i] = bytes.Repeat([]byte{byte(i + 1)}, n)
+		}
+		next := make(chan []byte)
+		sent := make(chan error, 1)
+		go func() {
+			for f := range next {
+				if err := sender.Send(f); err != nil {
+					sent <- err
+					return
+				}
+			}
+			sent <- nil
+		}()
+		i := 0
+		var bad error
+		recv := func() {
+			f := frames[i%len(frames)]
+			i++
+			next <- f
+			got, err := receiver.Recv()
+			if err != nil || !bytes.Equal(got, f) {
+				bad = fmt.Errorf("frame of %d bytes: got %d bytes, %v", len(f), len(got), err)
+			}
+		}
+		for range frames {
+			recv() // the first frame of a size may grow the kept buffer
+		}
+		allocs := testing.AllocsPerRun(100, recv)
+		close(next)
+		if err := <-sent; err != nil {
+			t.Fatal(err)
+		}
+		if bad != nil {
+			t.Fatal(bad)
+		}
+		if allocs != 0 {
+			t.Fatalf("Recv of frames of %v bytes allocates %v times per frame, want 0", sizes, allocs)
+		}
+	}
+}
+
+// TestTCPRecvKeepsAtMostRecvStep: a frame above recvStep gets a buffer the
+// link does not keep, so after a 4 MiB frame the link holds no more than
+// recvStep besides its read buffer, and a frame after it arrives intact.
+func TestTCPRecvKeepsAtMostRecvStep(t *testing.T) {
+	a, b := tcpPair(t)
+	sender, receiver := NewTCP(a), NewTCP(b)
+	frames := [][]byte{
+		bytes.Repeat([]byte{1}, 300<<10),
+		bytes.Repeat([]byte{2}, 4<<20),
+		bytes.Repeat([]byte{3}, 100<<10),
+	}
+	errc := make(chan error, 1)
+	go func() {
+		for _, f := range frames {
+			if err := sender.Send(f); err != nil {
+				errc <- err
+				return
+			}
+		}
+		errc <- nil
+	}()
+	for _, f := range frames {
+		got, err := receiver.Recv()
+		if err != nil || !bytes.Equal(got, f) {
+			t.Fatalf("frame of %d bytes: got %d bytes, %v", len(f), len(got), err)
+		}
+		if kept := cap(receiver.(*tcpConn).rbuf); kept > recvStep {
+			t.Fatalf("after a frame of %d bytes the link keeps %d bytes, want at most %d", len(f), kept, recvStep)
+		}
+	}
+	if err := <-errc; err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestTCPSendAllocs pins the send path of a small frame at zero
 // allocations (ROADMAP 2 Part D).
 func TestTCPSendAllocs(t *testing.T) {
@@ -220,8 +307,7 @@ func TestTCPSendAllocs(t *testing.T) {
 	sender := NewTCP(a)
 	drained := make(chan struct{})
 	go func() {
-		// A raw reader: Recv would allocate a buffer per frame and
-		// AllocsPerRun counts the whole process.
+		// A raw reader, so the count is Send's alone.
 		defer close(drained)
 		buf := make([]byte, connBufSize)
 		for {

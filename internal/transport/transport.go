@@ -34,9 +34,10 @@ type Conn interface {
 	// for the next encode.
 	Send(msg []byte) error
 	// Recv delivers the next message, blocking until one arrives or the
-	// link closes (io.EOF). The caller owns the returned buffer: the link
-	// never touches it again, so a decoded message may alias it
-	// (proto.Decode does).
+	// link closes (io.EOF). The returned buffer is valid until the next
+	// Recv on this link, which may reuse it: a decoded message aliases it
+	// (proto.Decode does), so whatever outlives that call is copied out
+	// first. Callers never write into it.
 	Recv() ([]byte, error)
 	// Close shuts the link down in both directions.
 	Close() error
@@ -149,22 +150,25 @@ func (c *memConn) Close() error {
 // than connBufSize costs one write and one read: Send stages header and
 // payload in w and flushes once; Recv reads through r, which picks up a
 // small frame's header and body (and any frames queued behind it) in the
-// same read.
+// same read, and returns such a frame in place in r's buffer.
 type tcpConn struct {
-	c    net.Conn
-	rmu  sync.Mutex
-	r    *bufio.Reader // guarded by rmu
-	rhdr [4]byte       // guarded by rmu
-	wmu  sync.Mutex
-	w    *bufio.Writer // guarded by wmu
-	whdr [4]byte       // guarded by wmu
+	c     net.Conn
+	rmu   sync.Mutex
+	r     *bufio.Reader // guarded by rmu
+	rhdr  [4]byte       // guarded by rmu
+	rbuf  []byte        // guarded by rmu: the kept buffer for frames above connBufSize
+	rdone int           // guarded by rmu: bytes of r the last frame returned in place
+	wmu   sync.Mutex
+	w     *bufio.Writer // guarded by wmu
+	whdr  [4]byte       // guarded by wmu
 }
 
 // connBufSize sizes each direction's buffer of a TCP link.
 const connBufSize = 64 << 10
 
 // recvStep bounds what Recv allocates before any payload byte has
-// arrived: the length prefix is four untrusted bytes.
+// arrived: the length prefix is four untrusted bytes. It is also the
+// largest frame buffer a link keeps from one Recv to the next.
 const recvStep = 1 << 20
 
 // NewTCP wraps an established net.Conn as a message link.
@@ -220,6 +224,10 @@ func (t *tcpConn) Send(msg []byte) error {
 func (t *tcpConn) Recv() ([]byte, error) {
 	t.rmu.Lock()
 	defer t.rmu.Unlock()
+	if t.rdone > 0 {
+		_, _ = t.r.Discard(t.rdone) // buffered already: cannot fail
+		t.rdone = 0
+	}
 	if _, err := io.ReadFull(t.r, t.rhdr[:]); err != nil {
 		return nil, err
 	}
@@ -227,10 +235,33 @@ func (t *tcpConn) Recv() ([]byte, error) {
 	if n > MaxFrame {
 		return nil, fmt.Errorf("transport: oversized frame (%d bytes)", n)
 	}
-	// A frame up to recvStep is one exact allocation. A larger claim is
-	// believed only as far as bytes have arrived: the buffer doubles each
-	// time it fills, so a lying prefix costs at most recvStep.
-	buf := make([]byte, min(n, recvStep))
+	if n <= connBufSize {
+		// The frame fits r's buffer: hand it out in place, and discard
+		// it at the next Recv.
+		buf, err := t.r.Peek(n)
+		if err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+		t.rdone = n
+		return buf[:n:n], nil
+	}
+	if n <= recvStep {
+		if cap(t.rbuf) < n {
+			t.rbuf = make([]byte, n, min(recvStep, max(n, 2*cap(t.rbuf))))
+		}
+		buf := t.rbuf[:n:n]
+		if _, err := io.ReadFull(t.r, buf); err != nil {
+			return nil, err
+		}
+		return buf, nil
+	}
+	// A larger claim is believed only as far as bytes have arrived: the
+	// buffer doubles each time it fills, so a lying prefix costs at most
+	// recvStep. The link does not keep it.
+	buf := make([]byte, recvStep)
 	read := 0
 	for {
 		if _, err := io.ReadFull(t.r, buf[read:]); err != nil {
