@@ -121,31 +121,32 @@ func BenchmarkDelegationRoundTrip(b *testing.B) {
 }
 
 // TestAllocsDelegationRoundTrip pins one delegation of a fresh add over
-// Pipe, both sides counted (ROADMAP 2 Part D). It reads 10: the 8 of
+// Pipe, both sides counted (ROADMAP 2 Part D). It reads 9: the 7 of
 // TestAllocsDelegationRoundTripTCP, and the Pipe's copy of the Job and of
 // the Result frame (1 each), which Pipe.Send must make because its caller
 // reuses the buffer.
 func TestAllocsDelegationRoundTrip(t *testing.T) {
-	limit := 11.0
+	limit := 10.0
 	if raceEnabled {
-		limit = 13 // the race detector's sync.Pool drops a quarter of all Puts
+		limit = 12 // the race detector's sync.Pool drops a quarter of all Puts
 	}
 	pinDelegationAllocs(t, pipeLink, limit)
 }
 
 // TestAllocsDelegationRoundTripTCP pins one delegation of a fresh add over
-// loopback TCP, both sides counted. It reads 8:
+// loopback TCP, both sides counted. It reads 7:
 //   - delegating side: the invocation tree's entries and its store (2);
-//   - worker side: the served job and the closure that runs it on an
-//     evaluation goroutine (2); the pushed tree, decoded on ingest (1);
-//     the add evaluation itself (3: its API, two literal reads).
+//   - worker side: the served job, which is also the Task runtime.Go
+//     hands to an evaluation goroutine (1); the pushed tree, decoded on
+//     ingest (1); the add evaluation itself (3: its API, two literal
+//     reads).
 //
 // Neither frame allocates: each is read in place in its link's buffer,
 // and the Job's Pushed slice is the link's.
 func TestAllocsDelegationRoundTripTCP(t *testing.T) {
-	limit := 9.0
+	limit := 8.0
 	if raceEnabled {
-		limit = 11
+		limit = 10
 	}
 	pinDelegationAllocs(t, tcpLink, limit)
 }

@@ -684,8 +684,7 @@ func (n *Node) handle(m *proto.Message) {
 		}
 		n.mu.Unlock()
 	case proto.TypeRequest:
-		from, h := m.From, m.Handle
-		runtime.Go(func() { n.serveRequest(from, h) })
+		runtime.Go(&servedRequest{n: n, from: m.From, h: m.Handle})
 	case proto.TypeObject:
 		n.ingestObject(m.From, m.Handle, m.Data)
 	case proto.TypeMissing:
@@ -702,8 +701,7 @@ func (n *Node) handle(m *proto.Message) {
 	case proto.TypeJob:
 		n.ingestPushed(m.From, m.Pushed)
 		clear(m.Pushed) // the link's array must not pin frame bytes
-		j := newServedJob(m)
-		runtime.Go(func() { n.serveJob(j) })
+		runtime.Go(newServedJob(n, m))
 	case proto.TypeResult:
 		n.mu.Lock()
 		w := n.jobW[m.Handle]
@@ -750,6 +748,17 @@ func (n *Node) handle(m *proto.Message) {
 func (n *Node) viewAddLocked(h core.Handle, owner string) {
 	n.view.Add(h.AsObject(), owner)
 }
+
+// servedRequest is a received Request on its way to the goroutine that
+// answers it.
+type servedRequest struct {
+	n    *Node
+	from string
+	h    core.Handle
+}
+
+// Run answers the Request.
+func (r *servedRequest) Run() { r.n.serveRequest(r.from, r.h) }
 
 // serveRequest answers a peer's Request for h's bytes.
 func (n *Node) serveRequest(from string, h core.Handle) {
@@ -957,22 +966,28 @@ type jobCtx struct {
 }
 
 // servedJob is a received Job on its way to its evaluation goroutine, in
-// one allocation: its jobCtx is the evaluation's context (the Encode and
-// its hops), and from and trace are the Job's sender and trace ID.
+// one allocation that is also the Task runtime.Go hands over: its jobCtx
+// is the evaluation's context (the Encode and its hops), n the node that
+// serves it, and from and trace the Job's sender and trace ID.
 type servedJob struct {
 	jobCtx
+	n     *Node
 	from  string
 	trace string
 }
 
-// newServedJob copies out of the Job frame m what serving it needs.
-func newServedJob(m *proto.Message) *servedJob {
+// newServedJob copies out of the Job frame m what serving it on n needs.
+func newServedJob(n *Node, m *proto.Message) *servedJob {
 	return &servedJob{
 		jobCtx: jobCtx{Context: context.Background(), info: jobInfo{hops: int(m.Hops), received: m.Handle}},
+		n:      n,
 		from:   m.From,
 		trace:  m.Trace,
 	}
 }
+
+// Run serves the Job.
+func (j *servedJob) Run() { j.n.serveJob(j) }
 
 // Value answers the jobInfo key with the jobCtx itself.
 func (c *jobCtx) Value(key any) any {

@@ -53,7 +53,7 @@ func TestPlacementWaitingParentIsNotLoad(t *testing.T) {
 	served := make(chan struct{})
 	go func() {
 		defer close(served)
-		n.serveJob(newServedJob(&proto.Message{Type: proto.TypeJob, From: "client", Handle: merge, Hops: 1}))
+		n.serveJob(newServedJob(n, &proto.Message{Type: proto.TypeJob, From: "client", Handle: merge, Hops: 1}))
 	}()
 	defer func() {
 		n.Close() // fails the two delegations the merge waits on

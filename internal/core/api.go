@@ -6,7 +6,7 @@ package core
 type Store interface {
 	// PutBlob stores a Blob and returns its Object Handle. Literal Blobs
 	// (≤ MaxLiteral bytes) need not be persisted; their Handle carries
-	// the contents.
+	// the contents. PutBlob neither keeps nor modifies data.
 	PutBlob(data []byte) Handle
 	// PutTree stores a Tree and returns its Object Handle.
 	PutTree(entries []Handle) (Handle, error)

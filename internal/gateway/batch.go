@@ -249,11 +249,11 @@ func fanOutEval(ctx context.Context, eval func(context.Context, core.Handle) (co
 	for i, h := range hs {
 		wg.Add(1)
 		sem <- struct{}{}
-		runtime.Go(func() {
+		runtime.Go(runtime.Func(func() {
 			defer wg.Done()
 			defer func() { <-sem }()
 			results[i], errs[i] = eval(ctx, h)
-		})
+		}))
 	}
 	wg.Wait()
 	return results, errs

@@ -444,7 +444,7 @@ func (e *Engine) apply(ctx context.Context, t core.Handle, depth int) (core.Hand
 		return core.Handle{}, fmt.Errorf("runtime: invocation tree has %d entries, want ≥ 2", len(entries))
 	}
 
-	resolved, forced, err := e.resolveEntries(ctx, entries, depth)
+	forced, err := e.resolveEntries(ctx, entries, depth)
 	if err != nil {
 		return core.Handle{}, err
 	}
@@ -455,14 +455,20 @@ func (e *Engine) apply(ctx context.Context, t core.Handle, depth int) (core.Hand
 	defer inFlight.Add(-1)
 	// With nothing forced the definition is the input Tree: same entries,
 	// same handle, already resident. Re-putting it would only re-hash it.
+	// Forced entries live in the fan-out record, which PutTree copies and
+	// which goes back to the pool once the two entries read below are out.
 	input := def
-	if forced {
-		if input, err = e.st.PutTree(resolved); err != nil {
+	limitsEnt, fnEnt := entries[0], entries[1]
+	if forced != nil {
+		limitsEnt, fnEnt = forced.out[0], forced.out[1]
+		input, err = e.st.PutTree(forced.out)
+		forced.release()
+		if err != nil {
 			return core.Handle{}, err
 		}
 	}
 
-	limits, err := e.invocationLimits(ctx, resolved[0])
+	limits, err := e.invocationLimits(ctx, limitsEnt)
 	if err != nil {
 		return core.Handle{}, err
 	}
@@ -471,7 +477,7 @@ func (e *Engine) apply(ctx context.Context, t core.Handle, depth int) (core.Hand
 	}
 
 	// The procedure itself is part of the minimum repository.
-	proc, err := e.loadProcedure(ctx, resolved[1])
+	proc, err := e.loadProcedure(ctx, fnEnt)
 	if err != nil {
 		return core.Handle{}, err
 	}
@@ -530,53 +536,29 @@ func (e *Engine) apply(ctx context.Context, t core.Handle, depth int) (core.Hand
 	return out, nil
 }
 
-// resolveEntries forces every Encode among the definition entries
-// (concurrently when there is more than one), leaving other entries as-is.
-// With no Encode to force it returns entries itself and forced=false.
-func (e *Engine) resolveEntries(ctx context.Context, entries []core.Handle, depth int) ([]core.Handle, bool, error) {
-	var idxs []int
+// resolveEntries forces every Encode among the definition entries,
+// concurrently when there is more than one. With no Encode to force it
+// returns nil; otherwise a fan-out record whose out holds the entries with
+// every Encode replaced by its result, which the caller releases.
+func (e *Engine) resolveEntries(ctx context.Context, entries []core.Handle, depth int) (*fanOut, error) {
+	var f *fanOut
 	for i, ent := range entries {
 		if ent.RefKind() == core.RefEncode {
-			if idxs == nil {
-				idxs = make([]int, 0, len(entries)-i) // one allocation however many follow
+			if f == nil {
+				f = e.newFanOut(ctx, fanForce, entries, depth+1)
 			}
-			idxs = append(idxs, i)
+			f.add(i)
 		}
 	}
-	if len(idxs) == 0 {
-		return entries, false, nil
+	if f == nil {
+		return nil, nil
 	}
-	resolved := make([]core.Handle, len(entries))
-	copy(resolved, entries)
-	var err error
-	if len(idxs) == 1 {
-		i := idxs[0]
-		resolved[i], err = e.force(ctx, entries[i], depth+1)
-	} else {
-		err = e.forceEach(ctx, entries, resolved, idxs, depth)
+	f.run()
+	if err := f.firstErr(); err != nil {
+		f.release()
+		return nil, err
 	}
-	if err != nil {
-		return nil, false, err
-	}
-	return resolved, true, nil
-}
-
-// forceEach forces entries[i] into resolved[i] for every i in idxs, one
-// fan-out branch each. It is a function of its own so that only an
-// invocation with several Encodes pays for the variables its closure
-// captures.
-func (e *Engine) forceEach(ctx context.Context, entries, resolved []core.Handle, idxs []int, depth int) error {
-	errs := make([]error, len(idxs))
-	fanOut(len(idxs), func(n int) {
-		i := idxs[n]
-		resolved[i], errs[n] = e.force(ctx, entries[i], depth+1)
-	})
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return f, nil
 }
 
 func (e *Engine) invocationLimits(ctx context.Context, h core.Handle) (core.Limits, error) {
@@ -761,11 +743,14 @@ func (e *Engine) fetchBatch(ctx context.Context, batch []core.Handle) error {
 	if len(batch) == 1 {
 		return e.ensureLocal(ctx, batch[0])
 	}
-	errs := make([]error, len(batch))
-	fanOut(len(batch), func(i int) {
-		errs[i] = e.ensureLocal(ctx, batch[i])
-	})
-	return errors.Join(errs...)
+	f := e.newFanOut(ctx, fanFetch, batch, 0)
+	for i := range batch {
+		f.add(i)
+	}
+	f.run()
+	err := errors.Join(f.errs...)
+	f.release()
+	return err
 }
 
 // ensureLocal makes a single object's data resident, fetching it if a
@@ -840,35 +825,23 @@ func (e *Engine) strictifyTree(ctx context.Context, h core.Handle, depth int) (c
 	if err != nil {
 		return core.Handle{}, err
 	}
-	out := make([]core.Handle, len(entries))
-	copy(out, entries)
-	var deferred []int
+	f := e.newFanOut(ctx, fanStrictify, entries, depth+1)
+	defer f.release()
 	for i, ent := range entries {
 		if ent.IsData() && ent.Kind() == core.KindBlob {
 			if err := e.ensureLocal(ctx, ent); err != nil {
 				return core.Handle{}, err
 			}
-			out[i] = ent.AsObject()
+			f.out[i] = ent.AsObject()
 			continue
 		}
-		deferred = append(deferred, i)
+		f.add(i)
 	}
-	if len(deferred) == 1 {
-		i := deferred[0]
-		r, err := e.strictify(ctx, entries[i], depth+1)
-		if err != nil {
-			return core.Handle{}, err
-		}
-		out[i] = r
-	} else if len(deferred) > 1 {
-		errs := make([]error, len(deferred))
-		fanOut(len(deferred), func(n int) {
-			i := deferred[n]
-			out[i], errs[n] = e.strictify(ctx, entries[i], depth+1)
-		})
-		if err := errors.Join(errs...); err != nil {
+	if len(f.idxs) > 0 {
+		f.run()
+		if err := errors.Join(f.errs...); err != nil {
 			return core.Handle{}, err
 		}
 	}
-	return e.st.PutTree(out)
+	return e.st.PutTree(f.out)
 }

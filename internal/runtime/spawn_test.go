@@ -118,10 +118,10 @@ func TestWarmGoReusesParkedGoroutine(t *testing.T) {
 	var ran sync.Map
 	done := make(chan struct{})
 	for i := 0; i < 100; i++ {
-		Go(func() {
+		Go(Func(func() {
 			ran.Store(goid(), true)
 			done <- struct{}{}
-		})
+		}))
 		<-done
 		waitIdleWorker()
 	}
@@ -195,24 +195,24 @@ func TestWarmPoolNeverQueues(t *testing.T) {
 	finished.Add(waiters)
 	for i := 0; i < waiters; i++ {
 		job := appThunk(t, st, codelet.AddFunctionBlob(), gateEnc, core.LiteralU64(uint64(i)))
-		Go(func() {
+		Go(Func(func() {
 			defer finished.Done()
 			started.Done()
 			data, err := e.EvalBlob(ctx, job)
 			if v, _ := core.DecodeU64(data); err != nil || v != 1000+uint64(i) {
 				failed.Add(1)
 			}
-		})
+		}))
 	}
 	started.Wait() // every waiter got a goroutine although none has finished
 
 	extra := make(chan uint64, 1)
 	healthy := appThunk(t, st, codelet.AddFunctionBlob(), core.LiteralU64(40), core.LiteralU64(2))
-	Go(func() {
+	Go(Func(func() {
 		data, _ := e.EvalBlob(ctx, healthy)
 		v, _ := core.DecodeU64(data)
 		extra <- v
-	})
+	}))
 	if v := <-extra; v != 42 {
 		t.Fatalf("evaluation submitted behind %d blocked ones = %d, want 42", waiters, v)
 	}
@@ -238,12 +238,12 @@ func TestWarmPoolPinsNoStore(t *testing.T) {
 				strictApp(t, st, gid, core.LiteralU64(2*i)),
 				strictApp(t, st, gid, core.LiteralU64(2*i+1)))
 			wg.Add(1)
-			Go(func() {
+			Go(Func(func() {
 				defer wg.Done()
 				if _, err := e.Eval(context.Background(), top); err != nil {
 					t.Error(err)
 				}
-			})
+			}))
 		}
 		wg.Wait()
 	}()
@@ -284,9 +284,9 @@ func TestPanicFailsOnlyItsInvocation(t *testing.T) {
 		_, err := e.Eval(ctx, boom)
 		errs <- err
 	}
-	Go(eval)
+	Go(Func(eval))
 	<-entered
-	Go(eval) // joins the first's future, or re-runs (and panics again) if it lost the race
+	Go(Func(eval)) // joins the first's future, or re-runs (and panics again) if it lost the race
 	close(release)
 	for i := 0; i < 2; i++ {
 		if err := <-errs; err == nil || !strings.Contains(err.Error(), "runtime: procedure panicked: kaboom") {
@@ -456,7 +456,7 @@ func TestAllocsGoHandoff(t *testing.T) {
 	done := make(chan struct{})
 	f := func() { done <- struct{}{} }
 	allocs := testing.AllocsPerRun(200, func() {
-		Go(f)
+		Go(Func(f))
 		<-done
 		waitIdleWorker()
 	})

@@ -203,6 +203,13 @@ func Register(reg *runtime.Registry, cfg Config) {
 	})
 }
 
+// The two native function Blobs are built once: every BuildJob hands the
+// same bytes to PutBlob, which neither keeps nor modifies them.
+var (
+	countFnBlob = core.NativeFunctionBlob(CountProcName)
+	mergeFnBlob = core.NativeFunctionBlob(MergeProcName)
+)
+
 // BuildJob assembles the full map-reduce dataflow as one Fix object: a
 // count-string Application per chunk, combined by a binary reduction of
 // merge-counts Applications, returned as the top-level Strict Encode.
@@ -212,47 +219,48 @@ func BuildJob(st core.Store, needle string, chunks []core.Handle) (core.Handle, 
 		return core.Handle{}, fmt.Errorf("wiki: no chunks")
 	}
 	lim := core.DefaultLimits.Handle()
-	countFn := st.PutBlob(core.NativeFunctionBlob(CountProcName))
-	mergeFn := st.PutBlob(core.NativeFunctionBlob(MergeProcName))
+	countFn := st.PutBlob(countFnBlob)
+	mergeFn := st.PutBlob(mergeFnBlob)
 	needleH := st.PutBlob([]byte(needle))
 
-	level := make([]core.Handle, 0, len(chunks))
-	for _, c := range chunks {
-		tree, err := st.PutTree(core.InvocationTree(lim, countFn, c, needleH))
+	// Every invocation Tree is refilled into tree, which PutTree copies,
+	// and each level of the reduction is folded into the front of level.
+	var tree [4]core.Handle
+	strictApp := func(fn, a, b core.Handle) (core.Handle, error) {
+		tree = [4]core.Handle{lim, fn, a, b}
+		def, err := st.PutTree(tree[:])
 		if err != nil {
 			return core.Handle{}, err
 		}
-		th, err := core.Application(tree)
+		th, err := core.Application(def)
 		if err != nil {
 			return core.Handle{}, err
 		}
-		enc, err := core.Strict(th)
+		return core.Strict(th)
+	}
+	level := make([]core.Handle, len(chunks))
+	for i, c := range chunks {
+		enc, err := strictApp(countFn, c, needleH)
 		if err != nil {
 			return core.Handle{}, err
 		}
-		level = append(level, enc)
+		level[i] = enc
 	}
 	for len(level) > 1 {
-		next := make([]core.Handle, 0, (len(level)+1)/2)
+		n := 0
 		for i := 0; i+1 < len(level); i += 2 {
-			tree, err := st.PutTree(core.InvocationTree(lim, mergeFn, level[i], level[i+1]))
+			enc, err := strictApp(mergeFn, level[i], level[i+1])
 			if err != nil {
 				return core.Handle{}, err
 			}
-			th, err := core.Application(tree)
-			if err != nil {
-				return core.Handle{}, err
-			}
-			enc, err := core.Strict(th)
-			if err != nil {
-				return core.Handle{}, err
-			}
-			next = append(next, enc)
+			level[n] = enc
+			n++
 		}
 		if len(level)%2 == 1 {
-			next = append(next, level[len(level)-1])
+			level[n] = level[len(level)-1]
+			n++
 		}
-		level = next
+		level = level[:n]
 	}
 	return level[0], nil
 }

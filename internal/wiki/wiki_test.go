@@ -3,6 +3,7 @@ package wiki
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -259,5 +260,37 @@ func TestMapReduceJobEndToEnd(t *testing.T) {
 func TestBuildJobEmpty(t *testing.T) {
 	if _, err := BuildJob(store.New(), "x", nil); err == nil {
 		t.Fatal("expected error for zero chunks")
+	}
+}
+
+// TestAllocsBuildJob pins what assembling a 16-chunk job allocates. Of
+// its own it allocates a constant 3: the entry buffer every PutTree is
+// handed, the reduction's level slice, and the needle's bytes. So a job
+// whose 31 invocation Trees are all resident allocates 3, and a fresh one
+// adds one stored copy per Tree and the growth of the store's maps.
+func TestAllocsBuildJob(t *testing.T) {
+	const runs, trees, constant, mapGrowth = 100, 31, 3, 4
+	st := store.New()
+	chunks := make([]core.Handle, 16)
+	for i := range chunks {
+		chunks[i] = st.PutBlob(Chunk(int64(i), 1024, "fix", 64))
+	}
+	needles := make([]string, runs+2)
+	for i := range needles {
+		needles[i] = fmt.Sprintf("needle-%d", i)
+	}
+	next := 0
+	build := func() {
+		if _, err := BuildJob(st, needles[next%len(needles)], chunks); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}
+	if fresh := testing.AllocsPerRun(runs, build); fresh > trees+constant+mapGrowth {
+		t.Errorf("BuildJob of 16 fresh chunks allocates %v times, want ≤ %d (%d stored Trees + %d + map growth)", fresh, trees+constant+mapGrowth, trees, constant)
+	}
+	next = 0 // the same jobs again: every Tree is resident
+	if resident := testing.AllocsPerRun(runs, build); resident > constant {
+		t.Errorf("BuildJob of 16 resident chunks allocates %v times, want ≤ %d", resident, constant)
 	}
 }
