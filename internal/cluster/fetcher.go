@@ -2,13 +2,13 @@ package cluster
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 
 	"fixgo/internal/core"
 	"fixgo/internal/obsv"
 	"fixgo/internal/proto"
+	"fixgo/internal/runtime"
 )
 
 // clusterFetcher implements runtime.Fetcher over the peer network. The
@@ -41,7 +41,7 @@ func (f *clusterFetcher) Fetch(ctx context.Context, h core.Handle) ([]byte, erro
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
-		if leaderGaveUp(ctx, w.err) {
+		if runtime.LeaderGaveUp(ctx, w.err) {
 			n.mu.Lock()
 			continue
 		}
@@ -95,12 +95,6 @@ func (f *clusterFetcher) Fetch(ctx context.Context, h core.Handle) ([]byte, erro
 		return nil, err
 	}
 	return data, nil
-}
-
-// leaderGaveUp reports whether err is a context error that is not the
-// caller's own: ctx is still live.
-func leaderGaveUp(ctx context.Context, err error) bool {
-	return ctx.Err() == nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded))
 }
 
 // run walks the owner tiers and returns the object's bytes. Every success

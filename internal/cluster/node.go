@@ -88,8 +88,9 @@ func (o NodeOptions) withDefaults() NodeOptions {
 
 const (
 	// maxHops bounds the delegation depth of a dataflow. Each level of a
-	// job tree may hop once, and a received Encode is never re-delegated,
-	// so this is a runaway guard, not a tuning knob.
+	// job tree may hop once, and a received Encode is forced where it
+	// lands (runtime.Engine.ForceHere), so this is a runaway guard, not a
+	// tuning knob.
 	maxHops = 256
 	// pushLimit is the largest Blob shipped inside a Job message; larger
 	// dependencies are fetched on demand.
@@ -192,7 +193,7 @@ type Node struct {
 	view    *objstore.ReplicaTracker // passive object view: key → believed holders
 	ring    *objstore.Ring           // consistent-hash placement ring over live members
 	fetchW  map[core.Handle]*fetchWait
-	jobW    map[core.Handle]*jobWaiter // each Encode's outstanding delegations, linked by next
+	jobW    map[core.Handle]*jobWaiter // one outstanding delegation per Encode: the engine offers each once at a time
 	pending map[string]int             // peer id → our delegations in flight there (scheduling load)
 	rng     *rand.Rand
 	closed  bool
@@ -248,12 +249,10 @@ type jobResult struct {
 // waits on, pinned to the peer the job was shipped to so eviction can
 // fail exactly the delegations parked on the dead node. Whoever takes a
 // waiter out of jobW (a Result, an eviction, Close) makes its one
-// delivery, reading next first: once delivered, the waiter may be
-// recycled.
+// delivery; once delivered, the waiter may be recycled.
 type jobWaiter struct {
 	ch     chan jobResult // buffered (cap 1); at most one delivery
 	peerID string
-	next   *jobWaiter // the next waiter on the same Encode
 }
 
 // waiterPool recycles jobWaiters with their channels. A waiter goes back
@@ -350,9 +349,7 @@ func (n *Node) Close() {
 	n.targets, n.workers = nil, nil
 	var lost []*jobWaiter
 	for enc, w := range n.jobW {
-		for ; w != nil; w = w.next {
-			lost = append(lost, w)
-		}
+		lost = append(lost, w)
 		delete(n.jobW, enc)
 	}
 	var waits []*fetchWait
@@ -428,20 +425,9 @@ func (n *Node) stripPeerLocked(id string) []*jobWaiter {
 	delete(n.pending, id)
 	var lost []*jobWaiter
 	for enc, w := range n.jobW {
-		var keep *jobWaiter
-		for w != nil {
-			next := w.next
-			if w.peerID == id {
-				lost = append(lost, w)
-			} else {
-				w.next, keep = keep, w
-			}
-			w = next
-		}
-		if keep == nil {
+		if w.peerID == id {
+			lost = append(lost, w)
 			delete(n.jobW, enc)
-		} else {
-			n.jobW[enc] = keep
 		}
 	}
 	return lost
@@ -711,10 +697,8 @@ func (n *Node) handle(m *proto.Message) {
 		if m.Err != "" {
 			res.err = fmt.Errorf("cluster: remote job on %s failed: %s", m.From, m.Err)
 		}
-		for w != nil {
-			next := w.next
+		if w != nil { // nil: the delegation gave up before its Result came
 			w.ch <- res
-			w = next
 		}
 	case proto.TypePing:
 		n.mu.Lock()
@@ -845,21 +829,22 @@ func (w *fetchWait) complete(data []byte, err error) {
 	close(w.done)
 }
 
-// serveJob executes a delegated Encode forcing, whose pushed objects the
-// receive loop has already stored, and replies with the result. Objects
-// the job produced are advertised cluster-wide, so downstream placements
-// and peer gateways' cache-warm hints can locate them, and replicated. A literal result produced nothing: the delegator
-// learns it from the Result frame alone and no other frame is sent.
+// serveJob forces a delegated Encode where it landed (Engine.ForceHere),
+// with the pushed objects the receive loop has already stored, and
+// replies with the result. It neither re-delegates the Encode nor joins
+// this node's own force of it, which may be delegating to the sender:
+// either could wait on the sender while the sender waits on us. Its
+// children may still be delegated. Objects the job produced are
+// advertised cluster-wide, so downstream placements and peer gateways'
+// cache-warm hints can locate them, and replicated. A literal result
+// produced nothing: the delegator learns it from the Result frame alone
+// and no other frame is sent.
 //
 // The job is not added to this node's placement load: the engine counts
 // it (Engine.InFlight) once its children are resolved and it is about to
 // claim a slot, and not while it only waits on them.
 func (n *Node) serveJob(j *servedJob) {
-	// The received Encode itself must run here: re-delegating it could
-	// ping-pong back to the sender, whose force future is already
-	// waiting on us (a distributed deadlock). Its children may still be
-	// outsourced.
-	enc := j.info.received
+	enc := j.enc
 	var ctx context.Context = &j.jobCtx
 	var t *obsv.Trace
 	tracer := n.tracer
@@ -868,7 +853,7 @@ func (n *Node) serveJob(j *servedJob) {
 		ctx = obsv.WithTrace(ctx, t)
 	}
 	evalStart := time.Now()
-	res, err := n.eng.Eval(ctx, enc)
+	res, err := n.eng.ForceHere(ctx, enc)
 	evalDur := time.Since(evalStart)
 	t.AddSpanAt("eval", n.id, evalStart, evalDur)
 	reply := &proto.Message{
@@ -947,31 +932,24 @@ func fnvHash(s string) uint64 {
 	return h
 }
 
-// jobInfo is what an evaluation's context carries about the dataflow it
-// belongs to, as one context value: the delegation hops made so far, and
-// the Encode this node received and must therefore run itself (zero when
-// the evaluation did not arrive as a Job).
-type jobInfo struct {
-	hops     int
-	received core.Handle
-}
-
 type jobKeyType struct{}
 
-// jobCtx carries a jobInfo in one allocation, where context.WithValue
-// and the boxed jobInfo would take two.
+// jobCtx carries the delegation hops a dataflow has made so far as one
+// context value, in one allocation where context.WithValue and the boxed
+// count would take two.
 type jobCtx struct {
 	context.Context
-	info jobInfo
+	hops int
 }
 
 // servedJob is a received Job on its way to its evaluation goroutine, in
 // one allocation that is also the Task runtime.Go hands over: its jobCtx
-// is the evaluation's context (the Encode and its hops), n the node that
-// serves it, and from and trace the Job's sender and trace ID.
+// is the evaluation's context, n the node that serves it, enc the Encode
+// to force, and from and trace the Job's sender and trace ID.
 type servedJob struct {
 	jobCtx
 	n     *Node
+	enc   core.Handle
 	from  string
 	trace string
 }
@@ -979,8 +957,9 @@ type servedJob struct {
 // newServedJob copies out of the Job frame m what serving it on n needs.
 func newServedJob(n *Node, m *proto.Message) *servedJob {
 	return &servedJob{
-		jobCtx: jobCtx{Context: context.Background(), info: jobInfo{hops: int(m.Hops), received: m.Handle}},
+		jobCtx: jobCtx{Context: context.Background(), hops: int(m.Hops)},
 		n:      n,
+		enc:    m.Handle,
 		from:   m.From,
 		trace:  m.Trace,
 	}
@@ -989,7 +968,7 @@ func newServedJob(n *Node, m *proto.Message) *servedJob {
 // Run serves the Job.
 func (j *servedJob) Run() { j.n.serveJob(j) }
 
-// Value answers the jobInfo key with the jobCtx itself.
+// Value answers the jobCtx key with the jobCtx itself.
 func (c *jobCtx) Value(key any) any {
 	if key == (jobKeyType{}) {
 		return c
@@ -997,27 +976,18 @@ func (c *jobCtx) Value(key any) any {
 	return c.Context.Value(key)
 }
 
-func jobOf(ctx context.Context) jobInfo {
+func hopsOf(ctx context.Context) int {
 	if c, ok := ctx.Value(jobKeyType{}).(*jobCtx); ok {
-		return c.info
+		return c.hops
 	}
-	return jobInfo{}
+	return 0
 }
 
 func withHops(ctx context.Context, hops int) context.Context {
-	j := jobOf(ctx)
-	if j.hops == hops {
-		return ctx // a context with no jobInfo already reads as zero hops
+	if hopsOf(ctx) == hops {
+		return ctx // a context with no jobCtx already reads as zero hops
 	}
-	j.hops = hops
-	return &jobCtx{Context: ctx, info: j}
-}
-
-func hopsOf(ctx context.Context) int { return jobOf(ctx).hops }
-
-func receivedOf(ctx context.Context) (core.Handle, bool) {
-	h := jobOf(ctx).received
-	return h, !h.IsZero()
+	return &jobCtx{Context: ctx, hops: hops}
 }
 
 // Connect joins two nodes with a simulated link and waits until both ends

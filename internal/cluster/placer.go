@@ -31,9 +31,6 @@ func (n *Node) Offload(ctx context.Context, enc core.Handle) (core.Handle, bool,
 	if hopsOf(ctx) >= maxHops {
 		return core.Handle{}, false, nil
 	}
-	if rec, ok := receivedOf(ctx); ok && rec == enc {
-		return core.Handle{}, false, nil
-	}
 	if !n.anyWorkerPeer() {
 		if n.opts.ClientOnly {
 			return core.Handle{}, true, ErrNoWorkers
@@ -292,7 +289,6 @@ func (n *Node) delegate(ctx context.Context, p *peer, enc core.Handle, deps []st
 		waiterPool.Put(w)
 		return core.Handle{}, &PeerLostError{Peer: p.id, Cause: errPeerGone}
 	}
-	w.next = n.jobW[enc]
 	n.jobW[enc] = w
 	n.pending[p.id]++
 	n.net.JobsDelegated++
@@ -358,25 +354,12 @@ func (n *Node) pendingDec(id string) {
 	}
 }
 
-// dropJobWaiter unlinks w from enc's waiters, if a delivery has not
-// already taken it out.
+// dropJobWaiter takes w out of jobW, if a delivery has not already.
 func (n *Node) dropJobWaiter(enc core.Handle, w *jobWaiter) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	head := n.jobW[enc]
-	if head == w {
-		if w.next == nil {
-			delete(n.jobW, enc)
-		} else {
-			n.jobW[enc] = w.next
-		}
-		return
-	}
-	for link := head; link != nil; link = link.next {
-		if link.next == w {
-			link.next = w.next
-			return
-		}
+	if n.jobW[enc] == w {
+		delete(n.jobW, enc)
 	}
 }
 

@@ -198,57 +198,85 @@ func (f *future) wait(ctx context.Context) (core.Handle, error) {
 	}
 }
 
-// leaderGaveUp reports whether a joiner's wait ended in a context error
+// LeaderGaveUp reports whether a joiner's wait ended in a context error
 // that is not the joiner's own: ctx is still live, so the leader gave up
 // on its context. The joiner then starts over and may lead itself.
-func leaderGaveUp(ctx context.Context, err error) bool {
+func LeaderGaveUp(ctx context.Context, err error) bool {
 	return ctx.Err() == nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded))
+}
+
+// once computes the value of k with lead, unless another evaluation on
+// this engine already is: then it waits for that one's result. A joiner
+// whose leader gave up on its own context starts over, and may lead.
+func (e *Engine) once(ctx context.Context, k futKey, lead func() (core.Handle, error)) (core.Handle, error) {
+	for {
+		f, mine := e.claimFuture(k)
+		if mine {
+			res, err := lead()
+			e.completeFuture(k, res, err)
+			return res, err
+		}
+		res, err := f.wait(ctx)
+		if !LeaderGaveUp(ctx, err) {
+			return res, err
+		}
+	}
 }
 
 // force evaluates an Encode: the referenced Thunk is evaluated until the
 // result is not a Thunk, then delivered as an Object (Strict, deeply
-// evaluated) or as a Ref (Shallow).
+// evaluated) or as a Ref (Shallow). The Delegator, if any, may place it
+// on another node; the engine offers each Encode at most once at a time.
 func (e *Engine) force(ctx context.Context, enc core.Handle, depth int) (core.Handle, error) {
 	if r, ok := e.st.EncodeResult(enc); ok {
 		return r, nil
 	}
-	k := futKey{'E', enc}
-	f, mine := e.claimFuture(k)
-	if !mine {
-		res, err := f.wait(ctx)
-		if leaderGaveUp(ctx, err) {
-			return e.force(ctx, enc, depth)
+	return e.once(ctx, futKey{'E', enc}, func() (core.Handle, error) {
+		if e.opts.Delegator != nil {
+			if res, handled, err := e.opts.Delegator.Offload(ctx, enc); handled {
+				if err == nil {
+					e.st.SetEncodeResult(enc, res)
+				}
+				return res, err
+			}
 		}
-		return res, err
-	}
-	res, err := e.forceSlow(ctx, enc, depth)
-	if err == nil {
-		e.st.SetEncodeResult(enc, res)
-	}
-	e.completeFuture(k, res, err)
-	return res, err
+		return e.forceHere(ctx, enc, depth)
+	})
 }
 
-func (e *Engine) forceSlow(ctx context.Context, enc core.Handle, depth int) (core.Handle, error) {
+// ForceHere forces the Encode enc on this engine: it is not offered to
+// the Delegator, and it does not join an in-flight force of enc, which
+// may be waiting on the very node that asked this one to force it. It
+// still joins evaluations of enc's Thunk and strictifications of its
+// result, so it repeats work only while a local force of enc is itself
+// delegating. The Encodes enc's evaluation forces are offered as usual.
+func (e *Engine) ForceHere(ctx context.Context, enc core.Handle) (core.Handle, error) {
+	if r, ok := e.st.EncodeResult(enc); ok {
+		return r, nil
+	}
+	return e.forceHere(ctx, enc, 0)
+}
+
+// forceHere evaluates enc's Thunk on this engine and memoizes the result.
+func (e *Engine) forceHere(ctx context.Context, enc core.Handle, depth int) (core.Handle, error) {
 	thunk, err := core.EncodedThunk(enc)
 	if err != nil {
 		return core.Handle{}, err
-	}
-	// A distributed scheduler may place this force on another node.
-	if e.opts.Delegator != nil {
-		if res, handled, derr := e.opts.Delegator.Offload(ctx, enc); handled {
-			return res, derr
-		}
 	}
 	r, err := e.evalThunk(ctx, thunk, depth+1)
 	if err != nil {
 		return core.Handle{}, err
 	}
 	if enc.EncodeStyle() == core.EncodeStrict {
-		return e.strictify(ctx, r, depth+1)
+		if r, err = e.strictify(ctx, r, depth+1); err != nil {
+			return core.Handle{}, err
+		}
+	} else {
+		// Shallow: deliver as a Ref; the data need not be resident here.
+		r = r.AsRef()
 	}
-	// Shallow: deliver as a Ref; the data need not be resident here.
-	return r.AsRef(), nil
+	e.st.SetEncodeResult(enc, r)
+	return r, nil
 }
 
 // evalThunk evaluates a Thunk until the result is not a Thunk, memoizing
@@ -257,18 +285,9 @@ func (e *Engine) evalThunk(ctx context.Context, t core.Handle, depth int) (core.
 	if r, ok := e.st.ThunkResult(t); ok {
 		return r, nil
 	}
-	k := futKey{'T', t}
-	f, mine := e.claimFuture(k)
-	if !mine {
-		res, err := f.wait(ctx)
-		if leaderGaveUp(ctx, err) {
-			return e.evalThunk(ctx, t, depth)
-		}
-		return res, err
-	}
-	res, err := e.evalThunkSlow(ctx, t, depth)
-	e.completeFuture(k, res, err)
-	return res, err
+	return e.once(ctx, futKey{'T', t}, func() (core.Handle, error) {
+		return e.evalThunkSlow(ctx, t, depth)
+	})
 }
 
 // chainScanMax is the tail-call chain length up to which evalThunkSlow
@@ -803,18 +822,9 @@ func (e *Engine) strictify(ctx context.Context, h core.Handle, depth int) (core.
 		}
 		return h.AsObject(), nil
 	}
-	k := futKey{'S', h.AsObject()}
-	f, mine := e.claimFuture(k)
-	if !mine {
-		res, err := f.wait(ctx)
-		if leaderGaveUp(ctx, err) {
-			return e.strictify(ctx, h, depth)
-		}
-		return res, err
-	}
-	res, err := e.strictifyTree(ctx, h, depth)
-	e.completeFuture(k, res, err)
-	return res, err
+	return e.once(ctx, futKey{'S', h.AsObject()}, func() (core.Handle, error) {
+		return e.strictifyTree(ctx, h, depth)
+	})
 }
 
 func (e *Engine) strictifyTree(ctx context.Context, h core.Handle, depth int) (core.Handle, error) {
