@@ -121,32 +121,34 @@ func BenchmarkDelegationRoundTrip(b *testing.B) {
 }
 
 // TestAllocsDelegationRoundTrip pins one delegation of a fresh add over
-// Pipe, both sides counted (ROADMAP 2 Part D). It reads 9: the 7 of
+// Pipe, both sides counted (ROADMAP 2 Part D). It reads 7: the 5 of
 // TestAllocsDelegationRoundTripTCP, and the Pipe's copy of the Job and of
 // the Result frame (1 each), which Pipe.Send must make because its caller
 // reuses the buffer.
 func TestAllocsDelegationRoundTrip(t *testing.T) {
-	limit := 10.0
+	limit := 8.0
 	if raceEnabled {
-		limit = 12 // the race detector's sync.Pool drops a quarter of all Puts
+		limit = 10 // the race detector's sync.Pool drops a quarter of all Puts
 	}
 	pinDelegationAllocs(t, pipeLink, limit)
 }
 
 // TestAllocsDelegationRoundTripTCP pins one delegation of a fresh add over
-// loopback TCP, both sides counted. It reads 7:
-//   - delegating side: the invocation tree's entries and its store (2);
+// loopback TCP, both sides counted. It reads 5:
+//   - delegating side: the invocation tree's entries (1);
 //   - worker side: the served job, which is also the Task runtime.Go
-//     hands to an evaluation goroutine (1); the pushed tree, decoded on
-//     ingest (1); the add evaluation itself (3: its API, two literal
-//     reads).
+//     hands to an evaluation goroutine (1); the add evaluation itself
+//     (3: its API, two literal reads).
 //
 // Neither frame allocates: each is read in place in its link's buffer,
-// and the Job's Pushed slice is the link's.
+// and the Job's Pushed slice is the link's. Neither store allocates for
+// the tree: the caller's copy and the worker's, validated and hashed in
+// the frame, go into slots carved from a slab, which a stripe allocates
+// once per 20 such trees.
 func TestAllocsDelegationRoundTripTCP(t *testing.T) {
-	limit := 8.0
+	limit := 6.0
 	if raceEnabled {
-		limit = 10
+		limit = 8
 	}
 	pinDelegationAllocs(t, tcpLink, limit)
 }

@@ -20,12 +20,18 @@ import (
 )
 
 // frameCounts tallies the frames sent over every link of a mesh, by
-// message type, and the handles that Request frames asked for.
+// message type, the handles that Request frames asked for, and what Job
+// frames pushed, by sender.
 type frameCounts struct {
 	mu        sync.Mutex
 	byType    map[byte]int
 	requested []core.Handle
+	pushed    map[string]pushCount
 }
+
+// pushCount is one sender's Job frames and the objects and Trees they
+// pushed.
+type pushCount struct{ jobs, objects, trees int }
 
 func (c *frameCounts) of(typ byte) int {
 	c.mu.Lock()
@@ -43,8 +49,22 @@ func (c *countingConn) Send(msg []byte) error {
 	if m, err := proto.Decode(msg); err == nil {
 		c.counts.mu.Lock()
 		c.counts.byType[m.Type]++
-		if m.Type == proto.TypeRequest {
+		switch m.Type {
+		case proto.TypeRequest:
 			c.counts.requested = append(c.counts.requested, m.Handle)
+		case proto.TypeJob:
+			pc := c.counts.pushed[m.From]
+			pc.jobs++
+			pc.objects += len(m.Pushed)
+			for _, p := range m.Pushed {
+				if p.Handle.Kind() == core.KindTree {
+					pc.trees++
+				}
+			}
+			if c.counts.pushed == nil {
+				c.counts.pushed = make(map[string]pushCount)
+			}
+			c.counts.pushed[m.From] = pc
 		}
 		c.counts.mu.Unlock()
 	}
@@ -122,6 +142,65 @@ func TestFramesPerDelegationLiteralResult(t *testing.T) {
 	}
 	if adverts := counts.of(proto.TypeAdvertise); adverts != 0 {
 		t.Fatalf("%d Advertise frames for a job whose every result is a literal", adverts)
+	}
+}
+
+// TestPushedObjectsPerMapReduceJob counts what the Job frames of fresh
+// 16-chunk map-reduce jobs push, on a client-only node and three workers
+// with chunk c on worker c%3. The client's one Job per job pushes the
+// job's whole dataflow, its 31 invocation Trees. A worker that delegates
+// part of a merge on pushes that part's Trees again, so a job pushes more
+// objects in all: 52 per job on average when this test was written, but
+// a mesh settles into a placement pattern early and keeps it, so one
+// mesh's mean ranged from 37 to 67. The bound is over four meshes, loose
+// enough not to flake; a placement change that lowers the count should
+// tighten it.
+func TestPushedObjectsPerMapReduceJob(t *testing.T) {
+	const (
+		meshes, jobs = 4, 16
+		jobChunks    = 16
+		trees        = 2*jobChunks - 1
+		maxPerJob    = 64.0
+	)
+	reg := runtime.NewRegistry()
+	wiki.Register(reg, wiki.Config{})
+	var frames, objects int
+	for m := range meshes {
+		client, ws, counts := countedMesh(t, reg)
+		chunks := make([]core.Handle, jobChunks)
+		for c := range chunks {
+			chunks[c] = ws[c%len(ws)].Store().PutBlob(wiki.Chunk(int64(c), 4<<10, "", 0))
+		}
+		connectCounted(counts, append([]*Node{client}, ws...)...)
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		for j := range jobs {
+			job, err := wiki.BuildJob(client.Store(), fmt.Sprintf("needle %d", j), chunks)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := client.Eval(ctx, job); err != nil {
+				t.Fatalf("mesh %d, job %d: %v", m, j, err)
+			}
+		}
+		cancel()
+		closeAll(client, ws)
+
+		counts.mu.Lock()
+		c := counts.pushed[client.ID()]
+		if c.jobs != jobs || c.objects != trees*jobs || c.trees != trees*jobs {
+			t.Errorf("mesh %d: the client sent %d Job frames pushing %d objects (%d Trees) for %d fresh jobs, want one pushing %d Trees each",
+				m, c.jobs, c.objects, c.trees, jobs, trees)
+		}
+		for _, pc := range counts.pushed {
+			frames += pc.jobs
+			objects += pc.objects
+		}
+		counts.mu.Unlock()
+	}
+	perJob := float64(objects) / (meshes * jobs)
+	t.Logf("%.2f Job frames pushing %.2f objects per job", float64(frames)/(meshes*jobs), perJob)
+	if perJob > maxPerJob {
+		t.Errorf("Job frames push %.2f objects per job, want ≤ %v", perJob, maxPerJob)
 	}
 }
 

@@ -782,20 +782,28 @@ func (n *Node) ingestObject(from string, h core.Handle, data []byte) bool {
 	return true
 }
 
-// ingestPushed stores the objects a Job pushed. A resident object's
-// pushed bytes would be discarded, so they are neither decoded nor
-// re-hashed. The sender is still recorded as a holder: the view is
-// advisory, and an Advertise makes the same claim unverified. A malformed
-// handle goes to PutObject, which refuses it.
+// ingestPushed stores the objects a Job pushed, then records the sender
+// as their holder under one lock of n.mu. A resident object's pushed
+// bytes would be discarded, so they are neither validated nor re-hashed.
+// The sender is still recorded as its holder: the view is advisory, and
+// an Advertise makes the same claim unverified. A malformed handle goes
+// to PutObject, which refuses it; a refused object's Handle is zeroed in
+// pushed, which the caller clears next, and is not recorded.
 func (n *Node) ingestPushed(from string, pushed []proto.PushedObject) {
-	for _, p := range pushed {
+	for i := range pushed {
+		p := &pushed[i]
 		resident := p.Handle.Validate() == nil && n.st.Contains(p.Handle)
-		if resident || n.st.PutObject(p.Handle, p.Data) == nil {
-			n.mu.Lock()
-			n.viewAddLocked(p.Handle, from)
-			n.mu.Unlock()
+		if !resident && n.st.PutObject(p.Handle, p.Data) != nil {
+			p.Handle = core.Handle{}
 		}
 	}
+	n.mu.Lock()
+	for _, p := range pushed {
+		if !p.Handle.IsZero() {
+			n.viewAddLocked(p.Handle, from)
+		}
+	}
+	n.mu.Unlock()
 }
 
 // completeFetch finishes an outstanding fetch wait, if any. Success

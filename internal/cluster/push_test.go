@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -94,5 +95,39 @@ func TestCorruptPushRefused(t *testing.T) {
 	}
 	if worker.Store().Len() != 1 {
 		t.Fatalf("worker holds %d objects, want only the function", worker.Store().Len())
+	}
+}
+
+// TestIngestPushedRecordsStoredAndResident: one Job's pushed objects,
+// stored, resident, forged and malformed, are ingested together. The
+// sender is recorded as the holder of what was stored or already
+// resident, and of nothing that was refused.
+func TestIngestPushedRecordsStoredAndResident(t *testing.T) {
+	sender, worker, entries, _, forged := pushPair(t)
+	resident, _ := worker.Store().PutTree(entries[:2])
+	fresh := core.InvocationTree(core.DefaultLimits.Handle(), core.LiteralU64(5), core.LiteralU64(6))
+	malformed := core.TreeHandle(fresh)
+	malformed[31] |= 1 << 7 // the reserved flag bit
+	pushed := []proto.PushedObject{
+		{Handle: core.TreeHandle(entries), Data: forged},
+		{Handle: resident, Data: forged},
+		{Handle: core.TreeHandle(fresh), Data: core.EncodeTree(fresh)},
+		{Handle: malformed, Data: core.EncodeTree(fresh)},
+	}
+	worker.ingestPushed(sender.ID(), pushed)
+	for _, c := range []struct {
+		h    core.Handle
+		held bool
+	}{{core.TreeHandle(entries), false}, {resident, true}, {core.TreeHandle(fresh), true}, {malformed, false}} {
+		var want []string
+		if c.held {
+			want = []string{sender.ID()}
+		}
+		if owners := worker.ViewOwners(c.h); !slices.Equal(owners, want) {
+			t.Errorf("view owners of %v = %v, want %v", c.h, owners, want)
+		}
+		if worker.Store().Contains(c.h) != c.held {
+			t.Errorf("%v resident = %v, want %v", c.h, !c.held, c.held)
+		}
 	}
 }

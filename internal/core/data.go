@@ -26,19 +26,27 @@ func EncodeTree(entries []Handle) []byte {
 	return out
 }
 
-// DecodeTree unpacks the canonical byte representation of a Tree. Every
-// entry is validated.
-func DecodeTree(data []byte) ([]Handle, error) { return DecodeTreeCap(data, 0) }
+// DecodeTree unpacks the canonical byte representation of a Tree into a
+// fresh slice. Every entry is validated.
+func DecodeTree(data []byte) ([]Handle, error) {
+	view, err := TreeView(data)
+	if err != nil {
+		return nil, err
+	}
+	entries := make([]Handle, len(view))
+	copy(entries, view)
+	return entries, nil
+}
 
-// DecodeTreeCap is DecodeTree into a slice with room for extra more
-// handles past the entries, for a caller that keeps them alongside.
-func DecodeTreeCap(data []byte, extra int) ([]Handle, error) {
+// TreeView is DecodeTree in place, the inverse of TreeBytes: the entries
+// alias data, which must stay unchanged while they are read. Every entry
+// is validated.
+func TreeView(data []byte) ([]Handle, error) {
 	if len(data)%HandleSize != 0 {
 		return nil, fmt.Errorf("core: tree encoding length %d not a multiple of %d", len(data), HandleSize)
 	}
-	entries := make([]Handle, len(data)/HandleSize, len(data)/HandleSize+extra)
+	entries := unsafe.Slice((*Handle)(unsafe.Pointer(unsafe.SliceData(data))), len(data)/HandleSize)
 	for i := range entries {
-		copy(entries[i][:], data[i*HandleSize:])
 		if err := entries[i].Validate(); err != nil {
 			return nil, fmt.Errorf("core: tree entry %d: %w", i, err)
 		}

@@ -12,7 +12,8 @@ import (
 // FuzzDecodeTree: DecodeTree never panics, and on accepted input the
 // decoded entries lie in memory exactly as the input bytes did, so the
 // handle TreeHandle computes from them in place is the digest of the input
-// itself.
+// itself. TreeView accepts and refuses the same inputs, with the same
+// error, and its entries are the input bytes themselves.
 func FuzzDecodeTree(f *testing.F) {
 	blob := BlobHandle(bytes.Repeat([]byte{5}, 500))
 	tree := TreeHandle([]Handle{LiteralU64(1)})
@@ -35,8 +36,15 @@ func FuzzDecodeTree(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		entries, err := DecodeTree(data)
+		view, verr := TreeView(data)
+		if fmt.Sprint(err) != fmt.Sprint(verr) {
+			t.Fatalf("DecodeTree error %v, TreeView error %v", err, verr)
+		}
 		if err != nil {
 			return
+		}
+		if len(data) > 0 && &TreeBytes(view)[0] != &data[0] {
+			t.Fatal("TreeView copied the input")
 		}
 		if !bytes.Equal(TreeBytes(entries), data) {
 			t.Fatalf("decoded entries lie as %x, input was %x", TreeBytes(entries), data)

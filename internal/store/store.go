@@ -74,6 +74,12 @@ const stripeCount = 32
 // thunkResults. A Thunk's memo is kept in one place, its Tree's spare
 // entry or thunkResults, never both. trees maps a Tree to its first
 // entry; its handle carries how many follow.
+//
+// That slot, the entries and the spare, is carved from the stripe's
+// current slab (carve), so storing a Tree is a copy, not an allocation.
+// A slot is never moved or reused, even once its Tree is evicted: the
+// entries Tree returned stay valid and unchanged for as long as they are
+// held, and a live Tree keeps at most one slab, its own, alive.
 type stripe struct {
 	mu            sync.Mutex
 	blobs         map[core.Handle][]byte
@@ -81,17 +87,31 @@ type stripe struct {
 	thunkResults  map[core.Handle]core.Handle
 	encodeResults map[core.Handle]core.Handle
 	bytes         uint64
+	// slab is the current slab: its length is what has been carved.
+	slab []core.Handle
 	// Pins are few and short-lived: the first keys pinned at once are
 	// counted in pinSlots, and only the rest in the pins map.
 	pinSlots [3]pinCount
 	pins     map[core.Handle]int
 }
 
-// pinCount is a pinned key and its count; n == 0 marks a free slot.
+// pinCount is a pinned key and its count; n == 0 marks a free slot. n
+// has 32 bits so that a stripe, slab included, stays in 192 bytes.
 type pinCount struct {
 	key core.Handle
-	n   int
+	n   int32
 }
+
+const (
+	// slabEntries is the largest slab a stripe carves from: 3 200 B, a
+	// Go size class, and 20 slots of the commonest Tree (an invocation's
+	// four entries and the spare), so a full slab wastes nothing.
+	slabEntries = 100
+	// carveMax is the largest slot carved; a Tree whose slot is larger
+	// gets an allocation of its own, so a dropped slab's unused tail is
+	// under carveMax entries.
+	carveMax = 16
+)
 
 // stripe returns the stripe that holds key and every form of it, making
 // it on first use.
@@ -198,18 +218,7 @@ func (s *Store) PutTree(entries []core.Handle) (core.Handle, error) {
 		}
 	}
 	h := core.TreeHandle(entries)
-	sp := s.stripe(h)
-	sp.mu.Lock()
-	var cp []core.Handle
-	if _, ok := sp.trees[h]; !ok {
-		cp = make([]core.Handle, len(entries), len(entries)+1) // and the spare entry
-		copy(cp, entries)
-		cp = sp.insertTree(h, cp)
-	}
-	sp.mu.Unlock()
-	if cp != nil {
-		s.persist(func(p Persister) error { return p.PersistTree(h, cp) })
-	}
+	s.putTree(h, entries)
 	return h, nil
 }
 
@@ -243,24 +252,31 @@ func (s *Store) PutObject(h core.Handle, data []byte) error {
 		}
 		return nil
 	default:
-		entries, err := core.DecodeTreeCap(data, 1) // and the spare entry
+		// Validated and hashed in the received bytes; putTree copies them.
+		entries, err := core.TreeView(data)
 		if err != nil {
 			return err
 		}
 		if got := core.TreeHandle(entries); got != key {
 			return fmt.Errorf("store: tree bytes do not match handle %v", h)
 		}
-		sp := s.stripe(key)
-		sp.mu.Lock()
-		_, known := sp.trees[key]
-		if !known {
-			entries = sp.insertTree(key, entries)
-		}
-		sp.mu.Unlock()
-		if !known {
-			s.persist(func(p Persister) error { return p.PersistTree(key, entries) })
-		}
+		s.putTree(key, entries)
 		return nil
+	}
+}
+
+// putTree stores a copy of the validated entries of the Tree h unless h
+// is resident. It is the one way a Tree enters the Store.
+func (s *Store) putTree(h core.Handle, entries []core.Handle) {
+	sp := s.stripe(h)
+	sp.mu.Lock()
+	_, known := sp.trees[h]
+	if !known {
+		entries = sp.insertTree(h, entries)
+	}
+	sp.mu.Unlock()
+	if !known {
+		s.persist(func(p Persister) error { return p.PersistTree(h, entries) })
 	}
 }
 
@@ -286,16 +302,35 @@ func (sp *stripe) insertBlob(h core.Handle, data []byte) {
 	sp.bytes += uint64(len(data))
 }
 
-// insertTree also keeps the spare entry past the end of entries, which
-// must have room for it, and returns entries without that room, for
-// callers that hand them on.
+// insertTree copies entries into a slot carved for them and the spare
+// entry, and returns the stored entries without the spare, for callers
+// that hand them on.
 func (sp *stripe) insertTree(h core.Handle, entries []core.Handle) []core.Handle {
+	slot := sp.carve(len(entries) + 1)
+	copy(slot, entries)
 	if sp.trees == nil {
 		sp.trees = make(map[core.Handle]*core.Handle)
 	}
-	sp.trees[h] = unsafe.SliceData(entries)
+	sp.trees[h] = unsafe.SliceData(slot)
 	sp.bytes += treeBytes(h)
-	return entries[:len(entries):len(entries)]
+	return slot[:len(entries):len(entries)]
+}
+
+// carve returns a zeroed slot of n entries, with capacity n, cut from the
+// front of the current slab; the caller holds sp.mu. A slab too short for
+// it is replaced by one twice its size, up to slabEntries, so a stripe's
+// first slab is its first slot alone.
+func (sp *stripe) carve(n int) []core.Handle {
+	if n > carveMax {
+		return make([]core.Handle, n)
+	}
+	used := len(sp.slab)
+	if cap(sp.slab)-used < n {
+		sp.slab = make([]core.Handle, 0, min(max(2*cap(sp.slab), n), slabEntries))
+		used = 0
+	}
+	sp.slab = sp.slab[:used+n]
+	return sp.slab[used : used+n : used+n]
 }
 
 // tree returns the entries of the resident Tree key, with capacity equal

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -146,38 +147,73 @@ func TestObjectBytesRoundTrip(t *testing.T) {
 }
 
 // TestAllocsTreeBytes pins the tree paths of a delegation (ROADMAP 2 Part
-// D): a resident tree's wire bytes are its stored entries, and putting a
-// new tree allocates only the stored copy.
+// D): a resident tree's wire bytes are its stored entries, and storing a
+// new tree, built here (PutTree) or received as bytes (PutObject), is a
+// copy into a slot carved from its stripe's slab. Amortized over many
+// trees it allocates only the slabs, one per 20 invocation trees, and
+// the growth of the stripes' maps.
 func TestAllocsTreeBytes(t *testing.T) {
-	const runs = 200
-	s := New()
-	trees := make([][]core.Handle, runs+1)
+	const warm, runs = 4096, 2048
+	trees := make([][]core.Handle, warm+runs+1)
 	for i := range trees {
 		trees[i] = core.InvocationTree(core.DefaultLimits.Handle(), core.LiteralU64(1), core.LiteralU64(uint64(i)))
 	}
-	next := 0
-	var perr error
-	allocs := testing.AllocsPerRun(runs, func() {
-		if _, err := s.PutTree(trees[next]); err != nil {
-			perr = err
+	for _, put := range []struct {
+		name string
+		put  func(s *Store, entries []core.Handle) error
+	}{
+		{"PutTree", func(s *Store, entries []core.Handle) error {
+			_, err := s.PutTree(entries)
+			return err
+		}},
+		{"PutObject", func(s *Store, entries []core.Handle) error {
+			return s.PutObject(core.TreeHandle(entries), core.TreeBytes(entries))
+		}},
+	} {
+		s := New()
+		var perr error
+		next := 0
+		step := func() {
+			if err := put.put(s, trees[next]); err != nil {
+				perr = err
+			}
+			next++
 		}
-		next++
-	})
-	if perr != nil {
-		t.Fatal(perr)
+		for range warm { // every stripe made, its maps and slabs grown
+			step()
+		}
+		allocs := amortizedAllocs(runs, step)
+		if perr != nil {
+			t.Fatal(perr)
+		}
+		if allocs > 0.1 {
+			t.Errorf("%s of a new tree allocates %.3f times amortized, want at most 0.1", put.name, allocs)
+		}
 	}
-	if allocs > 1 {
-		t.Fatalf("PutTree of a new tree allocates %v times, want at most 1", allocs)
-	}
+	s := New()
 	h, _ := s.PutTree(trees[0])
 	var raw []byte
-	allocs = testing.AllocsPerRun(runs, func() { raw, _ = s.ObjectBytes(h) })
+	allocs := testing.AllocsPerRun(runs, func() { raw, _ = s.ObjectBytes(h) })
 	if allocs != 0 {
 		t.Fatalf("ObjectBytes of a resident tree allocates %v times, want 0", allocs)
 	}
 	if !bytes.Equal(raw, core.EncodeTree(trees[0])) {
 		t.Fatal("ObjectBytes is not the tree's encoding")
 	}
+}
+
+// amortizedAllocs is testing.AllocsPerRun without its rounding down to a
+// whole count: the mean allocations of runs calls of f, after one more.
+func amortizedAllocs(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs)
 }
 
 func TestMemoization(t *testing.T) {

@@ -267,9 +267,11 @@ func TestBuildJobEmpty(t *testing.T) {
 // its own it allocates a constant 3: the entry buffer every PutTree is
 // handed, the reduction's level slice, and the needle's bytes. So a job
 // whose 31 invocation Trees are all resident allocates 3, and a fresh one
-// adds one stored copy per Tree and the growth of the store's maps.
+// adds the store's slabs its Trees are carved from (31 five-entry slots
+// fill 1.55 full slabs) and the growth of the store's maps. A stored Tree
+// is a copy, not an allocation.
 func TestAllocsBuildJob(t *testing.T) {
-	const runs, trees, constant, mapGrowth = 100, 31, 3, 4
+	const runs, constant, slabs, mapGrowth = 100, 3, 2, 4
 	st := store.New()
 	chunks := make([]core.Handle, 16)
 	for i := range chunks {
@@ -286,8 +288,8 @@ func TestAllocsBuildJob(t *testing.T) {
 		}
 		next++
 	}
-	if fresh := testing.AllocsPerRun(runs, build); fresh > trees+constant+mapGrowth {
-		t.Errorf("BuildJob of 16 fresh chunks allocates %v times, want ≤ %d (%d stored Trees + %d + map growth)", fresh, trees+constant+mapGrowth, trees, constant)
+	if fresh := testing.AllocsPerRun(runs, build); fresh > constant+slabs+mapGrowth {
+		t.Errorf("BuildJob of 16 fresh chunks allocates %v times, want ≤ %d (%d + %d slabs + map growth)", fresh, constant+slabs+mapGrowth, constant, slabs)
 	}
 	next = 0 // the same jobs again: every Tree is resident
 	if resident := testing.AllocsPerRun(runs, build); resident > constant {
