@@ -62,7 +62,7 @@ func fig8aRun(s Scale, internalIO bool) (time.Duration, usageLite, error) {
 		if err != nil {
 			return core.Handle{}, err
 		}
-		return api.CreateBlob(core.LiteralU64(v + v).LiteralData()), nil
+		return core.LiteralU64(v + v), nil
 	})
 	e := runtime.New(st, runtime.Options{
 		Cores:              s.Fig8aCores,

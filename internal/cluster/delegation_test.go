@@ -121,24 +121,24 @@ func BenchmarkDelegationRoundTrip(b *testing.B) {
 }
 
 // TestAllocsDelegationRoundTrip pins one delegation of a fresh add over
-// Pipe, both sides counted (ROADMAP 2 Part D). It reads 7: the 5 of
+// Pipe, both sides counted (ROADMAP 2 Part D). It reads 5: the 3 of
 // TestAllocsDelegationRoundTripTCP, and the Pipe's copy of the Job and of
 // the Result frame (1 each), which Pipe.Send must make because its caller
 // reuses the buffer.
 func TestAllocsDelegationRoundTrip(t *testing.T) {
-	limit := 8.0
+	limit := 6.0
 	if raceEnabled {
-		limit = 10 // the race detector's sync.Pool drops a quarter of all Puts
+		limit = 8 // the race detector's sync.Pool drops a quarter of all Puts
 	}
 	pinDelegationAllocs(t, pipeLink, limit)
 }
 
 // TestAllocsDelegationRoundTripTCP pins one delegation of a fresh add over
-// loopback TCP, both sides counted. It reads 5:
+// loopback TCP, both sides counted. It reads 3:
 //   - delegating side: the invocation tree's entries (1);
 //   - worker side: the served job, which is also the Task runtime.Go
 //     hands to an evaluation goroutine (1); the add evaluation itself
-//     (3: its API, two literal reads).
+//     (1: its API, which lends both literal arguments).
 //
 // Neither frame allocates: each is read in place in its link's buffer,
 // and the Job's Pushed slice is the link's. Neither store allocates for
@@ -146,9 +146,9 @@ func TestAllocsDelegationRoundTrip(t *testing.T) {
 // the frame, go into slots carved from a slab, which a stripe allocates
 // once per 20 such trees.
 func TestAllocsDelegationRoundTripTCP(t *testing.T) {
-	limit := 6.0
+	limit := 4.0
 	if raceEnabled {
-		limit = 8
+		limit = 6
 	}
 	pinDelegationAllocs(t, tcpLink, limit)
 }

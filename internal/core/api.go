@@ -28,7 +28,11 @@ type Store interface {
 // repository of a *child* invocation without growing its own.
 type API interface {
 	// AttachBlob maps a BlobObject's contents. Fails for Refs, Thunks,
-	// Encodes, Trees, and Handles outside the minimum repository.
+	// Encodes, Trees, and Handles outside the minimum repository. The
+	// bytes may be the store's own, or, for a literal, lent from the
+	// implementation's copy of its Handle: either way they are read-only,
+	// and a literal's have capacity equal to their length, so an append
+	// copies them.
 	AttachBlob(h Handle) ([]byte, error)
 	// AttachTree maps a TreeObject's entries, granting access to each
 	// entry (recursive mapping starts from the input Tree). The entries
@@ -37,7 +41,10 @@ type API interface {
 	AttachTree(h Handle) ([]Handle, error)
 	// CreateBlob stores a new Blob built by the procedure. data is only
 	// lent for the call (a codelet passes a view of its reused memory):
-	// an implementation keeps a copy, never data itself.
+	// an implementation keeps a copy, never data itself. A procedure may
+	// return a literal Blob Handle (at most MaxLiteral bytes, such as
+	// LiteralU64) without CreateBlob: it is the Handle CreateBlob would
+	// return, and a literal needs no grant.
 	CreateBlob(data []byte) Handle
 	// CreateTree stores a new Tree built by the procedure. Every entry
 	// must be a Handle the procedure holds.

@@ -21,8 +21,9 @@ import (
 // see a later invocation's grants.
 type applyAPI struct {
 	e *Engine
-	// The first grants are kept inline and scanned; most invocations
-	// never hold more, so the API is one allocation.
+	// The first grants are kept inline and scanned, and so are the
+	// literals AttachBlob lends; most invocations never hold more, so
+	// the API is one allocation.
 	few  [8]core.Handle
 	nfew int
 	more map[core.Handle]struct{}
@@ -72,7 +73,11 @@ func (a *applyAPI) require(h core.Handle) error {
 	return nil
 }
 
-// AttachBlob maps a BlobObject's contents.
+// AttachBlob maps a BlobObject's contents. A literal's Handle is copied
+// into a free inline slot, and the slot's bytes are lent, capped at their
+// length: neither a write nor an append reaches the length and flags
+// bytes, so neither can forge a granted non-literal Handle. With no slot
+// free, the literal is copied.
 func (a *applyAPI) AttachBlob(h core.Handle) ([]byte, error) {
 	if err := a.require(h); err != nil {
 		return nil, err
@@ -82,6 +87,13 @@ func (a *applyAPI) AttachBlob(h core.Handle) ([]byte, error) {
 	}
 	if h.Kind() != core.KindBlob {
 		return nil, fmt.Errorf("runtime: attach_blob of a tree: %v", h)
+	}
+	if h.IsLiteral() && a.nfew < len(a.few) {
+		slot := &a.few[a.nfew]
+		a.nfew++
+		*slot = h
+		v := slot.LiteralView()
+		return v[:len(v):len(v)], nil
 	}
 	return a.e.st.Blob(h)
 }

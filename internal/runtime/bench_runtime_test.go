@@ -14,7 +14,10 @@ import (
 // BenchmarkInvocation is the engine-level counterpart of Fig. 7a's
 // Fixpoint row: one warm add-codelet invocation end to end (force →
 // resolve → minimum repository → run), with distinct arguments each
-// iteration so memoization cannot short-circuit.
+// iteration so memoization cannot short-circuit. It is the large-store
+// case: all b.N invocation Trees are in one store before timing starts,
+// so its time grows with b.N's map lookups. BenchmarkInvocationBounded
+// is the same invocation over a store of fixed size.
 func BenchmarkInvocation(b *testing.B) {
 	st := store.New()
 	e := New(st, Options{Cores: 1})
@@ -38,6 +41,42 @@ func BenchmarkInvocation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := e.Eval(ctx, encs[i]); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkInvocationBounded is BenchmarkInvocation with a store of
+// bounded size: every 255 timed evals run on a fresh store and engine,
+// which hold 256 invocation Trees; the 256th warms the program cache.
+// Building them is not timed, nor counted in allocs/op.
+func BenchmarkInvocationBounded(b *testing.B) {
+	const batch = 255
+	lim := core.DefaultLimits.Handle()
+	ctx := context.Background()
+	encs := make([]core.Handle, batch+1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for done := 0; done < b.N; done += batch {
+		b.StopTimer()
+		st := store.New()
+		e := New(st, Options{Cores: 1})
+		fn := st.PutBlob(codelet.AddFunctionBlob())
+		for i := range encs {
+			tree, err := st.PutTree(core.InvocationTree(lim, fn, core.LiteralU64(uint64(done+i)), core.LiteralU64(7)))
+			if err != nil {
+				b.Fatal(err)
+			}
+			th, _ := core.Application(tree)
+			encs[i], _ = core.Strict(th)
+		}
+		if _, err := e.Eval(ctx, encs[batch]); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		for _, enc := range encs[:min(batch, b.N-done)] {
+			if _, err := e.Eval(ctx, enc); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

@@ -306,10 +306,11 @@ func TestPanicFailsOnlyItsInvocation(t *testing.T) {
 }
 
 // TestAllocsWarmEval pins the allocations of one warm add-codelet
-// invocation (ROADMAP item 2 Part D). It reads 3: the procedure's API
-// (never pooled, for isolation) and read_u64's copy of each literal
-// argument. AttachTree hands out the stored entries, so the two
-// tree_child calls allocate nothing.
+// invocation (ROADMAP item 2 Part D). It reads 1: the procedure's API
+// (never pooled, for isolation). AttachTree hands out the stored
+// entries, so the two tree_child calls allocate nothing, and AttachBlob
+// lends each literal argument from the API's own grant slots, so the two
+// read_u64 calls allocate nothing either.
 func TestAllocsWarmEval(t *testing.T) {
 	const runs = 200
 	st := store.New()
@@ -327,15 +328,15 @@ func TestAllocsWarmEval(t *testing.T) {
 		next++
 	}
 	eval() // load the program
-	if allocs := testing.AllocsPerRun(runs, eval); allocs > 4 {
-		t.Fatalf("one warm Engine.Eval allocates %v times, want ≤ 4", allocs)
+	if allocs := testing.AllocsPerRun(runs, eval); allocs > 2 {
+		t.Fatalf("one warm Engine.Eval allocates %v times, want ≤ 2", allocs)
 	}
 }
 
 // TestAllocsWarmEncode is TestAllocsWarmEval through a Strict Encode, the
 // shape of BenchmarkInvocation and fig7a: two single-flight claims (the
 // Encode's and its Thunk's) that nobody joins, so no future is made, and
-// the same 3 allocations.
+// the same 1 allocation.
 func TestAllocsWarmEncode(t *testing.T) {
 	const runs = 200
 	st := store.New()
@@ -353,8 +354,8 @@ func TestAllocsWarmEncode(t *testing.T) {
 		next++
 	}
 	eval() // load the program
-	if allocs := testing.AllocsPerRun(runs, eval); allocs > 4 {
-		t.Fatalf("one warm Engine.Eval of an Encode allocates %v times, want ≤ 4", allocs)
+	if allocs := testing.AllocsPerRun(runs, eval); allocs > 2 {
+		t.Fatalf("one warm Engine.Eval of an Encode allocates %v times, want ≤ 2", allocs)
 	}
 }
 

@@ -180,7 +180,7 @@ func Register(reg *runtime.Registry, cfg Config) {
 		if cfg.ComputePerByte > 0 {
 			time.Sleep(time.Duration(len(chunk)) * cfg.ComputePerByte)
 		}
-		return api.CreateBlob(core.LiteralU64(n).LiteralData()), nil
+		return core.LiteralU64(n), nil
 	})
 	reg.RegisterFunc(MergeProcName, func(api core.API, input core.Handle) (core.Handle, error) {
 		entries, err := api.AttachTree(input)
@@ -199,7 +199,7 @@ func Register(reg *runtime.Registry, cfg Config) {
 			}
 			total += v
 		}
-		return api.CreateBlob(core.LiteralU64(total).LiteralData()), nil
+		return core.LiteralU64(total), nil
 	})
 }
 

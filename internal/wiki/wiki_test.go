@@ -257,6 +257,74 @@ func TestMapReduceJobEndToEnd(t *testing.T) {
 	}
 }
 
+// TestAllocsProcedures pins what one warm invocation of each procedure
+// allocates: exactly its API. count-string's needle and merge-counts'
+// arguments are literals, which AttachBlob lends, and each returns its
+// literal result without CreateBlob.
+func TestAllocsProcedures(t *testing.T) {
+	const runs = 200
+	reg := runtime.NewRegistry()
+	Register(reg, Config{})
+	st := store.New()
+	e := runtime.New(st, runtime.Options{Cores: 1, Registry: reg})
+	lim := core.DefaultLimits.Handle()
+	chunkData := Chunk(1, 1024, "fix", 64)
+	chunk := st.PutBlob(chunkData)
+	app := func(fn []byte, a, b core.Handle) core.Handle {
+		tree, err := st.PutTree(core.InvocationTree(lim, st.PutBlob(fn), a, b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		th, err := core.Application(tree)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return th
+	}
+	counts := make([]core.Handle, runs+2)
+	countWant := make([]core.Handle, runs+2)
+	merges := make([]core.Handle, runs+2)
+	for i := range counts {
+		needle := fmt.Sprintf("f%d", i) // distinct, so never memoized
+		counts[i] = app(countFnBlob, chunk, st.PutBlob([]byte(needle)))
+		countWant[i] = core.LiteralU64(CountNonOverlapping(chunkData, []byte(needle)))
+		merges[i] = app(mergeFnBlob, core.LiteralU64(uint64(i)), core.LiteralU64(7))
+	}
+	ctx := context.Background()
+	for _, p := range []struct {
+		name string
+		apps []core.Handle
+		want func(i int) core.Handle
+	}{
+		{CountProcName, counts, func(i int) core.Handle { return countWant[i] }},
+		{MergeProcName, merges, func(i int) core.Handle { return core.LiteralU64(uint64(i) + 7) }},
+	} {
+		next := 0
+		eval := func() {
+			got, err := e.Eval(ctx, p.apps[next])
+			if err != nil || got != p.want(next) {
+				t.Fatalf("%s run %d = %v, %v, want %v", p.name, next, got, err, p.want(next))
+			}
+			next++
+		}
+		eval() // load the procedure
+		if allocs := testing.AllocsPerRun(runs, eval); allocs > 1 {
+			t.Errorf("one warm %s invocation allocates %v times, want 1 (its API)", p.name, allocs)
+		}
+	}
+}
+
+// TestLiteralResultIsPutBlob: a procedure returning a literal Handle
+// gives the result Handle CreateBlob of its bytes would have given.
+func TestLiteralResultIsPutBlob(t *testing.T) {
+	st := store.New()
+	for _, n := range []uint64{0, 1, 7, 255, 256, 1 << 16, 1<<32 - 1, 1 << 32, 1<<63 + 5, ^uint64(0)} {
+		if lit, put := core.LiteralU64(n), st.PutBlob(core.LiteralU64(n).LiteralData()); lit != put {
+			t.Errorf("LiteralU64(%d) = %v, PutBlob of its bytes = %v", n, lit, put)
+		}
+	}
+}
+
 func TestBuildJobEmpty(t *testing.T) {
 	if _, err := BuildJob(store.New(), "x", nil); err == nil {
 		t.Fatal("expected error for zero chunks")
