@@ -79,7 +79,7 @@ func main() {
 	}
 	// The tier rides on the cluster node: Validate refused -remote-dir
 	// for the in-process engine, so a nil node gets a nil tier.
-	cfg.Check(cfg.AttachTier(node, dur))
+	cfg.Check(cfg.AttachTier(node))
 
 	gwOpts := gateway.Options{
 		Backend:         backend,

@@ -28,7 +28,7 @@ func main() {
 
 	dur, err := cfg.AttachDurable(node.Store(), nil)
 	cfg.Check(err)
-	cfg.Check(cfg.AttachTier(node, dur))
+	cfg.Check(cfg.AttachTier(node))
 
 	// The metrics registry and trace ring exist regardless of
 	// -debug-addr: delegated jobs still record under the gateway's

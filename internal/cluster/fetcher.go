@@ -18,7 +18,9 @@ import (
 // re-placed by repair after the advertised holder died); then the peers
 // the passive view locates the object on; then every remaining peer (the
 // view advances passively and may lag); finally the node's storage
-// tier, when SetTier attached one.
+// tier, when SetTier attached one. The node's own durable packs come
+// before all of these: its store reads them on a miss, so the fetcher
+// runs only for an object this node does not hold.
 type clusterFetcher struct {
 	n *Node
 }

@@ -530,7 +530,7 @@ func (n *Node) role() byte {
 }
 
 // AttachPeer adopts a transport link: sends our Hello (identity, role, and
-// the full list of resident objects) and starts the receive loop. The peer
+// the full list of held objects) and starts the receive loop. The peer
 // becomes routable once its own Hello arrives.
 func (n *Node) AttachPeer(conn transport.Conn) {
 	hello := &proto.Message{Type: proto.TypeHello, From: n.id, Role: n.role(), Adverts: n.localAdverts()}
@@ -538,9 +538,11 @@ func (n *Node) AttachPeer(conn transport.Conn) {
 	go n.recvLoop(conn)
 }
 
+// localAdverts lists every object the node holds: resident, or in its
+// durable packs.
 func (n *Node) localAdverts() []core.Handle {
 	var out []core.Handle
-	n.st.ForEach(func(h core.Handle, size uint64) { out = append(out, h) })
+	n.st.ForEachHeld(func(h core.Handle) { out = append(out, h) })
 	return out
 }
 

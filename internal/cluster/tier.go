@@ -54,10 +54,9 @@ func (n *Node) touch(h core.Handle) {
 
 // SetTier attaches the node's cold storage tier (internal/storage): the
 // demotion pass spills cold objects into it and the fetcher's miss path
-// ends with a tier lookup. Attaching after construction is what the
-// boot paths need: in hybrid mode the tier reads and writes the durable
-// store's packs, and that store attaches to the node's runtime store
-// only after NewNode returns. It must be called at most once, before
+// ends with a tier lookup. A node with durable packs reads a demoted
+// object back from them first, through its store; the tier serves it
+// once pack GC has dropped it. It must be called at most once, before
 // the node starts serving peers or jobs — tier reads are unsynchronized
 // against it.
 // When demoteAfter/2 is positive, one demotion loop starts here: every

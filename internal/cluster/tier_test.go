@@ -6,7 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	goruntime "runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -14,6 +17,7 @@ import (
 	"fixgo/internal/core"
 	"fixgo/internal/durable"
 	"fixgo/internal/storage"
+	"fixgo/internal/transport"
 )
 
 // testTier builds an LFC-fronted Dir tier in temp dirs.
@@ -183,24 +187,33 @@ func TestTierDemoteAndRefetch(t *testing.T) {
 	}
 }
 
-// TestTierHybridDemoteServesFromPacks puts a node over the hybrid tier
-// a daemon with -data-dir and -remote-dir builds. One pass demotes N
-// cold objects with one remote write each, and the read path then
-// recovers every one from the packs, without a remote read.
-func TestTierHybridDemoteServesFromPacks(t *testing.T) {
-	const objects = 12
-	n := NewNode("w0", NodeOptions{Cores: 1})
-	defer n.Close()
-	packs, _, err := durable.Attach(t.TempDir(), durable.Options{}, n.Store())
+// packedNode returns a node whose store reads and writes through to
+// durable packs in dir, with tier attached and no demotion loop.
+func packedNode(t *testing.T, id, dir string, tier storage.Storage) *Node {
+	t.Helper()
+	n := NewNode(id, NodeOptions{Cores: 1})
+	packs, _, err := durable.Attach(dir, durable.Options{}, n.Store())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer packs.Close()
-	tier, err := storage.Build(storage.Config{RemoteDir: t.TempDir(), CacheDir: t.TempDir(), CacheBudget: 1 << 20}, packs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	t.Cleanup(func() { n.Close(); packs.Close() })
 	n.SetTier(tier, 0)
+	return n
+}
+
+// TestTierDemoteServesFromPacks puts a node over the shape a daemon with
+// -data-dir and -remote-dir builds: durable packs in front of an LFC →
+// remote tier. One pass demotes N cold objects with one remote write each
+// and leaves none resident; the store then reads each back from the
+// packs, so the packs serve every read: neither the fetcher's tier hop
+// nor the remote serves one.
+func TestTierDemoteServesFromPacks(t *testing.T) {
+	const objects = 12
+	tier, err := storage.Build(storage.Config{RemoteDir: t.TempDir(), CacheDir: t.TempDir(), CacheBudget: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := packedNode(t, "w0", t.TempDir(), tier)
 
 	handles := make([]core.Handle, objects)
 	payloads := make([][]byte, objects)
@@ -215,19 +228,119 @@ func TestTierHybridDemoteServesFromPacks(t *testing.T) {
 	if ss := n.StorageStats(); ss.RemotePuts != objects {
 		t.Fatalf("RemotePuts = %d, want %d (one per demoted object)", ss.RemotePuts, objects)
 	}
+	if got := n.Store().Len(); got != 0 {
+		t.Fatalf("%d objects resident after demotion, want 0", got)
+	}
 	for i, h := range handles {
-		if n.Store().Contains(h) {
-			t.Fatalf("object %d survives demotion", i)
-		}
 		got, err := n.ObjectBytes(context.Background(), h)
 		if err != nil || !bytes.Equal(got, payloads[i]) {
 			t.Fatalf("object %d after demotion: %v", i, err)
 		}
 	}
 	ss := n.StorageStats()
-	if ss.TierFetches != objects || ss.RemoteGets != 0 {
-		t.Fatalf("TierFetches = %d, RemoteGets = %d; want %d and 0 (the packs serve every read)",
-			ss.TierFetches, ss.RemoteGets, objects)
+	if ss.TierFetches != 0 || ss.RemoteGets != 0 || n.Store().Len() != objects {
+		t.Fatalf("TierFetches = %d, RemoteGets = %d, resident %d; want 0, 0 and %d (the packs serve every read)",
+			ss.TierFetches, ss.RemoteGets, n.Store().Len(), objects)
+	}
+}
+
+// TestRestartAdvertisesRecoveredObjects: a worker restarted on its data
+// dir holds no object in RAM, yet its Hello names every object its packs
+// recovered, so a peer still locates each one on it.
+func TestRestartAdvertisesRecoveredObjects(t *testing.T) {
+	dir := t.TempDir()
+	w := NewNode("w", NodeOptions{Cores: 1})
+	packs, _, err := durable.Attach(dir, durable.Options{}, w.Store())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var handles []core.Handle
+	for i := 0; i < 8; i++ {
+		handles = append(handles, w.PutBlob(bytes.Repeat([]byte{byte(i), 0x3C}, 100)))
+	}
+	tree, err := w.Store().PutTree(handles[:2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	handles = append(handles, tree)
+	w.Close()
+	if err := packs.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	restarted := packedNode(t, "w", dir, nil)
+	if got := restarted.Store().Len(); got != 0 {
+		t.Fatalf("restarted worker holds %d objects in RAM, want 0", got)
+	}
+	client := NewNode("c", NodeOptions{Cores: 1, ClientOnly: true})
+	defer client.Close()
+	Connect(client, restarted, transport.LinkConfig{})
+	for i, h := range handles {
+		waitFor(t, fmt.Sprintf("the advert of recovered object %d", i), func() bool {
+			return slices.Contains(client.ViewOwners(h), "w")
+		})
+	}
+	if got := restarted.Store().Len(); got != 0 {
+		t.Fatalf("advertising made %d objects resident, want 0", got)
+	}
+}
+
+// TestTierReadThroughDemoteRace is TestTierDemoteFetchRace over durable
+// packs: readers hammer ObjectBytes while demotion passes evict every
+// cold object, so the store's read-through races Evict. Every read
+// succeeds from the packs, and none reaches the tier.
+func TestTierReadThroughDemoteRace(t *testing.T) {
+	n := packedNode(t, "w0", t.TempDir(), testTier(t, 1<<20))
+	const objects = 24
+	handles := make([]core.Handle, objects)
+	payloads := make([][]byte, objects)
+	for i := range handles {
+		payloads[i] = bytes.Repeat([]byte{byte(i), 0x96}, 200+i)
+		handles[i] = n.PutBlob(payloads[i])
+	}
+	stop := make(chan struct{})
+	var demoters sync.WaitGroup
+	demoters.Add(1)
+	go func() {
+		defer demoters.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				n.DemotePass(context.Background(), time.Now())
+			}
+		}
+	}()
+	var readers sync.WaitGroup
+	errs := make(chan error, 8)
+	for g := 0; g < 8; g++ {
+		readers.Add(1)
+		go func(g int) {
+			defer readers.Done()
+			for i := 0; i < 80; i++ {
+				idx := (g*7 + i) % objects
+				got, err := n.ObjectBytes(context.Background(), handles[idx])
+				if err == nil && !bytes.Equal(got, payloads[idx]) {
+					err = errors.New("corrupt read")
+				}
+				if err != nil {
+					errs <- fmt.Errorf("reader %d object %d: %w", g, idx, err)
+					return
+				}
+			}
+		}(g)
+	}
+	readers.Wait()
+	close(stop)
+	demoters.Wait()
+	select {
+	case err := <-errs:
+		t.Fatal(err)
+	default:
+	}
+	if ss := n.StorageStats(); ss.TierFetches != 0 || ss.RemoteGets != 0 {
+		t.Fatalf("TierFetches = %d, RemoteGets = %d; want 0 and 0 (the packs serve every read)", ss.TierFetches, ss.RemoteGets)
 	}
 }
 
@@ -322,6 +435,40 @@ func TestTierMissRecoversFromTier(t *testing.T) {
 	}
 	if ss := n.StorageStats(); ss.TierFetches != 1 {
 		t.Fatalf("TierFetches = %d, want 1", ss.TierFetches)
+	}
+}
+
+// TestTierCorruptLFCFileFallsThrough: an object good in the remote but
+// corrupted in the node's cache directory is read from the remote by the
+// fetcher's tier hop, and once refilled, from the cache.
+func TestTierCorruptLFCFileFallsThrough(t *testing.T) {
+	remote, err := storage.NewDir(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cacheDir := t.TempDir()
+	data := bytes.Repeat([]byte{0x4C}, 4096)
+	h := core.BlobHandle(data)
+	if err := remote.Put(context.Background(), h, data); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(cacheDir, core.FormatHandle(h)), bytes.Repeat([]byte{0x4D}, 4096), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tier, err := storage.NewLFC(cacheDir, 1<<20, remote)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		n := tierNode(fmt.Sprintf("w%d", i), NodeOptions{Cores: 1}, tier)
+		got, err := n.ObjectBytes(context.Background(), h)
+		n.Close()
+		if err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("read %d: %v", i, err)
+		}
+	}
+	if ss := tier.StorageStats(); ss.RemoteGets != 1 || ss.LFCHits != 1 {
+		t.Fatalf("RemoteGets = %d, LFCHits = %d; want 1 and 1", ss.RemoteGets, ss.LFCHits)
 	}
 }
 

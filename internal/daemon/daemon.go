@@ -25,6 +25,7 @@ import (
 	"fixgo/internal/bptree"
 	"fixgo/internal/buildsys"
 	"fixgo/internal/cluster"
+	"fixgo/internal/core"
 	"fixgo/internal/durable"
 	"fixgo/internal/flatware"
 	"fixgo/internal/obsv"
@@ -93,7 +94,7 @@ func Bind(fs *flag.FlagSet, name string) *Config {
 	fs.DurationVar(&c.HBTimeout, "hb-timeout", 0, "silence window before a peer is evicted (0: 4×hb-interval)")
 	fs.IntVar(&c.Replicas, "replicas", 1, "replication factor R: writes are pushed to R-1 ring successors (1 disables replication; uniform across the cluster)")
 	fs.StringVar(&c.DebugAddr, "debug-addr", "", "optional debug listen address serving /debug/pprof, /metrics and /v1/trace")
-	fs.StringVar(&c.RemoteDir, "remote-dir", "", "remote tier directory; enables tiered storage (hybrid with -data-dir, remote without; fixgate: cluster mode only)")
+	fs.StringVar(&c.RemoteDir, "remote-dir", "", "remote tier directory; enables tiered storage (hybrid: behind the -data-dir packs; remote: without them; fixgate: cluster mode only)")
 	fs.Int64Var(&c.LFCBudgetMiB, "lfc-budget-mib", 512, "local file cache byte budget in MiB (0 disables caching)")
 	fs.DurationVar(&c.DemoteAfter, "demote-after", 10*time.Minute, "idle window before a cold object is demoted to the tier (0 disables demotion)")
 	if !gate {
@@ -180,8 +181,9 @@ func (c *Config) Clustered() bool { return c.Peers != "" || c.ClusterListen != "
 // Edged reports whether a fixgate joins a replicated edge.
 func (c *Config) Edged() bool { return c.GWPeers != "" || c.GWListen != "" }
 
-// StorageMode names the tier assembly storage.Build derives from
-// -remote-dir and -data-dir: "local" (no tier), "remote" or "hybrid".
+// StorageMode names the storage shape -remote-dir and -data-dir give:
+// "local" (no tier), "remote" (a tier alone) or "hybrid" (the durable
+// packs in front of a tier).
 func (c *Config) StorageMode() string {
 	if c.RemoteDir == "" {
 		return "local"
@@ -238,19 +240,34 @@ func (c *Config) NewNode() *cluster.Node {
 	return cluster.NewNode(c.ID, opts)
 }
 
-// AttachDurable opens -data-dir, restores it into st and write-throughs
-// st's later writes; nil without -data-dir. observe, when non-nil,
-// receives every persist's latency. The caller closes the store.
+// AttachDurable opens -data-dir, restores its memo tables into st and
+// makes st read and write through to its packs; nil without -data-dir.
+// observe, when non-nil, receives every persist's latency. The caller
+// closes the store.
+//
+// Automatic GC (-gc-budget-mib) keeps every record no journaled memo
+// result reaches unless the remote tier holds it: without -remote-dir it
+// only compacts, and with it a demoted object leaves the packs once the
+// remote has a copy. The liveness probe reads the remote directory, never
+// st, whose Contains re-enters the durable store GC runs under.
 func (c *Config) AttachDurable(st *store.Store, observe func(op string, took time.Duration)) (*durable.Store, error) {
 	if c.DataDir == "" {
 		return nil, nil
 	}
-	d, rs, err := durable.Attach(c.DataDir, durable.Options{
+	opts := durable.Options{
 		Fsync:         c.Fsync,
 		GCBudgetBytes: c.GCBudgetMiB << 20,
 		Observe:       observe,
 		Logf:          log.Printf,
-	}, st)
+	}
+	if c.RemoteDir != "" {
+		remote, err := storage.NewDir(c.RemoteDir)
+		if err != nil {
+			return nil, err
+		}
+		opts.Live = func(h core.Handle) bool { return !remote.Holds(h) }
+	}
+	d, rs, err := durable.Attach(c.DataDir, opts, st)
 	if err != nil {
 		return nil, err
 	}
@@ -260,16 +277,15 @@ func (c *Config) AttachDurable(st *store.Store, observe func(op string, took tim
 }
 
 // AttachTier assembles the storage tier -remote-dir asks for and hands
-// it to node; without -remote-dir it does nothing. It runs after
-// AttachDurable because the hybrid tier writes the pack store itself:
-// demoted objects stay durable on this disk while their hot copy is
-// evicted. The tier holds nothing to close.
-func (c *Config) AttachTier(node *cluster.Node, dur *durable.Store) error {
+// it to node; without -remote-dir it does nothing. With -data-dir the
+// packs sit in front of it: a demoted object is read back from them
+// until GC drops it, then from the tier. The tier holds nothing to close.
+func (c *Config) AttachTier(node *cluster.Node) error {
 	tier, err := storage.Build(storage.Config{
 		RemoteDir:   c.RemoteDir,
 		CacheDir:    c.CacheDir(),
 		CacheBudget: c.LFCBudgetMiB << 20,
-	}, dur)
+	})
 	if tier == nil || err != nil {
 		return err
 	}

@@ -1,6 +1,7 @@
 package daemon
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"os"
@@ -8,7 +9,10 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
+	"fixgo/internal/cluster"
+	"fixgo/internal/core"
 	"fixgo/internal/durable"
 )
 
@@ -148,5 +152,122 @@ func TestServeClosesInOrder(t *testing.T) {
 	}
 	if want := []int{2, 3}; !slices.Equal(ran, want) {
 		t.Fatalf("closers ran %v after a failed serve, want %v", ran, want)
+	}
+}
+
+// gcWorker boots a worker the way cmd/fixpoint does, on dataDir with a
+// 1 MiB GC budget and, when remoteDir is set, a tier over it with no
+// cache and no demotion loop: every DemotePass is the test's.
+func gcWorker(t *testing.T, dataDir, remoteDir string) (*cluster.Node, *durable.Store) {
+	t.Helper()
+	args := []string{"-id", "w", "-data-dir", dataDir, "-gc-budget-mib", "1", "-fsync", "never", "-demote-after", "0", "-lfc-budget-mib", "0"}
+	if remoteDir != "" {
+		args = append(args, "-remote-dir", remoteDir)
+	}
+	c, err := Parse(Fixpoint, args)
+	if err != nil {
+		t.Fatal(err)
+	}
+	node := c.NewNode()
+	dur, err := c.AttachDurable(node.Store(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.AttachTier(node); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { node.Close(); dur.Close() })
+	return node, dur
+}
+
+// putBlobs stores n distinct 4 KiB Blobs tagged tag on node.
+func putBlobs(node *cluster.Node, tag byte, n int) []core.Handle {
+	hs := make([]core.Handle, n)
+	for i := range hs {
+		data := bytes.Repeat([]byte{tag, byte(i), byte(i >> 8), 0xC5}, 1024)
+		hs[i] = node.PutBlobOwned(core.BlobHandle(data), data)
+	}
+	return hs
+}
+
+// demoteAll demotes every object resident on node and returns how many.
+func demoteAll(node *cluster.Node) int {
+	time.Sleep(time.Millisecond)
+	return node.DemotePass(context.Background(), time.Now())
+}
+
+// TestGCRuleWithoutTierOnlyCompacts: without -remote-dir, a GC that the
+// budget triggers drops nothing, even records that no memo reaches.
+func TestGCRuleWithoutTierOnlyCompacts(t *testing.T) {
+	node, dur := gcWorker(t, t.TempDir(), "")
+	hs := putBlobs(node, 1, 400) // 1.6 MiB, over the 1 MiB budget
+	st := dur.Stats()
+	if st.GCPasses == 0 || st.GCDropped != 0 || st.Objects != len(hs) {
+		t.Fatalf("GC passes %d, dropped %d, %d objects kept; want ≥ 1, 0 and %d", st.GCPasses, st.GCDropped, st.Objects, len(hs))
+	}
+}
+
+// TestGCRuleWithTierDropsOnlyRemoteHeld: with a tier, the GC that the
+// budget triggers drops exactly the demoted records no memo reaches;
+// each stays readable, from the remote, and the record a memo reaches
+// stays in the packs. The GC runs inside a write-through with the
+// daemon's liveness, so it completing at all shows no deadlock on the
+// durable store's lock.
+func TestGCRuleWithTierDropsOnlyRemoteHeld(t *testing.T) {
+	node, dur := gcWorker(t, t.TempDir(), t.TempDir())
+	demoted := putBlobs(node, 2, 64)
+	memo, _ := core.Identification(demoted[0])
+	node.Store().SetThunkResult(memo, demoted[0])
+	if got := demoteAll(node); got != len(demoted) {
+		t.Fatalf("DemotePass = %d, want %d", got, len(demoted))
+	}
+	fresh := putBlobs(node, 3, 300) // crosses the 1 MiB budget
+	st := dur.Stats()
+	if st.GCPasses == 0 || st.GCDropped != uint64(len(demoted)-1) || st.Objects != len(fresh)+1 {
+		t.Fatalf("GC passes %d, dropped %d, %d objects kept; want ≥ 1, %d and %d",
+			st.GCPasses, st.GCDropped, st.Objects, len(demoted)-1, len(fresh)+1)
+	}
+	if !dur.Contains(demoted[0]) {
+		t.Fatal("GC dropped the demoted record a memo reaches")
+	}
+	for i, h := range demoted {
+		if _, err := node.ObjectBytes(context.Background(), h); err != nil {
+			t.Fatalf("demoted object %d after GC: %v", i, err)
+		}
+	}
+	if ss := node.StorageStats(); ss.TierFetches != uint64(len(demoted)-1) || ss.RemoteGets != uint64(len(demoted)-1) {
+		t.Fatalf("TierFetches = %d, RemoteGets = %d; want %d each (one per dropped record)", ss.TierFetches, ss.RemoteGets, len(demoted)-1)
+	}
+}
+
+// TestGCRuleAfterLazyRestart: a worker restarted on its data dir holds no
+// object in RAM, and its first GC still drops only what the remote holds.
+// Under a liveness of "resident in RAM" it would drop every record no
+// memo reaches.
+func TestGCRuleAfterLazyRestart(t *testing.T) {
+	dataDir, remoteDir := t.TempDir(), t.TempDir()
+	node, dur := gcWorker(t, dataDir, remoteDir)
+	demoted := putBlobs(node, 4, 32)
+	if got := demoteAll(node); got != len(demoted) {
+		t.Fatalf("DemotePass = %d, want %d", got, len(demoted))
+	}
+	kept := putBlobs(node, 5, 32)
+	node.Close()
+	if err := dur.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	node, dur = gcWorker(t, dataDir, remoteDir)
+	if got := node.Store().Len(); got != 0 {
+		t.Fatalf("restarted worker holds %d objects in RAM, want 0", got)
+	}
+	putBlobs(node, 6, 300) // crosses the 1 MiB budget
+	if st := dur.Stats(); st.GCPasses == 0 || st.GCDropped != uint64(len(demoted)) {
+		t.Fatalf("GC passes %d, dropped %d; want ≥ 1 and %d (the records the remote holds)", st.GCPasses, st.GCDropped, len(demoted))
+	}
+	for i, h := range kept {
+		if !dur.Contains(h) {
+			t.Fatalf("GC dropped record %d, which the remote does not hold", i)
+		}
 	}
 }

@@ -24,8 +24,10 @@
 //
 // durable.Store implements store.Persister, so attaching it to a
 // store.Store (store.SetPersister) makes every Put and memoization
-// write-through to disk. RestoreInto reloads a recovered image into an
-// in-memory store, the memo tables' one home after a restart.
+// write-through to disk, and brings an object missing from RAM back from
+// its pack on demand. Disk is a tier, not a mirror: RestoreInto reloads
+// the recovered memo tables, their one home after a restart, and no
+// object, so RAM need not hold the data dir.
 package durable
 
 import (
@@ -33,7 +35,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"syscall"
 	"time"
@@ -111,7 +112,9 @@ type Options struct {
 	// Live, when set, is consulted by automatic GC passes: objects it
 	// reports live survive in addition to everything reachable from a
 	// journaled memo result. When nil, automatic GC only compacts
-	// (keeps every indexed object).
+	// (keeps every indexed object). It runs under the Store's lock, so
+	// it must not call back into this Store — store.Store.Contains does,
+	// once this Store is its persister.
 	Live func(core.Handle) bool
 	// Logf, when set, receives one line per notable event (recovered
 	// truncation, GC pass, persist failure).
@@ -270,11 +273,22 @@ func (d *Store) Stats() Stats {
 }
 
 // Contains reports whether an object record for h is on disk.
+// Implements store.Persister.
 func (d *Store) Contains(h core.Handle) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	_, ok := d.index[h.AsObject()]
 	return ok
+}
+
+// ForEachObject calls fn, under the Store's lock, with every object on
+// disk. Implements store.Persister.
+func (d *Store) ForEachObject(fn func(h core.Handle)) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for h := range d.index {
+		fn(h)
+	}
 }
 
 // PersistBlob appends a Blob record unless it is already on disk.
@@ -325,7 +339,8 @@ func (d *Store) persistFail(what string, h core.Handle, err error) error {
 	return err
 }
 
-// ReadObject returns the packed bytes of a persisted object.
+// ReadObject returns the packed bytes of a persisted object, in a fresh
+// slice. Implements store.Persister.
 func (d *Store) ReadObject(h core.Handle) ([]byte, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -333,17 +348,26 @@ func (d *Store) ReadObject(h core.Handle) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("durable: object %v not persisted", h)
 	}
-	rec, err := d.readLocked(loc)
+	return d.objectLocked(loc)
+}
+
+// treeLocked reads the entries of the persisted Tree at loc; the caller
+// holds d.mu.
+func (d *Store) treeLocked(loc location) ([]core.Handle, error) {
+	rec, err := d.objectLocked(loc)
 	if err != nil {
 		return nil, err
 	}
-	return objectOf(rec, loc)
+	return core.TreeView(rec)
 }
 
-// RestoreStats reports what RestoreInto loaded.
+// RestoreStats reports what RestoreInto recovered.
 type RestoreStats struct {
-	Blobs   int
-	Trees   int
+	// Blobs and Trees count the objects the packs hold: each is read
+	// back into RAM on its first miss, not at restore.
+	Blobs int
+	Trees int
+	// Thunks and Encodes count the memo entries restored.
 	Thunks  int
 	Encodes int
 	// SkippedMemos counts journal entries dropped because their result
@@ -354,80 +378,28 @@ type RestoreStats struct {
 	SkippedMemos int
 }
 
-// RestoreInto loads every persisted object and memoization entry into an
-// in-memory store. Call it before store.SetPersister so the reload does
-// not write back through to disk (the write-through path is idempotent
-// and deduplicated, so the other order merely wastes index probes). Do
-// not run it concurrently with GC: a relocated record fails the reload.
+// RestoreInto loads every memoization entry into an in-memory store and
+// installs d as its persister, so the store writes through to d and reads
+// an object it does not hold back from the packs on demand. No object is
+// copied: after it, st holds no resident byte. Memos are set before d is
+// attached, so the reload does not write back through; if d is attached
+// already, the journal's deduplication makes the rewrite a no-op.
 func (d *Store) RestoreInto(st *store.Store) (RestoreStats, error) {
 	var rs RestoreStats
-	// Snapshot under d.mu, then release it before calling into st: if
-	// the persister is already attached, st's write-through re-enters
-	// this Store and would deadlock against a held lock.
-	type entry struct {
-		h   core.Handle
-		loc location
-	}
+	// Judge every memo under d.mu, then release it before calling into
+	// st: if the persister is already attached, st's write-through
+	// re-enters this Store and would deadlock against a held lock.
 	d.mu.Lock()
-	locs := make([]entry, 0, len(d.index))
-	for h, loc := range d.index {
-		locs = append(locs, entry{h, loc})
-	}
-	thunks := make(map[core.Handle]core.Handle, len(d.thunks))
-	for k, r := range d.thunks {
-		thunks[k] = r
-	}
-	encodes := make(map[core.Handle]core.Handle, len(d.encodes))
-	for k, r := range d.encodes {
-		encodes[k] = r
-	}
-	d.mu.Unlock()
-	// Deterministic order is not required for correctness (records are
-	// independent), but replaying pack order keeps recovery IO
-	// sequential.
-	sort.Slice(locs, func(i, j int) bool {
-		a, b := locs[i].loc, locs[j].loc
-		if a.pack != b.pack {
-			return a.pack < b.pack
-		}
-		return a.offset < b.offset
-	})
-	// Records appended back-to-back are contiguous on disk, so the
-	// sorted locations coalesce into large sequential spans: one read
-	// (and one lock round-trip) covers many records instead of one each,
-	// which is what makes restart recovery fast at millions of objects.
-	for i := 0; i < len(locs); {
-		j, span := i+1, locs[i].loc.length
-		for j < len(locs) &&
-			locs[j].loc.pack == locs[i].loc.pack &&
-			locs[j].loc.offset == locs[j-1].loc.offset+locs[j-1].loc.length &&
-			span+locs[j].loc.length <= restoreSpanBytes {
-			span += locs[j].loc.length
-			j++
-		}
-		d.mu.Lock()
-		buf, err := d.readLocked(location{pack: locs[i].loc.pack, offset: locs[i].loc.offset, length: span})
+	if d.closed {
 		d.mu.Unlock()
-		if err != nil {
-			return rs, err
+		return rs, errStoreClosed
+	}
+	for h := range d.index {
+		if h.Kind() == core.KindBlob {
+			rs.Blobs++
+		} else {
+			rs.Trees++
 		}
-		off := int64(0)
-		for _, e := range locs[i:j] {
-			obj, err := objectOf(buf[off:off+e.loc.length], e.loc)
-			if err != nil {
-				return rs, err
-			}
-			if err := st.PutObject(e.h, obj); err != nil {
-				return rs, fmt.Errorf("durable: restore %v: %w", e.h, err)
-			}
-			if e.h.Kind() == core.KindBlob {
-				rs.Blobs++
-			} else {
-				rs.Trees++
-			}
-			off += e.loc.length
-		}
-		i = j
 	}
 	// A memo result tagged Object promises readable data — for a Tree,
 	// transitively. Skip entries whose result closure lost an object to
@@ -442,60 +414,54 @@ func (d *Store) RestoreInto(st *store.Store) (RestoreStats, error) {
 		if r.RefKind() != core.RefObject || r.IsLiteral() {
 			return true
 		}
-		if v, ok := verdict[r]; ok {
+		k := r.StorageKey()
+		if v, ok := verdict[k]; ok {
 			return v
 		}
-		ok := st.Contains(r)
-		if ok && r.Kind() == core.KindTree {
-			entries, err := st.Tree(r)
-			if err != nil {
-				ok = false
-			} else {
-				for _, e := range entries {
-					if !fetchable(e) {
-						ok = false
-						break
-					}
+		loc, ok := d.index[k]
+		if ok && k.Kind() == core.KindTree {
+			entries, err := d.treeLocked(loc)
+			ok = err == nil
+			for _, e := range entries {
+				if !fetchable(e) {
+					ok = false
+					break
 				}
 			}
 		}
-		verdict[r] = ok
+		verdict[k] = ok
 		return ok
 	}
-	for k, r := range thunks {
-		if !fetchable(r) {
-			rs.SkippedMemos++
-			continue
+	var kept [2][][2]core.Handle // thunk memos, encode memos
+	for i, table := range [2]map[core.Handle]core.Handle{d.thunks, d.encodes} {
+		for k, r := range table {
+			if fetchable(r) {
+				kept[i] = append(kept[i], [2]core.Handle{k, r})
+			} else {
+				rs.SkippedMemos++
+			}
 		}
-		st.SetThunkResult(k, r)
-		rs.Thunks++
 	}
-	for k, r := range encodes {
-		if !fetchable(r) {
-			rs.SkippedMemos++
-			continue
-		}
-		st.SetEncodeResult(k, r)
-		rs.Encodes++
+	d.mu.Unlock()
+	for _, m := range kept[0] {
+		st.SetThunkResult(m[0], m[1])
 	}
+	for _, m := range kept[1] {
+		st.SetEncodeResult(m[0], m[1])
+	}
+	rs.Thunks, rs.Encodes = len(kept[0]), len(kept[1])
 	if rs.SkippedMemos > 0 {
 		d.logf("durable: restore: skipped %d memo entries with torn result objects", rs.SkippedMemos)
 	}
+	st.SetPersister(d)
 	return rs, nil
 }
 
-// restoreSpanBytes caps one coalesced restore read.
-const restoreSpanBytes = 4 << 20
-
 // Attach is the daemon boot path: it opens (or recovers) a durable store
-// at dir, restores the recovered image into st, and installs itself as
-// st's write-through persister — in that order, so the restore does not
-// write back through. When opts.Live is nil it defaults to st.Contains,
-// making automatic GC keep whatever the serving tier still holds.
+// at dir and restores it into st (RestoreInto): the memo tables are
+// loaded and the store reads and writes through to the packs. With
+// opts.Live nil, automatic GC only compacts.
 func Attach(dir string, opts Options, st *store.Store) (*Store, RestoreStats, error) {
-	if opts.Live == nil {
-		opts.Live = st.Contains
-	}
 	d, err := Open(dir, opts)
 	if err != nil {
 		return nil, RestoreStats{}, err
@@ -505,7 +471,6 @@ func Attach(dir string, opts Options, st *store.Store) (*Store, RestoreStats, er
 		d.Close()
 		return nil, RestoreStats{}, err
 	}
-	st.SetPersister(d)
 	return d, rs, nil
 }
 

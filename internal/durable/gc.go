@@ -128,7 +128,9 @@ func (d *Store) gcLocked(live func(core.Handle) bool) (GCStats, error) {
 }
 
 // markLocked computes the live object set: everything reachable from a
-// journaled memo result plus everything the caller vouches for.
+// journaled memo result, plus everything reachable from a record the
+// caller vouches for. live is asked only about records no memo result
+// reaches, and must not call back into d.
 func (d *Store) markLocked(live func(core.Handle) bool) map[core.Handle]struct{} {
 	liveSet := make(map[core.Handle]struct{})
 	if live == nil {
@@ -152,39 +154,34 @@ func (d *Store) markLocked(live func(core.Handle) bool) map[core.Handle]struct{}
 		liveSet[k] = struct{}{}
 		stack = append(stack, k)
 	}
+	walk := func() {
+		for len(stack) > 0 {
+			h := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			if h.Kind() != core.KindTree {
+				continue
+			}
+			entries, err := d.treeLocked(d.index[h])
+			if err != nil {
+				d.logf("durable: gc: read tree %v: %v", h, err)
+				continue
+			}
+			for _, e := range entries {
+				push(e)
+			}
+		}
+	}
 	for _, r := range d.thunks {
 		push(r)
 	}
 	for _, r := range d.encodes {
 		push(r)
 	}
+	walk()
 	for h := range d.index {
-		if live(h) {
+		if _, ok := liveSet[h]; !ok && live(h) {
 			push(h)
-		}
-	}
-	for len(stack) > 0 {
-		h := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if h.Kind() != core.KindTree {
-			continue
-		}
-		loc := d.index[h]
-		rec, err := d.readLocked(loc)
-		if err == nil {
-			rec, err = objectOf(rec, loc)
-		}
-		if err != nil {
-			d.logf("durable: gc: read %v: %v", h, err)
-			continue
-		}
-		entries, err := core.DecodeTree(rec)
-		if err != nil {
-			d.logf("durable: gc: decode tree %v: %v", h, err)
-			continue
-		}
-		for _, e := range entries {
-			push(e)
+			walk()
 		}
 	}
 	return liveSet

@@ -304,26 +304,19 @@ func (d *Store) appendMemo(recType byte, key, result core.Handle) error {
 	return d.journal.Commit()
 }
 
-// readLocked reads the bytes at loc: one record, or a run of contiguous
-// records when RestoreInto coalesces them.
-func (d *Store) readLocked(loc location) ([]byte, error) {
+// objectLocked reads the packed object bytes of the record at loc, without
+// its framing, into a slice of their size; the caller holds d.mu. Replay
+// checked the record's CRC and length, and a reader that stores the
+// bytes checks them against their handle.
+func (d *Store) objectLocked(loc location) ([]byte, error) {
 	p := d.packs[loc.pack]
 	if p == nil {
 		return nil, fmt.Errorf("durable: pack %d vanished", loc.pack)
 	}
-	buf := make([]byte, loc.length)
-	if err := p.readAt(buf, loc.offset); err != nil {
+	const head = recHeaderLen + core.HandleSize
+	buf := make([]byte, loc.length-head-recTrailLen)
+	if err := p.readAt(buf, loc.offset+head); err != nil {
 		return nil, err
 	}
 	return buf, nil
-}
-
-// objectOf returns the packed object bytes of rec, the one record read at
-// loc.
-func objectOf(rec []byte, loc location) ([]byte, error) {
-	plen := int64(binary.LittleEndian.Uint32(rec[0:4]))
-	if recHeaderLen+plen+recTrailLen != loc.length {
-		return nil, fmt.Errorf("durable: pack %d offset %d: length mismatch", loc.pack, loc.offset)
-	}
-	return rec[recHeaderLen+core.HandleSize : recHeaderLen+plen], nil
 }

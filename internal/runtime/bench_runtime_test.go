@@ -46,10 +46,17 @@ func BenchmarkInvocation(b *testing.B) {
 }
 
 // BenchmarkInvocationBounded is BenchmarkInvocation with a store of
-// bounded size: every 255 timed evals run on a fresh store and engine,
-// which hold 256 invocation Trees; the 256th warms the program cache.
-// Building them is not timed, nor counted in allocs/op.
+// bounded size (benchInvocationBounded).
 func BenchmarkInvocationBounded(b *testing.B) {
+	benchInvocationBounded(b, codelet.AddFunctionBlob(), nil)
+}
+
+// benchInvocationBounded times warm invocations of the function Blob fn,
+// served from reg, with two literal arguments: every 255 timed evals run
+// on a fresh store and engine, which hold 256 invocation Trees; the 256th
+// warms the program cache. Building them is not timed, nor counted in
+// allocs/op.
+func benchInvocationBounded(b *testing.B, fnBlob []byte, reg *Registry) {
 	const batch = 255
 	lim := core.DefaultLimits.Handle()
 	ctx := context.Background()
@@ -59,8 +66,8 @@ func BenchmarkInvocationBounded(b *testing.B) {
 	for done := 0; done < b.N; done += batch {
 		b.StopTimer()
 		st := store.New()
-		e := New(st, Options{Cores: 1})
-		fn := st.PutBlob(codelet.AddFunctionBlob())
+		e := New(st, Options{Cores: 1, Registry: reg})
+		fn := st.PutBlob(fnBlob)
 		for i := range encs {
 			tree, err := st.PutTree(core.InvocationTree(lim, fn, core.LiteralU64(uint64(done+i)), core.LiteralU64(7)))
 			if err != nil {
@@ -196,31 +203,12 @@ func BenchmarkSelection(b *testing.B) {
 }
 
 // BenchmarkNativeInvocation isolates the engine overhead without the VM:
-// a registered Go procedure doing nothing.
+// BenchmarkInvocationBounded's invocations, of a registered Go procedure
+// that does nothing.
 func BenchmarkNativeInvocation(b *testing.B) {
 	reg := NewRegistry()
 	reg.RegisterFunc("nop", func(api core.API, input core.Handle) (core.Handle, error) {
 		return core.LiteralU64(0), nil
 	})
-	st := store.New()
-	e := New(st, Options{Cores: 1, Registry: reg})
-	fn := st.PutBlob(core.NativeFunctionBlob("nop"))
-	lim := core.DefaultLimits.Handle()
-	ctx := context.Background()
-	encs := make([]core.Handle, b.N)
-	for i := range encs {
-		tree, err := st.PutTree(core.InvocationTree(lim, fn, core.LiteralU64(uint64(i))))
-		if err != nil {
-			b.Fatal(err)
-		}
-		th, _ := core.Application(tree)
-		encs[i], _ = core.Strict(th)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.Eval(ctx, encs[i]); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchInvocationBounded(b, core.NativeFunctionBlob("nop"), reg)
 }

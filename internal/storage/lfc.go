@@ -155,17 +155,19 @@ func (c *LFC) Get(ctx context.Context, h core.Handle) ([]byte, error) {
 	c.mu.Unlock()
 	if ok {
 		data, err := os.ReadFile(c.path(h))
-		if err == nil {
+		if err == nil && matches(h, data) {
 			c.hits.Add(1)
 			return data, nil
 		}
-		// The file vanished underneath the index (external cleanup);
-		// drop the entry and fall through to the backing tier.
+		// The file vanished underneath the index (external cleanup) or
+		// no longer holds h's bytes (a torn or corrupted file); drop the
+		// entry and the file, and fall through to the backing tier.
 		c.mu.Lock()
 		if el, ok := c.entries[h]; ok {
 			c.lru.Remove(el)
 			delete(c.entries, h)
 			c.bytes -= el.Value.(*lfcEntry).size
+			os.Remove(c.path(h))
 		}
 		c.mu.Unlock()
 	}
@@ -176,6 +178,15 @@ func (c *LFC) Get(ctx context.Context, h core.Handle) ([]byte, error) {
 	}
 	c.fill(h, data)
 	return data, nil
+}
+
+// matches reports whether data are the bytes of the object h names.
+func matches(h core.Handle, data []byte) bool {
+	if h.Kind() != core.KindTree {
+		return core.BlobHandle(data) == h.AsObject()
+	}
+	entries, err := core.TreeView(data)
+	return err == nil && core.TreeHandle(entries) == h.AsObject()
 }
 
 // Put writes through to the backing tier, then fills the cache so an

@@ -57,6 +57,13 @@ func (d *Dir) Get(ctx context.Context, h core.Handle) ([]byte, error) {
 	return data, nil
 }
 
+// Holds reports whether the object file for h exists, without reading
+// it or counting a get.
+func (d *Dir) Holds(h core.Handle) bool {
+	_, err := os.Stat(d.path(h))
+	return err == nil
+}
+
 // Put writes the object file for h via a temp file and atomic rename. An
 // already-present object is left untouched.
 func (d *Dir) Put(ctx context.Context, h core.Handle, data []byte) error {

@@ -1,7 +1,5 @@
 package storage
 
-import "fixgo/internal/durable"
-
 // Config is a daemon's tier assembly, parsed straight from its flags.
 type Config struct {
 	// RemoteDir is the remote tier's backing directory (the local
@@ -14,13 +12,12 @@ type Config struct {
 	CacheBudget int64
 }
 
-// Build assembles a daemon's storage tier. The shape follows from what
-// the daemon has: no remote directory, no tier (nil Storage, nil error —
-// the node keeps every object hot); a remote directory alone spills to
-// it through a bounded local file cache ("remote"); with packs, the
-// durable pack store, writes go to the packs and then the remote, and
-// reads fall packs → cache → remote ("hybrid").
-func Build(cfg Config, packs *durable.Store) (Storage, error) {
+// Build assembles a daemon's storage tier: with no remote directory, no
+// tier (nil Storage, nil error — the node keeps every object on this
+// host); otherwise the remote directory behind a bounded local file
+// cache. A node's durable packs are not part of the tier: they sit in
+// front of it, as its store's persister.
+func Build(cfg Config) (Storage, error) {
 	if cfg.RemoteDir == "" {
 		return nil, nil
 	}
@@ -28,12 +25,5 @@ func Build(cfg Config, packs *durable.Store) (Storage, error) {
 	if err != nil {
 		return nil, err
 	}
-	cached, err := NewLFC(cfg.CacheDir, cfg.CacheBudget, remote)
-	if err != nil {
-		return nil, err
-	}
-	if packs == nil {
-		return cached, nil
-	}
-	return NewHybrid(packs, cached), nil
+	return NewLFC(cfg.CacheDir, cfg.CacheBudget, remote)
 }

@@ -1,13 +1,11 @@
-// Package storage defines the object-storage tiers behind the cluster's
-// hot in-memory store: a remote S3-like blob tier (Dir is the
-// local-directory fake used in tests and benches), an LFC bounded local
-// file cache fronting the remote tier, and a Hybrid tier over the
-// node's durable pack files (writes land in the packs, then in the
-// remote; reads fall back packs → LFC → remote). Every write is
-// synchronous: when Put returns nil, the remote holds the object. The
-// cluster's anti-entropy pass demotes cold, fully-replicated objects
-// into a tier, and the fetcher's miss path ends with a tier lookup so a
-// demoted object is always recoverable.
+// Package storage defines the object-storage tier behind the cluster's
+// in-memory store and its durable packs: a remote S3-like blob tier (Dir
+// is the local-directory fake used in tests and benches) behind an LFC,
+// a bounded local file cache. Every write is synchronous: when Put
+// returns nil, the remote holds the object. The cluster's anti-entropy
+// pass demotes cold, fully-replicated objects into the tier, and the
+// fetcher's miss path ends with a tier lookup so a demoted object is
+// always recoverable.
 package storage
 
 import (

@@ -13,8 +13,6 @@ import (
 	"testing"
 
 	"fixgo/internal/core"
-	"fixgo/internal/durable"
-	"fixgo/internal/store"
 )
 
 func blob(i int) (core.Handle, []byte) {
@@ -62,48 +60,6 @@ func TestDirRoundTrip(t *testing.T) {
 	}
 }
 
-// attachPacks opens a durable pack store in a temp dir.
-func attachPacks(t *testing.T) *durable.Store {
-	t.Helper()
-	dur, _, err := durable.Attach(t.TempDir(), durable.Options{}, store.New())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { dur.Close() })
-	return dur
-}
-
-// TestHybridTreePut: a Tree written through the hybrid tier reads back
-// as its EncodeTree bytes, from the packs and from the remote.
-func TestHybridTreePut(t *testing.T) {
-	remote, err := NewDir(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	hy := NewHybrid(attachPacks(t), remote)
-	ctx := context.Background()
-	h1, d1 := blob(10)
-	h2, d2 := blob(11)
-	if err := hy.Put(ctx, h1, d1); err != nil {
-		t.Fatal(err)
-	}
-	if err := hy.Put(ctx, h2, d2); err != nil {
-		t.Fatal(err)
-	}
-	entries := []core.Handle{h1, h2}
-	th := core.TreeHandle(entries)
-	enc := core.EncodeTree(entries)
-	if err := hy.Put(ctx, th, enc); err != nil {
-		t.Fatal(err)
-	}
-	for name, st := range map[string]Storage{"hybrid": hy, "remote": remote} {
-		got, err := st.Get(ctx, th)
-		if err != nil || !bytes.Equal(got, enc) {
-			t.Fatalf("%s tree Get = %x, %v, want %x", name, got, err, enc)
-		}
-	}
-}
-
 func TestLFCRoundTrip(t *testing.T) {
 	d, err := NewDir(t.TempDir())
 	if err != nil {
@@ -116,123 +72,119 @@ func TestLFCRoundTrip(t *testing.T) {
 	roundTrip(t, c)
 }
 
-// TestHybridRoundTrip: the common contract on a hybrid tier, and once
-// Put returns, the remote serves the object.
-func TestHybridRoundTrip(t *testing.T) {
-	remote, err := NewDir(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	roundTrip(t, NewHybrid(attachPacks(t), remote))
-	h, data := blob(1)
-	if got, err := remote.Get(context.Background(), h); err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("remote Get after hybrid Put = %q, %v", got, err)
-	}
-}
-
-// TestLocalRoundTrip: the common contract on a hybrid tier, and the
-// pack side alone holds what Put wrote: a hybrid over the same packs
-// and an empty remote serves it without reading the remote.
-func TestLocalRoundTrip(t *testing.T) {
-	packs := attachPacks(t)
-	remote, err := NewDir(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	roundTrip(t, NewHybrid(packs, remote))
-	empty, err := NewDir(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, data := blob(1)
-	if got, err := NewHybrid(packs, empty).Get(context.Background(), h); err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("pack Get = %q, %v", got, err)
-	}
-	if st := empty.StorageStats(); st.RemoteGets != 0 {
-		t.Fatalf("pack hit read the remote: %+v", st)
-	}
-}
-
-// TestHybridStartsNoGoroutine: a hybrid tier is two synchronous writes,
-// so assembling one starts no goroutine.
-func TestHybridStartsNoGoroutine(t *testing.T) {
-	packs := attachPacks(t)
+// TestTierFallbackMatrix pins the read chain Build assembles, LFC →
+// remote: an LFC hit, a remote hit that fills the cache, a remote hit
+// with a cold cache, and a miss at both. Build starts no goroutine, and
+// once Put returns the remote serves the object.
+func TestTierFallbackMatrix(t *testing.T) {
+	ctx := context.Background()
+	remoteDir := t.TempDir()
 	base := runtime.NumGoroutine()
-	tier, err := Build(Config{RemoteDir: t.TempDir(), CacheDir: t.TempDir(), CacheBudget: 1 << 20}, packs)
+	tier, err := Build(Config{RemoteDir: remoteDir, CacheDir: t.TempDir(), CacheBudget: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if _, ok := tier.(*Hybrid); !ok {
-		t.Fatalf("Build with packs and a remote dir = %T, want *Hybrid", tier)
 	}
 	if got := runtime.NumGoroutine(); got > base {
 		t.Fatalf("goroutines %d → %d after Build", base, got)
 	}
-}
-
-// TestHybridFallbackMatrix pins the tentpole's read-fallback chain:
-// local hit, LFC hit, remote hit, and a miss at every tier.
-func TestHybridFallbackMatrix(t *testing.T) {
-	ctx := context.Background()
-	remote, err := NewDir(t.TempDir())
+	remote, err := NewDir(remoteDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lfc, err := NewLFC(t.TempDir(), 1<<20, remote)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hy := NewHybrid(attachPacks(t), lfc)
+	hits := func() uint64 { return tier.StorageStats().LFCHits }
 
-	// Case 1: pack hit — written through Put, never read from remote.
+	// Case 1: LFC hit — written through Put, read back from the cache.
 	h1, d1 := blob(1)
-	if err := hy.Put(ctx, h1, d1); err != nil {
+	if err := tier.Put(ctx, h1, d1); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := hy.Get(ctx, h1); err != nil || !bytes.Equal(got, d1) {
-		t.Fatalf("pack hit: %v", err)
+	if got, err := tier.Get(ctx, h1); err != nil || !bytes.Equal(got, d1) || hits() != 1 {
+		t.Fatalf("lfc hit: %v, %d hits", err, hits())
 	}
 
-	// Case 2: LFC hit — present only in the remote chain, first read
-	// fills the cache, second read must hit it.
+	// Case 2: present only in the remote: the first read fills the
+	// cache, the second hits it.
 	h2, d2 := blob(2)
 	if err := remote.Put(ctx, h2, d2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := hy.Get(ctx, h2); err != nil {
-		t.Fatalf("remote hit (fill): %v", err)
+	if got, err := tier.Get(ctx, h2); err != nil || !bytes.Equal(got, d2) || hits() != 1 {
+		t.Fatalf("remote hit (fill): %v, %d hits", err, hits())
 	}
-	before := lfc.StorageStats().LFCHits
-	if got, err := hy.Get(ctx, h2); err != nil || !bytes.Equal(got, d2) {
-		t.Fatalf("lfc hit: %v", err)
-	}
-	if after := lfc.StorageStats().LFCHits; after != before+1 {
-		t.Fatalf("second read did not hit the LFC: hits %d → %d", before, after)
+	if got, err := tier.Get(ctx, h2); err != nil || !bytes.Equal(got, d2) || hits() != 2 {
+		t.Fatalf("lfc hit after fill: %v, %d hits", err, hits())
 	}
 
-	// Case 3: remote hit with a cold cache — drop the cache entry, the
-	// read must still come back from the remote tier.
-	h3, d3 := blob(3)
-	if err := remote.Put(ctx, h3, d3); err != nil {
+	// Case 3: remote hit with a cold cache: a second LFC over an empty
+	// cache directory reads the remote once.
+	cold, err := NewLFC(t.TempDir(), 1<<20, remote)
+	if err != nil {
 		t.Fatal(err)
 	}
-	gets := remote.StorageStats().RemoteGets
-	if got, err := hy.Get(ctx, h3); err != nil || !bytes.Equal(got, d3) {
+	if got, err := cold.Get(ctx, h1); err != nil || !bytes.Equal(got, d1) {
 		t.Fatalf("remote hit: %v", err)
 	}
-	if after := remote.StorageStats().RemoteGets; after != gets+1 {
-		t.Fatalf("read did not reach the remote tier: gets %d → %d", gets, after)
+	if st := cold.StorageStats(); st.LFCHits != 0 || st.RemoteGets != 1 {
+		t.Fatalf("cold read: %+v, want 0 hits and 1 remote get", st)
 	}
 
 	// Case 4: miss everywhere.
 	h4, _ := blob(4)
-	if _, err := hy.Get(ctx, h4); !isNotFound(err) {
+	if _, err := tier.Get(ctx, h4); !isNotFound(err) {
 		t.Fatalf("full miss: err = %v, want not-found", err)
 	}
 
 	// Case 1's Put returned, so the remote Dir already serves it.
-	if got, err := remote.Get(ctx, h1); err != nil || !bytes.Equal(got, d1) {
-		t.Fatalf("remote Get after Put = %v", err)
+	if !remote.Holds(h1) || remote.Holds(h4) {
+		t.Fatalf("remote Holds = %v, %v; want true for the written object, false for the missing one", remote.Holds(h1), remote.Holds(h4))
+	}
+}
+
+// TestLFCCorruptFileFallsThrough: a cache file whose bytes no longer match
+// its handle is not served. The read drops the entry and its file and
+// answers from the remote, and the next read hits the refilled cache.
+func TestLFCCorruptFileFallsThrough(t *testing.T) {
+	ctx := context.Background()
+	remoteDir, cacheDir := t.TempDir(), t.TempDir()
+	data := bytes.Repeat([]byte{0x6B}, 4096)
+	h := core.BlobHandle(data)
+	tree := []core.Handle{h, h}
+	th := core.TreeHandle(tree)
+	remote, err := NewDir(remoteDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewLFC(cacheDir, 1<<20, remote)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Put(ctx, h, data); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Put(ctx, th, core.EncodeTree(tree)); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []core.Handle{h, th} {
+		path := filepath.Join(cacheDir, core.FormatHandle(k))
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw[len(raw)/2] ^= 0x01
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 2; i++ {
+		if got, err := c.Get(ctx, h); err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("read %d of the corrupted blob: %v", i, err)
+		}
+		if got, err := c.Get(ctx, th); err != nil || !bytes.Equal(got, core.EncodeTree(tree)) {
+			t.Fatalf("read %d of the corrupted tree: %v", i, err)
+		}
+	}
+	if st := c.StorageStats(); st.RemoteGets != 2 || st.LFCHits != 2 || st.LFCEntries != 2 {
+		t.Fatalf("stats %+v, want 2 remote gets (one per corrupted file), then 2 hits on 2 entries", st)
 	}
 }
 

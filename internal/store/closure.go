@@ -44,10 +44,10 @@ var closures struct {
 }
 
 // Closure walks the definition closure of an Encode's Thunk. It lists
-// the objects named by resident Trees, resident or not, and does not
-// descend into Trees it does not hold; Refs are shallow and not listed.
-// It returns nil when enc is not an Encode or its definition is not
-// resident. The caller calls Release once done with Deps.
+// the objects named by the Trees the Store holds, held or not, and does
+// not descend into Trees it does not hold; Refs are shallow and not
+// listed. It returns nil when enc is not an Encode or its definition is
+// not held. The caller calls Release once done with Deps.
 func (s *Store) Closure(enc core.Handle) *Closure {
 	if enc.RefKind() != core.RefEncode {
 		return nil
@@ -103,7 +103,7 @@ func (c *Closure) walk(h core.Handle) {
 		}
 		c.Deps = append(c.Deps, Dep{Handle: k, Size: size})
 		if k.Kind() == core.KindTree {
-			children, _ := c.st.residentTree(k.StorageKey())
+			children, _ := c.st.heldTree(k.StorageKey())
 			for _, child := range children {
 				c.walk(child)
 			}
@@ -145,7 +145,7 @@ const (
 	payloadMaxBytes   = 4 << 20
 )
 
-// JobPayload returns the resident objects of enc's definition closure with
+// JobPayload returns the held objects of enc's definition closure with
 // their bytes, in Closure order, up to 1024 objects and 4 MiB. An object
 // that would pass the byte budget is skipped, and later objects that fit
 // are still taken. It is what a gateway replicates with an accepted job,

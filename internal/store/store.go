@@ -13,21 +13,25 @@ import (
 	"fixgo/internal/core"
 )
 
-// ErrNotFound reports a Handle whose data is not resident in this store.
+// ErrNotFound reports a Handle whose data this store does not hold:
+// neither resident nor held by its Persister.
 type ErrNotFound struct {
 	Handle core.Handle
 }
 
 func (e *ErrNotFound) Error() string {
-	return fmt.Sprintf("store: object not resident: %v", e.Handle)
+	return fmt.Sprintf("store: object not held: %v", e.Handle)
 }
 
-// Persister is the pluggable persistence hook behind a Store. When one
-// is attached (SetPersister), every newly inserted object and every
-// memoization write-throughs to it. Implementations must be safe for
-// concurrent use; internal/durable provides the disk-backed one.
+// Persister is the disk tier behind a Store. When one is attached
+// (SetPersister), every newly inserted object and every memoization
+// writes through to it, and an object missing from RAM is read back
+// through it: its read half is the one way an object returns from disk.
+// Objects are immutable and named by their content, so a copy read back
+// never needs invalidating. Implementations must be safe for concurrent
+// use; internal/durable provides the disk-backed one.
 //
-// Persist calls happen outside the Store's locks, after the in-memory
+// Persister calls happen outside the Store's locks, after the in-memory
 // insert: content-addressed records are idempotent and never remap, so
 // ordering between concurrent persists of different keys is irrelevant.
 type Persister interface {
@@ -39,6 +43,14 @@ type Persister interface {
 	PersistThunkResult(thunk, result core.Handle) error
 	// PersistEncodeResult records an Encode memoization.
 	PersistEncodeResult(encode, result core.Handle) error
+	// Contains reports whether an object record for h is held.
+	Contains(h core.Handle) bool
+	// ReadObject returns the canonical bytes of a held object, in a
+	// fresh slice the Store then owns.
+	ReadObject(h core.Handle) ([]byte, error)
+	// ForEachObject calls fn with every held object. fn must not call
+	// back into the Persister.
+	ForEachObject(fn func(h core.Handle))
 }
 
 // Store is an in-memory content-addressed object store with memoization
@@ -135,8 +147,9 @@ func (s *Store) eachStripe(fn func(sp *stripe)) {
 	}
 }
 
-// SetPersister attaches (or, with nil, detaches) the write-through
-// persistence hook. Attach after restoring a recovered image so the
+// SetPersister attaches (or, with nil, detaches) the Persister: every
+// later insert and memo writes through to it, and every RAM miss reads
+// through it. Attach after restoring the recovered memo tables so the
 // reload does not pointlessly write back through. Objects and memo
 // entries inserted before attachment are not replayed.
 func (s *Store) SetPersister(p Persister) {
@@ -171,20 +184,8 @@ func New() *Store { return new(Store) }
 // not persisted; their Handle carries the contents.
 func (s *Store) PutBlob(data []byte) core.Handle {
 	h := core.BlobHandle(data)
-	if h.IsLiteral() {
-		return h
-	}
-	sp := s.stripe(h)
-	sp.mu.Lock()
-	var cp []byte
-	if _, ok := sp.blobs[h]; !ok {
-		cp = make([]byte, len(data))
-		copy(cp, data)
-		sp.insertBlob(h, cp)
-	}
-	sp.mu.Unlock()
-	if cp != nil {
-		s.persist(func(p Persister) error { return p.PersistBlob(h, cp) })
+	if !h.IsLiteral() {
+		s.putBlob(h, data, false, true)
 	}
 	return h
 }
@@ -203,9 +204,7 @@ func (s *Store) PutBlobOwned(h core.Handle, data []byte) core.Handle {
 		return s.PutBlob(data)
 	}
 	h = h.StorageKey()
-	if s.putBlob(h, data) {
-		s.persist(func(p Persister) error { return p.PersistBlob(h, data) })
-	}
+	s.putBlob(h, data, true, true)
 	return h
 }
 
@@ -218,7 +217,7 @@ func (s *Store) PutTree(entries []core.Handle) (core.Handle, error) {
 		}
 	}
 	h := core.TreeHandle(entries)
-	s.putTree(h, entries)
+	s.putTree(h, entries, true)
 	return h, nil
 }
 
@@ -230,67 +229,88 @@ func (s *Store) PutObject(h core.Handle, data []byte) error {
 		return err
 	}
 	key := h.StorageKey()
-	switch key.Kind() {
-	case core.KindBlob:
-		if key.IsLiteral() {
-			return nil
-		}
-		if got := core.BlobHandle(data); got != key {
-			return fmt.Errorf("store: blob bytes do not match handle %v", h)
-		}
-		sp := s.stripe(key)
-		sp.mu.Lock()
-		var cp []byte
-		if _, ok := sp.blobs[key]; !ok {
-			cp = make([]byte, len(data))
-			copy(cp, data)
-			sp.insertBlob(key, cp)
-		}
-		sp.mu.Unlock()
-		if cp != nil {
-			s.persist(func(p Persister) error { return p.PersistBlob(key, cp) })
-		}
-		return nil
-	default:
-		// Validated and hashed in the received bytes; putTree copies them.
-		entries, err := core.TreeView(data)
-		if err != nil {
-			return err
-		}
-		if got := core.TreeHandle(entries); got != key {
-			return fmt.Errorf("store: tree bytes do not match handle %v", h)
-		}
-		s.putTree(key, entries)
+	if key.IsLiteral() {
 		return nil
 	}
+	_, _, err := s.admit(key, data, false)
+	return err
+}
+
+// admit checks that data are the bytes of the object key and stores them
+// unless key is resident. It returns a Blob's stored contents or a Tree's
+// stored entries. Bytes read from the Persister (fromDisk) are not written
+// back, and the Store takes a Blob's data rather than copying it; a Tree
+// is validated and hashed in data either way, and putTree copies it.
+func (s *Store) admit(key core.Handle, data []byte, fromDisk bool) ([]byte, []core.Handle, error) {
+	if key.Kind() == core.KindBlob {
+		if got := core.BlobHandle(data); got != key {
+			return nil, nil, fmt.Errorf("store: blob bytes do not match handle %v", key)
+		}
+		return s.putBlob(key, data, fromDisk, !fromDisk), nil, nil
+	}
+	entries, err := core.TreeView(data)
+	if err != nil {
+		return nil, nil, err
+	}
+	if got := core.TreeHandle(entries); got != key {
+		return nil, nil, fmt.Errorf("store: tree bytes do not match handle %v", key)
+	}
+	return nil, s.putTree(key, entries, !fromDisk), nil
 }
 
 // putTree stores a copy of the validated entries of the Tree h unless h
-// is resident. It is the one way a Tree enters the Store.
-func (s *Store) putTree(h core.Handle, entries []core.Handle) {
+// is resident, writing a new Tree through when persist is set, and
+// returns the stored entries. It is the one way a Tree enters the Store.
+func (s *Store) putTree(h core.Handle, entries []core.Handle, persist bool) []core.Handle {
 	sp := s.stripe(h)
 	sp.mu.Lock()
-	_, known := sp.trees[h]
+	stored, known := sp.tree(h, false)
 	if !known {
-		entries = sp.insertTree(h, entries)
+		stored = sp.insertTree(h, entries)
 	}
 	sp.mu.Unlock()
-	if !known {
-		s.persist(func(p Persister) error { return p.PersistTree(h, entries) })
+	if !known && persist {
+		s.persist(func(p Persister) error { return p.PersistTree(h, stored) })
 	}
+	return stored
 }
 
-// putBlob stores data, which the Store then owns, under h unless h is
-// resident, and reports whether it did.
-func (s *Store) putBlob(h core.Handle, data []byte) bool {
+// fault reads the object key, which is not resident, back through the
+// Persister and stores it. It returns what admit does, and false when no
+// Persister holds key or the bytes it holds do not match key.
+func (s *Store) fault(key core.Handle) ([]byte, []core.Handle, bool) {
+	p := s.persister.Load()
+	if p == nil {
+		return nil, nil, false
+	}
+	data, err := (*p).ReadObject(key)
+	if err != nil {
+		return nil, nil, false
+	}
+	blob, entries, err := s.admit(key, data, true)
+	return blob, entries, err == nil
+}
+
+// putBlob stores the Blob h unless it is resident: data itself when
+// owned, else a copy. A new Blob is written through when persist is set.
+// It returns the stored bytes.
+func (s *Store) putBlob(h core.Handle, data []byte, owned, persist bool) []byte {
 	sp := s.stripe(h)
 	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	if _, ok := sp.blobs[h]; ok {
-		return false
+	stored, known := sp.blobs[h]
+	if !known {
+		stored = data
+		if !owned {
+			stored = make([]byte, len(data))
+			copy(stored, data)
+		}
+		sp.insertBlob(h, stored)
 	}
-	sp.insertBlob(h, data)
-	return true
+	sp.mu.Unlock()
+	if !known && persist {
+		s.persist(func(p Persister) error { return p.PersistBlob(h, stored) })
+	}
+	return stored
 }
 
 // insertBlob and insertTree add a new object; the caller holds sp.mu.
@@ -351,8 +371,9 @@ func (sp *stripe) tree(key core.Handle, spare bool) ([]core.Handle, bool) {
 // treeBytes is the resident volume of the Tree key: its entries.
 func treeBytes(key core.Handle) uint64 { return key.Size() * core.HandleSize }
 
-// Blob returns the contents of a Blob. Literal Handles resolve without
-// consulting storage.
+// Blob returns the contents of a Blob, read back through the Persister
+// if it is not resident. Literal Handles resolve without consulting
+// storage.
 func (s *Store) Blob(h core.Handle) ([]byte, error) {
 	key := h.StorageKey()
 	if key.Kind() != core.KindBlob {
@@ -366,24 +387,38 @@ func (s *Store) Blob(h core.Handle) ([]byte, error) {
 	data, ok := sp.blobs[key]
 	sp.mu.Unlock()
 	if !ok {
-		return nil, &ErrNotFound{Handle: h}
+		if data, _, ok = s.fault(key); !ok {
+			return nil, &ErrNotFound{Handle: h}
+		}
 	}
 	return data, nil
 }
 
-// Tree returns the entries of a Tree. They are the stored entries
-// themselves, read-only, and their capacity is their length, so an
-// append copies them rather than reaching the spare memo entry.
+// Tree returns the entries of a Tree, read back through the Persister if
+// it is not resident. They are the stored entries themselves, read-only,
+// and their capacity is their length, so an append copies them rather
+// than reaching the spare memo entry.
 func (s *Store) Tree(h core.Handle) ([]core.Handle, error) {
 	key := h.StorageKey()
 	if key.Kind() != core.KindTree {
 		return nil, fmt.Errorf("store: %v is not a tree", h)
 	}
-	entries, ok := s.residentTree(key)
+	entries, ok := s.heldTree(key)
 	if !ok {
 		return nil, &ErrNotFound{Handle: h}
 	}
 	return entries, nil
+}
+
+// heldTree returns the entries of the Tree key, read back through the
+// Persister if it is not resident, and whether the Store holds it. A
+// resident Tree costs one stripe lookup and no allocation.
+func (s *Store) heldTree(key core.Handle) ([]core.Handle, bool) {
+	if entries, ok := s.residentTree(key); ok {
+		return entries, true
+	}
+	_, entries, ok := s.fault(key)
+	return entries, ok
 }
 
 // residentTree returns the entries of the Tree key, and whether it is
@@ -395,9 +430,10 @@ func (s *Store) residentTree(key core.Handle) ([]core.Handle, bool) {
 	return sp.tree(key, false)
 }
 
-// ObjectBytes returns the canonical wire bytes of a resident object. They
-// are the stored data itself, read-only: a Blob's contents, or a Tree's
-// entries viewed in place (core.TreeBytes).
+// ObjectBytes returns the canonical wire bytes of an object, read back
+// through the Persister if it is not resident. They are the stored data
+// itself, read-only: a Blob's contents, or a Tree's entries viewed in
+// place (core.TreeBytes).
 func (s *Store) ObjectBytes(h core.Handle) ([]byte, error) {
 	key := h.StorageKey()
 	if key.Kind() == core.KindBlob {
@@ -410,8 +446,8 @@ func (s *Store) ObjectBytes(h core.Handle) ([]byte, error) {
 	return core.TreeBytes(entries), nil
 }
 
-// Contains reports whether the referent's data is resident. Literals are
-// always resident.
+// Contains reports whether the Store holds the referent's data: resident
+// in RAM, or held by the Persister. Literals are always held.
 func (s *Store) Contains(h core.Handle) bool {
 	key := h.StorageKey()
 	if key.IsLiteral() {
@@ -419,8 +455,13 @@ func (s *Store) Contains(h core.Handle) bool {
 	}
 	sp := s.stripe(key)
 	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	return sp.holds(key)
+	ok := sp.holds(key)
+	sp.mu.Unlock()
+	if ok {
+		return true
+	}
+	p := s.persister.Load()
+	return p != nil && (*p).Contains(key)
 }
 
 // holds reports whether the non-literal key is resident; the caller holds
@@ -510,8 +551,9 @@ func (s *Store) SetEncodeResult(encode, result core.Handle) {
 }
 
 // Pin marks an object as non-evictable (e.g. while it is part of a running
-// invocation's minimum repository) and reports whether it is resident.
-// An object may be pinned before it arrives.
+// invocation's minimum repository) and reports whether it is resident,
+// reading it back through the Persister if it is not. An object may be
+// pinned before it arrives.
 func (s *Store) Pin(h core.Handle) bool {
 	key := h.StorageKey()
 	if key.IsLiteral() {
@@ -519,9 +561,13 @@ func (s *Store) Pin(h core.Handle) bool {
 	}
 	sp := s.stripe(key)
 	sp.mu.Lock()
-	defer sp.mu.Unlock()
 	sp.pin(key)
-	return sp.holds(key)
+	ok := sp.holds(key)
+	sp.mu.Unlock()
+	if !ok {
+		_, _, ok = s.fault(key)
+	}
+	return ok
 }
 
 // Unpin releases a Pin.
@@ -624,8 +670,8 @@ func (s *Store) Len() int {
 }
 
 // ForEach calls fn for every resident object handle with its payload size
-// in bytes, one stripe at a time. Used to advertise local objects to newly
-// connected peers. fn must not call back into the Store.
+// in bytes, one stripe at a time; objects held only by the Persister are
+// not visited. fn must not call back into the Store.
 func (s *Store) ForEach(fn func(h core.Handle, size uint64)) {
 	s.eachStripe(func(sp *stripe) {
 		for h, data := range sp.blobs {
@@ -635,6 +681,23 @@ func (s *Store) ForEach(fn func(h core.Handle, size uint64)) {
 			fn(h, treeBytes(h))
 		}
 	})
+}
+
+// ForEachHeld calls fn once for every object the Store holds: each object
+// the Persister holds, then each resident one it does not. It is what a
+// node advertises to its peers. fn must not call back into the Store.
+func (s *Store) ForEachHeld(fn func(h core.Handle)) {
+	var resident []core.Handle
+	s.ForEach(func(h core.Handle, _ uint64) { resident = append(resident, h) })
+	p := s.persister.Load()
+	if p != nil {
+		(*p).ForEachObject(fn)
+	}
+	for _, h := range resident {
+		if p == nil || !(*p).Contains(h) {
+			fn(h)
+		}
+	}
 }
 
 var _ core.Store = (*Store)(nil)

@@ -182,7 +182,7 @@ func TestStoreNewAllocs(t *testing.T) {
 }
 
 // memoCounter is a Persister that counts thunk memo write-throughs, and
-// trees handed to it with room to append into.
+// trees handed to it with room to append into. It holds no object.
 type memoCounter struct{ thunks, roomy int }
 
 func (*memoCounter) PersistBlob(core.Handle, []byte) error { return nil }
@@ -197,6 +197,9 @@ func (m *memoCounter) PersistThunkResult(core.Handle, core.Handle) error {
 	return nil
 }
 func (*memoCounter) PersistEncodeResult(core.Handle, core.Handle) error { return nil }
+func (*memoCounter) Contains(core.Handle) bool                          { return false }
+func (*memoCounter) ReadObject(h core.Handle) ([]byte, error)           { return nil, &ErrNotFound{Handle: h} }
+func (*memoCounter) ForEachObject(func(core.Handle))                    {}
 
 // TestApplicationMemoInTree pins the memo of an Application Thunk kept in
 // its Tree's spare entry: the entry is invisible to Tree's callers, the
