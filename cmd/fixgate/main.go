@@ -61,12 +61,17 @@ func main() {
 		backend, backing = gateway.NewEngineBackend(eng), eng.Store()
 	}
 
+	// The tier rides on the cluster node: Validate refused -remote-dir
+	// for the in-process engine, so a nil node gets no tier.
+	remote, err := cfg.AttachTier(node)
+	cfg.Check(err)
+
 	// The durable store opens before the gateway exists, but its write
 	// latencies should land in the gateway's fixgate_persist_seconds
 	// histogram; the observer indirects through an atomic the server
 	// fills in below. Writes before that see nil and skip.
 	var persistObs atomic.Pointer[func(op string, took time.Duration)]
-	dur, err := cfg.AttachDurable(backing, func(op string, took time.Duration) {
+	dur, err := cfg.AttachDurable(backing, remote, func(op string, took time.Duration) {
 		if f := persistObs.Load(); f != nil {
 			(*f)(op, took)
 		}
@@ -77,9 +82,6 @@ func main() {
 		// re-advertise so recovered objects are placeable.
 		node.AdvertiseAll()
 	}
-	// The tier rides on the cluster node: Validate refused -remote-dir
-	// for the in-process engine, so a nil node gets a nil tier.
-	cfg.Check(cfg.AttachTier(node))
 
 	gwOpts := gateway.Options{
 		Backend:         backend,

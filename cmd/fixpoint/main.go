@@ -26,9 +26,10 @@ func main() {
 	cfg := daemon.MustParse(daemon.Fixpoint)
 	node := cfg.NewNode()
 
-	dur, err := cfg.AttachDurable(node.Store(), nil)
+	remote, err := cfg.AttachTier(node)
 	cfg.Check(err)
-	cfg.Check(cfg.AttachTier(node))
+	dur, err := cfg.AttachDurable(node.Store(), remote, nil)
+	cfg.Check(err)
 
 	// The metrics registry and trace ring exist regardless of
 	// -debug-addr: delegated jobs still record under the gateway's

@@ -158,8 +158,9 @@ func (n *Node) repairKick() {
 	go n.repairPass()
 }
 
-// repairPass walks every locally resident object and re-pushes copies to
-// ring successors not known to hold one. Each node repairs the objects
+// repairPass walks every object this node holds, resident or only in its
+// durable packs, and re-pushes copies to ring successors not known to
+// hold one. Each node repairs the objects
 // it holds: as long as any copy of an object survives a membership
 // change, some holder's pass re-establishes R copies on the new ring.
 // The pass is idempotent (pushes are content-addressed and targets
@@ -168,7 +169,7 @@ func (n *Node) repairKick() {
 // divergence.
 func (n *Node) repairPass() {
 	var handles []core.Handle
-	n.st.ForEach(func(h core.Handle, size uint64) { handles = append(handles, h) })
+	n.st.ForEachHeld(func(h core.Handle) { handles = append(handles, h) })
 	n.mu.Lock()
 	n.net.RepairPasses++
 	n.mu.Unlock()

@@ -209,11 +209,7 @@ func packedNode(t *testing.T, id, dir string, tier storage.Storage) *Node {
 // nor the remote serves one.
 func TestTierDemoteServesFromPacks(t *testing.T) {
 	const objects = 12
-	tier, err := storage.Build(storage.Config{RemoteDir: t.TempDir(), CacheDir: t.TempDir(), CacheBudget: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := packedNode(t, "w0", t.TempDir(), tier)
+	n := packedNode(t, "w0", t.TempDir(), testTier(t, 1<<20))
 
 	handles := make([]core.Handle, objects)
 	payloads := make([][]byte, objects)
@@ -282,6 +278,66 @@ func TestRestartAdvertisesRecoveredObjects(t *testing.T) {
 	}
 	if got := restarted.Store().Len(); got != 0 {
 		t.Fatalf("advertising made %d objects resident, want 0", got)
+	}
+}
+
+// TestRestartRepairReplicatesRecoveredObjects: a worker restarted on its
+// data dir at R=2 holds its objects in its packs only, and its repair
+// passes still cover them. Joining the mesh gives each recovered object a
+// second copy; after those copies leave RAM and a peer dies, each is back
+// to two copies on the survivors.
+func TestRestartRepairReplicatesRecoveredObjects(t *testing.T) {
+	dir := t.TempDir()
+	w := NewNode("w0", NodeOptions{Cores: 1})
+	packs, _, err := durable.Attach(dir, durable.Options{}, w.Store())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var handles []core.Handle
+	for i := 0; i < 6; i++ {
+		handles = append(handles, w.PutBlob(bytes.Repeat([]byte{byte(i), 0x5E}, 300)))
+	}
+	w.Close()
+	if err := packs.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	opts := hbOpts(NodeOptions{Cores: 1, Replicas: 2})
+	restarted := NewNode("w0", opts)
+	if packs, _, err = durable.Attach(dir, durable.Options{}, restarted.Store()); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { restarted.Close(); packs.Close() })
+	peers := []*Node{NewNode("w1", opts), NewNode("w2", opts)}
+	defer peers[0].Close()
+	defer peers[1].Close()
+	FullMesh(fastLink(), restarted, peers[0], peers[1])
+	all := []*Node{restarted, peers[0], peers[1]}
+	for i, h := range handles {
+		waitFor(t, fmt.Sprintf("a second copy of recovered object %d", i), func() bool {
+			return storedCopies(h, all...) >= 2
+		})
+	}
+
+	for _, h := range handles {
+		restarted.Store().Evict(h)
+	}
+	if got := restarted.Store().Len(); got != 0 {
+		t.Fatalf("restarted worker holds %d objects in RAM, want 0", got)
+	}
+	killed, survivor := peers[0], peers[1]
+	if storedCopies(handles[0], survivor) > storedCopies(handles[0], killed) {
+		killed, survivor = survivor, killed
+	}
+	passes := restarted.NetStats().RepairPasses
+	killed.Close()
+	for i, h := range handles {
+		waitFor(t, fmt.Sprintf("two copies of recovered object %d after a peer died", i), func() bool {
+			return storedCopies(h, restarted, survivor) >= 2
+		})
+	}
+	if got := restarted.NetStats().RepairPasses; got <= passes {
+		t.Fatalf("restarted worker ran %d repair passes after the peer died, want at least 1", got-passes)
 	}
 }
 

@@ -246,11 +246,10 @@ func (c *Config) NewNode() *cluster.Node {
 // closes the store.
 //
 // Automatic GC (-gc-budget-mib) keeps every record no journaled memo
-// result reaches unless the remote tier holds it: without -remote-dir it
-// only compacts, and with it a demoted object leaves the packs once the
-// remote has a copy. The liveness probe reads the remote directory, never
-// st, whose Contains re-enters the durable store GC runs under.
-func (c *Config) AttachDurable(st *store.Store, observe func(op string, took time.Duration)) (*durable.Store, error) {
+// result reaches unless remote, the tier's remote directory AttachTier
+// returned, holds it: without -remote-dir it only compacts, and with it a
+// demoted object leaves the packs once the remote has a copy.
+func (c *Config) AttachDurable(st *store.Store, remote *storage.Dir, observe func(op string, took time.Duration)) (*durable.Store, error) {
 	if c.DataDir == "" {
 		return nil, nil
 	}
@@ -260,11 +259,7 @@ func (c *Config) AttachDurable(st *store.Store, observe func(op string, took tim
 		Observe:       observe,
 		Logf:          log.Printf,
 	}
-	if c.RemoteDir != "" {
-		remote, err := storage.NewDir(c.RemoteDir)
-		if err != nil {
-			return nil, err
-		}
+	if remote != nil {
 		opts.Live = func(h core.Handle) bool { return !remote.Holds(h) }
 	}
 	d, rs, err := durable.Attach(c.DataDir, opts, st)
@@ -276,23 +271,26 @@ func (c *Config) AttachDurable(st *store.Store, observe func(op string, took tim
 	return d, nil
 }
 
-// AttachTier assembles the storage tier -remote-dir asks for and hands
-// it to node; without -remote-dir it does nothing. With -data-dir the
-// packs sit in front of it: a demoted object is read back from them
-// until GC drops it, then from the tier. The tier holds nothing to close.
-func (c *Config) AttachTier(node *cluster.Node) error {
-	tier, err := storage.Build(storage.Config{
-		RemoteDir:   c.RemoteDir,
-		CacheDir:    c.CacheDir(),
-		CacheBudget: c.LFCBudgetMiB << 20,
-	})
-	if tier == nil || err != nil {
-		return err
+// AttachTier assembles the storage tier -remote-dir asks for, an LFC over
+// the remote directory, hands it to node and returns the remote
+// directory for AttachDurable; without -remote-dir it does nothing and
+// returns nil. The tier holds nothing to close.
+func (c *Config) AttachTier(node *cluster.Node) (*storage.Dir, error) {
+	if c.RemoteDir == "" {
+		return nil, nil
+	}
+	remote, err := storage.NewDir(c.RemoteDir)
+	if err != nil {
+		return nil, err
+	}
+	tier, err := storage.NewLFC(c.CacheDir(), c.LFCBudgetMiB<<20, remote)
+	if err != nil {
+		return nil, err
 	}
 	node.SetTier(tier, c.DemoteAfter)
 	fmt.Printf("%s: %s storage tier at %s (lfc %s, budget %d MiB, demote after %s)\n",
 		c.Daemon, c.StorageMode(), c.RemoteDir, c.CacheDir(), c.LFCBudgetMiB, c.DemoteAfter)
-	return nil
+	return remote, nil
 }
 
 // ServeDebug serves pprof, reg and tracer on -debug-addr, if set.

@@ -169,11 +169,12 @@ func gcWorker(t *testing.T, dataDir, remoteDir string) (*cluster.Node, *durable.
 		t.Fatal(err)
 	}
 	node := c.NewNode()
-	dur, err := c.AttachDurable(node.Store(), nil)
+	remote, err := c.AttachTier(node)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.AttachTier(node); err != nil {
+	dur, err := c.AttachDurable(node.Store(), remote, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { node.Close(); dur.Close() })

@@ -26,7 +26,6 @@ var surfaceStructs = map[string]string{
 	"jobs":    "Options",
 	"edgelog": "Options",
 	"durable": "Options",
-	"storage": "Config",
 	"daemon":  "Config",
 }
 

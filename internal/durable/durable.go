@@ -112,9 +112,9 @@ type Options struct {
 	// Live, when set, is consulted by automatic GC passes: objects it
 	// reports live survive in addition to everything reachable from a
 	// journaled memo result. When nil, automatic GC only compacts
-	// (keeps every indexed object). It runs under the Store's lock, so
-	// it must not call back into this Store — store.Store.Contains does,
-	// once this Store is its persister.
+	// (keeps every indexed object). It is asked once per record no memo
+	// result reaches, without the Store's lock held, so a slow probe
+	// stalls no persist.
 	Live func(core.Handle) bool
 	// Logf, when set, receives one line per notable event (recovered
 	// truncation, GC pass, persist failure).
@@ -156,7 +156,7 @@ type Store struct {
 	encodes  map[core.Handle]core.Handle
 	journal  *Journal
 	packSize int64 // total bytes across all packs
-	gcFloor  int64 // packSize after the last auto-GC pass
+	gcFloor  int64 // packSize when the last auto-GC pass began, then after it
 	closed   bool
 	lock     *os.File // flock on <dir>/LOCK, held for the Store's lifetime
 

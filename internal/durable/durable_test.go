@@ -6,7 +6,9 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"fixgo/internal/core"
 	"fixgo/internal/store"
@@ -272,6 +274,52 @@ func TestAutoGCStaysNearBudget(t *testing.T) {
 	// footprint must be bounded by budget plus the re-arm slack.
 	if st.PackBytes > budget+budget/2 {
 		t.Fatalf("pack bytes %d stayed far above %d budget", st.PackBytes, budget)
+	}
+}
+
+// TestAutoGCProbesWithoutTheLock: an automatic pass asks Options.Live
+// with the Store's lock released, so the probe may persist (it would
+// deadlock under the lock), and a record appended while the pass probes
+// was never asked about and survives it.
+func TestAutoGCProbesWithoutTheLock(t *testing.T) {
+	late := blobOf(1000)
+	lateH := core.BlobHandle(late)
+	var d *Store
+	var probes atomic.Int64
+	d = mustOpen(t, t.TempDir(), Options{
+		GCBudgetBytes: 4 << 10,
+		Live: func(core.Handle) bool {
+			if probes.Add(1) == 1 {
+				if err := d.PersistBlob(lateH, late); err != nil {
+					t.Error(err)
+				}
+			}
+			return false
+		},
+	})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; d.Stats().GCPasses == 0 && i < 200; i++ {
+			data := blobOf(i)
+			if err := d.PersistBlob(core.BlobHandle(data), data); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("an automatic GC pass whose probe persists did not finish") // d stays locked: not closed
+	}
+	defer d.Close()
+	st := d.Stats()
+	if st.GCPasses != 1 || st.GCDropped == 0 {
+		t.Fatalf("GC passes %d, dropped %d; want 1 pass that dropped the unreached records", st.GCPasses, st.GCDropped)
+	}
+	if !d.Contains(lateH) {
+		t.Fatal("a record appended while the pass probed was dropped")
 	}
 }
 

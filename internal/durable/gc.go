@@ -27,7 +27,8 @@ type GCStats struct {
 // (walking Tree entries transitively) or when live reports it so. A nil
 // live keeps every indexed object — a pure compaction, which still
 // reclaims space superseded by a crashed earlier GC pass. Automatic GC
-// (Options.GCBudgetBytes) runs with the Options.Live predicate.
+// (Options.GCBudgetBytes) runs with the Options.Live predicate
+// (autoGC).
 //
 // Crash safety: fresh packs are written and synced before old packs are
 // deleted, and records are content-addressed and idempotent — a crash
@@ -127,10 +128,38 @@ func (d *Store) gcLocked(live func(core.Handle) bool) (GCStats, error) {
 	return st, nil
 }
 
+// autoGC runs the pass an append over the GC budget calls for. It asks
+// Options.Live about every record no memo result reaches before taking
+// d.mu for the pass, so a slow probe (a stat of the remote) stalls no
+// persist; a record appended in between was not asked about and is kept.
+func (d *Store) autoGC() {
+	live := d.opts.Live
+	if live != nil {
+		var unreached []core.Handle
+		d.mu.Lock()
+		d.markLocked(func(h core.Handle) bool { unreached = append(unreached, h); return false })
+		d.mu.Unlock()
+		dead := make(map[core.Handle]bool, len(unreached))
+		for _, h := range unreached {
+			dead[h] = !live(h)
+		}
+		live = func(h core.Handle) bool { return !dead[h] }
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.closed {
+		return
+	}
+	if _, err := d.gcLocked(live); err != nil {
+		d.logf("durable: auto-GC: %v", err)
+	}
+	d.gcFloor = d.packSize
+}
+
 // markLocked computes the live object set: everything reachable from a
 // journaled memo result, plus everything reachable from a record the
 // caller vouches for. live is asked only about records no memo result
-// reaches, and must not call back into d.
+// reaches, under d.mu, so it must not call back into d.
 func (d *Store) markLocked(live func(core.Handle) bool) map[core.Handle]struct{} {
 	liveSet := make(map[core.Handle]struct{})
 	if live == nil {

@@ -221,9 +221,13 @@ func (d *Store) appendObject(h core.Handle, packed []byte) error {
 			recType = recTree
 		}
 		rec := appendFrame(make([]byte, 0, recHeaderLen+core.HandleSize+len(packed)+recTrailLen), recType, h[:], packed)
+		var gc bool
 		var err error
-		if p, loc, err = d.appendRecord(h, rec); err != nil {
+		if p, loc, gc, err = d.appendRecord(h, rec); err != nil {
 			return err
+		}
+		if gc {
+			d.autoGC()
 		}
 	}
 	if d.opts.Fsync != FsyncAlways {
@@ -241,38 +245,37 @@ func (d *Store) appendObject(h core.Handle, packed []byte) error {
 
 // appendRecord appends h's framed record to the active pack, unless a
 // concurrent put got there first, and returns the pack and location of
-// h's record.
-func (d *Store) appendRecord(h core.Handle, rec []byte) (*Journal, location, error) {
+// h's record, and whether the append crossed the GC budget: the caller
+// then runs autoGC.
+func (d *Store) appendRecord(h core.Handle, rec []byte) (*Journal, location, bool, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
-		return nil, location{}, errStoreClosed
+		return nil, location{}, false, errStoreClosed
 	}
 	if loc, ok := d.index[h]; ok {
-		return d.packs[loc.pack], loc, nil
+		return d.packs[loc.pack], loc, false, nil
 	}
 	p := d.packs[d.active]
 	if p == nil || p.Size() >= d.opts.MaxPackBytes {
 		var err error
 		if p, err = d.newPackLocked(); err != nil {
-			return nil, location{}, err
+			return nil, location{}, false, err
 		}
 	}
 	off, err := p.appendFramed(rec)
 	if err != nil {
-		return nil, location{}, err
+		return nil, location{}, false, err
 	}
 	loc := location{pack: d.active, offset: off, length: int64(len(rec))}
 	d.packSize += loc.length
 	d.index[h] = loc
 	d.stats.Appends++
+	gc := false
 	if b := d.opts.GCBudgetBytes; b > 0 && d.packSize > b && d.packSize > d.gcFloor+b/4 {
-		if _, err := d.gcLocked(d.opts.Live); err != nil {
-			d.logf("durable: auto-GC: %v", err)
-		}
-		d.gcFloor = d.packSize
+		d.gcFloor, gc = d.packSize, true // no concurrent append triggers it too
 	}
-	return p, loc, nil
+	return p, loc, gc, nil
 }
 
 // appendMemo journals one memoization entry, deduplicating identical

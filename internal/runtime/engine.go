@@ -748,7 +748,7 @@ func (e *Engine) fetchAll(ctx context.Context, missing []core.Handle) error {
 				return err
 			}
 			for _, c := range children {
-				if c.IsData() && c.RefKind() == core.RefObject && !c.IsLiteral() && !e.st.Contains(c) {
+				if c.IsData() && c.RefKind() == core.RefObject && !c.IsLiteral() && !e.resident(c) {
 					next = append(next, c)
 				}
 			}
@@ -778,7 +778,7 @@ func (e *Engine) ensureLocal(ctx context.Context, h core.Handle) error {
 	if !h.IsData() {
 		return nil
 	}
-	if e.st.Contains(h) {
+	if e.resident(h) {
 		return nil
 	}
 	if e.opts.Fetcher == nil {
@@ -789,6 +789,17 @@ func (e *Engine) ensureLocal(ctx context.Context, h core.Handle) error {
 		return fmt.Errorf("runtime: fetch %v: %w", h, err)
 	}
 	return e.st.PutObject(h, data)
+}
+
+// resident reports whether h's data are resident, read back through the
+// store's Persister if need be. Contains would also count a record the
+// Persister indexes but cannot serve (corrupted, or dropped by its GC).
+func (e *Engine) resident(h core.Handle) bool {
+	if h.IsLiteral() {
+		return true // held in h; reading it would copy it
+	}
+	_, err := e.st.ObjectBytes(h)
+	return err == nil
 }
 
 // strictify deeply evaluates a data Handle into a fully resident Object:

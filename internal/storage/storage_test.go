@@ -72,20 +72,24 @@ func TestLFCRoundTrip(t *testing.T) {
 	roundTrip(t, c)
 }
 
-// TestTierFallbackMatrix pins the read chain Build assembles, LFC →
-// remote: an LFC hit, a remote hit that fills the cache, a remote hit
-// with a cold cache, and a miss at both. Build starts no goroutine, and
-// once Put returns the remote serves the object.
+// TestTierFallbackMatrix pins the read chain a daemon assembles, LFC →
+// remote Dir: an LFC hit, a remote hit that fills the cache, a remote hit
+// with a cold cache, and a miss at both. Assembling it starts no
+// goroutine, and once Put returns the remote serves the object.
 func TestTierFallbackMatrix(t *testing.T) {
 	ctx := context.Background()
 	remoteDir := t.TempDir()
 	base := runtime.NumGoroutine()
-	tier, err := Build(Config{RemoteDir: remoteDir, CacheDir: t.TempDir(), CacheBudget: 1 << 20})
+	backing, err := NewDir(remoteDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tier, err := NewLFC(t.TempDir(), 1<<20, backing)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := runtime.NumGoroutine(); got > base {
-		t.Fatalf("goroutines %d → %d after Build", base, got)
+		t.Fatalf("goroutines %d → %d after assembling the tier", base, got)
 	}
 	remote, err := NewDir(remoteDir)
 	if err != nil {
