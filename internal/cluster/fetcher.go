@@ -141,11 +141,11 @@ func (f *clusterFetcher) run(ctx context.Context, k core.Handle, w *fetchWait, o
 	}
 	// Final hop: the cold storage tier. A demoted object (or one whose
 	// every hot holder died) is recovered from here and promoted back
-	// into the hot store.
+	// into the hot store, but not into the packs: the tier keeps it.
 	if tier := n.tier.store; tier != nil {
 		data, err := tier.Get(ctx, k)
 		if err == nil {
-			if err := n.st.PutObject(k, data); err != nil {
+			if err := n.st.CacheObject(k, data); err != nil {
 				return nil, err
 			}
 			n.tier.fetches.Add(1)

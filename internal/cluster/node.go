@@ -953,9 +953,12 @@ type jobCtx struct {
 }
 
 // servedJob is a received Job on its way to its evaluation goroutine, in
-// one allocation that is also the Task runtime.Go hands over: its jobCtx
-// is the evaluation's context, n the node that serves it, enc the Encode
-// to force, and from and trace the Job's sender and trace ID.
+// one record that is also the Task runtime.Go hands over: its jobCtx is
+// the evaluation's context, n the node that serves it, enc the Encode to
+// force, and from and trace the Job's sender and trace ID. It is carved
+// from a slab (servedJobs) and never reused, so its context stays valid
+// for whatever the evaluation left holding it; once the Job is served,
+// Run detaches it, and a kept record pins no Node.
 type servedJob struct {
 	jobCtx
 	n     *Node
@@ -964,19 +967,22 @@ type servedJob struct {
 	trace string
 }
 
+// servedJobs is where every servedJob is carved.
+var servedJobs runtime.Carver[servedJob]
+
 // newServedJob copies out of the Job frame m what serving it on n needs.
 func newServedJob(n *Node, m *proto.Message) *servedJob {
-	return &servedJob{
-		jobCtx: jobCtx{Context: context.Background(), hops: int(m.Hops)},
-		n:      n,
-		enc:    m.Handle,
-		from:   m.From,
-		trace:  m.Trace,
-	}
+	j := servedJobs.Carve()
+	j.jobCtx = jobCtx{Context: context.Background(), hops: int(m.Hops)}
+	j.n, j.enc, j.from, j.trace = n, m.Handle, m.From, m.Trace
+	return j
 }
 
-// Run serves the Job.
-func (j *servedJob) Run() { j.n.serveJob(j) }
+// Run serves the Job, then detaches its record.
+func (j *servedJob) Run() {
+	j.n.serveJob(j)
+	j.n, j.from, j.trace = nil, "", ""
+}
 
 // Value answers the jobCtx key with the jobCtx itself.
 func (c *jobCtx) Value(key any) any {

@@ -122,9 +122,11 @@ func (n *Node) replicate(handles []core.Handle, repair bool, traceID string) {
 		if len(targets) == 0 {
 			continue
 		}
-		data, err := n.st.ObjectBytes(k)
+		// Read through the packs without faulting: a repair pass over a
+		// restarted node's objects must not make them all resident.
+		data, err := n.st.ReadObject(k)
 		if err != nil {
-			continue // not locally resident (e.g. a literal-only ref)
+			continue // not held here (e.g. a literal-only ref)
 		}
 		n.mu.Lock()
 		for _, p := range targets {

@@ -285,7 +285,8 @@ func TestRestartAdvertisesRecoveredObjects(t *testing.T) {
 // data dir at R=2 holds its objects in its packs only, and its repair
 // passes still cover them. Joining the mesh gives each recovered object a
 // second copy; after those copies leave RAM and a peer dies, each is back
-// to two copies on the survivors.
+// to two copies on the survivors. Repair reads the objects through the
+// packs without faulting them in, so none is resident after it.
 func TestRestartRepairReplicatesRecoveredObjects(t *testing.T) {
 	dir := t.TempDir()
 	w := NewNode("w0", NodeOptions{Cores: 1})
@@ -338,6 +339,15 @@ func TestRestartRepairReplicatesRecoveredObjects(t *testing.T) {
 	}
 	if got := restarted.NetStats().RepairPasses; got <= passes {
 		t.Fatalf("restarted worker ran %d repair passes after the peer died, want at least 1", got-passes)
+	}
+	resident := 0
+	restarted.Store().ForEach(func(h core.Handle, _ uint64) {
+		if slices.Contains(handles, h) {
+			resident++
+		}
+	})
+	if resident != 0 {
+		t.Fatalf("%d of the %d recovered objects are resident after repair, want 0: repair reads through the packs", resident, len(handles))
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"maps"
 	"os"
 	"path/filepath"
 	"slices"
@@ -199,13 +200,41 @@ func demoteAll(node *cluster.Node) int {
 
 // TestGCRuleWithoutTierOnlyCompacts: without -remote-dir, a GC that the
 // budget triggers drops nothing, even records that no memo reaches.
+//
+// Every record stays live and the packs hold no superseded bytes, so the
+// passes leave the pack files as the appends wrote them: the one first
+// pack, at the size of its magic and every record once.
 func TestGCRuleWithoutTierOnlyCompacts(t *testing.T) {
-	node, dur := gcWorker(t, t.TempDir(), "")
+	dataDir := t.TempDir()
+	node, dur := gcWorker(t, dataDir, "")
 	hs := putBlobs(node, 1, 400) // 1.6 MiB, over the 1 MiB budget
 	st := dur.Stats()
 	if st.GCPasses == 0 || st.GCDropped != 0 || st.Objects != len(hs) {
 		t.Fatalf("GC passes %d, dropped %d, %d objects kept; want ≥ 1, 0 and %d", st.GCPasses, st.GCDropped, st.Objects, len(hs))
 	}
+	const record = 5 + 32 + 4096 + 4 // header, handle, payload, CRC
+	want := map[string]int64{"00000000.pack": 8 + int64(len(hs))*record}
+	if got := packFiles(t, dataDir); !maps.Equal(got, want) {
+		t.Fatalf("pack files after %d GC passes = %v, want %v, as the appends left them", st.GCPasses, got, want)
+	}
+}
+
+// packFiles maps each pack file under dataDir to its size.
+func packFiles(t *testing.T, dataDir string) map[string]int64 {
+	t.Helper()
+	entries, err := os.ReadDir(filepath.Join(dataDir, "packs"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := make(map[string]int64)
+	for _, e := range entries {
+		info, err := e.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = info.Size()
+	}
+	return files
 }
 
 // TestGCRuleWithTierDropsOnlyRemoteHeld: with a tier, the GC that the
@@ -238,6 +267,41 @@ func TestGCRuleWithTierDropsOnlyRemoteHeld(t *testing.T) {
 	}
 	if ss := node.StorageStats(); ss.TierFetches != uint64(len(demoted)-1) || ss.RemoteGets != uint64(len(demoted)-1) {
 		t.Fatalf("TierFetches = %d, RemoteGets = %d; want %d each (one per dropped record)", ss.TierFetches, ss.RemoteGets, len(demoted)-1)
+	}
+}
+
+// TestGCRuleTierReadBackAppendsNothing: with TestGCRuleWithTierDropsOnlyRemoteHeld's
+// setup, reading the dropped records back from the tier makes them
+// resident but appends no pack record, so the next GC pass has none of
+// them to drop again.
+func TestGCRuleTierReadBackAppendsNothing(t *testing.T) {
+	node, dur := gcWorker(t, t.TempDir(), t.TempDir())
+	demoted := putBlobs(node, 7, 64)
+	memo, _ := core.Identification(demoted[0])
+	node.Store().SetThunkResult(memo, demoted[0])
+	if got := demoteAll(node); got != len(demoted) {
+		t.Fatalf("DemotePass = %d, want %d", got, len(demoted))
+	}
+	putBlobs(node, 8, 300) // crosses the 1 MiB budget
+	before := dur.Stats()
+	if before.GCDropped != uint64(len(demoted)-1) {
+		t.Fatalf("first GC dropped %d records, want %d", before.GCDropped, len(demoted)-1)
+	}
+	for i, h := range demoted {
+		if _, err := node.ObjectBytes(context.Background(), h); err != nil {
+			t.Fatalf("demoted object %d after GC: %v", i, err)
+		}
+	}
+	if got := dur.Stats().Appends - before.Appends; got != 0 {
+		t.Fatalf("reading %d objects back from the tier appended %d pack records, want 0", len(demoted)-1, got)
+	}
+	putBlobs(node, 9, 100) // grows the packs past the next pass's floor
+	after := dur.Stats()
+	if after.GCPasses <= before.GCPasses {
+		t.Fatalf("GC passes %d after more puts, want more than %d", after.GCPasses, before.GCPasses)
+	}
+	if again := after.GCDropped - before.GCDropped; again != 0 {
+		t.Fatalf("the next GC dropped %d records, want 0: a tier read-back went into the packs", again)
 	}
 }
 

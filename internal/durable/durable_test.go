@@ -3,6 +3,7 @@ package durable
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"sync"
@@ -450,4 +451,81 @@ func (d *Store) GC(live func(core.Handle) bool) (GCStats, error) {
 		return GCStats{}, errStoreClosed
 	}
 	return d.gcLocked(live)
+}
+
+// TestGCKeepsPacksWithNothingToDrop: a pass that finds every record live
+// and no superseded bytes rewrites nothing: the pack files keep their
+// names and sizes. Once a crash of an earlier pass has left every record
+// twice, in the old pack and in its copy, the next pass sweeps them into
+// one fresh pack holding each record once.
+func TestGCKeepsPacksWithNothingToDrop(t *testing.T) {
+	dir := t.TempDir()
+	d := mustOpen(t, dir, Options{Fsync: FsyncNever})
+	var hs []core.Handle
+	for i := range 10 {
+		h := core.BlobHandle(blobOf(i))
+		if err := d.PersistBlob(h, blobOf(i)); err != nil {
+			t.Fatal(err)
+		}
+		hs = append(hs, h)
+	}
+	packs := func() map[string]int64 {
+		entries, err := os.ReadDir(filepath.Join(dir, "packs"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files := make(map[string]int64)
+		for _, e := range entries {
+			info, err := e.Info()
+			if err != nil {
+				t.Fatal(err)
+			}
+			files[e.Name()] = info.Size()
+		}
+		return files
+	}
+	written := packs()
+	gs, err := d.GC(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gs.Kept != 0 || gs.Dropped != 0 || gs.BytesAfter != gs.BytesBefore {
+		t.Fatalf("pass with nothing to drop = %+v, want no record kept or dropped, no byte moved", gs)
+	}
+	if got := packs(); !maps.Equal(got, written) {
+		t.Fatalf("pack files after the pass = %v, want %v", got, written)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	copyFile(t, packPath(dir, 0), packPath(dir, 1))
+	d = mustOpen(t, dir, Options{Fsync: FsyncNever})
+	defer d.Close()
+	if gs, err = d.GC(nil); err != nil {
+		t.Fatal(err)
+	}
+	if gs.Kept != len(hs) || gs.Dropped != 0 || gs.BytesAfter != written["00000000.pack"] {
+		t.Fatalf("pass over duplicated packs = %+v, want %d records kept into %d bytes", gs, len(hs), written["00000000.pack"])
+	}
+	if got, want := packs(), map[string]int64{"00000002.pack": written["00000000.pack"]}; !maps.Equal(got, want) {
+		t.Fatalf("pack files after the sweep = %v, want %v", got, want)
+	}
+	for i, h := range hs {
+		if got, err := d.ReadObject(h); err != nil || !bytes.Equal(got, blobOf(i)) {
+			t.Fatalf("object %d after the sweep: %v", i, err)
+		}
+	}
+}
+
+// copyFile copies the file at from to a new file at to.
+func copyFile(t *testing.T, from, to string) {
+	t.Helper()
+	data, err := os.ReadFile(from)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(to, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -10,7 +10,7 @@ import (
 
 // GCStats reports one garbage-collection pass.
 type GCStats struct {
-	Kept        int   // live records rewritten into fresh packs
+	Kept        int   // live records rewritten into fresh packs (0: no sweep was needed)
 	Dropped     int   // unreferenced records discarded
 	BytesBefore int64 // pack footprint entering the pass
 	BytesAfter  int64 // pack footprint after the pass
@@ -28,7 +28,9 @@ type GCStats struct {
 // live keeps every indexed object — a pure compaction, which still
 // reclaims space superseded by a crashed earlier GC pass. Automatic GC
 // (Options.GCBudgetBytes) runs with the Options.Live predicate
-// (autoGC).
+// (autoGC). A pass that finds every record live and no superseded bytes
+// in the packs leaves them as they are: a sweep would copy each record
+// into packs just like them.
 //
 // Crash safety: fresh packs are written and synced before old packs are
 // deleted, and records are content-addressed and idempotent — a crash
@@ -37,12 +39,38 @@ type GCStats struct {
 // The caller holds d.mu.
 func (d *Store) gcLocked(live func(core.Handle) bool) (GCStats, error) {
 	st := GCStats{BytesBefore: d.packSize}
-
 	liveSet := d.markLocked(live)
+	if len(liveSet) < len(d.index) || d.packSize > d.indexedBytesLocked() {
+		if err := d.sweepLocked(liveSet, &st); err != nil {
+			return st, err
+		}
+	}
+	if err := d.compactJournalLocked(&st); err != nil {
+		return st, err
+	}
+	st.BytesAfter = d.packSize
+	d.stats.GCPasses++
+	d.logf("durable: gc: kept %d, dropped %d, %d → %d pack bytes",
+		st.Kept, st.Dropped, st.BytesBefore, st.BytesAfter)
+	return st, nil
+}
 
-	// Sweep: rewrite live records into fresh packs (sequence numbers
-	// continue past every existing pack, so replay order stays correct
-	// even if old packs briefly coexist with new ones after a crash).
+// indexedBytesLocked is what the packs would hold with no superseded
+// record: each pack's magic and each indexed record once.
+func (d *Store) indexedBytesLocked() int64 {
+	n := int64(len(d.packs)) * magicLen
+	for _, loc := range d.index {
+		n += loc.length
+	}
+	return n
+}
+
+// sweepLocked rewrites the records in liveSet into fresh packs, drops
+// every other record, and deletes the old packs. The caller holds d.mu.
+func (d *Store) sweepLocked(liveSet map[core.Handle]struct{}, st *GCStats) error {
+	// Sequence numbers continue past every existing pack, so replay
+	// order stays correct even if old packs briefly coexist with new
+	// ones after a crash.
 	oldPacks := d.packs
 	oldIndex := d.index
 	d.packs = make(map[uint64]*Journal)
@@ -52,7 +80,7 @@ func (d *Store) gcLocked(live func(core.Handle) bool) (GCStats, error) {
 	if err != nil {
 		d.packs, d.index = oldPacks, oldIndex
 		d.packSize = st.BytesBefore
-		return st, err
+		return err
 	}
 	restore := func() {
 		for _, p := range d.packs {
@@ -71,23 +99,23 @@ func (d *Store) gcLocked(live func(core.Handle) bool) (GCStats, error) {
 		p := oldPacks[loc.pack]
 		if p == nil {
 			restore()
-			return st, fmt.Errorf("durable: gc: pack %d vanished", loc.pack)
+			return fmt.Errorf("durable: gc: pack %d vanished", loc.pack)
 		}
 		buf := make([]byte, loc.length)
 		if err := p.readAt(buf, loc.offset); err != nil {
 			restore()
-			return st, err
+			return err
 		}
 		if cur.Size() >= d.opts.MaxPackBytes {
 			if cur, err = d.newPackLocked(); err != nil {
 				restore()
-				return st, err
+				return err
 			}
 		}
 		off, err := cur.appendFramed(buf)
 		if err != nil {
 			restore()
-			return st, err
+			return err
 		}
 		d.packSize += int64(len(buf))
 		d.index[h] = location{pack: d.active, offset: off, length: loc.length}
@@ -100,12 +128,12 @@ func (d *Store) gcLocked(live func(core.Handle) bool) (GCStats, error) {
 	for _, p := range d.packs {
 		if err := p.Sync(); err != nil {
 			restore()
-			return st, err
+			return err
 		}
 	}
 	if err := syncDir(packsDir); err != nil {
 		restore()
-		return st, err
+		return err
 	}
 	// Retiring never waits on a sync of an old pack still in flight.
 	for _, p := range oldPacks {
@@ -117,15 +145,7 @@ func (d *Store) gcLocked(live func(core.Handle) bool) (GCStats, error) {
 	if err := syncDir(packsDir); err != nil {
 		d.logf("durable: gc: sync %s: %v", packsDir, err)
 	}
-
-	if err := d.compactJournalLocked(&st); err != nil {
-		return st, err
-	}
-	st.BytesAfter = d.packSize
-	d.stats.GCPasses++
-	d.logf("durable: gc: kept %d, dropped %d, %d → %d pack bytes",
-		st.Kept, st.Dropped, st.BytesBefore, st.BytesAfter)
-	return st, nil
+	return nil
 }
 
 // autoGC runs the pass an append over the GC budget calls for. It asks

@@ -1,10 +1,12 @@
 package durable
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -55,11 +57,12 @@ const MaxJournalPayload = maxPayload
 // OpenJournal opens (or creates) an append-only journal at path. magic
 // must be exactly 8 bytes and distinguishes this journal's format from
 // unrelated files. Existing records are replayed through visit in append
-// order before OpenJournal returns; a torn or corrupt tail — the
-// signature of a crash mid-append — is truncated away rather than treated
-// as an error, and dropped reports how many bytes were discarded. visit
-// may be nil when the caller does not need replay. policy decides when
-// later appends reach stable storage (see Commit).
+// order before OpenJournal returns, each payload valid only until visit
+// returns; a torn or corrupt tail — the signature of a crash mid-append —
+// is truncated away rather than treated as an error, and dropped reports
+// how many bytes were discarded. visit may be nil when the caller does
+// not need replay. policy decides when later appends reach stable storage
+// (see Commit).
 func OpenJournal(path, magic string, policy FsyncPolicy, visit func(recType byte, payload []byte) error) (j *Journal, dropped int64, err error) {
 	if len(magic) != magicLen {
 		return nil, 0, fmt.Errorf("durable: journal magic must be %d bytes, got %d", magicLen, len(magic))
@@ -87,11 +90,16 @@ func openJournal(path, magic string, policy FsyncPolicy, visit func(off int64, r
 	return j, dropped, nil
 }
 
+// replayBuf is the read buffer replay streams a file through.
+const replayBuf = 64 << 10
+
 // replay writes the magic into an empty file and validates it in a
 // non-empty one, then calls visit for each valid record with its offset.
-// On a torn or corrupt tail it truncates the file to the last valid
-// record and reports how many bytes were dropped. Corruption is
-// indistinguishable from a crash mid-append, and the append-only
+// It reads the file once, front to back, through one buffered reader,
+// into one record buffer it reuses: visit's payload is valid only until
+// visit returns. On a torn or corrupt tail it truncates the file to the
+// last valid record and reports how many bytes were dropped. Corruption
+// is indistinguishable from a crash mid-append, and the append-only
 // discipline means everything before the tear is intact — so truncation,
 // not failure, is the correct recovery.
 func (j *Journal) replay(visit func(off int64, recType byte, payload []byte) error) (dropped int64, err error) {
@@ -114,36 +122,42 @@ func (j *Journal) replay(visit func(off int64, recType byte, payload []byte) err
 		j.size, j.synced = magicLen, 0
 		return 0, nil
 	}
+	r := bufio.NewReaderSize(io.NewSectionReader(j.f, 0, j.size), replayBuf)
 	var hdr [magicLen]byte
-	if _, err := j.f.ReadAt(hdr[:], 0); err != nil {
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, fmt.Errorf("durable: %s: short magic: %w", j.path, err)
 	}
 	if string(hdr[:]) != j.magic {
 		return 0, fmt.Errorf("durable: %s: bad magic %q (want %q)", j.path, hdr[:], j.magic)
 	}
+	var rec []byte // one record's payload and CRC
 	off := int64(magicLen)
 	for off < j.size {
 		rest := j.size - off
 		if rest < recHeaderLen {
 			break // torn header
 		}
-		if _, err := j.f.ReadAt(hdr[:recHeaderLen], off); err != nil {
+		if _, err := io.ReadFull(r, hdr[:recHeaderLen]); err != nil {
 			return 0, err
 		}
 		plen := int64(binary.LittleEndian.Uint32(hdr[0:4]))
 		if plen > maxPayload || recHeaderLen+plen+recTrailLen > rest {
 			break // corrupt length or torn payload/crc
 		}
-		buf := make([]byte, plen+recTrailLen)
-		if _, err := j.f.ReadAt(buf, off+recHeaderLen); err != nil {
+		if n := int(plen + recTrailLen); cap(rec) < n {
+			rec = make([]byte, n)
+		} else {
+			rec = rec[:n]
+		}
+		if _, err := io.ReadFull(r, rec); err != nil {
 			return 0, err
 		}
-		crc := crc32.Update(crc32.Update(0, crc32.IEEETable, hdr[4:5]), crc32.IEEETable, buf[:plen])
-		if crc != binary.LittleEndian.Uint32(buf[plen:]) {
+		crc := crc32.Update(crc32.Update(0, crc32.IEEETable, hdr[4:5]), crc32.IEEETable, rec[:plen])
+		if crc != binary.LittleEndian.Uint32(rec[plen:]) {
 			break // torn or bit-flipped record
 		}
 		if visit != nil {
-			if err := visit(off, hdr[4], buf[:plen]); err != nil {
+			if err := visit(off, hdr[4], rec[:plen]); err != nil {
 				return 0, err
 			}
 		}

@@ -131,7 +131,7 @@ func TestRestoreLoadsMemosNotObjects(t *testing.T) {
 // over every 64: the daemon's boot path from Open to a store ready to
 // serve. heap-B is the heap the attached store retains.
 func BenchmarkAttach(b *testing.B) {
-	for _, mib := range []int{16, 64} {
+	for _, mib := range []int{16, 64, 256} {
 		dir := b.TempDir()
 		populate(b, dir, mib, false)
 		b.Run(fmt.Sprintf("%dMiB", mib), func(b *testing.B) {

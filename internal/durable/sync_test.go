@@ -264,27 +264,30 @@ func TestStorePersistsDoNotWaitOnSync(t *testing.T) {
 
 // TestGCRetiresPackMidSync: GC closes and removes a pack whose fsync is
 // in flight. GC does not wait for the sync; os.File defers the close
-// until the fsync returns, so the sync succeeds, and every object
-// survives a reopen. Run under -race, it also pins that the sync's
-// reads of the pack race nothing GC writes.
+// until the fsync returns, so the sync succeeds, and every object it
+// keeps survives a reopen. The pass drops one record, so it has a sweep
+// to run. Run under -race, it also pins that the sync's reads of the
+// pack race nothing GC writes.
 func TestGCRetiresPackMidSync(t *testing.T) {
 	dir := t.TempDir()
 	d := mustOpen(t, dir, Options{Fsync: FsyncNever})
 	var hs []core.Handle
-	for i := 0; i < 20; i++ {
+	for i := 0; i < 21; i++ {
 		b := core.BlobHandle(blobOf(i))
 		if err := d.PersistBlob(b, blobOf(i)); err != nil {
 			t.Fatal(err)
 		}
 		hs = append(hs, b)
 	}
+	garbage := hs[20]
+	hs = hs[:20]
 	old := packPath(dir, d.active)
 	h := holdFsync(t, old)
 	syncErr := make(chan error, 1)
 	go func() { syncErr <- d.Sync() }()
 	h.waitHeld(t)
 	h.within(t, "GC", func() {
-		if _, err := d.GC(nil); err != nil {
+		if _, err := d.GC(func(h core.Handle) bool { return h != garbage }); err != nil {
 			t.Error(err)
 		}
 	})

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"errors"
 	"fmt"
 
 	"fixgo/internal/core"
@@ -16,23 +17,42 @@ import (
 //
 // An applyAPI is used by a single invocation on a single goroutine;
 // procedures run to completion without blocking, so no locking is needed.
-// It is made fresh for every invocation and never pooled: a procedure may
-// keep its API after it returns, and a shared one would let that procedure
-// see a later invocation's grants.
+// Every invocation gets one of its own, carved from a slab (apis) and
+// never reused: a procedure may keep its API after it returns, and a
+// shared one would let that procedure see a later invocation's grants.
+// When the invocation returns, its API is detached: it drops its Engine,
+// its grants and its grant map, so a kept API refuses every call that
+// reaches the repository or mints a Handle (SizeOf, KindOf and RefKindOf
+// read only their argument), and it pins nothing, and neither does the
+// slab it was carved from. The inline slots keep their bytes, so a
+// literal AttachBlob lent stays valid for as long as anyone holds it.
 type applyAPI struct {
-	e *Engine
+	e *Engine // nil once detached
 	// The first grants are kept inline and scanned, and so are the
 	// literals AttachBlob lends; most invocations never hold more, so
-	// the API is one allocation.
+	// the API needs no allocation of its own.
 	few  [8]core.Handle
 	nfew int
 	more map[core.Handle]struct{}
 }
 
+// apis is where every applyAPI is carved.
+var apis Carver[applyAPI]
+
+// errDetached is every refusal of an API whose invocation has returned.
+var errDetached = errors.New("runtime: handle outside minimum repository: the API's invocation has returned")
+
 func newApplyAPI(e *Engine, input core.Handle) *applyAPI {
-	a := &applyAPI{e: e}
+	a := apis.Carve()
+	a.e = e
 	a.grant(input)
 	return a
+}
+
+// detach ends the API's use: from here on it holds nothing and refuses
+// every call that needs a grant or the store.
+func (a *applyAPI) detach() {
+	a.e, a.nfew, a.more = nil, 0, nil
 }
 
 func (a *applyAPI) grant(h core.Handle) {
@@ -67,6 +87,9 @@ func (a *applyAPI) isGranted(h core.Handle) bool {
 }
 
 func (a *applyAPI) require(h core.Handle) error {
+	if a.e == nil {
+		return errDetached
+	}
 	if !a.isGranted(h) {
 		return fmt.Errorf("runtime: handle outside minimum repository: %v", h)
 	}
@@ -120,8 +143,12 @@ func (a *applyAPI) AttachTree(h core.Handle) ([]core.Handle, error) {
 	return entries, nil
 }
 
-// CreateBlob stores a Blob built by the procedure.
+// CreateBlob stores a Blob built by the procedure. A detached API stores
+// nothing and returns the zero Handle, which names no object.
 func (a *applyAPI) CreateBlob(data []byte) core.Handle {
+	if a.e == nil {
+		return core.Handle{}
+	}
 	h := a.e.st.PutBlob(data)
 	a.grant(h)
 	return h
@@ -130,6 +157,9 @@ func (a *applyAPI) CreateBlob(data []byte) core.Handle {
 // CreateTree stores a Tree built by the procedure; every entry must be
 // held.
 func (a *applyAPI) CreateTree(entries []core.Handle) (core.Handle, error) {
+	if a.e == nil {
+		return core.Handle{}, errDetached
+	}
 	for i, ent := range entries {
 		if !a.isGranted(ent) {
 			return core.Handle{}, fmt.Errorf("runtime: create_tree entry %d outside minimum repository: %v", i, ent)

@@ -3,10 +3,14 @@ package runtime
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	goruntime "runtime"
 	"strings"
 	"testing"
+	"time"
 	"unsafe"
+	"weak"
 
 	"fixgo/internal/core"
 	"fixgo/internal/store"
@@ -167,11 +171,100 @@ func TestLentLiteralsPastFreeSlots(t *testing.T) {
 	}
 }
 
-// TestApplyAPISize: the API is the one allocation of a warm invocation,
-// and literals are lent from its grant slots rather than from a buffer
-// of their own, so it stays in the 288 B size class.
+// TestApplyAPISize: literals are lent from the API's grant slots rather
+// than from a buffer of their own, so the API stays at 288 B, and a slab
+// of slabLen APIs at 9 KiB.
 func TestApplyAPISize(t *testing.T) {
 	if n := unsafe.Sizeof(applyAPI{}); n > 288 {
 		t.Fatalf("applyAPI is %d B, want ≤ 288 (its size class)", n)
 	}
+}
+
+// TestDetachedAPIRefusesEveryCall: a procedure keeps its API and a view
+// of a literal it attached. Once its invocation returns, every call that
+// reaches the repository or mints a Handle is refused, even on the
+// invocation's own input and on literals, which a live API always holds.
+// The lent view keeps its bytes while later invocations carve their APIs
+// from the same slab.
+func TestDetachedAPIRefusesEveryCall(t *testing.T) {
+	lit := core.BlobHandle([]byte("a literal of 21 bytes"))
+	var kept core.API
+	var view []byte
+	e, st := lentEngine(func(api core.API, input core.Handle) (core.Handle, error) {
+		if kept != nil {
+			return core.LiteralU64(0), nil
+		}
+		entries, err := api.AttachTree(input)
+		if err != nil {
+			return core.Handle{}, err
+		}
+		if view, err = api.AttachBlob(entries[2]); err != nil {
+			return core.Handle{}, err
+		}
+		kept = api
+		return core.LiteralU64(0), nil
+	})
+	input := evalLent(t, e, st, lit)
+	for i := range 2 * slabLen {
+		evalLent(t, e, st, core.LiteralU64(uint64(i)))
+	}
+	if !bytes.Equal(view, lit.LiteralData()) {
+		t.Fatalf("lent view after later invocations = %q, want %q", view, lit.LiteralData())
+	}
+
+	made := []byte("bytes a detached API must not store, past a literal's size")
+	if h := kept.CreateBlob(made); h != (core.Handle{}) || st.Contains(core.BlobHandle(made)) {
+		t.Fatalf("detached CreateBlob = %v, stored %v; want the zero Handle, nothing stored", h, st.Contains(core.BlobHandle(made)))
+	}
+	thunk, err := core.Application(input)
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := map[string]func() error{
+		"AttachTree(input)":        func() error { _, err := kept.AttachTree(input); return err },
+		"AttachBlob(literal)":      func() error { _, err := kept.AttachBlob(lit); return err },
+		"CreateTree()":             func() error { _, err := kept.CreateTree(nil); return err },
+		"CreateTree(literal)":      func() error { _, err := kept.CreateTree([]core.Handle{lit}); return err },
+		"Application(input)":       func() error { _, err := kept.Application(input); return err },
+		"Identification(literal)":  func() error { _, err := kept.Identification(lit); return err },
+		"Selection(input)":         func() error { _, err := kept.Selection(input, 0); return err },
+		"SelectionRange(input)":    func() error { _, err := kept.SelectionRange(input, 0, 1); return err },
+		"Strict(Application)":      func() error { _, err := kept.Strict(thunk); return err },
+		"Shallow(Application)":     func() error { _, err := kept.Shallow(thunk); return err },
+		"AttachBlob(Application)":  func() error { _, err := kept.AttachBlob(thunk); return err },
+		"AttachTree(literal blob)": func() error { _, err := kept.AttachTree(lit); return err },
+	}
+	for name, call := range calls {
+		if err := call(); !errors.Is(err, errDetached) {
+			t.Errorf("detached %s = %v, want %v", name, err, errDetached)
+		}
+	}
+}
+
+// TestDetachedAPIsPinNoEngine: a procedure keeps its API, and so the slab
+// that API was carved from, whose other records served the engine's later
+// invocations. Once the engine and its store are dropped, the store is
+// collected while the API is still held: a detached record and its slab
+// pin no Engine.
+func TestDetachedAPIsPinNoEngine(t *testing.T) {
+	var kept core.API
+	collected := func() weak.Pointer[store.Store] {
+		e, st := lentEngine(func(api core.API, input core.Handle) (core.Handle, error) {
+			if kept == nil {
+				kept = api
+			}
+			return core.LiteralU64(0), nil
+		})
+		for i := range slabLen / 2 {
+			evalLent(t, e, st, core.LiteralU64(uint64(i)))
+		}
+		return weak.Make(st)
+	}()
+	for deadline := time.Now().Add(10 * time.Second); collected.Value() != nil; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("store still reachable after its engine was dropped: a kept API's slab pins it")
+		}
+		goruntime.GC()
+	}
+	goruntime.KeepAlive(kept)
 }

@@ -668,14 +668,16 @@ func (e *Engine) nativeProcedure(name []byte) (core.Procedure, error) {
 // own invocation: the panic comes back as the invocation's error, so the
 // ordinary error path completes the future, releases the CPU/RAM slot and
 // unpins the repository, and the goroutine (possibly a shared one from Go)
-// survives.
+// survives. The procedure's API is detached when it returns, however it
+// returns.
 func (e *Engine) runProcedure(proc core.Procedure, input core.Handle, limits core.Limits) (out core.Handle, err error) {
+	api := newApplyAPI(e, input)
 	defer func() {
+		api.detach()
 		if r := recover(); r != nil {
 			out, err = core.Handle{}, fmt.Errorf("runtime: procedure panicked: %v", r)
 		}
 	}()
-	api := newApplyAPI(e, input)
 	if prog, ok := proc.(*codelet.Program); ok {
 		// Gas 0 means codelet.DefaultGas (codelet.Program.Run).
 		out, err = prog.Run(api, input, limits.Gas)

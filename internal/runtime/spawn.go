@@ -70,6 +70,43 @@ func worker(t Task) {
 	}
 }
 
+// slabLen is how many records one slab of a Carver holds.
+const slabLen = 32
+
+// Carver hands out records of type T, each carved from a slab of slabLen
+// and never handed out again: one allocation serves slabLen records. It
+// is for a record made per invocation or per received Job, which its
+// owner may not take back because someone could still hold it. Slabs
+// with a free record wait in a sync.Pool, so each P carves from its own;
+// a slab leaves the pool with its last record, and the GC frees it once
+// none of its records is reachable.
+//
+// A record keeps its whole slab alive, and a slab still in the pool is
+// reachable. So an owner detaches a record once its use is over: it
+// clears every pointer the record holds, or any one record still held
+// would pin what its neighbours pointed to (an Engine, a Node, a store).
+// The zero Carver is ready to use.
+type Carver[T any] struct{ slabs sync.Pool }
+
+type slab[T any] struct {
+	next int
+	recs [slabLen]T
+}
+
+// Carve returns a zeroed record nobody else has been handed.
+func (c *Carver[T]) Carve() *T {
+	s, _ := c.slabs.Get().(*slab[T])
+	if s == nil {
+		s = new(slab[T])
+	}
+	r := &s.recs[s.next]
+	s.next++
+	if s.next < slabLen {
+		c.slabs.Put(s)
+	}
+	return r
+}
+
 // fanInline is how many branches a fan-out record holds without a further
 // allocation. It holds the Tree's entries inline too, up to an invocation
 // Tree's limits and function entries besides fanInline arguments.

@@ -306,16 +306,19 @@ func TestPanicFailsOnlyItsInvocation(t *testing.T) {
 }
 
 // TestAllocsWarmEval pins the allocations of one warm add-codelet
-// invocation (ROADMAP item 2 Part D). It reads 1: the procedure's API
-// (never pooled, for isolation). AttachTree hands out the stored
-// entries, so the two tree_child calls allocate nothing, and AttachBlob
-// lends each literal argument from the API's own grant slots, so the two
-// read_u64 calls allocate nothing either.
+// invocation (ROADMAP item 2 Part D), amortized: at most 0.1. The
+// procedure's API is carved, one slab per slabLen invocations, so an
+// invocation reads 0.031, 1/slabLen. The warm-up makes every store and
+// engine stripe and their maps, which the first evaluations on a stripe
+// allocate. AttachTree hands out the stored entries, so the two
+// tree_child calls allocate nothing, and AttachBlob lends each literal
+// argument from the API's own grant slots, so the two read_u64 calls
+// allocate nothing either.
 func TestAllocsWarmEval(t *testing.T) {
-	const runs = 200
+	const warm, runs = 2048, 2048
 	st := store.New()
 	e := New(st, Options{Cores: 1})
-	thunks := make([]core.Handle, runs+2)
+	thunks := make([]core.Handle, warm+runs+1)
 	for i := range thunks {
 		thunks[i] = appThunk(t, st, codelet.AddFunctionBlob(), core.LiteralU64(uint64(i)), core.LiteralU64(7))
 	}
@@ -327,21 +330,26 @@ func TestAllocsWarmEval(t *testing.T) {
 		}
 		next++
 	}
-	eval() // load the program
-	if allocs := testing.AllocsPerRun(runs, eval); allocs > 2 {
-		t.Fatalf("one warm Engine.Eval allocates %v times, want ≤ 2", allocs)
+	for range warm {
+		eval() // load the program, make every stripe and its maps
+	}
+	allocs, limit := amortizedAllocs(runs, eval), warmEvalLimit()
+	t.Logf("%.3f allocations per evaluation", allocs)
+	if allocs > limit {
+		t.Fatalf("one warm Engine.Eval allocates %.3f times, want ≤ %v", allocs, limit)
 	}
 }
 
 // TestAllocsWarmEncode is TestAllocsWarmEval through a Strict Encode, the
 // shape of BenchmarkInvocation and fig7a: two single-flight claims (the
 // Encode's and its Thunk's) that nobody joins, so no future is made, and
-// the same 1 allocation.
+// the same carved API. It reads 0.065: the API's 1/slabLen, and the
+// growth of the stripes' Encode memo maps as every run adds an entry.
 func TestAllocsWarmEncode(t *testing.T) {
-	const runs = 200
+	const warm, runs = 2048, 2048
 	st := store.New()
 	e := New(st, Options{Cores: 1})
-	encs := make([]core.Handle, runs+2)
+	encs := make([]core.Handle, warm+runs+1)
 	for i := range encs {
 		encs[i] = strictApp(t, st, codelet.AddFunctionBlob(), core.LiteralU64(uint64(i)), core.LiteralU64(7))
 	}
@@ -353,10 +361,39 @@ func TestAllocsWarmEncode(t *testing.T) {
 		}
 		next++
 	}
-	eval() // load the program
-	if allocs := testing.AllocsPerRun(runs, eval); allocs > 2 {
-		t.Fatalf("one warm Engine.Eval of an Encode allocates %v times, want ≤ 2", allocs)
+	for range warm {
+		eval()
 	}
+	allocs, limit := amortizedAllocs(runs, eval), warmEvalLimit()
+	t.Logf("%.3f allocations per evaluation", allocs)
+	if allocs > limit {
+		t.Fatalf("one warm Engine.Eval of an Encode allocates %.3f times, want ≤ %v", allocs, limit)
+	}
+}
+
+// warmEvalLimit is the warm-evaluation pin: 0.1, or 0.5 under -race
+// (reads about 0.25), whose sync.Pool drops a quarter of all Puts, so a
+// slab with free records is often lost and the next carve takes a new one.
+func warmEvalLimit() float64 {
+	if raceEnabled {
+		return 0.5
+	}
+	return 0.1
+}
+
+// amortizedAllocs is testing.AllocsPerRun without its rounding down to a
+// whole number: the mean allocations of one call of f over runs calls,
+// after one warm-up call, on one P.
+func amortizedAllocs(runs int, f func()) float64 {
+	defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(1))
+	f()
+	var before, after goruntime.MemStats
+	goruntime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	goruntime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs)
 }
 
 // TestAllocsAcquireRelease: claiming a free CPU slot registers no
@@ -463,5 +500,43 @@ func TestAllocsGoHandoff(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Go to a parked worker allocates %v times, want 0", allocs)
+	}
+}
+
+// TestCarveNeverReuses: records carved concurrently by several goroutines
+// are zeroed and pairwise distinct, over many slabs, and a record stays
+// what its holder wrote into it. Under -race the detector sees a slab
+// handed from one goroutine to the next through the pool.
+func TestCarveNeverReuses(t *testing.T) {
+	const goroutines, each = 4, 5 * slabLen
+	var c Carver[[2]uint64]
+	got := make([][]*[2]uint64, goroutines)
+	var wg sync.WaitGroup
+	for g := range goroutines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range each {
+				r := c.Carve()
+				if *r != ([2]uint64{}) {
+					t.Errorf("carved record holds %v, want zero", *r)
+				}
+				*r = [2]uint64{uint64(g), uint64(i)}
+				got[g] = append(got[g], r)
+			}
+		}()
+	}
+	wg.Wait()
+	seen := make(map[*[2]uint64]bool)
+	for g, recs := range got {
+		for i, r := range recs {
+			if seen[r] {
+				t.Fatalf("record %d of goroutine %d was handed out twice", i, g)
+			}
+			seen[r] = true
+			if *r != [2]uint64{uint64(g), uint64(i)} {
+				t.Fatalf("record %d of goroutine %d holds %v: another holder wrote it", i, g, *r)
+			}
+		}
 	}
 }

@@ -225,6 +225,20 @@ func (s *Store) PutTree(entries []core.Handle) (core.Handle, error) {
 // the contents match the Handle. It is the ingestion path for objects
 // received from the network.
 func (s *Store) PutObject(h core.Handle, data []byte) error {
+	return s.putObject(h, data, false)
+}
+
+// CacheObject is PutObject for bytes read back from a storage tier that
+// keeps them: they are validated and made resident, but not written
+// through to the Persister, and the Store takes a Blob's data rather than
+// copying it, so the caller must not write to data. A copy in the packs
+// would only be dropped again by the next pack GC, which keeps no record
+// the tier holds.
+func (s *Store) CacheObject(h core.Handle, data []byte) error {
+	return s.putObject(h, data, true)
+}
+
+func (s *Store) putObject(h core.Handle, data []byte, kept bool) error {
 	if err := h.Validate(); err != nil {
 		return err
 	}
@@ -232,21 +246,22 @@ func (s *Store) PutObject(h core.Handle, data []byte) error {
 	if key.IsLiteral() {
 		return nil
 	}
-	_, _, err := s.admit(key, data, false)
+	_, _, err := s.admit(key, data, kept)
 	return err
 }
 
 // admit checks that data are the bytes of the object key and stores them
 // unless key is resident. It returns a Blob's stored contents or a Tree's
-// stored entries. Bytes read from the Persister (fromDisk) are not written
-// back, and the Store takes a Blob's data rather than copying it; a Tree
-// is validated and hashed in data either way, and putTree copies it.
-func (s *Store) admit(key core.Handle, data []byte, fromDisk bool) ([]byte, []core.Handle, error) {
+// stored entries. Bytes a tier below already keeps (kept: read back from
+// the Persister or the storage tier) are not written back, and the Store
+// takes a Blob's data rather than copying it; a Tree is validated and
+// hashed in data either way, and putTree copies it.
+func (s *Store) admit(key core.Handle, data []byte, kept bool) ([]byte, []core.Handle, error) {
 	if key.Kind() == core.KindBlob {
 		if got := core.BlobHandle(data); got != key {
 			return nil, nil, fmt.Errorf("store: blob bytes do not match handle %v", key)
 		}
-		return s.putBlob(key, data, fromDisk, !fromDisk), nil, nil
+		return s.putBlob(key, data, kept, !kept), nil, nil
 	}
 	entries, err := core.TreeView(data)
 	if err != nil {
@@ -255,7 +270,7 @@ func (s *Store) admit(key core.Handle, data []byte, fromDisk bool) ([]byte, []co
 	if got := core.TreeHandle(entries); got != key {
 		return nil, nil, fmt.Errorf("store: tree bytes do not match handle %v", key)
 	}
-	return nil, s.putTree(key, entries, !fromDisk), nil
+	return nil, s.putTree(key, entries, !kept), nil
 }
 
 // putTree stores a copy of the validated entries of the Tree h unless h
@@ -444,6 +459,27 @@ func (s *Store) ObjectBytes(h core.Handle) ([]byte, error) {
 		return nil, err
 	}
 	return core.TreeBytes(entries), nil
+}
+
+// ReadObject returns the canonical wire bytes of an object, as
+// ObjectBytes does, but leaves an object that is not resident on disk:
+// bytes read back through the Persister are returned, not stored, and
+// are not checked against h. It is for a reader that only passes the
+// bytes on, as replication does; the receiver checks them.
+func (s *Store) ReadObject(h core.Handle) ([]byte, error) {
+	key := h.StorageKey()
+	if p := s.persister.Load(); p != nil && !key.IsLiteral() {
+		sp := s.stripe(key)
+		sp.mu.Lock()
+		resident := sp.holds(key)
+		sp.mu.Unlock()
+		if !resident {
+			if data, err := (*p).ReadObject(key); err == nil {
+				return data, nil
+			}
+		}
+	}
+	return s.ObjectBytes(h)
 }
 
 // Contains reports whether the Store holds the referent's data: resident

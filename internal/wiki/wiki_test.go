@@ -258,9 +258,10 @@ func TestMapReduceJobEndToEnd(t *testing.T) {
 }
 
 // TestAllocsProcedures pins what one warm invocation of each procedure
-// allocates: exactly its API. count-string's needle and merge-counts'
-// arguments are literals, which AttachBlob lends, and each returns its
-// literal result without CreateBlob.
+// allocates: at most its API, which is carved from a slab shared by 32
+// invocations, so the whole-number count reads 0. count-string's needle
+// and merge-counts' arguments are literals, which AttachBlob lends, and
+// each returns its literal result without CreateBlob.
 func TestAllocsProcedures(t *testing.T) {
 	const runs = 200
 	reg := runtime.NewRegistry()
@@ -309,7 +310,7 @@ func TestAllocsProcedures(t *testing.T) {
 		}
 		eval() // load the procedure
 		if allocs := testing.AllocsPerRun(runs, eval); allocs > 1 {
-			t.Errorf("one warm %s invocation allocates %v times, want 1 (its API)", p.name, allocs)
+			t.Errorf("one warm %s invocation allocates %v times, want at most 1 (its API)", p.name, allocs)
 		}
 	}
 }
