@@ -6,7 +6,7 @@
 //	fixctl -connect host:7600 add 40 2        # strict(application(add))
 //	fixctl -connect host:7600 fib 20          # recursive codelet
 //	fixctl -connect host:7600 chain 500       # Fig 7b chain of inc
-//	fixctl -connect host:7600 put file.bin    # upload a blob, print handle
+//	fixctl -connect host:7600 put file.bin    # upload a blob to the node, print handle
 package main
 
 import (
@@ -25,14 +25,20 @@ import (
 
 func main() {
 	connect := flag.String("connect", "127.0.0.1:7600", "fixpoint node address")
-	timeout := flag.Duration("timeout", 60*time.Second, "evaluation timeout")
+	timeout := flag.Duration("timeout", 60*time.Second, "evaluation or upload timeout")
 	flag.Parse()
 	if flag.NArg() < 1 {
 		fmt.Fprintln(os.Stderr, "usage: fixctl [-connect addr] add|fib|chain|put args...")
 		os.Exit(2)
 	}
 
-	client := cluster.NewNode("fixctl", cluster.NodeOptions{Cores: 1, ClientOnly: true})
+	opts := cluster.NodeOptions{Cores: 1, ClientOnly: true}
+	if flag.Arg(0) == "put" {
+		// A second replica: the upload pushes a copy to the node, whose
+		// ack the client waits for (the client's own copy ends with it).
+		opts.Replicas = 2
+	}
+	client := cluster.NewNode("fixctl", opts)
 	conn, err := transport.Dial(*connect)
 	if err != nil {
 		fatal(err)
@@ -94,8 +100,13 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		h := st.PutBlob(data)
-		client.AdvertiseAll()
+		h := client.PutBlobOwned(core.BlobHandle(data), data)
+		for !h.IsLiteral() && client.ReplicaCount(h) < 2 {
+			if ctx.Err() != nil {
+				fatal(fmt.Errorf("no node acknowledged %v within %v", h, *timeout))
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
 		fmt.Printf("%v\n", h)
 	default:
 		fatal(fmt.Errorf("unknown command %q", flag.Arg(0)))

@@ -50,7 +50,6 @@ func main() {
 	if cfg.Clustered() {
 		mode = "cluster client"
 		node = cfg.NewNode()
-		cfg.Check(cfg.Link("worker", cfg.Peers, cfg.ClusterListen, transport.Dial, node.AttachPeer))
 		backend, backing = node, node.Store()
 	} else {
 		eng := runtime.New(store.New(), runtime.Options{
@@ -77,10 +76,10 @@ func main() {
 		}
 	})
 	cfg.Check(err)
-	if dur != nil && node != nil {
-		// Peers connected before the restore saw an empty-store Hello;
-		// re-advertise so recovered objects are placeable.
-		node.AdvertiseAll()
+	if node != nil {
+		// Linked after the restore, as fixpoint links: each worker's
+		// Hello then advertises what the packs hold.
+		cfg.Check(cfg.Link("worker", cfg.Peers, cfg.ClusterListen, transport.Dial, node.AttachPeer))
 	}
 
 	gwOpts := gateway.Options{
@@ -117,10 +116,9 @@ func main() {
 	obs := srv.PersistObserver()
 	persistObs.Store(&obs)
 	cfg.ServeDebug(srv.Metrics(), srv.Tracer())
-	if m := srv.Jobs(); m != nil {
-		js := m.Stats()
-		fmt.Printf("fixgate: async jobs: %d workers, queue depth %d, recovered %d (%d resumed as pending)\n",
-			cfg.AsyncWorkers, cfg.QueueDepth, js.Replayed, js.Resumed)
+	if cfg.AsyncWorkers > 0 {
+		// Jobs recovered from jobs.journal were logged as it replayed.
+		fmt.Printf("fixgate: async jobs: %d workers, queue depth %d\n", cfg.AsyncWorkers, cfg.QueueDepth)
 	}
 
 	fmt.Printf("fixgate: %s serving on %s (%s, cache=%d, inflight=%d, queue=%d)\n",

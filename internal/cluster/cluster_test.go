@@ -131,8 +131,7 @@ func TestClientOnlyNeverExecutes(t *testing.T) {
 
 	// Data lives on the client; the job still must run on the worker.
 	data := bytes.Repeat([]byte{9}, 128)
-	blob := client.Store().PutBlob(data)
-	client.AdvertiseAll()
+	blob := client.PutBlob(data)
 	enc := lenJob(t, client, blob)
 	got, err := client.EvalBlob(context.Background(), enc)
 	if err != nil {

@@ -147,6 +147,69 @@ func TestAllocsDelegationRoundTrip(t *testing.T) {
 // the tree: the caller's copy and the worker's, validated and hashed in
 // the frame, go into slots carved from a slab, which a stripe allocates
 // once per 20 such trees.
+//
+// What one delegation allocates, and what no longer does:
+//
+// A ClientOnly node that stores a fresh add(i, 7) and evaluates it on
+// its one worker allocates once over loopback TCP, both sides counted
+// (TestAllocsDelegationRoundTripTCP, ≤ 2), and 3 times over
+// transport.Pipe (TestAllocsDelegationRoundTrip, ≤ 4): Pipe.Send must
+// copy each of the two frames, because its caller reuses the buffer. It
+// was 24 before the waiters were pooled and the receive loop reused its
+// message, 14 before frames were read in place, 8 before the served job
+// became the Task runtime.Go runs, 7 before Trees were carved from
+// slabs, 5 before literals were lent, and 3 before the served job and
+// the API were carved. What is left, and why:
+//
+//   - The caller's 1: the invocation tree's entries, which
+//     core.InvocationTree builds. Their store is a copy into a slot of
+//     the stripe's slab (ARCHITECTURE.md, "How a store stripe keeps a
+//     Tree"), not an allocation: 1 → 0.
+//   - The served job, 1/32: one servedJob (the Encode, hops, sender and
+//     trace, and the evaluation's jobCtx), which is also the Task that
+//     runtime.Go runs on an evaluation goroutine. It is carved from a
+//     slab by the same runtime.Carver as the API and never reused, so
+//     its context stays valid for whatever the evaluation left holding
+//     it. Once the Job is served, Run detaches it (node, sender and
+//     trace cleared), and a kept record pins no Node
+//     (TestServedJobDetachPinsNoNode). Running it on the receive
+//     goroutine would block the link's reader behind a job that waits on
+//     a Result or Object over the same link; ROADMAP item 20 is the way
+//     out.
+//   - The evaluation, 1/32: what a warm add costs anywhere
+//     (runtime.TestAllocsWarmEval).
+//
+// The pushed tree costs nothing: 1 → 0. PutObject validates its entries
+// and hashes it in the frame's bytes (core.TreeView), then copies them
+// into a carved slot under the stripe lock; no decoded slice is made.
+// The receive goroutine stores all of a Job's pushed objects first and
+// then records the sender as their holder under one lock of the node's
+// mutex, not one per object.
+//
+// What no longer allocates on the worker: the Job and Result frames,
+// read in place in the link's read buffer; the Pushed slice, one array
+// per link; the Job copied out of the link's message and its separate
+// context. A delegation is 2 frames in 2 write calls over TCP
+// (TestFramesDelegationTCPTwoWrites).
+//
+// What no longer allocates on the delegating side: the jobWaiter and its
+// channel come from a sync.Pool and sit in jobW one per Encode, since
+// the engine offers an Encode once at a time (ARCHITECTURE.md, "Where
+// each Handle decision lives"); the push list is a pooled
+// *[]PushedObject, cleared before it goes back; Offload declares its
+// *PeerLostError only once a delegation has failed. A waiter is recycled
+// only after its delegation has received the one delivery whoever took
+// it out of jobW makes; one abandoned on cancellation or a failed send
+// may still be delivered to and is left to the collector
+// (TestRecycledWaiterSeesOnlyItsResult). A waiter is registered only
+// while its peer is still the live link for that ID, checked under the
+// lock eviction takes: a peer evicted between placement and send fails
+// the delegation at once with PeerLostError, and the job is re-placed
+// (TestDelegateToEvictedPeerFailsFast). On the worker, and for the
+// Result at the delegator, the receive loop decodes into the link's
+// message with the peer's ID as the sender (ARCHITECTURE.md, "Wire
+// protocol"), so neither the Result message nor any From string is
+// allocated.
 func TestAllocsDelegationRoundTripTCP(t *testing.T) {
 	limit := 2.0
 	if raceEnabled {

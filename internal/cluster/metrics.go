@@ -35,11 +35,8 @@ func NewNodeMetrics(n *Node, durableStats func() durable.Stats) (*obsv.Registry,
 		// Usage(0) yields the raw accumulated core-time (Wall/Idle are
 		// meaningless without an interval, and not emitted).
 		u := n.Stats().Usage(0)
-		gauge("cores", "Logical core slots", float64(u.Cores))
 		counter("cpu_user_seconds_total", "Core-time spent running user code", u.User.Seconds())
-		counter("cpu_system_seconds_total", "Core-time spent in runtime bookkeeping", u.System.Seconds())
 		counter("cpu_iowait_seconds_total", "Core-time a claimed slot sat waiting for I/O", u.IOWait.Seconds())
-		counter("tasks_total", "Completed tasks", float64(u.Tasks))
 
 		if ss := n.StorageStats(); ss != nil {
 			EmitStorageStats(ss, counter, gauge)
@@ -58,7 +55,6 @@ func NewNodeMetrics(n *Node, durableStats func() durable.Stats) (*obsv.Registry,
 func EmitNetStats(ns *NetStats, counter, gauge func(name, help string, v float64)) {
 	gauge("cluster_peers", "Live cluster peers", float64(ns.Peers))
 	counter("cluster_peers_evicted_total", "Peers evicted on link error or heartbeat timeout", float64(ns.Evicted))
-	counter("cluster_heartbeats_sent_total", "Ping probes sent", float64(ns.HeartbeatsSent))
 	counter("cluster_jobs_delegated_total", "Jobs shipped to peers", float64(ns.JobsDelegated))
 	counter("cluster_jobs_replaced_total", "Delegations re-placed after their worker died", float64(ns.JobsReplaced))
 	counter("cluster_jobs_local_fallback_total", "Jobs evaluated locally after delegation failed", float64(ns.JobsLocalFallback))
@@ -77,8 +73,6 @@ func EmitDurableStats(ds *durable.Stats, counter, gauge func(name, help string, 
 	gauge("durable_objects", "Distinct objects in the durable index", float64(ds.Objects))
 	gauge("durable_memo_entries", "Thunk and encode journal entries", float64(ds.MemoEntries))
 	gauge("durable_pack_bytes", "On-disk pack footprint", float64(ds.PackBytes))
-	counter("durable_appends_total", "Object records appended this process", float64(ds.Appends))
-	counter("durable_memo_appends_total", "Memo journal records appended this process", float64(ds.MemoAppends))
 	gauge("durable_truncated_tail", "Torn records dropped during recovery", float64(ds.TruncatedTail))
 	counter("durable_gc_passes_total", "Durable store GC passes", float64(ds.GCPasses))
 	counter("durable_gc_dropped_total", "Records dropped by durable GC", float64(ds.GCDropped))
@@ -92,16 +86,12 @@ func EmitDurableStats(ds *durable.Stats, counter, gauge func(name, help string, 
 func EmitStorageStats(ss *storage.Stats, counter, gauge func(name, help string, v float64)) {
 	counter("storage_lfc_hits_total", "Reads served by the local file cache", float64(ss.LFCHits))
 	counter("storage_lfc_misses_total", "Reads that fell through the local file cache", float64(ss.LFCMisses))
-	counter("storage_lfc_fills_total", "Local file cache fills", float64(ss.LFCFills))
 	counter("storage_lfc_evictions_total", "Local file cache evictions under the byte budget", float64(ss.LFCEvictions))
 	gauge("storage_lfc_bytes", "Resident local file cache volume", float64(ss.LFCBytes))
 	gauge("storage_lfc_budget_bytes", "Configured local file cache byte budget", float64(ss.LFCBudget))
-	gauge("storage_lfc_entries", "Resident local file cache objects", float64(ss.LFCEntries))
 	counter("storage_remote_gets_total", "Reads served by the remote tier", float64(ss.RemoteGets))
-	counter("storage_remote_puts_total", "Objects written to the remote tier", float64(ss.RemotePuts))
 	counter("storage_remote_errors_total", "Remote tier operation failures", float64(ss.RemoteErrors))
 	counter("storage_demoted_total", "Hot copies evicted after demotion to the tier", float64(ss.Demoted))
-	counter("storage_demote_passes_total", "Anti-entropy demotion sweeps", float64(ss.DemotePasses))
 	counter("storage_tier_fetches_total", "Fetch misses recovered from the tier", float64(ss.TierFetches))
 	counter("storage_tier_fetch_misses_total", "Fetch misses the tier could not recover", float64(ss.TierFetchMisses))
 }

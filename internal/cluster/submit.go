@@ -9,10 +9,9 @@ import (
 
 // This file is the node's programmatic ingestion surface: the hooks a
 // serving frontend (internal/gateway) uses to upload objects and read
-// results without going through the fixctl wire path. Uploads advertise
-// incrementally — one handle per message — instead of re-broadcasting the
-// whole inventory the way AdvertiseAll does, so a gateway pushing many
-// small objects does not quadratically re-announce its store.
+// results. Uploads advertise incrementally — one handle per message —
+// never the whole inventory, so a gateway pushing many small objects
+// does not quadratically re-announce its store.
 
 // PutBlobOwned stores a Blob whose Handle the caller already computed
 // with a core.BlobHasher over exactly data, taking ownership of the slice

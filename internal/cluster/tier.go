@@ -28,10 +28,9 @@ type tierState struct {
 	mu        sync.Mutex
 	lastTouch map[core.Handle]time.Time
 
-	demoted      atomic.Uint64
-	demotePasses atomic.Uint64
-	fetches      atomic.Uint64
-	fetchMisses  atomic.Uint64
+	demoted     atomic.Uint64
+	fetches     atomic.Uint64
+	fetchMisses atomic.Uint64
 }
 
 // touch records an access to h so the demotion pass sees it as hot. It is
@@ -148,7 +147,6 @@ func (n *Node) DemotePass(ctx context.Context, cutoff time.Time) int {
 		}
 	}
 	n.tier.demoted.Add(uint64(demoted))
-	n.tier.demotePasses.Add(1)
 	return demoted
 }
 
@@ -163,7 +161,6 @@ func (n *Node) StorageStats() *storage.Stats {
 	}
 	out := tier.StorageStats()
 	out.Demoted += n.tier.demoted.Load()
-	out.DemotePasses += n.tier.demotePasses.Load()
 	out.TierFetches += n.tier.fetches.Load()
 	out.TierFetchMisses += n.tier.fetchMisses.Load()
 	return &out

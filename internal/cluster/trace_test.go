@@ -24,8 +24,7 @@ func TestDelegationTracePropagation(t *testing.T) {
 	defer worker.Close()
 	Connect(client, worker, fastLink())
 
-	blob := client.Store().PutBlob(bytes.Repeat([]byte{9}, 128))
-	client.AdvertiseAll()
+	blob := client.PutBlob(bytes.Repeat([]byte{9}, 128))
 	enc := lenJob(t, client, blob)
 
 	clientTracer := obsv.NewTracer(16, nil)
@@ -91,8 +90,7 @@ func TestDelegationWithoutTraceIsZeroCost(t *testing.T) {
 	defer worker.Close()
 	Connect(client, worker, fastLink())
 
-	blob := client.Store().PutBlob(bytes.Repeat([]byte{3}, 64))
-	client.AdvertiseAll()
+	blob := client.PutBlob(bytes.Repeat([]byte{3}, 64))
 	enc := lenJob(t, client, blob)
 	if _, err := client.EvalBlob(context.Background(), enc); err != nil {
 		t.Fatal(err)

@@ -292,8 +292,8 @@ func TestGCRuleTierReadBackAppendsNothing(t *testing.T) {
 			t.Fatalf("demoted object %d after GC: %v", i, err)
 		}
 	}
-	if got := dur.Stats().Appends - before.Appends; got != 0 {
-		t.Fatalf("reading %d objects back from the tier appended %d pack records, want 0", len(demoted)-1, got)
+	if got := dur.Stats().PackBytes; got != before.PackBytes {
+		t.Fatalf("reading %d objects back from the tier grew the packs %d -> %d bytes, want unchanged", len(demoted)-1, before.PackBytes, got)
 	}
 	putBlobs(node, 9, 100) // grows the packs past the next pass's floor
 	after := dur.Stats()

@@ -165,12 +165,10 @@ type Store struct {
 
 // Stats counts a Store's lifetime activity.
 type Stats struct {
-	Objects       int    // distinct objects in the index
-	MemoEntries   int    // thunk + encode journal entries
-	PackBytes     int64  // on-disk pack footprint
-	Appends       uint64 // object records appended this process
-	MemoAppends   uint64 // journal records appended this process
-	TruncatedTail int    // torn records dropped during Open
+	Objects       int   // distinct objects in the index
+	MemoEntries   int   // thunk + encode journal entries
+	PackBytes     int64 // on-disk pack footprint
+	TruncatedTail int   // torn records dropped during Open
 	GCPasses      uint64
 	GCDropped     uint64 // records dropped by GC
 }

@@ -110,15 +110,18 @@ func TestWriteThroughFromStore(t *testing.T) {
 	}
 	thunk, _ := core.Identification(h)
 	mem.SetThunkResult(thunk, h)
+	first, memoBytes := d.Stats(), d.journal.Size()
+	if first.Objects != 2 || first.MemoEntries != 1 {
+		t.Fatalf("%d objects and %d memo entries on disk, want 2 and 1", first.Objects, first.MemoEntries)
+	}
 	// Re-puts and re-memoizations must not duplicate records.
 	mem.PutBlob(blobOf(1))
 	mem.SetThunkResult(thunk, h)
-
-	if got := d.Stats().Appends; got != 2 {
-		t.Fatalf("object appends = %d, want 2", got)
+	if got := d.Stats().PackBytes; got != first.PackBytes {
+		t.Fatalf("a re-put grew the packs %d -> %d bytes", first.PackBytes, got)
 	}
-	if got := d.Stats().MemoAppends; got != 1 {
-		t.Fatalf("memo appends = %d, want 1", got)
+	if got := d.journal.Size(); got != memoBytes {
+		t.Fatalf("a re-memoization grew the memo journal %d -> %d bytes", memoBytes, got)
 	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
@@ -145,11 +148,12 @@ func TestLiteralsNeverPersisted(t *testing.T) {
 	d := mustOpen(t, t.TempDir(), Options{})
 	defer d.Close()
 	lit := core.BlobHandle([]byte("tiny"))
+	empty := d.Stats().PackBytes
 	if err := d.PersistBlob(lit, []byte("tiny")); err != nil {
 		t.Fatal(err)
 	}
-	if d.Stats().Appends != 0 {
-		t.Fatal("literal blob reached disk")
+	if st := d.Stats(); st.Objects != 0 || st.PackBytes != empty {
+		t.Fatalf("literal blob reached disk: %+v", st)
 	}
 }
 

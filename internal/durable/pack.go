@@ -270,7 +270,6 @@ func (d *Store) appendRecord(h core.Handle, rec []byte) (*Journal, location, boo
 	loc := location{pack: d.active, offset: off, length: int64(len(rec))}
 	d.packSize += loc.length
 	d.index[h] = loc
-	d.stats.Appends++
 	gc := false
 	if b := d.opts.GCBudgetBytes; b > 0 && d.packSize > b && d.packSize > d.gcFloor+b/4 {
 		d.gcFloor, gc = d.packSize, true // no concurrent append triggers it too
@@ -302,7 +301,6 @@ func (d *Store) appendMemo(recType byte, key, result core.Handle) error {
 		return err
 	}
 	table[key] = result
-	d.stats.MemoAppends++
 	d.mu.Unlock()
 	return d.journal.Commit()
 }

@@ -99,21 +99,11 @@ func (o Options) withDefaults() Options {
 // Stats is the replicator's observability snapshot, surfaced by the
 // gateway at /v1/stats and as the fixgate_edge_* metric families.
 type Stats struct {
-	// Members counts peer gateways ever seen on the channel (excluding
-	// this one); Live counts how many currently pass liveness.
-	Members int `json:"members"`
-	Live    int `json:"live"`
-	// Entries is the log table size; Undrained counts accepted entries
-	// not yet settled (the exposure a gateway death would hand a peer).
-	Entries   int `json:"entries"`
+	// Live counts peer gateways currently passing liveness.
+	Live int `json:"live"`
+	// Undrained counts accepted entries not yet settled (the exposure a
+	// gateway death would hand a peer).
 	Undrained int `json:"undrained"`
-	// Appends counts locally originated entry appends; Replicated counts
-	// entries folded in from peers.
-	Appends    uint64 `json:"appends"`
-	Replicated uint64 `json:"replicated"`
-	// AcksSent / AcksReceived count append acknowledgements on each side.
-	AcksSent     uint64 `json:"acks_sent"`
-	AcksReceived uint64 `json:"acks_received"`
 	// QuorumTimeouts counts appends acknowledged to the client before a
 	// peer quorum confirmed them (the availability fallback).
 	QuorumTimeouts uint64 `json:"quorum_timeouts"`
@@ -121,22 +111,13 @@ type Stats struct {
 	// undrained jobs this gateway adopted across them.
 	Takeovers uint64 `json:"takeovers"`
 	Adopted   uint64 `json:"adopted"`
-	// WarmSent / WarmReceived / WarmApplied / WarmDeferred count
-	// cache-warm gossip: hints broadcast, received, applied to the local
-	// cache, and parked because the result was not yet resolvable.
-	WarmSent     uint64 `json:"warm_sent"`
-	WarmReceived uint64 `json:"warm_received"`
-	WarmApplied  uint64 `json:"warm_applied"`
-	WarmDeferred uint64 `json:"warm_deferred"`
-	// HintsPending is the deferred warm-hint table size.
-	HintsPending int `json:"hints_pending"`
+	// WarmApplied counts received cache-warm hints applied to the local
+	// cache.
+	WarmApplied uint64 `json:"warm_applied"`
 	// PeerLag is the largest number of this gateway's appends a live
 	// peer has not yet acknowledged — the replication-lag gauge the
 	// runbook watches.
 	PeerLag uint64 `json:"peer_lag"`
-	// HintHits counts deferred hints that served a miss flight (TakeHint
-	// found them resolvable) instead of a backend evaluation.
-	HintHits uint64 `json:"hint_hits"`
 	// HintStale counts deferred hints still unresolvable when a miss
 	// flight took them; the flight fell through to the backend.
 	HintStale uint64 `json:"hint_stale"`
@@ -334,7 +315,6 @@ func (r *Replicator) appendAndBroadcast(e Entry, quorum bool) (uint64, *ackWait)
 		return 0, nil
 	}
 	changed := r.foldLocked(e)
-	r.stats.Appends++
 	r.seq++
 	seq := r.seq
 	var wait *ackWait
@@ -380,9 +360,6 @@ func (r *Replicator) GossipWarm(key, result core.Handle) {
 		return
 	}
 	conns := r.connsLocked()
-	if len(conns) > 0 {
-		r.stats.WarmSent++
-	}
 	r.mu.Unlock()
 	if len(conns) == 0 {
 		return
@@ -410,13 +387,11 @@ func (r *Replicator) TakeHint(key core.Handle, resolvable func(core.Handle) bool
 		return core.Handle{}, false
 	}
 	ok = resolvable(res)
-	r.mu.Lock()
-	if ok {
-		r.stats.HintHits++
-	} else {
+	if !ok {
+		r.mu.Lock()
 		r.stats.HintStale++
+		r.mu.Unlock()
 	}
-	r.mu.Unlock()
 	return res, ok
 }
 
@@ -434,7 +409,6 @@ func (r *Replicator) offerHint(key, result core.Handle) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, ok := r.hints[key]; !ok {
-		r.stats.WarmDeferred++
 		if len(r.hints) >= maxPendingHints {
 			// Evict the oldest deferred hint still resident.
 			for len(r.hintFIFO) > 0 {
@@ -492,15 +466,12 @@ func (r *Replicator) Stats() Stats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	st := r.stats
-	st.Members = len(r.members)
 	st.Live = r.aliveCountLocked()
-	st.Entries = len(r.entries)
 	for _, e := range r.entries {
 		if e.State == EntryAccepted {
 			st.Undrained++
 		}
 	}
-	st.HintsPending = len(r.hints)
 	for _, m := range r.members {
 		if m.alive && r.seq > m.acked && r.seq-m.acked > st.PeerLag {
 			st.PeerLag = r.seq - m.acked

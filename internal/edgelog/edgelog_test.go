@@ -72,6 +72,14 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
+// memberCount reads how many peer gateways r has ever seen on the
+// channel: a rejoin under a known ID must revive its slot, not add one.
+func memberCount(r *Replicator) int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.members)
+}
+
 // foldAll applies entries to a replicator's table in the given order,
 // bypassing the wire (white-box: the fold is the property under test).
 func foldAll(r *Replicator, entries []Entry) {
@@ -210,7 +218,7 @@ func TestEdgeMembershipFlap(t *testing.T) {
 
 	// b accepts a job; the quorum wait means a holds it when this returns.
 	b.Accepted("job-flap", "acme", testHandle(1), nil)
-	waitUntil(t, "a replicated the entry", func() bool { return a.Stats().Entries == 1 })
+	waitUntil(t, "a replicated the entry", func() bool { return len(a.Entries()) == 1 })
 
 	// Crash b's link: a must declare b dead and adopt.
 	_ = link.Close()
@@ -219,8 +227,8 @@ func TestEdgeMembershipFlap(t *testing.T) {
 		defer mu.Unlock()
 		return adopted == 1
 	})
-	if st := a.Stats(); st.Members != 1 || st.Live != 0 {
-		t.Fatalf("after crash: members=%d live=%d, want 1/0", st.Members, st.Live)
+	if members, live := memberCount(a), a.Stats().Live; members != 1 || live != 0 {
+		t.Fatalf("after crash: members=%d live=%d, want 1/0", members, live)
 	}
 
 	// Rejoin under the same gateway ID on a fresh link (the restarted
@@ -229,10 +237,9 @@ func TestEdgeMembershipFlap(t *testing.T) {
 	b2 := newTestReplicator(t, "gw-b", Options{})
 	connect(a, b2)
 	waitUntil(t, "membership revived", func() bool {
-		st := a.Stats()
-		return st.Members == 1 && st.Live == 1
+		return memberCount(a) == 1 && a.Stats().Live == 1
 	})
-	waitUntil(t, "snapshot reached the rejoined peer", func() bool { return b2.Stats().Entries == 1 })
+	waitUntil(t, "snapshot reached the rejoined peer", func() bool { return len(b2.Entries()) == 1 })
 
 	// A second flap must not re-adopt the same job.
 	b2.Close()
@@ -330,8 +337,8 @@ func TestEdgeQuorumAppend(t *testing.T) {
 	if st.QuorumTimeouts != 0 {
 		t.Fatalf("unexpected quorum timeout with a live peer: %+v", st)
 	}
-	if st.AcksReceived == 0 {
-		t.Fatalf("no acks received: %+v", st)
+	if st.PeerLag != 0 {
+		t.Fatalf("b left appends unacknowledged: %+v", st)
 	}
 
 	// A silent peer: registered live, but never acking (the far pipe end

@@ -105,7 +105,6 @@ func (r *Replicator) handle(pc *peerConn, m *proto.Message) {
 	case proto.TypeEdgeWarm:
 		r.mu.Lock()
 		r.touchLocked(m.From)
-		r.stats.WarmReceived++
 		r.mu.Unlock()
 		r.offerHint(m.Handle, m.Result)
 	case proto.TypePing:
@@ -158,14 +157,10 @@ func (r *Replicator) handleAppend(pc *peerConn, m *proto.Message) {
 			r.logf("edgelog: %s: dropping entry from %s: %v", r.opts.ID, m.From, err)
 			continue
 		}
-		if r.foldLocked(e) {
-			r.stats.Replicated++
-			if e.State == EntryDone {
-				warms = append(warms, w)
-			}
+		if r.foldLocked(e) && e.State == EntryDone {
+			warms = append(warms, w)
 		}
 	}
-	r.stats.AcksSent++
 	r.mu.Unlock()
 	ack := &proto.Message{Type: proto.TypeEdgeAck, From: r.opts.ID, Seq: m.Seq}
 	if err := pc.send(ack.Encode()); err != nil {
@@ -181,7 +176,6 @@ func (r *Replicator) handleAppend(pc *peerConn, m *proto.Message) {
 func (r *Replicator) handleAck(from string, seq uint64) {
 	r.mu.Lock()
 	r.touchLocked(from)
-	r.stats.AcksReceived++
 	if m := r.members[from]; m != nil && seq > m.acked {
 		m.acked = seq
 	}

@@ -12,17 +12,13 @@ var ErrOverloaded = errors.New("gateway: overloaded: in-flight and queue limits 
 
 // AdmissionStats is a snapshot of admission-control counters.
 type AdmissionStats struct {
-	InFlight int `json:"in_flight"`
-	Waiting  int `json:"waiting"`
+	Waiting int `json:"waiting"`
 	// WaitingAsync counts async workers parked in AcquireWait for a
 	// backend slot. They are outside the bounded shed queue (Waiting),
 	// but an operator reading jobs stats that show running > 0 with no
 	// backend progress needs to see where those workers are stalled.
 	WaitingAsync int    `json:"waiting_async"`
-	MaxInFlight  int    `json:"max_in_flight"`
-	MaxQueue     int    `json:"max_queue"`
 	Admitted     uint64 `json:"admitted"`
-	Queued       uint64 `json:"queued"`
 	Rejected     uint64 `json:"rejected"`
 }
 
@@ -38,23 +34,19 @@ type AdmissionStats struct {
 // admission never serializes the request hot path, and the /v1/stats
 // snapshot reads the same atomics the admitters write.
 type admission struct {
-	slots chan struct{}
-
-	maxQueue    int
-	maxInFlight int
+	slots    chan struct{}
+	maxQueue int
 
 	waiting      atomic.Int64
 	admitted     atomic.Uint64
-	queued       atomic.Uint64
 	rejected     atomic.Uint64
 	asyncWaiting atomic.Int64
 }
 
 func newAdmission(maxInFlight, maxQueue int) *admission {
 	return &admission{
-		slots:       make(chan struct{}, maxInFlight),
-		maxInFlight: maxInFlight,
-		maxQueue:    maxQueue,
+		slots:    make(chan struct{}, maxInFlight),
+		maxQueue: maxQueue,
 	}
 }
 
@@ -76,7 +68,6 @@ func (a *admission) Acquire(ctx context.Context) error {
 		a.rejected.Add(1)
 		return ErrOverloaded
 	}
-	a.queued.Add(1)
 	defer a.waiting.Add(-1)
 	select {
 	case a.slots <- struct{}{}:
@@ -120,13 +111,9 @@ func (a *admission) Release() { <-a.slots }
 // Stats snapshots the counters.
 func (a *admission) Stats() AdmissionStats {
 	return AdmissionStats{
-		InFlight:     len(a.slots),
 		Waiting:      int(a.waiting.Load()),
 		WaitingAsync: int(a.asyncWaiting.Load()),
-		MaxInFlight:  a.maxInFlight,
-		MaxQueue:     a.maxQueue,
 		Admitted:     a.admitted.Load(),
-		Queued:       a.queued.Load(),
 		Rejected:     a.rejected.Load(),
 	}
 }

@@ -118,13 +118,8 @@ func (s *Server) handleSubmitAsync(w http.ResponseWriter, r *http.Request, t *te
 	tenant := tenantName(r)
 	v, isNew, err := s.jobs.Submit(tenant, h)
 	t.jobs.Add(1)
-	if err != nil {
-		s.jobsFailed.Add(1)
-		if errors.Is(err, jobs.ErrQueueFull) {
-			t.rejected.Add(1)
-		}
-	} else if !isNew {
-		t.hits.Add(1) // joined an existing job: the async collapse analogue
+	if errors.Is(err, jobs.ErrQueueFull) {
+		t.rejected.Add(1)
 	}
 	if err != nil {
 		switch {

@@ -145,7 +145,6 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 				s.cache.publish(items[i].k, items[i].f)
 			}
 			tc.SetOutcome("error")
-			s.jobsFailed.Add(uint64(n))
 			switch {
 			case errors.Is(err, ErrOverloaded):
 				t.rejected.Add(uint64(n))
@@ -210,16 +209,11 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 		tc.AddSpanAt("batch_item", strconv.Itoa(i), start, it.settled)
 		if it.err != nil {
 			failed++
-			s.jobsFailed.Add(1)
 			if errors.Is(it.err, ErrOverloaded) {
 				t.rejected.Add(1)
 			}
 			reply.Items[i] = BatchItemReply{Error: it.err.Error()}
 			continue
-		}
-		s.jobsOK.Add(1)
-		if it.outcome == OutcomeHit || it.outcome == OutcomeCollapsed {
-			t.hits.Add(1)
 		}
 		reply.Items[i] = BatchItemReply{Result: core.FormatHandle(it.result), Outcome: string(it.outcome)}
 	}

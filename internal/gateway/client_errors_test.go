@@ -91,7 +91,7 @@ func TestClientShed429(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		st := srv.Stats()
-		if st.Admission.InFlight == 1 && st.Admission.Waiting == 1 {
+		if st.Admission.Admitted == 1 && st.Admission.Waiting == 1 {
 			break
 		}
 		if time.Now().After(deadline) {

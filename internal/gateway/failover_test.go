@@ -122,8 +122,8 @@ func TestFailoverGatewayWorkerKilledMidEval(t *testing.T) {
 		// Residency markers so the edge's view has per-worker entries
 		// whose eviction we can observe (big enough not to be literal
 		// handles, which are never advertised).
-		markers[w.ID()] = w.Store().PutBlob(bytes.Repeat([]byte(w.ID()), 100))
-		w.AdvertiseAll()
+		marker := bytes.Repeat([]byte(w.ID()), 100)
+		markers[w.ID()] = w.PutBlobOwned(core.BlobHandle(marker), marker)
 	}
 	waitUntil(t, "markers visible in the edge view", func() bool {
 		for _, m := range markers {
@@ -206,7 +206,7 @@ func TestFailoverAsyncJobRetriesAfterWorkerDeath(t *testing.T) {
 	// test pins) never runs.
 	waitUntil(t, "first attempt to fail", func() bool {
 		st := srv.Stats()
-		return st.Jobs != nil && st.Jobs.Failed >= 1
+		return st.Jobs != nil && st.Jobs.Retried >= 1
 	})
 
 	// Bring a replacement worker into the cluster; a retry lands on it.

@@ -162,6 +162,54 @@ func (m methodTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 // http.NewRequestWithContext (no body), the header map's first entry and
 // http.Client.Do's five. Both replies are read in place; the tenant, the
 // states and the ID the wait asked about are shared, not copied.
+//
+// What one async job allocates end to end, and what no longer does:
+//
+// One async job as jobs_async_durable runs it (PutTree of a fresh
+// invocation, SubmitAsync, AwaitJob), over loopback HTTP to a server
+// with a durable data dir and a jobs journal, allocates 286 times across
+// both ends (BenchmarkAsyncRoundTripLoopback; 332 before the async
+// lifecycle left encoding/json). By package, from a -memprofilerate=1
+// profile of 3 000 jobs:
+//
+//   - net/http, net/textproto, net/url, context, io and net, about 229
+//     on both ends of three requests: the requests and responses with
+//     their header maps and parses, the connections' read and write
+//     state, and the contexts net/http derives. This is 80 % of the job,
+//     and it is the same in the warm hit's rows
+//     (TestPoolAllocsPerRequest).
+//   - The gateway's 17. The SDK's 7 (TestAllocsClientAsync pins
+//     SubmitAsync plus one WaitJob at 24 with net/http's share): the two
+//     request bodies, the wait URL, the 202's job ID, and the header
+//     maps' first entries. The server's 10: the Location value, each
+//     framed reply's Content-Type entry, and the job's evaluation
+//     through the result cache (its flight and the flight's goroutine
+//     and closure, the cache entry, the trace context and the detached
+//     flight context).
+//   - The jobs manager's 7: the job record and its done channel; the
+//     tenant's queue and its slice, made anew whenever that queue drains
+//     between jobs; and the evaluation's result channel and goroutine.
+//   - The store and durable write-through, about 2: the Tree, and its
+//     pack record, framed in one allocation. Journal records (three job
+//     snapshots and two memo entries per job) are framed into a buffer
+//     each journal reuses.
+//
+// The profile sees 277 of the 286; it misses tiny allocations
+// (BENCHMARKS.md, "The gateway hop, per layer"). The rows above cover
+// 255 of those 277, and the rest are net/http's idle-connection list,
+// the request bodies' readers and the codelet VM's host calls.
+//
+// What no longer allocates: both JobStatusReply bodies (the 202 and the
+// long-poll answer) are written by appendJobStatusReply into a pooled
+// buffer and read in place by readJobStatusReply, where encoding and
+// decoding them cost about 27; the SDK shares its tenant, the lifecycle
+// states and the ID the wait asked about instead of copying them out of
+// the reply; ?mode=async and ?wait= are read from the raw query without
+// a url.Values map (queryGet), and the wait URL is formatted without
+// fmt.Sprintf; jobs.JobID hashes on the stack and allocates only its
+// string; and no journal or pack record takes a frame buffer of its own.
+// On jobs_async_durable this is 338.2 → 292 allocs/op (CHANGES.md has
+// the pairs).
 func TestAllocsClientAsync(t *testing.T) {
 	_, live := newAsyncGateway(t, Options{CacheEntries: 64})
 	th := addJob(t, live, 40, 2)

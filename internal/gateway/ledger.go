@@ -8,8 +8,6 @@ import (
 // TenantStats is the per-tenant accounting slice of the stats report.
 type TenantStats struct {
 	Jobs     uint64 `json:"jobs"`
-	Hits     uint64 `json:"hits"` // cache hits + collapsed joins
-	Uploads  uint64 `json:"uploads"`
 	Rejected uint64 `json:"rejected"`
 }
 
@@ -19,16 +17,12 @@ type TenantStats struct {
 // consistent (no torn reads, no lock ordering against the shard mutexes).
 type tenantCounters struct {
 	jobs     atomic.Uint64
-	hits     atomic.Uint64
-	uploads  atomic.Uint64
 	rejected atomic.Uint64
 }
 
 func (t *tenantCounters) snapshot() *TenantStats {
 	return &TenantStats{
 		Jobs:     t.jobs.Load(),
-		Hits:     t.hits.Load(),
-		Uploads:  t.uploads.Load(),
 		Rejected: t.rejected.Load(),
 	}
 }

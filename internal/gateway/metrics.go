@@ -89,17 +89,11 @@ func (s *Server) collectStats(emit func(obsv.Sample)) {
 	gauge("cache_entries", "Result-cache entries resident", float64(st.Cache.Entries))
 	gauge("cache_capacity", "Result-cache capacity", float64(st.Cache.Capacity))
 
-	gauge("admission_in_flight", "Backend evaluations running now", float64(st.Admission.InFlight))
 	gauge("admission_waiting", "Submissions queued for an evaluation slot", float64(st.Admission.Waiting))
 	gauge("admission_waiting_async", "Async workers parked for an evaluation slot", float64(st.Admission.WaitingAsync))
-	gauge("admission_max_in_flight", "Configured concurrent-evaluation bound", float64(st.Admission.MaxInFlight))
-	gauge("admission_max_queue", "Configured admission queue bound", float64(st.Admission.MaxQueue))
 	counter("admission_admitted_total", "Evaluations granted a slot", float64(st.Admission.Admitted))
-	counter("admission_queued_total", "Submissions that waited for a slot", float64(st.Admission.Queued))
 	counter("admission_rejected_total", "Submissions shed with 429", float64(st.Admission.Rejected))
 
-	counter("jobs_ok_total", "Synchronous submissions answered successfully", float64(st.JobsOK))
-	counter("jobs_failed_total", "Synchronous submissions answered with an error", float64(st.JobsFail))
 	counter("persist_errors_total", "Failed durable write-throughs on the backing store", float64(st.PersistErrors))
 
 	counter("batch_requests_total", "Batch submissions that reached the evaluator", float64(st.Batch.Requests))
@@ -116,43 +110,21 @@ func (s *Server) collectStats(emit func(obsv.Sample)) {
 
 	if st.Jobs != nil {
 		js := st.Jobs
-		gauge("async_workers", "Async drain pool size", float64(js.Workers))
 		gauge("async_queue_depth", "Pending async jobs (queued plus retry-waiting)", float64(js.Depth))
 		gauge("async_running", "Async jobs evaluating now", float64(js.Running))
 		gauge("async_oldest_pending_age_seconds", "Age of the oldest queued async job", float64(js.OldestPendingAgeNS)/1e9)
-		gauge("async_jobs_done", "Async jobs held in the done state", float64(js.Done))
-		gauge("async_jobs_deadletter", "Async jobs held in the dead-letter state", float64(js.DeadLetter))
-		gauge("async_jobs_cancelled", "Async jobs held in the cancelled state", float64(js.Cancelled))
-		counter("async_enqueued_total", "Async jobs accepted", float64(js.Enqueued))
-		counter("async_completed_total", "Async jobs completed", float64(js.Completed))
-		counter("async_failed_attempts_total", "Async evaluation attempts that failed", float64(js.Failed))
 		counter("async_retried_total", "Async jobs re-queued after a failed attempt", float64(js.Retried))
-		counter("async_cancelled_total", "Async jobs cancelled", float64(js.CancelledTotal))
-		counter("async_deduped_total", "Async submissions answered by an existing job", float64(js.Deduped))
-		gauge("async_replayed", "Jobs recovered from the journal at startup", float64(js.Replayed))
-		gauge("async_resumed", "Recovered jobs that re-entered the pending queue", float64(js.Resumed))
 	}
 
 	if st.Edge != nil {
 		es := st.Edge
-		gauge("edge_members", "Peer gateways ever seen on the edge channel", float64(es.Members))
 		gauge("edge_live", "Peer gateways currently passing liveness", float64(es.Live))
-		gauge("edge_entries", "Replicated edge-log entries resident", float64(es.Entries))
 		gauge("edge_undrained", "Accepted entries not yet settled (takeover exposure)", float64(es.Undrained))
-		counter("edge_appends_total", "Locally originated edge-log appends", float64(es.Appends))
-		counter("edge_replicated_total", "Edge-log entries folded in from peers", float64(es.Replicated))
-		counter("edge_acks_sent_total", "Append acknowledgements sent to peers", float64(es.AcksSent))
-		counter("edge_acks_received_total", "Append acknowledgements received from peers", float64(es.AcksReceived))
 		counter("edge_quorum_timeouts_total", "Appends acked to the client before a peer quorum confirmed", float64(es.QuorumTimeouts))
 		counter("edge_takeovers_total", "Dead-peer events handled", float64(es.Takeovers))
 		counter("edge_adopted_total", "Undrained jobs adopted from dead peers", float64(es.Adopted))
-		counter("edge_warm_sent_total", "Cache-warm hints broadcast to peers", float64(es.WarmSent))
-		counter("edge_warm_received_total", "Cache-warm hints received from peers", float64(es.WarmReceived))
 		counter("edge_warm_applied_total", "Received hints applied to the result cache", float64(es.WarmApplied))
-		counter("edge_warm_deferred_total", "Received hints parked awaiting a resolvable result", float64(es.WarmDeferred))
-		gauge("edge_hints_pending", "Deferred warm hints resident", float64(es.HintsPending))
 		gauge("edge_peer_lag", "Largest unacknowledged append backlog across live peers", float64(es.PeerLag))
-		counter("edge_hint_hits_total", "Miss flights served by a deferred warm hint", float64(es.HintHits))
 		counter("edge_hint_stale_total", "Deferred hints still unresolvable at flight time", float64(es.HintStale))
 	}
 
@@ -168,9 +140,7 @@ func (s *Server) collectStats(emit func(obsv.Sample)) {
 			Value: float64(v), Labels: []obsv.Label{{Key: "tenant", Value: tenant}}})
 	}
 	for name, t := range st.Tenants {
-		tc("tenant_jobs_total", "Synchronous submissions, by tenant", name, t.Jobs)
-		tc("tenant_hits_total", "Cache hits plus collapsed joins, by tenant", name, t.Hits)
-		tc("tenant_uploads_total", "Blob and tree uploads, by tenant", name, t.Uploads)
+		tc("tenant_jobs_total", "Job submissions, by tenant", name, t.Jobs)
 		tc("tenant_rejected_total", "Submissions shed with 429, by tenant", name, t.Rejected)
 	}
 }

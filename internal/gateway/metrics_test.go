@@ -97,7 +97,7 @@ func TestMetricsContentTypeAndOrder(t *testing.T) {
 		"fixgate_stage_seconds",
 		"fixgate_cache_hits_total",
 		"fixgate_cache_misses_total",
-		"fixgate_admission_in_flight",
+		"fixgate_admission_waiting",
 		"fixgate_traces_retained",
 	} {
 		found := false
@@ -177,9 +177,10 @@ func TestStatsMetricsParity(t *testing.T) {
 		DurableStats:  func() durable.Stats { return durable.Stats{} },
 		PersistErrors: func() uint64 { return 0 },
 	})
-	// One tenant-attributed upload so the tenant-labeled families emit.
+	// One tenant-attributed job so the tenant-labeled families emit: a
+	// literal evaluates to itself.
 	alice := NewClient(c.base, WithTenant("alice"), WithHTTPClient(c.hc))
-	if _, err := alice.PutBlob(context.Background(), []byte("parity-probe")); err != nil {
+	if _, err := alice.Submit(context.Background(), core.LiteralU64(5)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -195,12 +196,8 @@ func TestStatsMetricsParity(t *testing.T) {
 	}
 
 	aliases := map[string]string{
-		"fixgate_cluster_evicted":  "fixgate_cluster_peers_evicted_total",
-		"fixgate_async_depth":      "fixgate_async_queue_depth",
-		"fixgate_async_done":       "fixgate_async_jobs_done",
-		"fixgate_async_deadletter": "fixgate_async_jobs_deadletter",
-		"fixgate_async_cancelled":  "fixgate_async_jobs_cancelled",
-		"fixgate_async_failed":     "fixgate_async_failed_attempts_total",
+		"fixgate_cluster_evicted": "fixgate_cluster_peers_evicted_total",
+		"fixgate_async_depth":     "fixgate_async_queue_depth",
 	}
 
 	check := func(prefix string, v reflect.Value) {
@@ -243,10 +240,7 @@ func TestStatsMetricsParity(t *testing.T) {
 	check("fixgate_storage_", reflect.ValueOf(*st.Storage))
 	check("fixgate_edge_", reflect.ValueOf(*st.Edge))
 
-	for _, want := range []string{
-		"fixgate_tenant_jobs_total", "fixgate_tenant_hits_total",
-		"fixgate_tenant_uploads_total", "fixgate_tenant_rejected_total",
-	} {
+	for _, want := range []string{"fixgate_tenant_jobs_total", "fixgate_tenant_rejected_total"} {
 		if !families[want] {
 			t.Errorf("tenant family %q missing after tenant activity", want)
 		}
@@ -473,8 +467,8 @@ func TestStatsScrapeUnderShardLoad(t *testing.T) {
 				default:
 				}
 				st := srv.Stats() // direct in-process snapshot
-				if st.JobsOK+st.JobsFail > uint64(clients*perClient*(1+batchN)) {
-					t.Errorf("snapshot overcounts: %+v", st)
+				if n := tenantJobs(st); n > uint64(clients*perClient*(1+batchN)) {
+					t.Errorf("snapshot overcounts: %d jobs", n)
 					return
 				}
 				for _, path := range []string{"/v1/stats", "/metrics"} {
@@ -520,19 +514,21 @@ func TestStatsScrapeUnderShardLoad(t *testing.T) {
 
 	st := srv.Stats()
 	total := uint64(clients * perClient * (1 + batchN))
-	if st.JobsOK+st.JobsFail != total {
-		t.Errorf("jobs ok %d + failed %d != %d submissions", st.JobsOK, st.JobsFail, total)
-	}
-	var tenantJobs uint64
-	for _, ts := range st.Tenants {
-		tenantJobs += ts.Jobs
-	}
-	if tenantJobs != total {
-		t.Errorf("tenant job totals %d != %d submissions", tenantJobs, total)
+	if n := tenantJobs(st); n != total {
+		t.Errorf("tenant job totals %d != %d submissions", n, total)
 	}
 	if st.Batch.Requests != uint64(clients*perClient) || st.Batch.Items != uint64(clients*perClient*batchN) {
 		t.Errorf("batch stats = %+v, want %d requests / %d items", st.Batch, clients*perClient, clients*perClient*batchN)
 	}
+}
+
+// tenantJobs sums the job submissions of every tenant in st.
+func tenantJobs(st Stats) uint64 {
+	var n uint64
+	for _, ts := range st.Tenants {
+		n += ts.Jobs
+	}
+	return n
 }
 
 // TestScrapeWhileServing hammers /metrics, /v1/stats, and the trace

@@ -89,6 +89,60 @@ func TestPoolDropsOversizeBuffers(t *testing.T) {
 // ceiling. Pooling the body and reply buffers, framing the JSON by hand
 // and a two-allocation trace are what keep this low; a regression that
 // re-introduces per-request buffer or encoder churn trips the bound.
+//
+// What one warm gateway hit allocates end to end, SDK and net/http
+// included, and what no longer does:
+//
+// One SDK Submit answered from the result cache, over loopback HTTP with
+// gateway_warm's server options, allocates 92 times
+// (BenchmarkWarmHitLoopback; 126 before the warm path's JSON was framed
+// by hand). BENCHMARKS.md ("The gateway hop, per layer") has the split
+// and how it is read. What is left, and who owns it:
+//
+//   - The SDK's own 3 (TestAllocsClientSubmit pins the SDK side at 13
+//     with these and the two rows below): the request body, its
+//     bytes.Reader, and the header map's first entry. The body cannot be
+//     pooled: a RoundTripper may still read it after RoundTrip returns.
+//     The reader must be a *bytes.Reader, or NewRequestWithContext would
+//     not know the Content-Length and the request would go out chunked.
+//   - http.NewRequestWithContext, 5: the Request, its header map, the
+//     parsed URL, the body's NopCloser and its GetBody.
+//   - http.Client.Do, 5: the header copy it keeps for redirects and its
+//     send state. The rest of client-side net/http (the connection's
+//     read and write loops, the response and its header parse) is about
+//     45.
+//   - Server-side net/http, 20: the request, its header parse, URL and
+//     context, the response and its buffers.
+//   - The handler's 10 (TestPoolAllocsPerRequest pins the handler plus
+//     its httptest fixture at ≤ 26): net/http copies the handler's
+//     header map at WriteHeader once the handler has touched it (3); the
+//     X-Fix-Trace value and the header map's first entry (2);
+//     MaxBytesReader, which keeps the 413 bound (1); net/http's
+//     background read once the body is consumed (1); the trace, which is
+//     its Trace with four inline spans and its ID string (2); and
+//     WithTrace's context (1).
+//
+// What no longer allocates: the four JSON shapes on the warm path
+// (JobRequest, JobReply, TreeRequest, HandleReply) are written by append
+// functions into pooled buffers and read in place (gateway/wire.go); a
+// Handle's 64 digits go through core.AppendHandle and
+// core.ParseHandleBytes; the Content-Type and tenant header values are
+// shared slices; a reply under 1 KiB leaves its Content-Length to
+// net/http, which formats it into the connection's own buffer;
+// wantsAsync returns at once on a request with no query and no Prefer; a
+// hit returns before Do, so neither the flight closure nor the detached
+// flight context is built; and Tracer.Finish feeds the stage histograms
+// from the spans in place.
+//
+// The hand framing changes no byte of a body. Each append function
+// writes exactly what encoding/json writes for its shape, and each
+// reader accepts exactly that form (fields in order, no whitespace or
+// escapes, omitted rather than empty omitempty fields, at most one
+// trailing newline). Every other body, valid JSON or not, goes through
+// encoding/json as before, so its errors and the 400/413 replies read as
+// they did. FuzzWireJSON pins both directions against encoding/json.
+// JobStatusReply is the fifth framed shape (TestAllocsClientAsync). Batch bodies,
+// the GET /v1/jobs list and SSE event data stay on encoding/json.
 func TestPoolAllocsPerRequest(t *testing.T) {
 	srv, err := NewServer(Options{Backend: &fatalBackend{t: t}, CacheEntries: 16})
 	if err != nil {
@@ -120,8 +174,8 @@ func TestPoolAllocsPerRequest(t *testing.T) {
 	allocs := testing.AllocsPerRun(300, do)
 	t.Logf("cache-hit /v1/jobs: %.1f allocs/request", allocs)
 	// It reads 24: the fixture (NewRequest, NewRecorder and their header
-	// maps) about 14, the handler 10 (ARCHITECTURE.md, "What one warm
-	// gateway hit allocates"). A -race build reads 27.
+	// maps) about 14, the handler 10 (the doc comment has the handler's
+	// rows). A -race build reads 27.
 	limit := 26.0
 	if raceEnabled {
 		limit = 29

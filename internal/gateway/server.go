@@ -134,8 +134,6 @@ type Server struct {
 	// these without a lock, and the /v1/stats snapshot loads them while
 	// traffic is in flight.
 	tenants    *tenantLedger
-	jobsOK     atomic.Uint64
-	jobsFailed atomic.Uint64
 	batches    atomic.Uint64
 	batchItems atomic.Uint64
 }
@@ -155,20 +153,18 @@ type BatchStats struct {
 type Stats struct {
 	Cache     CacheStats     `json:"cache"`
 	Admission AdmissionStats `json:"admission"`
-	JobsOK    uint64         `json:"jobs_ok"`
-	JobsFail  uint64         `json:"jobs_failed"`
 	// PersistErrors counts failed durable write-throughs on the backing
 	// store (0 when persistence is not configured).
 	PersistErrors uint64 `json:"persist_errors"`
 	// Batch is the /v1/jobs:batch accounting slice.
 	Batch BatchStats `json:"batch"`
 	// Jobs is the async queue's snapshot (nil when async serving is
-	// disabled): depth, oldest-pending age, per-state counters.
+	// disabled): depth, running jobs, oldest-pending age, retries.
 	Jobs *jobs.Stats `json:"jobs,omitempty"`
 	// Cluster is the backend node's peer/failure-handling and
 	// replication snapshot (nil when the backend is not a cluster node):
-	// live peers, evictions, heartbeats, job re-placements, ring size,
-	// replica pushes and repair activity.
+	// live peers, evictions, job re-placements, ring size, replica
+	// pushes and repair activity.
 	Cluster *cluster.NetStats `json:"cluster,omitempty"`
 	// Durable is the durable store's snapshot (nil when persistence is
 	// not configured): object/memo counts, pack footprint, GC activity.
@@ -178,8 +174,8 @@ type Stats struct {
 	// and demotion activity.
 	Storage *storage.Stats `json:"storage,omitempty"`
 	// Edge is the replicated-edge snapshot (nil when this gateway is not
-	// part of one): membership, log size, replication and takeover
-	// counters, warm-hint gossip and hint hits, and peer replication lag.
+	// part of one): live peers, takeover exposure and counters, quorum
+	// misses, warm hints applied or stale, and peer replication lag.
 	Edge    *edgelog.Stats          `json:"edge,omitempty"`
 	Tenants map[string]*TenantStats `json:"tenants"`
 }
@@ -283,10 +279,6 @@ func NewServer(opts Options) (*Server, error) {
 // Handler returns the gateway's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Jobs exposes the async job manager (nil when disabled) — the boot path
-// in cmd/fixgate reads its recovery stats.
-func (s *Server) Jobs() *jobs.Manager { return s.jobs }
-
 // Close shuts the serving paths down in the only order that gives a
 // takeover peer clean handoff semantics: cancel every detached backend
 // flight, drain the local queue (running jobs revert to pending and
@@ -337,8 +329,6 @@ func (s *Server) awaitFlights() {
 func (s *Server) Stats() Stats {
 	out := Stats{
 		Admission: s.adm.Stats(),
-		JobsOK:    s.jobsOK.Load(),
-		JobsFail:  s.jobsFailed.Load(),
 		Batch: BatchStats{
 			Requests: s.batches.Load(),
 			Items:    s.batchItems.Load(),
@@ -421,7 +411,6 @@ type (
 )
 
 func (s *Server) handlePutBlob(w http.ResponseWriter, r *http.Request) {
-	t := s.tenant(r)
 	// Stream the body in fixed-size chunk reads through an incremental
 	// hasher instead of slurping it whole into one pooled buffer: the
 	// transient footprint per upload is one pooled chunk, and the handle
@@ -457,7 +446,6 @@ func (s *Server) handlePutBlob(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	h := s.opts.Backend.PutBlobOwned(hasher.Handle(), data)
-	t.uploads.Add(1)
 	replyHandle(w, h)
 }
 
@@ -477,7 +465,6 @@ func (s *Server) handleGetBlob(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handlePutTree(w http.ResponseWriter, r *http.Request) {
-	t := s.tenant(r)
 	body, ok := s.readJSON(w, r)
 	if !ok {
 		return
@@ -493,7 +480,6 @@ func (s *Server) handlePutTree(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusUnprocessableEntity, err)
 		return
 	}
-	t.uploads.Add(1)
 	replyHandle(w, h)
 }
 
@@ -622,16 +608,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 
 	t.jobs.Add(1)
-	if err == nil && (outcome == OutcomeHit || outcome == OutcomeCollapsed) {
-		t.hits.Add(1)
-	}
-	if err != nil {
-		s.jobsFailed.Add(1)
-		if errors.Is(err, ErrOverloaded) {
-			t.rejected.Add(1)
-		}
-	} else {
-		s.jobsOK.Add(1)
+	if errors.Is(err, ErrOverloaded) {
+		t.rejected.Add(1)
 	}
 
 	if err != nil {

@@ -98,9 +98,6 @@ func TestRoundTrip(t *testing.T) {
 	if st.Cache.Hits != 1 || st.Cache.Misses != 1 {
 		t.Errorf("cache stats = %+v, want 1 hit / 1 miss", st.Cache)
 	}
-	if st.JobsOK != 2 {
-		t.Errorf("jobs ok = %d, want 2", st.JobsOK)
-	}
 }
 
 func TestTenantAccounting(t *testing.T) {
@@ -126,7 +123,7 @@ func TestTenantAccounting(t *testing.T) {
 	if st.Tenants["alice"] == nil || st.Tenants["alice"].Jobs != 1 {
 		t.Errorf("alice stats = %+v", st.Tenants["alice"])
 	}
-	if st.Tenants["bob"] == nil || st.Tenants["bob"].Hits != 1 {
+	if st.Tenants["bob"] == nil || st.Tenants["bob"].Jobs != 1 {
 		t.Errorf("bob stats = %+v", st.Tenants["bob"])
 	}
 }

@@ -210,8 +210,6 @@ func (o Options) withDefaults() Options {
 // Stats is the manager's observability snapshot (surfaced at /v1/stats
 // and /metrics by the gateway).
 type Stats struct {
-	// Workers is the drain pool size.
-	Workers int `json:"workers"`
 	// Depth is the current pending backlog: queued jobs plus jobs
 	// waiting out a retry delay.
 	Depth int `json:"depth"`
@@ -221,23 +219,9 @@ type Stats struct {
 	// since its original enqueue (0 when the queue is empty; jobs
 	// waiting out a retry delay are counted in Depth but not here).
 	OldestPendingAgeNS int64 `json:"oldest_pending_age_ns"`
-	// Done / DeadLetter / Cancelled count jobs currently held in each
-	// terminal state (including journal-replayed ones).
-	Done       int `json:"done"`
-	DeadLetter int `json:"deadletter"`
-	Cancelled  int `json:"cancelled"`
-	// Enqueued / Completed / Failed / Retried / CancelledTotal / Deduped
-	// are lifetime counters for this process.
-	Enqueued       uint64 `json:"enqueued"`
-	Completed      uint64 `json:"completed"`
-	Failed         uint64 `json:"failed"` // attempts that failed (retried or dead-lettered)
-	Retried        uint64 `json:"retried"`
-	CancelledTotal uint64 `json:"cancelled_total"`
-	Deduped        uint64 `json:"deduped"`
-	// Replayed counts jobs recovered from the journal at startup, and
-	// Resumed how many of those re-entered the pending queue.
-	Replayed int `json:"replayed"`
-	Resumed  int `json:"resumed"`
+	// Retried counts, for this process, jobs re-queued after a failed
+	// attempt.
+	Retried uint64 `json:"retried"`
 }
 
 // Manager owns the queue, the journal, and the worker pool.
@@ -254,7 +238,7 @@ type Manager struct {
 	retryWaiting int // pending jobs sitting out their retry delay
 	terminal     int // jobs currently held in a terminal state
 	closed       bool
-	stats        Stats
+	retried      uint64 // jobs re-queued after a failed attempt (Stats.Retried)
 
 	baseCtx  context.Context // cancelled on Close; parents every evaluation
 	baseStop context.CancelFunc
@@ -279,7 +263,6 @@ func New(opts Options) (*Manager, error) {
 	}
 	m.cond = sync.NewCond(&m.mu)
 	m.baseCtx, m.baseStop = context.WithCancel(context.Background())
-	m.stats.Workers = opts.Workers
 
 	if opts.JournalPath != "" {
 		if err := m.openJournal(); err != nil {
@@ -422,8 +405,6 @@ func (m *Manager) openJournal() error {
 		m.queue.push(jb)
 		resumed++
 	}
-	m.stats.Replayed = len(m.jobs)
-	m.stats.Resumed = resumed
 	if len(m.jobs) > 0 {
 		m.logf("jobs: recovered %d jobs from %s (%d resumed as pending)", len(m.jobs), m.opts.JournalPath, resumed)
 	}
@@ -511,7 +492,6 @@ func (m *Manager) submit(tenant string, h core.Handle) (Job, bool, error) {
 		case StatePending, StateRunning, StateDone:
 			// The collapse invariant: identical submissions share one
 			// job, and a completed job's answer is valid forever.
-			m.stats.Deduped++
 			return jb.view, false, nil
 		}
 		// DeadLetter / Cancelled: an explicit resubmission re-enqueues,
@@ -537,7 +517,6 @@ func (m *Manager) submit(tenant string, h core.Handle) (Job, bool, error) {
 	}
 	m.jobs[id] = jb
 	m.queue.push(jb)
-	m.stats.Enqueued++
 	m.appendLocked(jb)
 	m.publishLocked(jb)
 	m.cond.Signal()
@@ -701,21 +680,13 @@ func (m *Manager) List() []Job {
 func (m *Manager) Stats() Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	st := m.stats
-	st.Depth = m.queue.size + m.retryWaiting
-	st.Running = m.running
+	st := Stats{
+		Depth:   m.queue.size + m.retryWaiting,
+		Running: m.running,
+		Retried: m.retried,
+	}
 	if oldest, ok := m.queue.oldest(); ok {
 		st.OldestPendingAgeNS = time.Since(oldest).Nanoseconds()
-	}
-	for _, jb := range m.jobs {
-		switch jb.view.State {
-		case StateDone:
-			st.Done++
-		case StateDeadLetter:
-			st.DeadLetter++
-		case StateCancelled:
-			st.Cancelled++
-		}
 	}
 	return st
 }
@@ -843,7 +814,6 @@ func (m *Manager) worker() {
 			// it: determinism means it is paid for and valid forever.
 			jb.view.Result = result
 			jb.view.Error = ""
-			m.stats.Completed++
 			m.finishLocked(jb, StateDone)
 		case jb.cancelRequested && m.baseCtx.Err() == nil:
 			// Cancelled via DELETE. Only the recorded request counts: a
@@ -857,7 +827,6 @@ func (m *Manager) worker() {
 			// memory; the journal's running snapshot replays as pending.
 			jb.view.State = StatePending
 		default:
-			m.stats.Failed++
 			jb.view.Error = err.Error()
 			if jb.view.Attempts >= m.opts.MaxAttempts {
 				m.finishLocked(jb, StateDeadLetter)
@@ -866,7 +835,7 @@ func (m *Manager) worker() {
 				// Finished stays zero: the job is pending again, not
 				// done.
 				jb.view.State = StatePending
-				m.stats.Retried++
+				m.retried++
 				m.appendLocked(jb)
 				m.publishLocked(jb)
 				m.scheduleRetryLocked(jb)
@@ -889,9 +858,6 @@ func (m *Manager) finishLocked(jb *job, s State) {
 	jb.view.Finished = time.Now()
 	m.terminal++
 	m.evictTerminalLocked()
-	if s == StateCancelled {
-		m.stats.CancelledTotal++
-	}
 	m.appendLocked(jb)
 	close(jb.done)
 	m.publishLocked(jb)

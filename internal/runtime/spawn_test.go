@@ -314,6 +314,69 @@ func TestPanicFailsOnlyItsInvocation(t *testing.T) {
 // tree_child calls allocate nothing, and AttachBlob lends each literal
 // argument from the API's own grant slots, so the two read_u64 calls
 // allocate nothing either.
+//
+// What one warm invocation allocates, and what no longer does:
+//
+// A warm add-codelet evaluation allocates 1/32 of a slab, whether it is
+// asked for as a Thunk or through a Strict Encode (TestAllocsWarmEval,
+// TestAllocsWarmEncode, amortized ≤ 0.1, read 0.031 and 0.065; 5 before
+// AttachTree stopped copying, 3 before literals were lent, 1 before the
+// API was carved). Storing its input Tree first (store.PutTree, as
+// invoke_hot does per op) allocates nothing of its own: the entries go
+// into a slot carved from the stripe's slab, one 3 200 B slab per 20
+// such Trees (store.TestAllocsTreeBytes, amortized ≤ 0.1). The one
+// record an evaluation needs is the procedure's API (applyAPI, 288 B).
+// Its first eight grants sit inline; a map appears only above that.
+//
+// The API is carved, never reused, and detached on return. It comes from
+// a slab of 32 (runtime.Carver, beside runtime.Go in
+// internal/runtime/spawn.go): slabs with a free record wait in a
+// sync.Pool, so each P carves from its own, and a slab leaves the pool
+// with its last record. No record is handed out twice, because a
+// procedure may keep its API after it returns, and a shared one would
+// let it see the next invocation's grants
+// (TestKeptAPISeesNoLaterGrants). When the invocation returns, however
+// it returns, runProcedure detaches the API: its engine, grant count and
+// grant map are cleared. A kept API then refuses every call that reaches
+// the repository or mints a Handle, even on its own input
+// (TestDetachedAPIRefusesEveryCall), and pins nothing. That matters
+// because a record keeps its whole slab alive, and a slab in the pool is
+// reachable: without detach, one kept or pooled slab would pin every
+// engine its records served, and through the engine the store, across
+// the benchmark's system replacement (TestDetachedAPIsPinNoEngine). The
+// inline slots keep their bytes, so a literal AttachBlob lent stays
+// valid for as long as anyone holds it.
+//
+// AttachTree returns the store's entries, read-only, as AttachBlob
+// returns the store's bytes (core.API states the rule; every procedure
+// in the tree only reads them). store.Tree caps the slice at its length,
+// so a procedure that appends gets a copy and cannot reach the spare
+// entry past the end that holds the Tree's Application memo
+// (TestAttachedEntriesAppendLeavesTree). A literal's bytes live in its
+// Handle: AttachBlob copies the Handle into a free inline grant slot and
+// lends the slot's bytes, capped at their length so an append cannot
+// rewrite the length and flags bytes into a granted Handle
+// (TestLentLiteralCannotForgeGrant); with no slot free it copies. A
+// procedure returns a literal result as its Handle, without CreateBlob
+// (wiki.TestAllocsProcedures: a warm count-string or merge-counts
+// allocates its API only).
+//
+// What no longer allocates: a single-flight claim nobody joins (the
+// leader holds a nil placeholder; the first joiner makes the future and
+// its channel), the minimum-repository walk (its seen-set and pin list
+// live in apply's frame up to eight objects), a one-Thunk evaluation
+// chain, an Application without Encodes, a fan-out over up to 8 branches
+// (the record, its WaitGroup, its branches' hand-off to Go, the forced
+// entries and the branches' errors; TestAllocsFanOut pins an Application
+// over 2 or 8 memoized Encodes at one allocation over the same
+// Application with literal entries, that one being the input Tree apply
+// stores), and the codelet machine: its memory, handle table and call
+// stack come from a bounded free list and are zeroed or truncated before
+// each run, so a run is indistinguishable from one on a fresh machine
+// (TestPooledRunsMatchFreshRuns, TestRunAfterTrapSeesFreshMachine,
+// codelet.FuzzLoad). The free list is a mutex-guarded stack, not a
+// sync.Pool, because a sync.Pool drops items at random under the race
+// detector and the pins run there too.
 func TestAllocsWarmEval(t *testing.T) {
 	const warm, runs = 2048, 2048
 	st := store.New()

@@ -32,7 +32,6 @@ type LFC struct {
 
 	hits      atomic.Uint64
 	misses    atomic.Uint64
-	fills     atomic.Uint64
 	evictions atomic.Uint64
 }
 
@@ -134,7 +133,6 @@ func (c *LFC) fill(h core.Handle, data []byte) {
 	if err := writeAtomic(c.dir, c.path(h), data); err != nil {
 		return
 	}
-	c.fills.Add(1)
 	c.mu.Lock()
 	if _, ok := c.entries[h]; !ok {
 		c.entries[h] = c.lru.PushFront(&lfcEntry{h: h, size: int64(len(data))})
@@ -205,15 +203,13 @@ func (c *LFC) Put(ctx context.Context, h core.Handle, data []byte) error {
 // StorageStats merges the backing tier's counters under the cache's own.
 func (c *LFC) StorageStats() Stats {
 	c.mu.Lock()
-	bytes, entries := c.bytes, len(c.entries)
+	bytes := c.bytes
 	c.mu.Unlock()
 	st := Stats{
 		LFCHits:      c.hits.Load(),
 		LFCMisses:    c.misses.Load(),
-		LFCFills:     c.fills.Load(),
 		LFCEvictions: c.evictions.Load(),
 		LFCBytes:     uint64(bytes),
-		LFCEntries:   uint64(entries),
 	}
 	if c.budget > 0 {
 		st.LFCBudget = uint64(c.budget)

@@ -23,7 +23,6 @@ type Dir struct {
 	dir string
 
 	gets   atomic.Uint64
-	puts   atomic.Uint64
 	errors atomic.Uint64
 }
 
@@ -86,7 +85,6 @@ func (d *Dir) Put(ctx context.Context, h core.Handle, data []byte) error {
 		d.errors.Add(1)
 		return err
 	}
-	d.puts.Add(1)
 	return nil
 }
 
@@ -94,7 +92,6 @@ func (d *Dir) Put(ctx context.Context, h core.Handle, data []byte) error {
 func (d *Dir) StorageStats() Stats {
 	return Stats{
 		RemoteGets:   d.gets.Load(),
-		RemotePuts:   d.puts.Load(),
 		RemoteErrors: d.errors.Load(),
 	}
 }

@@ -57,27 +57,19 @@ type Stats struct {
 	// LFCMisses counts reads that fell through the cache to its backing
 	// tier.
 	LFCMisses uint64 `json:"lfc_misses"`
-	// LFCFills counts cache files written after a miss or write-through.
-	LFCFills uint64 `json:"lfc_fills"`
 	// LFCEvictions counts cache files evicted to respect the byte budget.
 	LFCEvictions uint64 `json:"lfc_evictions"`
 	// LFCBytes is the resident cache volume in bytes.
 	LFCBytes uint64 `json:"lfc_bytes"`
 	// LFCBudget is the configured cache byte budget.
 	LFCBudget uint64 `json:"lfc_budget_bytes"`
-	// LFCEntries is the resident cache object count.
-	LFCEntries uint64 `json:"lfc_entries"`
 	// RemoteGets counts reads served by the remote tier.
 	RemoteGets uint64 `json:"remote_gets"`
-	// RemotePuts counts objects written to the remote tier.
-	RemotePuts uint64 `json:"remote_puts"`
 	// RemoteErrors counts remote-tier operations that failed for a reason
 	// other than a miss.
 	RemoteErrors uint64 `json:"remote_errors"`
 	// Demoted counts hot copies evicted after demotion to the tier.
 	Demoted uint64 `json:"demoted"`
-	// DemotePasses counts completed anti-entropy demotion sweeps.
-	DemotePasses uint64 `json:"demote_passes"`
 	// TierFetches counts fetcher misses recovered from the tier.
 	TierFetches uint64 `json:"tier_fetches"`
 	// TierFetchMisses counts fetcher misses the tier could not recover.
@@ -85,21 +77,17 @@ type Stats struct {
 }
 
 // Add accumulates o into s field by field. Point-in-time gauges
-// (LFCBytes, LFCBudget, LFCEntries) add too: a composite tier's resident
+// (LFCBytes, LFCBudget) add too: a composite tier's resident
 // volume is the sum over its parts.
 func (s *Stats) Add(o Stats) {
 	s.LFCHits += o.LFCHits
 	s.LFCMisses += o.LFCMisses
-	s.LFCFills += o.LFCFills
 	s.LFCEvictions += o.LFCEvictions
 	s.LFCBytes += o.LFCBytes
 	s.LFCBudget += o.LFCBudget
-	s.LFCEntries += o.LFCEntries
 	s.RemoteGets += o.RemoteGets
-	s.RemotePuts += o.RemotePuts
 	s.RemoteErrors += o.RemoteErrors
 	s.Demoted += o.Demoted
-	s.DemotePasses += o.DemotePasses
 	s.TierFetches += o.TierFetches
 	s.TierFetchMisses += o.TierFetchMisses
 }

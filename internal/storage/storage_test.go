@@ -27,6 +27,13 @@ func isNotFound(err error) bool {
 	return errors.As(err, &nf)
 }
 
+// lfcEntries counts the objects c holds.
+func lfcEntries(c *LFC) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.entries)
+}
+
 // roundTrip drives the common Storage contract: typed misses, Put,
 // idempotent Put, and Get.
 func roundTrip(t *testing.T, st Storage) {
@@ -54,9 +61,21 @@ func TestDirRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	roundTrip(t, d)
-	st := d.StorageStats()
-	if st.RemotePuts != 1 || st.RemoteGets != 1 {
-		t.Fatalf("counters: %+v, want 1 put and 1 get", st)
+	if st := d.StorageStats(); st.RemoteGets != 1 {
+		t.Fatalf("counters: %+v, want 1 get", st)
+	}
+	// A Put of a present object leaves its file untouched: no rename
+	// replaces it.
+	h, data := blob(1)
+	before, err := os.Stat(d.path(h))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Put(context.Background(), h, data); err != nil {
+		t.Fatal(err)
+	}
+	if after, err := os.Stat(d.path(h)); err != nil || !os.SameFile(before, after) {
+		t.Fatalf("repeated Put replaced the object file (err %v)", err)
 	}
 }
 
@@ -187,7 +206,7 @@ func TestLFCCorruptFileFallsThrough(t *testing.T) {
 			t.Fatalf("read %d of the corrupted tree: %v", i, err)
 		}
 	}
-	if st := c.StorageStats(); st.RemoteGets != 2 || st.LFCHits != 2 || st.LFCEntries != 2 {
+	if st := c.StorageStats(); st.RemoteGets != 2 || st.LFCHits != 2 || lfcEntries(c) != 2 {
 		t.Fatalf("stats %+v, want 2 remote gets (one per corrupted file), then 2 hits on 2 entries", st)
 	}
 }
@@ -254,7 +273,7 @@ func TestLFCWarmReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := warm.StorageStats().LFCEntries; got != 1 {
+	if got := lfcEntries(warm); got != 1 {
 		t.Fatalf("warm reopen adopted %d entries, want 1", got)
 	}
 	gets := remote2.StorageStats().RemoteGets
@@ -284,7 +303,7 @@ func TestLFCWarmReopen(t *testing.T) {
 // TestLFCBootScanRemovesInvalidNames: the warm scan adopts only names that
 // parse as valid handles. A 64-hex name with the reserved flag bit set, an
 // uppercase name and a temp file are debris: removed, and counted in
-// neither LFCEntries nor LFCBytes.
+// neither the cache's entries nor LFCBytes.
 func TestLFCBootScanRemovesInvalidNames(t *testing.T) {
 	dir := t.TempDir()
 	h, d := blob(3)
@@ -309,8 +328,8 @@ func TestLFCBootScanRemovesInvalidNames(t *testing.T) {
 			t.Errorf("boot scan left %q in place (stat err %v)", name, err)
 		}
 	}
-	if st := c.StorageStats(); st.LFCEntries != 1 || st.LFCBytes != uint64(len(d)) {
-		t.Fatalf("boot scan adopted %d entries / %d bytes, want 1 / %d", st.LFCEntries, st.LFCBytes, len(d))
+	if n, st := lfcEntries(c), c.StorageStats(); n != 1 || st.LFCBytes != uint64(len(d)) {
+		t.Fatalf("boot scan adopted %d entries / %d bytes, want 1 / %d", n, st.LFCBytes, len(d))
 	}
 }
 
@@ -395,8 +414,8 @@ func TestLFCZeroBudgetPassThrough(t *testing.T) {
 	if got, err := c.Get(ctx, h); err != nil || !bytes.Equal(got, d) {
 		t.Fatalf("pass-through Get = %v", err)
 	}
-	if st := c.StorageStats(); st.LFCFills != 0 || st.LFCEntries != 0 {
-		t.Fatalf("zero-budget cache filled anyway: %+v", st)
+	if n, st := lfcEntries(c), c.StorageStats(); n != 0 || st.LFCBytes != 0 {
+		t.Fatalf("zero-budget cache filled anyway: %d entries, %+v", n, st)
 	}
 }
 
@@ -445,10 +464,10 @@ func TestLFCConcurrentFillRace(t *testing.T) {
 }
 
 func TestStatsMerge(t *testing.T) {
-	a := Stats{LFCHits: 1, RemoteGets: 2, RemotePuts: 3}
+	a := Stats{LFCHits: 1, RemoteGets: 2, RemoteErrors: 3}
 	b := Stats{LFCHits: 10, RemoteGets: 20, Demoted: 5}
 	a.Add(b)
-	if a.LFCHits != 11 || a.RemoteGets != 22 || a.RemotePuts != 3 || a.Demoted != 5 {
+	if a.LFCHits != 11 || a.RemoteGets != 22 || a.RemoteErrors != 3 || a.Demoted != 5 {
 		t.Fatalf("merge wrong: %+v", a)
 	}
 }
